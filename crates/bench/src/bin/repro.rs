@@ -4,7 +4,7 @@
 //! repro list                 # show all experiment ids
 //! repro analyze              # static-verify every registry pattern, run nothing
 //! repro <id> [<id> ...]      # run selected experiments
-//! repro all                  # run everything (what EXPERIMENTS.md records)
+//! repro all                  # run everything
 //! repro all --quick          # smoke-test resolution
 //! repro all --effort quick   # same, spelled out
 //! repro all --threads 8      # fan each sweep out over 8 workers

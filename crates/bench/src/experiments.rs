@@ -3,8 +3,7 @@
 //! Ids follow the thesis numbering (`table3_1`, `fig5_6`, …). Each
 //! experiment writes one or more CSV/text artifacts into the output
 //! directory and returns their paths. DESIGN.md carries the experiment →
-//! module map; EXPERIMENTS.md records the shape comparison against the
-//! thesis originals.
+//! module map.
 
 use crate::output::{fmt, write_csv, write_file, write_text, CsvTable};
 use std::path::{Path, PathBuf};

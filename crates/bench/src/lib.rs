@@ -2,8 +2,7 @@
 //!
 //! One function per thesis table/figure, each regenerating the artifact's
 //! rows/series as CSV (or text) under an output directory. The `repro`
-//! binary dispatches on experiment ids; `all` runs everything and is what
-//! EXPERIMENTS.md records.
+//! binary dispatches on experiment ids; `all` runs everything.
 //!
 //! Experiment runtimes are kept in check by sampling process counts with
 //! small strides and using reduced-but-sound microbenchmark dimensions;

@@ -13,7 +13,9 @@
 //! no thread pool to initialize, no external dependency (the build
 //! environment has no registry access, so rayon is not an option), and no
 //! unsafe code — each worker collects `(index, value)` pairs privately and
-//! the results are scattered back into input order after the join.
+//! the results are scattered back into input order after the join
+//! ([`par_chunks_mut_with`] instead hands workers disjoint chunks of the
+//! caller's output to write in place).
 //!
 //! The fan-out width is a process-wide setting ([`set_threads`] /
 //! [`threads`]) so that deep call chains (an experiment sweep calling the
@@ -48,13 +50,18 @@ pub fn set_threads(n: Option<usize>) {
 /// so concurrent callers — tests comparing serial against parallel runs,
 /// say — cannot clobber each other's width mid-measurement.
 pub fn with_threads<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
+    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pin_width(n, f)
+}
+
+/// [`with_threads`] for a caller that already holds [`WIDTH_LOCK`].
+fn pin_width<R>(n: Option<usize>, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
             THREADS.store(self.0, Ordering::SeqCst);
         }
     }
-    let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _restore = Restore(THREADS.load(Ordering::SeqCst));
     set_threads(n);
     f()
@@ -120,35 +127,17 @@ where
         return (0..n).map(|k| f(&mut state, k)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut parts: Vec<Vec<(usize, U)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        local.push((k, f(&mut state, k)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                Err(payload) => {
-                    ACTIVE.store(false, Ordering::SeqCst);
-                    std::panic::resume_unwind(payload);
-                }
+    let parts = fan_out(workers, &init, |state| {
+        let mut local: Vec<(usize, U)> = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= n {
+                break;
             }
+            local.push((k, f(state, k)));
         }
+        local
     });
-    ACTIVE.store(false, Ordering::SeqCst);
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     for (k, v) in parts.into_iter().flatten() {
         debug_assert!(slots[k].is_none(), "index {k} produced twice");
@@ -157,6 +146,69 @@ where
     slots
         .into_iter()
         .map(|s| s.expect("every index produced exactly once"))
+        .collect()
+}
+
+/// Hands `out` to `f` in consecutive chunks of `chunk` elements (the
+/// last may be shorter) on up to [`threads`] workers, each with its own
+/// `init()` state: `f(state, b, c)` gets chunk `b` as `c` and writes its
+/// results there.
+///
+/// [`par_map_indexed_with`] for items whose result is a few values of a
+/// flat output: nothing is allocated per item and nothing is gathered
+/// afterwards, and the serial path allocates nothing at all. The same
+/// determinism contract holds — a chunk's contents depend on `b` alone.
+pub fn par_chunks_mut_with<T, S, I, F>(out: &mut [T], chunk: usize, init: I, f: F)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
+    assert!(chunk >= 1, "chunks hold at least one element");
+    let workers = threads().min(out.len().div_ceil(chunk));
+    if workers <= 1 || ACTIVE.swap(true, Ordering::SeqCst) {
+        if out.is_empty() {
+            return;
+        }
+        let mut state = init();
+        for (b, c) in out.chunks_mut(chunk).enumerate() {
+            f(&mut state, b, c);
+        }
+        return;
+    }
+    // Chunks outlive the lock that hands them out: a worker holds it only
+    // while taking its next one.
+    let queue = Mutex::new(out.chunks_mut(chunk).enumerate());
+    fan_out(workers, &init, |state| loop {
+        let next = queue
+            .lock()
+            .expect("no worker panics while taking a chunk")
+            .next();
+        match next {
+            Some((b, c)) => f(state, b, c),
+            None => break,
+        }
+    });
+}
+
+/// Runs `work` on `workers` scoped threads, each over its own `init()`
+/// state, and returns what they returned. The caller has set [`ACTIVE`];
+/// it is cleared here, also when a worker's panic is re-raised.
+fn fan_out<S, R: Send>(
+    workers: usize,
+    init: &(impl Fn() -> S + Sync),
+    work: impl Fn(&mut S) -> R + Sync,
+) -> Vec<R> {
+    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(|| work(&mut init())))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    ACTIVE.store(false, Ordering::SeqCst);
+    joined
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect()
 }
 
@@ -218,6 +270,48 @@ mod tests {
             assert!(inits <= t.min(64), "threads={t}: {inits} inits");
             assert!(inits >= 1, "threads={t}");
         }
+    }
+
+    /// Chunked output: every chunk is written once, by index, whatever
+    /// the thread count and whether or not the chunk size divides the
+    /// length; workers reuse their state.
+    #[test]
+    fn chunks_are_filled_in_place_by_index() {
+        for &t in &[1usize, 2, 5] {
+            for len in [0usize, 1, 8, 61] {
+                let mut out = vec![0usize; len];
+                with_threads(Some(t), || {
+                    par_chunks_mut_with(
+                        &mut out,
+                        8,
+                        || 0usize,
+                        |seen, b, c| {
+                            *seen += 1;
+                            assert!(c.len() == 8 || b == len / 8);
+                            for (i, slot) in c.iter_mut().enumerate() {
+                                *slot = 100 * b + i + 1;
+                            }
+                        },
+                    )
+                });
+                let want: Vec<usize> = (0..len).map(|k| 100 * (k / 8) + k % 8 + 1).collect();
+                assert_eq!(out, want, "threads={t} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_worker_panic_propagates_and_fan_out_recovers() {
+        let r = std::panic::catch_unwind(|| {
+            with_threads(Some(2), || {
+                let mut out = vec![0u8; 32];
+                par_chunks_mut_with(&mut out, 4, || (), |(), b, _| assert_ne!(b, 5, "boom"));
+            })
+        });
+        assert!(r.is_err());
+        // The fan-out flag was cleared: the next call goes wide again.
+        let got = with_threads(Some(2), || par_map_indexed(64, |k| k));
+        assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -283,19 +377,24 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
+    // The two tests below compare the width before and after a scope, so
+    // they hold the lock themselves: another test's scope in between
+    // would change what "before" means.
     #[test]
     fn threads_setting_round_trips() {
+        let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = THREADS.load(Ordering::SeqCst);
-        with_threads(Some(3), || assert_eq!(threads(), 3));
+        pin_width(Some(3), || assert_eq!(threads(), 3));
         assert_eq!(THREADS.load(Ordering::SeqCst), before, "width restored");
         assert!(threads() >= 1);
     }
 
     #[test]
     fn panic_propagates_and_width_is_restored() {
+        let _guard = WIDTH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = THREADS.load(Ordering::SeqCst);
         let r = std::panic::catch_unwind(|| {
-            with_threads(Some(2), || {
+            pin_width(Some(2), || {
                 par_map_indexed(8, |k| {
                     if k == 5 {
                         panic!("boom");

@@ -42,10 +42,11 @@ use rand::rngs::StdRng;
 /// one lane of the SoA executor.
 pub const BARRIER_JITTER_LABEL: u64 = 0x4241_5252; // "BARR"
 
-/// Lanes per batch of [`BarrierSim::measure`]. A tuning knob, not a
-/// contract: samples are bit-identical for any lane width because each
-/// repetition owns its `(seed, rep)` jitter stream.
-pub const MEASURE_LANES: usize = 8;
+/// Lanes per batch of [`BarrierSim::measure`]: the width the jitter
+/// fill has a fixed-width kernel for. A tuning knob, not a contract:
+/// samples are bit-identical for any lane width because each repetition
+/// owns its `(seed, rep)` jitter stream.
+pub const MEASURE_LANES: usize = hpm_stats::stream::WIDE_LANES;
 
 /// Aggregated timings of repeated barrier executions.
 #[derive(Debug, Clone)]
@@ -368,16 +369,17 @@ impl<'a> BarrierSim<'a> {
     /// Repeated runs with independent jitter streams, in SoA lanes.
     ///
     /// Repetitions execute [`MEASURE_LANES`] at a time on the
-    /// lane-parallel executor: each batch fills one draw-major jitter
-    /// table (lane `l` from the stream `(seed, BARRIER_JITTER_LABEL,
-    /// rep)`) in a single tight pass and then runs every lane's
-    /// repetition simultaneously over SoA state. Because a repetition's
-    /// multipliers depend only on `(seed, rep)` and the per-lane
-    /// arithmetic is the scalar recurrence verbatim, the samples are
-    /// bit-identical to one-at-a-time [`BarrierSim::run_total_batched`]
-    /// runs — at any lane width and any [`hpm_par`] thread count. The
-    /// pattern is compiled once and each worker carries one
-    /// [`LaneScratch`] across its batches.
+    /// lane-parallel executor: each batch runs every lane's repetition
+    /// simultaneously over SoA state, reading a draw-major jitter table
+    /// (lane `l` from the stream `(seed, BARRIER_JITTER_LABEL, rep)`)
+    /// that is computed a cache-sized window ahead of the stage loop.
+    /// Because a repetition's multipliers depend only on `(seed, rep)`
+    /// and the per-lane arithmetic is the scalar recurrence verbatim, the
+    /// samples are bit-identical to one-at-a-time
+    /// [`BarrierSim::run_total_batched`] runs — at any lane width and any
+    /// [`hpm_par`] thread count. The pattern is compiled once, each
+    /// worker carries one [`LaneScratch`] across its batches, and every
+    /// batch writes its totals straight into its slice of the samples.
     pub fn measure<P: CommPattern + ?Sized + Sync>(
         &self,
         pattern: &P,
@@ -400,16 +402,24 @@ impl<'a> BarrierSim<'a> {
         reps: usize,
         seed: u64,
     ) -> BarrierMeasurement {
-        let batches = reps.div_ceil(MEASURE_LANES);
-        let chunks = hpm_par::par_map_indexed_with(batches, LaneScratch::new, |scratch, b| {
-            let first = b * MEASURE_LANES;
-            let lanes = MEASURE_LANES.min(reps - first);
-            self.run_batch_compiled(plan, payload, seed, first as u64, lanes, scratch)
-                .to_vec()
-        });
-        BarrierMeasurement {
-            samples: chunks.concat(),
-        }
+        let mut samples = vec![0.0; reps];
+        hpm_par::par_chunks_mut_with(
+            &mut samples,
+            MEASURE_LANES,
+            LaneScratch::new,
+            |scratch, b, out| {
+                let first = (b * MEASURE_LANES) as u64;
+                out.copy_from_slice(self.run_batch_compiled(
+                    plan,
+                    payload,
+                    seed,
+                    first,
+                    out.len(),
+                    scratch,
+                ));
+            },
+        );
+        BarrierMeasurement { samples }
     }
 }
 

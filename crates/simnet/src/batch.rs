@@ -13,10 +13,12 @@
 //! shape compilers auto-vectorize.
 //!
 //! The jitter table is draw-major SoA too: row `d` holds draw `d` of
-//! every lane, filled lane-by-lane from the per-repetition streams
-//! `(seed, BARRIER_JITTER_LABEL, first_rep + l)` in one batch pass
-//! (amortizing the transcendental work that dominated the scalar
-//! stochastic path), then consumed row-by-row in executor order.
+//! every lane, lane `l` from the per-repetition stream
+//! `(seed, BARRIER_JITTER_LABEL, first_rep + l)`, consumed row-by-row in
+//! executor order. It is never whole: the executor opens it with
+//! [`JitterBuf::begin_lanes`], which computes a cache-sized window of
+//! rows, row-major, each time the cursor runs off the previous one — at
+//! p = 4096 the table would be 15.7 MB, the window is 16 KiB.
 //!
 //! Two equivalences pin the engine down (see the tests here and in
 //! `tests/parallel_determinism.rs`):
@@ -37,30 +39,38 @@ use hpm_stats::rng::JitterBuf;
 use hpm_topology::LinkClass;
 
 /// SoA scratch of the lane executor: per-(rank, lane) stage times,
-/// per-(node, lane) NIC queues, per-(rank, lane) receive queues, the
-/// batch jitter table and the per-lane totals. One scratch serves any
-/// pattern/lane-width; buffers grow to the high-water mark and are then
-/// reused allocation-free.
+/// per-(node, lane) NIC queues, per-(rank, lane) receive queues and the
+/// per-lane totals — consecutive regions of one buffer, laid out per
+/// run — plus the jitter window. One scratch serves any
+/// pattern/lane-width; the buffer grows to the high-water mark and is
+/// then reused allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct LaneScratch {
-    /// Stage entry times; final exits after a run.
-    cur: Vec<f64>,
-    /// Stage exit times being accumulated.
-    nxt: Vec<f64>,
-    /// Library-posted times within one stage.
-    posted: Vec<f64>,
-    /// Latest inbound-signal processing times within one stage.
-    last_arrival: Vec<f64>,
-    /// Per-lane acknowledgement chain of the rank currently sending.
-    acks: Vec<f64>,
-    /// Per-(node, lane) NIC egress availability.
-    nic_free: Vec<f64>,
-    /// Per-(rank, lane) receive-processing availability.
-    recv_busy: Vec<f64>,
-    /// Draw-major jitter table.
+    /// `totals` (one per lane) first, where [`LaneScratch::totals`]
+    /// finds them; then the regions [`LaneScratch::split`] names.
+    state: Vec<f64>,
+    /// Lane width of the most recent batch.
+    lanes: usize,
+    /// Window over the batch's draw-major jitter table.
     jitter: JitterBuf,
-    /// Per-lane worst-case completion times of the last batch.
-    totals: Vec<f64>,
+}
+
+/// The regions of [`LaneScratch::state`] behind the totals.
+struct LaneState<'a> {
+    /// Stage entry times; final exits after a run.
+    cur: &'a mut [f64],
+    /// Stage exit times being accumulated.
+    nxt: &'a mut [f64],
+    /// Library-posted times within one stage.
+    posted: &'a mut [f64],
+    /// Latest inbound-signal processing times within one stage.
+    last_arrival: &'a mut [f64],
+    /// Per-(rank, lane) receive-processing availability.
+    recv_busy: &'a mut [f64],
+    /// Per-(node, lane) NIC egress availability.
+    nic_free: &'a mut [f64],
+    /// Per-lane acknowledgement chain of the rank currently sending.
+    acks: &'a mut [f64],
 }
 
 impl LaneScratch {
@@ -71,29 +81,46 @@ impl LaneScratch {
 
     /// Per-lane totals of the most recent batch.
     pub fn totals(&self) -> &[f64] {
-        &self.totals
+        &self.state[..self.lanes]
     }
 
-    /// The jitter table of the most recent batch — lets audit tests
+    /// The jitter window of the most recent batch — lets audit tests
     /// compare consumed rows against the plan's reported draw count.
     pub fn jitter(&self) -> &JitterBuf {
         &self.jitter
     }
 
-    fn ensure(&mut self, p: usize, nodes: usize, lanes: usize) {
-        let grow = |v: &mut Vec<f64>, n: usize| {
-            if v.len() < n {
-                v.resize(n, 0.0);
-            }
+    /// Lays the buffer out for `p` ranks on `nodes` nodes in `lanes`
+    /// lanes: `(totals, regions, jitter)`.
+    fn split(
+        &mut self,
+        p: usize,
+        nodes: usize,
+        lanes: usize,
+    ) -> (&mut [f64], LaneState<'_>, &mut JitterBuf) {
+        let el = p * lanes;
+        let need = lanes + 5 * el + nodes * lanes + lanes;
+        if self.state.len() < need {
+            self.state.resize(need, 0.0);
+        }
+        self.lanes = lanes;
+        let (totals, rest) = self.state.split_at_mut(lanes);
+        let (cur, rest) = rest.split_at_mut(el);
+        let (nxt, rest) = rest.split_at_mut(el);
+        let (posted, rest) = rest.split_at_mut(el);
+        let (last_arrival, rest) = rest.split_at_mut(el);
+        let (recv_busy, rest) = rest.split_at_mut(el);
+        let (nic_free, rest) = rest.split_at_mut(nodes * lanes);
+        let regions = LaneState {
+            cur,
+            nxt,
+            posted,
+            last_arrival,
+            recv_busy,
+            nic_free,
+            acks: &mut rest[..lanes],
         };
-        grow(&mut self.cur, p * lanes);
-        grow(&mut self.nxt, p * lanes);
-        grow(&mut self.posted, p * lanes);
-        grow(&mut self.last_arrival, p * lanes);
-        grow(&mut self.acks, lanes);
-        grow(&mut self.nic_free, nodes * lanes);
-        grow(&mut self.recv_busy, p * lanes);
-        grow(&mut self.totals, lanes);
+        (totals, regions, &mut self.jitter)
     }
 }
 
@@ -119,8 +146,8 @@ impl BarrierSim<'_> {
         assert_eq!(self.placement.nprocs(), p, "placement process count");
         assert!(lanes >= 1, "at least one lane");
         let nodes = self.placement.shape().nodes();
-        scratch.ensure(p, nodes, lanes);
-        scratch.jitter.fill_lanes(
+        let (totals, mut st, jitter) = scratch.split(p, nodes, lanes);
+        jitter.begin_lanes(
             self.params.jitter.sigma,
             seed,
             BARRIER_JITTER_LABEL,
@@ -128,21 +155,9 @@ impl BarrierSim<'_> {
             lanes,
             plan.jitter_draws(),
         );
-        let LaneScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            acks,
-            nic_free,
-            recv_busy,
-            jitter,
-            totals,
-        } = scratch;
-        let el = p * lanes;
-        cur[..el].fill(0.0);
-        nic_free[..nodes * lanes].fill(0.0);
-        recv_busy[..el].fill(0.0);
+        st.cur.fill(0.0);
+        st.nic_free.fill(0.0);
+        st.recv_busy.fill(0.0);
 
         for s in 0..plan.stages() {
             run_stage_lanes(
@@ -152,33 +167,22 @@ impl BarrierSim<'_> {
                 payload,
                 s,
                 lanes,
-                (cur, nxt, posted, last_arrival, acks),
-                (nic_free, recv_busy),
+                &mut st,
                 jitter,
             );
-            std::mem::swap(cur, nxt);
+            std::mem::swap(&mut st.cur, &mut st.nxt);
         }
 
-        for l in 0..lanes {
+        for (l, total) in totals.iter_mut().enumerate() {
             let mut worst = f64::NEG_INFINITY;
             for i in 0..p {
-                worst = worst.max(cur[i * lanes + l]);
+                worst = worst.max(st.cur[i * lanes + l]);
             }
-            totals[l] = worst;
+            *total = worst;
         }
-        &scratch.totals[..lanes]
+        scratch.totals()
     }
 }
-
-/// The stage-time lane vectors handed to [`run_stage_lanes`]:
-/// `(cur, nxt, posted, last_arrival, acks)`.
-type StageLanes<'a> = (
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-    &'a mut [f64],
-);
 
 /// One stage over all lanes: the scalar stage recurrence with every
 /// per-process scalar widened to a lane vector. Multiplier rows are
@@ -194,10 +198,18 @@ fn run_stage_lanes(
     payload: &PayloadSchedule,
     s: usize,
     lanes: usize,
-    (cur, nxt, posted, last_arrival, acks): StageLanes<'_>,
-    (nic_free, recv_busy): (&mut [f64], &mut [f64]),
+    st: &mut LaneState<'_>,
     jitter: &mut JitterBuf,
 ) {
+    let LaneState {
+        cur,
+        nxt,
+        posted,
+        last_arrival,
+        recv_busy,
+        nic_free,
+        acks,
+    } = st;
     let p = plan.p();
     let stage = plan.stage(s);
     let bytes = payload.bytes(s);
@@ -210,10 +222,10 @@ fn run_stage_lanes(
             posted[base + l] = cur[base + l] + params.call_overhead * m[l];
         }
     }
-    nxt[..el].copy_from_slice(&posted[..el]);
-    last_arrival[..el].fill(f64::NEG_INFINITY);
+    nxt.copy_from_slice(posted);
+    last_arrival.fill(f64::NEG_INFINITY);
     for i in 0..p {
-        acks[..lanes].copy_from_slice(&posted[i * lanes..(i + 1) * lanes]);
+        acks.copy_from_slice(&posted[i * lanes..(i + 1) * lanes]);
         for &j in stage.dsts(i) {
             let link = placement.link(i, j);
             let lc = params.link(link);

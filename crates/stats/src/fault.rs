@@ -25,7 +25,7 @@
 //!   is what lets `hpm-analyze`'s draw audit extend to fault draws and
 //!   keeps lane/thread invariance trivial.
 
-use crate::stream::{ParetoQuantileTable, SplitMix64};
+use crate::stream::{QuantileTable, SplitMix64};
 
 /// Stream label of the per-repetition fault-plan realization ("FALT").
 pub const FAULT_LABEL: u64 = 0x4641_4C54;
@@ -418,7 +418,7 @@ impl FaultPlan {
         // Per-rank stragglers: gate and Pareto magnitude, both always
         // drawn so the count is independent of the gate outcomes.
         let pareto = if model.straggler_prob > 0.0 && model.straggler_scale > 0.0 {
-            Some(ParetoQuantileTable::new(model.straggler_alpha))
+            Some(QuantileTable::pareto(model.straggler_alpha))
         } else {
             None
         };

@@ -14,18 +14,17 @@
 //!   Box-Muller transform produces two normals per uniform pair; `draw`
 //!   caches the sine-branch output and serves it on the next call, so the
 //!   scalar path costs one transcendental set per *two* draws.
-//! * [`JitterBuf`] — a table of multipliers batch-filled from
-//!   counter-based [`crate::stream::SplitMix64`] uniform streams through
-//!   the tabulated quantile function
-//!   ([`crate::stream::LognormalQuantileTable`]), consumed by cursor.
-//!   This is the hot-path engine: the executor announces its exact draw
-//!   count up front (`CompiledPattern::jitter_draws` in `hpm-core`), the
-//!   buffer fills in one tight pass, and the inner simulation loop
-//!   becomes pure indexed arithmetic.
-//!   [`crate::stream::NormalSource`] keeps the exact (non-tabulated)
-//!   composition as the reference the equivalence tests compare
-//!   against.
+//! * [`JitterBuf`] — a table of multipliers computed from counter-based
+//!   [`crate::stream::SplitMix64`] uniform streams through the tabulated
+//!   quantile function ([`crate::stream::QuantileTable::lognormal`]),
+//!   consumed by cursor. This is the hot-path engine: the executor
+//!   announces its exact draw count up front
+//!   (`CompiledPattern::jitter_draws` in `hpm-core`), the buffer computes
+//!   rows a block at a time — the whole table at once, or a cache-sized
+//!   window ahead of the cursor — and the inner simulation loop becomes
+//!   pure indexed arithmetic.
 
+use crate::stream::{QuantileTable, SplitMix64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -171,13 +170,13 @@ impl<R: Rng + ?Sized> JitterSource for ScalarJitter<'_, R> {
 }
 
 /// Pareto-tailed [`JitterSource`]: median-1 heavy-tailed multipliers
-/// served from a [`crate::stream::ParetoQuantileTable`] over a
+/// served from a [`crate::stream::QuantileTable::pareto`] table over a
 /// counter-based uniform stream — the straggler half of ROADMAP 5a,
 /// behind the same seam as the log-normal sources so any executor
 /// generic over [`JitterSource`] runs on Pareto noise unchanged.
 pub struct ParetoJitter {
-    table: crate::stream::ParetoQuantileTable,
-    stream: crate::stream::SplitMix64,
+    table: QuantileTable,
+    stream: SplitMix64,
     drawn: usize,
 }
 
@@ -186,8 +185,8 @@ impl ParetoJitter {
     /// `(seed, label, rep)`.
     pub fn new(alpha: f64, seed: u64, label: u64, rep: u64) -> ParetoJitter {
         ParetoJitter {
-            table: crate::stream::ParetoQuantileTable::new(alpha),
-            stream: crate::stream::SplitMix64::from_parts(seed, label, rep),
+            table: QuantileTable::pareto(alpha),
+            stream: SplitMix64::from_parts(seed, label, rep),
             drawn: 0,
         }
     }
@@ -206,33 +205,52 @@ impl JitterSource for ParetoJitter {
     }
 }
 
-/// A batch-filled table of jitter multipliers, consumed front to back.
+/// A table of jitter multipliers, consumed front to back.
 ///
 /// The table holds `draws` *rows* of `lanes` multipliers in draw-major
 /// (SoA) order: row `d` holds draw `d` of every lane contiguously, and
 /// lane `l`'s multipliers come from the independent uniform stream
 /// `(seed, label, first_rep + l)` pushed through the tabulated
 /// log-normal quantile function
-/// ([`crate::stream::LognormalQuantileTable`]) — so a repetition's
+/// ([`crate::stream::QuantileTable::lognormal`]) — so a repetition's
 /// multiplier sequence depends only on its own coordinates, never on
-/// how repetitions were grouped into lanes. With `sigma == 0` the buffer stays inactive:
-/// nothing is filled, every row reads as ones and the cursor never moves,
-/// mirroring the scalar path's `NONE` short-circuit (and keeping the
-/// noiseless path bit-identical and RNG-free).
+/// how repetitions were grouped into lanes.
 ///
-/// Consuming past the filled rows panics — the draw-count contract
-/// between `CompiledPattern::jitter_draws` and the executors is enforced,
-/// not assumed; [`JitterBuf::consumed`] lets tests audit the exact count.
+/// Only a *window* of consecutive rows is ever in memory. The streams
+/// are counter-based, so any row can be produced on its own:
+/// [`JitterBuf::fill`]/[`JitterBuf::fill_lanes`] make the window the
+/// whole table and compute it on the spot; [`JitterBuf::begin_lanes`]
+/// keeps it cache-sized and lets the cursor recompute it, starting at
+/// the cursor's row, whenever it runs past the end. Either way every
+/// multiplier is the same `f64`, so which one a caller picks shows in
+/// host time and memory only.
+///
+/// With `sigma == 0` the buffer stays inactive: nothing is computed,
+/// every row reads as ones and the cursor never moves, mirroring the
+/// scalar path's `NONE` short-circuit (and keeping the noiseless path
+/// bit-identical and RNG-free).
+///
+/// Consuming past `draws` rows panics — the draw-count contract between
+/// `CompiledPattern::jitter_draws` and the executors is enforced, not
+/// assumed; [`JitterBuf::consumed`] lets tests audit the exact count.
 #[derive(Debug, Clone)]
 pub struct JitterBuf {
+    /// Rows `win_start..win_end` of the table.
     mults: Vec<f64>,
     ones: Vec<f64>,
+    /// Lane `l`'s uniform stream, positioned at row 0.
+    streams: Vec<SplitMix64>,
     lanes: usize,
+    draws: usize,
     row: usize,
+    win_start: usize,
+    win_end: usize,
+    /// Rows per window (the last one may be shorter).
+    win_rows: usize,
     active: bool,
     /// Tabulated `u ↦ exp(σ·Φ⁻¹(u))`, built on first active fill and
     /// reused while σ stays the same (it does, for a scratch lifetime).
-    table: Option<crate::stream::LognormalQuantileTable>,
+    table: Option<QuantileTable>,
 }
 
 impl Default for JitterBuf {
@@ -241,17 +259,28 @@ impl Default for JitterBuf {
     }
 }
 
+/// Multipliers per window of [`JitterBuf::begin_lanes`]: 16 KiB, which
+/// with the 16 KiB of table knots leaves L1 room for the consumer's own
+/// state. The samples do not depend on it.
+const WINDOW: usize = 2048;
+
 impl JitterBuf {
-    /// An empty, inactive buffer; [`JitterBuf::fill`]/[`JitterBuf::fill_lanes`]
-    /// size it. Buffers reuse their allocation across fills.
+    /// An empty, inactive buffer; [`JitterBuf::fill`],
+    /// [`JitterBuf::fill_lanes`] and [`JitterBuf::begin_lanes`] size it.
+    /// Buffers reuse their allocations across fills.
     pub fn new() -> JitterBuf {
         // No allocations here: hot paths `mem::take` their buffer out of
         // a scratch (leaving this default behind) once per run.
         JitterBuf {
             mults: Vec::new(),
             ones: Vec::new(),
+            streams: Vec::new(),
             lanes: 1,
+            draws: 0,
             row: 0,
+            win_start: 0,
+            win_end: 0,
+            win_rows: 0,
             active: false,
             table: None,
         }
@@ -264,7 +293,8 @@ impl JitterBuf {
     }
 
     /// Fills a `draws × lanes` table, lane `l` from the stream
-    /// `(seed, label, first_rep + l)`, and rewinds the cursor.
+    /// `(seed, label, first_rep + l)`, and rewinds the cursor. The whole
+    /// table is computed here, before the first row is read.
     pub fn fill_lanes(
         &mut self,
         sigma: f64,
@@ -274,29 +304,80 @@ impl JitterBuf {
         lanes: usize,
         draws: usize,
     ) {
+        self.begin(sigma, seed, label, first_rep, lanes, draws, draws);
+        if self.active {
+            self.refill(0);
+        }
+    }
+
+    /// [`JitterBuf::fill_lanes`] without the table: the same rows, each
+    /// computed when the cursor first needs it, a cache-sized window at
+    /// a time. For consumers that read every row once, in order, soon
+    /// after — the table never exists and never leaves the cache.
+    pub fn begin_lanes(
+        &mut self,
+        sigma: f64,
+        seed: u64,
+        label: u64,
+        first_rep: u64,
+        lanes: usize,
+        draws: usize,
+    ) {
+        self.begin(sigma, seed, label, first_rep, lanes, draws, WINDOW / lanes);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn begin(
+        &mut self,
+        sigma: f64,
+        seed: u64,
+        label: u64,
+        first_rep: u64,
+        lanes: usize,
+        draws: usize,
+        win_rows: usize,
+    ) {
         assert!(lanes >= 1, "at least one lane");
         self.lanes = lanes;
+        self.draws = draws;
         self.row = 0;
+        (self.win_start, self.win_end) = (0, 0);
+        self.win_rows = win_rows;
         self.active = sigma != 0.0;
         if !self.active {
             return;
         }
-        if self.table.as_ref().is_none_or(|t| t.sigma() != sigma) {
-            self.table = Some(crate::stream::LognormalQuantileTable::new(sigma));
+        if self.table.as_ref().is_none_or(|t| t.param() != sigma) {
+            self.table = Some(QuantileTable::lognormal(sigma));
         }
-        let table = self.table.as_ref().expect("table built above");
-        // Every slot is overwritten below, so `resize` only adjusts the
-        // length (no clear: the allocation is reused across fills).
-        self.mults.resize(draws * lanes, 0.0);
-        for l in 0..lanes {
-            let mut stream =
-                crate::stream::SplitMix64::from_parts(seed, label, first_rep + l as u64);
-            let mut idx = l;
-            while idx < draws * lanes {
-                self.mults[idx] = table.mult(stream.next_unit_open());
-                idx += lanes;
-            }
+        self.streams.clear();
+        self.streams
+            .extend((0..lanes as u64).map(|l| SplitMix64::from_parts(seed, label, first_rep + l)));
+    }
+
+    /// Moves the window to the cursor and computes it: at least the `k`
+    /// rows the cursor is about to read, at most what is left of the
+    /// table. The streams seek to the cursor's row in O(1).
+    #[cold]
+    fn refill(&mut self, k: usize) {
+        let left = self.draws - self.row;
+        assert!(
+            k <= left,
+            "jitter table over-consumed: {k} more rows wanted after {} of {} \
+             (the plan's draw count and the executor disagree)",
+            self.row,
+            self.draws
+        );
+        let rows = left.min(self.win_rows.max(k));
+        let n = rows
+            .checked_mul(self.lanes)
+            .expect("jitter window rows × lanes overflows usize");
+        if self.mults.len() < n {
+            self.mults.resize(n, 0.0);
         }
+        let table = self.table.as_ref().expect("an active buffer has a table");
+        table.fill_rows(&self.streams, self.row as u64, &mut self.mults[..n]);
+        (self.win_start, self.win_end) = (self.row, self.row + rows);
     }
 
     /// Lane count of the current fill.
@@ -322,7 +403,10 @@ impl JitterBuf {
             }
             return &self.ones[..n];
         }
-        let start = self.row * self.lanes;
+        if self.row + k > self.win_end {
+            self.refill(k);
+        }
+        let start = (self.row - self.win_start) * self.lanes;
         self.row += k;
         &self.mults[start..start + n]
     }
@@ -334,12 +418,16 @@ impl JitterSource for JitterBuf {
         if !self.active {
             return 1.0;
         }
-        // A hard assert, like the bounds check below it: consuming a
-        // multi-lane fill element-wise would silently interleave lanes
-        // into a wrong-but-plausible stream, and the engine's contract
-        // is that plan/engine divergence cannot stay silent.
+        // A hard assert, like the over-consumption one in `refill`:
+        // consuming a multi-lane fill element-wise would silently
+        // interleave lanes into a wrong-but-plausible stream, and the
+        // engine's contract is that plan/engine divergence cannot stay
+        // silent.
         assert_eq!(self.lanes, 1, "scalar consumption needs a 1-lane fill");
-        let v = self.mults[self.row];
+        if self.row == self.win_end {
+            self.refill(1);
+        }
+        let v = self.mults[self.row - self.win_start];
         self.row += 1;
         v
     }
@@ -507,6 +595,72 @@ mod tests {
         assert_eq!(buf.consumed(), 17);
     }
 
+    /// A windowed buffer serves the eager table's rows bit for bit, with
+    /// `rows(4)` requests landing before, across and after window edges
+    /// (the entry draws shift their phase) at compiled and generic lane
+    /// widths, and counts the same consumption.
+    #[test]
+    fn windowed_rows_match_the_eager_table_bitwise() {
+        for lanes in [1usize, 3, 8, 17] {
+            let win_rows = WINDOW / lanes;
+            for entry in 0..4 {
+                let draws = entry + 4 * (3 * win_rows / 4 + 2);
+                let mut eager = JitterBuf::new();
+                eager.fill_lanes(0.07, 21, 5, 40, lanes, draws);
+                let mut windowed = JitterBuf::new();
+                windowed.begin_lanes(0.07, 21, 5, 40, lanes, draws);
+                for _ in 0..entry {
+                    assert_eq!(eager.rows(1), windowed.rows(1));
+                }
+                let mut straddled = 0;
+                while eager.consumed() < draws {
+                    let at = windowed.consumed();
+                    straddled += usize::from(at / win_rows != (at + 3) / win_rows);
+                    let (e, w) = (eager.rows(4), windowed.rows(4));
+                    assert!(
+                        e.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "lanes {lanes} entry {entry} row {at}"
+                    );
+                }
+                assert_eq!(windowed.consumed(), draws);
+                assert!(straddled > 0 || entry == 0, "lanes {lanes} entry {entry}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_scalar_consumption_matches_eager() {
+        let draws = 2 * WINDOW + 17;
+        let mut eager = JitterBuf::new();
+        eager.fill(0.1, 3, 1, 9, draws);
+        let mut windowed = JitterBuf::new();
+        windowed.begin_lanes(0.1, 3, 1, 9, 1, draws);
+        for d in 0..draws {
+            assert_eq!(
+                eager.next_mult().to_bits(),
+                windowed.next_mult().to_bits(),
+                "draw {d}"
+            );
+        }
+        assert_eq!(windowed.consumed(), draws);
+    }
+
+    #[test]
+    #[should_panic(expected = "over-consumed")]
+    fn overconsuming_a_windowed_buf_panics() {
+        let mut buf = JitterBuf::new();
+        buf.begin_lanes(0.1, 1, 1, 0, 8, 6);
+        let _ = buf.rows(4);
+        let _ = buf.rows(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows usize")]
+    fn table_size_overflow_is_reported() {
+        let mut buf = JitterBuf::new();
+        buf.fill_lanes(0.1, 1, 1, 0, 3, usize::MAX / 2);
+    }
+
     #[test]
     fn inactive_buf_serves_ones_without_consuming() {
         let mut buf = JitterBuf::new();
@@ -517,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "over-consumed")]
     fn overconsuming_a_filled_buf_panics() {
         let mut buf = JitterBuf::new();
         buf.fill(0.1, 1, 1, 0, 2);

@@ -1,5 +1,5 @@
 //! The batched jitter engine's number factory: a counter-based uniform
-//! stream and a normal/log-normal batch filler.
+//! stream and tabulated multiplier quantile functions.
 //!
 //! The scalar jitter path ([`crate::rng::JitterModel::draw`]) costs one
 //! `StdRng` step plus transcendental calls per draw — fine for occasional
@@ -17,11 +17,12 @@
 //!   deep tails fall back to `ln`/`sqrt`.
 //! * [`fast_exp`] — `exp` as exponent-bit assembly plus a degree-7
 //!   polynomial (relative error < 1e-8), pure arithmetic, no libm.
-//! * [`NormalSource`] — batch-fills `f64` buffers with standard normals
-//!   or log-normal multipliers `exp(σ·Z)`, the *exact* composition. The
-//!   hot-path `JitterBuf` fill instead serves draws through
-//!   [`LognormalQuantileTable`]; this source is the reference the
-//!   equivalence tests compare that table against.
+//! * [`QuantileTable`] — the composition `u ↦ exp(σ·Φ⁻¹(u))` (or the
+//!   Pareto quantile function) tabulated once per parameter and served
+//!   by interpolation, one draw at a time ([`QuantileTable::mult`]) or a
+//!   block of rows at a time ([`QuantileTable::fill_rows`], what the
+//!   hot-path `JitterBuf` fill runs). The exact composition survives as
+//!   the test-only `NormalSource` the equivalence tests compare against.
 //!
 //! One uniform becomes one normal (inverse-CDF), so there is no discarded
 //! Box-Muller branch to regret; the classic both-outputs Box-Muller trick
@@ -81,8 +82,23 @@ impl SplitMix64 {
     /// so neither endpoint can occur and `norminv` stays finite.
     #[inline]
     pub fn next_unit_open(&mut self) -> f64 {
-        ((self.next_u64() >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
+        unit_open(self.next_u64())
     }
+
+    /// The stream `n` draws further on, in O(1): the state is a Weyl
+    /// counter, so skipping is one multiply-add.
+    #[inline]
+    pub fn seek(self, n: u64) -> SplitMix64 {
+        SplitMix64 {
+            state: self.state.wrapping_add(n.wrapping_mul(GOLDEN)),
+        }
+    }
+}
+
+/// Maps 64 uniform bits to [`SplitMix64::next_unit_open`]'s value.
+#[inline]
+fn unit_open(x: u64) -> f64 {
+    ((x >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
 }
 
 // Acklam's rational approximation of the standard normal quantile
@@ -177,177 +193,223 @@ pub fn fast_exp(x: f64) -> f64 {
     poly * f64::from_bits(((1023 + k as i64) as u64) << 52)
 }
 
-/// Batch source of standard normals / log-normal multipliers over a
-/// counter-based stream: one uniform per normal through [`norminv`],
-/// filled buffer-at-a-time so the per-draw cost is a handful of flops.
+/// The *exact* (non-tabulated) composition over a counter-based stream:
+/// one uniform per normal through [`norminv`], `exp(σ·Z)` through
+/// [`fast_exp`] — the reference the equivalence tests hold
+/// [`QuantileTable::lognormal`] against.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct NormalSource {
+pub(crate) struct NormalSource {
     stream: SplitMix64,
 }
 
+#[cfg(test)]
 impl NormalSource {
     /// Source keyed by `(seed, label, rep)` — see
     /// [`SplitMix64::from_parts`].
-    pub fn new(seed: u64, label: u64, rep: u64) -> NormalSource {
+    pub(crate) fn new(seed: u64, label: u64, rep: u64) -> NormalSource {
         NormalSource {
             stream: SplitMix64::from_parts(seed, label, rep),
         }
     }
 
-    /// The next standard normal.
-    #[inline]
-    pub fn next_normal(&mut self) -> f64 {
-        norminv(self.stream.next_unit_open())
-    }
-
     /// Fills `out` with standard normals.
-    pub fn fill_normal(&mut self, out: &mut [f64]) {
+    pub(crate) fn fill_normal(&mut self, out: &mut [f64]) {
         for slot in out.iter_mut() {
-            *slot = self.next_normal();
+            *slot = norminv(self.stream.next_unit_open());
         }
     }
 
-    /// Fills `out` with log-normal multipliers `exp(σ·Z)`, median 1 —
-    /// the jitter model's distribution, one tight pass.
-    pub fn fill_lognormal(&mut self, sigma: f64, out: &mut [f64]) {
+    /// Fills `out` with log-normal multipliers `exp(σ·Z)`, median 1.
+    pub(crate) fn fill_lognormal(&mut self, sigma: f64, out: &mut [f64]) {
         for slot in out.iter_mut() {
-            *slot = fast_exp(sigma * self.next_normal());
+            *slot = fast_exp(sigma * norminv(self.stream.next_unit_open()));
         }
     }
 }
 
-/// The log-normal multiplier quantile function `u ↦ exp(σ·Φ⁻¹(u))` for
-/// one fixed σ, tabulated on a uniform grid and served by linear
-/// interpolation.
+/// A median-1 multiplier quantile function `u ↦ q(u)` for one fixed
+/// parameter, tabulated on a uniform grid and served by linear
+/// interpolation: the log-normal `exp(σ·Φ⁻¹(u))` of the jitter engine
+/// ([`QuantileTable::lognormal`]) or the Pareto `(2(1−u))^(−1/α)` of
+/// the straggler model ([`QuantileTable::pareto`]).
 ///
-/// The batch fill's per-draw cost is dominated by the `norminv` →
-/// `fast_exp` latency chain (~50 flops with two divisions). σ is fixed
-/// for a whole fill — and in practice for a whole scratch lifetime — so
-/// the composition collapses into one table built once and then read at
-/// a few flops per draw. Draws landing within [`Self::SLOW_MARGIN`]
-/// cells of either end (≈ 3 % of the mass, where the quantile function's
-/// curvature makes interpolation sloppy) take the exact
-/// `norminv`/`fast_exp` path instead, so tails keep full accuracy.
-///
-/// Interpolation error at the margin boundary (|z| ≈ 2.58, the worst
-/// curvature served from the table) is below 1e-3 in z — orders of
-/// magnitude under sampling noise; the statistical-equivalence tests
-/// compare the table-served stream against the exact scalar stream
-/// directly.
+/// A draw's cost is otherwise the exact function's latency chain
+/// (`norminv` → `fast_exp`: ~50 flops with two divisions). The parameter
+/// is fixed for a whole fill — in practice for a whole scratch lifetime —
+/// so the function collapses into one table built once and read at a few
+/// flops per draw. Draws landing within `margin` cells of either end,
+/// where the function's curvature makes a linear cell sloppy, take the
+/// exact path instead, so tails keep full accuracy; the
+/// statistical-equivalence tests compare the table-served stream against
+/// the exact one directly.
 #[derive(Debug, Clone)]
-pub struct LognormalQuantileTable {
-    sigma: f64,
-    /// `knots[k] = exp(σ·Φ⁻¹(k / CELLS))`; the first and last
-    /// [`Self::SLOW_MARGIN`] knots are never read (NaN-poisoned).
-    knots: Vec<f64>,
+pub struct QuantileTable {
+    /// σ or α.
+    param: f64,
+    /// `(param, u) ↦ q(u)`, evaluated directly.
+    exact: fn(f64, f64) -> f64,
+    /// Cells at each end served by `exact`.
+    margin: usize,
+    /// `knots[k] = q(k / CELLS)`; the first and last `margin` knots are
+    /// NaN: [`QuantileTable::mult`] never reads them, and a cell of
+    /// [`QuantileTable::fill_rows`] that did and missed its patch-up
+    /// would show.
+    knots: Box<[f64; CELLS + 1]>,
 }
 
-impl LognormalQuantileTable {
-    /// Grid cells (16 KiB of knots — half the typical L1).
-    pub const CELLS: usize = 2048;
-    /// Cells at each end served by the exact path.
-    pub const SLOW_MARGIN: usize = 32;
+/// Grid cells of a [`QuantileTable`] (16 KiB of knots).
+const CELLS: usize = 2048;
 
-    /// Builds the table for `sigma` (must be positive).
-    pub fn new(sigma: f64) -> LognormalQuantileTable {
+/// Lane width of the one multi-lane [`QuantileTable::fill_rows`] kernel
+/// compiled for a fixed width (single-lane fills have the other); any
+/// other width runs the same code with the width in a register.
+pub const WIDE_LANES: usize = 8;
+
+/// Cells per [`QuantileTable::fill_rows`] block: 2 KiB of output, still
+/// in L1 when the block's slow-margin draws are patched.
+const FILL_BLOCK: usize = 256;
+
+impl QuantileTable {
+    /// The log-normal multiplier `u ↦ exp(σ·Φ⁻¹(u))` for `sigma` (must
+    /// be positive). The slow margin is 32 cells, ≈ 3 % of the mass: the
+    /// worst curvature left to the table (|z| ≈ 2.58) interpolates to
+    /// better than 1e-3 in z.
+    pub fn lognormal(sigma: f64) -> QuantileTable {
         assert!(sigma > 0.0, "table is for active jitter only");
-        let mut knots = vec![f64::NAN; Self::CELLS + 1];
-        for (k, slot) in knots.iter_mut().enumerate() {
-            if (Self::SLOW_MARGIN..=Self::CELLS - Self::SLOW_MARGIN).contains(&k) {
-                *slot = fast_exp(sigma * norminv(k as f64 / Self::CELLS as f64));
-            }
-        }
-        LognormalQuantileTable { sigma, knots }
+        QuantileTable::build(sigma, |sigma, u| fast_exp(sigma * norminv(u)), 32)
     }
 
-    /// The σ this table was built for.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// The multiplier at quantile `u ∈ (0, 1)`.
-    #[inline]
-    pub fn mult(&self, u: f64) -> f64 {
-        let t = u * Self::CELLS as f64;
-        let k = t as usize;
-        if !(Self::SLOW_MARGIN..Self::CELLS - Self::SLOW_MARGIN).contains(&k) {
-            return fast_exp(self.sigma * norminv(u));
-        }
-        let a = self.knots[k];
-        let b = self.knots[k + 1];
-        a + (t - k as f64) * (b - a)
-    }
-}
-
-/// The Pareto multiplier quantile function `u ↦ (2(1−u))^(−1/α)`,
-/// median 1, tabulated on a uniform grid and served by linear
-/// interpolation — the heavy-tailed sibling of
-/// [`LognormalQuantileTable`] for straggler modeling (ROADMAP 5a).
-///
-/// A Pareto tail with exponent α has survival `P(X > x) ∝ x^(−α)`:
-/// unlike the log-normal, whose tail thins super-polynomially, a small
-/// fraction of draws is *much* larger than the median — the empirical
-/// signature of stragglers. Normalizing the scale so the median is 1
-/// keeps the multiplier convention of the jitter engine (median draw =
-/// noise-free value). The minimum multiplier is `2^(−1/α)` < 1, so the
-/// distribution straddles 1 like the log-normal does.
-///
-/// The exact path evaluates `exp(−ln(2(1−u))/α)` via [`fast_exp`] and
-/// libm `ln` — like the `norminv` tail branches, `ln` keeps absolute
-/// golden hashes gated to the CI platform. The upper tail diverges as
-/// `u → 1`, so the slow margin is twice the log-normal table's.
-#[derive(Debug, Clone)]
-pub struct ParetoQuantileTable {
-    alpha: f64,
-    /// `knots[k] = (2(1 − k/CELLS))^(−1/α)`; the first and last
-    /// [`Self::SLOW_MARGIN`] knots are never read (NaN-poisoned).
-    knots: Vec<f64>,
-}
-
-impl ParetoQuantileTable {
-    /// Grid cells (shared with [`LognormalQuantileTable`]).
-    pub const CELLS: usize = LognormalQuantileTable::CELLS;
-    /// Cells at each end served by the exact path — wider than the
-    /// log-normal margin because the Pareto upper tail diverges.
-    pub const SLOW_MARGIN: usize = 64;
-
-    /// Builds the table for tail exponent `alpha` (must exceed 0.05 so
-    /// the exact path stays inside [`fast_exp`]'s domain).
-    pub fn new(alpha: f64) -> ParetoQuantileTable {
+    /// The Pareto multiplier `u ↦ (2(1−u))^(−1/α)`, median 1, for tail
+    /// exponent `alpha` (must exceed 0.05 so the exact path stays inside
+    /// [`fast_exp`]'s domain) — the heavy-tailed sibling of the
+    /// log-normal for straggler modeling.
+    ///
+    /// A Pareto tail with exponent α has survival `P(X > x) ∝ x^(−α)`:
+    /// unlike the log-normal, whose tail thins super-polynomially, a
+    /// small fraction of draws is *much* larger than the median — the
+    /// empirical signature of stragglers. Normalizing the scale so the
+    /// median is 1 keeps the multiplier convention of the jitter engine
+    /// (median draw = noise-free value). The minimum multiplier is
+    /// `2^(−1/α)` < 1, so the distribution straddles 1 like the
+    /// log-normal does.
+    ///
+    /// The exact path evaluates `exp(−ln(2(1−u))/α)` via [`fast_exp`]
+    /// and libm `ln` — like the `norminv` tail branches, `ln` keeps
+    /// absolute golden hashes gated to the CI platform. The upper tail
+    /// diverges as `u → 1`, so the slow margin is twice the log-normal's.
+    pub fn pareto(alpha: f64) -> QuantileTable {
         assert!(
             alpha.is_finite() && alpha > 0.05,
             "pareto tail exponent must be finite and > 0.05, got {alpha}"
         );
-        let mut knots = vec![f64::NAN; Self::CELLS + 1];
-        for (k, slot) in knots.iter_mut().enumerate() {
-            if (Self::SLOW_MARGIN..=Self::CELLS - Self::SLOW_MARGIN).contains(&k) {
-                *slot = Self::exact(alpha, k as f64 / Self::CELLS as f64);
-            }
+        let exact = |alpha: f64, u: f64| fast_exp(-(2.0 * (1.0 - u)).ln() / alpha);
+        QuantileTable::build(alpha, exact, 64)
+    }
+
+    fn build(param: f64, exact: fn(f64, f64) -> f64, margin: usize) -> QuantileTable {
+        assert!(margin <= CELLS / 2, "margins meet in the middle at most");
+        let mut knots = Box::new([f64::NAN; CELLS + 1]);
+        for k in margin..=CELLS - margin {
+            knots[k] = exact(param, k as f64 / CELLS as f64);
         }
-        ParetoQuantileTable { alpha, knots }
+        QuantileTable {
+            param,
+            exact,
+            margin,
+            knots,
+        }
     }
 
-    /// The α this table was built for.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
+    /// The σ or α this table was built for.
+    pub fn param(&self) -> f64 {
+        self.param
     }
 
+    /// Whether cell `k` is interpolated (else the exact path serves it):
+    /// `margin ≤ k < CELLS − margin` as one unsigned comparison.
     #[inline]
-    fn exact(alpha: f64, u: f64) -> f64 {
-        fast_exp(-(2.0 * (1.0 - u)).ln() / alpha)
+    fn tabulated(&self, k: usize) -> bool {
+        k.wrapping_sub(self.margin) < CELLS - 2 * self.margin
     }
 
     /// The multiplier at quantile `u ∈ (0, 1)`.
     #[inline]
     pub fn mult(&self, u: f64) -> f64 {
-        let t = u * Self::CELLS as f64;
+        let t = u * CELLS as f64;
         let k = t as usize;
-        if !(Self::SLOW_MARGIN..Self::CELLS - Self::SLOW_MARGIN).contains(&k) {
-            return Self::exact(self.alpha, u);
+        if !self.tabulated(k) {
+            return (self.exact)(self.param, u);
         }
         let a = self.knots[k];
         let b = self.knots[k + 1];
         a + (t - k as f64) * (b - a)
+    }
+
+    /// Fills `out` — whole rows of `streams.len()` cells — so that the
+    /// cell of row `r`, lane `l` is `mult` of draw `first_row + r` of
+    /// `streams[l]`: bit for bit what
+    /// `streams[l].seek(first_row + r).next_unit_open()` pushed through
+    /// [`QuantileTable::mult`] gives, in row-major order.
+    ///
+    /// The streams are counter-based, so no lane waits for its previous
+    /// draw: a row's cells are independent mixes, stored contiguously.
+    /// The cell index is read off the integer bits — the draw is
+    /// `u = (m + ½)·2⁻⁵²` with `m = x >> 12`, `u·CELLS` is exact, and its
+    /// floor is `m >> 41 = x >> 53` — and the lerp is evaluated for every
+    /// cell, NaN knots included, so the loop has no data-dependent
+    /// branch. Cells whose index lies in the slow margin are noted and,
+    /// once the block is done, recomputed from the counter by the exact
+    /// function, as `mult` would have.
+    pub fn fill_rows(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
+        if let Ok(one) = <&[SplitMix64; 1]>::try_from(streams) {
+            self.fill_rows_of(one, first_row, out);
+        } else if let Ok(wide) = <&[SplitMix64; WIDE_LANES]>::try_from(streams) {
+            self.fill_rows_of(wide, first_row, out);
+        } else {
+            self.fill_rows_of(streams, first_row, out);
+        }
+    }
+
+    /// [`QuantileTable::fill_rows`] proper; inlined into each caller so
+    /// a width known there is a constant here.
+    #[inline(always)]
+    fn fill_rows_of(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
+        let lanes = streams.len();
+        assert!(
+            lanes >= 1 && out.len().is_multiple_of(lanes),
+            "whole rows of at least one lane"
+        );
+        let block_rows = (FILL_BLOCK / lanes).max(1);
+        let mut stack = [0usize; FILL_BLOCK];
+        let mut heap = Vec::new();
+        let slow: &mut [usize] = if lanes <= FILL_BLOCK {
+            &mut stack
+        } else {
+            heap.resize(lanes, 0);
+            &mut heap
+        };
+        let mut row = first_row;
+        for block in out.chunks_mut(block_rows * lanes) {
+            let mut n_slow = 0;
+            for (r, cells) in block.chunks_exact_mut(lanes).enumerate() {
+                let step = (row + r as u64 + 1).wrapping_mul(GOLDEN);
+                for (l, (cell, stream)) in cells.iter_mut().zip(streams).enumerate() {
+                    let x = mix64(stream.state.wrapping_add(step));
+                    let k = (x >> 53) as usize;
+                    let t = unit_open(x) * CELLS as f64;
+                    let (a, b) = (self.knots[k], self.knots[k + 1]);
+                    *cell = a + (t - k as f64) * (b - a);
+                    slow[n_slow] = r * lanes + l;
+                    n_slow += usize::from(!self.tabulated(k));
+                }
+            }
+            for &i in &slow[..n_slow] {
+                let mut at = streams[i % lanes].seek(row + (i / lanes) as u64);
+                block[i] = (self.exact)(self.param, at.next_unit_open());
+            }
+            row += block_rows as u64;
+        }
     }
 }
 
@@ -372,6 +434,19 @@ mod tests {
         assert_ne!(base, take(SplitMix64::from_parts(42, 7, 4)));
         assert_ne!(base, take(SplitMix64::from_parts(42, 8, 3)));
         assert_ne!(base, take(SplitMix64::from_parts(43, 7, 3)));
+    }
+
+    #[test]
+    fn seek_lands_where_stepping_does() {
+        let origin = SplitMix64::from_parts(9, 4, 1);
+        let mut stepped = origin;
+        for n in 0..2000u64 {
+            let mut sought = origin.seek(n);
+            assert_eq!(sought, stepped, "n = {n}");
+            assert_eq!(sought.next_u64(), stepped.next_u64());
+        }
+        // Counters wrap like the stepping additions do.
+        assert_eq!(origin.seek(u64::MAX).seek(1), origin);
     }
 
     #[test]
@@ -451,7 +526,7 @@ mod tests {
     #[test]
     fn quantile_table_tracks_exact_composition() {
         for sigma in [0.05, 0.2, 0.5] {
-            let tab = LognormalQuantileTable::new(sigma);
+            let tab = QuantileTable::lognormal(sigma);
             let mut u = 1e-5;
             while u < 1.0 {
                 let exact = fast_exp(sigma * norminv(u));
@@ -465,12 +540,83 @@ mod tests {
         }
     }
 
+    /// `fill_rows` against its definition: every cell is `mult` of the
+    /// lane's own sequential stream, bit for bit.
+    fn assert_rows_match_mult(
+        tab: &QuantileTable,
+        seed: u64,
+        lanes: usize,
+        first_row: u64,
+        rows: usize,
+    ) {
+        let streams: Vec<SplitMix64> = (0..lanes as u64)
+            .map(|l| SplitMix64::from_parts(seed, 7, l))
+            .collect();
+        let mut got = vec![0.0; rows * lanes];
+        tab.fill_rows(&streams, first_row, &mut got);
+        for (l, stream) in streams.iter().enumerate() {
+            let mut s = stream.seek(first_row);
+            for r in 0..rows {
+                let want = tab.mult(s.next_unit_open());
+                assert_eq!(
+                    got[r * lanes + l].to_bits(),
+                    want.to_bits(),
+                    "seed {seed} lanes {lanes} first row {first_row}: row {r} lane {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_rows_is_mult_of_each_lane_stream_bitwise() {
+        // σ = 3 spreads the multipliers over five decades, so a cell
+        // served by the wrong path or the wrong knot cannot round the
+        // same.
+        for sigma in [0.05, 0.5, 3.0] {
+            let tab = QuantileTable::lognormal(sigma);
+            for lanes in 1..=17 {
+                let block_rows = (FILL_BLOCK / lanes).max(1);
+                for rows in [0, 1, 2, block_rows - 1, block_rows, block_rows + 1, 1500] {
+                    assert_rows_match_mult(&tab, 11 + rows as u64, lanes, 0, rows);
+                }
+                assert_rows_match_mult(&tab, 5, lanes, 1234, 3 * block_rows + 1);
+            }
+        }
+        let tab = QuantileTable::pareto(1.5);
+        for lanes in [1, 8, 13] {
+            assert_rows_match_mult(&tab, 3, lanes, 77, 700);
+        }
+    }
+
+    /// Slow-margin draws on the first and the last cell of a block — the
+    /// two ends of the patch-up list's index range — at both compiled
+    /// widths and a generic one.
+    #[test]
+    fn fill_rows_patches_block_edges() {
+        let tab = QuantileTable::lognormal(0.2);
+        let slow = |s: SplitMix64, row: usize| {
+            let k = (s.seek(row as u64).next_unit_open() * CELLS as f64) as usize;
+            !tab.tabulated(k)
+        };
+        for lanes in [1, WIDE_LANES, 5] {
+            let block_rows = FILL_BLOCK / lanes;
+            let seed = (0..)
+                .find(|&seed| {
+                    let first = SplitMix64::from_parts(seed, 7, 0);
+                    let last = SplitMix64::from_parts(seed, 7, lanes as u64 - 1);
+                    slow(first, 0) && slow(last, block_rows - 1) && slow(first, block_rows)
+                })
+                .expect("some seed has slow draws on all three edge cells");
+            assert_rows_match_mult(&tab, seed, lanes, 0, 2 * block_rows);
+        }
+    }
+
     /// The Pareto table tracks its exact composition the same way the
     /// log-normal table does, across the central region and both tails.
     #[test]
     fn pareto_table_tracks_exact_composition() {
         for alpha in [1.1, 2.5, 6.0] {
-            let tab = ParetoQuantileTable::new(alpha);
+            let tab = QuantileTable::pareto(alpha);
             let mut u: f64 = 1e-5;
             while u < 1.0 {
                 let exact = fast_exp(-(2.0 * (1.0 - u)).ln() / alpha);
@@ -489,7 +635,7 @@ mod tests {
     #[test]
     fn pareto_draws_are_heavy_tailed_with_median_one() {
         let alpha = 1.5;
-        let tab = ParetoQuantileTable::new(alpha);
+        let tab = QuantileTable::pareto(alpha);
         let mut s = SplitMix64::from_parts(77, 1, 0);
         let draws: Vec<f64> = (0..100_000).map(|_| tab.mult(s.next_unit_open())).collect();
         let floor = fast_exp(-std::f64::consts::LN_2 / alpha);

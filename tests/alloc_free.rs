@@ -64,13 +64,19 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         let mut lanes = LaneScratch::new();
         // Warmup: one full repetition through every stage shape on each
         // engine — scalar-jitter compiled, batch-filled scalar, and the
-        // 8-lane SoA executor (sizing jitter tables and lane buffers).
+        // SoA executor at the fixed-width kernel's 8 lanes and at 5
+        // (sizing jitter tables, the jitter window and the lane buffer).
         let mut rng = derive_rng(42, 0);
         let mut jit = ScalarJitter::new(params.jitter, &mut rng);
         let warm = sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch);
         assert!(warm > 0.0);
         assert!(sim.run_total_batched(&plan, &payload, 42, 0, &mut net, &mut scratch) > 0.0);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 8, &mut lanes);
+        sim.run_batch_compiled(&plan, &payload, 42, 0, 5, &mut lanes);
+        // The lane executor's jitter is windowed, 16 KiB at a time: a
+        // batch's draws span several windows, so the loop below refills
+        // in place.
+        assert!(plan.jitter_draws() * 5 > 3 * 2048);
 
         // The libtest harness owns background threads that allocate
         // sporadically through the same global allocator, so a single
@@ -88,8 +94,14 @@ fn compiled_barrier_repetitions_allocate_nothing() {
                 // The batched engines refill their tables in place.
                 acc +=
                     sim.run_total_batched(&plan, &payload, 42 + trial, rep, &mut net, &mut scratch);
-                for &t in sim.run_batch_compiled(&plan, &payload, trial, 8 * rep, 8, &mut lanes) {
-                    acc += t;
+                for width in [8, 5] {
+                    let first = 8 * rep;
+                    for &t in
+                        sim.run_batch_compiled(&plan, &payload, trial, first, width, &mut lanes)
+                    {
+                        acc += t;
+                    }
+                    assert_eq!(lanes.jitter().consumed(), plan.jitter_draws());
                 }
             }
             let after = ALLOCATIONS.load(Ordering::SeqCst);
@@ -103,6 +115,26 @@ fn compiled_barrier_repetitions_allocate_nothing() {
             plan.name(),
         );
     }
+
+    // `measure_compiled` allocates per call (its samples, one worker's
+    // scratch), not per lane batch: 64 batches cost what 4 do.
+    let plan = dissemination(64).plan();
+    let per_call = |reps: usize| {
+        (0..8)
+            .map(|_| {
+                let before = ALLOCATIONS.load(Ordering::SeqCst);
+                let m = hpm::par::with_threads(Some(1), || {
+                    sim.measure_compiled(&plan, &PayloadSchedule::none(), reps, 42)
+                });
+                assert_eq!(m.samples.len(), reps);
+                ALLOCATIONS.load(Ordering::SeqCst) - before
+            })
+            .min()
+            .expect("eight trials")
+    };
+    let (few, many) = (per_call(32), per_call(512));
+    assert_eq!(few, many, "allocations grew with the batch count");
+    assert!(few <= 6, "{few} allocations per measure_compiled call");
 
     // The knowledge verifier through caller-owned scratch: after one
     // warmup sizes the three p×p tables, repeated verification loops —
