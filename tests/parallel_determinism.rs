@@ -178,6 +178,100 @@ fn faulty_measure_bit_identical_across_thread_counts() {
     }
 }
 
+/// FNV-1a over per-rank outcomes: a variant tag and the time's bits.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn fnv_outcomes(h: u64, outcomes: &[hpm::simnet::RankOutcome]) -> u64 {
+    use hpm::simnet::RankOutcome;
+    outcomes.iter().fold(h, |h, o| {
+        let (tag, t) = match *o {
+            RankOutcome::Completed(t) => (1u64, t),
+            RankOutcome::TimedOut(t) => (2, t),
+            RankOutcome::Crashed(t) => (3, t),
+        };
+        ((h ^ tag).wrapping_mul(0x100000001b3) ^ t.to_bits()).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// Golden pin of the recovering executor (PR 13, struck on the parent's
+/// code before the stage kernels were merged): per-rank outcomes of the
+/// attempt and of the repaired run, under a forced crash set and under
+/// the stress model, where the repair path runs on its own
+/// `RECOVERY_JITTER_LABEL` stream. Same platform gate as the goldens
+/// above.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn recovering_outcomes_match_goldens() {
+    use hpm::barriers::patterns::dissemination;
+    use hpm::model::knowledge::KnowledgeGoal;
+    use hpm::model::pattern::CommPattern;
+    use hpm::model::predictor::PayloadSchedule;
+    use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
+    use hpm::simnet::net::NetState;
+    use hpm::simnet::recovery::{RecoveryReport, RecoveryScratch};
+    use hpm::stats::fault::FaultPlan;
+
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    let hash = |h: u64, r: &RecoveryReport| {
+        let h = fnv_outcomes(fnv_outcomes(h, &r.attempt.outcomes), &r.outcomes);
+        (h ^ r.detection_time.to_bits()).wrapping_mul(0x100000001b3)
+    };
+    let params = xeon_cluster_params();
+    let p = 64;
+    let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+    let sim = BarrierSim::new(&params, &placement);
+    let plan = dissemination(p).plan();
+    let payload = PayloadSchedule::dissemination_count_map(p);
+
+    // Realized faults: every fault class at once, 32 repetitions.
+    let reports = sim.measure_recovering(
+        &plan,
+        &payload,
+        KnowledgeGoal::AllToAll,
+        &stress_fault_model(),
+        32,
+        2026,
+    );
+    assert!(reports.iter().any(|r| r.replanned));
+    assert_eq!(
+        reports.iter().fold(FNV_OFFSET, hash),
+        0x048dc0a9d12069c6,
+        "recovering outcomes under the stress model diverged from their golden"
+    );
+
+    // Forced crash set: drops still fire, so the attempt retries too.
+    let fault = stress_fault_model();
+    let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), &[3, 17, 40]);
+    let mut scratch = SimScratch::new(&placement);
+    let mut net = NetState::new(&placement);
+    let mut rs = RecoveryScratch::new();
+    let mut report = RecoveryReport::new(p);
+    let mut h = FNV_OFFSET;
+    for rep in 0..8u64 {
+        net.reset();
+        sim.run_once_recovering_with(
+            &plan,
+            &payload,
+            KnowledgeGoal::AllToAll,
+            &fault,
+            &fplan,
+            &vec![0.0; p],
+            &mut net,
+            2026,
+            BARRIER_JITTER_LABEL,
+            rep,
+            &mut scratch,
+            &mut rs,
+            &mut report,
+        );
+        assert!(report.replanned && report.recovered, "rep {rep}");
+        h = hash(h, &report);
+    }
+    assert_eq!(
+        h, 0x32da526ae5555e56,
+        "recovering outcomes under forced crashes diverged from their golden"
+    );
+}
+
 /// Runs the given experiments at quick effort into a throwaway directory
 /// and returns every produced file as `(name, bytes)`.
 fn run_all(ids: &[&str], threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
@@ -208,7 +302,9 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // Simulated (host-clock-free) experiments covering the three ported
     // layers: the microbenchmark + barrier sweep (fig5_6), the BSPlib
     // sync sweep (fig6_3), and the collective sweep's nested fan-out.
-    let ids = ["fig5_6", "fig6_3", "collectives"];
+    // `faults` and `recovery` ride along since PR 13: they are the only
+    // experiments that drive the faulty and recovering executors.
+    let ids = ["fig5_6", "fig6_3", "collectives", "faults", "recovery"];
     let serial = run_all(&ids, 1, "t1");
     assert!(!serial.is_empty());
     // Golden pin (re-struck in PR 5 on the batched jitter engine —
@@ -227,6 +323,9 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("fig5_6to9_8x2x4_predicted.csv", 0x09e4437cdebf89f9),
             ("fig5_6to9_8x2x4_rel_error.csv", 0xe02e5b3ef0bbe567),
             ("fig6_3.csv", 0x8280a13f079aa07f),
+            ("faults.csv", 0x0d71fd219e4d36f1),
+            ("recovery.csv", 0x853c51f35faf89a3),
+            ("recovery_registry.csv", 0xdb0c5858f1fc0474),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
