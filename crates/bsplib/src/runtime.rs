@@ -34,6 +34,7 @@ use hpm_simnet::barrier::{BarrierSim, SimScratch};
 use hpm_simnet::exchange::{
     exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
+use hpm_simnet::faults::{FaultReport, FaultScratch, RankOutcome};
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
 use hpm_stats::fault::FaultModel;
@@ -356,6 +357,10 @@ pub fn run_spmd<P: BspProgram>(
     let mut net = NetState::new(&placement);
     let (mut compiled_sync, mut payload) = build_sync(p);
     let mut sync_scratch = SimScratch::new(&placement);
+    // The faulty sync's fault plan, bookkeeping and report are reused
+    // across supersteps (and resize themselves after a shrink).
+    let mut fault_scratch = FaultScratch::new();
+    let mut sync_report = FaultReport::new(p);
     let mut ex_scratch = ExchangeScratch::default();
     // Background transfers run on the batched jitter engine: one table
     // per resolution pass, filled to the message list's exact draw count
@@ -498,10 +503,10 @@ pub fn run_spmd<P: BspProgram>(
         // not every process completes aborts the run with the survivor
         // set under `FailFast`, or triggers a shrink below under
         // `ShrinkAndContinue`.
-        let mut sync_failure: Option<hpm_simnet::faults::FaultReport> = None;
+        let mut sync_failed = false;
         let barrier_exit = match &compiled_sync {
             Some(plan) if !cfg.fault.is_none() => {
-                let report = sim.run_once_faulty(
+                sim.run_once_faulty_into(
                     plan,
                     &payload,
                     &cfg.fault,
@@ -511,16 +516,18 @@ pub fn run_spmd<P: BspProgram>(
                     SYNC_JITTER_LABEL,
                     step as u64,
                     &mut sync_scratch,
+                    &mut fault_scratch,
+                    &mut sync_report,
                 );
-                if !report.all_completed() {
+                if !sync_report.all_completed() {
                     if cfg.recovery == RecoveryPolicy::FailFast {
                         return Err(BspError::SyncFailed {
                             superstep: step,
-                            failed: report.failed(),
-                            survivors: report.survivors(),
+                            failed: sync_report.failed(),
+                            survivors: sync_report.survivors(),
                         });
                     }
-                    sync_failure = Some(report);
+                    sync_failed = true;
                 }
                 sync_scratch.exits().to_vec()
             }
@@ -559,13 +566,14 @@ pub fn run_spmd<P: BspProgram>(
         // After a failed sync under ShrinkAndContinue, only effects
         // whose source and destination both survive commit — data to or
         // from an evicted process died with it.
-        let survives: Vec<bool> = match &sync_failure {
-            Some(report) => report
+        let survives: Vec<bool> = if sync_failed {
+            sync_report
                 .outcomes
                 .iter()
-                .map(|o| matches!(o, hpm_simnet::faults::RankOutcome::Completed(_)))
-                .collect(),
-            None => vec![true; p],
+                .map(|o| matches!(o, RankOutcome::Completed(_)))
+                .collect()
+        } else {
+            vec![true; p]
         };
         // Gets read the state at the end of computation, before puts.
         let mut get_results: Vec<(usize, &CommOp, Vec<u8>)> = Vec::new();
@@ -640,7 +648,8 @@ pub fn run_spmd<P: BspProgram>(
         });
         clocks = completion;
 
-        if let Some(report) = sync_failure {
+        if sync_failed {
+            let report = &sync_report;
             // ShrinkAndContinue: evict the failed processes, renumber
             // the survivors to 0..n in rank order, rebuild everything
             // shaped by the process count, and resume from the

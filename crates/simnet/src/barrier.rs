@@ -11,30 +11,38 @@
 //! simulation core (see DESIGN.md): patterns are compiled once into
 //! [`CompiledPattern`] CSR form, and every execution runs over a caller-
 //! owned [`SimScratch`] — after warmup, [`BarrierSim::run_once_compiled`]
-//! performs zero heap allocations per repetition. The generic
-//! [`BarrierSim::run_once`]/[`BarrierSim::run_total`] wrappers keep the
-//! old one-shot API for callers off the hot path.
+//! performs zero heap allocations per repetition.
 //!
-//! Stochastics come in through a [`JitterSource`]: the `*_compiled`
-//! entry points accept any source, and the `*_batched` entry points
-//! batch-fill the scratch's [`JitterBuf`] with exactly
-//! [`CompiledPattern::jitter_draws`] multipliers from a counter-based
-//! stream keyed by `(seed, label, rep)` before executing — the stage
-//! loop then touches no RNG at all. [`BarrierSim::measure`] goes one
-//! step further and runs repetitions in SoA lanes on the
-//! [`crate::batch::LaneScratch`] executor; because every repetition's
-//! multipliers come from its own `(seed, rep)` stream, the samples are
-//! identical however repetitions are grouped into lanes or threads.
+//! There is one scalar stage kernel, `BarrierSim::run_stages`, generic
+//! over the jitter source, over a crate-private `FaultView` and over a
+//! rank map. The clean entry points here instantiate it with `NoFaults`
+//! and the identity map; [`crate::faults`] passes the view that carries
+//! retries, timeouts and crashes; [`crate::recovery`] runs the repaired
+//! plan through it with `survivors[i]` as the map. The only other
+//! traversal is the SoA lane loop of [`crate::batch`], whose per-lane
+//! arithmetic goes through the same `receive`/`egress` helpers of
+//! [`crate::net`] (DESIGN.md, "One stage kernel").
+//!
+//! Stochastics come in through a [`JitterSource`]:
+//! [`BarrierSim::run_once_compiled`] accepts any source, and
+//! [`BarrierSim::run_once_batched`] batch-fills the scratch's
+//! [`JitterBuf`] with exactly [`CompiledPattern::jitter_draws`]
+//! multipliers from a counter-based stream keyed by `(seed, label, rep)`
+//! before executing — the stage loop then touches no RNG at all.
+//! [`BarrierSim::measure`] goes one step further and runs repetitions in
+//! SoA lanes on the [`crate::batch::LaneScratch`] executor; because every
+//! repetition's multipliers come from its own `(seed, rep)` stream, the
+//! samples are identical however repetitions are grouped into lanes or
+//! threads.
 
 use crate::batch::LaneScratch;
-use crate::net::NetState;
+use crate::net::{FaultView, NetState, NoFaults, SignalFate};
 use crate::params::PlatformParams;
 use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
-use hpm_stats::rng::{JitterBuf, JitterSource, ScalarJitter};
+use hpm_stats::rng::{JitterBuf, JitterSource};
 use hpm_topology::Placement;
-use rand::rngs::StdRng;
 
 /// Stream label of the staged barrier executor's jitter tables: every
 /// repetition `r` of a measurement with seed `s` fills from the stream
@@ -78,10 +86,11 @@ impl BarrierMeasurement {
 /// Reusable per-execution buffers of the staged executor: stage entry and
 /// exit times, library-posted times and inbound-arrival accumulators.
 ///
-/// One scratch serves any pattern over its placement's process count;
-/// carry it across stages, repetitions and supersteps (the measurement
-/// loop keeps one per worker) so the executor's inner loop never touches
-/// the allocator.
+/// One scratch serves any pattern of at most its placement's process
+/// count — a run over `p` ranks works on the first `p` entries of every
+/// buffer; carry it across stages, repetitions and supersteps (the
+/// measurement loop keeps one per worker) so the executor's inner loop
+/// never touches the allocator.
 #[derive(Debug, Clone)]
 pub struct SimScratch {
     /// Entry times of the current stage; holds the final exits after a
@@ -93,8 +102,8 @@ pub struct SimScratch {
     pub(crate) posted: Vec<f64>,
     /// Per-process latest inbound-signal processing time within one stage.
     pub(crate) last_arrival: Vec<f64>,
-    /// Jitter table of the `*_batched` entry points, refilled per run
-    /// (the allocation is reused across fills).
+    /// Jitter table of the batched entry points, refilled per run (the
+    /// allocation is reused across fills).
     pub(crate) jitter: JitterBuf,
 }
 
@@ -111,16 +120,42 @@ impl SimScratch {
         }
     }
 
-    /// Per-process exit times of the most recent run.
+    /// Per-process exit times of the most recent run (its plan's `p`
+    /// ranks first; a scratch built for more ranks has stale entries
+    /// behind them).
     pub fn exits(&self) -> &[f64] {
         &self.cur
     }
 
-    /// The jitter table of the most recent `*_batched` run — lets audit
+    /// The jitter table of the most recent batched run — lets audit
     /// tests compare [`JitterBuf::consumed`] against the plan's
     /// reported draw count.
     pub fn jitter(&self) -> &JitterBuf {
         &self.jitter
+    }
+
+    /// Fills the jitter table with `draws` multipliers from the stream
+    /// `(seed, label, rep)` and lends it to `run` beside the rest of the
+    /// scratch. Whatever ran must have consumed exactly `draws` — the
+    /// plan ≡ engine draw-count contract, audited here for the clean,
+    /// faulty and repaired executions alike.
+    pub(crate) fn with_jitter(
+        &mut self,
+        sigma: f64,
+        seed: u64,
+        label: u64,
+        rep: u64,
+        draws: usize,
+        run: impl FnOnce(&mut SimScratch, &mut JitterBuf),
+    ) {
+        let mut jit = std::mem::take(&mut self.jitter);
+        jit.fill(sigma, seed, label, rep, draws);
+        run(self, &mut jit);
+        debug_assert!(
+            sigma == 0.0 || jit.consumed() == draws,
+            "executor consumed a different jitter-draw count than the plan reports"
+        );
+        self.jitter = jit;
     }
 }
 
@@ -137,41 +172,13 @@ impl<'a> BarrierSim<'a> {
         BarrierSim { params, placement }
     }
 
-    /// Runs one execution from per-process entry times; returns exit times.
-    ///
-    /// `net` carries NIC/receiver queues across calls, so consecutive
-    /// barriers in a superstep share contention state.
-    ///
-    /// One-shot convenience: compiles the pattern and allocates scratch
-    /// per call. Hot paths compile once and use
-    /// [`BarrierSim::run_once_compiled`].
-    pub fn run_once<P: CommPattern + ?Sized>(
-        &self,
-        pattern: &P,
-        payload: &PayloadSchedule,
-        entry: &[f64],
-        net: &mut NetState,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let plan = pattern.plan();
-        let mut scratch = SimScratch::new(self.placement);
-        let mut jit = ScalarJitter::new(self.params.jitter, rng);
-        self.run_once_compiled(&plan, payload, entry, net, &mut jit, &mut scratch);
-        // The scalar twin of the batched consumed-vs-planned audit
-        // (`JitterBuf::consumed`): the adapter counts draw slots, so
-        // plan/executor divergence cannot stay silent on this path
-        // either.
-        debug_assert_eq!(
-            jit.drawn(),
-            plan.jitter_draws(),
-            "scalar executor consumed a different draw count than the plan reports"
-        );
-        scratch.exits().to_vec()
-    }
-
     /// Runs one execution of a compiled pattern from per-process entry
     /// times, entirely within `scratch`; read the exit times from
     /// [`SimScratch::exits`]. Performs no heap allocation.
+    ///
+    /// `net` carries NIC/receiver queues across calls, so consecutive
+    /// barriers in a superstep share contention state; reset it (a reset
+    /// queue is indistinguishable from a fresh one) for a cold start.
     pub fn run_once_compiled<J: JitterSource>(
         &self,
         plan: &CompiledPattern,
@@ -183,8 +190,9 @@ impl<'a> BarrierSim<'a> {
     ) {
         let p = plan.p();
         assert_eq!(entry.len(), p, "entry vector length");
-        scratch.cur.copy_from_slice(entry);
-        self.run_stages(plan, payload, net, jit, scratch);
+        assert_eq!(self.placement.nprocs(), p, "placement process count");
+        scratch.cur[..p].copy_from_slice(entry);
+        self.run_stages(plan, payload, |i| i, net, jit, &mut NoFaults, scratch);
     }
 
     /// [`BarrierSim::run_once_compiled`] on the batched jitter engine:
@@ -193,7 +201,11 @@ impl<'a> BarrierSim<'a> {
     /// the stage loop consumes multipliers by cursor only. Callers own
     /// the stream naming: the BSPlib sync labels per run and uses the
     /// superstep index as `rep`, the measurement loop uses
-    /// [`BARRIER_JITTER_LABEL`] and the repetition index.
+    /// [`BARRIER_JITTER_LABEL`] and the repetition index. From zero entry
+    /// times and a reset `net`, repetition `rep` under
+    /// [`BARRIER_JITTER_LABEL`] is bit-identical to lane `rep - first_rep`
+    /// of [`BarrierSim::run_batch_compiled`] — the lane executor performs
+    /// the same arithmetic on the same multipliers, just strided.
     #[allow(clippy::too_many_arguments)]
     pub fn run_once_batched(
         &self,
@@ -206,164 +218,97 @@ impl<'a> BarrierSim<'a> {
         rep: u64,
         scratch: &mut SimScratch,
     ) {
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            label,
-            rep,
-            plan.jitter_draws(),
-        );
-        self.run_once_compiled(plan, payload, entry, net, &mut jit, scratch);
-        scratch.jitter = jit;
+        let sigma = self.params.jitter.sigma;
+        let draws = plan.jitter_draws();
+        scratch.with_jitter(sigma, seed, label, rep, draws, |scratch, jit| {
+            self.run_once_compiled(plan, payload, entry, net, jit, scratch);
+        });
     }
 
-    /// Stage loop shared by the compiled entry points; expects the entry
-    /// times in `scratch.cur` and leaves the final exits there.
-    fn run_stages<J: JitterSource>(
+    /// The scalar stage kernel — the Fig. 5.5 recurrence, once. Expects
+    /// the entry times in `scratch.cur[..plan.p()]` and leaves the final
+    /// exits there.
+    ///
+    /// `view` is what the repetition's faults do to it (see
+    /// [`FaultView`]; [`NoFaults`] compiles to the clean loop).
+    /// `rank_of` maps a plan rank to the machine rank that link
+    /// classification and the [`NetState`] queues see: the identity, or
+    /// `survivors[i]` when a repaired plan runs over compacted survivor
+    /// indices.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_stages<J: JitterSource, V: FaultView>(
         &self,
         plan: &CompiledPattern,
         payload: &PayloadSchedule,
+        rank_of: impl Fn(usize) -> usize,
         net: &mut NetState,
         jit: &mut J,
-        scratch: &mut SimScratch,
-    ) {
-        assert_eq!(self.placement.nprocs(), plan.p(), "placement process count");
-        for s in 0..plan.stages() {
-            self.run_stage(plan, payload, s, net, jit, scratch);
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-    }
-
-    fn run_stage<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        s: usize,
-        net: &mut NetState,
-        jit: &mut J,
+        view: &mut V,
         scratch: &mut SimScratch,
     ) {
         let p = plan.p();
-        let stage = plan.stage(s);
-        let bytes = payload.bytes(s);
-        let SimScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            ..
-        } = scratch;
-        // Every process calls into the library: posted time = entry + call
-        // overhead; from then on its receives are posted.
-        for (post, &e) in posted.iter_mut().zip(cur.iter()) {
-            *post = e + self.params.call_overhead * jit.next_mult();
-        }
-        nxt.copy_from_slice(posted);
-        // last_arrival[j] accumulates processing times of j's inbound
-        // signals.
-        last_arrival.fill(f64::NEG_INFINITY);
-        for i in 0..p {
-            let mut t = posted[i];
-            for &j in stage.dsts(i) {
-                let (ack, processed) = net.signal_round_trip(
-                    self.params,
-                    self.placement,
-                    jit,
-                    i,
-                    j,
-                    t,
-                    bytes,
-                    posted[j],
-                );
-                t = ack;
-                if processed > last_arrival[j] {
-                    last_arrival[j] = processed;
+        assert!(
+            scratch.cur.len() >= p,
+            "scratch holds fewer ranks than the plan"
+        );
+        for s in 0..plan.stages() {
+            let stage = plan.stage(s);
+            let bytes = payload.bytes(s);
+            let (cur, nxt) = (&scratch.cur[..p], &mut scratch.nxt[..p]);
+            let posted = &mut scratch.posted[..p];
+            let last_arrival = &mut scratch.last_arrival[..p];
+            // Every process calls into the library: posted time = entry +
+            // call overhead; from then on its receives are posted.
+            for (i, (post, &e)) in posted.iter_mut().zip(cur).enumerate() {
+                let slow = view.slow(self.placement, rank_of(i));
+                *post = e + self.params.call_overhead * jit.next_mult() * slow;
+            }
+            nxt.copy_from_slice(posted);
+            // last_arrival[j] accumulates processing times of j's inbound
+            // signals.
+            last_arrival.fill(f64::NEG_INFINITY);
+            for i in 0..p {
+                let mut t = posted[i];
+                for &j in stage.dsts(i) {
+                    let fate = net.signal(
+                        self.params,
+                        self.placement,
+                        jit,
+                        view,
+                        rank_of(i),
+                        rank_of(j),
+                        t,
+                        bytes,
+                        posted[j],
+                    );
+                    view.record(i, j, &fate);
+                    match fate {
+                        SignalFate::Delivered { ack, processed, .. } => {
+                            t = ack;
+                            if processed > last_arrival[j] {
+                                last_arrival[j] = processed;
+                            }
+                        }
+                        SignalFate::Lost { gave_up } => t = gave_up,
+                        SignalFate::SenderDead => {}
+                    }
+                }
+                if t > nxt[i] {
+                    nxt[i] = t;
                 }
             }
-            if t > nxt[i] {
-                nxt[i] = t;
+            for j in 0..p {
+                if last_arrival[j] > nxt[j] {
+                    nxt[j] = last_arrival[j];
+                }
+                if let Some(gave_up) = view.missing_arrival(j, stage, posted[j]) {
+                    if gave_up > nxt[j] {
+                        nxt[j] = gave_up;
+                    }
+                }
             }
+            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
         }
-        for j in 0..p {
-            if last_arrival[j] > nxt[j] {
-                nxt[j] = last_arrival[j];
-            }
-        }
-    }
-
-    /// One complete run from a cold start; returns the worst-case (max)
-    /// completion time. One-shot convenience over
-    /// [`BarrierSim::run_total_compiled`].
-    pub fn run_total<P: CommPattern + ?Sized>(
-        &self,
-        pattern: &P,
-        payload: &PayloadSchedule,
-        rng: &mut StdRng,
-    ) -> f64 {
-        let mut net = NetState::new(self.placement);
-        let mut scratch = SimScratch::new(self.placement);
-        let mut jit = ScalarJitter::new(self.params.jitter, rng);
-        let plan = pattern.plan();
-        let total = self.run_total_compiled(&plan, payload, &mut jit, &mut net, &mut scratch);
-        debug_assert_eq!(
-            jit.drawn(),
-            plan.jitter_draws(),
-            "scalar executor consumed a different draw count than the plan reports"
-        );
-        total
-    }
-
-    /// One complete run of a compiled pattern from a cold start over
-    /// caller-owned network state and scratch; returns the worst-case
-    /// (max) completion time. Resets `net` itself (a reset queue is
-    /// indistinguishable from a fresh one), so repetitions reusing one
-    /// `(net, scratch)` pair are bit-identical to cold-state runs —
-    /// and allocation-free.
-    pub fn run_total_compiled<J: JitterSource>(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        jit: &mut J,
-        net: &mut NetState,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        net.reset();
-        scratch.cur.fill(0.0);
-        self.run_stages(plan, payload, net, jit, scratch);
-        scratch
-            .exits()
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// [`BarrierSim::run_total_compiled`] on the batched jitter engine:
-    /// one cold-start repetition whose multipliers fill from the stream
-    /// `(seed, BARRIER_JITTER_LABEL, rep)`. Repetition `rep` of this
-    /// entry point is bit-identical to lane `rep - first_rep` of
-    /// [`BarrierSim::run_batch_compiled`] — the lane executor performs
-    /// the same arithmetic on the same multipliers, just strided.
-    pub fn run_total_batched(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        seed: u64,
-        rep: u64,
-        net: &mut NetState,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            BARRIER_JITTER_LABEL,
-            rep,
-            plan.jitter_draws(),
-        );
-        let total = self.run_total_compiled(plan, payload, &mut jit, net, scratch);
-        scratch.jitter = jit;
-        total
     }
 
     /// Repeated runs with independent jitter streams, in SoA lanes.
@@ -375,8 +320,8 @@ impl<'a> BarrierSim<'a> {
     /// that is computed a cache-sized window ahead of the stage loop.
     /// Because a repetition's multipliers depend only on `(seed, rep)`
     /// and the per-lane arithmetic is the scalar recurrence verbatim, the
-    /// samples are bit-identical to one-at-a-time
-    /// [`BarrierSim::run_total_batched`] runs — at any lane width and any
+    /// samples are bit-identical to one-at-a-time cold-start
+    /// [`BarrierSim::run_once_batched`] runs — at any lane width and any
     /// [`hpm_par`] thread count. The pattern is compiled once, each
     /// worker carries one [`LaneScratch`] across its batches, and every
     /// batch writes its totals straight into its slice of the samples.
@@ -426,10 +371,11 @@ impl<'a> BarrierSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::dissemination;
     use crate::params::xeon_cluster_params;
     use hpm_core::matrix::IMat;
     use hpm_core::pattern::BarrierPattern;
-    use hpm_stats::rng::derive_rng;
+    use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
     fn linear(p: usize) -> BarrierPattern {
@@ -442,24 +388,13 @@ mod tests {
         )
     }
 
-    fn dissemination(p: usize) -> BarrierPattern {
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats)
-    }
-
     #[test]
     fn deterministic_given_seed() {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 32);
         let sim = BarrierSim::new(&params, &placement);
-        let a = sim.measure(&dissemination(32), &PayloadSchedule::none(), 5, 77);
-        let b = sim.measure(&dissemination(32), &PayloadSchedule::none(), 5, 77);
+        let a = sim.measure_compiled(&dissemination(32), &PayloadSchedule::none(), 5, 77);
+        let b = sim.measure_compiled(&dissemination(32), &PayloadSchedule::none(), 5, 77);
         assert_eq!(a.samples, b.samples);
     }
 
@@ -473,11 +408,11 @@ mod tests {
         let sim = BarrierSim::new(&params, &placement);
         for seed in [7u64, 77, 777] {
             let serial = hpm_par::with_threads(Some(1), || {
-                sim.measure(&dissemination(24), &PayloadSchedule::none(), 16, seed)
+                sim.measure_compiled(&dissemination(24), &PayloadSchedule::none(), 16, seed)
             });
             for threads in [2usize, 5, 16] {
                 let par = hpm_par::with_threads(Some(threads), || {
-                    sim.measure(&dissemination(24), &PayloadSchedule::none(), 16, seed)
+                    sim.measure_compiled(&dissemination(24), &PayloadSchedule::none(), 16, seed)
                 });
                 assert_eq!(serial.samples, par.samples, "seed {seed} threads {threads}");
             }
@@ -493,7 +428,7 @@ mod tests {
             .measure(&linear(64), &PayloadSchedule::none(), 8, 1)
             .mean();
         let dis = sim
-            .measure(&dissemination(64), &PayloadSchedule::none(), 8, 1)
+            .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 8, 1)
             .mean();
         assert!(lin > 2.0 * dis, "linear {lin} vs dissemination {dis}");
     }
@@ -504,7 +439,7 @@ mod tests {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 8);
         let sim = BarrierSim::new(&params, &placement);
         let t = sim
-            .measure(&dissemination(8), &PayloadSchedule::none(), 8, 2)
+            .measure_compiled(&dissemination(8), &PayloadSchedule::none(), 8, 2)
             .mean();
         assert!(t > 0.0 && t < 50e-6, "one-node dissemination {t}");
     }
@@ -515,7 +450,7 @@ mod tests {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
         let sim = BarrierSim::new(&params, &placement);
         let t = sim
-            .measure(&dissemination(64), &PayloadSchedule::none(), 8, 3)
+            .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 8, 3)
             .mean();
         assert!(
             t > 50e-6 && t < 2e-3,
@@ -529,10 +464,10 @@ mod tests {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
         let sim = BarrierSim::new(&params, &placement);
         let plain = sim
-            .measure(&dissemination(64), &PayloadSchedule::none(), 8, 4)
+            .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 8, 4)
             .mean();
         let mapped = sim
-            .measure(
+            .measure_compiled(
                 &dissemination(64),
                 &PayloadSchedule::dissemination_count_map(64),
                 8,
@@ -556,10 +491,10 @@ mod tests {
                 .measure(&linear(16), &PayloadSchedule::none(), 3, 5)
                 .mean();
         let dis_ratio = s64
-            .measure(&dissemination(64), &PayloadSchedule::none(), 3, 5)
+            .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 3, 5)
             .mean()
             / s16
-                .measure(&dissemination(16), &PayloadSchedule::none(), 3, 5)
+                .measure_compiled(&dissemination(16), &PayloadSchedule::none(), 3, 5)
                 .mean();
         // 4x process growth: linear should grow ~4x, dissemination ~6/4x.
         assert!(lin_ratio > 2.5, "linear ratio {lin_ratio}");
@@ -573,29 +508,33 @@ mod tests {
         let params = xeon_cluster_params().noiseless();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
         let sim = BarrierSim::new(&params, &placement);
-        let pat = dissemination(16);
-        let mut rng = derive_rng(9, 0);
+        let plan = dissemination(16);
         let mut net = NetState::new(&placement);
-        let base = sim
-            .run_once(
-                &pat,
+        let mut scratch = SimScratch::new(&placement);
+        let mut total = |entry: &[f64]| {
+            net.reset();
+            let mut rng = derive_rng(9, 0);
+            let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+            sim.run_once_compiled(
+                &plan,
                 &PayloadSchedule::none(),
-                &[0.0; 16],
+                entry,
                 &mut net,
-                &mut rng,
-            )
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+                &mut jit,
+                &mut scratch,
+            );
+            // The scalar twin of the batched consumed-vs-planned audit.
+            assert_eq!(jit.drawn(), plan.jitter_draws());
+            scratch
+                .exits()
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        let base = total(&[0.0; 16]);
         let mut entry = vec![0.0; 16];
         entry[7] = 500e-6;
-        net.reset();
-        let mut rng2 = derive_rng(9, 0);
-        let delayed = sim
-            .run_once(&pat, &PayloadSchedule::none(), &entry, &mut net, &mut rng2)
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let delayed = total(&entry);
         assert!(
             delayed >= base + 400e-6,
             "delay must propagate: base {base}, delayed {delayed}"

@@ -24,14 +24,15 @@
 //! `tests/parallel_determinism.rs`):
 //!
 //! * per lane, the arithmetic is the scalar recurrence *verbatim* — so
-//!   lane `l` of a batch is bit-identical to the one-at-a-time
-//!   [`crate::barrier::BarrierSim::run_total_batched`] run of repetition
+//!   lane `l` of a batch is bit-identical to the one-at-a-time cold-start
+//!   [`crate::barrier::BarrierSim::run_once_batched`] run of repetition
 //!   `first_rep + l`, for every lane width;
 //! * with jitter disabled every multiplier is exactly 1.0 and the
 //!   recurrence collapses to the noiseless scalar path bit-for-bit —
 //!   the flat core's noiseless goldens do not move.
 
 use crate::barrier::{BarrierSim, BARRIER_JITTER_LABEL};
+use crate::net::{egress, receive};
 use crate::params::PlatformParams;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
@@ -130,9 +131,10 @@ impl BarrierSim<'_> {
     /// the per-lane worst-case completion times (also available from
     /// [`LaneScratch::totals`]).
     ///
-    /// Sample `l` is bit-identical to
-    /// `run_total_batched(plan, payload, seed, first_rep + l, ..)` —
-    /// lane width and batch grouping are invisible in the numbers.
+    /// Sample `l` is bit-identical to the worst-case exit of a cold-start
+    /// [`BarrierSim::run_once_batched`] at `rep = first_rep + l` under
+    /// [`BARRIER_JITTER_LABEL`] — lane width and batch grouping are
+    /// invisible in the numbers.
     pub fn run_batch_compiled<'s>(
         &self,
         plan: &CompiledPattern,
@@ -239,42 +241,30 @@ fn run_stage_lanes(
                 &mut recv_busy[j * lanes..],
                 &mut last_arrival[j * lanes..],
             );
-            if link == LinkClass::Remote {
-                let node = placement.node_of(i);
-                let nf = &mut nic_free[node * lanes..];
-                for l in 0..lanes {
-                    let send_done = acks[l] + lc.o_send * m_send[l];
-                    let dep = send_done.max(nf[l]);
-                    nf[l] = dep + params.nic_gap;
-                    let arrival = dep + wire_base * m_wire[l];
-                    let proc_start = if arrival < posted_j[l] {
-                        posted_j[l] + params.unexpected_penalty
-                    } else {
-                        arrival
-                    };
-                    let processed = proc_start.max(rb[l]) + lc.o_recv * m_recv[l];
-                    rb[l] = processed;
-                    if processed > la[l] {
-                        la[l] = processed;
-                    }
-                    acks[l] = processed + lc.latency * params.ack_factor * m_ack[l];
+            // Remote signals queue at the sender node's NIC, per lane.
+            let mut nic =
+                (link == LinkClass::Remote).then(|| &mut nic_free[placement.node_of(i) * lanes..]);
+            // Per lane, the arithmetic of the scalar primitive
+            // (`NetState::signal` under `NoFaults`) through the same
+            // helpers; only the queues are lane vectors.
+            for l in 0..lanes {
+                let send_done = acks[l] + lc.o_send * m_send[l];
+                let dep = match &mut nic {
+                    Some(nic) => egress(&mut nic[l], params.nic_gap, send_done),
+                    None => send_done,
+                };
+                let (processed, ack) = receive(
+                    params,
+                    dep + wire_base * m_wire[l],
+                    posted_j[l],
+                    &mut rb[l],
+                    lc.o_recv * m_recv[l],
+                    lc.latency * params.ack_factor * m_ack[l],
+                );
+                if processed > la[l] {
+                    la[l] = processed;
                 }
-            } else {
-                for l in 0..lanes {
-                    let send_done = acks[l] + lc.o_send * m_send[l];
-                    let arrival = send_done + wire_base * m_wire[l];
-                    let proc_start = if arrival < posted_j[l] {
-                        posted_j[l] + params.unexpected_penalty
-                    } else {
-                        arrival
-                    };
-                    let processed = proc_start.max(rb[l]) + lc.o_recv * m_recv[l];
-                    rb[l] = processed;
-                    if processed > la[l] {
-                        la[l] = processed;
-                    }
-                    acks[l] = processed + lc.latency * params.ack_factor * m_ack[l];
-                }
+                acks[l] = ack;
             }
         }
         let base = i * lanes;
@@ -295,22 +285,40 @@ fn run_stage_lanes(
 mod tests {
     use super::*;
     use crate::barrier::SimScratch;
+    use crate::fixtures::dissemination;
     use crate::net::NetState;
     use crate::params::xeon_cluster_params;
-    use hpm_core::matrix::IMat;
-    use hpm_core::pattern::{BarrierPattern, CommPattern};
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
-    fn dissemination(p: usize) -> BarrierPattern {
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats)
+    /// Worst-case exit of one scalar cold-start repetition on the
+    /// batched engine — the reference the lane and faulty executors are
+    /// compared against.
+    fn cold_total(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        payload: &PayloadSchedule,
+        seed: u64,
+        rep: u64,
+        net: &mut NetState,
+        scratch: &mut SimScratch,
+    ) -> f64 {
+        net.reset();
+        let zeros = vec![0.0; plan.p()];
+        sim.run_once_batched(
+            plan,
+            payload,
+            &zeros,
+            net,
+            seed,
+            BARRIER_JITTER_LABEL,
+            rep,
+            scratch,
+        );
+        scratch.exits()[..plan.p()]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Every lane of a batch equals the one-at-a-time batched run of the
@@ -321,12 +329,12 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 24);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(24).plan();
+        let plan = dissemination(24);
         let payload = hpm_core::predictor::PayloadSchedule::dissemination_count_map(24);
         let mut net = NetState::new(&placement);
         let mut scalar = SimScratch::new(&placement);
         let singles: Vec<f64> = (0..12)
-            .map(|r| sim.run_total_batched(&plan, &payload, 77, r, &mut net, &mut scalar))
+            .map(|r| cold_total(&sim, &plan, &payload, 77, r, &mut net, &mut scalar))
             .collect();
         let mut scratch = LaneScratch::new();
         for lanes in [1usize, 3, 8, 12] {
@@ -348,25 +356,6 @@ mod tests {
         }
     }
 
-    /// With jitter off, the lane executor reproduces the scalar compiled
-    /// executor bit for bit — the noiseless path does not move.
-    #[test]
-    fn noiseless_lanes_match_scalar_executor_bitwise() {
-        let params = xeon_cluster_params().noiseless();
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
-        let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(16).plan();
-        let payload = hpm_core::predictor::PayloadSchedule::none();
-        let mut net = NetState::new(&placement);
-        let mut scalar = SimScratch::new(&placement);
-        let mut rng = derive_rng(5, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let want = sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scalar);
-        let mut scratch = LaneScratch::new();
-        let got = sim.run_batch_compiled(&plan, &payload, 5, 0, 4, &mut scratch);
-        assert!(got.iter().all(|&t| t.to_bits() == want.to_bits()));
-    }
-
     /// Draw-count audit (both engines): the executor consumes exactly
     /// the draw count the compiled plan reports, per repetition. The
     /// static analyzer recomputes the same count from the CSR shape
@@ -378,7 +367,7 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 24);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(24).plan();
+        let plan = dissemination(24);
         // Static twin of this audit: a clean analysis certifies the
         // plan's reported draw count matches what the stages will make
         // the engines consume below.
@@ -397,7 +386,7 @@ mod tests {
         // Scalar batched engine: same count.
         let mut net = NetState::new(&placement);
         let mut scalar = SimScratch::new(&placement);
-        sim.run_total_batched(&plan, &payload, 3, 0, &mut net, &mut scalar);
+        cold_total(&sim, &plan, &payload, 3, 0, &mut net, &mut scalar);
         assert_eq!(scalar.jitter().consumed(), plan.jitter_draws());
     }
 
@@ -413,8 +402,8 @@ mod tests {
         let noiseless = BarrierSim::new(&noiseless_params, &placement);
         let pat = dissemination(16);
         let payload = hpm_core::predictor::PayloadSchedule::none();
-        let med = jittered.measure(&pat, &payload, 512, 9).median();
-        let base = noiseless.measure(&pat, &payload, 1, 9).samples[0];
+        let med = jittered.measure_compiled(&pat, &payload, 512, 9).median();
+        let base = noiseless.measure_compiled(&pat, &payload, 1, 9).samples[0];
         let rel = (med - base) / base;
         assert!(
             (-0.02..0.15).contains(&rel),
@@ -430,20 +419,33 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
         let sim = BarrierSim::new(&params, &placement);
-        let pat = dissemination(16);
+        let plan = dissemination(16);
         let payload = hpm_core::predictor::PayloadSchedule::none();
         let reps = 768;
-        let batched = sim.measure(&pat, &payload, reps, 11).mean();
+        let batched = sim.measure_compiled(&plan, &payload, reps, 11).mean();
         // The scalar path, as PR 4's measure ran it: one derived StdRng
         // per repetition through the compiled executor.
-        let plan = pat.plan();
         let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         let scalar_samples: Vec<f64> = (0..reps)
             .map(|r| {
                 let mut rng = derive_rng(11, r as u64);
                 let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-                sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch)
+                net.reset();
+                sim.run_once_compiled(
+                    &plan,
+                    &payload,
+                    &[0.0; 16],
+                    &mut net,
+                    &mut jit,
+                    &mut scratch,
+                );
+                assert_eq!(jit.drawn(), plan.jitter_draws());
+                scratch
+                    .exits()
+                    .iter()
+                    .copied()
+                    .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect();
         let scalar = hpm_stats::mean(&scalar_samples);

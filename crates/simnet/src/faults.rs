@@ -1,15 +1,17 @@
 //! The fault-aware barrier executor: crashes, drops, degraded links and
 //! stragglers over the staged executor, with per-rank outcomes.
 //!
-//! [`crate::barrier::BarrierSim::run_once_faulty`] executes one compiled
-//! pattern under a [`FaultModel`]: the repetition's faults are realized
-//! into a [`FaultPlan`] from the stream `(seed, FAULT_LABEL, rep)`, the
-//! jitter table fills exactly as on the healthy path, and every planned
-//! signal runs through [`crate::net::NetState::signal_round_trip_faulty`]
-//! — which consumes one drop uniform and the usual four jitter
-//! multipliers whatever the signal's fate. Because every stream is keyed
-//! by the repetition's own coordinates and consumption counts are pure
-//! functions of the plan shape ([`fault_drop_draws`]), faulty runs are
+//! [`crate::barrier::BarrierSim::run_once_faulty_into`] executes one
+//! compiled pattern under a [`FaultModel`]: the repetition's faults are
+//! realized into a [`FaultPlan`] from the stream `(seed, FAULT_LABEL,
+//! rep)`, the jitter table fills exactly as on the healthy path, and the
+//! one scalar stage kernel of [`crate::barrier`] runs under the fault
+//! view defined here — every planned signal consumes one drop uniform
+//! and the usual four jitter multipliers whatever its fate. Because every
+//! stream is keyed by the repetition's own coordinates and consumption
+//! counts are pure functions of the plan shape
+//! ([`CompiledPattern::total_signals`] drop uniforms,
+//! [`CompiledPattern::jitter_draws`] multipliers), faulty runs are
 //! bit-identical at any thread count, and a [`FaultModel::is_none`]
 //! model reproduces the fault-free executor bit-for-bit (all fault
 //! arithmetic collapses to `×1.0`/`+0.0`).
@@ -20,11 +22,12 @@
 //! sender-symmetric retry budget [`FaultModel::loss_delay`]), or is
 //! [`RankOutcome::Crashed`] outright.
 
-use crate::barrier::{BarrierSim, SimScratch};
-use crate::net::{NetState, SignalFate};
-use hpm_core::plan::CompiledPattern;
+use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
+use crate::net::{FaultView, NetState, SignalFate};
+use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
-use hpm_stats::fault::{DropStream, FaultModel, FaultPlan};
+use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
+use hpm_topology::{LinkClass, Placement};
 
 /// How one rank left a faulty run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,9 +41,18 @@ pub enum RankOutcome {
     Crashed(f64),
 }
 
+/// Worst-case exit time over ranks that finished a run (completed or
+/// timed out); `NEG_INFINITY` if everyone crashed.
+pub(crate) fn last_exit(outcomes: &[RankOutcome]) -> f64 {
+    outcomes.iter().fold(f64::NEG_INFINITY, |acc, o| match o {
+        RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
+        RankOutcome::Crashed(_) => acc,
+    })
+}
+
 /// One repetition's fault accounting: per-rank outcomes plus the retry
 /// and loss totals the repro experiment aggregates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Per-rank outcome.
     pub outcomes: Vec<RankOutcome>,
@@ -60,13 +72,9 @@ impl FaultReport {
     /// filled by [`BarrierSim::run_once_faulty_into`].
     #[must_use]
     pub fn new(p: usize) -> FaultReport {
-        FaultReport {
-            outcomes: vec![RankOutcome::Completed(0.0); p],
-            retries: 0,
-            retry_delay: 0.0,
-            lost_signals: 0,
-            suppressed_signals: 0,
-        }
+        let mut report = FaultReport::default();
+        report.reset(p);
+        report
     }
 
     /// Resets to the all-completed-at-zero state for `p` ranks without
@@ -97,60 +105,30 @@ impl FaultReport {
     /// Worst-case exit time over ranks that finished the run (completed
     /// or timed out); `NEG_INFINITY` if everyone crashed.
     pub fn total(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .fold(f64::NEG_INFINITY, |acc, o| match o {
-                RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
-                RankOutcome::Crashed(_) => acc,
-            })
+        last_exit(&self.outcomes)
     }
 
-    /// Ranks that completed cleanly, in rank order, without allocating.
-    pub fn survivors_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| matches!(o, RankOutcome::Completed(_)))
-            .map(|(r, _)| r)
-    }
-
-    /// Ranks that crashed or timed out, in rank order, without
-    /// allocating.
-    pub fn failed_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !matches!(o, RankOutcome::Completed(_)))
-            .map(|(r, _)| r)
-    }
-
-    /// Fills `out` with the surviving ranks, reusing its capacity.
-    pub fn survivors_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.survivors_iter());
-    }
-
-    /// Fills `out` with the failed ranks, reusing its capacity.
-    pub fn failed_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.failed_iter());
+    /// Ranks that did (`true`) or did not complete cleanly, in rank
+    /// order.
+    fn ranks(&self, completed: bool) -> Vec<usize> {
+        let is = |r: &usize| matches!(self.outcomes[*r], RankOutcome::Completed(_)) == completed;
+        (0..self.outcomes.len()).filter(is).collect()
     }
 
     /// Ranks that completed cleanly, in rank order.
     pub fn survivors(&self) -> Vec<usize> {
-        self.survivors_iter().collect()
+        self.ranks(true)
     }
 
     /// Ranks that crashed or timed out, in rank order.
     pub fn failed(&self) -> Vec<usize> {
-        self.failed_iter().collect()
+        self.ranks(false)
     }
 }
 
 /// Reusable per-worker state for the faulty executor: the realized
-/// fault plan plus the timeout/arrival bookkeeping that
-/// [`BarrierSim::run_once_faulty`] used to allocate per call. Buffers
-/// grow to the largest plan seen and are then reused, so repetition
+/// fault plan plus the timeout/arrival bookkeeping of the fault view.
+/// Buffers grow to the largest plan seen and are then reused, so repetition
 /// loops over a fixed shape are allocation-free.
 #[derive(Debug)]
 pub struct FaultScratch {
@@ -176,65 +154,116 @@ impl FaultScratch {
         }
     }
 
-    /// The fault plan realized by the most recent faulty run.
+    /// The fault plan the most recent faulty run executed under.
     #[must_use]
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.fplan
     }
 }
 
-/// Drop-stream draws one faulty run of `plan` consumes: exactly one per
-/// planned signal, so the count is the plan's total edge count — the
-/// fault twin of `CompiledPattern::jitter_draws`, and what makes the
-/// draw audit static.
-#[must_use]
-pub fn fault_drop_draws(plan: &CompiledPattern) -> usize {
-    (0..plan.stages()).map(|s| plan.stage(s).edge_count()).sum()
+/// The fault view of one faulty repetition: the model and its realized
+/// plan, the drop stream, and where outcomes are accounted. Only ever
+/// run under the identity rank map, so plan ranks are machine ranks.
+struct Faults<'a> {
+    fault: &'a FaultModel,
+    fplan: &'a FaultPlan,
+    drops: DropStream,
+    report: &'a mut FaultReport,
+    /// Per rank: gave up on a signal, as sender or as receiver.
+    timed_out: &'a mut [bool],
+    /// Per rank: signals delivered to it in the current stage.
+    arrived: &'a mut [usize],
+}
+
+impl FaultView for Faults<'_> {
+    #[inline]
+    fn drop_uniform(&mut self) -> f64 {
+        self.drops.next_uniform()
+    }
+
+    #[inline]
+    fn crashed_at(&self, rank: usize, t: f64) -> bool {
+        self.fplan.crashed_at(rank, t)
+    }
+
+    #[inline]
+    fn slow(&self, placement: &Placement, rank: usize) -> f64 {
+        self.fplan.node_slow[placement.node_of(rank)]
+    }
+
+    #[inline]
+    fn wire_mult(&self, placement: &Placement, src: usize, dst: usize) -> f64 {
+        self.fplan
+            .wire_mult(placement.node_of(src), placement.node_of(dst))
+    }
+
+    #[inline]
+    fn retransmit(&self, u: f64, class: LinkClass, send_done: f64) -> Option<(f64, u32, f64)> {
+        let drop_p = if class == LinkClass::Remote {
+            self.fault.drop.remote
+        } else {
+            self.fault.drop.local
+        };
+        let attempts = attempts_from_uniform(u, drop_p);
+        if attempts > self.fault.max_retries + 1 {
+            return None;
+        }
+        let retry_delay = self.fault.retry_delay(attempts);
+        Some((send_done + retry_delay, attempts - 1, retry_delay))
+    }
+
+    #[inline]
+    fn loss_delay(&self) -> f64 {
+        self.fault.loss_delay()
+    }
+
+    #[inline]
+    fn record(&mut self, src: usize, dst: usize, fate: &SignalFate) {
+        match *fate {
+            SignalFate::Delivered {
+                retries,
+                retry_delay,
+                ..
+            } => {
+                self.report.retries += retries as u64;
+                self.report.retry_delay += retry_delay;
+                self.arrived[dst] += 1;
+            }
+            SignalFate::Lost { .. } => {
+                self.report.lost_signals += 1;
+                self.timed_out[src] = true;
+            }
+            SignalFate::SenderDead => self.report.suppressed_signals += 1,
+        }
+    }
+
+    /// A surviving rank missing an expected arrival waits out the
+    /// sender-symmetric retry budget past its post, then gives up.
+    #[inline]
+    fn missing_arrival(&mut self, j: usize, stage: &StagePlan, posted: f64) -> Option<f64> {
+        // Consumes the stage's arrival count: the next stage starts at 0.
+        let arrived = std::mem::take(&mut self.arrived[j]);
+        if arrived < stage.in_degree(j) && self.fplan.crash_time[j] == f64::INFINITY {
+            self.timed_out[j] = true;
+            Some(posted + self.fault.loss_delay())
+        } else {
+            None
+        }
+    }
 }
 
 impl BarrierSim<'_> {
     /// One faulty cold-start run of a compiled pattern from per-rank
-    /// entry times (realized straggler delays are added on top).
+    /// entry times (realized straggler delays are added on top); the
+    /// realized fault plan and the timeout/arrival bookkeeping live in
+    /// `fs`, the outcomes in `report` — all reused across calls, so
+    /// repetition loops are allocation-free.
     ///
     /// Jitter fills from `(seed, label, rep)` exactly like
     /// [`BarrierSim::run_once_batched`]; fault structure and drop
     /// decisions come from the disjoint `FAULT_LABEL`/`FAULT_DROP_LABEL`
     /// streams at the same `(seed, rep)`. With [`FaultModel::is_none`]
     /// the exits are bit-identical to the fault-free batched run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_faulty(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        fault: &FaultModel,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-    ) -> FaultReport {
-        let mut fs = FaultScratch::new();
-        let mut report = FaultReport::new(plan.p());
-        self.run_once_faulty_into(
-            plan,
-            payload,
-            fault,
-            entry,
-            net,
-            seed,
-            label,
-            rep,
-            scratch,
-            &mut fs,
-            &mut report,
-        );
-        report
-    }
-
-    /// Allocation-free twin of [`BarrierSim::run_once_faulty`]: the
-    /// realized fault plan and the timeout/arrival bookkeeping live in
-    /// `fs`, the outcomes in `report` — all reused across calls.
     #[allow(clippy::too_many_arguments)]
     pub fn run_once_faulty_into(
         &self,
@@ -251,30 +280,23 @@ impl BarrierSim<'_> {
         report: &mut FaultReport,
     ) {
         let nodes = self.placement.shape().nodes();
-        let FaultScratch {
-            fplan,
-            timed_out,
-            arrived,
-        } = fs;
-        fplan.realize_into(fault, plan.p(), nodes, seed, rep);
-        self.faulty_core(
-            plan, payload, fault, fplan, entry, net, seed, label, rep, scratch, timed_out, arrived,
-            report,
+        fs.fplan.realize_into(fault, plan.p(), nodes, seed, rep);
+        self.run_faulty(
+            plan, payload, fault, entry, net, seed, label, rep, scratch, fs, report,
         );
     }
 
-    /// Faulty run under a caller-supplied [`FaultPlan`] (e.g.
-    /// [`FaultPlan::with_crashes`] for a deterministic crash-set sweep)
-    /// instead of one realized from the fault stream. The drop and
-    /// jitter streams are consumed exactly as in
-    /// [`BarrierSim::run_once_faulty`].
+    /// The faulty run proper, under the [`FaultPlan`] already in `fs` —
+    /// realized from the fault stream by
+    /// [`BarrierSim::run_once_faulty_into`], or forced by the caller
+    /// (e.g. [`FaultPlan::with_crashes`] for a deterministic crash-set
+    /// sweep). The drop and jitter streams are consumed alike.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_once_faulty_with(
+    pub(crate) fn run_faulty(
         &self,
         plan: &CompiledPattern,
         payload: &PayloadSchedule,
         fault: &FaultModel,
-        fplan: &FaultPlan,
         entry: &[f64],
         net: &mut NetState,
         seed: u64,
@@ -285,44 +307,14 @@ impl BarrierSim<'_> {
         report: &mut FaultReport,
     ) {
         let FaultScratch {
-            timed_out, arrived, ..
+            fplan,
+            timed_out,
+            arrived,
         } = fs;
-        self.faulty_core(
-            plan, payload, fault, fplan, entry, net, seed, label, rep, scratch, timed_out, arrived,
-            report,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn faulty_core(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        timed_out: &mut Vec<bool>,
-        arrived: &mut Vec<usize>,
-        report: &mut FaultReport,
-    ) {
         let p = plan.p();
         assert_eq!(entry.len(), p, "entry vector length");
         assert_eq!(self.placement.nprocs(), p, "placement process count");
         assert_eq!(fplan.crash_time.len(), p, "fault plan rank count");
-        let mut drops = DropStream::new(seed, rep);
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            label,
-            rep,
-            plan.jitter_draws(),
-        );
         for (c, (&e, &d)) in scratch
             .cur
             .iter_mut()
@@ -335,138 +327,74 @@ impl BarrierSim<'_> {
         timed_out.resize(p, false);
         arrived.clear();
         arrived.resize(p, 0);
-        for s in 0..plan.stages() {
-            self.run_stage_faulty(
-                plan, payload, s, fault, fplan, &mut drops, net, &mut jit, scratch, report,
-                timed_out, arrived,
-            );
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-        for (i, out) in report.outcomes.iter_mut().enumerate() {
+        let mut view = Faults {
+            fault,
+            fplan,
+            drops: DropStream::new(seed, rep),
+            report,
+            timed_out,
+            arrived,
+        };
+        let sigma = self.params.jitter.sigma;
+        let draws = plan.jitter_draws();
+        scratch.with_jitter(sigma, seed, label, rep, draws, |scratch, jit| {
+            self.run_stages(plan, payload, |i| i, net, jit, &mut view, scratch);
+        });
+        debug_assert_eq!(
+            view.drops.drawn(),
+            plan.total_signals(),
+            "faulty executor consumed a different drop-draw count than the plan reports"
+        );
+        for (i, out) in view.report.outcomes.iter_mut().enumerate() {
             *out = if fplan.crash_time[i] < f64::INFINITY {
                 RankOutcome::Crashed(fplan.crash_time[i])
-            } else if timed_out[i] {
+            } else if view.timed_out[i] {
                 RankOutcome::TimedOut(scratch.cur[i])
             } else {
                 RankOutcome::Completed(scratch.cur[i])
             };
         }
-        debug_assert_eq!(
-            drops.drawn(),
-            fault_drop_draws(plan),
-            "faulty executor consumed a different drop-draw count than the plan reports"
-        );
-        debug_assert!(
-            self.params.jitter.sigma == 0.0 || jit.consumed() == plan.jitter_draws(),
-            "faulty executor consumed a different jitter-draw count than the plan reports"
-        );
-        scratch.jitter = jit;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_faulty(
+    /// Cold-start repetitions `0..reps` under `fault`, fanned out on
+    /// [`hpm_par`]: every worker carries one `(SimScratch, NetState, S)`
+    /// across its share, and `run` gets them with the network reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fault` fails [`FaultModel::checked`], naming `what`
+    /// and the offending knob — a sweep over user-supplied models dies
+    /// at entry with a clear message instead of misbehaving mid-run.
+    pub(crate) fn measure_reps<S: Default, R: Send>(
         &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        s: usize,
+        what: &str,
         fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        net: &mut NetState,
-        jit: &mut hpm_stats::rng::JitterBuf,
-        scratch: &mut SimScratch,
-        report: &mut FaultReport,
-        timed_out: &mut [bool],
-        arrived: &mut [usize],
-    ) {
-        use hpm_stats::rng::JitterSource;
-        let p = plan.p();
-        let stage = plan.stage(s);
-        let bytes = payload.bytes(s);
-        let SimScratch {
-            cur,
-            nxt,
-            posted,
-            last_arrival,
-            ..
-        } = scratch;
-        for (i, (post, &e)) in posted.iter_mut().zip(cur.iter()).enumerate() {
-            let slow = fplan.node_slow[self.placement.node_of(i)];
-            *post = e + self.params.call_overhead * jit.next_mult() * slow;
+        reps: usize,
+        run: impl Fn(&mut SimScratch, &mut NetState, &mut S, u64) -> R + Sync,
+    ) -> Vec<R> {
+        if let Err(e) = fault.checked() {
+            panic!("{what}: invalid FaultModel: {e}");
         }
-        nxt.copy_from_slice(posted);
-        last_arrival.fill(f64::NEG_INFINITY);
-        arrived[..p].fill(0);
-        for i in 0..p {
-            let mut t = posted[i];
-            for &j in stage.dsts(i) {
-                match net.signal_round_trip_faulty(
-                    self.params,
-                    self.placement,
-                    jit,
-                    fault,
-                    fplan,
-                    drops,
-                    i,
-                    j,
-                    t,
-                    bytes,
-                    posted[j],
-                ) {
-                    SignalFate::Delivered {
-                        ack,
-                        processed,
-                        retries,
-                        retry_delay,
-                    } => {
-                        t = ack;
-                        report.retries += retries as u64;
-                        report.retry_delay += retry_delay;
-                        arrived[j] += 1;
-                        if processed > last_arrival[j] {
-                            last_arrival[j] = processed;
-                        }
-                    }
-                    SignalFate::Lost { gave_up } => {
-                        report.lost_signals += 1;
-                        timed_out[i] = true;
-                        t = gave_up;
-                    }
-                    SignalFate::SenderDead => {
-                        report.suppressed_signals += 1;
-                    }
-                }
-            }
-            if t > nxt[i] {
-                nxt[i] = t;
-            }
-        }
-        for j in 0..p {
-            if last_arrival[j] > nxt[j] {
-                nxt[j] = last_arrival[j];
-            }
-            // A surviving rank missing an expected arrival waits out the
-            // sender-symmetric retry budget past its post, then gives up.
-            if arrived[j] < stage.in_degree(j) && fplan.crash_time[j] == f64::INFINITY {
-                timed_out[j] = true;
-                let gave_up = posted[j] + fault.loss_delay();
-                if gave_up > nxt[j] {
-                    nxt[j] = gave_up;
-                }
-            }
-        }
+        let init = || {
+            let scratch = SimScratch::new(self.placement);
+            (scratch, NetState::new(self.placement), S::default())
+        };
+        hpm_par::par_map_indexed_with(reps, init, |(scratch, net, extra), r| {
+            net.reset();
+            run(scratch, net, extra, r as u64)
+        })
     }
 
     /// Repeated faulty cold-start runs with independent fault and jitter
     /// streams per repetition, fanned out on [`hpm_par`]. Repetition `r`
-    /// is bit-identical to a lone [`BarrierSim::run_once_faulty`] at
+    /// is bit-identical to a lone [`BarrierSim::run_once_faulty_into`] at
     /// `rep = r` — grouping into workers is invisible, exactly like the
     /// lane batching of the healthy `measure`.
+    ///
     /// # Panics
     ///
     /// Panics when `fault` fails [`FaultModel::checked`], naming the
-    /// offending knob — a sweep over user-supplied models dies at entry
-    /// with a clear message instead of misbehaving mid-run.
+    /// offending knob.
     pub fn measure_faulty(
         &self,
         plan: &CompiledPattern,
@@ -475,60 +403,59 @@ impl BarrierSim<'_> {
         reps: usize,
         seed: u64,
     ) -> Vec<FaultReport> {
-        if let Err(e) = fault.checked() {
-            panic!("measure_faulty: invalid FaultModel: {e}");
-        }
         let zeros = vec![0.0; plan.p()];
-        hpm_par::par_map_indexed_with(
-            reps,
-            || {
-                (
-                    SimScratch::new(self.placement),
-                    NetState::new(self.placement),
-                    FaultScratch::new(),
-                )
-            },
-            |(scratch, net, fs), r| {
-                net.reset();
-                let mut report = FaultReport::new(plan.p());
-                self.run_once_faulty_into(
-                    plan,
-                    payload,
-                    fault,
-                    &zeros,
-                    net,
-                    seed,
-                    crate::barrier::BARRIER_JITTER_LABEL,
-                    r as u64,
-                    scratch,
-                    fs,
-                    &mut report,
-                );
-                report
-            },
-        )
+        self.measure_reps("measure_faulty", fault, reps, |scratch, net, fs, r| {
+            let mut report = FaultReport::new(plan.p());
+            self.run_once_faulty_into(
+                plan,
+                payload,
+                fault,
+                &zeros,
+                net,
+                seed,
+                BARRIER_JITTER_LABEL,
+                r,
+                scratch,
+                fs,
+                &mut report,
+            );
+            report
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::xeon_cluster_params;
-    use hpm_core::pattern::CommPattern;
+    use crate::fixtures::{dissemination, sim_fixture};
     use hpm_stats::fault::DropProb;
-    use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
-    fn dissemination(p: usize) -> CompiledPattern {
-        use hpm_core::matrix::IMat;
-        use hpm_core::pattern::BarrierPattern;
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats).plan()
+    /// One lone faulty cold-start repetition from zero entry times.
+    fn lone_faulty(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        fault: &FaultModel,
+        seed: u64,
+        rep: u64,
+        net: &mut NetState,
+        scratch: &mut SimScratch,
+    ) -> FaultReport {
+        let mut report = FaultReport::new(plan.p());
+        net.reset();
+        sim.run_once_faulty_into(
+            plan,
+            &PayloadSchedule::none(),
+            fault,
+            &vec![0.0; plan.p()],
+            net,
+            seed,
+            BARRIER_JITTER_LABEL,
+            rep,
+            scratch,
+            &mut FaultScratch::new(),
+            &mut report,
+        );
+        report
     }
 
     fn faulty_model() -> FaultModel {
@@ -547,51 +474,122 @@ mod tests {
         }
     }
 
-    fn sim_fixture(p: usize) -> (crate::params::PlatformParams, Placement) {
-        let params = xeon_cluster_params();
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
-        (params, placement)
-    }
-
-    /// The zero-fault property of the tentpole: a `FaultModel::NONE` run
-    /// is bitwise identical to the fault-free batched engine, sample by
-    /// sample.
-    #[test]
-    fn none_model_matches_fault_free_engine_bitwise() {
-        let p = 32;
-        let (params, placement) = sim_fixture(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let payload = PayloadSchedule::none();
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        for rep in 0..8u64 {
-            let healthy = sim.run_total_batched(&plan, &payload, 4242, rep, &mut net, &mut scratch);
-            net.reset();
-            let report = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &FaultModel::NONE,
-                &vec![0.0; p],
-                &mut net,
-                4242,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-            );
-            assert!(report.all_completed());
-            assert_eq!(report.retries, 0);
-            assert_eq!(report.lost_signals, 0);
-            assert_eq!(
-                report.total().to_bits(),
-                healthy.to_bits(),
-                "rep {rep}: faulty-but-neutral diverged from the healthy engine"
-            );
+    /// The fault view over caller-owned bookkeeping, for signal-level
+    /// tests.
+    fn view<'a>(
+        fault: &'a FaultModel,
+        fplan: &'a FaultPlan,
+        report: &'a mut FaultReport,
+        fs: &'a mut FaultScratch,
+    ) -> Faults<'a> {
+        let p = fplan.crash_time.len();
+        fs.timed_out.resize(p, false);
+        fs.arrived.resize(p, 0);
+        Faults {
+            fault,
+            fplan,
+            drops: DropStream::new(1, 0),
+            report,
+            timed_out: &mut fs.timed_out,
+            arrived: &mut fs.arrived,
         }
     }
 
+    /// A neutral fault plan routes a signal through arithmetic
+    /// bit-identical to the fault-free instantiation.
+    #[test]
+    fn neutral_signal_matches_fault_free_bitwise() {
+        use hpm_stats::rng::{derive_rng, ScalarJitter};
+        let (params, placement) = sim_fixture(16);
+        let fplan = FaultPlan::neutral(16, placement.shape().nodes());
+        let (mut report, mut fs) = (FaultReport::new(16), FaultScratch::new());
+        let mut faults = view(&FaultModel::NONE, &fplan, &mut report, &mut fs);
+        let mut rng_a = derive_rng(11, 0);
+        let mut rng_b = derive_rng(11, 0);
+        let mut jit_a = ScalarJitter::new(params.jitter, &mut rng_a);
+        let mut jit_b = ScalarJitter::new(params.jitter, &mut rng_b);
+        let mut net_a = NetState::new(&placement);
+        let mut net_b = NetState::new(&placement);
+        for (src, dst) in [(0usize, 1usize), (0, 2), (3, 12), (2, 1)] {
+            let (ack, processed) =
+                net_a.signal_round_trip(&params, &placement, &mut jit_a, src, dst, 1e-6, 64, 0.0);
+            let fate = net_b.signal(
+                &params,
+                &placement,
+                &mut jit_b,
+                &mut faults,
+                src,
+                dst,
+                1e-6,
+                64,
+                0.0,
+            );
+            assert_eq!(
+                fate,
+                SignalFate::Delivered {
+                    ack,
+                    processed,
+                    retries: 0,
+                    retry_delay: 0.0
+                }
+            );
+        }
+        assert_eq!(faults.drops.drawn(), 4);
+    }
+
+    /// Certain drop (attempts beyond any budget) loses the signal after
+    /// the full backed-off budget; a crashed sender never emits, and
+    /// both still consume their draws.
+    #[test]
+    fn hopeless_drops_and_dead_senders_lose_signals() {
+        use hpm_stats::rng::JitterBuf;
+        let (params, placement) = sim_fixture(16);
+        let fault = FaultModel {
+            drop: DropProb::uniform(0.999_999),
+            max_retries: 2,
+            timeout: 1e-3,
+            backoff: 2.0,
+            ..FaultModel::NONE
+        };
+        let mut fplan = FaultPlan::neutral(16, placement.shape().nodes());
+        fplan.crash_time[3] = 0.0;
+        let (mut report, mut fs) = (FaultReport::new(16), FaultScratch::new());
+        let mut faults = view(&fault, &fplan, &mut report, &mut fs);
+        let mut ones = JitterBuf::new();
+        let mut net = NetState::new(&placement);
+        match net.signal(
+            &params,
+            &placement,
+            &mut ones,
+            &mut faults,
+            0,
+            1,
+            0.0,
+            0,
+            0.0,
+        ) {
+            // Full budget: timeout·(1 + 2 + 4) past the send.
+            SignalFate::Lost { gave_up } => assert!(gave_up >= 7e-3, "gave_up {gave_up}"),
+            other => panic!("near-certain drop must lose, got {other:?}"),
+        }
+        let fate = net.signal(
+            &params,
+            &placement,
+            &mut ones,
+            &mut faults,
+            3,
+            1,
+            1.0,
+            0,
+            0.0,
+        );
+        assert_eq!(fate, SignalFate::SenderDead);
+        assert_eq!(faults.drops.drawn(), 2);
+    }
+
     /// Faulty repetitions are bit-identical at any thread count, and
-    /// `measure_faulty` rep `r` equals a lone `run_once_faulty` at `r`.
+    /// `measure_faulty` rep `r` equals a lone `run_once_faulty_into` at
+    /// `r`.
     #[test]
     fn faulty_measure_is_thread_invariant_and_rep_keyed() {
         let p = 24;
@@ -612,57 +610,8 @@ mod tests {
         let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         for (r, rep_report) in serial.iter().enumerate() {
-            net.reset();
-            let lone = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                99,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                r as u64,
-                &mut scratch,
-            );
+            let lone = lone_faulty(&sim, &plan, &fault, 99, r as u64, &mut net, &mut scratch);
             assert_eq!(*rep_report, lone, "rep {r}");
-        }
-    }
-
-    /// The consumed-vs-planned audit extends to fault draws: a faulty
-    /// run consumes exactly `fault_drop_draws(plan)` drop uniforms and
-    /// the plan's jitter draws — knob values notwithstanding.
-    #[test]
-    fn faulty_executor_consumes_exactly_the_plan_reported_draws() {
-        let p = 16;
-        let (params, placement) = sim_fixture(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let payload = PayloadSchedule::none();
-        assert_eq!(
-            fault_drop_draws(&plan),
-            (0..plan.stages())
-                .map(|s| plan.stage(s).edge_count())
-                .sum::<usize>()
-        );
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        for fault in [FaultModel::NONE, faulty_model()] {
-            net.reset();
-            let _ = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                7,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                0,
-                &mut scratch,
-            );
-            // The debug asserts inside run_once_faulty enforce the
-            // counts; in release builds this test still pins the jitter
-            // cursor through the scratch.
-            assert_eq!(scratch.jitter().consumed(), plan.jitter_draws());
         }
     }
 

@@ -21,13 +21,15 @@
 //!   ([`batch`]) — see DESIGN.md, "The jitter engine".
 //!
 //! On top of the raw message engine sit the Fig. 5.5 staged barrier
-//! executor ([`barrier`]), the §5.6.3 platform microbenchmarks
-//! ([`microbench`]) which extract the `O`/`L`/`β` matrices *exactly the way
-//! an application could* (medians and regression over simulated timings,
-//! never by peeking at the true parameters), and a background-transfer
-//! resolver ([`exchange`]) used by the BSPlib runtime to model overlapped
-//! one-sided communication.
-
+//! executor ([`barrier`] — one scalar stage kernel that the clean,
+//! faulty ([`faults`]) and recovering ([`recovery`]) runs all
+//! instantiate, beside the SoA lane loop of [`batch`]), the §5.6.3
+//! platform microbenchmarks ([`microbench`]) which extract the `O`/`L`/`β`
+//! matrices *exactly the way an application could* (medians and
+//! regression over simulated timings, never by peeking at the true
+//! parameters), and a background-transfer resolver ([`exchange`]) used by
+//! the BSPlib runtime to model overlapped one-sided communication.
+//!
 //! The recovery layer ([`recovery`]) closes the fault loop: when the
 //! faulty executor reports crashed ranks, survivors detect, agree, and
 //! finish the collective over a survivor re-plan — see DESIGN.md, "The
@@ -48,11 +50,34 @@ pub use exchange::{
     exchange_jitter_draws, resolve_exchange, resolve_exchange_into, ExchangeMsg, ExchangeResult,
     ExchangeScratch,
 };
-pub use faults::{fault_drop_draws, FaultReport, FaultScratch, RankOutcome};
+pub use faults::{FaultReport, FaultScratch, RankOutcome};
 pub use microbench::{
     bench_platform, bench_platform_classes, ClassCosts, ClassProfile, MicrobenchConfig,
     PlatformProfile,
 };
-pub use net::{FaultyTransfer, NetState, SignalFate};
+pub use net::NetState;
 pub use params::{LinkCost, PlatformParams};
 pub use recovery::{consensus_cost, RecoveryReport, RecoveryScratch, RECOVERY_JITTER_LABEL};
+
+/// Fixtures shared by the unit tests of the executors.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use crate::params::{xeon_cluster_params, PlatformParams};
+    use hpm_core::plan::CompiledPattern;
+    use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
+
+    /// The ⌈log₂ p⌉-stage dissemination barrier, authored sparsely.
+    pub(crate) fn dissemination(p: usize) -> CompiledPattern {
+        let stages = (p as f64).log2().ceil() as usize;
+        let edges: Vec<Vec<(usize, usize)>> = (0..stages)
+            .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
+            .collect();
+        CompiledPattern::from_stage_edges("dissemination", p, &edges)
+    }
+
+    /// The jittered Xeon cluster with `p` ranks placed round-robin.
+    pub(crate) fn sim_fixture(p: usize) -> (PlatformParams, Placement) {
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        (xeon_cluster_params(), placement)
+    }
+}

@@ -7,7 +7,9 @@
 //! * [`NetState::signal_round_trip`] — small control signals (barrier
 //!   stages). The sender is occupied until the transport-level
 //!   acknowledgement returns; this per-message round trip is the platform
-//!   behaviour that the Eq. 5.4 factor 2 models.
+//!   behaviour that the Eq. 5.4 factor 2 models. It is the fault-free
+//!   instantiation of the one signal primitive, `NetState::signal`,
+//!   which the stage kernel calls under whatever `FaultView` the run has.
 //! * [`NetState::transfer`] — one-sided bulk transfers (BSPlib put/get
 //!   payloads). Fire-and-forget from the sender's perspective; the
 //!   receiving communication thread absorbs them in the background.
@@ -28,14 +30,13 @@
 //! batched engine sizes its tables by.
 
 use crate::params::PlatformParams;
-use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
+use hpm_core::plan::StagePlan;
 use hpm_stats::rng::JitterSource;
 use hpm_topology::{LinkClass, Placement};
 
-/// What became of one drop-aware signal (see
-/// [`NetState::signal_round_trip_faulty`]).
+/// What became of one signal under a [`FaultView`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SignalFate {
+pub(crate) enum SignalFate {
     /// Delivered after `retries` retransmissions; `retry_delay` is the
     /// backed-off timeout latency those retransmissions added.
     Delivered {
@@ -58,18 +59,107 @@ pub enum SignalFate {
     SenderDead,
 }
 
-/// The receiver-side outcome of one drop-aware bulk transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyTransfer {
-    /// Sender CPU release time (one-sided: independent of delivery).
-    pub send_done: f64,
-    /// Processing completion at the receiver; `None` when the transfer
-    /// was lost beyond the retry budget or an endpoint crashed.
-    pub processed: Option<f64>,
-    /// Retransmissions before the attempt that landed.
-    pub retries: u32,
-    /// Latency added by those retransmissions.
-    pub retry_delay: f64,
+/// What one repetition's faults do to the stage kernel and to
+/// [`NetState::signal`], sealed inside the crate. The provided bodies
+/// *are* the fault-free executor: [`NoFaults`] overrides nothing, so it
+/// draws no drop uniform, multiplies by a literal `1.0` and delivers
+/// every signal — the clean loop, the fault branches gone after
+/// monomorphisation. `crate::faults::Faults` overrides every method.
+/// Ranks are machine ranks (what [`Placement`] and the fault plan index
+/// by), except where a method says plan rank.
+pub(crate) trait FaultView {
+    /// This signal's drop uniform — consumed whatever its fate.
+    #[inline(always)]
+    fn drop_uniform(&mut self) -> f64 {
+        0.0
+    }
+
+    /// Whether `rank` has crashed by time `t`.
+    #[inline(always)]
+    fn crashed_at(&self, _rank: usize, _t: f64) -> bool {
+        false
+    }
+
+    /// Slow-period multiplier of the CPU overheads `rank`'s node pays.
+    #[inline(always)]
+    fn slow(&self, _placement: &Placement, _rank: usize) -> f64 {
+        1.0
+    }
+
+    /// Degradation multiplier of the wire between two ranks' nodes.
+    #[inline(always)]
+    fn wire_mult(&self, _placement: &Placement, _src: usize, _dst: usize) -> f64 {
+        1.0
+    }
+
+    /// Retransmissions of a signal ready at `send_done` whose drop
+    /// uniform is `u`: `(ready to depart, retries, retry delay)`, or
+    /// `None` when every attempt within the budget drops.
+    #[inline(always)]
+    fn retransmit(&self, _u: f64, _class: LinkClass, send_done: f64) -> Option<(f64, u32, f64)> {
+        Some((send_done, 0, 0.0))
+    }
+
+    /// The retry budget after which a sender or a receiver gives up.
+    #[inline(always)]
+    fn loss_delay(&self) -> f64 {
+        0.0
+    }
+
+    /// Accounts for the fate of plan rank `src`'s signal to `dst`.
+    #[inline(always)]
+    fn record(&mut self, _src: usize, _dst: usize, _fate: &SignalFate) {}
+
+    /// End of `stage` at plan rank `j`, which posted its receives at
+    /// `posted`: when a signal it expected never arrived, the time at
+    /// which `j` stops waiting for it.
+    #[inline(always)]
+    fn missing_arrival(&mut self, _j: usize, _stage: &StagePlan, _posted: f64) -> Option<f64> {
+        None
+    }
+}
+
+/// The fault-free view: a ZST taking every default of [`FaultView`].
+pub(crate) struct NoFaults;
+
+impl FaultView for NoFaults {}
+
+/// One message through a NIC egress queue free from `*nic_free` on:
+/// ready at `ready`, it departs when the NIC frees up and holds it for
+/// `gap`. The scalar engine's queue is a [`NetState`] entry, the lane
+/// executor's one lane of its SoA state.
+#[inline(always)]
+pub(crate) fn egress(nic_free: &mut f64, gap: f64, ready: f64) -> f64 {
+    let dep = ready.max(*nic_free);
+    *nic_free = dep + gap;
+    dep
+}
+
+/// The receive side of one signal arriving at `arrival` at a process
+/// that posted its receives at `posted_at` and whose communication
+/// thread is free from `*recv_busy` on: an arrival before the post pays
+/// the unexpected-message penalty, processing (`o_recv`, already
+/// jittered) queues behind earlier receptions, and the acknowledgement
+/// flies back for `ack_flight`. Returns `(processed, ack)`. Shared by
+/// the scalar primitive and every lane of [`crate::batch`], which is
+/// what makes a lane the scalar recurrence verbatim.
+#[inline(always)]
+pub(crate) fn receive(
+    params: &PlatformParams,
+    arrival: f64,
+    posted_at: f64,
+    recv_busy: &mut f64,
+    o_recv: f64,
+    ack_flight: f64,
+) -> (f64, f64) {
+    let proc_start = if arrival < posted_at {
+        posted_at + params.unexpected_penalty
+    } else {
+        arrival
+    };
+    let processed = proc_start.max(*recv_busy) + o_recv;
+    *recv_busy = processed;
+    (processed, processed + ack_flight)
 }
 
 /// Mutable network state: per-node NIC egress availability and per-process
@@ -95,21 +185,20 @@ impl NetState {
         self.recv_busy.iter_mut().for_each(|t| *t = 0.0);
     }
 
-    /// Applies NIC egress serialization: a remote message ready at `ready`
-    /// departs when the sender node's NIC frees up.
+    /// Applies NIC egress serialization: a message of link class `class`
+    /// ready at `ready` departs, when remote, once `src`'s node's NIC
+    /// frees up.
     fn depart(
         &mut self,
         params: &PlatformParams,
         placement: &Placement,
+        class: LinkClass,
         src: usize,
-        dst: usize,
         ready: f64,
     ) -> f64 {
-        if placement.link(src, dst) == LinkClass::Remote {
-            let node = placement.node_of(src);
-            let dep = ready.max(self.nic_free[node]);
-            self.nic_free[node] = dep + params.nic_gap;
-            dep
+        if class == LinkClass::Remote {
+            let nic_free = &mut self.nic_free[placement.node_of(src)];
+            egress(nic_free, params.nic_gap, ready)
         } else {
             ready
         }
@@ -135,20 +224,94 @@ impl NetState {
         bytes: u64,
         dst_posted_at: f64,
     ) -> (f64, f64) {
-        let lc = params.link(placement.link(src, dst));
-        let send_done = start + lc.o_send * jit.next_mult();
-        let dep = self.depart(params, placement, src, dst, send_done);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
-        let arrival = dep + wire;
-        let proc_start = if arrival < dst_posted_at {
-            dst_posted_at + params.unexpected_penalty
-        } else {
-            arrival
+        match self.signal(
+            params,
+            placement,
+            jit,
+            &mut NoFaults,
+            src,
+            dst,
+            start,
+            bytes,
+            dst_posted_at,
+        ) {
+            SignalFate::Delivered { ack, processed, .. } => (ack, processed),
+            _ => unreachable!("a fault-free signal is always delivered"),
+        }
+    }
+
+    /// The one signal primitive: [`NetState::signal_round_trip`] under a
+    /// [`FaultView`]. The signal may be dropped (timeout → retransmit →
+    /// exponential backoff), slowed by its endpoints' slow periods,
+    /// stretched by degraded links, or suppressed entirely by a crashed
+    /// sender/receiver.
+    ///
+    /// Randomness contract: exactly **one** [`FaultView::drop_uniform`]
+    /// and [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers from `jit`
+    /// (send, wire, receive, ack — in that order) are consumed per call,
+    /// whatever the fate, so the cursor contracts of the batched engine
+    /// extend to faults unchanged. A neutral fault plan multiplies by
+    /// `1.0` and adds `+0.0` — IEEE-754 identities on the simulator's
+    /// non-negative times — where [`NoFaults`] does not multiply or add
+    /// at all, which is why the two agree bit for bit.
+    ///
+    /// Approximation: a signal lost beyond the retry budget does not
+    /// occupy the NIC for its failed attempts (only delivered signals
+    /// touch the egress queue).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn signal<J: JitterSource, V: FaultView>(
+        &mut self,
+        params: &PlatformParams,
+        placement: &Placement,
+        jit: &mut J,
+        view: &mut V,
+        src: usize,
+        dst: usize,
+        start: f64,
+        bytes: u64,
+        dst_posted_at: f64,
+    ) -> SignalFate {
+        // Fixed consumption up front, in draw order.
+        let u = view.drop_uniform();
+        let m_send = jit.next_mult();
+        let m_wire = jit.next_mult();
+        let m_recv = jit.next_mult();
+        let m_ack = jit.next_mult();
+        if view.crashed_at(src, start) {
+            return SignalFate::SenderDead;
+        }
+        let class = placement.link(src, dst);
+        let lc = params.link(class);
+        let send_done = start + lc.o_send * m_send * view.slow(placement, src);
+        let Some((ready, retries, retry_delay)) = view.retransmit(u, class, send_done) else {
+            return SignalFate::Lost {
+                gave_up: send_done + view.loss_delay(),
+            };
         };
-        let processed = proc_start.max(self.recv_busy[dst]) + lc.o_recv * jit.next_mult();
-        self.recv_busy[dst] = processed;
-        let ack = processed + lc.latency * params.ack_factor * jit.next_mult();
-        (ack, processed)
+        let dep = self.depart(params, placement, class, src, ready);
+        let wire_deg = view.wire_mult(placement, src, dst);
+        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
+        let arrival = dep + wire;
+        if view.crashed_at(dst, arrival) {
+            return SignalFate::Lost {
+                gave_up: send_done + view.loss_delay(),
+            };
+        }
+        let (processed, ack) = receive(
+            params,
+            arrival,
+            dst_posted_at,
+            &mut self.recv_busy[dst],
+            lc.o_recv * m_recv * view.slow(placement, dst),
+            lc.latency * params.ack_factor * m_ack * wire_deg,
+        );
+        SignalFate::Delivered {
+            ack,
+            processed,
+            retries,
+            retry_delay,
+        }
     }
 
     /// One-sided bulk transfer: the sender pays only `o_send`; the message
@@ -175,183 +338,15 @@ impl NetState {
             let done = issue + bytes as f64 * lc.inv_bandwidth;
             return (done, done);
         }
-        let lc = params.link(placement.link(src, dst));
+        let class = placement.link(src, dst);
+        let lc = params.link(class);
         let send_done = issue + lc.o_send * jit.next_mult();
-        let dep = self.depart(params, placement, src, dst, send_done);
+        let dep = self.depart(params, placement, class, src, send_done);
         let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
         let arrival = dep + wire;
         let processed = arrival.max(self.recv_busy[dst]) + lc.o_recv * jit.next_mult();
         self.recv_busy[dst] = processed;
         (send_done, processed)
-    }
-
-    /// [`NetState::signal_round_trip`] with fault semantics: the signal
-    /// may be dropped (timeout → retransmit → exponential backoff, cost
-    /// per [`FaultModel::retry_delay`]), slowed by its endpoints' slow
-    /// periods, stretched by degraded links, or suppressed entirely by a
-    /// crashed sender/receiver.
-    ///
-    /// Randomness contract: exactly **one** uniform from `drops` and
-    /// [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers from `jit`
-    /// are consumed per call, whatever the fate — so the cursor
-    /// contracts of the batched engine extend to faults unchanged, and
-    /// a neutral [`FaultPlan`] reproduces the fault-free arithmetic
-    /// bit-for-bit (`×1.0` and `+0.0` are IEEE-754 identities on the
-    /// simulator's non-negative times).
-    ///
-    /// Approximation: a signal lost beyond the retry budget does not
-    /// occupy the NIC for its failed attempts (only delivered signals
-    /// touch the egress queue).
-    #[allow(clippy::too_many_arguments)]
-    pub fn signal_round_trip_faulty<J: JitterSource>(
-        &mut self,
-        params: &PlatformParams,
-        placement: &Placement,
-        jit: &mut J,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        src: usize,
-        dst: usize,
-        start: f64,
-        bytes: u64,
-        dst_posted_at: f64,
-    ) -> SignalFate {
-        // Fixed consumption up front, in the fault-free draw order.
-        let u = drops.next_uniform();
-        let m_send = jit.next_mult();
-        let m_wire = jit.next_mult();
-        let m_recv = jit.next_mult();
-        let m_ack = jit.next_mult();
-        if fplan.crashed_at(src, start) {
-            return SignalFate::SenderDead;
-        }
-        let class = placement.link(src, dst);
-        let lc = params.link(class);
-        let (src_node, dst_node) = (placement.node_of(src), placement.node_of(dst));
-        let drop_p = if class == LinkClass::Remote {
-            fault.drop.remote
-        } else {
-            fault.drop.local
-        };
-        let send_done = start + lc.o_send * m_send * fplan.node_slow[src_node];
-        let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > fault.max_retries + 1 {
-            return SignalFate::Lost {
-                gave_up: send_done + fault.loss_delay(),
-            };
-        }
-        let retry_delay = fault.retry_delay(attempts);
-        let dep = self.depart(params, placement, src, dst, send_done + retry_delay);
-        let wire_deg = fplan.wire_mult(src_node, dst_node);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
-        let arrival = dep + wire;
-        if fplan.crashed_at(dst, arrival) {
-            return SignalFate::Lost {
-                gave_up: send_done + fault.loss_delay(),
-            };
-        }
-        let proc_start = if arrival < dst_posted_at {
-            dst_posted_at + params.unexpected_penalty
-        } else {
-            arrival
-        };
-        let processed =
-            proc_start.max(self.recv_busy[dst]) + lc.o_recv * m_recv * fplan.node_slow[dst_node];
-        self.recv_busy[dst] = processed;
-        let ack = processed + lc.latency * params.ack_factor * m_ack * wire_deg;
-        SignalFate::Delivered {
-            ack,
-            processed,
-            retries: attempts - 1,
-            retry_delay,
-        }
-    }
-
-    /// [`NetState::transfer`] with fault semantics: one-sided, so the
-    /// sender's CPU is released at `send_done` regardless; drops are
-    /// retransmitted by the communication thread (adding
-    /// [`FaultModel::retry_delay`] to the wire time) and give up after
-    /// the retry budget. Same fixed-consumption contract as
-    /// [`NetState::signal_round_trip_faulty`]: one drop uniform and
-    /// [`crate::exchange::TRANSFER_JITTER_DRAWS`] multipliers per
-    /// non-self call (self transfers stay draw-free).
-    #[allow(clippy::too_many_arguments)]
-    pub fn transfer_faulty<J: JitterSource>(
-        &mut self,
-        params: &PlatformParams,
-        placement: &Placement,
-        jit: &mut J,
-        fault: &FaultModel,
-        fplan: &FaultPlan,
-        drops: &mut DropStream,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        issue: f64,
-    ) -> FaultyTransfer {
-        if src == dst {
-            let lc = params.link(LinkClass::SameSocket);
-            let done = issue + bytes as f64 * lc.inv_bandwidth;
-            return FaultyTransfer {
-                send_done: done,
-                processed: Some(done),
-                retries: 0,
-                retry_delay: 0.0,
-            };
-        }
-        let u = drops.next_uniform();
-        let m_send = jit.next_mult();
-        let m_wire = jit.next_mult();
-        let m_recv = jit.next_mult();
-        if fplan.crashed_at(src, issue) {
-            return FaultyTransfer {
-                send_done: issue,
-                processed: None,
-                retries: 0,
-                retry_delay: 0.0,
-            };
-        }
-        let class = placement.link(src, dst);
-        let lc = params.link(class);
-        let (src_node, dst_node) = (placement.node_of(src), placement.node_of(dst));
-        let drop_p = if class == LinkClass::Remote {
-            fault.drop.remote
-        } else {
-            fault.drop.local
-        };
-        let send_done = issue + lc.o_send * m_send * fplan.node_slow[src_node];
-        let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > fault.max_retries + 1 {
-            return FaultyTransfer {
-                send_done,
-                processed: None,
-                retries: fault.max_retries,
-                retry_delay: fault.loss_delay(),
-            };
-        }
-        let retry_delay = fault.retry_delay(attempts);
-        let dep = self.depart(params, placement, src, dst, send_done + retry_delay);
-        let wire_deg = fplan.wire_mult(src_node, dst_node);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
-        let arrival = dep + wire;
-        if fplan.crashed_at(dst, arrival) {
-            return FaultyTransfer {
-                send_done,
-                processed: None,
-                retries: attempts - 1,
-                retry_delay,
-            };
-        }
-        let processed =
-            arrival.max(self.recv_busy[dst]) + lc.o_recv * m_recv * fplan.node_slow[dst_node];
-        self.recv_busy[dst] = processed;
-        FaultyTransfer {
-            send_done,
-            processed: Some(processed),
-            retries: attempts - 1,
-            retry_delay,
-        }
     }
 }
 
@@ -465,120 +460,6 @@ mod tests {
         let (cpu_done, processed) = net.transfer(&params, &placement, &mut jit, 0, 1, 1 << 20, 0.0);
         // The sender is free long before the megabyte lands: overlap.
         assert!(cpu_done < processed / 100.0, "{cpu_done} vs {processed}");
-    }
-
-    /// A neutral fault plan routes `signal_round_trip_faulty` and
-    /// `transfer_faulty` through arithmetic bit-identical to the
-    /// fault-free methods.
-    #[test]
-    fn neutral_faulty_paths_match_fault_free_bitwise() {
-        use hpm_stats::fault::{DropStream, FaultModel, FaultPlan};
-        let (_, placement) = setup(16);
-        let params = xeon_cluster_params(); // jittered: exercise the multipliers
-        let fplan = FaultPlan::neutral(16, placement.shape().nodes());
-        let mut drops = DropStream::new(1, 0);
-        // Signals: same jitter stream on both sides.
-        let mut rng_a = derive_rng(11, 0);
-        let mut rng_b = derive_rng(11, 0);
-        let mut jit_a = ScalarJitter::new(params.jitter, &mut rng_a);
-        let mut jit_b = ScalarJitter::new(params.jitter, &mut rng_b);
-        let mut net_a = NetState::new(&placement);
-        let mut net_b = NetState::new(&placement);
-        for (src, dst) in [(0usize, 1usize), (0, 2), (3, 12), (5, 5)] {
-            if src != dst {
-                let (ack, proc_at) = net_a
-                    .signal_round_trip(&params, &placement, &mut jit_a, src, dst, 1e-6, 64, 0.0);
-                match net_b.signal_round_trip_faulty(
-                    &params,
-                    &placement,
-                    &mut jit_b,
-                    &FaultModel::NONE,
-                    &fplan,
-                    &mut drops,
-                    src,
-                    dst,
-                    1e-6,
-                    64,
-                    0.0,
-                ) {
-                    SignalFate::Delivered {
-                        ack: f_ack,
-                        processed,
-                        retries,
-                        retry_delay,
-                    } => {
-                        assert_eq!(ack.to_bits(), f_ack.to_bits());
-                        assert_eq!(proc_at.to_bits(), processed.to_bits());
-                        assert_eq!((retries, retry_delay.to_bits()), (0, 0.0f64.to_bits()));
-                    }
-                    other => panic!("neutral signal must deliver, got {other:?}"),
-                }
-            }
-            let (done, proc_at) =
-                net_a.transfer(&params, &placement, &mut jit_a, src, dst, 4096, 2e-6);
-            let faulty = net_b.transfer_faulty(
-                &params,
-                &placement,
-                &mut jit_b,
-                &FaultModel::NONE,
-                &fplan,
-                &mut drops,
-                src,
-                dst,
-                4096,
-                2e-6,
-            );
-            assert_eq!(done.to_bits(), faulty.send_done.to_bits());
-            assert_eq!(
-                proc_at.to_bits(),
-                faulty
-                    .processed
-                    .expect("neutral transfer delivers")
-                    .to_bits()
-            );
-        }
-    }
-
-    /// Certain drop (attempts beyond any budget) loses the signal after
-    /// the full backed-off budget; a crashed sender never emits.
-    #[test]
-    fn hopeless_drops_and_dead_senders_lose_signals() {
-        use hpm_stats::fault::{DropProb, DropStream, FaultModel, FaultPlan};
-        let (params, placement) = setup(16);
-        let fault = FaultModel {
-            drop: DropProb::uniform(0.999_999),
-            max_retries: 2,
-            timeout: 1e-3,
-            backoff: 2.0,
-            ..FaultModel::NONE
-        };
-        let fplan = FaultPlan::neutral(16, placement.shape().nodes());
-        let mut drops = DropStream::new(2, 0);
-        let mut rng = derive_rng(12, 0);
-        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let mut net = NetState::new(&placement);
-        match net.signal_round_trip_faulty(
-            &params, &placement, &mut jit, &fault, &fplan, &mut drops, 0, 1, 0.0, 0, 0.0,
-        ) {
-            SignalFate::Lost { gave_up } => {
-                // Full budget: timeout·(1 + 2 + 4) past the send.
-                assert!(gave_up >= 7e-3, "gave_up {gave_up}");
-            }
-            other => panic!("near-certain drop must lose, got {other:?}"),
-        }
-        // Dead sender: fate is SenderDead, draws still consumed.
-        let mut crashed = FaultPlan::neutral(16, placement.shape().nodes());
-        crashed.crash_time[3] = 0.0;
-        let before = drops.drawn();
-        let fate = net.signal_round_trip_faulty(
-            &params, &placement, &mut jit, &fault, &crashed, &mut drops, 3, 1, 1.0, 0, 0.0,
-        );
-        assert_eq!(fate, SignalFate::SenderDead);
-        assert_eq!(drops.drawn(), before + 1);
-        let t = net.transfer_faulty(
-            &params, &placement, &mut jit, &fault, &crashed, &mut drops, 3, 1, 4096, 1.0,
-        );
-        assert_eq!(t.processed, None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Fault *recovery*: survivors detect the crash set, agree on it, and
 //! finish the collective over a repaired plan.
 //!
-//! [`crate::barrier::BarrierSim::run_once_recovering`] extends the
+//! [`crate::barrier::BarrierSim::run_once_recovering_into`] extends the
 //! faulty executor with the ULFM-style shrink-and-continue discipline.
 //! The repetition first runs exactly as
-//! [`crate::barrier::BarrierSim::run_once_faulty`] would — same fault,
+//! [`crate::barrier::BarrierSim::run_once_faulty_into`] would — same fault,
 //! drop and jitter streams, same draw counts — and when every rank
 //! completes, the recovery layer never touches a stream, so the
 //! zero-crash run is *bitwise* the faulty run (neutrality by
@@ -18,11 +18,15 @@
 //!    zero-payload message each ([`consensus_cost`]), deliberately
 //!    draw-free so it perturbs no stream.
 //! 3. **Re-execution** — [`hpm_core::recovery::repair_plan`] synthesizes
-//!    a verified pattern over the survivors (compacted ranks translated
-//!    back to original ranks for link classification), executed from the
-//!    common post-consensus instant with jitter from the dedicated
-//!    `RECOVERY_JITTER_LABEL` stream — the attempt's streams are already
-//!    closed, so recovery cannot shift any healthy-path draw.
+//!    a verified pattern over the survivors, and the same scalar stage
+//!    kernel that ran the attempt runs it fault-free: compacted plan
+//!    ranks map back to machine ranks through `survivors[i]`, so link
+//!    classification and in-flight [`NetState`] contention see the real
+//!    machine. It starts from the common post-consensus instant with
+//!    jitter from the dedicated `RECOVERY_JITTER_LABEL` stream — the
+//!    attempt's streams are already closed, so recovery cannot shift any
+//!    healthy-path draw — and consumes exactly the repaired plan's
+//!    `jitter_draws()`, keeping the static draw audit whole.
 //!
 //! Timed-out ranks are *alive* (they gave up waiting, they did not
 //! fail-stop), so they rejoin the repaired plan; only crashed ranks are
@@ -31,9 +35,9 @@
 //! `recovered = false` — exactly the sets the analyzer's
 //! `unrecoverable-crash-set` rule flags statically.
 
-use crate::barrier::{BarrierSim, SimScratch};
-use crate::faults::{FaultReport, FaultScratch, RankOutcome};
-use crate::net::NetState;
+use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
+use crate::faults::{last_exit, FaultReport, FaultScratch, RankOutcome};
+use crate::net::{NetState, NoFaults};
 use crate::params::PlatformParams;
 use hpm_core::knowledge::KnowledgeGoal;
 use hpm_core::plan::CompiledPattern;
@@ -48,10 +52,10 @@ pub const RECOVERY_JITTER_LABEL: u64 = 0x5243_5652;
 
 /// One recovering repetition: the faulty attempt's accounting plus what
 /// the recovery layer did about it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// The underlying faulty attempt, verbatim — bitwise what
-    /// `run_once_faulty` would have returned.
+    /// `run_once_faulty_into` would have reported.
     pub attempt: FaultReport,
     /// Final per-rank outcome after recovery: survivors of a successful
     /// re-plan are `Completed` at their repaired exit (timed-out ranks
@@ -77,15 +81,9 @@ impl RecoveryReport {
     /// [`BarrierSim::run_once_recovering_into`].
     #[must_use]
     pub fn new(p: usize) -> RecoveryReport {
-        RecoveryReport {
-            attempt: FaultReport::new(p),
-            outcomes: vec![RankOutcome::Completed(0.0); p],
-            replanned: false,
-            recovered: false,
-            detection_time: 0.0,
-            consensus_cost: 0.0,
-            replan_stages: 0,
-        }
+        let mut report = RecoveryReport::default();
+        report.reset(p);
+        report
     }
 
     /// Resets to the fresh state for `p` ranks without shrinking
@@ -106,12 +104,7 @@ impl RecoveryReport {
     /// timed out); `NEG_INFINITY` if everyone crashed.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .fold(f64::NEG_INFINITY, |acc, o| match o {
-                RankOutcome::Completed(t) | RankOutcome::TimedOut(t) => acc.max(*t),
-                RankOutcome::Crashed(_) => acc,
-            })
+        last_exit(&self.outcomes)
     }
 }
 
@@ -152,31 +145,7 @@ pub fn consensus_cost(params: &PlatformParams, survivors: usize) -> f64 {
 impl BarrierSim<'_> {
     /// One recovering cold-start run: the faulty attempt, then — if
     /// ranks failed — detection, consensus and re-execution over the
-    /// survivors. Allocating convenience for
-    /// [`BarrierSim::run_once_recovering_into`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_once_recovering(
-        &self,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        goal: KnowledgeGoal,
-        fault: &FaultModel,
-        entry: &[f64],
-        net: &mut NetState,
-        seed: u64,
-        label: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-        rs: &mut RecoveryScratch,
-    ) -> RecoveryReport {
-        let mut out = RecoveryReport::new(plan.p());
-        self.run_once_recovering_into(
-            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, &mut out,
-        );
-        out
-    }
-
-    /// Allocation-free recovering run (on the no-failure path; a re-plan
+    /// survivors. Allocation-free on the no-failure path (a re-plan
     /// synthesizes a fresh [`CompiledPattern`], which allocates). The
     /// attempt phase is stream-for-stream
     /// [`BarrierSim::run_once_faulty_into`]; see the module docs for the
@@ -197,21 +166,13 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        out.reset(plan.p());
-        self.run_once_faulty_into(
-            plan,
-            payload,
-            fault,
-            entry,
-            net,
-            seed,
-            label,
-            rep,
-            scratch,
-            &mut rs.fault,
-            &mut out.attempt,
+        let nodes = self.placement.shape().nodes();
+        rs.fault
+            .fplan
+            .realize_into(fault, plan.p(), nodes, seed, rep);
+        self.recovering(
+            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, out,
         );
-        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
     }
 
     /// Recovering run under a caller-supplied [`FaultPlan`] (e.g.
@@ -234,40 +195,37 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        out.reset(plan.p());
-        self.run_once_faulty_with(
-            plan,
-            payload,
-            fault,
-            fplan,
-            entry,
-            net,
-            seed,
-            label,
-            rep,
-            scratch,
-            &mut rs.fault,
-            &mut out.attempt,
+        rs.fault.fplan.clone_from(fplan);
+        self.recovering(
+            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, out,
         );
-        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
     }
 
-    /// Detection → consensus → re-execution, given a finished attempt in
-    /// `out.attempt`. A clean attempt returns before touching anything —
-    /// the zero-crash neutrality guarantee rests on this early exit.
+    /// The attempt under the fault plan in `rs.fault`, then detection →
+    /// consensus → re-execution. A clean attempt returns before touching
+    /// anything further — the zero-crash neutrality guarantee rests on
+    /// this early exit.
     #[allow(clippy::too_many_arguments)]
-    fn finish_recovery(
+    fn recovering(
         &self,
         plan: &CompiledPattern,
+        payload: &PayloadSchedule,
         goal: KnowledgeGoal,
         fault: &FaultModel,
+        entry: &[f64],
         net: &mut NetState,
         seed: u64,
+        label: u64,
         rep: u64,
         scratch: &mut SimScratch,
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
+        out.reset(plan.p());
+        let (fs, attempt) = (&mut rs.fault, &mut out.attempt);
+        self.run_faulty(
+            plan, payload, fault, entry, net, seed, label, rep, scratch, fs, attempt,
+        );
         out.outcomes.clear();
         out.outcomes.extend_from_slice(&out.attempt.outcomes);
         if out.attempt.all_completed() {
@@ -292,97 +250,28 @@ impl BarrierSim<'_> {
         };
         out.replanned = true;
         out.replan_stages = repaired.stages();
-        let t0 = out.detection_time + out.consensus_cost;
-        self.run_repaired(&repaired, &rs.survivors, t0, net, seed, rep, scratch);
-        for (i, &r) in rs.survivors.iter().enumerate() {
+        // The repaired plan runs through the stage kernel fault-free, its
+        // compacted ranks mapped back to the survivors' machine ranks.
+        let survivors = &rs.survivors;
+        debug_assert_eq!(repaired.p(), survivors.len());
+        scratch.cur[..survivors.len()].fill(out.detection_time + out.consensus_cost);
+        let sigma = self.params.jitter.sigma;
+        let label = RECOVERY_JITTER_LABEL;
+        let draws = repaired.jitter_draws();
+        let none = PayloadSchedule::none();
+        let rank_of = |i: usize| survivors[i];
+        scratch.with_jitter(sigma, seed, label, rep, draws, |scratch, jit| {
+            self.run_stages(&repaired, &none, rank_of, net, jit, &mut NoFaults, scratch);
+        });
+        for (i, &r) in survivors.iter().enumerate() {
             out.outcomes[r] = RankOutcome::Completed(scratch.cur[i]);
         }
         out.recovered = true;
     }
 
-    /// Executes the repaired plan healthily over the survivors from the
-    /// common post-consensus instant `t0`. Plan ranks are compacted
-    /// survivor indices; `survivors[i]` translates back to the original
-    /// rank so link classification and in-flight
-    /// [`NetState`] contention see the real machine. Jitter comes from
-    /// `(seed, RECOVERY_JITTER_LABEL, rep)` and consumes exactly
-    /// `repaired.jitter_draws()`, keeping the static draw audit whole.
-    #[allow(clippy::too_many_arguments)]
-    fn run_repaired(
-        &self,
-        repaired: &CompiledPattern,
-        survivors: &[usize],
-        t0: f64,
-        net: &mut NetState,
-        seed: u64,
-        rep: u64,
-        scratch: &mut SimScratch,
-    ) {
-        use hpm_stats::rng::JitterSource;
-        let np = repaired.p();
-        debug_assert_eq!(np, survivors.len(), "repaired plan spans the survivors");
-        let mut jit = std::mem::take(&mut scratch.jitter);
-        jit.fill(
-            self.params.jitter.sigma,
-            seed,
-            RECOVERY_JITTER_LABEL,
-            rep,
-            repaired.jitter_draws(),
-        );
-        scratch.cur[..np].fill(t0);
-        for s in 0..repaired.stages() {
-            let stage = repaired.stage(s);
-            let SimScratch {
-                cur,
-                nxt,
-                posted,
-                last_arrival,
-                ..
-            } = scratch;
-            for i in 0..np {
-                posted[i] = cur[i] + self.params.call_overhead * jit.next_mult();
-            }
-            nxt[..np].copy_from_slice(&posted[..np]);
-            last_arrival[..np].fill(f64::NEG_INFINITY);
-            for i in 0..np {
-                let mut t = posted[i];
-                for &j in stage.dsts(i) {
-                    let (ack, processed) = net.signal_round_trip(
-                        self.params,
-                        self.placement,
-                        &mut jit,
-                        survivors[i],
-                        survivors[j],
-                        t,
-                        0,
-                        posted[j],
-                    );
-                    t = ack;
-                    if processed > last_arrival[j] {
-                        last_arrival[j] = processed;
-                    }
-                }
-                if t > nxt[i] {
-                    nxt[i] = t;
-                }
-            }
-            for j in 0..np {
-                if last_arrival[j] > nxt[j] {
-                    nxt[j] = last_arrival[j];
-                }
-            }
-            std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
-        }
-        debug_assert!(
-            self.params.jitter.sigma == 0.0 || jit.consumed() == repaired.jitter_draws(),
-            "repaired execution consumed a different jitter-draw count than the plan reports"
-        );
-        scratch.jitter = jit;
-    }
-
     /// Repeated recovering cold-start runs with independent streams per
     /// repetition, fanned out on [`hpm_par`]. Repetition `r` is
-    /// bit-identical to a lone [`BarrierSim::run_once_recovering`] at
+    /// bit-identical to a lone [`BarrierSim::run_once_recovering_into`] at
     /// `rep = r` whatever the thread count.
     ///
     /// # Panics
@@ -398,125 +287,64 @@ impl BarrierSim<'_> {
         reps: usize,
         seed: u64,
     ) -> Vec<RecoveryReport> {
-        if let Err(e) = fault.checked() {
-            panic!("measure_recovering: invalid FaultModel: {e}");
-        }
         let zeros = vec![0.0; plan.p()];
-        hpm_par::par_map_indexed_with(
-            reps,
-            || {
-                (
-                    SimScratch::new(self.placement),
-                    NetState::new(self.placement),
-                    RecoveryScratch::new(),
-                )
-            },
-            |(scratch, net, rs), r| {
-                net.reset();
-                let mut out = RecoveryReport::new(plan.p());
-                self.run_once_recovering_into(
-                    plan,
-                    payload,
-                    goal,
-                    fault,
-                    &zeros,
-                    net,
-                    seed,
-                    crate::barrier::BARRIER_JITTER_LABEL,
-                    r as u64,
-                    scratch,
-                    rs,
-                    &mut out,
-                );
-                out
-            },
-        )
+        self.measure_reps("measure_recovering", fault, reps, |scratch, net, rs, r| {
+            let mut out = RecoveryReport::new(plan.p());
+            self.run_once_recovering_into(
+                plan,
+                payload,
+                goal,
+                fault,
+                &zeros,
+                net,
+                seed,
+                BARRIER_JITTER_LABEL,
+                r,
+                scratch,
+                rs,
+                &mut out,
+            );
+            out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{dissemination, sim_fixture};
     use crate::params::xeon_cluster_params;
-    use hpm_core::pattern::CommPattern;
     use hpm_stats::fault::DropProb;
-    use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
-    fn dissemination(p: usize) -> CompiledPattern {
-        use hpm_core::matrix::IMat;
-        use hpm_core::pattern::BarrierPattern;
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats).plan()
-    }
-
-    fn sim_fixture(p: usize) -> (crate::params::PlatformParams, Placement) {
-        let params = xeon_cluster_params();
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
-        (params, placement)
-    }
-
-    /// Crash-free faults (drops, stragglers, slow nodes) that every rank
-    /// survives: the recovering run must be bitwise the faulty run.
-    #[test]
-    fn clean_attempt_is_bitwise_the_faulty_run() {
-        let p = 24;
-        let (params, placement) = sim_fixture(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let payload = PayloadSchedule::none();
-        let fault = FaultModel {
-            drop: DropProb::uniform(0.02),
-            max_retries: 12,
-            slow_prob: 0.2,
-            slow_mult: 2.0,
-            straggler_prob: 0.1,
-            straggler_scale: 5e-5,
-            straggler_alpha: 1.5,
-            ..FaultModel::NONE
-        };
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        let mut rs = RecoveryScratch::new();
-        for rep in 0..8u64 {
-            net.reset();
-            let faulty = sim.run_once_faulty(
-                &plan,
-                &payload,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                77,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-            );
-            assert!(faulty.all_completed(), "rep {rep}: fixture must be clean");
-            net.reset();
-            let rec = sim.run_once_recovering(
-                &plan,
-                &payload,
-                KnowledgeGoal::AllToAll,
-                &fault,
-                &vec![0.0; p],
-                &mut net,
-                77,
-                crate::barrier::BARRIER_JITTER_LABEL,
-                rep,
-                &mut scratch,
-                &mut rs,
-            );
-            assert_eq!(rec.attempt, faulty, "rep {rep}");
-            assert_eq!(rec.outcomes, faulty.outcomes, "rep {rep}");
-            assert!(!rec.replanned && rec.recovered);
-            assert_eq!(rec.detection_time.to_bits(), 0.0f64.to_bits());
-            assert_eq!(rec.total().to_bits(), faulty.total().to_bits());
-        }
+    /// One lone recovering cold-start repetition from zero entry times.
+    #[allow(clippy::too_many_arguments)]
+    fn lone_recovering(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        fault: &FaultModel,
+        seed: u64,
+        rep: u64,
+        net: &mut NetState,
+        scratch: &mut SimScratch,
+        rs: &mut RecoveryScratch,
+    ) -> RecoveryReport {
+        let mut out = RecoveryReport::new(plan.p());
+        net.reset();
+        sim.run_once_recovering_into(
+            plan,
+            &PayloadSchedule::none(),
+            KnowledgeGoal::AllToAll,
+            fault,
+            &vec![0.0; plan.p()],
+            net,
+            seed,
+            BARRIER_JITTER_LABEL,
+            rep,
+            scratch,
+            rs,
+            &mut out,
+        );
+        out
     }
 
     /// A forced crash set: survivors pay detection + consensus, execute
@@ -543,7 +371,7 @@ mod tests {
             &vec![0.0; p],
             &mut net,
             5,
-            crate::barrier::BARRIER_JITTER_LABEL,
+            BARRIER_JITTER_LABEL,
             0,
             &mut scratch,
             &mut rs,
@@ -586,7 +414,7 @@ mod tests {
             &vec![0.0; p],
             &mut net,
             5,
-            crate::barrier::BARRIER_JITTER_LABEL,
+            BARRIER_JITTER_LABEL,
             0,
             &mut scratch,
             &mut rs,
@@ -633,17 +461,13 @@ mod tests {
         let mut scratch = SimScratch::new(&placement);
         let mut rs = RecoveryScratch::new();
         for (r, rep_report) in serial.iter().enumerate() {
-            net.reset();
-            let lone = sim.run_once_recovering(
+            let lone = lone_recovering(
+                &sim,
                 &plan,
-                &payload,
-                goal,
                 &fault,
-                &vec![0.0; p],
-                &mut net,
                 99,
-                crate::barrier::BARRIER_JITTER_LABEL,
                 r as u64,
+                &mut net,
                 &mut scratch,
                 &mut rs,
             );

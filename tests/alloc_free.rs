@@ -41,7 +41,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     use hpm::barriers::patterns::{binary_tree, dissemination};
     use hpm::model::pattern::CommPattern;
     use hpm::model::predictor::PayloadSchedule;
-    use hpm::simnet::barrier::{BarrierSim, SimScratch};
+    use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
     use hpm::simnet::batch::LaneScratch;
     use hpm::simnet::net::NetState;
     use hpm::simnet::params::xeon_cluster_params;
@@ -62,15 +62,35 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         let mut net = NetState::new(&placement);
         let mut scratch = SimScratch::new(&placement);
         let mut lanes = LaneScratch::new();
+        let zeros = vec![0.0; 64];
+        let worst = |scratch: &SimScratch| {
+            scratch
+                .exits()
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
         // Warmup: one full repetition through every stage shape on each
         // engine — scalar-jitter compiled, batch-filled scalar, and the
         // SoA executor at the fixed-width kernel's 8 lanes and at 5
         // (sizing jitter tables, the jitter window and the lane buffer).
         let mut rng = derive_rng(42, 0);
         let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-        let warm = sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch);
-        assert!(warm > 0.0);
-        assert!(sim.run_total_batched(&plan, &payload, 42, 0, &mut net, &mut scratch) > 0.0);
+        net.reset();
+        sim.run_once_compiled(&plan, &payload, &zeros, &mut net, &mut jit, &mut scratch);
+        assert!(worst(&scratch) > 0.0);
+        net.reset();
+        sim.run_once_batched(
+            &plan,
+            &payload,
+            &zeros,
+            &mut net,
+            42,
+            BARRIER_JITTER_LABEL,
+            0,
+            &mut scratch,
+        );
+        assert!(worst(&scratch) > 0.0);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 8, &mut lanes);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 5, &mut lanes);
         // The lane executor's jitter is windowed, 16 KiB at a time: a
@@ -90,10 +110,22 @@ fn compiled_barrier_repetitions_allocate_nothing() {
             for rep in 0..64u64 {
                 let mut rng = derive_rng(42 + trial, rep);
                 let mut jit = ScalarJitter::new(params.jitter, &mut rng);
-                acc += sim.run_total_compiled(&plan, &payload, &mut jit, &mut net, &mut scratch);
+                net.reset();
+                sim.run_once_compiled(&plan, &payload, &zeros, &mut net, &mut jit, &mut scratch);
+                acc += worst(&scratch);
                 // The batched engines refill their tables in place.
-                acc +=
-                    sim.run_total_batched(&plan, &payload, 42 + trial, rep, &mut net, &mut scratch);
+                net.reset();
+                sim.run_once_batched(
+                    &plan,
+                    &payload,
+                    &zeros,
+                    &mut net,
+                    42 + trial,
+                    BARRIER_JITTER_LABEL,
+                    rep,
+                    &mut scratch,
+                );
+                acc += worst(&scratch);
                 for width in [8, 5] {
                     let first = 8 * rep;
                     for &t in

@@ -113,7 +113,7 @@ fn stress_fault_model() -> hpm::stats::fault::FaultModel {
 /// PR 9 acceptance: faulty runs are as deterministic as healthy ones.
 /// `measure_faulty` under a fully-loaded fault model is bit-identical at
 /// every thread count, and repetition `r` of the fan-out reproduces a
-/// lone `run_once_faulty` at `rep = r` exactly — worker grouping is
+/// lone `run_once_faulty_into` at `rep = r` exactly — worker grouping is
 /// invisible, the same contract the healthy lane batching keeps.
 #[test]
 fn faulty_measure_bit_identical_across_thread_counts() {
@@ -122,6 +122,7 @@ fn faulty_measure_bit_identical_across_thread_counts() {
     use hpm::model::predictor::PayloadSchedule;
     use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
     use hpm::simnet::net::NetState;
+    use hpm::simnet::{FaultReport, FaultScratch};
 
     let params = xeon_cluster_params();
     let p = 64;
@@ -150,9 +151,11 @@ fn faulty_measure_bit_identical_across_thread_counts() {
     let mut scratch = SimScratch::new(&placement);
     let mut net = NetState::new(&placement);
     let zeros = vec![0.0; p];
+    let mut fs = FaultScratch::new();
+    let mut lone = FaultReport::new(p);
     for r in [0usize, 7, 31] {
         net.reset();
-        let lone = sim.run_once_faulty(
+        sim.run_once_faulty_into(
             &plan,
             &PayloadSchedule::none(),
             &fault,
@@ -162,6 +165,8 @@ fn faulty_measure_bit_identical_across_thread_counts() {
             BARRIER_JITTER_LABEL,
             r as u64,
             &mut scratch,
+            &mut fs,
+            &mut lone,
         );
         assert_eq!(serial[r], lone, "rep {r}");
     }
