@@ -105,6 +105,8 @@ pub struct SimScratch {
     /// Jitter table of the batched entry points, refilled per run (the
     /// allocation is reused across fills).
     pub(crate) jitter: JitterBuf,
+    /// Rank count of the most recent run: how much of `cur` is exits.
+    ranks: usize,
 }
 
 impl SimScratch {
@@ -117,14 +119,23 @@ impl SimScratch {
             posted: vec![0.0; p],
             last_arrival: vec![0.0; p],
             jitter: JitterBuf::new(),
+            ranks: p,
         }
     }
 
-    /// Per-process exit times of the most recent run (its plan's `p`
-    /// ranks first; a scratch built for more ranks has stale entries
-    /// behind them).
+    /// Per-process exit times of the most recent run — exactly its
+    /// plan's `p` ranks, however many the scratch was built for.
     pub fn exits(&self) -> &[f64] {
-        &self.cur
+        &self.cur[..self.ranks]
+    }
+
+    /// Worst-case exit time of the most recent run — the barrier's
+    /// completion time.
+    pub fn total(&self) -> f64 {
+        self.exits()
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// The jitter table of the most recent batched run — lets audit
@@ -251,6 +262,7 @@ impl<'a> BarrierSim<'a> {
             scratch.cur.len() >= p,
             "scratch holds fewer ranks than the plan"
         );
+        scratch.ranks = p;
         for s in 0..plan.stages() {
             let stage = plan.stage(s);
             let bytes = payload.bytes(s);
@@ -525,11 +537,7 @@ mod tests {
             );
             // The scalar twin of the batched consumed-vs-planned audit.
             assert_eq!(jit.drawn(), plan.jitter_draws());
-            scratch
-                .exits()
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
+            scratch.total()
         };
         let base = total(&[0.0; 16]);
         let mut entry = vec![0.0; 16];

@@ -285,41 +285,11 @@ fn run_stage_lanes(
 mod tests {
     use super::*;
     use crate::barrier::SimScratch;
-    use crate::fixtures::dissemination;
+    use crate::fixtures::{cold_total, dissemination};
     use crate::net::NetState;
     use crate::params::xeon_cluster_params;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
-
-    /// Worst-case exit of one scalar cold-start repetition on the
-    /// batched engine — the reference the lane and faulty executors are
-    /// compared against.
-    fn cold_total(
-        sim: &BarrierSim<'_>,
-        plan: &CompiledPattern,
-        payload: &PayloadSchedule,
-        seed: u64,
-        rep: u64,
-        net: &mut NetState,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        net.reset();
-        let zeros = vec![0.0; plan.p()];
-        sim.run_once_batched(
-            plan,
-            payload,
-            &zeros,
-            net,
-            seed,
-            BARRIER_JITTER_LABEL,
-            rep,
-            scratch,
-        );
-        scratch.exits()[..plan.p()]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 
     /// Every lane of a batch equals the one-at-a-time batched run of the
     /// same repetition — for several lane widths, including widths that
@@ -354,6 +324,26 @@ mod tests {
             }
             assert_eq!(got, singles, "lane width {lanes}");
         }
+    }
+
+    /// With jitter off, the lane executor reproduces the scalar compiled
+    /// executor bit for bit — the noiseless path does not move.
+    #[test]
+    fn noiseless_lanes_match_scalar_executor_bitwise() {
+        let params = xeon_cluster_params().noiseless();
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(16);
+        let payload = hpm_core::predictor::PayloadSchedule::none();
+        let mut net = NetState::new(&placement);
+        let mut scalar = SimScratch::new(&placement);
+        let mut rng = derive_rng(5, 0);
+        let mut jit = ScalarJitter::new(params.jitter, &mut rng);
+        sim.run_once_compiled(&plan, &payload, &[0.0; 16], &mut net, &mut jit, &mut scalar);
+        let want = scalar.total();
+        let mut scratch = LaneScratch::new();
+        let got = sim.run_batch_compiled(&plan, &payload, 5, 0, 4, &mut scratch);
+        assert!(got.iter().all(|&t| t.to_bits() == want.to_bits()));
     }
 
     /// Draw-count audit (both engines): the executor consumes exactly
@@ -441,11 +431,7 @@ mod tests {
                     &mut scratch,
                 );
                 assert_eq!(jit.drawn(), plan.jitter_draws());
-                scratch
-                    .exits()
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max)
+                scratch.total()
             })
             .collect();
         let scalar = hpm_stats::mean(&scalar_samples);

@@ -62,8 +62,13 @@ pub use recovery::{consensus_cost, RecoveryReport, RecoveryScratch, RECOVERY_JIT
 /// Fixtures shared by the unit tests of the executors.
 #[cfg(test)]
 pub(crate) mod fixtures {
+    use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
+    use crate::faults::{FaultReport, FaultScratch};
+    use crate::net::NetState;
     use crate::params::{xeon_cluster_params, PlatformParams};
     use hpm_core::plan::CompiledPattern;
+    use hpm_core::predictor::PayloadSchedule;
+    use hpm_stats::fault::FaultModel;
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     /// The ⌈log₂ p⌉-stage dissemination barrier, authored sparsely.
@@ -79,5 +84,52 @@ pub(crate) mod fixtures {
     pub(crate) fn sim_fixture(p: usize) -> (PlatformParams, Placement) {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         (xeon_cluster_params(), placement)
+    }
+
+    /// Worst-case exit of one scalar cold-start repetition from zero
+    /// entry times on the batched engine — the reference the lane and
+    /// faulty executors are compared against.
+    pub(crate) fn cold_total(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        payload: &PayloadSchedule,
+        seed: u64,
+        rep: u64,
+        net: &mut NetState,
+        scratch: &mut SimScratch,
+    ) -> f64 {
+        net.reset();
+        let zeros = vec![0.0; plan.p()];
+        let label = BARRIER_JITTER_LABEL;
+        sim.run_once_batched(plan, payload, &zeros, net, seed, label, rep, scratch);
+        scratch.total()
+    }
+
+    /// One lone faulty cold-start repetition from zero entry times.
+    pub(crate) fn lone_faulty(
+        sim: &BarrierSim<'_>,
+        plan: &CompiledPattern,
+        fault: &FaultModel,
+        seed: u64,
+        rep: u64,
+        net: &mut NetState,
+        scratch: &mut SimScratch,
+    ) -> FaultReport {
+        let mut report = FaultReport::new(plan.p());
+        net.reset();
+        sim.run_once_faulty_into(
+            plan,
+            &PayloadSchedule::none(),
+            fault,
+            &vec![0.0; plan.p()],
+            net,
+            seed,
+            BARRIER_JITTER_LABEL,
+            rep,
+            scratch,
+            &mut FaultScratch::new(),
+            &mut report,
+        );
+        report
     }
 }

@@ -166,13 +166,12 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        let nodes = self.placement.shape().nodes();
-        rs.fault
-            .fplan
-            .realize_into(fault, plan.p(), nodes, seed, rep);
-        self.recovering(
-            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, out,
+        out.reset(plan.p());
+        let (fs, attempt) = (&mut rs.fault, &mut out.attempt);
+        self.run_once_faulty_into(
+            plan, payload, fault, entry, net, seed, label, rep, scratch, fs, attempt,
         );
+        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
     }
 
     /// Recovering run under a caller-supplied [`FaultPlan`] (e.g.
@@ -195,37 +194,30 @@ impl BarrierSim<'_> {
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        rs.fault.fplan.clone_from(fplan);
-        self.recovering(
-            plan, payload, goal, fault, entry, net, seed, label, rep, scratch, rs, out,
+        out.reset(plan.p());
+        let (book, attempt) = (&mut rs.fault.book, &mut out.attempt);
+        self.run_faulty(
+            plan, payload, fault, fplan, entry, net, seed, label, rep, scratch, book, attempt,
         );
+        self.finish_recovery(plan, goal, fault, net, seed, rep, scratch, rs, out);
     }
 
-    /// The attempt under the fault plan in `rs.fault`, then detection →
-    /// consensus → re-execution. A clean attempt returns before touching
-    /// anything further — the zero-crash neutrality guarantee rests on
-    /// this early exit.
+    /// Detection → consensus → re-execution, given a finished attempt in
+    /// `out.attempt`. A clean attempt returns before touching anything —
+    /// the zero-crash neutrality guarantee rests on this early exit.
     #[allow(clippy::too_many_arguments)]
-    fn recovering(
+    fn finish_recovery(
         &self,
         plan: &CompiledPattern,
-        payload: &PayloadSchedule,
         goal: KnowledgeGoal,
         fault: &FaultModel,
-        entry: &[f64],
         net: &mut NetState,
         seed: u64,
-        label: u64,
         rep: u64,
         scratch: &mut SimScratch,
         rs: &mut RecoveryScratch,
         out: &mut RecoveryReport,
     ) {
-        out.reset(plan.p());
-        let (fs, attempt) = (&mut rs.fault, &mut out.attempt);
-        self.run_faulty(
-            plan, payload, fault, entry, net, seed, label, rep, scratch, fs, attempt,
-        );
         out.outcomes.clear();
         out.outcomes.extend_from_slice(&out.attempt.outcomes);
         if out.attempt.all_completed() {
@@ -312,39 +304,75 @@ impl BarrierSim<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{dissemination, sim_fixture};
+    use crate::fixtures::{dissemination, lone_faulty, sim_fixture};
     use crate::params::xeon_cluster_params;
     use hpm_stats::fault::DropProb;
 
-    /// One lone recovering cold-start repetition from zero entry times.
-    #[allow(clippy::too_many_arguments)]
+    /// One lone recovering cold-start repetition from zero entry times
+    /// on fresh state: under `forced` crashes when given, else under the
+    /// plan realized from `fault`.
     fn lone_recovering(
         sim: &BarrierSim<'_>,
         plan: &CompiledPattern,
+        goal: KnowledgeGoal,
         fault: &FaultModel,
+        forced: Option<&[usize]>,
         seed: u64,
         rep: u64,
-        net: &mut NetState,
-        scratch: &mut SimScratch,
-        rs: &mut RecoveryScratch,
     ) -> RecoveryReport {
-        let mut out = RecoveryReport::new(plan.p());
-        net.reset();
-        sim.run_once_recovering_into(
-            plan,
-            &PayloadSchedule::none(),
-            KnowledgeGoal::AllToAll,
-            fault,
-            &vec![0.0; plan.p()],
-            net,
-            seed,
-            BARRIER_JITTER_LABEL,
-            rep,
-            scratch,
-            rs,
-            &mut out,
+        let (p, payload, label) = (plan.p(), PayloadSchedule::none(), BARRIER_JITTER_LABEL);
+        let (net, scratch) = (
+            &mut NetState::new(sim.placement),
+            &mut SimScratch::new(sim.placement),
         );
+        let (rs, mut out) = (&mut RecoveryScratch::new(), RecoveryReport::new(p));
+        let zeros = vec![0.0; p];
+        match forced {
+            Some(crashed) => {
+                let fplan = FaultPlan::with_crashes(p, sim.placement.shape().nodes(), crashed);
+                sim.run_once_recovering_with(
+                    plan, &payload, goal, fault, &fplan, &zeros, net, seed, label, rep, scratch,
+                    rs, &mut out,
+                );
+            }
+            None => sim.run_once_recovering_into(
+                plan, &payload, goal, fault, &zeros, net, seed, label, rep, scratch, rs, &mut out,
+            ),
+        }
         out
+    }
+
+    /// Crash-free faults (drops, stragglers, slow nodes) that every rank
+    /// survives: the recovering run must be bitwise the faulty run.
+    #[test]
+    fn clean_attempt_is_bitwise_the_faulty_run() {
+        let p = 24;
+        let (params, placement) = sim_fixture(p);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(p);
+        let fault = FaultModel {
+            drop: DropProb::uniform(0.02),
+            max_retries: 12,
+            slow_prob: 0.2,
+            slow_mult: 2.0,
+            straggler_prob: 0.1,
+            straggler_scale: 5e-5,
+            straggler_alpha: 1.5,
+            ..FaultModel::NONE
+        };
+        let goal = KnowledgeGoal::AllToAll;
+        let mut net = NetState::new(&placement);
+        let mut scratch = SimScratch::new(&placement);
+        for rep in 0..8u64 {
+            let faulty = lone_faulty(&sim, &plan, &fault, 77, rep, &mut net, &mut scratch);
+            assert!(faulty.all_completed(), "rep {rep}: fixture must be clean");
+            let rec = lone_recovering(&sim, &plan, goal, &fault, None, 77, rep);
+            assert_eq!(rec.attempt, faulty, "rep {rep}");
+            assert_eq!(rec.outcomes, faulty.outcomes, "rep {rep}");
+            assert!(!rec.replanned && rec.recovered);
+            assert_eq!(rec.detection_time.to_bits(), 0.0f64.to_bits());
+            assert_eq!(rec.total().to_bits(), faulty.total().to_bits());
+        }
     }
 
     /// A forced crash set: survivors pay detection + consensus, execute
@@ -354,29 +382,8 @@ mod tests {
         let p = 16;
         let (params, placement) = sim_fixture(p);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let payload = PayloadSchedule::none();
-        let fault = FaultModel::NONE;
-        let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), &[3, 7]);
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        let mut rs = RecoveryScratch::new();
-        let mut out = RecoveryReport::new(p);
-        sim.run_once_recovering_with(
-            &plan,
-            &payload,
-            KnowledgeGoal::AllToAll,
-            &fault,
-            &fplan,
-            &vec![0.0; p],
-            &mut net,
-            5,
-            BARRIER_JITTER_LABEL,
-            0,
-            &mut scratch,
-            &mut rs,
-            &mut out,
-        );
+        let (plan, goal, none) = (dissemination(p), KnowledgeGoal::AllToAll, FaultModel::NONE);
+        let out = lone_recovering(&sim, &plan, goal, &none, Some(&[3, 7]), 5, 0);
         assert!(out.replanned && out.recovered);
         assert!(!out.attempt.all_completed());
         assert_eq!(out.replan_stages, 4, "ceil(log2(14)) survivor stages");
@@ -399,27 +406,8 @@ mod tests {
         let p = 8;
         let (params, placement) = sim_fixture(p);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), &[0]);
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        let mut rs = RecoveryScratch::new();
-        let mut out = RecoveryReport::new(p);
-        sim.run_once_recovering_with(
-            &plan,
-            &PayloadSchedule::none(),
-            KnowledgeGoal::RootReaches(0),
-            &FaultModel::NONE,
-            &fplan,
-            &vec![0.0; p],
-            &mut net,
-            5,
-            BARRIER_JITTER_LABEL,
-            0,
-            &mut scratch,
-            &mut rs,
-            &mut out,
-        );
+        let (plan, goal) = (dissemination(p), KnowledgeGoal::RootReaches(0));
+        let out = lone_recovering(&sim, &plan, goal, &FaultModel::NONE, Some(&[0]), 5, 0);
         assert!(!out.replanned && !out.recovered);
         assert_eq!(out.replan_stages, 0);
         assert!(out.detection_time > 0.0, "detection still happened");
@@ -457,20 +445,8 @@ mod tests {
             });
             assert_eq!(serial, par, "threads {threads}");
         }
-        let mut net = NetState::new(&placement);
-        let mut scratch = SimScratch::new(&placement);
-        let mut rs = RecoveryScratch::new();
         for (r, rep_report) in serial.iter().enumerate() {
-            let lone = lone_recovering(
-                &sim,
-                &plan,
-                &fault,
-                99,
-                r as u64,
-                &mut net,
-                &mut scratch,
-                &mut rs,
-            );
+            let lone = lone_recovering(&sim, &plan, goal, &fault, None, 99, r as u64);
             assert_eq!(*rep_report, lone, "rep {r}");
         }
     }

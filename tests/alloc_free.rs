@@ -63,13 +63,6 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         let mut scratch = SimScratch::new(&placement);
         let mut lanes = LaneScratch::new();
         let zeros = vec![0.0; 64];
-        let worst = |scratch: &SimScratch| {
-            scratch
-                .exits()
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
         // Warmup: one full repetition through every stage shape on each
         // engine — scalar-jitter compiled, batch-filled scalar, and the
         // SoA executor at the fixed-width kernel's 8 lanes and at 5
@@ -78,7 +71,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         let mut jit = ScalarJitter::new(params.jitter, &mut rng);
         net.reset();
         sim.run_once_compiled(&plan, &payload, &zeros, &mut net, &mut jit, &mut scratch);
-        assert!(worst(&scratch) > 0.0);
+        assert!(scratch.total() > 0.0);
         net.reset();
         sim.run_once_batched(
             &plan,
@@ -90,7 +83,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
             0,
             &mut scratch,
         );
-        assert!(worst(&scratch) > 0.0);
+        assert!(scratch.total() > 0.0);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 8, &mut lanes);
         sim.run_batch_compiled(&plan, &payload, 42, 0, 5, &mut lanes);
         // The lane executor's jitter is windowed, 16 KiB at a time: a
@@ -112,7 +105,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
                 let mut jit = ScalarJitter::new(params.jitter, &mut rng);
                 net.reset();
                 sim.run_once_compiled(&plan, &payload, &zeros, &mut net, &mut jit, &mut scratch);
-                acc += worst(&scratch);
+                acc += scratch.total();
                 // The batched engines refill their tables in place.
                 net.reset();
                 sim.run_once_batched(
@@ -125,7 +118,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
                     rep,
                     &mut scratch,
                 );
-                acc += worst(&scratch);
+                acc += scratch.total();
                 for width in [8, 5] {
                     let first = 8 * rep;
                     for &t in

@@ -63,10 +63,6 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-fn worst(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -104,11 +100,12 @@ proptest! {
             if jittered == 1 {
                 assert_eq!(scratch.jitter().consumed(), plan.jitter_draws());
             }
-            scratch.exits()[..p].to_vec()
+            scratch.exits().to_vec()
         };
         let reference = bits(&clean(&entry, rep, &mut net, &mut scratch));
 
-        // A scratch built for a larger placement changes nothing.
+        // A scratch built for a larger placement changes nothing, its
+        // `exits()` included (same length, same bits).
         let wide = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
         let mut oversized = SimScratch::new(&wide);
         prop_assert_eq!(&bits(&clean(&entry, rep, &mut net, &mut oversized)), &reference);
@@ -148,6 +145,9 @@ proptest! {
             slow_mult: 1.5,
             degraded_prob: 0.1,
             degraded_mult: 2.0,
+            straggler_prob: 0.1,
+            straggler_scale: 5e-5,
+            straggler_alpha: 1.5,
             timeout: 2e-4,
             ..FaultModel::NONE
         };
@@ -173,7 +173,10 @@ proptest! {
         // total of repetition `l`.
         let zeros = vec![0.0; p];
         let totals: Vec<u64> = (0..8)
-            .map(|r| worst(&clean(&zeros, r, &mut net, &mut scratch)).to_bits())
+            .map(|r| {
+                clean(&zeros, r, &mut net, &mut scratch);
+                scratch.total().to_bits()
+            })
             .collect();
         let mut lanes = LaneScratch::new();
         for width in [1usize, 5, 8] {
