@@ -309,7 +309,19 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // sync sweep (fig6_3), and the collective sweep's nested fan-out.
     // `faults` and `recovery` ride along since PR 13: they are the only
     // experiments that drive the faulty and recovering executors.
-    let ids = ["fig5_6", "fig6_3", "collectives", "faults", "recovery"];
+    // `coll_rt` and `fig8_10` ride along since PR 15: they are the two
+    // experiments that move real payload through `run_spmd` (collectives
+    // and the BSP/MPI stencils), so their bytes pin the runtime's `elapse`
+    // sequence end to end.
+    let ids = [
+        "fig5_6",
+        "fig6_3",
+        "collectives",
+        "faults",
+        "recovery",
+        "coll_rt",
+        "fig8_10",
+    ];
     let serial = run_all(&ids, 1, "t1");
     assert!(!serial.is_empty());
     // Golden pin (re-struck in PR 5 on the batched jitter engine —
@@ -331,6 +343,8 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("faults.csv", 0x0d71fd219e4d36f1),
             ("recovery.csv", 0x853c51f35faf89a3),
             ("recovery_registry.csv", 0xdb0c5858f1fc0474),
+            ("collectives_runtime.csv", 0x48009911f8e2762a),
+            ("fig8_10_B1.csv", 0x9c6a6bf09a533ae2),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
