@@ -7,6 +7,14 @@
 //! communication thread), and the transfer progresses in the background
 //! while the program keeps computing. Computation itself advances the
 //! virtual clock through a processor rate model or explicit elapse calls.
+//!
+//! The context owns neither its operation log nor any payload: both are
+//! borrowed from the runtime, which clears and reuses the log and keeps one
+//! byte staging buffer per superstep for all processes. The data-bearing
+//! primitive is [`BspCtx::put_with`]: it validates the target, charges the
+//! put's virtual cost, reserves the payload's slot in the staging buffer
+//! and lets the caller write the bytes there — one copy, no allocation.
+//! `put`/`hpput` are its `copy_from_slice` wrappers.
 
 use crate::mem::{BsmpMsg, ProcMem, RegHandle};
 use crate::ops::CommOp;
@@ -33,12 +41,17 @@ pub struct BspCtx<'a> {
     jitter: JitterModel,
     rng: &'a mut StdRng,
     mem: &'a mut ProcMem,
-    ops: Vec<CommOp>,
+    /// The superstep's operation log of all processes, as `(pid, op)`
+    /// (runtime-owned).
+    ops: &'a mut Vec<(usize, CommOp)>,
+    /// The superstep's payload bytes of all processes (runtime-owned).
+    staging: &'a mut Vec<u8>,
     abort_msg: Option<String>,
 }
 
 impl<'a> BspCtx<'a> {
     /// Used by the runtime; not part of the BSPlib surface.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pid: usize,
         nprocs: usize,
@@ -47,6 +60,8 @@ impl<'a> BspCtx<'a> {
         jitter: JitterModel,
         rng: &'a mut StdRng,
         mem: &'a mut ProcMem,
+        ops: &'a mut Vec<(usize, CommOp)>,
+        staging: &'a mut Vec<u8>,
     ) -> BspCtx<'a> {
         BspCtx {
             pid,
@@ -56,13 +71,15 @@ impl<'a> BspCtx<'a> {
             jitter,
             rng,
             mem,
-            ops: Vec::new(),
+            ops,
+            staging,
             abort_msg: None,
         }
     }
 
-    pub(crate) fn finish(self) -> (f64, Vec<CommOp>, Option<String>) {
-        (self.now, self.ops, self.abort_msg)
+    /// The clock at the end of the program code, and any `bsp_abort`.
+    pub(crate) fn finish(self) -> (f64, Option<String>) {
+        (self.now, self.abort_msg)
     }
 
     /// `bsp_nprocs`.
@@ -134,6 +151,10 @@ impl<'a> BspCtx<'a> {
         self.mem.write(h)
     }
 
+    fn commit(&mut self, op: CommOp) {
+        self.ops.push((self.pid, op));
+    }
+
     fn check_target(&self, pid: usize, reg: RegHandle, offset: usize, len: usize) {
         assert!(pid < self.nprocs, "target pid {pid} out of range");
         assert!(
@@ -148,33 +169,79 @@ impl<'a> BspCtx<'a> {
         );
     }
 
-    fn put_impl(&mut self, dst: usize, reg: RegHandle, offset: usize, data: &[u8], hp: bool) {
-        self.check_target(dst, reg, offset, data.len());
+    fn put_impl(
+        &mut self,
+        dst: usize,
+        reg: RegHandle,
+        offset: usize,
+        len: usize,
+        hp: bool,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        self.check_target(dst, reg, offset, len);
         let mut cost = ENQUEUE_OVERHEAD;
         if !hp {
-            cost += data.len() as f64 * BUFFER_COPY_PER_BYTE;
+            cost += len as f64 * BUFFER_COPY_PER_BYTE;
         }
         self.elapse(cost);
-        self.ops.push(CommOp::Put {
+        let start = self.staging.len();
+        self.staging.resize(start + len, 0);
+        fill(&mut self.staging[start..]);
+        let data = start..start + len;
+        self.commit(CommOp::Put {
             issue: self.now,
             dst,
             reg,
             offset,
-            data: data.to_vec(),
+            data,
             high_perf: hp,
         });
+    }
+
+    /// `bsp_put` without a source buffer: a buffered one-sided write of
+    /// `len` bytes into `(dst, reg, offset)`, visible there after the next
+    /// sync. `fill` receives the put's (zeroed) slot in the runtime's
+    /// staging buffer and writes the payload in place, so a program that
+    /// produces its bytes — marshals `f64`s, gathers a strided border —
+    /// pays one copy. The target is validated before the slot exists;
+    /// virtual cost and clock are exactly [`BspCtx::put`]'s.
+    pub fn put_with(
+        &mut self,
+        dst: usize,
+        reg: RegHandle,
+        offset: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        self.put_impl(dst, reg, offset, len, false, fill);
+    }
+
+    /// `bsp_hpput` counterpart of [`BspCtx::put_with`].
+    pub fn hpput_with(
+        &mut self,
+        dst: usize,
+        reg: RegHandle,
+        offset: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        self.put_impl(dst, reg, offset, len, true, fill);
     }
 
     /// `bsp_put`: buffered one-sided write of `data` into
     /// `(dst, reg, offset)`, visible there after the next sync.
     pub fn put(&mut self, dst: usize, reg: RegHandle, offset: usize, data: &[u8]) {
-        self.put_impl(dst, reg, offset, data, false);
+        self.put_with(dst, reg, offset, data.len(), |slot| {
+            slot.copy_from_slice(data)
+        });
     }
 
     /// `bsp_hpput`: unbuffered variant — cheaper at the sender, with the
     /// usual caveat that the source must stay unchanged until sync.
     pub fn hpput(&mut self, dst: usize, reg: RegHandle, offset: usize, data: &[u8]) {
-        self.put_impl(dst, reg, offset, data, true);
+        self.hpput_with(dst, reg, offset, data.len(), |slot| {
+            slot.copy_from_slice(data)
+        });
     }
 
     fn get_impl(
@@ -192,7 +259,7 @@ impl<'a> BspCtx<'a> {
             "get destination overruns local buffer"
         );
         self.elapse(ENQUEUE_OVERHEAD);
-        self.ops.push(CommOp::Get {
+        self.commit(CommOp::Get {
             issue: self.now,
             src,
             src_reg,
@@ -250,11 +317,15 @@ impl<'a> BspCtx<'a> {
             self.mem.tagsize
         );
         self.elapse(ENQUEUE_OVERHEAD + (tag.len() + payload.len()) as f64 * BUFFER_COPY_PER_BYTE);
-        self.ops.push(CommOp::Send {
+        let start = self.staging.len();
+        self.staging.extend_from_slice(tag);
+        self.staging.extend_from_slice(payload);
+        let split = start + tag.len();
+        self.commit(CommOp::Send {
             issue: self.now,
             dst,
-            tag: tag.to_vec(),
-            payload: payload.to_vec(),
+            tag: start..split,
+            payload: split..self.staging.len(),
         });
     }
 
@@ -291,19 +362,32 @@ mod tests {
     use hpm_kernels::rate::xeon_core;
     use hpm_stats::rng::derive_rng;
 
-    fn with_ctx<R>(f: impl FnOnce(&mut BspCtx) -> R) -> (R, f64, Vec<CommOp>) {
+    /// Runs `f` against a fresh pid-0-of-4 context; returns its result,
+    /// the final clock, the op log and the staged bytes.
+    fn with_ctx<R>(f: impl FnOnce(&mut BspCtx) -> R) -> (R, f64, Vec<(usize, CommOp)>, Vec<u8>) {
         let model = xeon_core();
         let mut rng = derive_rng(1, 1);
         let mut mem = ProcMem::default();
-        let mut ctx = BspCtx::new(0, 4, 0.0, &model, JitterModel::NONE, &mut rng, &mut mem);
+        let (mut ops, mut staging) = (Vec::new(), Vec::new());
+        let mut ctx = BspCtx::new(
+            0,
+            4,
+            0.0,
+            &model,
+            JitterModel::NONE,
+            &mut rng,
+            &mut mem,
+            &mut ops,
+            &mut staging,
+        );
         let r = f(&mut ctx);
-        let (now, ops, _) = ctx.finish();
-        (r, now, ops)
+        let (now, _) = ctx.finish();
+        (r, now, ops, staging)
     }
 
     #[test]
     fn identity_and_clock() {
-        let ((), now, _) = with_ctx(|ctx| {
+        let ((), now, ..) = with_ctx(|ctx| {
             assert_eq!(ctx.pid(), 0);
             assert_eq!(ctx.nprocs(), 4);
             assert_eq!(ctx.time(), 0.0);
@@ -317,7 +401,7 @@ mod tests {
     fn compute_kernel_advances_clock_by_model_rate() {
         let model = xeon_core();
         let expect = model.time_per_apply(&Axpy, 1024) * 10.0;
-        let ((), now, _) = with_ctx(|ctx| ctx.compute_kernel(&Axpy, 1024, 10));
+        let ((), now, ..) = with_ctx(|ctx| ctx.compute_kernel(&Axpy, 1024, 10));
         assert!((now - expect).abs() / expect < 1e-12);
     }
 
@@ -334,7 +418,7 @@ mod tests {
 
     #[test]
     fn registered_put_is_recorded_with_issue_time() {
-        let ((), _, ops) = with_ctx(|ctx| {
+        let ((), _, ops, staging) = with_ctx(|ctx| {
             let h = ctx.alloc(16);
             ctx.push_reg(h);
             ctx.mem.commit_sync();
@@ -342,7 +426,7 @@ mod tests {
             ctx.put(2, h, 4, &[9; 8]);
         });
         assert_eq!(ops.len(), 1);
-        match &ops[0] {
+        match &ops[0].1 {
             CommOp::Put {
                 issue,
                 dst,
@@ -354,7 +438,7 @@ mod tests {
                 assert!(*issue > 5e-6);
                 assert_eq!(*dst, 2);
                 assert_eq!(*offset, 4);
-                assert_eq!(data.len(), 8);
+                assert_eq!(staging[data.clone()], [9; 8]);
                 assert!(!high_perf);
             }
             other => panic!("expected put, got {other:?}"),
@@ -364,13 +448,13 @@ mod tests {
     #[test]
     fn hpput_is_cheaper_than_put() {
         let big = vec![0u8; 1 << 20];
-        let ((), t_buffered, _) = with_ctx(|ctx| {
+        let ((), t_buffered, ..) = with_ctx(|ctx| {
             let h = ctx.alloc(1 << 20);
             ctx.push_reg(h);
             ctx.mem.commit_sync();
             ctx.put(1, h, 0, &big);
         });
-        let ((), t_hp, _) = with_ctx(|ctx| {
+        let ((), t_hp, ..) = with_ctx(|ctx| {
             let h = ctx.alloc(1 << 20);
             ctx.push_reg(h);
             ctx.mem.commit_sync();
@@ -393,7 +477,7 @@ mod tests {
 
     #[test]
     fn set_tagsize_returns_previous() {
-        let (prev, _, _) = with_ctx(|ctx| ctx.set_tagsize(8));
+        let (prev, ..) = with_ctx(|ctx| ctx.set_tagsize(8));
         assert_eq!(prev, 0);
     }
 
@@ -410,17 +494,78 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// `put_with` validates like `put` — same messages — and does so
+    /// before anything is committed: the fill closure never runs, no slot
+    /// is reserved, no operation logged and no time charged.
+    #[test]
+    fn put_with_rejects_bad_targets_before_reserving_the_slot() {
+        let model = xeon_core();
+        let mut rng = derive_rng(1, 1);
+        let mut mem = ProcMem::default();
+        let unregistered = mem.alloc(16);
+        let registered = mem.alloc(4);
+        mem.queue_push_reg(registered);
+        mem.commit_sync();
+        let (mut ops, mut staging) = (Vec::new(), Vec::new());
+        let mut ctx = BspCtx::new(
+            0,
+            4,
+            0.0,
+            &model,
+            JitterModel::NONE,
+            &mut rng,
+            &mut mem,
+            &mut ops,
+            &mut staging,
+        );
+        let mut filled = false;
+        let mut rejected = |dst: usize, reg: RegHandle, offset: usize, len: usize, hp: bool| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if hp {
+                    ctx.hpput_with(dst, reg, offset, len, |_| filled = true);
+                } else {
+                    ctx.put_with(dst, reg, offset, len, |_| filled = true);
+                }
+            }))
+            .expect_err("bad target must be rejected");
+            *err.downcast::<String>().expect("assert message")
+        };
+        let msg = rejected(1, unregistered, 0, 4, false);
+        assert!(
+            msg.contains("not registered (push_reg takes effect"),
+            "{msg}"
+        );
+        let msg = rejected(1, registered, 2, 4, true);
+        assert_eq!(msg, "remote access [2, 6) exceeds registration of 4 bytes");
+        let msg = rejected(4, registered, 0, 4, false);
+        assert_eq!(msg, "target pid 4 out of range");
+        assert_eq!(ctx.time(), 0.0, "a rejected put charges nothing");
+        ctx.put_with(1, registered, 1, 3, |slot| slot.copy_from_slice(&[7, 8, 9]));
+        drop(ctx);
+        assert!(!filled, "fill ran for a rejected put");
+        assert_eq!(staging, [7, 8, 9], "only the valid put reserved a slot");
+        assert_eq!(ops.len(), 1);
+    }
+
     #[test]
     fn abort_is_captured() {
-        let ((), _, _) = {
-            let model = xeon_core();
-            let mut rng = derive_rng(2, 2);
-            let mut mem = ProcMem::default();
-            let mut ctx = BspCtx::new(0, 2, 0.0, &model, JitterModel::NONE, &mut rng, &mut mem);
-            ctx.abort("boom");
-            let (now, ops, abort) = ctx.finish();
-            assert_eq!(abort.as_deref(), Some("boom"));
-            ((), now, ops)
-        };
+        let model = xeon_core();
+        let mut rng = derive_rng(2, 2);
+        let mut mem = ProcMem::default();
+        let (mut ops, mut staging) = (Vec::new(), Vec::new());
+        let mut ctx = BspCtx::new(
+            0,
+            2,
+            0.0,
+            &model,
+            JitterModel::NONE,
+            &mut rng,
+            &mut mem,
+            &mut ops,
+            &mut staging,
+        );
+        ctx.abort("boom");
+        let (_, abort) = ctx.finish();
+        assert_eq!(abort.as_deref(), Some("boom"));
     }
 }

@@ -13,7 +13,7 @@
 //! reflected.
 
 use crate::ctx::BspCtx;
-use crate::mem::RegHandle;
+use crate::mem::{f64s, RegHandle};
 use crate::ops::StepOutcome;
 use crate::runtime::{run_spmd, BspConfig, BspProgram};
 use hpm_kernels::blas1::Dot;
@@ -68,10 +68,9 @@ impl BspProgram for InProd {
             _ => {
                 // Accumulate the p partials locally.
                 let reg = self.partials.expect("registered");
-                let buf = ctx.read_buf(reg).to_vec();
                 let mut acc = 0.0;
-                for k in 0..p {
-                    acc += f64::from_le_bytes(buf[8 * k..8 * k + 8].try_into().expect("8B"));
+                for partial in f64s(ctx.read_buf(reg)) {
+                    acc += partial;
                 }
                 ctx.elapse(p as f64 * 1e-9); // p additions
                 self.result = acc;

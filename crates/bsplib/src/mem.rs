@@ -21,6 +21,28 @@ pub struct BsmpMsg {
     pub payload: Vec<u8>,
 }
 
+/// Writes `vals` as little-endian bytes into `out`, which must hold exactly
+/// eight bytes per value. Registered buffers and put slots are bytes; this
+/// and [`f64s`] are the one `f64` marshalling every program shares.
+pub fn write_f64s(vals: impl ExactSizeIterator<Item = f64>, out: &mut [u8]) {
+    assert_eq!(
+        out.len(),
+        8 * vals.len(),
+        "slot must hold eight bytes per value"
+    );
+    for (chunk, v) in out.chunks_exact_mut(8).zip(vals) {
+        chunk.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The little-endian `f64`s stored in `bytes` (a multiple of eight long).
+pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
+    assert_eq!(bytes.len() % 8, 0, "byte length must be a multiple of 8");
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+}
+
 /// One process' memory: buffers, registration table and message queue.
 #[derive(Debug, Default)]
 pub struct ProcMem {
@@ -158,6 +180,22 @@ mod tests {
         // unreceived messages at superstep end).
         m.commit_sync();
         assert!(m.inbox.is_empty());
+    }
+
+    #[test]
+    fn f64_marshalling_round_trips() {
+        let vals = [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 1e-300];
+        let mut bytes = [0u8; 40];
+        write_f64s(vals.into_iter(), &mut bytes);
+        assert_eq!(bytes[8..16], (-1.5f64).to_le_bytes());
+        assert_eq!(f64s(&bytes).collect::<Vec<_>>(), vals);
+        assert_eq!(f64s(&[]).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "eight bytes per value")]
+    fn write_f64s_rejects_a_short_slot() {
+        write_f64s([1.0, 2.0].into_iter(), &mut [0u8; 8]);
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! length, sequence code — 24 bytes) plus, for data-bearing operations, a
 //! payload transfer. The runtime resolves them against the simulated
 //! network at sync time.
+//!
+//! An operation owns no bytes. Everything a superstep commits — put data,
+//! BSMP tags and payloads, and at sync time the pre-put snapshots of the
+//! gets — lives in the runtime's one staging buffer for that superstep;
+//! a [`CommOp`] names its bytes by their span in it. A put therefore costs
+//! the host one copy into the staging buffer and no allocation of its own.
 
 use crate::mem::RegHandle;
+use std::ops::Range;
 
 /// Size of the §6.2 header message: six 32-bit integers.
 pub const HEADER_BYTES: u64 = 24;
@@ -24,13 +31,15 @@ pub enum StepOutcome {
 /// process committed it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommOp {
-    /// `bsp_put`/`bsp_hpput`: write `data` into `(dst, reg, offset)`.
+    /// `bsp_put`/`bsp_hpput`: write the staged bytes `data` into
+    /// `(dst, reg, offset)`.
     Put {
         issue: f64,
         dst: usize,
         reg: RegHandle,
         offset: usize,
-        data: Vec<u8>,
+        /// Span of the payload in the superstep's staging buffer.
+        data: Range<usize>,
         /// High-performance (unbuffered) variant: skips the send-side
         /// buffer copy, so the sender pays less CPU.
         high_perf: bool,
@@ -47,12 +56,12 @@ pub enum CommOp {
         len: usize,
     },
     /// `bsp_send`: BSMP message into `dst`'s queue, visible next
-    /// superstep.
+    /// superstep. `tag` and `payload` are spans of the staging buffer.
     Send {
         issue: f64,
         dst: usize,
-        tag: Vec<u8>,
-        payload: Vec<u8>,
+        tag: Range<usize>,
+        payload: Range<usize>,
     },
 }
 
@@ -95,7 +104,7 @@ mod tests {
             dst: 3,
             reg: RegHandle(0),
             offset: 0,
-            data: vec![0; 100],
+            data: 40..140,
             high_perf: false,
         };
         assert_eq!(put.target(), 3);
@@ -117,8 +126,8 @@ mod tests {
         let send = CommOp::Send {
             issue: 3.0,
             dst: 1,
-            tag: vec![0; 4],
-            payload: vec![0; 10],
+            tag: 0..4,
+            payload: 4..14,
         };
         assert_eq!(send.payload_bytes(), 14);
     }

@@ -40,6 +40,7 @@ use hpm_simnet::params::PlatformParams;
 use hpm_stats::fault::FaultModel;
 use hpm_stats::rng::{derive_rng, JitterBuf};
 use hpm_topology::Placement;
+use std::ops::Range;
 
 /// Stream label of the payload-carrying sync's jitter tables; `rep` is
 /// the superstep index.
@@ -372,13 +373,27 @@ pub fn run_spmd<P: BspProgram>(
     let mut r2 = ExchangeResult::default();
     let mut supersteps = Vec::new();
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
+    // The superstep's operation log — `(issuing pid, op)` in `(pid,
+    // program order)`, cleared and refilled every superstep — and its one
+    // payload staging buffer (see `ops`): every process' puts and sends
+    // append to both during phase 1; phase 4 adds the gets' snapshots,
+    // applies the bytes and releases them.
+    let mut log: Vec<(usize, CommOp)> = Vec::new();
+    let mut staging: Vec<u8> = Vec::new();
+    // Scratch of the resolution and memory phases, reused across
+    // supersteps.
+    let mut headers: Vec<ExchangeMsg> = Vec::new();
+    let mut get_requests: Vec<(usize, usize)> = Vec::new(); // (header idx, log idx)
+    let mut replies: Vec<ExchangeMsg> = Vec::new();
+    let mut survives: Vec<bool> = Vec::new();
+    let mut get_results: Vec<(usize, Range<usize>)> = Vec::new(); // (log idx, staged span)
 
     for step in 0..cfg.max_supersteps {
         let sim = BarrierSim::new(&cfg.params, &placement);
         // Phase 1: run program code, collect ops.
-        let mut all_ops: Vec<Vec<CommOp>> = Vec::with_capacity(p);
         let mut compute_end = vec![0.0f64; p];
         let mut halts = 0usize;
+        log.clear();
         for pid in 0..p {
             let mut ctx = BspCtx::new(
                 pid,
@@ -388,9 +403,11 @@ pub fn run_spmd<P: BspProgram>(
                 cfg.params.jitter,
                 &mut rng,
                 &mut mems[pid],
+                &mut log,
+                &mut staging,
             );
             let outcome = programs[pid].superstep(&mut ctx);
-            let (now, ops, abort) = ctx.finish();
+            let (now, abort) = ctx.finish();
             if let Some(msg) = abort {
                 return Err(BspError::Abort {
                     pid,
@@ -399,7 +416,6 @@ pub fn run_spmd<P: BspProgram>(
                 });
             }
             compute_end[pid] = now;
-            all_ops.push(ops);
             if outcome == StepOutcome::Halt {
                 halts += 1;
             }
@@ -409,46 +425,25 @@ pub fn run_spmd<P: BspProgram>(
         }
 
         // Phase 2: resolve communication.
-        let mut headers: Vec<ExchangeMsg> = Vec::new();
-        let mut header_owner_of_get: Vec<(usize, usize)> = Vec::new(); // (msg idx, op idx)
-        let mut flat_ops: Vec<(usize, &CommOp)> = Vec::new();
+        headers.clear();
+        get_requests.clear();
         let mut payload_bytes = 0u64;
-        for (pid, ops) in all_ops.iter().enumerate() {
-            for op in ops {
-                flat_ops.push((pid, op));
-            }
-        }
-        for (k, &(pid, op)) in flat_ops.iter().enumerate() {
+        for (k, (pid, op)) in log.iter().enumerate() {
             headers.push(ExchangeMsg {
-                src: pid,
+                src: *pid,
                 dst: op.target(),
                 bytes: HEADER_BYTES,
                 issue: op.issue(),
             });
+            payload_bytes += op.payload_bytes();
             match op {
-                CommOp::Put { data, .. } => {
-                    payload_bytes += data.len() as u64;
-                    headers.push(ExchangeMsg {
-                        src: pid,
-                        dst: op.target(),
-                        bytes: data.len() as u64,
-                        issue: op.issue(),
-                    });
-                }
-                CommOp::Send { tag, payload, .. } => {
-                    let b = (tag.len() + payload.len()) as u64;
-                    payload_bytes += b;
-                    headers.push(ExchangeMsg {
-                        src: pid,
-                        dst: op.target(),
-                        bytes: b,
-                        issue: op.issue(),
-                    });
-                }
-                CommOp::Get { len, .. } => {
-                    payload_bytes += *len as u64;
-                    header_owner_of_get.push((headers.len() - 1, k));
-                }
+                CommOp::Put { .. } | CommOp::Send { .. } => headers.push(ExchangeMsg {
+                    src: *pid,
+                    dst: op.target(),
+                    bytes: op.payload_bytes(),
+                    issue: op.issue(),
+                }),
+                CommOp::Get { .. } => get_requests.push((headers.len() - 1, k)),
             }
         }
         ex_jitter.fill(
@@ -460,7 +455,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &cfg.placement,
+            &placement,
             &headers,
             &mut net,
             &mut ex_jitter,
@@ -468,18 +463,16 @@ pub fn run_spmd<P: BspProgram>(
             &mut r1,
         );
         // Get replies: issued by the owner once the request is processed.
-        let replies: Vec<ExchangeMsg> = header_owner_of_get
-            .iter()
-            .map(|&(msg_idx, op_idx)| {
-                let (requester, op) = flat_ops[op_idx];
-                ExchangeMsg {
-                    src: op.target(),
-                    dst: requester,
-                    bytes: op.payload_bytes(),
-                    issue: r1.processed[msg_idx],
-                }
-            })
-            .collect();
+        replies.clear();
+        replies.extend(get_requests.iter().map(|&(msg_idx, k)| {
+            let (requester, op) = &log[k];
+            ExchangeMsg {
+                src: op.target(),
+                dst: *requester,
+                bytes: op.payload_bytes(),
+                issue: r1.processed[msg_idx],
+            }
+        }));
         ex_jitter.fill(
             cfg.params.jitter.sigma,
             cfg.seed,
@@ -489,7 +482,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &cfg.placement,
+            &placement,
             &replies,
             &mut net,
             &mut ex_jitter,
@@ -566,18 +559,22 @@ pub fn run_spmd<P: BspProgram>(
         // After a failed sync under ShrinkAndContinue, only effects
         // whose source and destination both survive commit — data to or
         // from an evicted process died with it.
-        let survives: Vec<bool> = if sync_failed {
-            sync_report
-                .outcomes
-                .iter()
-                .map(|o| matches!(o, RankOutcome::Completed(_)))
-                .collect()
+        survives.clear();
+        if sync_failed {
+            survives.extend(
+                sync_report
+                    .outcomes
+                    .iter()
+                    .map(|o| matches!(o, RankOutcome::Completed(_))),
+            );
         } else {
-            vec![true; p]
-        };
-        // Gets read the state at the end of computation, before puts.
-        let mut get_results: Vec<(usize, &CommOp, Vec<u8>)> = Vec::new();
-        for &(pid, op) in &flat_ops {
+            survives.resize(p, true);
+        }
+        // Gets read the state at the end of computation, before puts:
+        // their snapshots are staged behind the superstep's put and send
+        // bytes and installed once the puts have landed.
+        get_results.clear();
+        for (k, (pid, op)) in log.iter().enumerate() {
             if let CommOp::Get {
                 src,
                 src_reg,
@@ -586,14 +583,16 @@ pub fn run_spmd<P: BspProgram>(
                 ..
             } = op
             {
-                if !(survives[pid] && survives[*src]) {
+                if !(survives[*pid] && survives[*src]) {
                     continue;
                 }
-                let data = mems[*src].read(*src_reg)[*src_offset..*src_offset + *len].to_vec();
-                get_results.push((pid, op, data));
+                let start = staging.len();
+                staging
+                    .extend_from_slice(&mems[*src].read(*src_reg)[*src_offset..*src_offset + *len]);
+                get_results.push((k, start..staging.len()));
             }
         }
-        for &(pid, op) in &flat_ops {
+        for (pid, op) in &log {
             if let CommOp::Put {
                 dst,
                 reg,
@@ -602,51 +601,62 @@ pub fn run_spmd<P: BspProgram>(
                 ..
             } = op
             {
-                if !(survives[pid] && survives[*dst]) {
+                if !(survives[*pid] && survives[*dst]) {
                     continue;
                 }
-                mems[*dst].write(*reg)[*offset..*offset + data.len()].copy_from_slice(data);
+                mems[*dst].write(*reg)[*offset..*offset + data.len()]
+                    .copy_from_slice(&staging[data.clone()]);
             }
         }
-        for (pid, op, data) in get_results {
-            if let CommOp::Get {
-                dst_reg,
-                dst_offset,
-                len,
-                ..
-            } = op
+        for (k, snapshot) in get_results.drain(..) {
+            if let (
+                pid,
+                CommOp::Get {
+                    dst_reg,
+                    dst_offset,
+                    len,
+                    ..
+                },
+            ) = &log[k]
             {
-                mems[pid].write(*dst_reg)[*dst_offset..*dst_offset + *len].copy_from_slice(&data);
+                mems[*pid].write(*dst_reg)[*dst_offset..*dst_offset + *len]
+                    .copy_from_slice(&staging[snapshot]);
             }
         }
-        for &(pid, op) in &flat_ops {
+        for (pid, op) in &log {
             if let CommOp::Send {
                 dst, tag, payload, ..
             } = op
             {
-                if !(survives[pid] && survives[*dst]) {
+                if !(survives[*pid] && survives[*dst]) {
                     continue;
                 }
+                // The message's one owned copy is made at delivery.
                 mems[*dst].arriving.push(BsmpMsg {
-                    tag: tag.clone(),
-                    payload: payload.clone(),
+                    tag: staging[tag.clone()].to_vec(),
+                    payload: staging[payload.clone()].to_vec(),
                 });
             }
         }
         for mem in mems.iter_mut() {
             mem.commit_sync();
         }
+        // The staged bytes are applied; give them back before the
+        // programs run again. Kept across supersteps, a large exchange's
+        // buffer would sit resident beside the data the programs then
+        // unpack from their registered memory (see DESIGN.md).
+        staging = Vec::new();
 
+        clocks.clone_from(&completion);
         supersteps.push(SuperstepTrace {
             compute_end,
             send_complete,
             recv_complete,
             sync_exit: barrier_exit,
-            completion: completion.clone(),
+            completion,
             payload_bytes,
-            ops: flat_ops.len(),
+            ops: log.len(),
         });
-        clocks = completion;
 
         if sync_failed {
             let report = &sync_report;
@@ -1294,6 +1304,77 @@ mod tests {
         }
         assert_eq!(res.programs.len(), nprocs, "result spans the survivors");
         assert!(res.total_time > res.recoveries[0].detection_time);
+    }
+
+    /// Regression: after a shrink the background transfers must resolve
+    /// on the survivors' placement, like the sync does. Round-robin maps
+    /// rank → node by `r mod nodes_used`, so 16 ranks alternate between
+    /// two nodes while ≤ 8 renumbered survivors all sit on node 0. The
+    /// rooted sync loses (nearly) every wire signal: the root and the odd
+    /// ranks time out, the root's even node-mates survive. Their ring put
+    /// in the next superstep crosses no wire; classified on the
+    /// pre-shrink placement, every odd-distance hop paid the remote
+    /// link's millisecond latency.
+    #[test]
+    fn exchange_after_shrink_resolves_on_the_survivor_placement() {
+        use hpm_simnet::params::LinkCost;
+        use hpm_stats::fault::DropProb;
+        use hpm_stats::rng::JitterModel;
+        const REMOTE_LATENCY: f64 = 1e-3;
+        let link = |latency: f64| LinkCost {
+            o_send: 1e-8,
+            o_recv: 1e-8,
+            latency,
+            inv_bandwidth: 0.0,
+        };
+        let params = PlatformParams {
+            name: "far-wire".into(),
+            call_overhead: 1e-8,
+            same_socket: link(1e-9),
+            same_node: link(2e-9),
+            remote: link(REMOTE_LATENCY),
+            nic_gap: 0.0,
+            ack_factor: 0.0,
+            unexpected_penalty: 0.0,
+            jitter: JitterModel::NONE,
+        }
+        .validated();
+        let mut cfg = BspConfig::new(
+            params,
+            Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16),
+            xeon_core(),
+            3,
+        );
+        cfg.sync = SyncPattern::Linear { root: 0 };
+        cfg.recovery = RecoveryPolicy::ShrinkAndContinue;
+        cfg.fault = FaultModel {
+            drop: DropProb {
+                local: 0.0,
+                remote: 0.999,
+            },
+            max_retries: 0,
+            timeout: 2e-5,
+            ..FaultModel::NONE
+        };
+        let res = run_spmd(&cfg, |_| RotatePut {
+            step: 0,
+            buf: None,
+            seen: Vec::new(),
+        })
+        .expect("survivors complete the run");
+        assert_eq!(res.recoveries.len(), 1, "one shrink, at the first sync");
+        assert_eq!(res.recoveries[0].superstep, 0);
+        assert_eq!(res.recoveries[0].survivors, vec![2, 4, 6, 8, 10, 12, 14]);
+        // Superstep 1 is the survivors' ring put.
+        let tr = &res.supersteps[1];
+        assert_eq!((tr.ops, tr.compute_end.len()), (7, 7));
+        for i in 0..7 {
+            let inbound = tr.recv_complete[i] - tr.compute_end[i];
+            assert!(
+                inbound > 0.0 && inbound < 0.1 * REMOTE_LATENCY,
+                "survivor {i} waited {inbound} s for an intra-node put"
+            );
+        }
     }
 
     /// With no faults configured, the recovery policy is inert: both

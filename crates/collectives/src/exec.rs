@@ -12,9 +12,14 @@
 //! [`exchange_chunk`]): integer-valued `f64`s, so sums are exact and
 //! independent of combining order, which lets the test suites assert
 //! numeric equality rather than tolerances.
+//!
+//! Payload is marshalled in place: a program writes its `f64`s straight
+//! into the put's slot ([`BspCtx::hpput_with`]) and folds or unpacks
+//! straight from its registered bytes — no byte or `f64` temporary per
+//! put or per stage.
 
 use hpm_bsplib::ctx::BspCtx;
-use hpm_bsplib::mem::RegHandle;
+use hpm_bsplib::mem::{f64s, write_f64s, RegHandle};
 use hpm_bsplib::ops::StepOutcome;
 use hpm_bsplib::runtime::{run_spmd, BspConfig, BspProgram};
 
@@ -35,29 +40,33 @@ pub struct CollectiveOutcome {
 /// `r·1000 + k`. Integer-valued, so every combining order yields the same
 /// exact sum.
 pub fn seed_vector(pid: usize, n: usize) -> Vec<f64> {
-    (0..n).map(|k| (pid * 1000 + k) as f64).collect()
+    seed_values(pid, n).collect()
+}
+
+fn seed_values(pid: usize, n: usize) -> impl ExactSizeIterator<Item = f64> {
+    (0..n).map(move |k| (pid * 1000 + k) as f64)
 }
 
 /// Deterministic total-exchange chunk from `src` to `dst`.
 pub fn exchange_chunk(src: usize, dst: usize, n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|k| (src * 10_000 + dst * 100 + k) as f64)
-        .collect()
+    chunk_values(src, dst, n).collect()
 }
 
-fn encode(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
+fn chunk_values(src: usize, dst: usize, n: usize) -> impl ExactSizeIterator<Item = f64> {
+    (0..n).map(move |k| (src * 10_000 + dst * 100 + k) as f64)
 }
 
-fn decode(b: &[u8]) -> Vec<f64> {
-    assert_eq!(b.len() % 8, 0, "byte length must be a multiple of 8");
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
+/// Replaces `out` with the `f64`s stored in `bytes`.
+fn load(out: &mut Vec<f64>, bytes: &[u8]) {
+    out.clear();
+    out.extend(f64s(bytes));
+}
+
+/// `hpput` of `vals` into `(dst, reg, offset)`, marshalled in the slot.
+fn hpput_f64s(ctx: &mut BspCtx, dst: usize, reg: RegHandle, offset: usize, vals: &[f64]) {
+    ctx.hpput_with(dst, reg, offset, vals.len() * 8, |slot| {
+        write_f64s(vals.iter().copied(), slot)
+    });
 }
 
 /// Virtual rank with the root rotated to 0.
@@ -81,12 +90,12 @@ fn receives_in(vr: usize, s: usize, p: usize) -> bool {
 
 fn finish<P: BspProgram>(
     res: hpm_bsplib::runtime::BspRunResult<P>,
-    take: impl Fn(&P) -> Vec<f64>,
+    take: impl Fn(P) -> Vec<f64>,
 ) -> CollectiveOutcome {
     CollectiveOutcome {
         total_time: res.total_time,
         supersteps: res.superstep_count(),
-        values: res.programs.iter().map(take).collect(),
+        values: res.programs.into_iter().map(take).collect(),
     }
 }
 
@@ -106,8 +115,8 @@ impl BspProgram for BcastFlat {
             0 => {
                 let h = ctx.alloc(self.n * 8);
                 if ctx.pid() == self.root {
-                    ctx.write_buf(h)
-                        .copy_from_slice(&encode(&seed_vector(self.root, self.n)));
+                    self.out = seed_vector(self.root, self.n);
+                    write_f64s(self.out.iter().copied(), ctx.write_buf(h));
                 }
                 ctx.push_reg(h);
                 self.buf = Some(h);
@@ -117,10 +126,9 @@ impl BspProgram for BcastFlat {
             1 => {
                 if ctx.pid() == self.root && self.n > 0 {
                     let h = self.buf.expect("registered");
-                    let data = ctx.read_buf(h).to_vec();
                     for dst in 0..ctx.nprocs() {
                         if dst != self.root {
-                            ctx.hpput(dst, h, 0, &data);
+                            hpput_f64s(ctx, dst, h, 0, &self.out);
                         }
                     }
                 }
@@ -128,7 +136,7 @@ impl BspProgram for BcastFlat {
                 StepOutcome::Continue
             }
             _ => {
-                self.out = decode(ctx.read_buf(self.buf.expect("registered")));
+                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
                 StepOutcome::Halt
             }
         }
@@ -145,7 +153,7 @@ pub fn run_broadcast_flat(cfg: &BspConfig, root: usize, n: usize) -> CollectiveO
         out: Vec::new(),
     })
     .expect("broadcast-flat run");
-    finish(res, |prog| prog.out.clone())
+    finish(res, |prog| prog.out)
 }
 
 struct BcastTwoPhase {
@@ -171,8 +179,8 @@ impl BspProgram for BcastTwoPhase {
             0 => {
                 let h = ctx.alloc(self.n * 8);
                 if ctx.pid() == self.root {
-                    ctx.write_buf(h)
-                        .copy_from_slice(&encode(&seed_vector(self.root, self.n)));
+                    self.out = seed_vector(self.root, self.n);
+                    write_f64s(self.out.iter().copied(), ctx.write_buf(h));
                 }
                 ctx.push_reg(h);
                 self.buf = Some(h);
@@ -186,8 +194,7 @@ impl BspProgram for BcastTwoPhase {
                     for j in 0..p {
                         let (lo, hi) = self.chunk_range(j, p);
                         if j != self.root && lo < hi {
-                            let data = ctx.read_buf(h)[lo * 8..hi * 8].to_vec();
-                            ctx.hpput(j, h, lo * 8, &data);
+                            hpput_f64s(ctx, j, h, lo * 8, &self.out[lo..hi]);
                         }
                     }
                 }
@@ -195,14 +202,15 @@ impl BspProgram for BcastTwoPhase {
                 StepOutcome::Continue
             }
             2 => {
-                // Allgather: every rank sends its own chunk to all others.
+                // Allgather: every rank sends its own chunk (scattered
+                // into its registered buffer) to all others.
                 let h = self.buf.expect("registered");
                 let (lo, hi) = self.chunk_range(ctx.pid(), p);
                 if lo < hi {
-                    let data = ctx.read_buf(h)[lo * 8..hi * 8].to_vec();
+                    load(&mut self.out, &ctx.read_buf(h)[lo * 8..hi * 8]);
                     for dst in 0..p {
                         if dst != ctx.pid() {
-                            ctx.hpput(dst, h, lo * 8, &data);
+                            hpput_f64s(ctx, dst, h, lo * 8, &self.out);
                         }
                     }
                 }
@@ -210,7 +218,7 @@ impl BspProgram for BcastTwoPhase {
                 StepOutcome::Continue
             }
             _ => {
-                self.out = decode(ctx.read_buf(self.buf.expect("registered")));
+                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
                 StepOutcome::Halt
             }
         }
@@ -228,7 +236,7 @@ pub fn run_broadcast_two_phase(cfg: &BspConfig, root: usize, n: usize) -> Collec
         out: Vec::new(),
     })
     .expect("broadcast-two-phase run");
-    finish(res, |prog| prog.out.clone())
+    finish(res, |prog| prog.out)
 }
 
 // ------------------------------------------- combining trees (reduce &c)
@@ -258,14 +266,17 @@ struct Combining {
 
 impl Combining {
     fn fold_add(&mut self, ctx: &BspCtx) {
-        let inbound = decode(ctx.read_buf(self.staging.expect("registered")));
-        for (a, b) in self.acc.iter_mut().zip(inbound.iter()) {
+        let inbound = f64s(ctx.read_buf(self.staging.expect("registered")));
+        for (a, b) in self.acc.iter_mut().zip(inbound) {
             *a += b;
         }
     }
 
     fn replace(&mut self, ctx: &BspCtx) {
-        self.acc = decode(ctx.read_buf(self.staging.expect("registered")));
+        load(
+            &mut self.acc,
+            ctx.read_buf(self.staging.expect("registered")),
+        );
     }
 }
 
@@ -322,20 +333,20 @@ impl BspProgram for Combining {
             match self.kind {
                 CombineKind::Reduce if sends_in(vr, s) => {
                     let dst = prank(vr - (1 << s), self.root, p);
-                    ctx.hpput(dst, h, 0, &encode(&self.acc));
+                    hpput_f64s(ctx, dst, h, 0, &self.acc);
                 }
                 CombineKind::Scan if vr + (1 << s) < p => {
-                    ctx.hpput(vr + (1 << s), h, 0, &encode(&self.acc));
+                    hpput_f64s(ctx, vr + (1 << s), h, 0, &self.acc);
                 }
                 CombineKind::Allreduce => {
                     if s < s_total {
                         if sends_in(vr, s) {
-                            ctx.hpput(vr - (1 << s), h, 0, &encode(&self.acc));
+                            hpput_f64s(ctx, vr - (1 << s), h, 0, &self.acc);
                         }
                     } else {
                         let d = 1usize << (2 * s_total - 1 - s);
                         if vr % (2 * d) == 0 && vr + d < p {
-                            ctx.hpput(vr + d, h, 0, &encode(&self.acc));
+                            hpput_f64s(ctx, vr + d, h, 0, &self.acc);
                         }
                     }
                 }
@@ -365,7 +376,7 @@ fn run_combining(cfg: &BspConfig, kind: CombineKind, root: usize, n: usize) -> C
         acc: Vec::new(),
     })
     .expect("combining collective run");
-    finish(res, |prog| prog.acc.clone())
+    finish(res, |prog| prog.acc)
 }
 
 /// Binomial-tree reduce: the root ends holding the elementwise sum.
@@ -406,8 +417,10 @@ impl BspProgram for Gather {
                 let h = ctx.alloc(p * block);
                 if block > 0 {
                     let pid = ctx.pid();
-                    let own = encode(&seed_vector(pid, self.n));
-                    ctx.write_buf(h)[pid * block..(pid + 1) * block].copy_from_slice(&own);
+                    write_f64s(
+                        seed_values(pid, self.n),
+                        &mut ctx.write_buf(h)[pid * block..(pid + 1) * block],
+                    );
                 }
                 ctx.push_reg(h);
                 self.buf = Some(h);
@@ -425,15 +438,15 @@ impl BspProgram for Gather {
                     let held = (1usize << s).min(p - vr);
                     for w in vr..vr + held {
                         let off = prank(w, self.root, p) * block;
-                        let data = ctx.read_buf(h)[off..off + block].to_vec();
-                        ctx.hpput(dst, h, off, &data);
+                        load(&mut self.out, &ctx.read_buf(h)[off..off + block]);
+                        hpput_f64s(ctx, dst, h, off, &self.out);
                     }
                 }
                 self.step += 1;
                 StepOutcome::Continue
             }
             _ => {
-                self.out = decode(ctx.read_buf(self.buf.expect("registered")));
+                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
                 StepOutcome::Halt
             }
         }
@@ -451,7 +464,7 @@ pub fn run_gather(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
         out: Vec::new(),
     })
     .expect("gather run");
-    finish(res, |prog| prog.out.clone())
+    finish(res, |prog| prog.out)
 }
 
 // --------------------------------------------------------- total exchange
@@ -472,8 +485,10 @@ impl BspProgram for TotalExchange {
                 let h = ctx.alloc(p * block);
                 if block > 0 {
                     let pid = ctx.pid();
-                    let own = encode(&exchange_chunk(pid, pid, self.n));
-                    ctx.write_buf(h)[pid * block..(pid + 1) * block].copy_from_slice(&own);
+                    write_f64s(
+                        chunk_values(pid, pid, self.n),
+                        &mut ctx.write_buf(h)[pid * block..(pid + 1) * block],
+                    );
                 }
                 ctx.push_reg(h);
                 self.buf = Some(h);
@@ -486,12 +501,9 @@ impl BspProgram for TotalExchange {
                     let src = ctx.pid();
                     for dst in 0..p {
                         if dst != src {
-                            ctx.hpput(
-                                dst,
-                                h,
-                                src * block,
-                                &encode(&exchange_chunk(src, dst, self.n)),
-                            );
+                            ctx.hpput_with(dst, h, src * block, block, |slot| {
+                                write_f64s(chunk_values(src, dst, self.n), slot)
+                            });
                         }
                     }
                 }
@@ -499,7 +511,7 @@ impl BspProgram for TotalExchange {
                 StepOutcome::Continue
             }
             _ => {
-                self.out = decode(ctx.read_buf(self.buf.expect("registered")));
+                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
                 StepOutcome::Halt
             }
         }
@@ -516,7 +528,7 @@ pub fn run_total_exchange(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
         out: Vec::new(),
     })
     .expect("total-exchange run");
-    finish(res, |prog| prog.out.clone())
+    finish(res, |prog| prog.out)
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! lets the timing experiments claim they time a *correct* program.
 
 use crate::decomp::{Decomposition, LocalBlock};
+use hpm_bsplib::mem::{f64s, write_f64s};
 
 /// A process-local field with a one-deep ghost ring.
 #[derive(Debug, Clone)]
@@ -59,76 +60,58 @@ impl LocalField {
     }
 
     /// One Jacobi sweep over all owned cells (ghosts already in place).
+    ///
+    /// Each row is walked as five equal-length slices — the rows above and
+    /// below, the row itself shifted left and right, and the output — so
+    /// the loop carries no bounds checks and vectorises. The summation
+    /// order `((up + down) + left) + right` is part of the contract: the
+    /// result is bitwise that of the indexed formula.
     pub fn sweep(&mut self) {
         let s = self.stride();
+        let w = self.block.width;
         for ly in 1..=self.block.height {
-            for lx in 1..=self.block.width {
-                let i = ly * s + lx;
-                self.next[i] =
-                    0.25 * (self.cur[i - s] + self.cur[i + s] + self.cur[i - 1] + self.cur[i + 1]);
+            let row = ly * s;
+            let up = &self.cur[row - s + 1..][..w];
+            let down = &self.cur[row + s + 1..][..w];
+            let left = &self.cur[row..][..w];
+            let right = &self.cur[row + 2..][..w];
+            let out = &mut self.next[row + 1..][..w];
+            for ((((o, u), d), l), r) in out.iter_mut().zip(up).zip(down).zip(left).zip(right) {
+                *o = 0.25 * (((u + d) + l) + r);
             }
         }
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
-    /// Extracts a border as bytes: `side` ∈ {N, S, W, E} of the owned area.
-    pub fn extract_border(&self, side: Side) -> Vec<u8> {
+    /// `(first index, stride, length)` of the cells along `side`: the
+    /// owned border line, or the ghost line just beyond it.
+    fn line(&self, side: Side, ghost: bool) -> (usize, usize, usize) {
         let s = self.stride();
-        let vals: Vec<f64> = match side {
-            Side::North => (1..=self.block.width).map(|lx| self.cur[s + lx]).collect(),
-            Side::South => {
-                let ly = self.block.height;
-                (1..=self.block.width)
-                    .map(|lx| self.cur[ly * s + lx])
-                    .collect()
-            }
-            Side::West => (1..=self.block.height)
-                .map(|ly| self.cur[ly * s + 1])
-                .collect(),
-            Side::East => {
-                let lx = self.block.width;
-                (1..=self.block.height)
-                    .map(|ly| self.cur[ly * s + lx])
-                    .collect()
-            }
-        };
-        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+        let (w, h) = (self.block.width, self.block.height);
+        let g = usize::from(ghost);
+        match side {
+            Side::North => ((1 - g) * s + 1, 1, w),
+            Side::South => ((h + g) * s + 1, 1, w),
+            Side::West => (s + 1 - g, s, h),
+            Side::East => (s + w + g, s, h),
+        }
+    }
+
+    /// Writes the `side` ∈ {N, S, W, E} border of the owned area into
+    /// `out` as little-endian bytes (eight per cell, [`Side::cells`]).
+    pub fn extract_border(&self, side: Side, out: &mut [u8]) {
+        let (first, step, len) = self.line(side, false);
+        let cells = self.cur[first..].iter().step_by(step).take(len);
+        write_f64s(cells.copied(), out);
     }
 
     /// Installs ghost bytes received from the `side` neighbour.
     pub fn install_ghost(&mut self, side: Side, bytes: &[u8]) {
-        let vals: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
-        let s = self.stride();
-        match side {
-            Side::North => {
-                assert_eq!(vals.len(), self.block.width);
-                for (k, v) in vals.iter().enumerate() {
-                    self.cur[k + 1] = *v;
-                }
-            }
-            Side::South => {
-                assert_eq!(vals.len(), self.block.width);
-                let ly = self.block.height + 1;
-                for (k, v) in vals.iter().enumerate() {
-                    self.cur[ly * s + k + 1] = *v;
-                }
-            }
-            Side::West => {
-                assert_eq!(vals.len(), self.block.height);
-                for (k, v) in vals.iter().enumerate() {
-                    self.cur[(k + 1) * s] = *v;
-                }
-            }
-            Side::East => {
-                assert_eq!(vals.len(), self.block.height);
-                let lx = self.block.width + 1;
-                for (k, v) in vals.iter().enumerate() {
-                    self.cur[(k + 1) * s + lx] = *v;
-                }
-            }
+        let (first, step, len) = self.line(side, true);
+        let vals = f64s(bytes);
+        assert_eq!(vals.len(), len);
+        for (cell, v) in self.cur[first..].iter_mut().step_by(step).zip(vals) {
+            *cell = v;
         }
     }
 
@@ -154,6 +137,14 @@ pub enum Side {
 }
 
 impl Side {
+    /// Number of cells along this face of `block`.
+    pub fn cells(&self, block: &LocalBlock) -> usize {
+        match self {
+            Side::North | Side::South => block.width,
+            Side::West | Side::East => block.height,
+        }
+    }
+
     /// The matching face at the neighbour.
     pub fn opposite(&self) -> Side {
         match self {
@@ -217,7 +208,9 @@ pub fn distributed_reference(
                 (Side::East, nb.east),
             ] {
                 if let Some(peer) = peer {
-                    transfers.push((peer, side.opposite(), fields[r].extract_border(side)));
+                    let mut bytes = vec![0u8; 8 * side.cells(&fields[r].block)];
+                    fields[r].extract_border(side, &mut bytes);
+                    transfers.push((peer, side.opposite(), bytes));
                 }
             }
         }
@@ -237,6 +230,111 @@ mod tests {
 
     fn hill(x: usize, y: usize) -> f64 {
         ((x * 31 + y * 17) % 101) as f64 / 101.0
+    }
+
+    impl LocalField {
+        /// The sweep as written before the row-slice form: five indexed
+        /// accesses per cell. Kept as the bitwise oracle of [`sweep`].
+        ///
+        /// [`sweep`]: LocalField::sweep
+        fn sweep_indexed(&mut self) {
+            let s = self.stride();
+            for ly in 1..=self.block.height {
+                for lx in 1..=self.block.width {
+                    let i = ly * s + lx;
+                    self.next[i] = 0.25
+                        * (self.cur[i - s] + self.cur[i + s] + self.cur[i - 1] + self.cur[i + 1]);
+                }
+            }
+            std::mem::swap(&mut self.cur, &mut self.next);
+        }
+    }
+
+    /// Ragged blocks: 1×n and n×1 strips, a single cell, width ≠ height,
+    /// and the uneven blocks of p ∤ n decompositions. Ghost and owned
+    /// cells all carry distinct non-trivial values, so every neighbour
+    /// term is exercised.
+    #[test]
+    fn sweep_is_bitwise_the_indexed_formula() {
+        let mut blocks: Vec<LocalBlock> =
+            [(1, 9), (9, 1), (1, 1), (5, 3), (3, 8), (16, 16), (2, 7)]
+                .iter()
+                .map(|&(width, height)| LocalBlock {
+                    gx: 0,
+                    gy: 0,
+                    width,
+                    height,
+                })
+                .collect();
+        for (n, p) in [(17, 4), (20, 6), (13, 3)] {
+            let d = Decomposition::new(n, p);
+            blocks.extend((0..p).map(|r| d.block(r)));
+        }
+        for block in blocks {
+            let cells = (block.width + 2) * (block.height + 2);
+            let cur: Vec<f64> = (0..cells)
+                .map(|i| hill(i, 7 * i) * 1e3 + 1.0 / (i + 3) as f64)
+                .collect();
+            let mut a = LocalField {
+                block,
+                next: cur.clone(),
+                cur,
+            };
+            let mut b = a.clone();
+            for _ in 0..3 {
+                a.sweep();
+                b.sweep_indexed();
+                let bits = |f: &LocalField| f.cur.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{block:?}");
+            }
+        }
+    }
+
+    /// Every face's border lands in the matching ghost line of the
+    /// neighbour, cell for cell, and nowhere else.
+    #[test]
+    fn borders_and_ghosts_address_the_right_lines() {
+        let d = Decomposition::new(11, 6);
+        let fld = LocalField::init(&d, 0, |x, y| (100 * y + x) as f64);
+        let (w, h) = (fld.block.width, fld.block.height);
+        assert_ne!(w, h, "the block must be ragged");
+        let s = w + 2;
+        for (side, owned, ghost) in [
+            (
+                Side::North,
+                (1..=w).map(|x| s + x).collect::<Vec<_>>(),
+                (1..=w).collect::<Vec<_>>(),
+            ),
+            (
+                Side::South,
+                (1..=w).map(|x| h * s + x).collect(),
+                (1..=w).map(|x| (h + 1) * s + x).collect(),
+            ),
+            (
+                Side::West,
+                (1..=h).map(|y| y * s + 1).collect(),
+                (1..=h).map(|y| y * s).collect(),
+            ),
+            (
+                Side::East,
+                (1..=h).map(|y| y * s + w).collect(),
+                (1..=h).map(|y| y * s + w + 1).collect(),
+            ),
+        ] {
+            let mut bytes = vec![0u8; 8 * side.cells(&fld.block)];
+            fld.extract_border(side, &mut bytes);
+            let want: Vec<f64> = owned.iter().map(|&i| fld.cur[i]).collect();
+            assert_eq!(f64s(&bytes).collect::<Vec<_>>(), want, "{side:?} border");
+            let mut other = fld.clone();
+            other.cur.fill(-1.0);
+            other.install_ghost(side, &bytes);
+            for (i, v) in other.cur.iter().enumerate() {
+                match ghost.iter().position(|&g| g == i) {
+                    Some(k) => assert_eq!(*v, want[k], "{side:?} ghost cell {k}"),
+                    None => assert_eq!(*v, -1.0, "{side:?} wrote outside its ghost line"),
+                }
+            }
+        }
     }
 
     fn compare_with_reference(n: usize, p: usize, iters: usize) {
@@ -289,18 +387,15 @@ mod tests {
     fn border_round_trip() {
         let d = Decomposition::new(16, 4);
         let fld = LocalField::init(&d, 0, hill);
-        let east = fld.extract_border(Side::East);
-        assert_eq!(east.len(), fld.block.height * 8);
+        let mut east = vec![0u8; fld.block.height * 8];
+        fld.extract_border(Side::East, &mut east);
         let mut other = LocalField::init(&d, 1, hill);
         other.install_ghost(Side::West, &east);
         // Rank 1's west ghost must now equal rank 0's east border.
-        let vals: Vec<f64> = east
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8B")))
-            .collect();
         let s = other.block.width + 2;
-        for (k, v) in vals.iter().enumerate() {
-            assert_eq!(other.cur[(k + 1) * s], *v);
+        for (k, v) in f64s(&east).enumerate() {
+            assert_eq!(other.cur[(k + 1) * s], v);
+            assert_eq!(fld.get(fld.block.width - 1, k), v);
         }
     }
 
