@@ -41,9 +41,8 @@ pub struct BspCtx<'a> {
     jitter: JitterModel,
     rng: &'a mut StdRng,
     mem: &'a mut ProcMem,
-    /// The superstep's operation log of all processes, as `(pid, op)`
-    /// (runtime-owned).
-    ops: &'a mut Vec<(usize, CommOp)>,
+    /// This process' operation log for the superstep (runtime-owned).
+    ops: &'a mut Vec<CommOp>,
     /// The superstep's payload bytes of all processes (runtime-owned).
     staging: &'a mut Vec<u8>,
     abort_msg: Option<String>,
@@ -60,7 +59,7 @@ impl<'a> BspCtx<'a> {
         jitter: JitterModel,
         rng: &'a mut StdRng,
         mem: &'a mut ProcMem,
-        ops: &'a mut Vec<(usize, CommOp)>,
+        ops: &'a mut Vec<CommOp>,
         staging: &'a mut Vec<u8>,
     ) -> BspCtx<'a> {
         BspCtx {
@@ -151,10 +150,6 @@ impl<'a> BspCtx<'a> {
         self.mem.write(h)
     }
 
-    fn commit(&mut self, op: CommOp) {
-        self.ops.push((self.pid, op));
-    }
-
     fn check_target(&self, pid: usize, reg: RegHandle, offset: usize, len: usize) {
         assert!(pid < self.nprocs, "target pid {pid} out of range");
         assert!(
@@ -187,13 +182,12 @@ impl<'a> BspCtx<'a> {
         let start = self.staging.len();
         self.staging.resize(start + len, 0);
         fill(&mut self.staging[start..]);
-        let data = start..start + len;
-        self.commit(CommOp::Put {
+        self.ops.push(CommOp::Put {
             issue: self.now,
             dst,
             reg,
             offset,
-            data,
+            data: start..start + len,
             high_perf: hp,
         });
     }
@@ -259,7 +253,7 @@ impl<'a> BspCtx<'a> {
             "get destination overruns local buffer"
         );
         self.elapse(ENQUEUE_OVERHEAD);
-        self.commit(CommOp::Get {
+        self.ops.push(CommOp::Get {
             issue: self.now,
             src,
             src_reg,
@@ -321,7 +315,7 @@ impl<'a> BspCtx<'a> {
         self.staging.extend_from_slice(tag);
         self.staging.extend_from_slice(payload);
         let split = start + tag.len();
-        self.commit(CommOp::Send {
+        self.ops.push(CommOp::Send {
             issue: self.now,
             dst,
             tag: start..split,
@@ -364,7 +358,7 @@ mod tests {
 
     /// Runs `f` against a fresh pid-0-of-4 context; returns its result,
     /// the final clock, the op log and the staged bytes.
-    fn with_ctx<R>(f: impl FnOnce(&mut BspCtx) -> R) -> (R, f64, Vec<(usize, CommOp)>, Vec<u8>) {
+    fn with_ctx<R>(f: impl FnOnce(&mut BspCtx) -> R) -> (R, f64, Vec<CommOp>, Vec<u8>) {
         let model = xeon_core();
         let mut rng = derive_rng(1, 1);
         let mut mem = ProcMem::default();
@@ -426,7 +420,7 @@ mod tests {
             ctx.put(2, h, 4, &[9; 8]);
         });
         assert_eq!(ops.len(), 1);
-        match &ops[0].1 {
+        match &ops[0] {
             CommOp::Put {
                 issue,
                 dst,

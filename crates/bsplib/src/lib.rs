@@ -24,6 +24,7 @@
 //! | `bsp_sync` | returning [`StepOutcome::Continue`] |
 //! | `bsp_push_reg` / `bsp_pop_reg` | [`BspCtx::push_reg`] / [`BspCtx::pop_reg`] |
 //! | `bsp_put` / `bsp_hpput` | [`BspCtx::put`] / [`BspCtx::hpput`] |
+//! | — (same puts, payload written in place) | [`BspCtx::put_with`] / [`BspCtx::hpput_with`] |
 //! | `bsp_get` / `bsp_hpget` | [`BspCtx::get`] / [`BspCtx::hpget`] |
 //! | `bsp_set_tagsize` | [`BspCtx::set_tagsize`] |
 //! | `bsp_send` | [`BspCtx::send`] |
@@ -34,7 +35,10 @@
 //! [`BspCtx::compute_kernel`] (rates from a processor model) or
 //! [`BspCtx::elapse`]; payload data genuinely moves between process
 //! memories, so programs compute real results while the simulator times
-//! them.
+//! them. On the host a put is one copy into the runtime's per-superstep
+//! staging buffer (see [`ops`]); the `*_with` row lets a program that
+//! produces its bytes — marshalling `f64`s with [`mem::write_f64s`],
+//! gathering a strided border — make that copy the only one.
 
 pub mod bench;
 pub mod ctx;

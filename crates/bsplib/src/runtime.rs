@@ -23,9 +23,19 @@
 //! Memory effects then apply in BSPlib order: gets read the pre-put state,
 //! puts land (deterministically ordered), sends appear in next-superstep
 //! queues, registrations commit.
+//!
+//! On the host, the runtime owns one operation log and one byte staging
+//! buffer per superstep, shared by all processes: a put reserves a span of
+//! the buffer and writes its payload there ([`BspCtx::put_with`]), the
+//! memory phase copies the span into the target's registered buffer, and
+//! the buffer is released before the next superstep's program code runs.
+//! One staged copy per put, no allocation of its own; the log, the message
+//! lists and the memory phase's bookkeeping are scratch reused across
+//! supersteps. None of this touches virtual time: what a put charges is
+//! decided in [`BspCtx`] before any byte moves.
 
 use crate::ctx::BspCtx;
-use crate::mem::{BsmpMsg, ProcMem};
+use crate::mem::{BsmpMsg, ProcMem, RegHandle};
 use crate::ops::{CommOp, StepOutcome, HEADER_BYTES};
 use hpm_barriers::patterns::dissemination;
 use hpm_core::predictor::PayloadSchedule;
@@ -373,28 +383,32 @@ pub fn run_spmd<P: BspProgram>(
     let mut r2 = ExchangeResult::default();
     let mut supersteps = Vec::new();
     let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    // The superstep's operation log — `(issuing pid, op)` in `(pid,
-    // program order)`, cleared and refilled every superstep — and its one
-    // payload staging buffer (see `ops`): every process' puts and sends
-    // append to both during phase 1; phase 4 adds the gets' snapshots,
-    // applies the bytes and releases them.
-    let mut log: Vec<(usize, CommOp)> = Vec::new();
+    // Per-process operation logs, cleared and refilled every superstep,
+    // and the superstep's one payload staging buffer (see `ops`): every
+    // process' puts and sends append to it during phase 1; phase 4 adds
+    // the gets' snapshots, applies the bytes and releases them.
+    let mut logs: Vec<Vec<CommOp>> = vec![Vec::new(); p];
     let mut staging: Vec<u8> = Vec::new();
     // Scratch of the resolution and memory phases, reused across
     // supersteps.
     let mut headers: Vec<ExchangeMsg> = Vec::new();
-    let mut get_requests: Vec<(usize, usize)> = Vec::new(); // (header idx, log idx)
+    let mut get_requests: Vec<(usize, usize, usize)> = Vec::new(); // (header idx, pid, op idx)
     let mut replies: Vec<ExchangeMsg> = Vec::new();
     let mut survives: Vec<bool> = Vec::new();
-    let mut get_results: Vec<(usize, Range<usize>)> = Vec::new(); // (log idx, staged span)
+    // (requester, its destination buffer and offset, staged snapshot)
+    let mut get_results: Vec<(usize, RegHandle, usize, Range<usize>)> = Vec::new();
 
     for step in 0..cfg.max_supersteps {
         let sim = BarrierSim::new(&cfg.params, &placement);
         // Phase 1: run program code, collect ops.
         let mut compute_end = vec![0.0f64; p];
         let mut halts = 0usize;
-        log.clear();
         for pid in 0..p {
+            logs[pid].clear();
+            // SPMD: a process commits about as many operations as its
+            // predecessor, so a new log is sized once, not grown.
+            let hint = logs[pid.saturating_sub(1)].len();
+            logs[pid].reserve(hint);
             let mut ctx = BspCtx::new(
                 pid,
                 p,
@@ -403,7 +417,7 @@ pub fn run_spmd<P: BspProgram>(
                 cfg.params.jitter,
                 &mut rng,
                 &mut mems[pid],
-                &mut log,
+                &mut logs[pid],
                 &mut staging,
             );
             let outcome = programs[pid].superstep(&mut ctx);
@@ -428,22 +442,24 @@ pub fn run_spmd<P: BspProgram>(
         headers.clear();
         get_requests.clear();
         let mut payload_bytes = 0u64;
-        for (k, (pid, op)) in log.iter().enumerate() {
-            headers.push(ExchangeMsg {
-                src: *pid,
-                dst: op.target(),
-                bytes: HEADER_BYTES,
-                issue: op.issue(),
-            });
-            payload_bytes += op.payload_bytes();
-            match op {
-                CommOp::Put { .. } | CommOp::Send { .. } => headers.push(ExchangeMsg {
-                    src: *pid,
+        for (pid, ops) in logs.iter().enumerate() {
+            for (i, op) in ops.iter().enumerate() {
+                headers.push(ExchangeMsg {
+                    src: pid,
                     dst: op.target(),
-                    bytes: op.payload_bytes(),
+                    bytes: HEADER_BYTES,
                     issue: op.issue(),
-                }),
-                CommOp::Get { .. } => get_requests.push((headers.len() - 1, k)),
+                });
+                payload_bytes += op.payload_bytes();
+                match op {
+                    CommOp::Put { .. } | CommOp::Send { .. } => headers.push(ExchangeMsg {
+                        src: pid,
+                        dst: op.target(),
+                        bytes: op.payload_bytes(),
+                        issue: op.issue(),
+                    }),
+                    CommOp::Get { .. } => get_requests.push((headers.len() - 1, pid, i)),
+                }
             }
         }
         ex_jitter.fill(
@@ -464,11 +480,11 @@ pub fn run_spmd<P: BspProgram>(
         );
         // Get replies: issued by the owner once the request is processed.
         replies.clear();
-        replies.extend(get_requests.iter().map(|&(msg_idx, k)| {
-            let (requester, op) = &log[k];
+        replies.extend(get_requests.iter().map(|&(msg_idx, requester, i)| {
+            let op = &logs[requester][i];
             ExchangeMsg {
                 src: op.target(),
-                dst: *requester,
+                dst: requester,
                 bytes: op.payload_bytes(),
                 issue: r1.processed[msg_idx],
             }
@@ -570,29 +586,37 @@ pub fn run_spmd<P: BspProgram>(
         } else {
             survives.resize(p, true);
         }
+        // Every operation with its issuing process, in `(pid, program
+        // order)` — the order puts land in.
+        let ops = || {
+            logs.iter()
+                .enumerate()
+                .flat_map(|(pid, ops)| ops.iter().map(move |op| (pid, op)))
+        };
         // Gets read the state at the end of computation, before puts:
         // their snapshots are staged behind the superstep's put and send
         // bytes and installed once the puts have landed.
-        get_results.clear();
-        for (k, (pid, op)) in log.iter().enumerate() {
+        for (pid, op) in ops() {
             if let CommOp::Get {
                 src,
                 src_reg,
                 src_offset,
+                dst_reg,
+                dst_offset,
                 len,
                 ..
             } = op
             {
-                if !(survives[*pid] && survives[*src]) {
+                if !(survives[pid] && survives[*src]) {
                     continue;
                 }
                 let start = staging.len();
                 staging
                     .extend_from_slice(&mems[*src].read(*src_reg)[*src_offset..*src_offset + *len]);
-                get_results.push((k, start..staging.len()));
+                get_results.push((pid, *dst_reg, *dst_offset, start..staging.len()));
             }
         }
-        for (pid, op) in &log {
+        for (pid, op) in ops() {
             if let CommOp::Put {
                 dst,
                 reg,
@@ -601,34 +625,23 @@ pub fn run_spmd<P: BspProgram>(
                 ..
             } = op
             {
-                if !(survives[*pid] && survives[*dst]) {
+                if !(survives[pid] && survives[*dst]) {
                     continue;
                 }
                 mems[*dst].write(*reg)[*offset..*offset + data.len()]
                     .copy_from_slice(&staging[data.clone()]);
             }
         }
-        for (k, snapshot) in get_results.drain(..) {
-            if let (
-                pid,
-                CommOp::Get {
-                    dst_reg,
-                    dst_offset,
-                    len,
-                    ..
-                },
-            ) = &log[k]
-            {
-                mems[*pid].write(*dst_reg)[*dst_offset..*dst_offset + *len]
-                    .copy_from_slice(&staging[snapshot]);
-            }
+        for (pid, dst_reg, dst_offset, snapshot) in get_results.drain(..) {
+            mems[pid].write(dst_reg)[dst_offset..dst_offset + snapshot.len()]
+                .copy_from_slice(&staging[snapshot]);
         }
-        for (pid, op) in &log {
+        for (pid, op) in ops() {
             if let CommOp::Send {
                 dst, tag, payload, ..
             } = op
             {
-                if !(survives[*pid] && survives[*dst]) {
+                if !(survives[pid] && survives[*dst]) {
                     continue;
                 }
                 // The message's one owned copy is made at delivery.
@@ -655,7 +668,7 @@ pub fn run_spmd<P: BspProgram>(
             sync_exit: barrier_exit,
             completion,
             payload_bytes,
-            ops: log.len(),
+            ops: logs.iter().map(Vec::len).sum(),
         });
 
         if sync_failed {
@@ -688,6 +701,7 @@ pub fn run_spmd<P: BspProgram>(
                 *c = c.max(t0);
             }
             p = survivor_ranks.len();
+            logs.truncate(p);
             recoveries.push(RecoveryEvent {
                 superstep: step,
                 failed,
@@ -721,7 +735,6 @@ pub fn run_spmd<P: BspProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::RegHandle;
     use hpm_kernels::rate::xeon_core;
     use hpm_simnet::params::xeon_cluster_params;
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};

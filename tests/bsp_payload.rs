@@ -98,7 +98,7 @@ fn random_script(p: usize, rng: &mut u64) -> Script {
                                 0..=3 => {
                                     let (offset, len) = span(rng);
                                     Act::Put {
-                                        hp: next(rng) % 2 == 0,
+                                        hp: next(rng).is_multiple_of(2),
                                         dst: peer,
                                         offset,
                                         len,
