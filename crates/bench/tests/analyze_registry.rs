@@ -37,3 +37,29 @@ fn registry_reaches_the_scale_path() {
         .expect("registry is non-empty");
     assert_eq!(largest, 4096);
 }
+
+/// Golden pin of the k-crash verdicts (PR 16, struck on the parent's
+/// counting recurrence): for every registry plan at p ≤ 256, every
+/// sampled crash set of size 1 and 2, the `(root_crashed,
+/// uninformed_pairs)` tuple. The verdict only asks whether a survivor
+/// pair is reachable, so a reachability verifier must reproduce it
+/// exactly.
+#[test]
+fn k_crash_verdicts_match_goldens() {
+    use hpm_bench::analyze::crash_sets;
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let mut analyzer = hpm_analyze::Analyzer::new();
+    let mut h: u64 = 0xcbf29ce484222325;
+    let mut verdicts = 0usize;
+    for r in pattern_registry().iter().filter(|r| r.plan.p() <= 256) {
+        for k in [1usize, 2] {
+            for set in crash_sets(r.plan.p(), k) {
+                let v = analyzer.k_crash_coverage(&r.plan, r.goal, &set);
+                h = word(word(h, v.root_crashed as u64), v.uninformed_pairs as u64);
+                verdicts += 1;
+            }
+        }
+    }
+    assert_eq!(verdicts, 30 * 2 * 64);
+    assert_eq!(h, 0x9520e4aaa8084b0c, "a k-crash verdict moved");
+}

@@ -277,6 +277,112 @@ fn recovering_outcomes_match_goldens() {
     );
 }
 
+/// FNV-1a over one compiled plan: every array the executors, the
+/// predictor and the analyzer read, plus the name.
+fn fnv_plan(h: u64, plan: &hpm::model::plan::CompiledPattern) -> u64 {
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let words = |h: u64, ws: &[usize]| ws.iter().fold(h, |h, &w| word(h, w as u64));
+    let mut h = plan.name().bytes().fold(h, |h, b| word(h, b as u64));
+    h = word(word(h, plan.p() as u64), plan.stages() as u64);
+    for s in 0..plan.stages() {
+        let stage = plan.stage(s);
+        h = words(h, stage.dst_offsets());
+        h = words(h, stage.dst_indices());
+        h = words(h, stage.src_offsets());
+        h = words(h, stage.src_indices());
+    }
+    h = plan
+        .posted_table()
+        .iter()
+        .fold(h, |h, &b| word(h, b as u64));
+    h = words(h, plan.last_send_table());
+    word(h, plan.jitter_draws() as u64)
+}
+
+/// Golden pin of the compiled form of every registry builder (PR 16,
+/// struck on the parent's code while patterns were still authored as
+/// dense `IMat` stages): the six barriers, both hybrid compositions on
+/// a two-level partition, the greedy constructor on a uniform and on a
+/// benchmarked platform, and the eight collectives around a non-zero
+/// root. Same edges ⇒ the same CSR arrays, posted/last-send tables and
+/// draw count ⇒ the same jitter draw order and the same predictor DP,
+/// so these hashes are what licenses changing the authoring form.
+#[test]
+fn registry_plan_structures_match_goldens() {
+    use hpm::barriers::greedy_adaptive_barrier;
+    use hpm::barriers::hybrid::{flat_dissemination_hybrid, hybrid_barrier, GatherShape};
+    use hpm::barriers::patterns::{
+        all_to_all, binary_tree, dissemination, kary_tree, linear, ring,
+    };
+    use hpm::collectives::pattern::catalog;
+    use hpm::model::pattern::CommPattern;
+    use hpm::model::predictor::CommCosts;
+
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    for (p, golden) in [
+        (2usize, 0x70fdd069e26e4789u64),
+        (3, 0x9baf73817e69deb6),
+        (5, 0x5881f81c88b3a54a),
+        (8, 0xf20a7041c3946d41),
+        (17, 0x2d941ea96a241e63),
+        (64, 0xefcfe56faa96277b),
+    ] {
+        let mut h = FNV_OFFSET;
+        for b in [
+            linear(p, 0),
+            dissemination(p),
+            binary_tree(p),
+            kary_tree(p, 4),
+            ring(p),
+            all_to_all(p),
+        ] {
+            h = fnv_plan(h, &b.plan());
+        }
+        // Two-level partition: round-robin residency on 2 (small p) or
+        // 4 nodes, as fig7_4 partitions the Xeon cluster.
+        let nodes = if p < 8 { 2 } else { 4 };
+        let mut groups = vec![Vec::new(); nodes];
+        for r in 0..p {
+            groups[r % nodes].push(r);
+        }
+        h = fnv_plan(h, &flat_dissemination_hybrid(p, &groups).plan());
+        let shapes = vec![GatherShape::Tree(2); nodes];
+        let inter = binary_tree(nodes);
+        h = fnv_plan(h, &hybrid_barrier(p, &groups, &shapes, Some(&inter)).plan());
+        let uniform = CommCosts::uniform(p, 1e-7, 5e-7, 2e-6);
+        h = fnv_plan(h, &greedy_adaptive_barrier(&uniform).pattern.plan());
+        for c in catalog(p, p - 1, 1024) {
+            h = fnv_plan(h, &c.plan());
+        }
+        assert_eq!(h, golden, "p={p}: a registry builder's compiled form moved");
+    }
+
+    // The greedy constructor on one benchmarked platform: the fit runs
+    // jittered microbenchmarks, so this hash shares the platform gate of
+    // the sample goldens above. 60 ranks round-robin on 8 nodes is
+    // table7_1's case, where the constructor emits a tree-gather hybrid.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
+        let p = 60;
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        let cfg = MicrobenchConfig {
+            reps: 3,
+            max_requests: 2,
+            size_exponents: (0, 8),
+            pair_sample: None,
+        };
+        let profile = bench_platform(&xeon_cluster_params(), &placement, &cfg, 2012);
+        let report = greedy_adaptive_barrier(&profile.costs);
+        assert_eq!(
+            fnv_plan(FNV_OFFSET, &report.pattern.plan()),
+            0xa5a28e02a5bb0aa9,
+            "greedy barrier on the benchmarked 8x2x4 platform moved ({})",
+            report.pattern.name()
+        );
+    }
+}
+
 /// Runs the given experiments at quick effort into a throwaway directory
 /// and returns every produced file as `(name, bytes)`.
 fn run_all(ids: &[&str], threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
@@ -312,8 +418,10 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // `coll_rt` and `fig8_10` ride along since PR 15: they are the two
     // experiments that move real payload through `run_spmd` (collectives
     // and the BSP/MPI stencils), so their bytes pin the runtime's `elapse`
-    // sequence end to end.
+    // sequence end to end. `fig5_2` rides along since PR 16: its text file
+    // is the one consumer of `CommPattern::render`.
     let ids = [
+        "fig5_2",
         "fig5_6",
         "fig6_3",
         "collectives",
@@ -345,6 +453,7 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("recovery_registry.csv", 0xdb0c5858f1fc0474),
             ("collectives_runtime.csv", 0x48009911f8e2762a),
             ("fig8_10_B1.csv", 0x9c6a6bf09a533ae2),
+            ("fig5_2_3_4.txt", 0x35c375a0222894f6),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
