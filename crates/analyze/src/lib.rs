@@ -47,7 +47,7 @@
 
 pub mod lint;
 
-use hpm_core::knowledge::{KnowledgeGoal, KnowledgeView, VerifyScratch};
+use hpm_core::knowledge::{KnowledgeGoal, VerifyScratch};
 use hpm_core::plan::{CompiledPattern, ENTRY_JITTER_DRAWS, SIGNAL_JITTER_DRAWS};
 use std::fmt;
 
@@ -194,7 +194,8 @@ impl Analyzer {
     /// Structural rules plus knowledge-goal attainability. The §5.5
     /// recurrence only runs when the structural pass found no errors —
     /// a malformed CSR is not worth tracing knowledge through, and may
-    /// not even be safe to index.
+    /// not even be safe to index — and when the goal's root, if it has
+    /// one, is a rank of the plan (a `rank-range` error otherwise).
     #[must_use]
     pub fn analyze_with_goal(
         &mut self,
@@ -205,9 +206,19 @@ impl Analyzer {
         if diags.iter().any(|d| d.severity == Severity::Error) {
             return diags;
         }
+        if let Some(root) = goal.root().filter(|&r| r >= plan.p()) {
+            diags.push(Diagnostic {
+                severity: Severity::Error,
+                stage: None,
+                ranks: vec![root],
+                rule: Rule::RankRange,
+                message: format!("{goal:?} names root {root} for p = {}", plan.p()),
+            });
+            return diags;
+        }
         let view = self.scratch.verify(plan);
         if !view.satisfies(goal) {
-            diags.push(goal_diagnostic(&view, plan.p(), goal));
+            diags.push(goal_diagnostic(view, goal));
         }
         diags
     }
@@ -215,8 +226,8 @@ impl Analyzer {
     /// Static k-crash coverage: prunes every signal a crashed rank sends
     /// or receives, replays the §5.5 knowledge recurrence over the
     /// surviving edges, and decides whether `goal` *restricted to the
-    /// survivors* is still attained. A rooted goal whose root crashed is
-    /// lost by definition.
+    /// survivors* is still attained. A rooted goal whose root crashed —
+    /// or was never a rank of the plan — is lost by definition.
     ///
     /// The structural rules deliberately do not run on the pruned plan:
     /// pruning legitimately produces empty stages and dead ranks, which
@@ -235,50 +246,26 @@ impl Analyzer {
             assert!(r < p, "crashed rank {r} out of range for p = {p}");
             dead[r] = true;
         }
-        let mut stage_edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(plan.stages());
-        for s in 0..plan.stages() {
-            let stage = plan.stage(s);
-            let mut edges = Vec::new();
-            for i in 0..p {
-                if dead[i] {
-                    continue;
-                }
-                for &j in stage.dsts(i) {
-                    if !dead[j] {
-                        edges.push((i, j));
-                    }
-                }
-            }
-            stage_edges.push(edges);
-        }
-        let pruned = CompiledPattern::from_stage_edges(plan.name(), p, &stage_edges);
-        let view = self.scratch.verify(&pruned);
-        let root_crashed = match goal {
-            KnowledgeGoal::RootGathers(r) | KnowledgeGoal::RootReaches(r) => dead[r],
-            KnowledgeGoal::AllToAll | KnowledgeGoal::Prefix => false,
-        };
-        let alive = |r: usize| !dead[r];
+        let root_crashed = goal.root().is_some_and(|r| r >= p || dead[r]);
         let uninformed_pairs = if root_crashed {
             0
         } else {
-            match goal {
-                KnowledgeGoal::AllToAll => (0..p)
-                    .filter(|&i| alive(i))
-                    .flat_map(|i| (0..p).filter(|&j| alive(j)).map(move |j| (i, j)))
-                    .filter(|&(i, j)| view.count(i, j) == 0)
-                    .count(),
-                KnowledgeGoal::RootGathers(r) => (0..p)
-                    .filter(|&j| alive(j) && view.count(r, j) == 0)
-                    .count(),
-                KnowledgeGoal::RootReaches(r) => (0..p)
-                    .filter(|&i| alive(i) && view.count(i, r) == 0)
-                    .count(),
-                KnowledgeGoal::Prefix => (0..p)
-                    .filter(|&i| alive(i))
-                    .flat_map(|i| (0..=i).filter(|&j| alive(j)).map(move |j| (i, j)))
-                    .filter(|&(i, j)| view.count(i, j) == 0)
-                    .count(),
-            }
+            let stage_edges: Vec<Vec<(usize, usize)>> = (0..plan.stages())
+                .map(|s| {
+                    let stage = plan.stage(s);
+                    (0..p)
+                        .filter(|&i| !dead[i])
+                        .flat_map(|i| stage.dsts(i).iter().map(move |&j| (i, j)))
+                        .filter(|&(_, j)| !dead[j])
+                        .collect()
+                })
+                .collect();
+            let pruned = CompiledPattern::from_stage_edges(plan.name(), p, &stage_edges);
+            self.scratch
+                .verify(&pruned)
+                .missing(goal)
+                .filter(|&(i, j)| !dead[i] && !dead[j])
+                .count()
         };
         CrashVerdict {
             crashed: {
@@ -728,39 +715,16 @@ fn table_message<T>(label: &str, got_len: usize, want: &[T], bad: &[(usize, usiz
     )
 }
 
-/// Builds the `goal-unattainable` diagnostic: which pairs the recurrence
-/// never informed, phrased per goal.
-fn goal_diagnostic(view: &KnowledgeView<'_>, p: usize, goal: KnowledgeGoal) -> Diagnostic {
-    let (label, failing): (&str, Vec<(usize, usize)>) = match goal {
-        KnowledgeGoal::AllToAll => (
-            "pairs (i, j) where i never learns of j",
-            (0..p)
-                .flat_map(|i| (0..p).map(move |j| (i, j)))
-                .filter(|&(i, j)| view.count(i, j) == 0)
-                .collect(),
-        ),
-        KnowledgeGoal::RootGathers(r) => (
-            "ranks the root never hears from",
-            (0..p)
-                .filter(|&j| view.count(r, j) == 0)
-                .map(|j| (r, j))
-                .collect(),
-        ),
-        KnowledgeGoal::RootReaches(r) => (
-            "ranks the root never reaches",
-            (0..p)
-                .filter(|&i| view.count(i, r) == 0)
-                .map(|i| (i, r))
-                .collect(),
-        ),
-        KnowledgeGoal::Prefix => (
-            "prefix pairs (i, j ≤ i) where i never learns of j",
-            (0..p)
-                .flat_map(|i| (0..=i).map(move |j| (i, j)))
-                .filter(|&(i, j)| view.count(i, j) == 0)
-                .collect(),
-        ),
+/// Builds the `goal-unattainable` diagnostic: which required pairs the
+/// recurrence never informed, phrased per goal.
+fn goal_diagnostic(view: &VerifyScratch, goal: KnowledgeGoal) -> Diagnostic {
+    let label = match goal {
+        KnowledgeGoal::AllToAll => "pairs (i, j) where i never learns of j",
+        KnowledgeGoal::RootGathers(_) => "ranks the root never hears from",
+        KnowledgeGoal::RootReaches(_) => "ranks the root never reaches",
+        KnowledgeGoal::Prefix => "prefix pairs (i, j ≤ i) where i never learns of j",
     };
+    let failing: Vec<(usize, usize)> = view.missing(goal).collect();
     let shown: Vec<String> = failing
         .iter()
         .take(MAX_LISTED)
@@ -978,6 +942,36 @@ mod tests {
         // The broadcast-direction goals distinguish the two rooted cases.
         let diags = analyze_with_goal(&gather, KnowledgeGoal::RootReaches(0));
         assert_eq!(rules(&diags), vec![Rule::GoalUnattainable]);
+    }
+
+    /// A rooted goal naming a rank the plan does not have is malformed
+    /// input, so it is reported, not panicked on: a `rank-range` error
+    /// from the goal pass, a lost-by-definition verdict from coverage.
+    #[test]
+    fn out_of_range_root_is_a_diagnostic_not_a_panic() {
+        let mut an = Analyzer::new();
+        let plan = clean_plan();
+        for goal in [KnowledgeGoal::RootGathers(4), KnowledgeGoal::RootReaches(9)] {
+            let root = goal.root().expect("rooted");
+            let diags = an.analyze_with_goal(&plan, goal);
+            assert_eq!(rules(&diags), vec![Rule::RankRange], "{diags:?}");
+            assert_eq!(diags[0].severity, Severity::Error);
+            assert_eq!(diags[0].ranks, vec![root]);
+            let msg = &diags[0].message;
+            assert!(
+                msg.contains(&format!("root {root}")) && msg.contains("p = 4"),
+                "{msg}"
+            );
+            let v = an.k_crash_coverage(&plan, goal, &[1]);
+            assert!(v.root_crashed && !v.survives(), "{v:?}");
+            assert_eq!(v.uninformed_pairs, 0);
+            assert!(v.diagnostic().expect("lost").message.contains("root"));
+        }
+        // The last valid rank is still a legal root.
+        assert!(an
+            .analyze_with_goal(&plan, KnowledgeGoal::RootGathers(3))
+            .iter()
+            .all(|d| d.rule != Rule::RankRange));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! phase, release stages left-aligned after it.
 
 use crate::patterns;
-use hpm_core::matrix::IMat;
 use hpm_core::pattern::{BarrierPattern, CommPattern};
+use hpm_core::plan::StagePlan;
 
 /// How a subset gathers to (and is released by) its representative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub fn hybrid_barrier(
         .collect();
     let max_depth = per_group.iter().map(|s| s.len()).max().unwrap_or(0);
 
-    let mut stages: Vec<IMat> = Vec::new();
+    let mut stages: Vec<StagePlan> = Vec::new();
     // Gather phase, right-aligned.
     for k in 0..max_depth {
         let mut edges = Vec::new();
@@ -123,7 +123,7 @@ pub fn hybrid_barrier(
             }
         }
         if !edges.is_empty() {
-            stages.push(IMat::from_edges(p, &edges));
+            stages.push(StagePlan::from_edges(p, &edges));
         }
     }
     // Top-level phase over representatives.
@@ -132,11 +132,11 @@ pub fn hybrid_barrier(
         for s in 0..ip.stages() {
             let mut edges = Vec::new();
             for a in 0..ip.p() {
-                for b in ip.stage(s).dsts(a) {
+                for &b in ip.stage(s).dsts(a) {
                     edges.push((reps[a], reps[b]));
                 }
             }
-            stages.push(IMat::from_edges(p, &edges));
+            stages.push(StagePlan::from_edges(p, &edges));
         }
     }
     // Release phase, left-aligned: transposed gathers in reverse order.
@@ -151,7 +151,7 @@ pub fn hybrid_barrier(
             }
         }
         if !edges.is_empty() {
-            stages.push(IMat::from_edges(p, &edges));
+            stages.push(StagePlan::from_edges(p, &edges));
         }
     }
     let inter_name = inter.map(|i| i.name().to_string()).unwrap_or_default();
@@ -249,8 +249,8 @@ mod tests {
         let groups = vec![vec![0, 2, 4], vec![1, 3, 5]];
         let b = flat_dissemination_hybrid(6, &groups);
         // Stage 0: members signal reps 0 and 1.
-        assert_eq!(b.stage(0).srcs(0).collect::<Vec<_>>(), vec![2, 4]);
-        assert_eq!(b.stage(0).srcs(1).collect::<Vec<_>>(), vec![3, 5]);
+        assert_eq!(b.stage(0).srcs(0), &[2, 4]);
+        assert_eq!(b.stage(0).srcs(1), &[3, 5]);
     }
 
     #[test]

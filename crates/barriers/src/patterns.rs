@@ -1,17 +1,18 @@
 //! Builders for the standard barrier algorithms (§5.3, Figs. 5.2–5.4).
 //!
-//! Each builder returns the algorithm in matrix form. The linear and tree
-//! barriers follow the gather/release structure whose release stages are
-//! the transposed arrival stages in reverse order; the dissemination
-//! barrier is the cyclic-shift pattern `i → (i + 2^s) mod P`. The ring and
-//! all-to-all patterns are the §5.6.6 extremities of the design space
-//! (minimum and maximum concurrent communication), included because the
-//! thesis discusses them as the boundary cases where prediction quality
+//! Each builder authors its stages as edge lists, straight into the
+//! sparse [`StagePlan`] form (the matrices of Figs. 5.2–5.4 are what
+//! `render()` prints from it). The linear and tree barriers follow the
+//! gather/release structure whose release stages are the transposed
+//! arrival stages in reverse order; the dissemination barrier is the
+//! cyclic-shift pattern `i → (i + 2^s) mod P`. The ring and all-to-all
+//! patterns are the §5.6.6 extremities of the design space (minimum and
+//! maximum concurrent communication), included because the thesis
+//! discusses them as the boundary cases where prediction quality
 //! degrades.
 
-use hpm_core::matrix::IMat;
-use hpm_core::pattern::BarrierPattern;
-use hpm_core::plan::CompiledPattern;
+use hpm_core::pattern::{log2_ceil, BarrierPattern, CommPattern};
+use hpm_core::plan::{CompiledPattern, StagePlan};
 
 /// The linear barrier (Fig. 5.2): every process signals `root`, then
 /// `root` signals everyone.
@@ -19,40 +20,28 @@ pub fn linear(p: usize, root: usize) -> BarrierPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
     assert!(root < p, "root out of range");
     let gather: Vec<(usize, usize)> = (0..p).filter(|&i| i != root).map(|i| (i, root)).collect();
-    let release: Vec<(usize, usize)> = (0..p).filter(|&i| i != root).map(|i| (root, i)).collect();
-    BarrierPattern::new(
-        "linear",
-        p,
-        vec![IMat::from_edges(p, &gather), IMat::from_edges(p, &release)],
-    )
+    let gather = StagePlan::from_edges(p, &gather);
+    let release = gather.transpose();
+    BarrierPattern::new("linear", p, vec![gather, release])
 }
 
 /// The dissemination barrier (Fig. 5.3): `⌈log₂P⌉` stages of cyclic shifts,
 /// stage `s` signalling `i → (i + 2^s) mod P`.
 pub fn dissemination(p: usize) -> BarrierPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
-    let stages = (p as f64).log2().ceil() as usize;
-    let mats: Vec<IMat> = (0..stages)
+    let stages = (0..log2_ceil(p))
         .map(|s| {
             let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-            IMat::from_edges(p, &edges)
+            StagePlan::from_edges(p, &edges)
         })
         .collect();
-    BarrierPattern::new("dissemination", p, mats)
+    BarrierPattern::new("dissemination", p, stages)
 }
 
-/// The dissemination barrier compiled straight to execution form, never
-/// materializing the dense per-stage matrices — the authoring route for
-/// large process counts, where a single dense stage at p = 4096 is a
-/// 16.7 MB boolean matrix while its compiled form is 64 KB of CSR.
-/// Identical to `CompiledPattern::compile(&dissemination(p))`.
+/// The dissemination barrier's execution form, `dissemination(p).plan()`
+/// — the scale runs' entry point (64 KB of CSR per stage at p = 4096).
 pub fn dissemination_plan(p: usize) -> CompiledPattern {
-    assert!(p >= 2, "a barrier needs at least two processes");
-    let stages = (p as f64).log2().ceil() as usize;
-    let stage_edges: Vec<Vec<(usize, usize)>> = (0..stages)
-        .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
-        .collect();
-    CompiledPattern::from_stage_edges("dissemination", p, &stage_edges)
+    dissemination(p).plan()
 }
 
 /// A k-ary tree barrier rooted at rank 0 with heap indexing
@@ -72,17 +61,17 @@ pub fn kary_tree(p: usize, degree: usize) -> BarrierPattern {
         d
     };
     let max_depth = (0..p).map(depth_of).max().expect("non-empty");
-    let mut arrival: Vec<IMat> = Vec::new();
+    let mut arrival: Vec<StagePlan> = Vec::new();
     for level in (1..=max_depth).rev() {
         let edges: Vec<(usize, usize)> = (1..p)
             .filter(|&i| depth_of(i) == level)
             .map(|i| (i, (i - 1) / degree))
             .collect();
         if !edges.is_empty() {
-            arrival.push(IMat::from_edges(p, &edges));
+            arrival.push(StagePlan::from_edges(p, &edges));
         }
     }
-    let release: Vec<IMat> = arrival.iter().rev().map(|s| s.transpose()).collect();
+    let release: Vec<StagePlan> = arrival.iter().rev().map(StagePlan::transpose).collect();
     let mut stages = arrival;
     stages.extend(release);
     BarrierPattern::new(&format!("tree-{degree}"), p, stages)
@@ -97,10 +86,10 @@ pub fn binary_tree(p: usize) -> BarrierPattern {
 /// the minimum-concurrency extremity (§5.6.6).
 pub fn ring(p: usize) -> BarrierPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
-    let mats: Vec<IMat> = (0..2 * (p - 1))
-        .map(|k| IMat::from_edges(p, &[(k % p, (k + 1) % p)]))
+    let stages = (0..2 * (p - 1))
+        .map(|k| StagePlan::from_edges(p, &[(k % p, (k + 1) % p)]))
         .collect();
-    BarrierPattern::new("ring", p, mats)
+    BarrierPattern::new("ring", p, stages)
 }
 
 /// The single-stage all-to-all barrier: every ordered pair signals at once
@@ -115,14 +104,13 @@ pub fn all_to_all(p: usize) -> BarrierPattern {
             }
         }
     }
-    BarrierPattern::new("all-to-all", p, vec![IMat::from_edges(p, &edges)])
+    BarrierPattern::new("all-to-all", p, vec![StagePlan::from_edges(p, &edges)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpm_core::knowledge::verify_synchronizes;
-    use hpm_core::pattern::CommPattern;
 
     #[test]
     fn all_builders_synchronize_across_process_counts() {
@@ -155,7 +143,7 @@ mod tests {
     fn linear_with_nonzero_root() {
         let b = linear(5, 3);
         assert!(verify_synchronizes(&b).synchronizes());
-        assert_eq!(b.stage(0).srcs(3).collect::<Vec<_>>(), vec![0, 1, 2, 4]);
+        assert_eq!(b.stage(0).srcs(3), &[0, 1, 2, 4]);
     }
 
     #[test]
@@ -163,11 +151,11 @@ mod tests {
         let b = dissemination(4);
         assert_eq!(b.stages(), 2);
         // Stage 0: i → i+1 mod 4.
-        assert!(b.stage(0).get(0, 1));
-        assert!(b.stage(0).get(3, 0));
+        assert_eq!(b.stage(0).dsts(0), &[1]);
+        assert_eq!(b.stage(0).dsts(3), &[0]);
         // Stage 1: i → i+2 mod 4.
-        assert!(b.stage(1).get(0, 2));
-        assert!(b.stage(1).get(3, 1));
+        assert_eq!(b.stage(1).dsts(0), &[2]);
+        assert_eq!(b.stage(1).dsts(3), &[1]);
     }
 
     #[test]
@@ -221,18 +209,18 @@ mod tests {
     fn tree_signal_count_is_two_p_minus_two() {
         // Each non-root signals its parent once and is released once.
         for p in [2usize, 5, 8, 16, 23] {
-            assert_eq!(binary_tree(p).total_signals(), 2 * (p - 1), "p={p}");
+            assert_eq!(binary_tree(p).plan().total_signals(), 2 * (p - 1), "p={p}");
         }
     }
 
+    /// The matrices of Figs. 5.2–5.4 are still what a builder's stages
+    /// denote: `render()` is the dense `IMat` text of the same edges.
     #[test]
-    fn dissemination_plan_matches_dense_compilation() {
-        use hpm_core::plan::CompiledPattern;
-        for p in [2usize, 5, 16, 24, 64, 100] {
-            let sparse = dissemination_plan(p);
-            let dense = CompiledPattern::compile(&dissemination(p));
-            assert_eq!(sparse, dense, "p={p}");
-        }
+    fn render_is_the_incidence_matrix_of_the_figures() {
+        use hpm_core::matrix::IMat;
+        let s0 = IMat::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let s1 = IMat::from_edges(4, &[(0, 2), (1, 3), (2, 0), (3, 1)]);
+        assert_eq!(dissemination(4).render(), format!("S0 =\n{s0}S1 =\n{s1}"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Unlike the criterion-style benches, this target measures the
 //! operations every experiment in this workspace funnels through —
 //! `BarrierSim::measure` (jittered and noiseless), the raw lane-parallel
-//! batch executor, `predict_barrier`/`predict_compiled` and the
-//! knowledge verifier — at p ∈ {16, 64}, and writes the ops/sec table to
+//! batch executor, `predict_compiled_with` and the knowledge
+//! verifier — at p ∈ {16, 64}, and writes the ops/sec table to
 //! a JSON file CI archives as `BENCH_sim.json` next to `BENCH_repro.json`.
 //!
 //! ```text
@@ -42,8 +42,9 @@
 //! the ratio wobbles on noisy shared runners).
 
 use hpm_barriers::patterns::{dissemination, dissemination_plan};
+use hpm_core::knowledge::VerifyScratch;
 use hpm_core::pattern::CommPattern;
-use hpm_core::predictor::{predict_compiled, predict_compiled_with, CommCosts, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, CommCosts, PayloadSchedule};
 use hpm_simnet::barrier::BarrierSim;
 use hpm_simnet::batch::LaneScratch;
 use hpm_simnet::microbench::{bench_platform_classes, ClassCosts, MicrobenchConfig};
@@ -227,7 +228,7 @@ fn main() {
 
         let costs = CommCosts::uniform(p, 1e-7, 5e-7, 1e-6);
         let ops = throughput(window, || {
-            std::hint::black_box(predict_compiled(&plan, &costs, &payload));
+            std::hint::black_box(predict_compiled_with(&plan, &costs, &payload));
         });
         entries.push(Entry {
             id: format!("predict_p{p}"),
@@ -235,8 +236,9 @@ fn main() {
             unit: "full-pattern predictions/sec (compiled once)",
         });
 
+        let mut verifier = VerifyScratch::new();
         let ops = throughput(window, || {
-            std::hint::black_box(hpm_core::knowledge::verify_compiled(&plan));
+            std::hint::black_box(verifier.verify(&plan).synchronizes());
         });
         entries.push(Entry {
             id: format!("verify_p{p}"),

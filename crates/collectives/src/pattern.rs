@@ -1,10 +1,12 @@
-//! Collective operations as stage-sequenced incidence matrices.
+//! Collective operations as stage sequences.
 //!
 //! Every collective here is expressed exactly the way the thesis expresses
-//! barriers (§5.5): a sequence of `P×P` stage incidence matrices, extended
-//! with the Ch. 6.5 payload schedule giving the per-message byte count of
-//! each stage. The pair `(stages, payload)` is everything the
-//! knowledge-matrix verifier, the Eq. 5.4 critical-path predictor and the
+//! barriers (§5.5): a sequence of stages — which process signals which —
+//! extended with the Ch. 6.5 payload schedule giving the per-message byte
+//! count of each stage. Stages are authored as edge lists into the sparse
+//! [`StagePlan`] form; the thesis' `P×P` incidence matrices are what
+//! `render()` prints from it. The pair `(stages, payload)` is everything
+//! the knowledge verifier, the Eq. 5.4 critical-path predictor and the
 //! staged simulator need, so each builder yields a *closed-form
 //! heterogeneous prediction* for free — the whole point of the
 //! matrix-composed model.
@@ -24,18 +26,18 @@
 //!   is what the Eq. 5.4 `bytes_s·β_ij` term consumes.
 
 use hpm_core::knowledge::KnowledgeGoal;
-use hpm_core::matrix::IMat;
 pub use hpm_core::pattern::log2_ceil;
 use hpm_core::pattern::{validate_stages, CommPattern};
+use hpm_core::plan::StagePlan;
 use hpm_core::predictor::PayloadSchedule;
 
-/// A collective operation in matrix form: stages, per-stage payload and
+/// A collective operation as a staged pattern: stages, per-stage payload and
 /// the knowledge goal its correctness requires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectivePattern {
     name: String,
     p: usize,
-    stages: Vec<IMat>,
+    stages: Vec<StagePlan>,
     payload: PayloadSchedule,
     goal: KnowledgeGoal,
     root: Option<usize>,
@@ -48,7 +50,7 @@ impl CollectivePattern {
     pub fn new(
         name: &str,
         p: usize,
-        stages: Vec<IMat>,
+        stages: Vec<StagePlan>,
         payload: PayloadSchedule,
         goal: KnowledgeGoal,
         root: Option<usize>,
@@ -96,7 +98,7 @@ impl CommPattern for CollectivePattern {
         self.stages.len()
     }
 
-    fn stage(&self, k: usize) -> &IMat {
+    fn stage(&self, k: usize) -> &StagePlan {
         &self.stages[k]
     }
 }
@@ -106,12 +108,19 @@ fn phys(vr: usize, root: usize, p: usize) -> usize {
     (vr + root) % p
 }
 
-fn stage_from_virtual_edges(p: usize, root: usize, edges: &[(usize, usize)]) -> IMat {
+/// Every ordered pair `(i, j)`, `i ≠ j` — the complete exchange stage.
+fn all_pairs(p: usize) -> Vec<(usize, usize)> {
+    (0..p)
+        .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect()
+}
+
+fn stage_from_virtual_edges(p: usize, root: usize, edges: &[(usize, usize)]) -> StagePlan {
     let mapped: Vec<(usize, usize)> = edges
         .iter()
         .map(|&(s, d)| (phys(s, root, p), phys(d, root, p)))
         .collect();
-    IMat::from_edges(p, &mapped)
+    StagePlan::from_edges(p, &mapped)
 }
 
 /// One-phase broadcast: the root sends the full vector to every other
@@ -183,20 +192,12 @@ pub fn broadcast_two_phase(p: usize, root: usize, bytes: u64) -> CollectivePatte
     }
     let chunk = bytes.div_ceil(p as u64);
     let scatter: Vec<(usize, usize)> = (1..p).map(|vr| (0, vr)).collect();
-    let mut allgather = Vec::with_capacity(p * (p - 1));
-    for i in 0..p {
-        for j in 0..p {
-            if i != j {
-                allgather.push((i, j));
-            }
-        }
-    }
     CollectivePattern::new(
         "broadcast-two-phase",
         p,
         vec![
             stage_from_virtual_edges(p, root, &scatter),
-            stage_from_virtual_edges(p, root, &allgather),
+            StagePlan::from_edges(p, &all_pairs(p)),
         ],
         PayloadSchedule::from_bytes(vec![chunk, chunk]),
         KnowledgeGoal::RootReaches(root),
@@ -207,7 +208,7 @@ pub fn broadcast_two_phase(p: usize, root: usize, bytes: u64) -> CollectivePatte
 /// Binomial reduce edges in virtual rank space, leaves-first: at stage
 /// `s`, virtual rank `vr` with `vr mod 2^(s+1) == 2^s` sends its partial
 /// result to `vr − 2^s`.
-fn reduce_stages(p: usize, root: usize) -> Vec<IMat> {
+fn reduce_stages(p: usize, root: usize) -> Vec<StagePlan> {
     let mut stages = Vec::new();
     for s in 0..log2_ceil(p) {
         let d = 1usize << s;
@@ -244,7 +245,7 @@ pub fn reduce_binomial(p: usize, root: usize, bytes: u64) -> CollectivePattern {
 /// message carrying the full vector.
 pub fn allreduce(p: usize, bytes: u64) -> CollectivePattern {
     let up = reduce_stages(p, 0);
-    let down: Vec<IMat> = up.iter().rev().map(|s| s.transpose()).collect();
+    let down: Vec<StagePlan> = up.iter().rev().map(StagePlan::transpose).collect();
     let mut stages = up;
     stages.extend(down);
     let payload = PayloadSchedule::from_bytes(vec![bytes; stages.len()]);
@@ -268,7 +269,7 @@ pub fn scan(p: usize, bytes: u64) -> CollectivePattern {
         let d = 1usize << s;
         let edges: Vec<(usize, usize)> = (0..p.saturating_sub(d)).map(|i| (i, i + d)).collect();
         if !edges.is_empty() {
-            stages.push(IMat::from_edges(p, &edges));
+            stages.push(StagePlan::from_edges(p, &edges));
         }
     }
     let payload = PayloadSchedule::from_bytes(vec![bytes; stages.len()]);
@@ -307,16 +308,8 @@ pub fn total_exchange(p: usize, bytes: u64) -> CollectivePattern {
     let (stages, payload) = if p == 1 {
         (Vec::new(), PayloadSchedule::none())
     } else {
-        let mut edges = Vec::with_capacity(p * (p - 1));
-        for i in 0..p {
-            for j in 0..p {
-                if i != j {
-                    edges.push((i, j));
-                }
-            }
-        }
         (
-            vec![IMat::from_edges(p, &edges)],
+            vec![StagePlan::from_edges(p, &all_pairs(p))],
             PayloadSchedule::from_bytes(vec![bytes]),
         )
     };
@@ -372,7 +365,7 @@ mod tests {
     fn single_process_patterns_are_empty() {
         for c in catalog(1, 0, 1024) {
             assert_eq!(c.stages(), 0, "{}", c.name());
-            assert_eq!(c.total_signals(), 0);
+            assert_eq!(c.plan().total_signals(), 0);
         }
     }
 
@@ -391,8 +384,16 @@ mod tests {
     fn reduce_signal_count_is_p_minus_one() {
         // A combining tree delivers exactly one message per non-root.
         for p in 2..=33 {
-            assert_eq!(reduce_binomial(p, 0, 1).total_signals(), p - 1, "p={p}");
-            assert_eq!(broadcast_binomial(p, 0, 1).total_signals(), p - 1, "p={p}");
+            assert_eq!(
+                reduce_binomial(p, 0, 1).plan().total_signals(),
+                p - 1,
+                "p={p}"
+            );
+            assert_eq!(
+                broadcast_binomial(p, 0, 1).plan().total_signals(),
+                p - 1,
+                "p={p}"
+            );
         }
     }
 
@@ -444,11 +445,11 @@ mod tests {
     #[test]
     fn rooted_patterns_rotate_with_the_root() {
         let b = broadcast_flat(5, 3, 64);
-        assert_eq!(b.stage(0).dsts(3).collect::<Vec<_>>(), vec![0, 1, 2, 4]);
+        assert_eq!(b.stage(0).dsts(3), &[0, 1, 2, 4]);
         assert_eq!(b.stage(0).in_degree(3), 0);
         let r = reduce_binomial(5, 2, 64);
         let trace = verify_synchronizes(&r);
-        assert!(trace.root_gathers(2));
+        assert!(trace.satisfies(KnowledgeGoal::RootGathers(2)));
         assert_eq!(r.root(), Some(2));
     }
 
@@ -459,7 +460,7 @@ mod tests {
         assert_eq!(s.stage(0).edge_count(), 4);
         // Stage 2 (shift 4): only 0 -> 4.
         assert_eq!(s.stage(2).edge_count(), 1);
-        assert!(s.stage(2).get(0, 4));
+        assert_eq!(s.stage(2).dsts(0), &[4]);
     }
 
     #[test]

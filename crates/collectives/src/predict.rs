@@ -8,14 +8,18 @@
 //! measured clusters.
 
 use crate::pattern::CollectivePattern;
-use hpm_core::predictor::{predict_barrier, BarrierPrediction, CommCosts};
+use hpm_core::predictor::{predict_barrier, BarrierPrediction, CostModel};
 use hpm_simnet::barrier::{BarrierMeasurement, BarrierSim};
 use hpm_simnet::params::PlatformParams;
 use hpm_topology::Placement;
 
 /// Predicts the collective's critical-path cost from benchmarked platform
-/// cost matrices (§5.6.3's `O`/`L`/`β`).
-pub fn predict_collective(pattern: &CollectivePattern, costs: &CommCosts) -> BarrierPrediction {
+/// costs (§5.6.3's `O`/`L`/`β`) — dense `CommCosts` matrices or any other
+/// [`CostModel`].
+pub fn predict_collective<C: CostModel + ?Sized>(
+    pattern: &CollectivePattern,
+    costs: &C,
+) -> BarrierPrediction {
     predict_barrier(pattern, costs, pattern.payload())
 }
 

@@ -1,31 +1,36 @@
-//! Knowledge-matrix correctness verification (Eqs. 5.1–5.2), generalized
-//! to rooted and prefix knowledge goals.
+//! Knowledge verification (§5.5, Eqs. 5.1–5.2), generalized to rooted
+//! and prefix knowledge goals.
 //!
 //! A barrier is correct iff no process can leave before every process has
 //! arrived. The thesis checks this algebraically: let `K(i, j)` count the
 //! acknowledgements process i holds of process j's arrival. Initially
-//! `K_0 = I + S_0` (every process knows itself, plus stage-0 signals);
-//! each further stage propagates transitive knowledge:
+//! every process knows itself; each stage propagates transitive
+//! knowledge:
 //!
 //! ```text
 //! K_i = K_{i−1} + K_{i−1} × S_i
 //! ```
 //!
 //! After the final stage the barrier synchronizes iff `K` is all-nonzero.
-//! Because counts are path counts they can grow exponentially with stage
-//! count, so we accumulate in saturating `u64`.
+//! Only *whether* an entry is nonzero is ever asked, so the verifier
+//! keeps one bit per pair instead of a path count: `p` rows of `⌈p/64⌉`
+//! words, and "i signals j" ORs i's row into j's. The counting form of
+//! Eqs. 5.1–5.2 lives on as the test oracle, written in the thesis' own
+//! algebra on [`crate::matrix::DMat`] (`tests/properties.rs`).
 //!
 //! Collective operations need weaker, *rooted* variants of the same test:
 //! a reduce is correct when the root has a signal path from every process
 //! (`K(root, ·)` all-nonzero), a broadcast when every process has a path
 //! from the root (`K(·, root)` all-nonzero), and a prefix scan when every
 //! process has a path from each of its predecessors (lower triangle
-//! all-nonzero). [`KnowledgeGoal`] names these variants and
-//! [`KnowledgeTrace::satisfies`] checks them, so every pattern — barrier
-//! or collective — flows through one verifier.
+//! all-nonzero). [`KnowledgeGoal`] names these variants,
+//! [`KnowledgeGoal::required_pairs`] is the one place that spells out
+//! which pairs each demands, and [`VerifyScratch::satisfies`] checks
+//! them, so every pattern — barrier or collective — flows through one
+//! verifier.
 
 use crate::pattern::CommPattern;
-use crate::plan::{CompiledPattern, StagePlan};
+use crate::plan::CompiledPattern;
 
 /// What a pattern must guarantee to be correct: which knowledge pairs must
 /// be established by its final stage.
@@ -42,157 +47,52 @@ pub enum KnowledgeGoal {
     Prefix,
 }
 
-/// Outcome of a knowledge-matrix verification.
-#[derive(Debug, Clone)]
-pub struct KnowledgeTrace {
-    /// Final knowledge counts (row-major `p×p`).
-    counts: Vec<u64>,
-    p: usize,
-    /// Stage after which each `(i, j)` first became known (usize::MAX when
-    /// never). Row-major.
-    first_known: Vec<usize>,
-}
-
-/// A borrowing view of a verification outcome — the same queries as
-/// [`KnowledgeTrace`], over tables owned elsewhere. This is what the
-/// scratch-pooled entry point [`VerifyScratch::verify`] returns: the
-/// `p×p` tables stay in the caller's scratch, so a verify loop touches
-/// the heap only when the process count grows.
-#[derive(Debug, Clone, Copy)]
-pub struct KnowledgeView<'a> {
-    counts: &'a [u64],
-    first_known: &'a [usize],
-    p: usize,
-}
-
-impl<'a> KnowledgeView<'a> {
-    /// Knowledge count of pair `(i, j)`: how many acknowledgement paths
-    /// inform i of j's arrival.
-    pub fn count(&self, i: usize, j: usize) -> u64 {
-        self.counts[i * self.p + j]
-    }
-
-    /// True iff every process knows of every arrival.
-    pub fn synchronizes(&self) -> bool {
-        self.counts.iter().all(|&c| c > 0)
-    }
-
-    /// True iff `root` knows of every process' arrival — the gather-side
-    /// rooted goal (all data can reach the root).
-    pub fn root_gathers(&self, root: usize) -> bool {
-        assert!(root < self.p, "root out of range");
-        (0..self.p).all(|j| self.count(root, j) > 0)
-    }
-
-    /// True iff every process knows of `root`'s arrival — the
-    /// broadcast-side rooted goal (the root's data can reach everyone).
-    pub fn root_reaches(&self, root: usize) -> bool {
-        assert!(root < self.p, "root out of range");
-        (0..self.p).all(|i| self.count(i, root) > 0)
-    }
-
-    /// True iff every process knows of all its predecessors (inclusive
-    /// prefix property: `K(i, j) > 0` for every `j ≤ i`).
-    pub fn prefix_complete(&self) -> bool {
-        (0..self.p).all(|i| (0..=i).all(|j| self.count(i, j) > 0))
-    }
-
-    /// Checks a named goal.
-    pub fn satisfies(&self, goal: KnowledgeGoal) -> bool {
-        match goal {
-            KnowledgeGoal::AllToAll => self.synchronizes(),
-            KnowledgeGoal::RootGathers(r) => self.root_gathers(r),
-            KnowledgeGoal::RootReaches(r) => self.root_reaches(r),
-            KnowledgeGoal::Prefix => self.prefix_complete(),
+impl KnowledgeGoal {
+    /// The root of a rooted goal.
+    #[must_use]
+    pub fn root(self) -> Option<usize> {
+        match self {
+            KnowledgeGoal::RootGathers(r) | KnowledgeGoal::RootReaches(r) => Some(r),
+            KnowledgeGoal::AllToAll | KnowledgeGoal::Prefix => None,
         }
     }
 
-    /// Pairs `(i, j)` where i never learns of j's arrival — the failure
-    /// trace §5.5 describes as a debugging aid.
-    pub fn unknown_pairs(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..self.p {
-            for j in 0..self.p {
-                if self.counts[i * self.p + j] == 0 {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
-    }
-
-    /// Stage index after which `(i, j)` first became known, or `None`.
-    pub fn first_known(&self, i: usize, j: usize) -> Option<usize> {
-        let s = self.first_known[i * self.p + j];
-        (s != usize::MAX).then_some(s)
-    }
-}
-
-impl KnowledgeTrace {
-    /// Borrow this trace as a [`KnowledgeView`].
-    pub fn view(&self) -> KnowledgeView<'_> {
-        KnowledgeView {
-            counts: &self.counts,
-            first_known: &self.first_known,
-            p: self.p,
-        }
-    }
-
-    /// Knowledge count of pair `(i, j)`: how many acknowledgement paths
-    /// inform i of j's arrival.
-    pub fn count(&self, i: usize, j: usize) -> u64 {
-        self.view().count(i, j)
-    }
-
-    /// True iff every process knows of every arrival.
-    pub fn synchronizes(&self) -> bool {
-        self.view().synchronizes()
-    }
-
-    /// True iff `root` knows of every process' arrival — the gather-side
-    /// rooted goal (all data can reach the root).
-    pub fn root_gathers(&self, root: usize) -> bool {
-        self.view().root_gathers(root)
-    }
-
-    /// True iff every process knows of `root`'s arrival — the
-    /// broadcast-side rooted goal (the root's data can reach everyone).
-    pub fn root_reaches(&self, root: usize) -> bool {
-        self.view().root_reaches(root)
-    }
-
-    /// True iff every process knows of all its predecessors (inclusive
-    /// prefix property: `K(i, j) > 0` for every `j ≤ i`).
-    pub fn prefix_complete(&self) -> bool {
-        self.view().prefix_complete()
-    }
-
-    /// Checks a named goal.
-    pub fn satisfies(&self, goal: KnowledgeGoal) -> bool {
-        self.view().satisfies(goal)
-    }
-
-    /// Pairs `(i, j)` where i never learns of j's arrival — the failure
-    /// trace §5.5 describes as a debugging aid.
-    pub fn unknown_pairs(&self) -> Vec<(usize, usize)> {
-        self.view().unknown_pairs()
-    }
-
-    /// Stage index after which `(i, j)` first became known, or `None`.
-    pub fn first_known(&self, i: usize, j: usize) -> Option<usize> {
-        self.view().first_known(i, j)
+    /// The pairs `(i, j)` — "i must know of j's arrival" — this goal
+    /// demands among `p` processes, row by row. The single definition of
+    /// the goal → pairs mapping: satisfaction, the analyzer's diagnostics
+    /// and its crash coverage all filter this enumeration.
+    pub fn required_pairs(self, p: usize) -> impl Iterator<Item = (usize, usize)> {
+        let rows = match self {
+            KnowledgeGoal::RootGathers(r) => r..r + 1,
+            _ => 0..p,
+        };
+        rows.flat_map(move |i| {
+            let cols = match self {
+                KnowledgeGoal::AllToAll | KnowledgeGoal::RootGathers(_) => 0..p,
+                KnowledgeGoal::RootReaches(r) => r..r + 1,
+                KnowledgeGoal::Prefix => 0..i + 1,
+            };
+            cols.map(move |j| (i, j))
+        })
     }
 }
 
-/// Caller-owned scratch for the knowledge recurrence: the three `p×p`
-/// tables (counts, first-known stages, per-stage snapshot) that
-/// [`verify_compiled`] would otherwise allocate per call — 400 MB of
-/// churn per verification at p = 4096. Reused across calls, the tables
-/// are resized once per process count and then recycled in place.
+/// The knowledge verifier: scratch and result in one. [`verify`] runs
+/// the recurrence into the two bit tables held here and returns a borrow
+/// of `self` to query — so a verify loop touches the heap only when the
+/// process count grows, and there is no separate result type to copy
+/// into. Two `p × ⌈p/64⌉` `u64` tables: 4.2 MB at p = 4096.
+///
+/// [`verify`]: VerifyScratch::verify
 #[derive(Debug, Default)]
 pub struct VerifyScratch {
-    counts: Vec<u64>,
-    first_known: Vec<usize>,
+    p: usize,
+    /// Words per row, `⌈p/64⌉`.
+    words: usize,
+    /// Row `i`, bit `j`: process i knows of j's arrival. Padding bits of
+    /// each row's last word stay zero.
+    known: Vec<u64>,
+    /// `known` as it stood when the current stage began.
     snapshot: Vec<u64>,
 }
 
@@ -202,135 +102,106 @@ impl VerifyScratch {
         VerifyScratch::default()
     }
 
-    /// Runs the Eq. 5.1/5.2 recurrence over `plan` into this scratch and
-    /// returns a borrowing view of the outcome. Allocation-free once the
-    /// tables have grown to the largest process count seen.
-    pub fn verify(&mut self, plan: &CompiledPattern) -> KnowledgeView<'_> {
-        run_recurrence(
-            plan,
-            &mut self.counts,
-            &mut self.first_known,
-            &mut self.snapshot,
-        );
-        KnowledgeView {
-            counts: &self.counts,
-            first_known: &self.first_known,
-            p: plan.p(),
+    /// Runs the recurrence over `plan` and returns `self` for querying.
+    /// Allocation-free once the tables have grown to the largest process
+    /// count seen.
+    pub fn verify(&mut self, plan: &CompiledPattern) -> &VerifyScratch {
+        let p = plan.p();
+        let w = p.div_ceil(64);
+        (self.p, self.words) = (p, w);
+        self.known.clear();
+        self.known.resize(p * w, 0);
+        self.snapshot.resize(p * w, 0);
+        for i in 0..p {
+            self.known[i * w + i / 64] |= 1 << (i % 64);
         }
-    }
-}
-
-/// Runs the Eq. 5.1/5.2 recurrence over any staged pattern. Compiles the
-/// pattern and delegates to [`verify_compiled`]; callers verifying a
-/// pattern they already compiled should go there directly.
-pub fn verify_synchronizes<P: CommPattern + ?Sized>(pattern: &P) -> KnowledgeTrace {
-    verify_compiled(&pattern.plan())
-}
-
-/// The Eq. 5.1/5.2 recurrence over an already-compiled pattern: the
-/// signal enumeration of every stage reads CSR slices instead of scanning
-/// dense rows.
-pub fn verify_compiled(plan: &CompiledPattern) -> KnowledgeTrace {
-    let mut counts = Vec::new();
-    let mut first_known = Vec::new();
-    let mut snapshot = Vec::new();
-    run_recurrence(plan, &mut counts, &mut first_known, &mut snapshot);
-    KnowledgeTrace {
-        counts,
-        p: plan.p(),
-        first_known,
-    }
-}
-
-/// The shared recurrence core: clears and (re)sizes the three tables to
-/// `p×p` — allocation-free when they are already large enough — then
-/// runs the stage loop.
-fn run_recurrence(
-    plan: &CompiledPattern,
-    counts: &mut Vec<u64>,
-    first_known: &mut Vec<usize>,
-    snapshot: &mut Vec<u64>,
-) {
-    let p = plan.p();
-    counts.clear();
-    counts.resize(p * p, 0);
-    first_known.clear();
-    first_known.resize(p * p, usize::MAX);
-    snapshot.clear();
-    snapshot.resize(p * p, 0);
-    // K = I.
-    for i in 0..p {
-        counts[i * p + i] = 1;
-        first_known[i * p + i] = 0;
-    }
-    for stage_idx in 0..plan.stages() {
-        // K ← K + K × S. In index form: when i signals j in this stage,
-        // everything i knows flows to j: add(j, *) += K(i, *).
-        snapshot.copy_from_slice(counts);
-        apply_stage(
-            snapshot,
-            counts,
-            first_known,
-            plan.stage(stage_idx),
-            stage_idx,
-        );
-    }
-}
-
-/// Convenience: verifies a pattern against a named knowledge goal.
-pub fn verify_goal<P: CommPattern + ?Sized>(pattern: &P, goal: KnowledgeGoal) -> bool {
-    verify_synchronizes(pattern).satisfies(goal)
-}
-
-fn apply_stage(
-    snapshot: &[u64],
-    counts: &mut [u64],
-    first_known: &mut [usize],
-    stage: &StagePlan,
-    stage_idx: usize,
-) {
-    let p = stage.p();
-    for i in 0..p {
-        let src_row = &snapshot[i * p..(i + 1) * p];
-        for &j in stage.dsts(i) {
-            for (k, &add) in src_row.iter().enumerate() {
-                if add > 0 {
-                    let cell = j * p + k;
-                    counts[cell] = counts[cell].saturating_add(add);
-                    if first_known[cell] == usize::MAX {
-                        first_known[cell] = stage_idx;
-                    }
+        for s in 0..plan.stages() {
+            // When i signals j, everything i knew at stage entry flows to
+            // j: K(j, ·) |= K(i, ·).
+            self.snapshot.copy_from_slice(&self.known);
+            let stage = plan.stage(s);
+            for i in 0..p {
+                let src = &self.snapshot[i * w..(i + 1) * w];
+                for &j in stage.dsts(i) {
+                    let dst = &mut self.known[j * w..(j + 1) * w];
+                    dst.iter_mut().zip(src).for_each(|(d, k)| *d |= k);
                 }
             }
         }
+        self
     }
+
+    /// True iff process i knows of process j's arrival.
+    #[must_use]
+    pub fn knows(&self, i: usize, j: usize) -> bool {
+        assert!(i < self.p && j < self.p, "pair ({i},{j}) out of range");
+        self.known[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// The pairs `goal` requires that the recurrence left unknown — the
+    /// failure trace §5.5 describes as a debugging aid.
+    pub fn missing(&self, goal: KnowledgeGoal) -> impl Iterator<Item = (usize, usize)> + '_ {
+        goal.required_pairs(self.p)
+            .filter(|&(i, j)| !self.knows(i, j))
+    }
+
+    /// Checks a named goal. `AllToAll` compares whole words against the
+    /// all-ones row (last word masked to `p mod 64` bits) instead of
+    /// testing p² bits.
+    #[must_use]
+    pub fn satisfies(&self, goal: KnowledgeGoal) -> bool {
+        if goal != KnowledgeGoal::AllToAll || self.p == 0 {
+            return self.missing(goal).next().is_none();
+        }
+        let last = u64::MAX >> ((64 - self.p % 64) % 64);
+        self.known.chunks_exact(self.words).all(|row| {
+            let (tail, full) = row.split_last().expect("p > 0 rows hold a word");
+            *tail == last && full.iter().all(|&w| w == u64::MAX)
+        })
+    }
+
+    /// True iff every process knows of every arrival.
+    #[must_use]
+    pub fn synchronizes(&self) -> bool {
+        self.satisfies(KnowledgeGoal::AllToAll)
+    }
+}
+
+/// Verifies a pattern that is not compiled yet: builds its plan, runs
+/// the recurrence and hands back the verifier holding the outcome.
+pub fn verify_synchronizes<P: CommPattern + ?Sized>(pattern: &P) -> VerifyScratch {
+    let mut scratch = VerifyScratch::new();
+    scratch.verify(&pattern.plan());
+    scratch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::IMat;
     use crate::pattern::BarrierPattern;
+    use crate::plan::StagePlan;
 
     fn linear(p: usize) -> BarrierPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
-        let release: Vec<(usize, usize)> = (1..p).map(|i| (0, i)).collect();
-        BarrierPattern::new(
-            "linear",
-            p,
-            vec![IMat::from_edges(p, &gather), IMat::from_edges(p, &release)],
-        )
+        let gather = StagePlan::from_edges(p, &gather);
+        let release = gather.transpose();
+        BarrierPattern::new("linear", p, vec![gather, release])
     }
 
-    fn dissemination(p: usize) -> BarrierPattern {
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats)
+    /// The first `stages` stages of the dissemination barrier.
+    fn dissemination_stages(p: usize, stages: usize) -> Vec<Vec<(usize, usize)>> {
+        (0..stages)
+            .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
+            .collect()
+    }
+
+    fn dissemination(p: usize) -> CompiledPattern {
+        let stages = crate::pattern::log2_ceil(p);
+        CompiledPattern::from_stage_edges("dissemination", p, &dissemination_stages(p, stages))
+    }
+
+    fn single_stage(name: &str, p: usize, edges: &[(usize, usize)]) -> BarrierPattern {
+        BarrierPattern::new(name, p, vec![StagePlan::from_edges(p, edges)])
     }
 
     #[test]
@@ -343,21 +214,19 @@ mod tests {
 
     #[test]
     fn dissemination_synchronizes_for_all_counts() {
+        let mut scratch = VerifyScratch::new();
         for p in 2..=40 {
-            let t = verify_synchronizes(&dissemination(p));
-            assert!(t.synchronizes(), "dissemination p={p}");
+            assert!(scratch.verify(&dissemination(p)).synchronizes(), "p={p}");
         }
     }
 
     #[test]
     fn broken_barrier_detected_with_trace() {
         // Gather without release: ranks 1..p never learn of each other.
-        let p = 4;
-        let gather = IMat::from_edges(p, &[(1, 0), (2, 0), (3, 0)]);
-        let b = BarrierPattern::new("broken", p, vec![gather]);
+        let b = single_stage("broken", 4, &[(1, 0), (2, 0), (3, 0)]);
         let t = verify_synchronizes(&b);
         assert!(!t.synchronizes());
-        let unknown = t.unknown_pairs();
+        let unknown: Vec<(usize, usize)> = t.missing(KnowledgeGoal::AllToAll).collect();
         assert!(unknown.contains(&(1, 2)), "1 must not know 2: {unknown:?}");
         assert!(unknown.contains(&(3, 1)));
         // But the master knows everyone.
@@ -368,21 +237,18 @@ mod tests {
     fn gather_alone_satisfies_only_the_rooted_goal() {
         // The broken barrier above is a perfectly good gather pattern:
         // the root knows all, nobody else learns anything new.
-        let p = 4;
-        let gather = IMat::from_edges(p, &[(1, 0), (2, 0), (3, 0)]);
-        let b = BarrierPattern::new("gather", p, vec![gather]);
+        let b = single_stage("gather", 4, &[(1, 0), (2, 0), (3, 0)]);
         let t = verify_synchronizes(&b);
         assert!(t.satisfies(KnowledgeGoal::RootGathers(0)));
         assert!(!t.satisfies(KnowledgeGoal::RootReaches(0)));
         assert!(!t.satisfies(KnowledgeGoal::AllToAll));
         assert!(!t.satisfies(KnowledgeGoal::RootGathers(1)));
+        assert!(!t.satisfies(KnowledgeGoal::Prefix));
     }
 
     #[test]
     fn release_alone_satisfies_only_the_broadcast_goal() {
-        let p = 4;
-        let release = IMat::from_edges(p, &[(0, 1), (0, 2), (0, 3)]);
-        let b = BarrierPattern::new("release", p, vec![release]);
+        let b = single_stage("release", 4, &[(0, 1), (0, 2), (0, 3)]);
         let t = verify_synchronizes(&b);
         assert!(t.satisfies(KnowledgeGoal::RootReaches(0)));
         assert!(!t.satisfies(KnowledgeGoal::RootGathers(0)));
@@ -393,8 +259,8 @@ mod tests {
     fn chain_satisfies_the_prefix_goal() {
         // i → i+1 in sequence: exactly the inclusive-scan dependency.
         let p = 5;
-        let stages: Vec<IMat> = (0..p - 1)
-            .map(|i| IMat::from_edges(p, &[(i, i + 1)]))
+        let stages: Vec<StagePlan> = (0..p - 1)
+            .map(|i| StagePlan::from_edges(p, &[(i, i + 1)]))
             .collect();
         let b = BarrierPattern::new("chain", p, stages);
         let t = verify_synchronizes(&b);
@@ -402,9 +268,9 @@ mod tests {
         assert!(!t.satisfies(KnowledgeGoal::AllToAll));
         // The downward chain (p−1 → p−2 → … → 0, stages in that order)
         // funnels everything into rank 0 but is not a prefix pattern.
-        let rev: Vec<IMat> = (1..p)
+        let rev: Vec<StagePlan> = (1..p)
             .rev()
-            .map(|i| IMat::from_edges(p, &[(i, i - 1)]))
+            .map(|i| StagePlan::from_edges(p, &[(i, i - 1)]))
             .collect();
         let r = BarrierPattern::new("rev-chain", p, rev);
         assert!(!verify_synchronizes(&r).satisfies(KnowledgeGoal::Prefix));
@@ -413,7 +279,8 @@ mod tests {
 
     #[test]
     fn full_synchronization_implies_every_goal() {
-        let t = verify_synchronizes(&dissemination(9));
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&dissemination(9));
         for goal in [
             KnowledgeGoal::AllToAll,
             KnowledgeGoal::RootGathers(3),
@@ -421,83 +288,97 @@ mod tests {
             KnowledgeGoal::Prefix,
         ] {
             assert!(t.satisfies(goal), "{goal:?}");
+            assert_eq!(t.missing(goal).count(), 0, "{goal:?}");
         }
     }
 
     #[test]
-    fn verify_goal_convenience_matches_trace() {
-        let b = linear(6);
-        assert!(verify_goal(&b, KnowledgeGoal::AllToAll));
-        assert!(verify_goal(&b, KnowledgeGoal::RootGathers(0)));
+    fn required_pairs_enumerate_each_goal_row_major() {
+        let pairs = |g: KnowledgeGoal| g.required_pairs(3).collect::<Vec<_>>();
+        assert_eq!(pairs(KnowledgeGoal::AllToAll).len(), 9);
+        assert_eq!(
+            pairs(KnowledgeGoal::RootGathers(1)),
+            [(1, 0), (1, 1), (1, 2)]
+        );
+        assert_eq!(
+            pairs(KnowledgeGoal::RootReaches(2)),
+            [(0, 2), (1, 2), (2, 2)]
+        );
+        assert_eq!(
+            pairs(KnowledgeGoal::Prefix),
+            [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        );
+        assert_eq!(KnowledgeGoal::RootGathers(1).root(), Some(1));
+        assert_eq!(KnowledgeGoal::Prefix.root(), None);
     }
 
     #[test]
     fn one_stage_too_few_dissemination_fails() {
         // ceil(log2 p) − 1 stages cannot synchronize.
-        let p = 8;
-        let mats: Vec<IMat> = (0..2)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        let b = BarrierPattern::new("short-diss", p, mats);
-        assert!(!verify_synchronizes(&b).synchronizes());
-    }
-
-    #[test]
-    fn knowledge_counts_grow_along_paths() {
-        let t = verify_synchronizes(&dissemination(4));
-        // Own arrival known from the start.
-        assert!(t.count(0, 0) >= 1);
-        assert_eq!(t.first_known(0, 0), Some(0));
-        // In a 2-stage dissemination over 4 procs, 0 learns of 2 only at
-        // stage 1 (distance 2 = 2^1).
-        assert_eq!(t.first_known(2, 0), Some(1));
+        let short = CompiledPattern::from_stage_edges("short", 8, &dissemination_stages(8, 2));
+        assert!(!VerifyScratch::new().verify(&short).synchronizes());
     }
 
     #[test]
     fn self_knowledge_never_lost() {
         let t = verify_synchronizes(&linear(6));
         for i in 0..6 {
-            assert!(t.count(i, i) >= 1);
+            assert!(t.knows(i, i));
+        }
+    }
+
+    /// The word-wise `AllToAll` test reads exactly `p` bits per row: a
+    /// complete exchange missing one edge into the row's last word fails
+    /// on precisely that pair, on either side of every word boundary.
+    #[test]
+    fn all_to_all_fast_path_masks_the_last_word() {
+        let mut scratch = VerifyScratch::new();
+        for p in [2usize, 63, 64, 65, 127, 128, 129] {
+            let mut edges: Vec<(usize, usize)> = (0..p)
+                .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
+                .collect();
+            let full = CompiledPattern::from_stage_edges("a2a", p, &[edges.clone()]);
+            assert!(scratch.verify(&full).synchronizes(), "p={p}");
+            edges.retain(|&e| e != (p - 1, 0));
+            let holed = CompiledPattern::from_stage_edges("holed", p, &[edges]);
+            let t = scratch.verify(&holed);
+            assert!(!t.synchronizes(), "p={p}");
+            let missing: Vec<_> = t.missing(KnowledgeGoal::AllToAll).collect();
+            assert_eq!(missing, [(0, p - 1)], "p={p}");
         }
     }
 
     /// One scratch reused across patterns of different sizes — including
-    /// shrinking ones — reproduces the allocating entry point exactly.
+    /// shrinking ones — answers every pair as a fresh one does: no bit of
+    /// an earlier, larger verification leaks into a later one.
     #[test]
-    fn scratch_verify_matches_fresh_verify() {
-        use crate::pattern::CommPattern;
+    fn scratch_reuse_matches_fresh_verify() {
         let mut scratch = VerifyScratch::new();
-        for p in [17usize, 8, 31, 2, 8] {
-            let plan = dissemination(p).plan();
-            let fresh = verify_compiled(&plan);
+        for (p, stages) in [(17usize, 5usize), (8, 2), (131, 8), (2, 1), (70, 3)] {
+            let plan = CompiledPattern::from_stage_edges("d", p, &dissemination_stages(p, stages));
+            let mut fresh = VerifyScratch::new();
+            fresh.verify(&plan);
             let pooled = scratch.verify(&plan);
             assert_eq!(pooled.synchronizes(), fresh.synchronizes(), "p={p}");
-            for i in 0..p {
-                for j in 0..p {
-                    assert_eq!(pooled.count(i, j), fresh.count(i, j), "p={p} ({i},{j})");
-                    assert_eq!(
-                        pooled.first_known(i, j),
-                        fresh.first_known(i, j),
-                        "p={p} ({i},{j})"
-                    );
-                }
+            for (i, j) in KnowledgeGoal::AllToAll.required_pairs(p) {
+                assert_eq!(pooled.knows(i, j), fresh.knows(i, j), "p={p} ({i},{j})");
             }
-            assert_eq!(pooled.unknown_pairs(), fresh.unknown_pairs());
         }
-        // Goal queries flow through the same view on both paths.
-        let gather = BarrierPattern::new(
-            "gather",
-            4,
-            vec![IMat::from_edges(4, &[(1, 0), (2, 0), (3, 0)])],
-        );
-        let plan = gather.plan();
-        let view = scratch.verify(&plan);
-        assert!(view.satisfies(KnowledgeGoal::RootGathers(0)));
-        assert!(!view.satisfies(KnowledgeGoal::AllToAll));
-        assert!(!view.prefix_complete());
-        assert!(view.root_gathers(0) && !view.root_reaches(0));
+    }
+
+    /// What the counting form could not afford in a unit test: p = 4096
+    /// in two 2 MB bit tables (the three `p×p` word tables were 402 MB).
+    #[test]
+    fn verifies_at_scale_in_bit_tables() {
+        let p = 4096;
+        let mut scratch = VerifyScratch::new();
+        assert!(scratch.verify(&dissemination(p)).synchronizes());
+        let short = CompiledPattern::from_stage_edges("short", p, &dissemination_stages(p, 11));
+        assert!(!scratch.verify(&short).synchronizes());
+        let bytes = (scratch.known.capacity() + scratch.snapshot.capacity()) * 8;
+        assert!(bytes <= 2 * p * p.div_ceil(64) * 8, "{bytes} table bytes");
+        let crashed = [0, 1, 4095];
+        let repaired = crate::recovery::repair_plan(p, KnowledgeGoal::AllToAll, &crashed);
+        assert_eq!(repaired.expect("recoverable").p(), p - 3);
     }
 }

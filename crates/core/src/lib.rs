@@ -12,27 +12,31 @@
 //! * [`classic`] — the original BSP performance model `(p, r, g, l)` and
 //!   its inner-product cost function (§3.1), kept as the baseline whose
 //!   five-orders-of-magnitude misprediction motivates everything else.
-//! * [`matrix`] — dense `f64` matrices ([`matrix::DMat`]) and boolean
-//!   incidence matrices ([`matrix::IMat`]).
+//! * [`matrix`] — dense `f64` matrices ([`matrix::DMat`]) and the boolean
+//!   incidence matrix, the thesis' form of one pattern stage — kept as the
+//!   dense oracle of the property tests; nothing in production runs
+//!   through it.
 //! * [`compute`] — heterogeneous computation: requirement ⊗ cost
 //!   composition, per-superstep time vectors and imbalance (§3.3,
 //!   Eqs. 3.9–3.13).
 //! * [`hockney`] — the heterogeneous Hockney communication model: `P×P`
 //!   latency and inverse-bandwidth matrices (§3.4, Eq. 3.14).
-//! * [`pattern`] — staged communication patterns as sequences of stage
-//!   incidence matrices (§5.5, Figs. 5.2–5.4): the shared
-//!   [`pattern::CommPattern`] abstraction plus the barrier-shaped
-//!   [`pattern::BarrierPattern`].
-//! * [`plan`] — the flat execution form: CSR stage adjacency
-//!   ([`plan::StagePlan`]) and whole patterns compiled once
+//! * [`pattern`] — staged communication patterns as sequences of sparse
+//!   stages (§5.5; `render()` prints the incidence matrices of
+//!   Figs. 5.2–5.4): the shared [`pattern::CommPattern`] abstraction plus
+//!   the barrier-shaped [`pattern::BarrierPattern`].
+//! * [`plan`] — the one stage representation, from authoring to
+//!   execution: CSR adjacency ([`plan::StagePlan`], built from edge
+//!   lists) and whole patterns with their precomputed §5.6.5 tables
 //!   ([`plan::CompiledPattern`]) for allocation-free hot loops in the
 //!   predictor, verifier and simulator.
-//! * [`knowledge`] — the knowledge-matrix correctness test
-//!   `K_i = K_{i−1} + K_{i−1}·S_i` (Eqs. 5.1–5.2), generalized to rooted
-//!   and prefix knowledge goals for collective operations.
+//! * [`knowledge`] — the knowledge correctness test
+//!   `K_i = K_{i−1} + K_{i−1}·S_i` (Eqs. 5.1–5.2) as a bit-parallel
+//!   reachability recurrence, generalized to rooted and prefix knowledge
+//!   goals for collective operations.
 //! * [`predictor`] — the critical-path barrier cost predictor with the
 //!   Eq. 5.4 stage cost, both §5.6.5 refinements and the Ch. 6.5 payload
-//!   extension.
+//!   extension, over any [`predictor::CostModel`].
 //! * [`superstep`] — the fundamental equation of modeling (Eq. 1.1/1.4)
 //!   and the overlap estimate (Eqs. 3.15–3.16).
 //! * [`recovery`] — survivor re-planning after crashes:
@@ -54,16 +58,13 @@ pub mod superstep;
 pub use classic::ClassicBsp;
 pub use compute::{cross_mapping_costs, imbalance, superstep_times};
 pub use hockney::{comm_times, HeteroHockney, Hockney};
-pub use knowledge::{
-    verify_compiled, verify_goal, verify_synchronizes, KnowledgeGoal, KnowledgeTrace,
-    KnowledgeView, VerifyScratch,
-};
+pub use knowledge::{verify_synchronizes, KnowledgeGoal, VerifyScratch};
 pub use matrix::{DMat, IMat};
 pub use pattern::{BarrierPattern, CommPattern};
 pub use plan::{CompiledPattern, StagePlan};
 pub use predictor::{
-    predict_barrier, predict_compiled, predict_compiled_with, BarrierPrediction, CommCosts,
-    CostModel, PayloadSchedule,
+    predict_barrier, predict_compiled_with, BarrierPrediction, CommCosts, CostModel,
+    PayloadSchedule,
 };
 pub use recovery::{remap_goal, repair_plan};
 pub use superstep::{overlap_estimate, SuperstepModel};

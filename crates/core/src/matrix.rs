@@ -199,10 +199,14 @@ impl std::fmt::Display for DMat {
 /// A square boolean incidence matrix encoding one stage of a communication
 /// pattern: `get(i, j)` means "process i signals process j" (§5.5).
 ///
+/// This is the thesis' own form of a stage, O(p²) per stage. Patterns are
+/// authored and executed in the sparse [`crate::plan::StagePlan`] form;
+/// this type is what that form is tested against (same enumeration, same
+/// degrees, same transpose, same printed grid) and the `S_i` of the
+/// Eq. 5.1–5.2 oracle via [`IMat::to_dmat`].
+///
 /// Per-row out-degrees, per-column in-degrees and the total edge count are
-/// maintained on insertion, so emptiness and degree queries — the tests
-/// the predictor's posted-receive refinement and `last_send_stage` run in
-/// their inner loops — are O(1) and never allocate.
+/// maintained on insertion, so degree queries are O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IMat {
     n: usize,
@@ -262,9 +266,7 @@ impl IMat {
         }
     }
 
-    /// Destinations signalled by `i`, ascending. Allocation-free: iterate
-    /// directly, or go through [`crate::plan::StagePlan`] for repeated
-    /// slice access on a hot path.
+    /// Destinations signalled by `i`, ascending.
     pub fn dsts(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(i < self.n, "row {i} out of range");
         self.data[i * self.n..(i + 1) * self.n]

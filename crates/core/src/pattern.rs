@@ -1,29 +1,32 @@
 //! Stage-sequenced communication patterns (§5.5).
 //!
 //! Any staged communication algorithm — a barrier, a broadcast, a
-//! reduction — is a layered dependency graph: a sequence of `P×P`
-//! incidence matrices `S_0, S_1, …`, where `S_k(i, j) = 1` means
-//! "process i signals process j in stage k". The encoding captures both
-//! the sequential dependencies (the stage sequence) and the signals that
-//! may be in flight simultaneously (within a stage) — everything a
-//! simulator or cost predictor needs, independent of the algorithm that
-//! generated it.
+//! reduction — is a layered dependency graph: a sequence of stages
+//! `S_0, S_1, …`, where `S_k(i, j) = 1` means "process i signals process
+//! j in stage k". The encoding captures both the sequential dependencies
+//! (the stage sequence) and the signals that may be in flight
+//! simultaneously (within a stage) — everything a simulator or cost
+//! predictor needs, independent of the algorithm that generated it.
 //!
-//! [`CommPattern`] is the shared abstraction: anything exposing its stages
-//! as incidence matrices flows through the same knowledge-matrix
-//! verification ([`crate::knowledge`]), critical-path cost prediction
+//! The thesis writes each `S_k` as a `P×P` incidence matrix; here a
+//! stage is a [`StagePlan`] — the same edge set as sparse adjacency,
+//! O(p + edges) instead of O(p²) — from the builder that authors it to
+//! the executor that runs it. The matrix view is still one call away:
+//! [`CommPattern::render`] prints the 0/1 grids of Figs. 5.2–5.4.
+//!
+//! [`CommPattern`] is the shared abstraction: anything exposing its
+//! stages flows through the same knowledge verification
+//! ([`crate::knowledge`]), critical-path cost prediction
 //! ([`crate::predictor`]) and staged simulation unchanged.
 //! [`BarrierPattern`] is the barrier-shaped implementation; the collective
 //! operations of `hpm-collectives` provide another.
 
-use crate::matrix::IMat;
-use crate::plan::CompiledPattern;
+use crate::plan::{CompiledPattern, StagePlan};
 
-/// A staged communication pattern: a sequence of `P×P` incidence matrices.
+/// A staged communication pattern: a sequence of sparse stages.
 ///
-/// Implementors supply the four accessors; the derived structure queries
-/// (`total_signals`, `last_send_stage`, `render`) come for free and are
-/// what the predictor and verifier build on. The trait is object-safe so
+/// Implementors supply the four accessors; [`CommPattern::plan`] and
+/// [`CommPattern::render`] come for free. The trait is object-safe so
 /// heterogeneous pattern collections can be handled through `&dyn
 /// CommPattern`.
 pub trait CommPattern {
@@ -38,33 +41,18 @@ pub trait CommPattern {
     fn stages(&self) -> usize;
 
     /// Borrow one stage.
-    fn stage(&self, k: usize) -> &IMat;
+    fn stage(&self, k: usize) -> &StagePlan;
 
-    /// Total signal count across all stages.
-    fn total_signals(&self) -> usize {
-        (0..self.stages()).map(|k| self.stage(k).edge_count()).sum()
-    }
-
-    /// The last stage index before `before` in which `i` transmitted a
-    /// signal, if any — used by the predictor's posted-receive refinement
-    /// (§5.6.5). O(1) per stage on the maintained degree counts (and
-    /// O(1) overall on a [`CompiledPattern`], which precomputes the whole
-    /// table).
-    fn last_send_stage(&self, i: usize, before: usize) -> Option<usize> {
-        (0..before.min(self.stages()))
-            .rev()
-            .find(|&k| self.stage(k).out_degree(i) > 0)
-    }
-
-    /// Compiles the pattern into its flat execution form — CSR stage
-    /// adjacency plus the precomputed §5.6.5 tables. Build once, then
-    /// hand the result to the predictor, verifier and simulator hot
-    /// paths.
+    /// The pattern's execution form: its stages plus the precomputed
+    /// §5.6.5 tables. Build once, then hand the result to the predictor,
+    /// verifier and simulator hot paths.
     fn plan(&self) -> CompiledPattern {
-        CompiledPattern::compile(self)
+        let stages = (0..self.stages()).map(|k| self.stage(k).clone());
+        CompiledPattern::from_stages(self.name(), self.p(), stages.collect())
     }
 
-    /// Renders all stages in the layout of Figs. 5.2–5.4.
+    /// Renders all stages as `P×P` incidence matrices, in the layout of
+    /// Figs. 5.2–5.4.
     fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -84,30 +72,30 @@ pub fn log2_ceil(p: usize) -> usize {
     usize::BITS as usize - (p - 1).leading_zeros() as usize
 }
 
-/// Validates a stage list: every stage must be `p×p` and non-empty (an
-/// empty stage is a semantic no-op that would distort stage-count-based
-/// analysis). Shared by every pattern constructor.
-pub fn validate_stages(p: usize, stages: &[IMat]) {
+/// Validates a stage list: every stage must span `p` processes and be
+/// non-empty (an empty stage is a semantic no-op that would distort
+/// stage-count-based analysis). Shared by every pattern constructor.
+pub fn validate_stages(p: usize, stages: &[StagePlan]) {
     assert!(p > 0, "pattern needs at least one process");
     for (k, s) in stages.iter().enumerate() {
-        assert_eq!(s.n(), p, "stage {k} has wrong dimension");
+        assert_eq!(s.p(), p, "stage {k} has wrong dimension");
         assert!(s.edge_count() > 0, "stage {k} is empty");
     }
 }
 
-/// A barrier algorithm encoded as stage incidence matrices.
+/// A barrier algorithm encoded as a stage sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BarrierPattern {
     name: String,
     p: usize,
-    stages: Vec<IMat>,
+    stages: Vec<StagePlan>,
 }
 
 impl BarrierPattern {
-    /// Builds a pattern, validating that every stage is a `p×p` incidence
-    /// matrix and that no stage is empty. Barriers always communicate, so
-    /// at least one stage is required.
-    pub fn new(name: &str, p: usize, stages: Vec<IMat>) -> BarrierPattern {
+    /// Builds a pattern, validating that every stage spans `p` processes
+    /// and that no stage is empty. Barriers always communicate, so at
+    /// least one stage is required.
+    pub fn new(name: &str, p: usize, stages: Vec<StagePlan>) -> BarrierPattern {
         assert!(!stages.is_empty(), "pattern needs at least one stage");
         validate_stages(p, &stages);
         BarrierPattern {
@@ -115,11 +103,6 @@ impl BarrierPattern {
             p,
             stages,
         }
-    }
-
-    /// Iterate over stages in order.
-    pub fn iter(&self) -> impl Iterator<Item = &IMat> {
-        self.stages.iter()
     }
 }
 
@@ -136,7 +119,7 @@ impl CommPattern for BarrierPattern {
         self.stages.len()
     }
 
-    fn stage(&self, k: usize) -> &IMat {
+    fn stage(&self, k: usize) -> &StagePlan {
         &self.stages[k]
     }
 }
@@ -144,11 +127,12 @@ impl CommPattern for BarrierPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::IMat;
 
     fn linear4() -> BarrierPattern {
         // Fig. 5.2: gather to rank 0, then release.
-        let s0 = IMat::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
-        let s1 = IMat::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+        let s0 = StagePlan::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
+        let s1 = StagePlan::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         BarrierPattern::new("linear", 4, vec![s0, s1])
     }
 
@@ -156,9 +140,9 @@ mod tests {
     fn fig_5_2_linear_shape() {
         let b = linear4();
         assert_eq!(b.stages(), 2);
-        assert_eq!(b.total_signals(), 6);
-        assert_eq!(b.stage(0).srcs(0).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(b.stage(1).dsts(0).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(b.plan().total_signals(), 6);
+        assert_eq!(b.stage(0).srcs(0), &[1, 2, 3]);
+        assert_eq!(b.stage(1).dsts(0), &[1, 2, 3]);
     }
 
     #[test]
@@ -167,23 +151,13 @@ mod tests {
         assert_eq!(b.stage(1), &b.stage(0).transpose());
     }
 
+    /// `render()` prints exactly the thesis' incidence matrices: the
+    /// same text `IMat`'s `Display` gives for the same edges.
     #[test]
-    fn last_send_stage_lookup() {
-        let b = linear4();
-        // Rank 1 sends only in stage 0.
-        assert_eq!(b.last_send_stage(1, 2), Some(0));
-        assert_eq!(b.last_send_stage(1, 1), Some(0));
-        assert_eq!(b.last_send_stage(1, 0), None);
-        // Rank 0 sends only in stage 1.
-        assert_eq!(b.last_send_stage(0, 1), None);
-        assert_eq!(b.last_send_stage(0, 2), Some(1));
-    }
-
-    #[test]
-    fn render_contains_all_stages() {
-        let text = linear4().render();
-        assert!(text.contains("S0 ="));
-        assert!(text.contains("S1 ="));
+    fn render_equals_the_dense_matrix_text() {
+        let s0 = IMat::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
+        let s1 = IMat::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(linear4().render(), format!("S0 =\n{s0}S1 =\n{s1}"));
     }
 
     #[test]
@@ -192,20 +166,20 @@ mod tests {
         let dyn_view: &dyn CommPattern = &b;
         assert_eq!(dyn_view.p(), 4);
         assert_eq!(dyn_view.stages(), 2);
-        assert_eq!(dyn_view.total_signals(), 6);
+        assert_eq!(dyn_view.plan(), b.plan());
         assert_eq!(dyn_view.name(), "linear");
     }
 
     #[test]
     #[should_panic]
     fn empty_stage_rejected() {
-        BarrierPattern::new("bad", 3, vec![IMat::empty(3)]);
+        BarrierPattern::new("bad", 3, vec![StagePlan::from_edges(3, &[])]);
     }
 
     #[test]
     #[should_panic]
     fn wrong_dimension_rejected() {
-        BarrierPattern::new("bad", 4, vec![IMat::from_edges(3, &[(0, 1)])]);
+        BarrierPattern::new("bad", 4, vec![StagePlan::from_edges(3, &[(0, 1)])]);
     }
 
     #[test]

@@ -1,30 +1,28 @@
-//! The flat, compiled form of a staged pattern: CSR adjacency, compiled
-//! once, executed allocation-free.
+//! The one stage representation, from authoring to execution: CSR
+//! adjacency in both directions, plus the whole-pattern compiled form.
 //!
-//! The dense [`IMat`] encoding is the right *authoring* form — the §5.5
-//! algebra (transpose, knowledge products, rendering) is clearest on
-//! dense boolean matrices — but it is the wrong *execution* form: every
-//! hot loop of this workspace (the Eq. 5.4 predictor, the knowledge
+//! Every hot loop of this workspace (the Eq. 5.4 predictor, the knowledge
 //! recurrence, the Fig. 5.5 staged executor) walks "the destinations of
-//! rank i in stage s", which on a dense row is an O(P) scan, and the old
-//! `IMat::dsts` API returned a freshly allocated `Vec` per query — one
-//! allocation per rank per stage per repetition.
+//! rank i in stage s". [`StagePlan`] stores exactly that — flat index
+//! arrays plus offsets, both directions — in O(p + E) space, so a
+//! dissemination stage at p = 4096 is 64 KB where the `P×P` incidence
+//! matrix of §5.5 is 16.7 MB. Pattern builders author stages straight
+//! from edge lists ([`StagePlan::from_edges`]); nothing in production
+//! passes through a dense matrix. The thesis' matrices survive as the
+//! boolean incidence matrix of [`crate::matrix`], the oracle the property
+//! tests hold this form against, and as the 0/1 grid [`StagePlan`]'s
+//! `Display` prints for Figs. 5.2–5.4.
 //!
-//! [`StagePlan`] is one stage in compressed sparse row form (flat index
-//! arrays plus offsets, both directions), and [`CompiledPattern`] is a
-//! whole pattern compiled stage by stage, together with the derived
-//! tables the predictor needs: per-rank last-transmission stages and the
-//! §5.6.5 posted-receiver booleans. Compile once per pattern (via
+//! [`CompiledPattern`] is a whole pattern's stages together with the
+//! derived tables the predictor needs: per-rank last-transmission stages
+//! and the §5.6.5 posted-receiver booleans. Build once per pattern (via
 //! [`crate::pattern::CommPattern::plan`]), then every enumeration is a
 //! slice borrow and every posted test an indexed load.
 //!
-//! The compiled form is a pure view: it enumerates exactly the edges of
-//! the dense stages, in the same ascending order, so executors switching
-//! to it reproduce their dense-path results bit for bit (the RNG draw
-//! order of the simulator is part of that contract — see DESIGN.md).
+//! Both directions of every stage enumerate ascending; the RNG draw
+//! order of the simulator is part of that contract (see DESIGN.md).
 
-use crate::matrix::IMat;
-use crate::pattern::CommPattern;
+use std::fmt;
 
 /// Jitter multipliers the staged executor consumes per signal: the
 /// sender's `o_send`, the wire term, the receiver's `o_recv` and the
@@ -51,50 +49,9 @@ pub struct StagePlan {
 }
 
 impl StagePlan {
-    /// Compiles one dense incidence matrix into CSR form: one dense row
-    /// scan per rank (O(P²) total), with the source lists filled by
-    /// counting placement from the same pass — ascending `i` keeps every
-    /// rank's source span sorted.
-    pub fn from_imat(m: &IMat) -> StagePlan {
-        let p = m.n();
-        let edges = m.edge_count();
-        let mut dsts = Vec::with_capacity(edges);
-        let mut dsts_off = Vec::with_capacity(p + 1);
-        dsts_off.push(0);
-        let mut srcs_off = Vec::with_capacity(p + 1);
-        srcs_off.push(0);
-        for j in 0..p {
-            srcs_off.push(srcs_off[j] + m.in_degree(j));
-        }
-        let mut srcs = vec![0usize; edges];
-        let mut cursor = srcs_off[..p].to_vec();
-        for i in 0..p {
-            for j in m.dsts(i) {
-                dsts.push(j);
-                srcs[cursor[j]] = i;
-                cursor[j] += 1;
-            }
-            dsts_off.push(dsts.len());
-        }
-        StagePlan {
-            p,
-            dsts,
-            dsts_off,
-            srcs,
-            srcs_off,
-        }
-    }
-
-    /// Compiles one stage directly from an edge list — O(p + E log E)
-    /// time and O(p + E) storage, never materializing a dense incidence
-    /// matrix. This is the authoring route of the scale path: a
-    /// dissemination stage at p = 4096 is 4096 edges (64 KB of CSR)
-    /// where the dense form is a 16.7 MB boolean matrix.
-    ///
-    /// Edges are `(src, dst)` pairs; order is irrelevant, so the result
-    /// is identical to routing the same edges through
-    /// [`IMat::from_edges`] and [`StagePlan::from_imat`] — both
-    /// directions enumerate ascending, the compiled-form contract.
+    /// Builds one stage from an edge list — O(p + E log E) time and
+    /// O(p + E) storage. Edges are `(src, dst)` pairs; order is
+    /// irrelevant, both directions enumerate ascending.
     ///
     /// # Panics
     ///
@@ -175,6 +132,21 @@ impl StagePlan {
         }
     }
 
+    /// The reversed stage, every `i → j` becoming `j → i`: the release
+    /// stages of gather/release patterns are the transposed arrival
+    /// stages in reverse order (§5.5). The CSR form stores both
+    /// directions, so transposing swaps the two halves.
+    #[must_use]
+    pub fn transpose(&self) -> StagePlan {
+        StagePlan {
+            p: self.p,
+            dsts: self.srcs.clone(),
+            dsts_off: self.srcs_off.clone(),
+            srcs: self.dsts.clone(),
+            srcs_off: self.dsts_off.clone(),
+        }
+    }
+
     /// Process count.
     #[must_use]
     pub fn p(&self) -> usize {
@@ -251,6 +223,22 @@ impl StagePlan {
     }
 }
 
+/// The stage as the `P×P` 0/1 incidence grid of Figs. 5.2–5.4: row `i`,
+/// column `j` is 1 iff `i` signals `j`.
+impl fmt::Display for StagePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for i in 0..self.p {
+            let mut dsts = self.dsts(i).iter().peekable();
+            for j in 0..self.p {
+                let set = dsts.next_if(|&&d| d == j).is_some();
+                f.write_str(if set { " 1" } else { " 0" })?;
+            }
+            writeln!(f)?;
+        }
+        Ok(())
+    }
+}
+
 /// A staged pattern compiled for flat execution: per-stage CSR adjacency
 /// plus the derived tables of the §5.6.5 predictor refinements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,27 +261,9 @@ pub struct CompiledPattern {
 }
 
 impl CompiledPattern {
-    /// Compiles any staged pattern: one dense row scan per rank per
-    /// stage (O(P² · stages)) plus O(P · stages) for the derived tables.
-    /// Compilation is the cold half of compile-then-execute — done once
-    /// per pattern, off the repetition hot path.
-    pub fn compile<P: CommPattern + ?Sized>(pattern: &P) -> CompiledPattern {
-        let p = pattern.p();
-        let stages: Vec<StagePlan> = (0..pattern.stages())
-            .map(|s| {
-                let m = pattern.stage(s);
-                assert_eq!(m.n(), p, "stage {s} has wrong dimension");
-                StagePlan::from_imat(m)
-            })
-            .collect();
-        CompiledPattern::from_stages(pattern.name(), p, stages)
-    }
-
-    /// Compiles a pattern authored directly as per-stage edge lists,
-    /// bypassing the dense [`IMat`] form entirely — the authoring route
-    /// of the scale path, O(p·stages + edges) where the dense route is
-    /// O(p²·stages). Produces exactly what [`CompiledPattern::compile`]
-    /// produces for the same edges.
+    /// Compiles a pattern given as per-stage edge lists:
+    /// [`StagePlan::from_edges`] per stage, then
+    /// [`CompiledPattern::from_stages`].
     pub fn from_stage_edges(
         name: &str,
         p: usize,
@@ -307,8 +277,7 @@ impl CompiledPattern {
     }
 
     /// Assembles a compiled pattern from already-built stage plans and
-    /// derives the §5.6.5 posted/last-send tables — the shared tail of
-    /// both the dense and the sparse authoring routes.
+    /// derives the §5.6.5 posted/last-send tables.
     pub fn from_stages(name: &str, p: usize, stages: Vec<StagePlan>) -> CompiledPattern {
         for (s, stage) in stages.iter().enumerate() {
             assert_eq!(stage.p(), p, "stage {s} has wrong dimension");
@@ -426,8 +395,7 @@ impl CompiledPattern {
     }
 
     /// The last stage index before `before` in which `i` transmitted, if
-    /// any — the precomputed equivalent of
-    /// [`CommPattern::last_send_stage`]. O(1).
+    /// any — one load from the precomputed table.
     #[must_use]
     pub fn last_send_stage(&self, i: usize, before: usize) -> Option<usize> {
         let row = before.min(self.stages.len());
@@ -502,28 +470,31 @@ impl CompiledPattern {
 mod tests {
     use super::*;
     use crate::matrix::IMat;
-    use crate::pattern::BarrierPattern;
 
-    fn dissemination(p: usize) -> BarrierPattern {
-        let stages = crate::pattern::log2_ceil(p);
-        let mats = (0..stages)
-            .map(|s| {
-                let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
-            })
-            .collect();
-        BarrierPattern::new("dissemination", p, mats)
+    fn dissemination_edges(p: usize) -> Vec<Vec<(usize, usize)>> {
+        (0..crate::pattern::log2_ceil(p))
+            .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
+            .collect()
     }
 
+    fn dissemination(p: usize) -> CompiledPattern {
+        CompiledPattern::from_stage_edges("dissemination", p, &dissemination_edges(p))
+    }
+
+    /// The CSR form against the thesis' matrix form: same enumeration,
+    /// same degrees, as the dense `IMat` built from the same edges.
     #[test]
     fn csr_matches_dense_enumeration() {
-        let pat = dissemination(13);
-        let plan = CompiledPattern::compile(&pat);
+        let plan = dissemination(13);
         assert_eq!(plan.p(), 13);
-        assert_eq!(plan.stages(), pat.stages());
-        assert_eq!(plan.total_signals(), pat.total_signals());
-        for s in 0..pat.stages() {
-            let dense = pat.stage(s);
+        let edges = dissemination_edges(13);
+        assert_eq!(plan.stages(), edges.len());
+        assert_eq!(
+            plan.total_signals(),
+            edges.iter().map(Vec::len).sum::<usize>()
+        );
+        for (s, stage_edges) in edges.iter().enumerate() {
+            let dense = IMat::from_edges(13, stage_edges);
             let flat = plan.stage(s);
             assert_eq!(flat.edge_count(), dense.edge_count());
             for r in 0..13 {
@@ -535,22 +506,40 @@ mod tests {
         }
     }
 
+    /// `transpose` swaps the CSR halves: an involution, and the same
+    /// stage the dense `IMat::transpose` oracle describes.
     #[test]
-    fn last_send_table_matches_trait_scan() {
-        use crate::pattern::CommPattern;
-        let s0 = IMat::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
-        let s1 = IMat::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let pat = BarrierPattern::new("linear", 4, vec![s0, s1]);
-        let plan = pat.plan();
-        for i in 0..4 {
-            for before in 0..=3 {
-                assert_eq!(
-                    plan.last_send_stage(i, before),
-                    pat.last_send_stage(i, before),
-                    "rank {i} before {before}"
-                );
-            }
+    fn transpose_is_an_involution_and_matches_the_dense_oracle() {
+        let edges = [(1, 0), (2, 0), (3, 1), (0, 4), (4, 2), (4, 3)];
+        let stage = StagePlan::from_edges(5, &edges);
+        let t = stage.transpose();
+        assert_eq!(t.transpose(), stage);
+        let flipped: Vec<(usize, usize)> = edges.iter().map(|&(i, j)| (j, i)).collect();
+        assert_eq!(t, StagePlan::from_edges(5, &flipped));
+        let dense = IMat::from_edges(5, &edges).transpose();
+        for r in 0..5 {
+            assert_eq!(t.dsts(r), dense.dsts(r).collect::<Vec<_>>());
+            assert_eq!(t.srcs(r), dense.srcs(r).collect::<Vec<_>>());
         }
+        assert_eq!(t.to_string(), dense.to_string());
+    }
+
+    #[test]
+    fn last_send_stage_lookup() {
+        // Fig. 5.2: gather to rank 0, then release.
+        let plan = CompiledPattern::from_stage_edges(
+            "linear",
+            4,
+            &[vec![(1, 0), (2, 0), (3, 0)], vec![(0, 1), (0, 2), (0, 3)]],
+        );
+        // Rank 1 sends only in stage 0.
+        assert_eq!(plan.last_send_stage(1, 3), Some(0));
+        assert_eq!(plan.last_send_stage(1, 2), Some(0));
+        assert_eq!(plan.last_send_stage(1, 1), Some(0));
+        assert_eq!(plan.last_send_stage(1, 0), None);
+        // Rank 0 sends only in stage 1.
+        assert_eq!(plan.last_send_stage(0, 1), None);
+        assert_eq!(plan.last_send_stage(0, 2), Some(1));
     }
 
     #[test]
@@ -558,11 +547,11 @@ mod tests {
         // 3-stage pattern from the predictor's posted-receive test:
         // 1 → 0, then 2 → 1, then 1 → 0 again.
         let p = 3;
-        let s0 = IMat::from_edges(p, &[(1, 0)]);
-        let s1 = IMat::from_edges(p, &[(2, 1)]);
-        let s2 = IMat::from_edges(p, &[(1, 0)]);
-        let pat = BarrierPattern::new("posted", p, vec![s0, s1, s2]);
-        let plan = CompiledPattern::compile(&pat);
+        let plan = CompiledPattern::from_stage_edges(
+            "posted",
+            p,
+            &[vec![(1, 0)], vec![(2, 1)], vec![(1, 0)]],
+        );
         // Stage 0: nothing posted yet.
         for j in 0..p {
             assert!(!plan.is_posted(j, 0));
@@ -582,8 +571,7 @@ mod tests {
 
     #[test]
     fn jitter_draw_count_sums_entries_and_signals() {
-        let pat = dissemination(13);
-        let plan = CompiledPattern::compile(&pat);
+        let plan = dissemination(13);
         let mut want = 0;
         for s in 0..plan.stages() {
             let stage = plan.stage(s);
@@ -596,33 +584,18 @@ mod tests {
         assert_eq!(want, plan.stages() * (13 + 13 * SIGNAL_JITTER_DRAWS));
     }
 
-    /// The sparse authoring route (edge lists → CSR, no dense matrix)
-    /// produces bit-identical compiled patterns to the dense route, for
-    /// shuffled edge input.
+    /// Edge order within a stage is irrelevant: both directions come out
+    /// ascending however the builder listed the edges.
     #[test]
-    fn sparse_authoring_matches_dense_route() {
+    fn edge_order_is_irrelevant() {
         for p in [2usize, 5, 13, 24, 64] {
-            let stages = crate::pattern::log2_ceil(p);
-            let mut stage_edges: Vec<Vec<(usize, usize)>> = (0..stages)
-                .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
-                .collect();
-            // Order must not matter.
-            for edges in &mut stage_edges {
+            let mut reversed = dissemination_edges(p);
+            for edges in &mut reversed {
                 edges.reverse();
             }
-            let sparse = CompiledPattern::from_stage_edges("dissemination", p, &stage_edges);
-            let dense = CompiledPattern::compile(&dissemination(p));
-            assert_eq!(sparse, dense, "p={p}");
+            let shuffled = CompiledPattern::from_stage_edges("dissemination", p, &reversed);
+            assert_eq!(shuffled, dissemination(p), "p={p}");
         }
-        // An asymmetric tree-like shape exercises uneven degrees.
-        let edges = vec![vec![(1, 0), (2, 0), (3, 1)], vec![(0, 1), (0, 2), (0, 3)]];
-        let sparse = CompiledPattern::from_stage_edges("t", 4, &edges);
-        let mats = vec![
-            IMat::from_edges(4, &edges[0]),
-            IMat::from_edges(4, &edges[1]),
-        ];
-        let dense = CompiledPattern::compile(&BarrierPattern::new("t", 4, mats));
-        assert_eq!(sparse, dense);
     }
 
     #[test]
@@ -649,7 +622,7 @@ mod tests {
     /// equals the plan compiled directly from the translated edges.
     #[test]
     fn restrict_to_survivors_compacts_and_rederives() {
-        let plan = CompiledPattern::compile(&dissemination(8));
+        let plan = dissemination(8);
         let pruned = plan.restrict_to_survivors(&[3]);
         assert_eq!(pruned.p(), 7);
         assert_eq!(pruned.name(), "dissemination-survivors");
@@ -701,7 +674,7 @@ mod tests {
     /// over the survivors; crashing every rank panics.
     #[test]
     fn restrict_to_survivors_degenerate_cases() {
-        let plan = CompiledPattern::compile(&dissemination(4));
+        let plan = dissemination(4);
         let lonely = plan.restrict_to_survivors(&[0, 1, 2]);
         assert_eq!(lonely.p(), 1);
         assert_eq!(lonely.stages(), 0);
@@ -714,12 +687,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "every rank crashed")]
     fn restrict_to_survivors_rejects_total_loss() {
-        let plan = CompiledPattern::compile(&dissemination(2));
+        let plan = dissemination(2);
         let _ = plan.restrict_to_survivors(&[0, 1]);
     }
 
     #[test]
     fn zero_stage_pattern_compiles() {
+        use crate::pattern::CommPattern;
         struct Degenerate;
         impl CommPattern for Degenerate {
             fn name(&self) -> &str {
@@ -731,11 +705,11 @@ mod tests {
             fn stages(&self) -> usize {
                 0
             }
-            fn stage(&self, _: usize) -> &IMat {
+            fn stage(&self, _: usize) -> &StagePlan {
                 unreachable!("no stages")
             }
         }
-        let plan = CompiledPattern::compile(&Degenerate);
+        let plan = Degenerate.plan();
         assert_eq!(plan.stages(), 0);
         assert_eq!(plan.total_signals(), 0);
         assert_eq!(plan.last_send_stage(0, 0), None);

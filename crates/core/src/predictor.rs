@@ -1,8 +1,9 @@
 //! Critical-path barrier cost prediction (§5.6.5, Fig. 6.2, §6.5).
 //!
-//! Given a barrier pattern and matrices of benchmarked platform parameters,
-//! the predictor computes the worst path through the layered dependency
-//! graph. The cost a process adds to every path through its stage is
+//! Given a staged pattern and a [`CostModel`] of benchmarked platform
+//! parameters — the dense [`CommCosts`] matrices, or a class-level model
+//! whose storage is independent of p — the predictor computes the worst
+//! path through the layered dependency graph. The cost a process adds to every path through its stage is
 //! Eq. 5.4 extended with the Ch. 6.5 payload term:
 //!
 //! ```text
@@ -72,11 +73,12 @@ impl CommCosts {
 }
 
 /// The point-to-point cost queries the predictor reads, abstracted over
-/// storage. [`CommCosts`] answers them from dense benchmarked matrices —
-/// O(p²) floats, the right form when every pair was measured. Scale
-/// callers answer them from a few per-link-class parameters plus the
-/// O(ranks) placement hierarchy (see `hpm-simnet`'s `ClassCosts`), so a
-/// p = 4096 prediction never materializes a 16.7M-entry matrix.
+/// storage — every predictor entry point takes any implementor.
+/// [`CommCosts`] answers them from dense benchmarked matrices — O(p²)
+/// floats, the right form when every pair was measured. Scale callers
+/// answer them from a few per-link-class parameters plus the O(ranks)
+/// placement hierarchy (see `hpm-simnet`'s `ClassCosts`), so a p = 4096
+/// prediction never materializes a 16.7M-entry matrix.
 pub trait CostModel {
     /// Process count the model covers.
     fn p(&self) -> usize;
@@ -212,34 +214,23 @@ fn stage_cost<C: CostModel + ?Sized>(
 ///
 /// Works on any [`CommPattern`] — barriers and collectives alike; the name
 /// keeps the thesis' framing (the predictor was introduced for barriers,
-/// §5.6.5) while the machinery is pattern-agnostic. Compiles the pattern
-/// and delegates to [`predict_compiled`]; callers predicting the same
-/// pattern repeatedly (the greedy construction of Ch. 7, parameter
-/// sweeps) should compile once themselves.
-pub fn predict_barrier<P: CommPattern + ?Sized>(
+/// §5.6.5) while the machinery is pattern-agnostic. Builds the pattern's
+/// plan and delegates to [`predict_compiled_with`]; callers predicting the
+/// same pattern repeatedly (parameter sweeps) should build the plan once
+/// themselves.
+pub fn predict_barrier<P: CommPattern + ?Sized, C: CostModel + ?Sized>(
     pattern: &P,
-    costs: &CommCosts,
+    costs: &C,
     payload: &PayloadSchedule,
 ) -> BarrierPrediction {
-    predict_compiled(&pattern.plan(), costs, payload)
+    predict_compiled_with(&pattern.plan(), costs, payload)
 }
 
-/// [`predict_barrier`] over an already-compiled pattern: the whole
-/// forward dynamic program runs on CSR slices and O(1) posted lookups,
-/// allocating only the prediction it returns.
-pub fn predict_compiled(
-    plan: &CompiledPattern,
-    costs: &CommCosts,
-    payload: &PayloadSchedule,
-) -> BarrierPrediction {
-    predict_compiled_with(plan, costs, payload)
-}
-
-/// [`predict_compiled`] over any [`CostModel`] — the entry point for
-/// class-level cost models, whose storage is independent of p. The DP
-/// itself is O(p·stages + edges) in time and O(p·stages) in its returned
-/// tables, so with a class-level model the whole prediction is free of
-/// pairwise-dense anything.
+/// The forward dynamic program over a compiled pattern and any
+/// [`CostModel`]: CSR slices and O(1) posted lookups, allocating only
+/// the prediction it returns — O(p·stages + edges) in time and
+/// O(p·stages) in its tables, so with a class-level model the whole
+/// prediction is free of pairwise-dense anything.
 pub fn predict_compiled_with<C: CostModel + ?Sized>(
     plan: &CompiledPattern,
     costs: &C,
@@ -288,28 +279,24 @@ pub fn predict_compiled_with<C: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::IMat;
     use crate::pattern::BarrierPattern;
+    use crate::plan::StagePlan;
 
     fn linear(p: usize) -> BarrierPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
-        let release: Vec<(usize, usize)> = (1..p).map(|i| (0, i)).collect();
-        BarrierPattern::new(
-            "linear",
-            p,
-            vec![IMat::from_edges(p, &gather), IMat::from_edges(p, &release)],
-        )
+        let gather = StagePlan::from_edges(p, &gather);
+        let release = gather.transpose();
+        BarrierPattern::new("linear", p, vec![gather, release])
     }
 
     fn dissemination(p: usize) -> BarrierPattern {
-        let stages = (p as f64).log2().ceil() as usize;
-        let mats = (0..stages)
+        let stages = (0..crate::pattern::log2_ceil(p))
             .map(|s| {
                 let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
-                IMat::from_edges(p, &edges)
+                StagePlan::from_edges(p, &edges)
             })
             .collect();
-        BarrierPattern::new("dissemination", p, mats)
+        BarrierPattern::new("dissemination", p, stages)
     }
 
     #[test]
@@ -371,9 +358,9 @@ mod tests {
         // non-empty; 1 → 0 again in stage 2. By stage 2, rank 0 has been
         // idle since before stage 1, so rank 1's max term uses O_00 < O_10.
         let p = 3;
-        let s0 = IMat::from_edges(p, &[(1, 0)]);
-        let s1 = IMat::from_edges(p, &[(2, 1)]);
-        let s2 = IMat::from_edges(p, &[(1, 0)]);
+        let s0 = StagePlan::from_edges(p, &[(1, 0)]);
+        let s1 = StagePlan::from_edges(p, &[(2, 1)]);
+        let s2 = StagePlan::from_edges(p, &[(1, 0)]);
         let pat = BarrierPattern::new("posted", p, vec![s0, s1, s2]);
         let costs = CommCosts::uniform(p, 1e-7, 8e-7, 1e-6);
         let pred = predict_barrier(&pat, &costs, &PayloadSchedule::none());
@@ -457,8 +444,8 @@ mod tests {
         predict_barrier(&linear(8), &costs, &PayloadSchedule::none());
     }
 
-    /// A plan compiled once and reused across cost matrices yields the
-    /// exact numbers the per-call compiling entry point produces.
+    /// A plan built once and reused across cost matrices yields the
+    /// exact numbers the per-call entry point produces.
     #[test]
     fn reused_plan_matches_fresh_compilation() {
         let pat = dissemination(24);
@@ -467,7 +454,7 @@ mod tests {
             let o = 1e-7 * (seed + 1) as f64;
             let costs = CommCosts::uniform(24, o, 5.0 * o, 1e-6);
             let fresh = predict_barrier(&pat, &costs, &PayloadSchedule::none());
-            let reused = predict_compiled(&plan, &costs, &PayloadSchedule::none());
+            let reused = predict_compiled_with(&plan, &costs, &PayloadSchedule::none());
             assert_eq!(fresh.total, reused.total);
             assert_eq!(fresh.entry, reused.entry);
             assert_eq!(fresh.stage_cost, reused.stage_cost);

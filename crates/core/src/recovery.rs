@@ -26,6 +26,7 @@
 //! run in the negative.
 
 use crate::knowledge::{KnowledgeGoal, VerifyScratch};
+use crate::pattern::log2_ceil;
 use crate::plan::CompiledPattern;
 
 /// Translates a knowledge goal into the compacted survivor rank space:
@@ -86,12 +87,12 @@ pub fn repair_plan(p: usize, goal: KnowledgeGoal, crashed: &[usize]) -> Option<C
         KnowledgeGoal::RootReaches(_) => "repair-binomial-broadcast",
     };
     let plan = CompiledPattern::from_stage_edges(name, np, &stage_edges);
-    let mut scratch = VerifyScratch::new();
+    let attained = VerifyScratch::new().verify(&plan).satisfies(goal);
     debug_assert!(
-        scratch.verify(&plan).satisfies(goal),
+        attained,
         "synthesized repair plan must attain its goal by construction"
     );
-    scratch.verify(&plan).satisfies(goal).then_some(plan)
+    attained.then_some(plan)
 }
 
 fn dead_mask(p: usize, crashed: &[usize]) -> Vec<bool> {
@@ -101,15 +102,6 @@ fn dead_mask(p: usize, crashed: &[usize]) -> Vec<bool> {
         dead[r] = true;
     }
     dead
-}
-
-/// ⌈log₂ p⌉ for p ≥ 1 by bit scan (0 stages at p = 1).
-fn log2_ceil(p: usize) -> usize {
-    let mut stages = 0;
-    while (1usize << stages) < p {
-        stages += 1;
-    }
-    stages
 }
 
 /// The classic dissemination stages `i → (i + 2^s) mod p`.
@@ -168,9 +160,13 @@ mod tests {
         let plan = repair_plan(6, KnowledgeGoal::RootGathers(4), &[0, 2]).expect("recoverable");
         assert_eq!(plan.p(), 4);
         let mut scratch = VerifyScratch::new();
-        assert!(scratch.verify(&plan).root_gathers(2));
+        assert!(scratch
+            .verify(&plan)
+            .satisfies(KnowledgeGoal::RootGathers(2)));
         let bcast = repair_plan(6, KnowledgeGoal::RootReaches(4), &[0, 2]).expect("recoverable");
-        assert!(scratch.verify(&bcast).root_reaches(2));
+        assert!(scratch
+            .verify(&bcast)
+            .satisfies(KnowledgeGoal::RootReaches(2)));
         // A binomial tree moves exactly p' − 1 signals.
         assert_eq!(bcast.total_signals(), 3);
     }

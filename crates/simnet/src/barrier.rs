@@ -385,19 +385,16 @@ mod tests {
     use super::*;
     use crate::fixtures::dissemination;
     use crate::params::xeon_cluster_params;
-    use hpm_core::matrix::IMat;
     use hpm_core::pattern::BarrierPattern;
+    use hpm_core::plan::StagePlan;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
     fn linear(p: usize) -> BarrierPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
-        let release: Vec<(usize, usize)> = (1..p).map(|i| (0, i)).collect();
-        BarrierPattern::new(
-            "linear",
-            p,
-            vec![IMat::from_edges(p, &gather), IMat::from_edges(p, &release)],
-        )
+        let gather = StagePlan::from_edges(p, &gather);
+        let release = gather.transpose();
+        BarrierPattern::new("linear", p, vec![gather, release])
     }
 
     #[test]

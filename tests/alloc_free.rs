@@ -161,16 +161,16 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     assert_eq!(few, many, "allocations grew with the batch count");
     assert!(few <= 6, "{few} allocations per measure_compiled call");
 
-    // The knowledge verifier through caller-owned scratch: after one
-    // warmup sizes the three p×p tables, repeated verification loops —
-    // including across the two pattern shapes — stay off the heap
-    // entirely (queries through the borrowing view included).
+    // The knowledge verifier: after one warmup sizes its two bit tables,
+    // repeated verification loops — including across the two pattern
+    // shapes — stay off the heap entirely (goal queries included).
     let plans = [
         dissemination(64).plan(),
         binary_tree(64).plan(),
         dissemination(48).plan(),
     ];
-    let mut scratch = hpm::model::knowledge::VerifyScratch::new();
+    use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
+    let mut scratch = VerifyScratch::new();
     assert!(scratch.verify(&plans[0]).synchronizes());
     let mut min_delta = usize::MAX;
     for _ in 0..8 {
@@ -179,7 +179,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         for _ in 0..8 {
             for plan in &plans {
                 let view = scratch.verify(plan);
-                if view.synchronizes() && view.root_gathers(0) {
+                if view.synchronizes() && view.satisfies(KnowledgeGoal::RootGathers(0)) {
                     synced += 1;
                 }
             }

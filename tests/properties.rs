@@ -12,6 +12,7 @@ use hpm::model::compute::{imbalance, superstep_times};
 use hpm::model::knowledge::verify_synchronizes;
 use hpm::model::matrix::DMat;
 use hpm::model::pattern::CommPattern;
+use hpm::model::plan::CompiledPattern;
 use hpm::model::predictor::{predict_barrier, CommCosts, PayloadSchedule};
 use hpm::model::superstep::SuperstepModel;
 use hpm::simnet::params::xeon_cluster_params;
@@ -20,6 +21,114 @@ use hpm::stats::regression::LinearFit;
 use hpm::stencil::decomp::Decomposition;
 use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
 use proptest::prelude::*;
+
+/// A random staged pattern — `n_stages` stages of up to `2p` random
+/// non-self edges, duplicate draws dropped — built through
+/// `StagePlan::from_edges` without the barrier constructors' validation,
+/// so degenerate shapes (p = 1, zero stages, idle ranks, empty stages)
+/// are covered too. Returns the plan and the edge lists it was built from.
+fn random_staged_pattern(
+    p: usize,
+    n_stages: usize,
+    seed: u64,
+) -> (CompiledPattern, Vec<Vec<(usize, usize)>>) {
+    // SplitMix64: no extra dev-dependency needed for edge sampling.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    };
+    // p = 1 admits no edges at all (self-sends are rejected).
+    let n_stages = if p == 1 { 0 } else { n_stages };
+    let stage_edges: Vec<Vec<(usize, usize)>> = (0..n_stages)
+        .map(|_| {
+            let draws = 1 + (next() as usize) % (2 * p);
+            let mut edges: Vec<(usize, usize)> = (0..draws)
+                .map(|_| ((next() as usize) % p, (next() as usize) % p))
+                .filter(|&(i, j)| i != j)
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            edges
+        })
+        .collect();
+    let plan = CompiledPattern::from_stage_edges("random", p, &stage_edges);
+    (plan, stage_edges)
+}
+
+/// Eqs. 5.1–5.2 as the thesis writes them — `K ← K + K·S` from `K = I`
+/// on dense matrices, `K(j, i)` counting the paths that inform `i` of
+/// `j`'s arrival — held against the production bitset recurrence: every
+/// pair agrees on "known", and `satisfies`/`missing` agree with the
+/// oracle filtered by `required_pairs`, for all four goals.
+fn check_knowledge_against_oracle(
+    p: usize,
+    n_stages: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
+    use hpm::model::matrix::IMat;
+
+    let (plan, stage_edges) = random_staged_pattern(p, n_stages, seed);
+    let mut k = DMat::identity(p);
+    for edges in &stage_edges {
+        let s = IMat::from_edges(p, edges).to_dmat();
+        k = k.add(&k.matmul(&s));
+    }
+    let oracle_knows = |i: usize, j: usize| k.get(j, i) > 0.0;
+
+    let mut scratch = VerifyScratch::new();
+    let view = scratch.verify(&plan);
+    for i in 0..p {
+        for j in 0..p {
+            prop_assert_eq!(
+                view.knows(i, j),
+                oracle_knows(i, j),
+                "p={} ({}, {})",
+                p,
+                i,
+                j
+            );
+        }
+    }
+    let root = seed as usize % p;
+    for goal in [
+        KnowledgeGoal::AllToAll,
+        KnowledgeGoal::RootGathers(root),
+        KnowledgeGoal::RootReaches(root),
+        KnowledgeGoal::Prefix,
+    ] {
+        let want: Vec<(usize, usize)> = goal
+            .required_pairs(p)
+            .filter(|&(i, j)| !oracle_knows(i, j))
+            .collect();
+        prop_assert_eq!(
+            view.missing(goal).collect::<Vec<_>>(),
+            &want[..],
+            "p={} {:?}",
+            p,
+            goal
+        );
+        prop_assert_eq!(view.satisfies(goal), want.is_empty(), "p={} {:?}", p, goal);
+    }
+    Ok(())
+}
+
+/// The word boundaries of the bit tables, every time: rows of exactly
+/// one or two words, one bit short of them, and one bit past them.
+#[test]
+fn bitset_knowledge_matches_the_matrix_recurrence_at_word_boundaries() {
+    for p in [63usize, 64, 65, 127, 128, 129] {
+        for (n_stages, seed) in [(0usize, 1u64), (1, 2), (4, 3), (6, 4), (9, 5)] {
+            if let Err(e) = check_knowledge_against_oracle(p, n_stages, seed) {
+                panic!("p={p} stages={n_stages} seed={seed}: {e:?}");
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -40,28 +149,29 @@ proptest! {
     fn kary_trees_synchronize(p in 2usize..40, d in 1usize..6) {
         let b = kary_tree(p, d);
         prop_assert!(verify_synchronizes(&b).synchronizes());
-        prop_assert_eq!(b.total_signals(), 2 * (p - 1));
+        prop_assert_eq!(b.plan().total_signals(), 2 * (p - 1));
     }
 
     /// Dropping the final stage of a dissemination barrier (p > 2) must
     /// break synchronization — the stage count is tight.
     #[test]
     fn dissemination_stage_count_is_tight(p in 3usize..33) {
-        use hpm::model::matrix::IMat;
         use hpm::model::pattern::BarrierPattern;
+        use hpm::model::plan::StagePlan;
         let full = dissemination(p);
         if full.stages() >= 2 {
-            let stages: Vec<IMat> =
+            let stages: Vec<StagePlan> =
                 (0..full.stages() - 1).map(|s| full.stage(s).clone()).collect();
             let truncated = BarrierPattern::new("short", p, stages);
             prop_assert!(!verify_synchronizes(&truncated).synchronizes());
         }
     }
 
-    /// The flat compiled form is a faithful view of the dense encoding:
-    /// on random patterns, CSR `dsts`/`srcs` enumeration, degrees, the
-    /// precomputed last-send table and the §5.6.5 posted booleans all
-    /// equal their dense-`IMat` derivations.
+    /// The sparse stage form is a faithful view of the thesis' matrix
+    /// encoding: on random patterns, CSR `dsts`/`srcs` enumeration and
+    /// degrees equal the dense-`IMat` iterators over the same edges, and
+    /// the precomputed last-send table and §5.6.5 posted booleans equal
+    /// their reference definitions.
     #[test]
     fn compiled_plan_matches_dense_pattern(
         p in 1usize..64,
@@ -69,63 +179,18 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         use hpm::model::matrix::IMat;
-        use hpm::model::plan::CompiledPattern;
 
-        /// A raw staged pattern without the barrier constructors'
-        /// non-empty-stage validation, so degenerate shapes (p = 1,
-        /// zero stages, idle ranks) are covered too.
-        struct RandomPattern {
-            p: usize,
-            stages: Vec<IMat>,
-        }
-        impl CommPattern for RandomPattern {
-            fn name(&self) -> &str {
-                "random"
-            }
-            fn p(&self) -> usize {
-                self.p
-            }
-            fn stages(&self) -> usize {
-                self.stages.len()
-            }
-            fn stage(&self, k: usize) -> &hpm::model::matrix::IMat {
-                &self.stages[k]
-            }
-        }
-
-        // SplitMix64: no extra dev-dependency needed for edge sampling.
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        // p = 1 admits no edges at all (self-loops are rejected).
-        let n_stages = if p == 1 { 0 } else { n_stages };
-        let stages: Vec<IMat> = (0..n_stages)
-            .map(|_| {
-                let mut m = IMat::empty(p);
-                let edges = 1 + (next() as usize) % (2 * p);
-                for _ in 0..edges {
-                    let i = (next() as usize) % p;
-                    let j = (next() as usize) % p;
-                    if i != j {
-                        m.insert(i, j);
-                    }
-                }
-                m
-            })
-            .collect();
-        let pat = RandomPattern { p, stages };
-        let plan = CompiledPattern::compile(&pat);
+        let (plan, stage_edges) = random_staged_pattern(p, n_stages, seed);
+        // The dense oracle: the same edges, through `IMat`.
+        let dense: Vec<IMat> = stage_edges.iter().map(|e| IMat::from_edges(p, e)).collect();
 
         prop_assert_eq!(plan.p(), p);
-        prop_assert_eq!(plan.stages(), pat.stages());
-        prop_assert_eq!(plan.total_signals(), pat.total_signals());
-        for s in 0..pat.stages() {
-            let dense = pat.stage(s);
+        prop_assert_eq!(plan.stages(), dense.len());
+        prop_assert_eq!(
+            plan.total_signals(),
+            dense.iter().map(IMat::edge_count).sum::<usize>()
+        );
+        for (s, dense) in dense.iter().enumerate() {
             let flat = plan.stage(s);
             prop_assert_eq!(flat.edge_count(), dense.edge_count());
             for r in 0..p {
@@ -134,25 +199,46 @@ proptest! {
                 prop_assert_eq!(flat.out_degree(r), dense.out_degree(r));
                 prop_assert_eq!(flat.in_degree(r), dense.in_degree(r));
             }
+            // Transposition swaps the CSR halves: an involution that
+            // agrees with the dense transpose, as does the printed grid.
+            let t = flat.transpose();
+            prop_assert_eq!(&t.transpose(), flat);
+            prop_assert_eq!(t.to_string(), dense.transpose().to_string());
+            prop_assert_eq!(flat.to_string(), dense.to_string());
         }
+        // Reference definition of the last transmission before a stage.
+        let last_send = |i: usize, before: usize| {
+            (0..before.min(dense.len())).rev().find(|&k| dense[k].out_degree(i) > 0)
+        };
         for i in 0..p {
-            for before in 0..=pat.stages() + 1 {
+            for before in 0..=dense.len() + 1 {
                 prop_assert_eq!(
                     plan.last_send_stage(i, before),
-                    pat.last_send_stage(i, before),
+                    last_send(i, before),
                     "rank {} before {}", i, before
                 );
             }
             // Reference definition of the §5.6.5 posted test.
-            for s in 0..pat.stages() {
+            for s in 0..dense.len() {
                 let reference = s > 0
-                    && match pat.last_send_stage(i, s) {
+                    && match last_send(i, s) {
                         None => true,
                         Some(k) => k + 1 < s,
                     };
                 prop_assert_eq!(plan.is_posted(i, s), reference, "rank {} stage {}", i, s);
             }
         }
+    }
+
+    /// The bitset verifier against Eqs. 5.1–5.2 in the thesis' own
+    /// algebra, on random patterns at any p up to 130.
+    #[test]
+    fn bitset_knowledge_matches_the_matrix_recurrence(
+        p in 1usize..131,
+        n_stages in 0usize..7,
+        seed in 0u64..1_000_000,
+    ) {
+        check_knowledge_against_oracle(p, n_stages, seed)?;
     }
 
     /// Barrier prediction is monotone in latency: scaling all pairwise

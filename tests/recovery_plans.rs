@@ -5,7 +5,6 @@
 use hpm::analyze::{analyze, analyze_with_goal, Analyzer, Severity};
 use hpm::barriers::patterns::{binary_tree, dissemination, linear, ring};
 use hpm::model::knowledge::KnowledgeGoal;
-use hpm::model::matrix::IMat;
 use hpm::model::pattern::CommPattern;
 use hpm::model::plan::CompiledPattern;
 use hpm::model::recovery::{remap_goal, repair_plan};
@@ -22,42 +21,27 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// A random staged pattern: `n_stages` stages of up to `2p` random
-/// non-self edges each (duplicates collapse in the dense matrix).
+/// non-self edges each (duplicate draws are dropped here — the stage
+/// builder rejects them).
 fn random_plan(p: usize, n_stages: usize, seed: u64) -> CompiledPattern {
-    struct RandomPattern {
-        p: usize,
-        stages: Vec<IMat>,
-    }
-    impl CommPattern for RandomPattern {
-        fn name(&self) -> &str {
-            "random"
-        }
-        fn p(&self) -> usize {
-            self.p
-        }
-        fn stages(&self) -> usize {
-            self.stages.len()
-        }
-        fn stage(&self, k: usize) -> &IMat {
-            &self.stages[k]
-        }
-    }
     let mut state = seed;
-    let stages: Vec<IMat> = (0..n_stages)
+    let stage_edges: Vec<Vec<(usize, usize)>> = (0..n_stages)
         .map(|_| {
-            let mut m = IMat::empty(p);
-            let edges = 1 + (splitmix(&mut state) as usize) % (2 * p);
-            for _ in 0..edges {
-                let i = (splitmix(&mut state) as usize) % p;
-                let j = (splitmix(&mut state) as usize) % p;
-                if i != j {
-                    m.insert(i, j);
-                }
-            }
-            m
+            let draws = 1 + (splitmix(&mut state) as usize) % (2 * p);
+            let mut edges: Vec<(usize, usize)> = (0..draws)
+                .map(|_| {
+                    let i = (splitmix(&mut state) as usize) % p;
+                    let j = (splitmix(&mut state) as usize) % p;
+                    (i, j)
+                })
+                .filter(|&(i, j)| i != j)
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            edges
         })
         .collect();
-    CompiledPattern::compile(&RandomPattern { p, stages })
+    CompiledPattern::from_stage_edges("random", p, &stage_edges)
 }
 
 /// A random proper subset of `0..p` with `k` members.
