@@ -7,18 +7,18 @@
 //! scatter-allgather), reduce, allreduce, prefix scan, gather and total
 //! exchange — each in two coupled forms:
 //!
-//! * **a matrix cost pattern** ([`pattern`]): stage incidence matrices
-//!   plus a per-stage payload schedule (the Ch. 6.5 extension), flowing
-//!   through the same knowledge-matrix verification
-//!   (`hpm_core::knowledge`, generalized to *rooted* goals), Eq. 5.4
-//!   critical-path prediction ([`predict`]) and staged simulation as the
-//!   barrier patterns do;
+//! * **a staged cost pattern** ([`pattern`]): the thesis' stage incidence
+//!   matrices, held as sparse edge-list stages, plus a per-stage payload
+//!   schedule (the Ch. 6.5 extension), flowing through the same knowledge
+//!   verification (`hpm_core::knowledge`, generalized to *rooted* goals),
+//!   Eq. 5.4 critical-path prediction ([`predict`]) and staged simulation
+//!   as the barrier patterns do;
 //! * **an executable SPMD implementation** ([`exec`]): BSPlib supersteps
 //!   over [`hpm_bsplib::BspCtx`] that move real `f64` payload through the
 //!   simulated cluster and produce numerically checkable results.
 //!
 //! The pairing is the point: the executable form establishes that the
-//! algorithm computes the right answer on the runtime, while the matrix
+//! algorithm computes the right answer on the runtime, while the pattern
 //! form gives the closed-form heterogeneous prediction of what it costs —
 //! and the predict-vs-sim test suite holds the two against each other
 //! across homogeneous, heterogeneous-rate and multi-cluster topologies.
