@@ -96,15 +96,7 @@ pub fn ring(p: usize) -> BarrierPattern {
 /// — the maximum-concurrency extremity (§5.6.6).
 pub fn all_to_all(p: usize) -> BarrierPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
-    let mut edges = Vec::with_capacity(p * (p - 1));
-    for i in 0..p {
-        for j in 0..p {
-            if i != j {
-                edges.push((i, j));
-            }
-        }
-    }
-    BarrierPattern::new("all-to-all", p, vec![StagePlan::from_edges(p, &edges)])
+    BarrierPattern::new("all-to-all", p, vec![StagePlan::complete(p)])
 }
 
 #[cfg(test)]

@@ -108,13 +108,6 @@ fn phys(vr: usize, root: usize, p: usize) -> usize {
     (vr + root) % p
 }
 
-/// Every ordered pair `(i, j)`, `i ≠ j` — the complete exchange stage.
-fn all_pairs(p: usize) -> Vec<(usize, usize)> {
-    (0..p)
-        .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
-        .collect()
-}
-
 fn stage_from_virtual_edges(p: usize, root: usize, edges: &[(usize, usize)]) -> StagePlan {
     let mapped: Vec<(usize, usize)> = edges
         .iter()
@@ -197,7 +190,7 @@ pub fn broadcast_two_phase(p: usize, root: usize, bytes: u64) -> CollectivePatte
         p,
         vec![
             stage_from_virtual_edges(p, root, &scatter),
-            StagePlan::from_edges(p, &all_pairs(p)),
+            StagePlan::complete(p),
         ],
         PayloadSchedule::from_bytes(vec![chunk, chunk]),
         KnowledgeGoal::RootReaches(root),
@@ -309,7 +302,7 @@ pub fn total_exchange(p: usize, bytes: u64) -> CollectivePattern {
         (Vec::new(), PayloadSchedule::none())
     } else {
         (
-            vec![StagePlan::from_edges(p, &all_pairs(p))],
+            vec![StagePlan::complete(p)],
             PayloadSchedule::from_bytes(vec![bytes]),
         )
     };

@@ -150,12 +150,13 @@ impl VerifyScratch {
     /// testing p² bits.
     #[must_use]
     pub fn satisfies(&self, goal: KnowledgeGoal) -> bool {
-        if goal != KnowledgeGoal::AllToAll || self.p == 0 {
+        if goal != KnowledgeGoal::AllToAll {
             return self.missing(goal).next().is_none();
         }
         let last = u64::MAX >> ((64 - self.p % 64) % 64);
-        self.known.chunks_exact(self.words).all(|row| {
-            let (tail, full) = row.split_last().expect("p > 0 rows hold a word");
+        // `max(1)`: a scratch that has verified nothing holds no rows.
+        self.known.chunks_exact(self.words.max(1)).all(|row| {
+            let (tail, full) = row.split_last().expect("rows hold a word");
             *tail == last && full.iter().all(|&w| w == u64::MAX)
         })
     }
@@ -190,14 +191,14 @@ mod tests {
 
     /// The first `stages` stages of the dissemination barrier.
     fn dissemination_stages(p: usize, stages: usize) -> Vec<Vec<(usize, usize)>> {
-        (0..stages)
-            .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
-            .collect()
+        let mut edges = crate::recovery::dissemination_edges(p);
+        edges.truncate(stages);
+        edges
     }
 
     fn dissemination(p: usize) -> CompiledPattern {
-        let stages = crate::pattern::log2_ceil(p);
-        CompiledPattern::from_stage_edges("dissemination", p, &dissemination_stages(p, stages))
+        let edges = crate::recovery::dissemination_edges(p);
+        CompiledPattern::from_stage_edges("dissemination", p, &edges)
     }
 
     fn single_stage(name: &str, p: usize, edges: &[(usize, usize)]) -> BarrierPattern {

@@ -110,6 +110,16 @@ impl StagePlan {
         }
     }
 
+    /// The complete exchange among `p` ranks: every ordered pair `i ≠ j`
+    /// signals at once — the all-to-all barrier, the allgather phase, the
+    /// total exchange.
+    pub fn complete(p: usize) -> StagePlan {
+        let edges: Vec<(usize, usize)> = (0..p)
+            .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        StagePlan::from_edges(p, &edges)
+    }
+
     /// Assembles a stage from raw CSR parts, **unvalidated** — the
     /// adversarial-input route for the static analyzer's tests and the
     /// escape hatch pattern synthesis will use. Nothing checks that the
@@ -228,9 +238,8 @@ impl StagePlan {
 impl fmt::Display for StagePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.p {
-            let mut dsts = self.dsts(i).iter().peekable();
             for j in 0..self.p {
-                let set = dsts.next_if(|&&d| d == j).is_some();
+                let set = self.dsts(i).contains(&j);
                 f.write_str(if set { " 1" } else { " 0" })?;
             }
             writeln!(f)?;
@@ -470,12 +479,7 @@ impl CompiledPattern {
 mod tests {
     use super::*;
     use crate::matrix::IMat;
-
-    fn dissemination_edges(p: usize) -> Vec<Vec<(usize, usize)>> {
-        (0..crate::pattern::log2_ceil(p))
-            .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
-            .collect()
-    }
+    use crate::recovery::dissemination_edges;
 
     fn dissemination(p: usize) -> CompiledPattern {
         CompiledPattern::from_stage_edges("dissemination", p, &dissemination_edges(p))

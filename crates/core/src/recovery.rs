@@ -105,7 +105,7 @@ fn dead_mask(p: usize, crashed: &[usize]) -> Vec<bool> {
 }
 
 /// The classic dissemination stages `i → (i + 2^s) mod p`.
-fn dissemination_edges(p: usize) -> Vec<Vec<(usize, usize)>> {
+pub(crate) fn dissemination_edges(p: usize) -> Vec<Vec<(usize, usize)>> {
     (0..log2_ceil(p))
         .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
         .collect()
