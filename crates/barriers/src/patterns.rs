@@ -11,7 +11,7 @@
 //! discusses them as the boundary cases where prediction quality
 //! degrades.
 
-use hpm_core::pattern::{log2_ceil, BarrierPattern, CommPattern};
+use hpm_core::pattern::{log2_ceil, BarrierPattern};
 use hpm_core::plan::{CompiledPattern, StagePlan};
 
 /// The linear barrier (Fig. 5.2): every process signals `root`, then
@@ -38,10 +38,10 @@ pub fn dissemination(p: usize) -> BarrierPattern {
     BarrierPattern::new("dissemination", p, stages)
 }
 
-/// The dissemination barrier's execution form, `dissemination(p).plan()`
-/// — the scale runs' entry point (64 KB of CSR per stage at p = 4096).
+/// The dissemination barrier's execution form — the scale runs' entry
+/// point (64 KB of CSR per stage at p = 4096).
 pub fn dissemination_plan(p: usize) -> CompiledPattern {
-    dissemination(p).plan()
+    dissemination(p).into_plan()
 }
 
 /// A k-ary tree barrier rooted at rank 0 with heap indexing
@@ -103,6 +103,7 @@ pub fn all_to_all(p: usize) -> BarrierPattern {
 mod tests {
     use super::*;
     use hpm_core::knowledge::verify_synchronizes;
+    use hpm_core::pattern::CommPattern;
 
     #[test]
     fn all_builders_synchronize_across_process_counts() {

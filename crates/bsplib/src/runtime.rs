@@ -355,14 +355,17 @@ pub fn run_spmd<P: BspProgram>(
     let mut mems: Vec<ProcMem> = (0..p).map(|_| ProcMem::default()).collect();
     let mut clocks = vec![0.0f64; p];
     let mut rng = derive_rng(cfg.seed, 0xB5F);
-    // The sync pattern is compiled once into CSR form and every
-    // superstep's barrier runs over reused scratch. A shrink rebuilds
+    // The sync pattern becomes its execution form once (its stages move
+    // into the plan) and every superstep's barrier runs over reused
+    // scratch. A shrink rebuilds
     // everything sized or shaped by the process count: the placement,
     // the network, the compiled sync and its scratch.
     let build_sync = |n: usize| {
-        use hpm_core::pattern::CommPattern;
         let (pat, payload) = cfg.sync.build(n);
-        (pat.as_ref().map(|pat| pat.plan()), payload)
+        (
+            pat.map(hpm_core::pattern::BarrierPattern::into_plan),
+            payload,
+        )
     };
     let mut placement = cfg.placement.clone();
     let mut net = NetState::new(&placement);

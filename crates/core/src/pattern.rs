@@ -104,6 +104,13 @@ impl BarrierPattern {
             stages,
         }
     }
+
+    /// The execution form of a pattern that is built only to be run: the
+    /// stages move into the plan instead of being cloned as
+    /// [`CommPattern::plan`] must.
+    pub fn into_plan(self) -> CompiledPattern {
+        CompiledPattern::from_stages(&self.name, self.p, self.stages)
+    }
 }
 
 impl CommPattern for BarrierPattern {
@@ -167,6 +174,7 @@ mod tests {
         assert_eq!(dyn_view.p(), 4);
         assert_eq!(dyn_view.stages(), 2);
         assert_eq!(dyn_view.plan(), b.plan());
+        assert_eq!(b.clone().into_plan(), b.plan());
         assert_eq!(dyn_view.name(), "linear");
     }
 
