@@ -419,16 +419,23 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // experiments that move real payload through `run_spmd` (collectives
     // and the BSP/MPI stencils), so their bytes pin the runtime's `elapse`
     // sequence end to end. `fig5_2` rides along since PR 16: its text file
-    // is the one consumer of `CommPattern::render`.
+    // is the one consumer of `CommPattern::render`. `fig6_4`, `table7_1`
+    // and `fig7_6` ride along since PR 19: one artifact per sweep family
+    // that had none (the 12x2x6 machine, the SSS table, the greedy sweep);
+    // `scale` is the consumer of the sampled microbenchmark.
     let ids = [
         "fig5_2",
         "fig5_6",
         "fig6_3",
+        "fig6_4",
+        "table7_1",
+        "fig7_6",
         "collectives",
         "faults",
         "recovery",
         "coll_rt",
         "fig8_10",
+        "scale",
     ];
     let serial = run_all(&ids, 1, "t1");
     assert!(!serial.is_empty());
@@ -454,6 +461,10 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("collectives_runtime.csv", 0x48009911f8e2762a),
             ("fig8_10_B1.csv", 0x9c6a6bf09a533ae2),
             ("fig5_2_3_4.txt", 0x35c375a0222894f6),
+            ("fig6_4.csv", 0x71262e13d2f09e62),
+            ("table7_1.csv", 0xf39f0dafd5abebd1),
+            ("fig7_6.csv", 0xbd9295f8ea454c60),
+            ("scale_p.csv", 0xf4e9da4901bec8e2),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
