@@ -323,7 +323,10 @@ impl DropStream {
 /// One repetition's realized faults: which ranks crash when, which
 /// nodes are slow or degraded, which ranks straggle — everything the
 /// executor needs, precomputed so the hot loop reads arrays.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the realized faults only, not the quantile table
+/// a plan keeps between realizations.
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Per-rank crash time; `f64::INFINITY` for surviving ranks.
     pub crash_time: Vec<f64>,
@@ -333,6 +336,18 @@ pub struct FaultPlan {
     pub node_degraded: Vec<f64>,
     /// Per-rank entry delay in seconds (+0.0 = on time).
     pub straggler_delay: Vec<f64>,
+    /// Straggler magnitudes' Pareto quantiles, built by the first
+    /// realization that needs them and kept while α stays the same.
+    pareto: Option<QuantileTable>,
+}
+
+impl PartialEq for FaultPlan {
+    fn eq(&self, other: &FaultPlan) -> bool {
+        self.crash_time == other.crash_time
+            && self.node_slow == other.node_slow
+            && self.node_degraded == other.node_degraded
+            && self.straggler_delay == other.straggler_delay
+    }
 }
 
 impl FaultPlan {
@@ -344,6 +359,7 @@ impl FaultPlan {
             node_slow: vec![1.0; nodes],
             node_degraded: vec![1.0; nodes],
             straggler_delay: vec![0.0; p],
+            pareto: None,
         }
     }
 
@@ -366,7 +382,8 @@ impl FaultPlan {
     /// In-place twin of [`FaultPlan::realize`]: resets this plan to
     /// neutral (resizing its buffers when the machine shape changed) and
     /// realizes `model` into it — same streams, same draw order, same
-    /// bits, zero heap allocations once the buffers are sized.
+    /// bits, zero heap allocations once the buffers are sized and the
+    /// straggler exponent's quantile table is built.
     pub fn realize_into(
         &mut self,
         model: &FaultModel,
@@ -418,14 +435,18 @@ impl FaultPlan {
         // Per-rank stragglers: gate and Pareto magnitude, both always
         // drawn so the count is independent of the gate outcomes.
         let pareto = if model.straggler_prob > 0.0 && model.straggler_scale > 0.0 {
-            Some(QuantileTable::pareto(model.straggler_alpha))
+            let alpha = model.straggler_alpha;
+            if self.pareto.as_ref().is_none_or(|t| t.param() != alpha) {
+                self.pareto = Some(QuantileTable::pareto(alpha));
+            }
+            self.pareto.as_ref()
         } else {
             None
         };
         for d in self.straggler_delay.iter_mut() {
             let u_gate = s.next_unit_open();
             let u_mag = s.next_unit_open();
-            if let Some(tab) = &pareto {
+            if let Some(tab) = pareto {
                 if u_gate < model.straggler_prob {
                     *d = model.straggler_scale * tab.mult(u_mag);
                 }
@@ -697,10 +718,24 @@ mod tests {
 
     #[test]
     fn realize_into_matches_realize_bitwise_and_resizes() {
-        let m = faulty_model();
+        let m = FaultModel {
+            straggler_prob: 0.5,
+            ..faulty_model()
+        };
         let mut plan = FaultPlan::neutral(1, 1);
         plan.realize_into(&m, 32, 8, 7, 5);
         assert_eq!(plan, FaultPlan::realize(&m, 32, 8, 7, 5));
+        // The kept Pareto table serves the next repetition; a changed
+        // exponent replaces it.
+        plan.realize_into(&m, 32, 8, 7, 6);
+        assert_eq!(plan, FaultPlan::realize(&m, 32, 8, 7, 6));
+        assert!(plan.straggler_delay.iter().any(|&d| d > 0.0));
+        let steeper = FaultModel {
+            straggler_alpha: 2.5,
+            ..m
+        };
+        plan.realize_into(&steeper, 32, 8, 7, 6);
+        assert_eq!(plan, FaultPlan::realize(&steeper, 32, 8, 7, 6));
         // Reuse across shapes and models, including back to neutral.
         plan.realize_into(&FaultModel::NONE, 16, 4, 7, 5);
         assert_eq!(plan, FaultPlan::neutral(16, 4));

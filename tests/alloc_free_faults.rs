@@ -9,10 +9,10 @@
 //! executor under a drop + slow-node model, and the recovering executor
 //! on its no-failure path (a *successful* recovery synthesizes a fresh
 //! plan, which legitimately allocates — that path is exercised
-//! functionally elsewhere). Stragglers are excluded: realizing a Pareto
-//! quantile table allocates by design. This file holds exactly one test:
-//! integration-test binaries are one process each, so no concurrent test
-//! can pollute the counter.
+//! functionally elsewhere). Stragglers are included: the fault plan
+//! builds its Pareto quantile table during warmup and keeps it. This
+//! file holds exactly one test: integration-test binaries are one
+//! process each, so no concurrent test can pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,14 +63,16 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     let payload = PayloadSchedule::none();
     let zeros = vec![0.0; 64];
 
-    // Faulty executor: drops, retries and slow nodes — every fault
-    // stream except the allocating Pareto straggler table.
+    // Faulty executor: drops, retries, slow nodes and Pareto stragglers.
     let faulty_model = FaultModel {
         drop: DropProb::uniform(0.05),
         max_retries: 12,
         timeout: 2e-4,
         slow_prob: 0.2,
         slow_mult: 1.5,
+        straggler_prob: 0.1,
+        straggler_scale: 1e-4,
+        straggler_alpha: 1.5,
         ..FaultModel::NONE
     };
     faulty_model.validate();
