@@ -99,13 +99,6 @@ impl SuperstepModel {
             SuperstepModel::without_overlap(self.comp.clone(), self.comm.clone(), self.sync);
         sequential.total() - self.total()
     }
-
-    /// The largest possible saving: everything maskable.
-    pub fn perfect_overlap_total(&self) -> f64 {
-        (0..self.p())
-            .map(|i| self.comp[i].max(self.comm[i]) + self.sync)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// Eq. 3.16: the overlap achieved in an observed execution, from measured
@@ -136,7 +129,6 @@ mod tests {
         let m = SuperstepModel::new(vec![4.0], vec![4.0], vec![3.0], vec![3.0], 1.0);
         assert!((m.total() - 5.0).abs() < 1e-12);
         assert!((m.overlap_saving() - 3.0).abs() < 1e-12);
-        assert_eq!(m.total(), m.perfect_overlap_total());
     }
 
     #[test]

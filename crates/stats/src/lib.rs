@@ -25,7 +25,7 @@ pub use fault::{
 pub use outlier::{filter_outlier_means, OutlierReport};
 pub use quantile::{median, quantile};
 pub use regression::LinearFit;
-pub use rng::{derive_rng, JitterBuf, JitterModel, JitterSource, ParetoJitter, ScalarJitter};
+pub use rng::{derive_rng, JitterBuf, JitterModel, JitterSource, ScalarJitter};
 pub use stream::{fast_exp, norminv, QuantileTable, SplitMix64};
 pub use summary::{mean, Summary};
 pub use tdist::{student_t_critical, StudentT};

@@ -74,15 +74,6 @@ pub fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Interquartile range `Q3 − Q1`. Sorts one scratch copy and reads both
-/// quartiles from it (the previous implementation cloned *and* fully
-/// sorted twice).
-pub fn iqr(xs: &[f64]) -> f64 {
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_unstable_by(cmp);
-    quantile_sorted(&v, 0.75) - quantile_sorted(&v, 0.25)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +115,6 @@ mod tests {
         let xs: Vec<f64> = (0..=100).map(|i| i as f64).collect();
         assert!((quantile(&xs, 0.25) - 25.0).abs() < 1e-12);
         assert!((quantile(&xs, 0.75) - 75.0).abs() < 1e-12);
-        assert!((iqr(&xs) - 50.0).abs() < 1e-12);
     }
 
     #[test]

@@ -148,16 +148,9 @@ impl<'a, R: Rng + ?Sized> ScalarJitter<'a, R> {
         }
     }
 
-    /// Multiplier slots consumed since construction (or the last
-    /// [`ScalarJitter::reset_drawn`]).
+    /// Multiplier slots consumed since construction.
     pub fn drawn(&self) -> usize {
         self.drawn
-    }
-
-    /// Rewinds the draw counter (the RNG itself keeps advancing) — one
-    /// audit window per repetition.
-    pub fn reset_drawn(&mut self) {
-        self.drawn = 0;
     }
 }
 
@@ -166,42 +159,6 @@ impl<R: Rng + ?Sized> JitterSource for ScalarJitter<'_, R> {
     fn next_mult(&mut self) -> f64 {
         self.drawn += 1;
         self.model.draw(self.rng)
-    }
-}
-
-/// Pareto-tailed [`JitterSource`]: median-1 heavy-tailed multipliers
-/// served from a [`crate::stream::QuantileTable::pareto`] table over a
-/// counter-based uniform stream — the straggler half of ROADMAP 5a,
-/// behind the same seam as the log-normal sources so any executor
-/// generic over [`JitterSource`] runs on Pareto noise unchanged.
-pub struct ParetoJitter {
-    table: QuantileTable,
-    stream: SplitMix64,
-    drawn: usize,
-}
-
-impl ParetoJitter {
-    /// Source with tail exponent `alpha` over the uniform stream
-    /// `(seed, label, rep)`.
-    pub fn new(alpha: f64, seed: u64, label: u64, rep: u64) -> ParetoJitter {
-        ParetoJitter {
-            table: QuantileTable::pareto(alpha),
-            stream: SplitMix64::from_parts(seed, label, rep),
-            drawn: 0,
-        }
-    }
-
-    /// Multipliers drawn since construction.
-    pub fn drawn(&self) -> usize {
-        self.drawn
-    }
-}
-
-impl JitterSource for ParetoJitter {
-    #[inline]
-    fn next_mult(&mut self) -> f64 {
-        self.drawn += 1;
-        self.table.mult(self.stream.next_unit_open())
     }
 }
 
@@ -539,8 +496,8 @@ mod tests {
             assert_eq!(model.draw(&mut rng_a), src.next_mult());
         }
         assert_eq!(src.drawn(), 10);
-        src.reset_drawn();
-        assert_eq!(src.drawn(), 0);
+        // A fresh adapter over the advanced RNG opens a new audit window.
+        assert_eq!(ScalarJitter::new(model, &mut rng_a).drawn(), 0);
     }
 
     /// The scalar draw counter counts slots, not RNG consumption: a
@@ -554,24 +511,6 @@ mod tests {
             assert_eq!(src.next_mult(), 1.0);
         }
         assert_eq!(src.drawn(), 7);
-    }
-
-    #[test]
-    fn pareto_jitter_is_deterministic_heavy_tailed_and_counted() {
-        let mut a = ParetoJitter::new(1.5, 21, 4, 0);
-        let mut b = ParetoJitter::new(1.5, 21, 4, 0);
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| a.next_mult()).collect();
-        for &d in &draws {
-            assert_eq!(d.to_bits(), b.next_mult().to_bits());
-        }
-        assert_eq!(a.drawn(), n);
-        assert!(draws.iter().all(|&m| m > 0.0));
-        let med = median(&draws);
-        assert!((med - 1.0).abs() < 0.02, "median {med}");
-        // Heavy tail: the sample mean sits well above the median.
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        assert!(mean > 1.5, "mean {mean}");
     }
 
     #[test]

@@ -117,15 +117,6 @@ impl Summary {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_err(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Smallest observation; +inf for an empty summary.
     pub fn min(&self) -> f64 {
         self.min
@@ -152,21 +143,6 @@ impl Summary {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Borrow the retained observations in ascending order.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Coefficient of variation `s / |mean|`; +inf when the mean is zero.
-    pub fn coeff_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            f64::INFINITY
-        } else {
-            self.std_dev() / m.abs()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +155,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.std_err(), 0.0);
         assert_eq!(s.median(), 0.0);
     }
 
@@ -263,7 +238,6 @@ mod tests {
                     "std_dev {} at offset {off} wiggle {w}",
                     s.std_dev()
                 );
-                assert!(s.coeff_of_variation().is_finite());
             }
         }
         // The exact constant-large-value case, where m2 should be 0 but
@@ -291,15 +265,7 @@ mod tests {
         }
         let mut expect = all.clone();
         expect.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        assert_eq!(s.sorted_values(), &expect[..]);
+        assert_eq!(s.sorted, expect);
         assert_eq!(s.values(), &all[..]);
-    }
-
-    #[test]
-    fn coefficient_of_variation() {
-        let s = Summary::from_slice(&[10.0, 10.0, 10.0]);
-        assert_eq!(s.coeff_of_variation(), 0.0);
-        let z = Summary::from_slice(&[-1.0, 1.0]);
-        assert_eq!(z.coeff_of_variation(), f64::INFINITY);
     }
 }

@@ -32,20 +32,6 @@ impl LocalBlock {
     pub fn cells(&self) -> usize {
         self.width * self.height
     }
-
-    /// Border cells (the outer ring of owned cells).
-    pub fn border_cells(&self) -> usize {
-        if self.width <= 2 || self.height <= 2 {
-            self.cells()
-        } else {
-            self.cells() - (self.width - 2) * (self.height - 2)
-        }
-    }
-
-    /// Interior cells (owned cells not on the ring).
-    pub fn interior_cells(&self) -> usize {
-        self.cells() - self.border_cells()
-    }
 }
 
 /// Face neighbours of a block (ranks), in N/S/W/E order.
@@ -271,13 +257,6 @@ mod tests {
             assert_eq!(regions.outer_corners, 4);
             assert!(regions.interior > 0);
         }
-    }
-
-    #[test]
-    fn border_plus_interior_is_total() {
-        let d = Decomposition::new(64, 4);
-        let b = d.block(0);
-        assert_eq!(b.border_cells() + b.interior_cells(), b.cells());
     }
 
     #[test]

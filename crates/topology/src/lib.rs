@@ -30,16 +30,6 @@ pub fn cluster_10x2x6() -> ClusterShape {
     ClusterShape::new(10, 2, 6)
 }
 
-/// A single 2×4 node, as used for the computational-rate studies (Ch. 4).
-pub fn node_2x4() -> ClusterShape {
-    ClusterShape::new(1, 2, 4)
-}
-
-/// The dual-core Athlon X2 workstation of §4.2 (one socket, two cores).
-pub fn athlon_x2() -> ClusterShape {
-    ClusterShape::new(1, 1, 2)
-}
-
 /// A 32-node scale-up of the Xeon cluster shape (256 cores) — the first
 /// rung of the p ≥ 256 scale study.
 pub fn cluster_32x2x4() -> ClusterShape {
