@@ -4,19 +4,20 @@
 //! `hpm-analyze` plan analyzer over every communication pattern the
 //! experiments execute, each at its registered process count: the
 //! barrier family and the eight collectives at the two validation
-//! machines' scales (p = 64 Xeon, p = 144 Opteron, the registry's
-//! `max_procs` values), the hybrid two-level barrier on its node
+//! machines' full sizes (p = 64 Xeon, p = 144 Opteron, read off
+//! `Machine::both`), the hybrid two-level barrier on its node
 //! partition, and the sparse-authored `dissemination_plan` at the scale
-//! run's p ∈ {256, 1024, 4096}. Every plan must analyze clean — zero
-//! diagnostics, warnings included — before an experiment is allowed to
-//! spend simulation time on it.
+//! run's process counts (p ∈ {256, 1024, 4096}, read off `SCALE_PROCS`).
+//! Every plan must analyze clean — zero diagnostics, warnings included —
+//! before an experiment is allowed to spend simulation time on it.
 //!
-//! The registry is explicit rather than derived from
+//! The pattern list is explicit rather than derived from
 //! [`crate::experiments::registry`] because experiments construct
 //! patterns internally at many sweep points; this module pins the full
 //! set of pattern *shapes* at their *largest* registered scale, which
 //! dominates every smaller sweep point of the same constructor.
 
+use crate::experiments::{Machine, SCALE_PROCS};
 use hpm_analyze::{Analyzer, Diagnostic};
 use hpm_barriers::hybrid::flat_dissemination_hybrid;
 use hpm_barriers::{
@@ -35,14 +36,6 @@ pub struct RegisteredPlan {
     pub goal: KnowledgeGoal,
 }
 
-/// Process counts the experiment registry runs the barrier and
-/// collective families at: the full Xeon machine (8×2×4) and the full
-/// Opteron machine (12×2×6).
-const MACHINE_PROCS: [usize; 2] = [64, 144];
-
-/// Process counts of the sparse-authored scale run (`scale_cases`).
-const SCALE_PROCS: [usize; 3] = [256, 1024, 4096];
-
 /// Payload size the collectives are checked at; the knowledge structure
 /// is payload-independent, so one size suffices.
 const COLLECTIVE_BYTES: u64 = 1024;
@@ -52,7 +45,9 @@ const COLLECTIVE_BYTES: u64 = 1024;
 #[must_use]
 pub fn pattern_registry() -> Vec<RegisteredPlan> {
     let mut out = Vec::new();
-    for p in MACHINE_PROCS {
+    // The barrier and collective families at each full validation
+    // machine.
+    for p in Machine::both().map(|m| m.shape.total_cores()) {
         let barriers = [
             linear(p, 0),
             dissemination(p),
@@ -77,9 +72,9 @@ pub fn pattern_registry() -> Vec<RegisteredPlan> {
         }
     }
     // The hybrid barrier as fig7_4 partitions it: round-robin residency
-    // on the 8-node Xeon cluster.
-    let nodes = 8;
-    let p = 64;
+    // on the Xeon cluster's nodes.
+    let xeon = Machine::xeon().shape;
+    let (nodes, p) = (xeon.nodes(), xeon.total_cores());
     let mut groups = vec![Vec::new(); nodes];
     for r in 0..p {
         groups[r % nodes].push(r);
@@ -195,6 +190,10 @@ mod tests {
                     .any(|r| r.id == format!("dissemination-sparse-p{p}")),
                 "missing scale entry at p = {p}"
             );
+        }
+        // The machine-sized families, at the sizes `Machine::both` yields.
+        for id in ["dissemination-p64", "dissemination-p144"] {
+            assert!(reg.iter().any(|r| r.id == id), "missing machine entry {id}");
         }
         let goals: Vec<KnowledgeGoal> = reg.iter().map(|r| r.goal).collect();
         assert!(goals.contains(&KnowledgeGoal::RootGathers(0)));

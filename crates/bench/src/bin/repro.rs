@@ -18,9 +18,22 @@
 //! identical at every thread count (the per-point RNG streams are derived
 //! from the seed and the point's coordinates, never shared).
 
-use hpm_bench::experiments::{max_procs, registry, run_experiment, stochastic_path, Effort};
+use hpm_bench::experiments::{find, registry, Effort, Experiment};
 use std::io::Write;
 use std::path::PathBuf;
+
+/// Every malformed command line ends here: the reason, the usage line,
+/// exit status 2.
+fn bad_args(why: &str) -> ! {
+    eprintln!("repro: {why}");
+    usage();
+    std::process::exit(2);
+}
+
+/// An option's value: the next argument, which must exist.
+fn value(args: &mut impl Iterator<Item = String>, why: &str) -> String {
+    args.next().unwrap_or_else(|| bad_args(why))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,23 +41,21 @@ fn main() {
         usage();
         std::process::exit(2);
     }
+    let mut args = args.into_iter();
     let mut out_dir = PathBuf::from("results");
     let mut effort = Effort::standard();
     let mut effort_name = "standard";
     let mut json_path: Option<PathBuf> = None;
     let mut check = false;
     let mut ids: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => {
-                out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
-            }
+            "--out" => out_dir = PathBuf::from(value(&mut args, "--out needs a directory")),
             "--quick" => {
                 effort = Effort::quick();
                 effort_name = "quick";
             }
-            "--effort" => match it.next().as_deref() {
+            "--effort" => match args.next().as_deref() {
                 Some("quick") => {
                     effort = Effort::quick();
                     effort_name = "quick";
@@ -53,28 +64,26 @@ fn main() {
                     effort = Effort::standard();
                     effort_name = "standard";
                 }
-                other => {
-                    eprintln!("--effort needs `quick` or `standard`, got {other:?}");
-                    std::process::exit(2);
-                }
+                other => bad_args(&format!(
+                    "--effort needs `quick` or `standard`, got {other:?}"
+                )),
             },
             "--threads" => {
-                let n: usize = it
-                    .next()
-                    .expect("--threads needs a count")
+                let n: usize = value(&mut args, "--threads needs a count")
                     .parse()
-                    .expect("--threads needs a positive integer");
+                    .unwrap_or_else(|_| bad_args("--threads needs a positive integer"));
                 hpm_par::set_threads(Some(n));
             }
             "--json" => {
-                json_path = Some(PathBuf::from(it.next().expect("--json needs a file path")));
+                json_path = Some(PathBuf::from(value(&mut args, "--json needs a file path")));
             }
             "--check" => {
                 check = true;
             }
             "list" => {
-                for (id, desc, stochastic, p, _) in registry() {
-                    println!("{id:<10} [{stochastic:>10}] [p<={p:<4}] {desc}");
+                for e in registry() {
+                    let (id, engine, p) = (e.id, e.stochastic, e.max_procs);
+                    println!("{id:<10} [{engine:>10}] [p<={p:<4}] {}", e.about);
                 }
                 return;
             }
@@ -86,35 +95,27 @@ fn main() {
         }
     }
     if ids.iter().any(|s| s == "all") {
-        ids = registry()
-            .iter()
-            .map(|(id, _, _, _, _)| id.to_string())
-            .collect();
+        ids = registry().iter().map(|e| e.id.to_string()).collect();
     }
     let t0 = std::time::Instant::now();
     let mut timings: Vec<Timing> = Vec::new();
     for id in &ids {
+        let Some(exp) = find(id) else {
+            eprintln!("unknown experiment id: {id} (try `repro list`)");
+            std::process::exit(2);
+        };
         let start = std::time::Instant::now();
-        match run_experiment(id, &out_dir, &effort) {
-            Some(paths) => {
-                let secs = start.elapsed().as_secs_f64();
-                for p in &paths {
-                    println!("[{id}] wrote {} ({secs:.1}s)", p.display());
-                }
-                timings.push(Timing {
-                    id: id.clone(),
-                    secs,
-                    files: paths.len(),
-                    items: count_items(&paths),
-                    stochastic: stochastic_path(id).expect("id resolved above"),
-                    p: max_procs(id).expect("id resolved above"),
-                });
-            }
-            None => {
-                eprintln!("unknown experiment id: {id} (try `repro list`)");
-                std::process::exit(2);
-            }
+        let paths = (exp.run)(&out_dir, &effort);
+        let secs = start.elapsed().as_secs_f64();
+        for p in &paths {
+            println!("[{id}] wrote {} ({secs:.1}s)", p.display());
         }
+        timings.push(Timing {
+            exp,
+            secs,
+            files: paths.len(),
+            items: count_items(&paths),
+        });
     }
     let total = t0.elapsed().as_secs_f64();
     if let Some(path) = json_path {
@@ -228,19 +229,14 @@ fn run_analyze() {
     }
 }
 
-/// One experiment's timing record for the JSON report.
+/// One experiment's timing record for the JSON report. The entry's
+/// `stochastic` and `max_procs` ride along: throughput numbers only
+/// compare on the same engine at equal problem scale.
 struct Timing {
-    id: String,
+    exp: &'static Experiment,
     secs: f64,
     files: usize,
     items: usize,
-    /// Which stochastic engine produced the numbers ("batched" /
-    /// "host-clock" / "none") — makes perf-trajectory artifacts
-    /// attributable to the path that ran them.
-    stochastic: &'static str,
-    /// Largest process count the experiment touches — throughput numbers
-    /// only compare at equal problem scale.
-    p: usize,
 }
 
 /// Result items an experiment produced: data rows across its CSV
@@ -273,7 +269,7 @@ fn write_json(path: &PathBuf, effort: &str, total: f64, timings: &[Timing]) {
         s.push_str(&format!(
             "    {{\"id\": \"{}\", \"seconds\": {:.3}, \"files\": {}, \"items\": {}, \
              \"stochastic_path\": \"{}\", \"p\": {}}}{comma}\n",
-            t.id, t.secs, t.files, t.items, t.stochastic, t.p
+            t.exp.id, t.secs, t.files, t.items, t.exp.stochastic, t.exp.max_procs
         ));
     }
     s.push_str("  ]\n}\n");

@@ -2,12 +2,16 @@
 //!
 //! Ids follow the thesis numbering (`table3_1`, `fig5_6`, …). Each
 //! experiment writes one or more CSV/text artifacts into the output
-//! directory and returns their paths. DESIGN.md carries the experiment →
-//! module map.
+//! directory and returns their paths. Three tables say once what the
+//! sweeps only use: the validation `Machine`s, the fault grid
+//! ([`faults`] and [`recovery`] sweep the same cases on the same beds)
+//! and the [`registry`] that `repro` dispatches on. DESIGN.md carries
+//! the experiment → module map.
 
-use crate::output::{fmt, write_csv, write_file, write_text, CsvTable};
+use crate::output::{fmt, write_csv, write_text, CsvTable};
 use std::path::{Path, PathBuf};
 
+use hpm_analyze::Analyzer;
 use hpm_barriers::greedy::greedy_adaptive_barrier;
 use hpm_barriers::hybrid::flat_dissemination_hybrid;
 use hpm_barriers::patterns::{binary_tree, dissemination, dissemination_plan, linear};
@@ -19,7 +23,9 @@ use hpm_collectives::exec::run_allreduce;
 use hpm_collectives::pattern::catalog;
 use hpm_collectives::predict::{predict_collective, simulate_collective};
 use hpm_core::classic::ClassicBsp;
+use hpm_core::knowledge::KnowledgeGoal;
 use hpm_core::pattern::{BarrierPattern, CommPattern};
+use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::{predict_barrier, predict_compiled_with, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
 use hpm_kernels::blas1::Axpy;
@@ -28,11 +34,14 @@ use hpm_kernels::kernel::Kernel;
 use hpm_kernels::rate::{opteron_core, xeon_core, ProcessorModel};
 use hpm_kernels::stencil::Stencil5;
 use hpm_kernels::{blas1_suite, harness::BatchTimer};
-use hpm_simnet::barrier::BarrierSim;
+use hpm_simnet::barrier::{BarrierSim, BARRIER_JITTER_LABEL};
 use hpm_simnet::microbench::{
     bench_platform, bench_platform_classes, ClassCosts, MicrobenchConfig, PlatformProfile,
 };
 use hpm_simnet::params::{opteron_cluster_params, xeon_cluster_params, PlatformParams};
+use hpm_simnet::recovery::{RecoveryReport, RecoveryScratch};
+use hpm_simnet::{NetState, RankOutcome, SimScratch};
+use hpm_stats::fault::{DropProb, FaultModel, FaultPlan};
 use hpm_stats::quantile::median;
 use hpm_stencil::bsp::{run_bsp_stencil, CommitDiscipline};
 use hpm_stencil::configs::{render_table_8_1, LARGE_N, SMALL_N};
@@ -42,7 +51,7 @@ use hpm_stencil::overlap_opt::optimize_ghost_width;
 use hpm_stencil::predictor::predict_bsp_iteration;
 use hpm_topology::{
     cluster_10x2x6, cluster_128x2x4, cluster_12x2x6, cluster_32x2x4, cluster_512x2x4,
-    cluster_8x2x4, Placement, PlacementPolicy,
+    cluster_8x2x4, ClusterShape, Placement, PlacementPolicy,
 };
 
 const SEED: u64 = 20121116; // thesis submission month
@@ -118,35 +127,90 @@ impl Effort {
     }
 }
 
-fn xeon_cfg(p: usize, seed: u64) -> BspConfig {
-    BspConfig::new(
-        xeon_cluster_params(),
-        Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p),
-        xeon_core(),
-        seed,
-    )
+/// A validation machine of the thesis: the label its rows carry, the
+/// platform parameters, the cluster shape and the per-core rate model.
+/// Every sweep takes one by reference.
+pub(crate) struct Machine {
+    label: &'static str,
+    params: PlatformParams,
+    pub(crate) shape: ClusterShape,
+    core: ProcessorModel,
 }
 
-fn profile_of(params: &PlatformParams, placement: &Placement, effort: &Effort) -> PlatformProfile {
-    bench_platform(params, placement, &effort.micro, SEED)
+impl Machine {
+    /// The 8-node Xeon cluster: 8×2×4 = 64 cores.
+    pub(crate) fn xeon() -> Machine {
+        Machine {
+            label: "xeon-8x2x4",
+            params: xeon_cluster_params(),
+            shape: cluster_8x2x4(),
+            core: xeon_core(),
+        }
+    }
+
+    /// The 12-node Opteron cluster: 12×2×6 = 144 cores.
+    fn opteron() -> Machine {
+        Machine {
+            label: "opteron-12x2x6",
+            params: opteron_cluster_params(),
+            shape: cluster_12x2x6(),
+            core: opteron_core(),
+        }
+    }
+
+    /// Table 7.2's 10-node allocation of the Opteron cluster.
+    fn opteron_10_nodes() -> Machine {
+        Machine {
+            label: "opteron-10x2x6",
+            shape: cluster_10x2x6(),
+            ..Machine::opteron()
+        }
+    }
+
+    /// The two full machines, in the order two-machine artifacts list
+    /// them.
+    pub(crate) fn both() -> [Machine; 2] {
+        [Machine::xeon(), Machine::opteron()]
+    }
+
+    /// `p` processes placed round-robin over the nodes.
+    fn place(&self, p: usize) -> Placement {
+        Placement::new(self.shape, PlacementPolicy::RoundRobin, p)
+    }
+
+    /// The microbenchmarked profile of a placement on this machine.
+    fn profile(&self, placement: &Placement, effort: &Effort) -> PlatformProfile {
+        bench_platform(&self.params, placement, &effort.micro, SEED)
+    }
+
+    /// BSPlib runtime configuration for `p` processes.
+    fn bsp_cfg(&self, p: usize, seed: u64) -> BspConfig {
+        BspConfig::new(self.params.clone(), self.place(p), self.core.clone(), seed)
+    }
 }
 
-fn std_patterns(p: usize) -> Vec<(&'static str, BarrierPattern)> {
-    vec![
-        ("D", dissemination(p)),
-        ("T", binary_tree(p)),
-        ("L", linear(p, 0)),
-    ]
+/// The three default barriers every comparison measures: dissemination,
+/// binary tree, linear (the `D`, `T`, `L` columns).
+fn std_patterns(p: usize) -> [BarrierPattern; 3] {
+    [dissemination(p), binary_tree(p), linear(p, 0)]
+}
+
+/// Mean simulated time of a payload-free barrier at the effort's
+/// repetition count.
+fn barrier_mean(sim: &BarrierSim, pattern: &BarrierPattern, effort: &Effort) -> f64 {
+    sim.measure(pattern, &PayloadSchedule::none(), effort.barrier_reps, SEED)
+        .mean()
 }
 
 // ---------------------------------------------------------------- Ch. 3
 
 /// Table 3.1: BSPBench parameter values on the 8-way 2×4-core cluster.
 pub fn table3_1(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+    let xeon = Machine::xeon();
     let mut t = CsvTable::new(&["P", "r_mflops", "g_flops", "l_flops"]);
     let ps: Vec<usize> = (8..=64).step_by(8.max(effort.stride_small * 8)).collect();
     for row in par_points(&ps, |&p| {
-        let r = bspbench(&xeon_cfg(p, SEED));
+        let r = bspbench(&xeon.bsp_cfg(p, SEED));
         vec![
             p.to_string(),
             format!("{:.3}", r.r / 1e6),
@@ -161,13 +225,14 @@ pub fn table3_1(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 
 /// Fig. 3.2: inner product timings vs classic BSP estimates.
 pub fn fig3_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+    let xeon = Machine::xeon();
     let n = 100_000_000u64;
     let mut t = CsvTable::new(&["P", "measured_s", "bsp_estimate_s"]);
     let ps: Vec<usize> = (8..=64).step_by(8.max(effort.stride_small * 8)).collect();
     for row in par_points(&ps, |&p| {
-        let bench = bspbench(&xeon_cfg(p, SEED));
+        let bench = bspbench(&xeon.bsp_cfg(p, SEED));
         let classic = ClassicBsp::new(p, bench.r, bench.g, bench.l);
-        let measured = bspinprod(&xeon_cfg(p, SEED + 1), n, effort.inprod_reps);
+        let measured = bspinprod(&xeon.bsp_cfg(p, SEED + 1), n, effort.inprod_reps);
         vec![
             p.to_string(),
             fmt(measured.seconds),
@@ -304,29 +369,25 @@ pub fn fig5_2_3_4(dir: &Path, _effort: &Effort) -> Vec<PathBuf> {
 fn barrier_sweep(
     dir: &Path,
     prefix: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
+    m: &Machine,
     stride: usize,
     effort: &Effort,
 ) -> Vec<PathBuf> {
-    let max = shape.total_cores();
     let mut measured = CsvTable::new(&["P", "D", "T", "L"]);
     let mut predicted = CsvTable::new(&["P", "D", "T", "L"]);
     let mut abs_err = CsvTable::new(&["P", "D", "T", "L"]);
     let mut rel_err = CsvTable::new(&["P", "D", "T", "L"]);
-    let ps: Vec<usize> = (2..=max).step_by(stride).collect();
+    let ps: Vec<usize> = (2..=m.shape.total_cores()).step_by(stride).collect();
     for (m_row, p_row, a_row, r_row) in par_points(&ps, |&p| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
-        let sim = BarrierSim::new(params, &placement);
+        let placement = m.place(p);
+        let profile = m.profile(&placement, effort);
+        let sim = BarrierSim::new(&m.params, &placement);
         let mut m_row = vec![p.to_string()];
         let mut p_row = vec![p.to_string()];
         let mut a_row = vec![p.to_string()];
         let mut r_row = vec![p.to_string()];
-        for (_, pat) in std_patterns(p) {
-            let meas = sim
-                .measure(&pat, &PayloadSchedule::none(), effort.barrier_reps, SEED)
-                .mean();
+        for pat in std_patterns(p) {
+            let meas = barrier_mean(&sim, &pat, effort);
             let pred = predict_barrier(&pat, &profile.costs, &PayloadSchedule::none()).total;
             m_row.push(fmt(meas));
             p_row.push(fmt(pred));
@@ -348,46 +409,23 @@ fn barrier_sweep(
     ]
 }
 
-/// Figs. 5.6–5.9 on the 8×2×4 cluster.
-pub fn fig5_6_to_5_9(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    barrier_sweep(
-        dir,
-        "fig5_6to9_8x2x4",
-        &xeon_cluster_params(),
-        cluster_8x2x4(),
-        effort.stride_small,
-        effort,
-    )
-}
-
-/// Figs. 5.10–5.13 on the 12×2×6 cluster.
-pub fn fig5_10_to_5_13(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    barrier_sweep(
-        dir,
-        "fig5_10to13_12x2x6",
-        &opteron_cluster_params(),
-        cluster_12x2x6(),
-        effort.stride_large,
-        effort,
-    )
-}
-
 // ---------------------------------------------------------------- Ch. 6
 
+/// Figs. 6.3/6.4: BSP sync (barrier + count-map payload), measured vs
+/// estimated.
 fn bsp_sync_sweep(
     dir: &Path,
     name: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
+    m: &Machine,
     stride: usize,
     effort: &Effort,
 ) -> Vec<PathBuf> {
     let mut t = CsvTable::new(&["P", "measured_s", "estimate_s"]);
-    let ps: Vec<usize> = (2..=shape.total_cores()).step_by(stride).collect();
+    let ps: Vec<usize> = (2..=m.shape.total_cores()).step_by(stride).collect();
     for row in par_points(&ps, |&p| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
-        let sim = BarrierSim::new(params, &placement);
+        let placement = m.place(p);
+        let profile = m.profile(&placement, effort);
+        let sim = BarrierSim::new(&m.params, &placement);
         let pat = dissemination(p);
         let payload = PayloadSchedule::dissemination_count_map(p);
         let meas = sim
@@ -401,42 +439,11 @@ fn bsp_sync_sweep(
     vec![write_csv(dir, name, &t)]
 }
 
-/// Fig. 6.3: BSP sync (barrier + count-map payload) on the 8×2×4 cluster.
-pub fn fig6_3(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    bsp_sync_sweep(
-        dir,
-        "fig6_3",
-        &xeon_cluster_params(),
-        cluster_8x2x4(),
-        effort.stride_small,
-        effort,
-    )
-}
-
-/// Fig. 6.4: the same on the 12×2×6 cluster.
-pub fn fig6_4(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    bsp_sync_sweep(
-        dir,
-        "fig6_4",
-        &opteron_cluster_params(),
-        cluster_12x2x6(),
-        effort.stride_large,
-        effort,
-    )
-}
-
 // ---------------------------------------------------------------- Ch. 7
 
-fn sss_table(
-    dir: &Path,
-    name: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
-    p: usize,
-    effort: &Effort,
-) -> Vec<PathBuf> {
-    let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-    let profile = profile_of(params, &placement, effort);
+/// Tables 7.1/7.2: SSS clustering of `p` processes on a machine.
+fn sss_table(dir: &Path, name: &str, m: &Machine, p: usize, effort: &Effort) -> Vec<PathBuf> {
+    let profile = m.profile(&m.place(p), effort);
     let clustering = sss_clusters(&profile.costs.l);
     let mut t = CsvTable::new(&["subset", "size", "representative"]);
     for (k, g) in clustering.groups.iter().enumerate() {
@@ -448,49 +455,23 @@ fn sss_table(
     ]
 }
 
-/// Table 7.1: SSS clustering of 60 processes on the 8×2×4 machine.
-pub fn table7_1(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    sss_table(
-        dir,
-        "table7_1",
-        &xeon_cluster_params(),
-        cluster_8x2x4(),
-        60,
-        effort,
-    )
-}
-
-/// Table 7.2: SSS clustering of 115 processes on the 10×2×6 machine.
-pub fn table7_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    sss_table(
-        dir,
-        "table7_2",
-        &opteron_cluster_params(),
-        cluster_10x2x6(),
-        115,
-        effort,
-    )
-}
-
+/// Figs. 7.4/7.5: the SSS-clustered hybrid barrier vs the defaults.
 fn hybrid_sweep(
     dir: &Path,
     name: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
+    m: &Machine,
     stride: usize,
     effort: &Effort,
 ) -> Vec<PathBuf> {
     let mut t = CsvTable::new(&["P", "D", "T", "L", "hybrid"]);
-    let ps: Vec<usize> = (4..=shape.total_cores()).step_by(stride).collect();
+    let ps: Vec<usize> = (4..=m.shape.total_cores()).step_by(stride).collect();
     for row in par_points(&ps, |&p| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
-        let sim = BarrierSim::new(params, &placement);
+        let placement = m.place(p);
+        let profile = m.profile(&placement, effort);
+        let sim = BarrierSim::new(&m.params, &placement);
         let mut row = vec![p.to_string()];
-        for (_, pat) in std_patterns(p) {
-            row.push(fmt(sim
-                .measure(&pat, &PayloadSchedule::none(), effort.barrier_reps, SEED)
-                .mean()));
+        for pat in std_patterns(p) {
+            row.push(fmt(barrier_mean(&sim, &pat, effort)));
         }
         let clustering = sss_clusters(&profile.costs.l);
         let hybrid = if clustering.len() > 1 && clustering.len() < p {
@@ -498,9 +479,7 @@ fn hybrid_sweep(
         } else {
             dissemination(p)
         };
-        row.push(fmt(sim
-            .measure(&hybrid, &PayloadSchedule::none(), effort.barrier_reps, SEED)
-            .mean()));
+        row.push(fmt(barrier_mean(&sim, &hybrid, effort)));
         row
     }) {
         t.push(row);
@@ -508,59 +487,25 @@ fn hybrid_sweep(
     vec![write_csv(dir, name, &t)]
 }
 
-/// Fig. 7.4: hybrid barrier vs defaults on the 8×2×4 cluster.
-pub fn fig7_4(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    hybrid_sweep(
-        dir,
-        "fig7_4",
-        &xeon_cluster_params(),
-        cluster_8x2x4(),
-        effort.stride_small.max(2),
-        effort,
-    )
-}
-
-/// Fig. 7.5: hybrid barrier vs defaults on the 12×2×6 cluster.
-pub fn fig7_5(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    hybrid_sweep(
-        dir,
-        "fig7_5",
-        &opteron_cluster_params(),
-        cluster_12x2x6(),
-        effort.stride_large,
-        effort,
-    )
-}
-
+/// Figs. 7.6/7.7: the greedy adapted barrier vs the best default.
 fn adapted_sweep(
     dir: &Path,
     name: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
+    m: &Machine,
     stride: usize,
     effort: &Effort,
 ) -> Vec<PathBuf> {
     let mut t = CsvTable::new(&["P", "adapted_meas", "best_default_meas", "adapted_pred"]);
-    let ps: Vec<usize> = (4..=shape.total_cores()).step_by(stride).collect();
+    let ps: Vec<usize> = (4..=m.shape.total_cores()).step_by(stride).collect();
     for row in par_points(&ps, |&p| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
-        let sim = BarrierSim::new(params, &placement);
+        let placement = m.place(p);
+        let profile = m.profile(&placement, effort);
+        let sim = BarrierSim::new(&m.params, &placement);
         let report = greedy_adaptive_barrier(&profile.costs);
-        let adapted = sim
-            .measure(
-                &report.pattern,
-                &PayloadSchedule::none(),
-                effort.barrier_reps,
-                SEED,
-            )
-            .mean();
+        let adapted = barrier_mean(&sim, &report.pattern, effort);
         let best_default = std_patterns(p)
-            .into_iter()
-            .map(|(_, pat)| {
-                sim.measure(&pat, &PayloadSchedule::none(), effort.barrier_reps, SEED)
-                    .mean()
-            })
+            .iter()
+            .map(|pat| barrier_mean(&sim, pat, effort))
             .fold(f64::INFINITY, f64::min);
         vec![
             p.to_string(),
@@ -574,30 +519,6 @@ fn adapted_sweep(
     vec![write_csv(dir, name, &t)]
 }
 
-/// Fig. 7.6: greedy adapted barrier vs the best default, 8×2×4.
-pub fn fig7_6(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    adapted_sweep(
-        dir,
-        "fig7_6",
-        &xeon_cluster_params(),
-        cluster_8x2x4(),
-        effort.stride_small.max(4),
-        effort,
-    )
-}
-
-/// Fig. 7.7: greedy adapted barrier vs the best default, 12×2×6.
-pub fn fig7_7(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    adapted_sweep(
-        dir,
-        "fig7_7",
-        &opteron_cluster_params(),
-        cluster_12x2x6(),
-        effort.stride_large.max(12),
-        effort,
-    )
-}
-
 // ---------------------------------------------------------------- Ch. 8
 
 /// Table 8.1: the experimental configurations.
@@ -609,34 +530,30 @@ fn stencil_p_set() -> Vec<usize> {
     vec![4, 8, 16, 32, 64]
 }
 
+/// Mean per-iteration time of one MPI stencil variant.
+fn mpi_iter(
+    m: &Machine,
+    placement: &Placement,
+    n: usize,
+    variant: MpiVariant,
+    effort: &Effort,
+) -> f64 {
+    let iters = effort.stencil_iters;
+    run_mpi_stencil(&m.params, placement, &m.core, n, iters, variant, 1.0, SEED).mean_iter()
+}
+
 /// Table 8.2: MPI and MPI+R wall times, large problem, 8×2×4 cluster.
 pub fn table8_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let params = xeon_cluster_params();
-    let model = xeon_core();
+    let xeon = Machine::xeon();
     let mut t = CsvTable::new(&["P", "MPI_s_per_iter", "MPI+R_s_per_iter"]);
     for row in par_points(&stencil_p_set(), |&p| {
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
-        let mpi = run_mpi_stencil(
-            &params,
-            &placement,
-            &model,
-            LARGE_N,
-            effort.stencil_iters,
-            MpiVariant::Blocking2Stage,
-            1.0,
-            SEED,
-        );
-        let mpir = run_mpi_stencil(
-            &params,
-            &placement,
-            &model,
-            LARGE_N,
-            effort.stencil_iters,
-            MpiVariant::EarlyRequests,
-            1.0,
-            SEED,
-        );
-        vec![p.to_string(), fmt(mpi.mean_iter()), fmt(mpir.mean_iter())]
+        let placement = xeon.place(p);
+        let mpi = |variant| fmt(mpi_iter(&xeon, &placement, LARGE_N, variant, effort));
+        vec![
+            p.to_string(),
+            mpi(MpiVariant::Blocking2Stage),
+            mpi(MpiVariant::EarlyRequests),
+        ]
     }) {
         t.push(row);
     }
@@ -644,8 +561,8 @@ pub fn table8_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 }
 
 fn scaling_table(dir: &Path, name: &str, n: usize, impls: &[&str], effort: &Effort) -> PathBuf {
-    let params = xeon_cluster_params();
-    let model = xeon_core();
+    let xeon = Machine::xeon();
+    let iters = effort.stencil_iters;
     let mut header = vec!["P".to_string()];
     header.extend(impls.iter().map(|s| s.to_string()));
     let mut t = CsvTable {
@@ -653,71 +570,23 @@ fn scaling_table(dir: &Path, name: &str, n: usize, impls: &[&str], effort: &Effo
         rows: Vec::new(),
     };
     for row in par_points(&stencil_p_set(), |&p| {
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        let placement = xeon.place(p);
+        let bsp = |discipline| {
+            run_bsp_stencil(&xeon.bsp_cfg(p, SEED), n, iters, discipline, false).mean_iter()
+        };
         let mut row = vec![p.to_string()];
         for &im in impls {
             let time = match im {
-                "BSP-hp" => run_bsp_stencil(
-                    &xeon_cfg(p, SEED),
-                    n,
-                    effort.stencil_iters,
-                    CommitDiscipline::EarlyUnbuffered,
-                    false,
-                )
-                .mean_iter(),
-                "BSP-buf" => run_bsp_stencil(
-                    &xeon_cfg(p, SEED),
-                    n,
-                    effort.stencil_iters,
-                    CommitDiscipline::EarlyBuffered,
-                    false,
-                )
-                .mean_iter(),
-                "BSP-late" => run_bsp_stencil(
-                    &xeon_cfg(p, SEED),
-                    n,
-                    effort.stencil_iters,
-                    CommitDiscipline::Late,
-                    false,
-                )
-                .mean_iter(),
-                "MPI" => run_mpi_stencil(
-                    &params,
-                    &placement,
-                    &model,
-                    n,
-                    effort.stencil_iters,
-                    MpiVariant::Blocking2Stage,
-                    1.0,
-                    SEED,
-                )
-                .mean_iter(),
-                "MPI+R" => run_mpi_stencil(
-                    &params,
-                    &placement,
-                    &model,
-                    n,
-                    effort.stencil_iters,
-                    MpiVariant::EarlyRequests,
-                    1.0,
-                    SEED,
-                )
-                .mean_iter(),
+                "BSP-hp" => bsp(CommitDiscipline::EarlyUnbuffered),
+                "BSP-buf" => bsp(CommitDiscipline::EarlyBuffered),
+                "BSP-late" => bsp(CommitDiscipline::Late),
+                "MPI" => mpi_iter(&xeon, &placement, n, MpiVariant::Blocking2Stage, effort),
+                "MPI+R" => mpi_iter(&xeon, &placement, n, MpiVariant::EarlyRequests, effort),
+                // The hybrid uses whole nodes only.
+                "Hybrid" if p % xeon.shape.cores_per_node() != 0 => f64::NAN,
                 "Hybrid" => {
-                    if p % cluster_8x2x4().cores_per_node() == 0 {
-                        run_hybrid_stencil(
-                            &params,
-                            cluster_8x2x4(),
-                            &model,
-                            n,
-                            effort.stencil_iters,
-                            p,
-                            SEED,
-                        )
+                    run_hybrid_stencil(&xeon.params, xeon.shape, &xeon.core, n, iters, p, SEED)
                         .mean_iter()
-                    } else {
-                        f64::NAN // hybrid uses whole nodes only
-                    }
                 }
                 other => panic!("unknown implementation {other}"),
             };
@@ -780,13 +649,10 @@ pub fn fig8_7(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 }
 
 /// The B-series: prediction vs measurement for the BSP stencil.
-#[allow(clippy::too_many_arguments)]
 fn prediction_sweep(
     dir: &Path,
     name: &str,
-    params: &PlatformParams,
-    shape: hpm_topology::ClusterShape,
-    model: &ProcessorModel,
+    m: &Machine,
     n: usize,
     discipline: CommitDiscipline,
     effort: &Effort,
@@ -794,12 +660,12 @@ fn prediction_sweep(
     let mut t = CsvTable::new(&["P", "predicted_s", "measured_s"]);
     let ps: Vec<usize> = stencil_p_set()
         .into_iter()
-        .filter(|&p| p <= shape.total_cores())
+        .filter(|&p| p <= m.shape.total_cores())
         .collect();
     for row in par_points(&ps, |&p| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
-        let base = predict_bsp_iteration(&profile, model, &placement, n);
+        let cfg = m.bsp_cfg(p, SEED);
+        let profile = m.profile(&cfg.placement, effort);
+        let base = predict_bsp_iteration(&profile, &m.core, &cfg.placement, n);
         let predicted = match discipline {
             CommitDiscipline::Late => {
                 // No overlap exposed: the sequential composition of the
@@ -813,7 +679,6 @@ fn prediction_sweep(
             }
             _ => base.total,
         };
-        let cfg = BspConfig::new(params.clone(), placement, model.clone(), SEED);
         let measured =
             run_bsp_stencil(&cfg, n, effort.stencil_iters, discipline, false).mean_iter();
         vec![p.to_string(), fmt(predicted), fmt(measured)]
@@ -825,82 +690,31 @@ fn prediction_sweep(
 
 /// Figs. 8.10–8.15 (B1–B6).
 pub fn fig8_10_to_8_15(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let xeon = xeon_cluster_params();
-    let opteron = opteron_cluster_params();
-    vec![
-        prediction_sweep(
-            dir,
-            "fig8_10_B1",
-            &xeon,
-            cluster_8x2x4(),
-            &xeon_core(),
-            LARGE_N,
-            CommitDiscipline::EarlyUnbuffered,
-            effort,
-        ),
-        prediction_sweep(
-            dir,
-            "fig8_11_B2",
-            &xeon,
-            cluster_8x2x4(),
-            &xeon_core(),
-            SMALL_N,
-            CommitDiscipline::EarlyUnbuffered,
-            effort,
-        ),
-        prediction_sweep(
-            dir,
-            "fig8_12_B3",
-            &opteron,
-            cluster_12x2x6(),
-            &opteron_core(),
-            LARGE_N,
-            CommitDiscipline::EarlyUnbuffered,
-            effort,
-        ),
-        prediction_sweep(
-            dir,
-            "fig8_13_B4",
-            &opteron,
-            cluster_12x2x6(),
-            &opteron_core(),
-            SMALL_N,
-            CommitDiscipline::EarlyUnbuffered,
-            effort,
-        ),
-        prediction_sweep(
-            dir,
-            "fig8_14_B5",
-            &xeon,
-            cluster_8x2x4(),
-            &xeon_core(),
-            LARGE_N,
-            CommitDiscipline::Late,
-            effort,
-        ),
-        prediction_sweep(
-            dir,
-            "fig8_15_B6",
-            &xeon,
-            cluster_8x2x4(),
-            &xeon_core(),
-            SMALL_N,
-            CommitDiscipline::Late,
-            effort,
-        ),
+    use CommitDiscipline::{EarlyUnbuffered, Late};
+    let [xeon, opteron] = Machine::both();
+    [
+        ("fig8_10_B1", &xeon, LARGE_N, EarlyUnbuffered),
+        ("fig8_11_B2", &xeon, SMALL_N, EarlyUnbuffered),
+        ("fig8_12_B3", &opteron, LARGE_N, EarlyUnbuffered),
+        ("fig8_13_B4", &opteron, SMALL_N, EarlyUnbuffered),
+        ("fig8_14_B5", &xeon, LARGE_N, Late),
+        ("fig8_15_B6", &xeon, SMALL_N, Late),
     ]
+    .into_iter()
+    .map(|(name, m, n, discipline)| prediction_sweep(dir, name, m, n, discipline, effort))
+    .collect()
 }
 
 /// Fig. 8.18 (C1): predicted vs measured per-iteration time across ghost
 /// widths, with the model-selected optimum.
 pub fn fig8_18(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let params = xeon_cluster_params();
-    let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
-    let profile = profile_of(&params, &placement, effort);
+    let xeon = Machine::xeon();
+    let placement = xeon.place(64);
+    let profile = xeon.profile(&placement, effort);
     let sweep = optimize_ghost_width(
-        &params,
+        &xeon.params,
         &profile,
-        &xeon_core(),
+        &xeon.core,
         &placement,
         SMALL_N,
         &[1, 2, 3, 4, 6, 8],
@@ -944,42 +758,33 @@ pub fn collectives_predict_vs_sim(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
         "simulated_s",
         "rel_err",
     ]);
-    let machines: [(&str, PlatformParams, hpm_topology::ClusterShape); 2] = [
-        ("xeon-8x2x4", xeon_cluster_params(), cluster_8x2x4()),
-        ("opteron-12x2x6", opteron_cluster_params(), cluster_12x2x6()),
-    ];
+    let machines = Machine::both();
     // One fan-out unit per (machine, topology) case; each case expands to
     // one row per collective in catalog order, flattened back in case
     // order so the CSV is byte-identical to the serial nesting.
-    let cases: Vec<(
-        &str,
-        &PlatformParams,
-        hpm_topology::ClusterShape,
-        &str,
-        usize,
-    )> = machines
+    let cases: Vec<(&Machine, &str, usize)> = machines
         .iter()
-        .flat_map(|(machine, params, shape)| {
-            let cpn = shape.cores_per_node();
+        .flat_map(|m| {
             [
-                ("homogeneous-1socket", shape.cores_per_socket()),
-                ("heterogeneous-2node", 2 * cpn),
-                ("multi-cluster", shape.total_cores()),
+                ("homogeneous-1socket", m.shape.cores_per_socket()),
+                ("heterogeneous-2node", 2 * m.shape.cores_per_node()),
+                ("multi-cluster", m.shape.total_cores()),
             ]
-            .map(move |(topology, p)| (*machine, params, *shape, topology, p))
+            .map(move |(topology, p)| (m, topology, p))
         })
         .collect();
-    for rows in par_points(&cases, |&(machine, params, shape, topology, p)| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(params, &placement, effort);
+    for rows in par_points(&cases, |&(m, topology, p)| {
+        let placement = m.place(p);
+        let profile = m.profile(&placement, effort);
         catalog(p, 0, bytes)
             .into_iter()
             .map(|pat| {
                 let pred = predict_collective(&pat, &profile.costs).total;
                 let sim =
-                    simulate_collective(&pat, params, &placement, effort.barrier_reps, SEED).mean();
+                    simulate_collective(&pat, &m.params, &placement, effort.barrier_reps, SEED)
+                        .mean();
                 vec![
-                    machine.to_string(),
+                    m.label.to_string(),
                     topology.to_string(),
                     p.to_string(),
                     pat.name().to_string(),
@@ -1001,18 +806,17 @@ pub fn collectives_predict_vs_sim(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// sync, background transfers) vs the pattern-level prediction — the
 /// end-to-end counterpart of `collectives_predict_vs_sim`.
 pub fn collectives_runtime(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let params = xeon_cluster_params();
+    let xeon = Machine::xeon();
     let n = 4096; // 32 KiB vector
     let mut t = CsvTable::new(&["P", "runtime_s", "pattern_pred_s", "supersteps"]);
-    let max = cluster_8x2x4().total_cores();
+    let max = xeon.shape.total_cores();
     let mut ps: Vec<usize> = (2..=max).step_by(effort.stride_small.max(6)).collect();
     if ps.last() != Some(&max) {
         ps.push(max); // always include the full machine
     }
     for row in par_points(&ps, |&p| {
-        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
-        let profile = profile_of(&params, &placement, effort);
-        let cfg = BspConfig::new(params.clone(), placement, xeon_core(), SEED);
+        let cfg = xeon.bsp_cfg(p, SEED);
+        let profile = xeon.profile(&cfg.placement, effort);
         let run = run_allreduce(&cfg, n);
         let pred = predict_collective(
             &hpm_collectives::pattern::allreduce(p, 8 * n as u64),
@@ -1036,13 +840,24 @@ pub fn collectives_runtime(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// Ordered pairs measured per link class on the scale path.
 const SCALE_PAIR_SAMPLE: usize = 16;
 
-/// The past-p² cases: process count and the cluster hosting it.
-fn scale_cases() -> Vec<(hpm_topology::ClusterShape, usize)> {
-    vec![
-        (cluster_32x2x4(), 256),
-        (cluster_128x2x4(), 1024),
-        (cluster_512x2x4(), 4096),
+/// Process counts of the past-p² run.
+pub(crate) const SCALE_PROCS: [usize; 3] = [256, 1024, 4096];
+
+/// `p` ranks round-robin on the smallest Xeon-node preset that holds
+/// them: the 8×2×4 validation machine, then its 32-, 128- and 512-node
+/// scale-ups. The scale run and the fault experiments place through
+/// here.
+fn xeon_preset_placement(p: usize) -> Placement {
+    let shape = [
+        cluster_8x2x4(),
+        cluster_32x2x4(),
+        cluster_128x2x4(),
+        cluster_512x2x4(),
     ]
+    .into_iter()
+    .find(|shape| p <= shape.total_cores())
+    .expect("a Xeon preset holds p");
+    Placement::new(shape, PlacementPolicy::RoundRobin, p)
 }
 
 /// Scale extension: the microbenchmark → predict → simulate pipeline at
@@ -1053,7 +868,7 @@ fn scale_cases() -> Vec<(hpm_topology::ClusterShape, usize)> {
 /// processes because its clusters do; this run shows the model pipeline
 /// itself no longer does.
 pub fn scale_p(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let params = xeon_cluster_params();
+    let params = Machine::xeon().params;
     let mut t = CsvTable::new(&[
         "P",
         "sampled_pairs",
@@ -1061,8 +876,8 @@ pub fn scale_p(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
         "predicted_s",
         "rel_err",
     ]);
-    for row in par_points(&scale_cases(), |&(shape, p)| {
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
+    for row in par_points(&SCALE_PROCS, |&p| {
+        let placement = xeon_preset_placement(p);
         let micro = effort.micro.with_pair_sample(SCALE_PAIR_SAMPLE);
         let profile = bench_platform_classes(&params, &placement, &micro, SEED);
         let costs = ClassCosts::new(&placement, profile);
@@ -1085,6 +900,169 @@ pub fn scale_p(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     vec![write_csv(dir, "scale_p", &t)]
 }
 
+// ------------------------------------------------- fault grid (ext.)
+
+/// Process counts of the fault experiments.
+const FAULT_PROCS: [usize; 2] = [64, 256];
+
+/// Signal timeout of every fault experiment's model.
+const FAULT_TIMEOUT: f64 = 2e-4;
+
+/// A grid case's coordinates: the leading columns of `faults.csv` and
+/// `recovery.csv`.
+const FAULT_COORD_COLS: [&str; 5] = ["P", "drop", "straggler_prob", "straggler_scale", "crashes"];
+
+/// The fail-fast measurement columns the two files share.
+const FAILFAST_COLS: [&str; 7] = [
+    "completion_rate",
+    "mean_retries",
+    "lost_signals",
+    "suppressed_signals",
+    "fault_free_s",
+    "faulty_s",
+    "inflation",
+];
+
+/// The fault experiments' test bed at one process count: the Xeon preset
+/// hosting `p` ranks, the sparse dissemination plan and the fault-free
+/// baselines. Those are functions of `(p, reps, SEED)` only, so a bed
+/// measures them once for every case that prices itself against them.
+struct FaultBed {
+    params: PlatformParams,
+    placement: Placement,
+    plan: CompiledPattern,
+    /// Repetitions per grid case.
+    reps: usize,
+    /// Fault-free mean over `reps` repetitions.
+    baseline: f64,
+    /// Fault-free time of repetition 0 alone: the forced-crash sweep
+    /// runs one repetition per crash set.
+    baseline_rep0: f64,
+}
+
+impl FaultBed {
+    fn sim(&self) -> BarrierSim<'_> {
+        BarrierSim::new(&self.params, &self.placement)
+    }
+}
+
+fn fault_beds(reps: usize) -> Vec<FaultBed> {
+    par_points(&FAULT_PROCS, |&p| {
+        let params = Machine::xeon().params;
+        let placement = xeon_preset_placement(p);
+        let plan = dissemination_plan(p);
+        let [baseline, baseline_rep0] = [reps, 1].map(|r| {
+            BarrierSim::new(&params, &placement)
+                .measure_compiled(&plan, &PayloadSchedule::none(), r, SEED)
+                .mean()
+        });
+        FaultBed {
+            params,
+            placement,
+            plan,
+            reps,
+            baseline,
+            baseline_rep0,
+        }
+    })
+}
+
+/// One cell of the fault grid: drop rate × straggler severity × crash
+/// count on one bed.
+#[derive(Clone, Copy)]
+struct FaultCase<'a> {
+    bed: &'a FaultBed,
+    drop: f64,
+    straggler_prob: f64,
+    straggler_scale: f64,
+    crashes: usize,
+}
+
+/// The grid both fault experiments sweep, in CSV row order.
+fn fault_grid(beds: &[FaultBed]) -> Vec<FaultCase<'_>> {
+    let mut cases = Vec::new();
+    for bed in beds {
+        for drop in [0.0, 0.01, 0.05] {
+            for (straggler_prob, straggler_scale) in [(0.0, 0.0), (0.1, 1e-4)] {
+                for crashes in [0usize, 1, 4] {
+                    cases.push(FaultCase {
+                        bed,
+                        drop,
+                        straggler_prob,
+                        straggler_scale,
+                        crashes,
+                    });
+                }
+            }
+        }
+    }
+    cases
+}
+
+impl FaultCase<'_> {
+    /// The [`FAULT_COORD_COLS`] cells.
+    fn coords(&self) -> Vec<String> {
+        vec![
+            self.bed.plan.p().to_string(),
+            self.drop.to_string(),
+            self.straggler_prob.to_string(),
+            self.straggler_scale.to_string(),
+            self.crashes.to_string(),
+        ]
+    }
+
+    fn model(&self) -> FaultModel {
+        let fault = FaultModel {
+            crash_count: self.crashes,
+            crash_window: 1e-4,
+            drop: DropProb::uniform(self.drop),
+            straggler_prob: self.straggler_prob,
+            straggler_scale: self.straggler_scale,
+            straggler_alpha: 1.5,
+            timeout: FAULT_TIMEOUT,
+            ..FaultModel::NONE
+        };
+        fault.validate();
+        fault
+    }
+
+    /// The [`FAILFAST_COLS`] cells: the case through
+    /// [`BarrierSim::measure_faulty`], priced against the bed's
+    /// baseline. Both files' rows come from here, which is what keeps
+    /// their shared corner byte-identical (the `repro --check`
+    /// invariant).
+    fn failfast_cells(&self) -> Vec<String> {
+        let bed = self.bed;
+        let FaultBed { plan, baseline, .. } = bed;
+        let reports = bed.sim().measure_faulty(
+            plan,
+            &PayloadSchedule::none(),
+            &self.model(),
+            bed.reps,
+            SEED,
+        );
+        let n = reports.len() as f64;
+        let completion = reports
+            .iter()
+            .map(|r| r.completed_count() as f64 / plan.p() as f64)
+            .sum::<f64>()
+            / n;
+        let retries = reports.iter().map(|r| r.retries as f64).sum::<f64>() / n;
+        let lost: u64 = reports.iter().map(|r| r.lost_signals).sum();
+        let suppressed: u64 = reports.iter().map(|r| r.suppressed_signals).sum();
+        let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
+        vec![
+            format!("{completion:.4}"),
+            format!("{retries:.2}"),
+            lost.to_string(),
+            suppressed.to_string(),
+            fmt(*baseline),
+            fmt(mean_total),
+            format!("{:.4}", mean_total / baseline),
+        ]
+    }
+}
+
 /// Fault-injection robustness sweep (`repro faults`): drop rate ×
 /// straggler severity × crash count over the dissemination barrier at
 /// p ∈ {64, 256}. Every repetition realizes its faults from streams
@@ -1095,112 +1073,23 @@ pub fn scale_p(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// lost/suppressed signal totals and completion-time inflation against
 /// the fault-free executor on the same seed.
 pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    use hpm_stats::fault::{DropProb, FaultModel};
-    let params = xeon_cluster_params();
-    let drops = [0.0, 0.01, 0.05];
-    let stragglers = [(0.0, 0.0), (0.1, 1e-4)];
-    let crashes = [0usize, 1, 4];
-    let mut cases: Vec<(usize, f64, f64, f64, usize)> = Vec::new();
-    for &p in &[64usize, 256] {
-        for &d in &drops {
-            for &(sp, ss) in &stragglers {
-                for &c in &crashes {
-                    cases.push((p, d, sp, ss, c));
-                }
-            }
-        }
+    let beds = fault_beds(effort.barrier_reps);
+    let mut t = CsvTable::new(&[&FAULT_COORD_COLS[..], &FAILFAST_COLS[..]].concat());
+    for row in par_points(&fault_grid(&beds), |case| {
+        [case.coords(), case.failfast_cells()].concat()
+    }) {
+        t.push(row);
     }
-    let reps = effort.barrier_reps;
-    let rows = par_points(&cases, |&(p, d, sp, ss, c)| {
-        let shape = if p <= 64 {
-            cluster_8x2x4()
-        } else {
-            cluster_32x2x4()
-        };
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let plan = dissemination_plan(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let baseline = sim
-            .measure_compiled(&plan, &PayloadSchedule::none(), reps, SEED)
-            .mean();
-        let fault = FaultModel {
-            crash_count: c,
-            crash_window: 1e-4,
-            drop: DropProb::uniform(d),
-            straggler_prob: sp,
-            straggler_scale: ss,
-            straggler_alpha: 1.5,
-            timeout: 2e-4,
-            ..FaultModel::NONE
-        };
-        fault.validate();
-        let reports = sim.measure_faulty(&plan, &PayloadSchedule::none(), &fault, reps, SEED);
-        let n = reports.len() as f64;
-        let completion = reports
-            .iter()
-            .map(|r| r.completed_count() as f64 / p as f64)
-            .sum::<f64>()
-            / n;
-        let retries = reports.iter().map(|r| r.retries as f64).sum::<f64>() / n;
-        let lost: u64 = reports.iter().map(|r| r.lost_signals).sum();
-        let suppressed: u64 = reports.iter().map(|r| r.suppressed_signals).sum();
-        let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
-        vec![
-            p.to_string(),
-            d.to_string(),
-            sp.to_string(),
-            ss.to_string(),
-            c.to_string(),
-            format!("{completion:.4}"),
-            format!("{retries:.2}"),
-            lost.to_string(),
-            suppressed.to_string(),
-            fmt(baseline),
-            fmt(mean_total),
-            format!("{:.4}", mean_total / baseline),
-        ]
-    });
-    let mut t = CsvTable::new(&[
-        "P",
-        "drop",
-        "straggler_prob",
-        "straggler_scale",
-        "crashes",
-        "completion_rate",
-        "mean_retries",
-        "lost_signals",
-        "suppressed_signals",
-        "fault_free_s",
-        "faulty_s",
-        "inflation",
-    ]);
-    let mut json = String::from("{\n  \"experiment\": \"faults\",\n  \"cases\": [\n");
-    for (k, row) in rows.iter().enumerate() {
-        let comma = if k + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"p\": {}, \"drop\": {}, \"straggler_prob\": {}, \"straggler_scale\": {}, \
-             \"crashes\": {}, \"completion_rate\": {}, \"mean_retries\": {}, \
-             \"inflation\": {}}}{comma}\n",
-            row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[11]
-        ));
-        t.push(row.clone());
-    }
-    json.push_str("  ]\n}\n");
-    vec![
-        write_csv(dir, "faults", &t),
-        write_file(dir, "BENCH_faults.json", &json),
-    ]
+    vec![write_csv(dir, "faults", &t)]
 }
 
 /// Recovery: the fault grid re-run through the survivor re-planning
 /// layer, plus the deterministic registry crash-set sweep.
 ///
 /// Section A (`recovery.csv`) repeats the [`faults`] grid under both
-/// recovery policies. `failfast` rows are computed *exactly* like
-/// [`faults`] — same model, reps, seed and cell formats — so the
-/// zero-crash corner is byte-identical to `faults.csv` (the `repro
-/// --check` invariant); `recover` rows run the same repetitions through
-/// [`BarrierSim::measure_recovering`] and report post-recovery
+/// recovery policies. `failfast` rows are the cells [`faults`] writes,
+/// from the same function; `recover` rows run the same repetitions
+/// through [`BarrierSim::measure_recovering`] and report post-recovery
 /// completion, detection/consensus costs and the recovered-run
 /// inflation. Section B (`recovery_registry.csv`) forces every
 /// deterministic size-k crash set from [`crate::analyze::crash_sets`]
@@ -1209,98 +1098,43 @@ pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// recovery layer actually achieved, and prices each repair against the
 /// fault-free baseline.
 pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    use hpm_analyze::Analyzer;
-    use hpm_core::knowledge::KnowledgeGoal;
-    use hpm_simnet::barrier::BARRIER_JITTER_LABEL;
-    use hpm_simnet::recovery::{RecoveryReport, RecoveryScratch};
-    use hpm_simnet::{NetState, RankOutcome, SimScratch};
-    use hpm_stats::fault::{DropProb, FaultModel, FaultPlan};
-
-    let params = xeon_cluster_params();
-    let reps = effort.barrier_reps;
+    let beds = fault_beds(effort.barrier_reps);
 
     // ---- Section A: the faults() grid under both policies.
-    let drops = [0.0, 0.01, 0.05];
-    let stragglers = [(0.0, 0.0), (0.1, 1e-4)];
-    let crashes = [0usize, 1, 4];
-    let policies = ["failfast", "recover"];
-    let mut cases: Vec<(usize, f64, f64, f64, usize, &str)> = Vec::new();
-    for &p in &[64usize, 256] {
-        for &d in &drops {
-            for &(sp, ss) in &stragglers {
-                for &c in &crashes {
-                    for &pol in &policies {
-                        cases.push((p, d, sp, ss, c, pol));
-                    }
-                }
-            }
-        }
-    }
-    let grid_rows = par_points(&cases, |&(p, d, sp, ss, c, pol)| {
-        let shape = if p <= 64 {
-            cluster_8x2x4()
+    let cases: Vec<(FaultCase, &str)> = fault_grid(&beds)
+        .into_iter()
+        .flat_map(|case| ["failfast", "recover"].map(|policy| (case, policy)))
+        .collect();
+    let mut grid = CsvTable::new(
+        &[
+            &FAULT_COORD_COLS[..],
+            &["policy"],
+            &FAILFAST_COLS[..],
+            &[
+                "recovered_rate",
+                "detection_s",
+                "consensus_s",
+                "recovered_inflation",
+            ],
+        ]
+        .concat(),
+    );
+    let width = grid.header.len();
+    for row in par_points(&cases, |&(case, policy)| {
+        let bed = case.bed;
+        let FaultBed { plan, baseline, .. } = bed;
+        let mut row = case.coords();
+        row.push(policy.to_string());
+        if policy == "failfast" {
+            row.extend(case.failfast_cells());
+            row.resize(width, String::new()); // no recovery cells
         } else {
-            cluster_32x2x4()
-        };
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let plan = dissemination_plan(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let baseline = sim
-            .measure_compiled(&plan, &PayloadSchedule::none(), reps, SEED)
-            .mean();
-        let fault = FaultModel {
-            crash_count: c,
-            crash_window: 1e-4,
-            drop: DropProb::uniform(d),
-            straggler_prob: sp,
-            straggler_scale: ss,
-            straggler_alpha: 1.5,
-            timeout: 2e-4,
-            ..FaultModel::NONE
-        };
-        fault.validate();
-        let mut row = vec![
-            p.to_string(),
-            d.to_string(),
-            sp.to_string(),
-            ss.to_string(),
-            c.to_string(),
-            pol.to_string(),
-        ];
-        if pol == "failfast" {
-            // Bitwise the faults() computation: shared corner stays
-            // byte-identical to faults.csv.
-            let reports = sim.measure_faulty(&plan, &PayloadSchedule::none(), &fault, reps, SEED);
-            let n = reports.len() as f64;
-            let completion = reports
-                .iter()
-                .map(|r| r.completed_count() as f64 / p as f64)
-                .sum::<f64>()
-                / n;
-            let retries = reports.iter().map(|r| r.retries as f64).sum::<f64>() / n;
-            let lost: u64 = reports.iter().map(|r| r.lost_signals).sum();
-            let suppressed: u64 = reports.iter().map(|r| r.suppressed_signals).sum();
-            let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
-            row.extend([
-                format!("{completion:.4}"),
-                format!("{retries:.2}"),
-                lost.to_string(),
-                suppressed.to_string(),
-                fmt(baseline),
-                fmt(mean_total),
-                format!("{:.4}", mean_total / baseline),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
-        } else {
-            let reports = sim.measure_recovering(
-                &plan,
+            let reports = bed.sim().measure_recovering(
+                plan,
                 &PayloadSchedule::none(),
                 KnowledgeGoal::AllToAll,
-                &fault,
-                reps,
+                &case.model(),
+                bed.reps,
                 SEED,
             );
             let n = reports.len() as f64;
@@ -1311,7 +1145,7 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
                         .iter()
                         .filter(|o| matches!(o, RankOutcome::Completed(_)))
                         .count() as f64
-                        / p as f64
+                        / plan.p() as f64
                 })
                 .sum::<f64>()
                 / n;
@@ -1332,7 +1166,7 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
                 format!("{retries:.2}"),
                 lost.to_string(),
                 suppressed.to_string(),
-                fmt(baseline),
+                fmt(*baseline),
                 fmt(mean_attempt),
                 format!("{:.4}", mean_attempt / baseline),
                 format!("{recovered:.4}"),
@@ -1342,73 +1176,64 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
             ]);
         }
         row
-    });
-    let mut grid = CsvTable::new(&[
-        "P",
-        "drop",
-        "straggler_prob",
-        "straggler_scale",
-        "crashes",
-        "policy",
-        "completion_rate",
-        "mean_retries",
-        "lost_signals",
-        "suppressed_signals",
-        "fault_free_s",
-        "faulty_s",
-        "inflation",
-        "recovered_rate",
-        "detection_s",
-        "consensus_s",
-        "recovered_inflation",
-    ]);
-    for row in &grid_rows {
-        grid.push(row.clone());
+    }) {
+        grid.push(row);
     }
 
     // ---- Section B: forced registry crash sets through the recovery
     // layer, one deterministic run each (rep 0).
     let set_stride = effort.stride_small.max(1);
-    let mut sweep: Vec<(usize, usize, usize, Vec<usize>)> = Vec::new();
-    for &p in &[64usize, 256] {
+    let mut sweep: Vec<(&FaultBed, usize, usize, Vec<usize>)> = Vec::new();
+    for bed in &beds {
         for k in [1usize, 2] {
-            for (i, set) in crate::analyze::crash_sets(p, k)
+            for (i, set) in crate::analyze::crash_sets(bed.plan.p(), k)
                 .into_iter()
                 .enumerate()
                 .filter(|(i, _)| i % set_stride == 0)
             {
-                sweep.push((p, k, i, set));
+                sweep.push((bed, k, i, set));
             }
         }
     }
-    let sweep_rows = par_points(&sweep, |(p, k, i, set)| {
-        let p = *p;
-        let shape = if p <= 64 {
-            cluster_8x2x4()
-        } else {
-            cluster_32x2x4()
-        };
-        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
-        let plan = dissemination_plan(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let baseline = sim
-            .measure_compiled(&plan, &PayloadSchedule::none(), 1, SEED)
-            .mean();
+    let mut sweep_t = CsvTable::new(&[
+        "pattern",
+        "P",
+        "k",
+        "set",
+        "crashed",
+        "static_survives",
+        "replanned",
+        "recovered",
+        "attempt_s",
+        "detection_s",
+        "consensus_s",
+        "recovered_s",
+        "fault_free_s",
+        "inflation",
+    ]);
+    for row in par_points(&sweep, |(bed, k, i, set)| {
+        let FaultBed {
+            placement,
+            plan,
+            baseline_rep0: baseline,
+            ..
+        } = bed;
+        let p = plan.p();
         let statically_survives = Analyzer::new()
-            .k_crash_coverage(&plan, KnowledgeGoal::AllToAll, set)
+            .k_crash_coverage(plan, KnowledgeGoal::AllToAll, set)
             .survives();
         let fault = FaultModel {
-            timeout: 2e-4,
+            timeout: FAULT_TIMEOUT,
             ..FaultModel::NONE
         };
         let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), set);
         let zeros = vec![0.0; p];
-        let mut scratch = SimScratch::new(&placement);
-        let mut net = NetState::new(&placement);
+        let mut scratch = SimScratch::new(placement);
+        let mut net = NetState::new(placement);
         let mut rs = RecoveryScratch::new();
         let mut report = RecoveryReport::new(p);
-        sim.run_once_recovering_with(
-            &plan,
+        bed.sim().run_once_recovering_with(
+            plan,
             &PayloadSchedule::none(),
             KnowledgeGoal::AllToAll,
             &fault,
@@ -1436,336 +1261,285 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
             fmt(report.detection_time),
             fmt(report.consensus_cost),
             fmt(report.total()),
-            fmt(baseline),
+            fmt(*baseline),
             format!("{:.4}", report.total() / baseline),
         ]
-    });
-    let mut sweep_t = CsvTable::new(&[
-        "pattern",
-        "P",
-        "k",
-        "set",
-        "crashed",
-        "static_survives",
-        "replanned",
-        "recovered",
-        "attempt_s",
-        "detection_s",
-        "consensus_s",
-        "recovered_s",
-        "fault_free_s",
-        "inflation",
-    ]);
-    for row in &sweep_rows {
-        sweep_t.push(row.clone());
+    }) {
+        sweep_t.push(row);
     }
-
-    let mut json = String::from("{\n  \"experiment\": \"recovery\",\n  \"grid\": [\n");
-    for (k, row) in grid_rows.iter().enumerate() {
-        let comma = if k + 1 < grid_rows.len() { "," } else { "" };
-        let quote = |s: &str| {
-            if s.is_empty() {
-                "null".to_string()
-            } else {
-                s.to_string()
-            }
-        };
-        json.push_str(&format!(
-            "    {{\"p\": {}, \"drop\": {}, \"straggler_prob\": {}, \"straggler_scale\": {}, \
-             \"crashes\": {}, \"policy\": \"{}\", \"completion_rate\": {}, \"inflation\": {}, \
-             \"recovered_rate\": {}, \"recovered_inflation\": {}}}{comma}\n",
-            row[0],
-            row[1],
-            row[2],
-            row[3],
-            row[4],
-            row[5],
-            row[6],
-            row[12],
-            quote(&row[13]),
-            quote(&row[16]),
-        ));
-    }
-    json.push_str("  ],\n  \"registry\": [\n");
-    for (k, row) in sweep_rows.iter().enumerate() {
-        let comma = if k + 1 < sweep_rows.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"pattern\": \"{}\", \"p\": {}, \"k\": {}, \"crashed\": \"{}\", \
-             \"static_survives\": {}, \"replanned\": {}, \"recovered\": {}, \
-             \"inflation\": {}}}{comma}\n",
-            row[0], row[1], row[2], row[4], row[5], row[6], row[7], row[13],
-        ));
-    }
-    json.push_str("  ]\n}\n");
     vec![
         write_csv(dir, "recovery", &grid),
         write_csv(dir, "recovery_registry", &sweep_t),
-        write_file(dir, "BENCH_recovery.json", &json),
     ]
 }
 
 // ---------------------------------------------------------------- driver
 
-type ExperimentFn = fn(&Path, &Effort) -> Vec<PathBuf>;
+/// One registered experiment.
+pub struct Experiment {
+    /// The id `repro` dispatches on, after the thesis numbering.
+    pub id: &'static str,
+    /// One line for `repro list`.
+    pub about: &'static str,
+    /// Which stochastic engine the hot loop runs on — reported by
+    /// `repro --json` so perf-trajectory artifacts are attributable to
+    /// the path that produced them. `"batched"`: simulated experiments
+    /// whose network stochastics (barrier executor, microbenchmark,
+    /// background transfers) draw from batch-filled jitter tables; any
+    /// compute-time jitter rides the scalar cached-pair path.
+    /// `"host-clock"`: genuinely measured against the host wall clock, no
+    /// simulated stochastics. `"none"`: deterministic rendering, no
+    /// stochastics at all.
+    pub stochastic: &'static str,
+    /// The largest `P` the experiment touches at standard effort (1 for
+    /// host-clock and rendering experiments with no simulated processes)
+    /// — reported by `repro --json` so throughput artifacts carry their
+    /// problem scale.
+    pub max_procs: usize,
+    /// Writes the artifacts under the directory; returns their paths.
+    pub run: fn(&Path, &Effort) -> Vec<PathBuf>,
+}
 
-/// Which stochastic engine an experiment's hot loop runs on — reported
-/// by `repro --json` so perf-trajectory artifacts are attributable to
-/// the path that produced them.
-///
-/// `"batched"`: simulated experiments whose network stochastics
-/// (barrier executor, microbenchmark, background transfers) draw from
-/// batch-filled jitter tables; any compute-time jitter rides the scalar
-/// cached-pair path. `"host-clock"`: genuinely measured against the
-/// host wall clock, no simulated stochastics. `"none"`: deterministic
-/// rendering, no stochastics at all.
-pub type StochasticPath = &'static str;
+static REGISTRY: &[Experiment] = &[
+    Experiment {
+        id: "table3_1",
+        about: "BSPBench parameter values, 8x2x4 cluster",
+        stochastic: "batched",
+        max_procs: 64,
+        run: table3_1,
+    },
+    Experiment {
+        id: "fig3_2",
+        about: "inner product: timings vs classic BSP estimates",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig3_2,
+    },
+    Experiment {
+        id: "fig4_2",
+        about: "bspbench computation rates vs vector size (host)",
+        stochastic: "host-clock",
+        max_procs: 1,
+        run: fig4_2,
+    },
+    Experiment {
+        id: "fig4_3",
+        about: "kernel rates and predictions, 2 kernels (host)",
+        stochastic: "host-clock",
+        max_procs: 1,
+        run: fig4_3_4_4,
+    },
+    Experiment {
+        id: "fig4_5",
+        about: "L1 BLAS, in-cache problem sizes (host)",
+        stochastic: "host-clock",
+        max_procs: 1,
+        run: fig4_5,
+    },
+    Experiment {
+        id: "fig4_6",
+        about: "L1 BLAS, out-of-cache problem sizes (host)",
+        stochastic: "host-clock",
+        max_procs: 1,
+        run: fig4_6,
+    },
+    Experiment {
+        id: "fig5_2",
+        about: "4-process barrier patterns in matrix form",
+        stochastic: "none",
+        max_procs: 4,
+        run: fig5_2_3_4,
+    },
+    Experiment {
+        id: "fig5_6",
+        about: "barrier timings/predictions/errors, 8x2x4",
+        stochastic: "batched",
+        max_procs: 64,
+        run: |dir, e| barrier_sweep(dir, "fig5_6to9_8x2x4", &Machine::xeon(), e.stride_small, e),
+    },
+    Experiment {
+        id: "fig5_10",
+        about: "barrier timings/predictions/errors, 12x2x6",
+        stochastic: "batched",
+        max_procs: 144,
+        run: |dir, e| {
+            barrier_sweep(
+                dir,
+                "fig5_10to13_12x2x6",
+                &Machine::opteron(),
+                e.stride_large,
+                e,
+            )
+        },
+    },
+    Experiment {
+        id: "fig6_3",
+        about: "BSP sync measured vs estimate, 8x2x4",
+        stochastic: "batched",
+        max_procs: 64,
+        run: |dir, e| bsp_sync_sweep(dir, "fig6_3", &Machine::xeon(), e.stride_small, e),
+    },
+    Experiment {
+        id: "fig6_4",
+        about: "BSP sync measured vs estimate, 12x2x6",
+        stochastic: "batched",
+        max_procs: 144,
+        run: |dir, e| bsp_sync_sweep(dir, "fig6_4", &Machine::opteron(), e.stride_large, e),
+    },
+    Experiment {
+        id: "table7_1",
+        about: "SSS clustering, 60 processes on 8x2x4",
+        stochastic: "batched",
+        max_procs: 60,
+        run: |dir, e| sss_table(dir, "table7_1", &Machine::xeon(), 60, e),
+    },
+    Experiment {
+        id: "table7_2",
+        about: "SSS clustering, 115 processes on 10x2x6",
+        stochastic: "batched",
+        max_procs: 115,
+        run: |dir, e| sss_table(dir, "table7_2", &Machine::opteron_10_nodes(), 115, e),
+    },
+    Experiment {
+        id: "fig7_4",
+        about: "hybrid barrier performance, 8x2x4",
+        stochastic: "batched",
+        max_procs: 64,
+        run: |dir, e| hybrid_sweep(dir, "fig7_4", &Machine::xeon(), e.stride_small.max(2), e),
+    },
+    Experiment {
+        id: "fig7_5",
+        about: "hybrid barrier performance, 12x2x6",
+        stochastic: "batched",
+        max_procs: 144,
+        run: |dir, e| hybrid_sweep(dir, "fig7_5", &Machine::opteron(), e.stride_large, e),
+    },
+    Experiment {
+        id: "fig7_6",
+        about: "greedy adapted barrier, 8x2x4",
+        stochastic: "batched",
+        max_procs: 64,
+        run: |dir, e| adapted_sweep(dir, "fig7_6", &Machine::xeon(), e.stride_small.max(4), e),
+    },
+    Experiment {
+        id: "fig7_7",
+        about: "greedy adapted barrier, 12x2x6",
+        stochastic: "batched",
+        max_procs: 144,
+        run: |dir, e| {
+            adapted_sweep(
+                dir,
+                "fig7_7",
+                &Machine::opteron(),
+                e.stride_large.max(12),
+                e,
+            )
+        },
+    },
+    Experiment {
+        id: "table8_1",
+        about: "stencil experimental configurations",
+        stochastic: "none",
+        max_procs: 1,
+        run: table8_1,
+    },
+    Experiment {
+        id: "table8_2",
+        about: "MPI and MPI+R wall times",
+        stochastic: "batched",
+        max_procs: 64,
+        run: table8_2,
+    },
+    Experiment {
+        id: "fig8_4",
+        about: "A1: strong scaling, all implementations",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig8_4,
+    },
+    Experiment {
+        id: "fig8_5",
+        about: "A2: strong scaling, BSP implementations",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig8_5,
+    },
+    Experiment {
+        id: "fig8_6",
+        about: "A3: strong scaling, selected, small problem",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig8_6,
+    },
+    Experiment {
+        id: "fig8_7",
+        about: "A4: strong scaling, incl. hybrid, small problem",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig8_7,
+    },
+    Experiment {
+        id: "fig8_10",
+        about: "B1-B6: stencil prediction vs measurement",
+        stochastic: "batched",
+        max_procs: 144,
+        run: fig8_10_to_8_15,
+    },
+    Experiment {
+        id: "fig8_18",
+        about: "C1: ghost-width adaptation",
+        stochastic: "batched",
+        max_procs: 64,
+        run: fig8_18,
+    },
+    Experiment {
+        id: "collectives",
+        about: "predicted vs simulated collective costs",
+        stochastic: "batched",
+        max_procs: 144,
+        run: collectives_predict_vs_sim,
+    },
+    Experiment {
+        id: "coll_rt",
+        about: "allreduce through the BSPlib runtime vs prediction",
+        stochastic: "batched",
+        max_procs: 64,
+        run: collectives_runtime,
+    },
+    Experiment {
+        id: "scale",
+        about: "sampled microbench + class model vs sim, p to 4096",
+        stochastic: "batched",
+        max_procs: 4096,
+        run: scale_p,
+    },
+    Experiment {
+        id: "faults",
+        about: "fault injection: drops/stragglers/crashes vs completion",
+        stochastic: "batched",
+        max_procs: 256,
+        run: faults,
+    },
+    Experiment {
+        id: "recovery",
+        about: "survivor re-planning: recovery policies and repair costs",
+        stochastic: "batched",
+        max_procs: 256,
+        run: recovery,
+    },
+];
 
-/// The full experiment registry: `(id, description, stochastic path,
-/// max process count, function)`. The process count is the largest `P`
-/// the experiment touches at standard effort (1 for host-clock and
-/// rendering experiments with no simulated processes) — reported by
-/// `repro --json` so throughput artifacts carry their problem scale.
-pub fn registry() -> Vec<(
-    &'static str,
-    &'static str,
-    StochasticPath,
-    usize,
-    ExperimentFn,
-)> {
-    vec![
-        (
-            "table3_1",
-            "BSPBench parameter values, 8x2x4 cluster",
-            "batched",
-            64,
-            table3_1,
-        ),
-        (
-            "fig3_2",
-            "inner product: timings vs classic BSP estimates",
-            "batched",
-            64,
-            fig3_2,
-        ),
-        (
-            "fig4_2",
-            "bspbench computation rates vs vector size (host)",
-            "host-clock",
-            1,
-            fig4_2,
-        ),
-        (
-            "fig4_3",
-            "kernel rates and predictions, 2 kernels (host)",
-            "host-clock",
-            1,
-            fig4_3_4_4,
-        ),
-        (
-            "fig4_5",
-            "L1 BLAS, in-cache problem sizes (host)",
-            "host-clock",
-            1,
-            fig4_5,
-        ),
-        (
-            "fig4_6",
-            "L1 BLAS, out-of-cache problem sizes (host)",
-            "host-clock",
-            1,
-            fig4_6,
-        ),
-        (
-            "fig5_2",
-            "4-process barrier patterns in matrix form",
-            "none",
-            4,
-            fig5_2_3_4,
-        ),
-        (
-            "fig5_6",
-            "barrier timings/predictions/errors, 8x2x4",
-            "batched",
-            64,
-            fig5_6_to_5_9,
-        ),
-        (
-            "fig5_10",
-            "barrier timings/predictions/errors, 12x2x6",
-            "batched",
-            144,
-            fig5_10_to_5_13,
-        ),
-        (
-            "fig6_3",
-            "BSP sync measured vs estimate, 8x2x4",
-            "batched",
-            64,
-            fig6_3,
-        ),
-        (
-            "fig6_4",
-            "BSP sync measured vs estimate, 12x2x6",
-            "batched",
-            144,
-            fig6_4,
-        ),
-        (
-            "table7_1",
-            "SSS clustering, 60 processes on 8x2x4",
-            "batched",
-            60,
-            table7_1,
-        ),
-        (
-            "table7_2",
-            "SSS clustering, 115 processes on 10x2x6",
-            "batched",
-            115,
-            table7_2,
-        ),
-        (
-            "fig7_4",
-            "hybrid barrier performance, 8x2x4",
-            "batched",
-            64,
-            fig7_4,
-        ),
-        (
-            "fig7_5",
-            "hybrid barrier performance, 12x2x6",
-            "batched",
-            144,
-            fig7_5,
-        ),
-        (
-            "fig7_6",
-            "greedy adapted barrier, 8x2x4",
-            "batched",
-            64,
-            fig7_6,
-        ),
-        (
-            "fig7_7",
-            "greedy adapted barrier, 12x2x6",
-            "batched",
-            144,
-            fig7_7,
-        ),
-        (
-            "table8_1",
-            "stencil experimental configurations",
-            "none",
-            1,
-            table8_1,
-        ),
-        (
-            "table8_2",
-            "MPI and MPI+R wall times",
-            "batched",
-            64,
-            table8_2,
-        ),
-        (
-            "fig8_4",
-            "A1: strong scaling, all implementations",
-            "batched",
-            64,
-            fig8_4,
-        ),
-        (
-            "fig8_5",
-            "A2: strong scaling, BSP implementations",
-            "batched",
-            64,
-            fig8_5,
-        ),
-        (
-            "fig8_6",
-            "A3: strong scaling, selected, small problem",
-            "batched",
-            64,
-            fig8_6,
-        ),
-        (
-            "fig8_7",
-            "A4: strong scaling, incl. hybrid, small problem",
-            "batched",
-            64,
-            fig8_7,
-        ),
-        (
-            "fig8_10",
-            "B1-B6: stencil prediction vs measurement",
-            "batched",
-            144,
-            fig8_10_to_8_15,
-        ),
-        (
-            "fig8_18",
-            "C1: ghost-width adaptation",
-            "batched",
-            64,
-            fig8_18,
-        ),
-        (
-            "collectives",
-            "predicted vs simulated collective costs",
-            "batched",
-            144,
-            collectives_predict_vs_sim,
-        ),
-        (
-            "coll_rt",
-            "allreduce through the BSPlib runtime vs prediction",
-            "batched",
-            64,
-            collectives_runtime,
-        ),
-        (
-            "scale",
-            "sampled microbench + class model vs sim, p to 4096",
-            "batched",
-            4096,
-            scale_p,
-        ),
-        (
-            "faults",
-            "fault injection: drops/stragglers/crashes vs completion",
-            "batched",
-            256,
-            faults,
-        ),
-        (
-            "recovery",
-            "survivor re-planning: recovery policies and repair costs",
-            "batched",
-            256,
-            recovery,
-        ),
-    ]
+/// The full experiment registry, in `repro all` order.
+pub fn registry() -> &'static [Experiment] {
+    REGISTRY
+}
+
+/// The registered experiment with this id.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id == id)
 }
 
 /// Runs one experiment by id; returns the files written.
 pub fn run_experiment(id: &str, dir: &Path, effort: &Effort) -> Option<Vec<PathBuf>> {
-    registry()
-        .into_iter()
-        .find(|(name, _, _, _, _)| *name == id)
-        .map(|(_, _, _, _, f)| f(dir, effort))
-}
-
-/// The stochastic path an experiment runs on, by id.
-pub fn stochastic_path(id: &str) -> Option<StochasticPath> {
-    registry()
-        .into_iter()
-        .find(|(name, _, _, _, _)| *name == id)
-        .map(|(_, _, path, _, _)| path)
-}
-
-/// The largest process count an experiment touches, by id.
-pub fn max_procs(id: &str) -> Option<usize> {
-    registry()
-        .into_iter()
-        .find(|(name, _, _, _, _)| *name == id)
-        .map(|(_, _, _, p, _)| p)
+    find(id).map(|e| (e.run)(dir, effort))
 }

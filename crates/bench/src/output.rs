@@ -59,15 +59,6 @@ pub fn write_text(dir: &Path, name: &str, text: &str) -> std::path::PathBuf {
     path
 }
 
-/// Writes text to `<dir>/<filename>` verbatim — for artifacts whose
-/// extension is part of the contract (e.g. `BENCH_faults.json`).
-pub fn write_file(dir: &Path, filename: &str, text: &str) -> std::path::PathBuf {
-    std::fs::create_dir_all(dir).expect("create output dir");
-    let path = dir.join(filename);
-    std::fs::write(&path, text).expect("write file");
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

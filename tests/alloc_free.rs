@@ -5,8 +5,10 @@
 //! up one `(NetState, SimScratch)` pair, snapshots the allocation
 //! counter, runs many full repetitions (including RNG derivation, the
 //! measurement loop's real per-item work) and asserts the counter did not
-//! move. This file holds exactly one test: integration-test binaries are
-//! one process each, so no concurrent test can pollute the counter.
+//! move. The allocator counts requested bytes too, for the one absolute
+//! size check: constructing the p = 4096 placement stays linear. This
+//! file holds exactly one test: integration-test binaries are one process
+//! each, so no concurrent test can pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,18 +16,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES_REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        BYTES_REQUESTED.fetch_add(layout.size(), Ordering::SeqCst);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        BYTES_REQUESTED.fetch_add(layout.size(), Ordering::SeqCst);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        BYTES_REQUESTED.fetch_add(new_size, Ordering::SeqCst);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -191,5 +197,28 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     assert_eq!(
         min_delta, 0,
         "every trial of warm verify loops heap-allocated (min {min_delta})"
+    );
+
+    // Allocator truth for the scale path: every byte requested while the
+    // p = 4096 placement is built, transients and regrowth included, is a
+    // generous linear allowance — two orders of magnitude under one dense
+    // pair table (16.8 MB at a byte per pair), whatever the type
+    // signatures say.
+    let requested = (0..4)
+        .map(|_| {
+            let before = BYTES_REQUESTED.load(Ordering::SeqCst);
+            let big = Placement::new(
+                hpm::topology::cluster_512x2x4(),
+                PlacementPolicy::RoundRobin,
+                4096,
+            );
+            assert_eq!(big.nprocs(), 4096);
+            BYTES_REQUESTED.load(Ordering::SeqCst) - before
+        })
+        .min()
+        .expect("four trials");
+    assert!(
+        requested <= 2_000_000,
+        "building the p = 4096 placement requested {requested} B"
     );
 }
