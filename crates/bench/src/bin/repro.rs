@@ -38,8 +38,7 @@ fn value(args: &mut impl Iterator<Item = String>, why: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        usage();
-        std::process::exit(2);
+        bad_args("nothing to run");
     }
     let mut args = args.into_iter();
     let mut out_dir = PathBuf::from("results");
