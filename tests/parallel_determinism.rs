@@ -277,6 +277,77 @@ fn recovering_outcomes_match_goldens() {
     );
 }
 
+/// Golden pin of the seven executable collectives (PR 20, struck on the
+/// parent's code while each was its own hand-written step machine): one
+/// hash per `run_*` over `(total_time bits, supersteps, every value's
+/// bits)` across p ∈ {2, 3, 5, 6, 8, 13, 16, 33, 64} × n ∈ {0, 1, 7, 24,
+/// 100} × root ∈ {0, p/2, p − 1} — 45 runs of each unrooted collective,
+/// 135 of each rooted one, 675 in all. Empty vectors, ragged and empty
+/// two-phase chunks (p ∤ n, p > n) and non-power-of-two trees are all in
+/// the grid. The runs are jittered, hence the platform gate of the
+/// goldens above.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn collective_runs_match_goldens() {
+    use hpm::collectives::{
+        run_allreduce, run_broadcast_flat, run_broadcast_two_phase, run_gather, run_reduce,
+        run_scan, run_total_exchange, CollectiveOutcome,
+    };
+
+    type Rooted = fn(&BspConfig, usize, usize) -> CollectiveOutcome;
+    type Unrooted = fn(&BspConfig, usize) -> CollectiveOutcome;
+    let rooted: [(&str, Rooted, u64); 4] = [
+        ("broadcast_flat", run_broadcast_flat, 0xbdaaf282020ec32e),
+        (
+            "broadcast_two_phase",
+            run_broadcast_two_phase,
+            0x11f2af5c214eb22a,
+        ),
+        ("reduce", run_reduce, 0x7f06b729e10b3b60),
+        ("gather", run_gather, 0xf345e3efb74500a4),
+    ];
+    let unrooted: [(&str, Unrooted, u64); 3] = [
+        ("allreduce", run_allreduce, 0x958518fc76d1ba7c),
+        ("scan", run_scan, 0x8c749274f303a0a7),
+        ("total_exchange", run_total_exchange, 0x49fec89a1b697b2d),
+    ];
+
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let absorb = |h: u64, out: &CollectiveOutcome| {
+        let h = word(word(h, out.total_time.to_bits()), out.supersteps as u64);
+        out.values.iter().fold(h, |h, v| {
+            v.iter()
+                .fold(word(h, v.len() as u64), |h, x| word(h, x.to_bits()))
+        })
+    };
+    let mut rooted_h = [0xcbf29ce484222325u64; 4];
+    let mut unrooted_h = [0xcbf29ce484222325u64; 3];
+    for p in [2usize, 3, 5, 6, 8, 13, 16, 33, 64] {
+        let cfg = BspConfig::new(
+            xeon_cluster_params(),
+            Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p),
+            xeon_core(),
+            4711,
+        );
+        for n in [0usize, 1, 7, 24, 100] {
+            for root in [0, p / 2, p - 1] {
+                for (h, (_, run, _)) in rooted_h.iter_mut().zip(&rooted) {
+                    *h = absorb(*h, &run(&cfg, root, n));
+                }
+            }
+            for (h, (_, run, _)) in unrooted_h.iter_mut().zip(&unrooted) {
+                *h = absorb(*h, &run(&cfg, n));
+            }
+        }
+    }
+    for (h, (name, _, want)) in rooted_h.iter().zip(&rooted) {
+        assert_eq!(h, want, "run_{name} moved: {h:#018x}");
+    }
+    for (h, (name, _, want)) in unrooted_h.iter().zip(&unrooted) {
+        assert_eq!(h, want, "run_{name} moved: {h:#018x}");
+    }
+}
+
 /// FNV-1a over one compiled plan: every array the executors, the
 /// predictor and the analyzer read, plus the name.
 fn fnv_plan(h: u64, plan: &hpm::model::plan::CompiledPattern) -> u64 {
