@@ -1,12 +1,22 @@
-//! Executable SPMD collective implementations over [`BspCtx`].
+//! Executable SPMD collectives over [`BspCtx`]: the patterns of
+//! [`crate::pattern`], run.
 //!
-//! Each collective here is the *runnable* twin of a matrix pattern in
-//! [`crate::pattern`]: the same stage structure, expressed as BSPlib
-//! supersteps that move real `f64` payload through the simulated cluster's
-//! process memories. One superstep per communication stage; data committed
-//! in stage `s` is visible at the start of superstep `s + 1`, so combining
-//! steps (reduce, scan) fold their inbound staging buffer before issuing
-//! the next stage's puts.
+//! A collective is defined once, as the [`CollectivePattern`] the verifier
+//! and the Eq. 5.4 predictor already consume. One private `BspProgram`
+//! walks it: superstep 0 allocates and registers the buffer inbound puts
+//! land in; superstep `s + 1` first absorbs what stage `s − 1` delivered
+//! (if `stage(s − 1).srcs(pid)` is non-empty), then puts to exactly
+//! `stage(s).dsts(pid)`, in order; the superstep after the last stage
+//! absorbs it and halts. Data committed in one superstep is visible at the
+//! start of the next, so a combining step folds its inbox before it sends
+//! again. A single process has no stages: it registers and halts.
+//!
+//! The program is parameterised only by what a pattern does not say: what
+//! an edge carries and what its receiver does with it (the private `Carry`
+//! enum — one variant per row of DESIGN.md's collectives table). Each
+//! `run_*` builds the same `pattern::*` that [`crate::predict`] is handed
+//! and runs it, so an edge the predictor charges is an edge the runtime
+//! puts, by construction.
 //!
 //! All programs run on deterministic seed data ([`seed_vector`],
 //! [`exchange_chunk`]): integer-valued `f64`s, so sums are exact and
@@ -22,8 +32,9 @@ use hpm_bsplib::ctx::BspCtx;
 use hpm_bsplib::mem::{f64s, write_f64s, RegHandle};
 use hpm_bsplib::ops::StepOutcome;
 use hpm_bsplib::runtime::{run_spmd, BspConfig, BspProgram};
+use hpm_core::pattern::CommPattern;
 
-use crate::pattern::log2_ceil;
+use crate::pattern::{self, CollectivePattern};
 
 /// Result of running one collective through the BSPlib runtime.
 #[derive(Debug, Clone)]
@@ -69,466 +80,240 @@ fn hpput_f64s(ctx: &mut BspCtx, dst: usize, reg: RegHandle, offset: usize, vals:
     });
 }
 
-/// Virtual rank with the root rotated to 0.
-fn vrank(pid: usize, root: usize, p: usize) -> usize {
-    (pid + p - root) % p
+/// What a [`CollectivePattern`] leaves open: what an edge carries and what
+/// its receiver does with it. Under [`Carry::Fold`] a rank's state is its
+/// accumulator and the registered buffer is its inbox; under every other
+/// variant the state *is* the registered buffer — an edge carries a range
+/// of the sender's buffer to the same range of the receiver's, where it
+/// needs no further handling, and an empty range is no message.
+#[derive(Debug, Clone, Copy)]
+enum Carry {
+    /// The whole vector (flat broadcast).
+    Replicate,
+    /// Stage 0 carries the destination's chunk of the vector, stage 1 the
+    /// sender's own (two-phase broadcast). Chunk `j` is the element range
+    /// `[j·c, min((j+1)·c, n))` with `c = ⌈n/p⌉`.
+    OwnChunk,
+    /// The sender's accumulator, empty or not. Its receiver adds it to
+    /// its own during the first `k` stages and adopts it from stage `k`
+    /// on (reduce, scan: `k` = every stage; allreduce: the up phase).
+    Fold(usize),
+    /// Every block the sender holds — its own and those it was sent —
+    /// one put per block (gather).
+    HeldSpan,
+    /// The chunk addressed to the destination, generated in the slot
+    /// (total exchange).
+    Personalised,
 }
 
-/// Physical rank of a virtual rank.
-fn prank(vr: usize, root: usize, p: usize) -> usize {
-    (vr + root) % p
-}
-
-/// Binomial-tree roles at stage `s` (virtual rank space, root ≡ 0).
-fn sends_in(vr: usize, s: usize) -> bool {
-    vr % (2 << s) == (1 << s)
-}
-
-fn receives_in(vr: usize, s: usize, p: usize) -> bool {
-    vr.is_multiple_of(2 << s) && vr + (1 << s) < p
-}
-
-fn finish<P: BspProgram>(
-    res: hpm_bsplib::runtime::BspRunResult<P>,
-    take: impl Fn(P) -> Vec<f64>,
-) -> CollectiveOutcome {
-    CollectiveOutcome {
-        total_time: res.total_time,
-        supersteps: res.superstep_count(),
-        values: res.programs.into_iter().map(take).collect(),
-    }
-}
-
-// ------------------------------------------------------------- broadcast
-
-struct BcastFlat {
-    root: usize,
+/// The one program: a [`CollectivePattern`] walked stage by stage.
+struct Walk<'a> {
+    pattern: &'a CollectivePattern,
+    carry: Carry,
+    /// Elements per vector (broadcasts, combining), block (gather) or
+    /// chunk (total exchange).
     n: usize,
     step: usize,
+    /// The registered buffer inbound puts land in.
     buf: Option<RegHandle>,
-    out: Vec<f64>,
+    /// [`Carry::Fold`]'s accumulator; otherwise forwarding scratch, and
+    /// after the last superstep the buffer's contents.
+    vals: Vec<f64>,
 }
 
-impl BspProgram for BcastFlat {
-    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        match self.step {
-            0 => {
-                let h = ctx.alloc(self.n * 8);
-                if ctx.pid() == self.root {
-                    self.out = seed_vector(self.root, self.n);
-                    write_f64s(self.out.iter().copied(), ctx.write_buf(h));
+impl<'a> Walk<'a> {
+    fn new(pattern: &'a CollectivePattern, carry: Carry, n: usize) -> Walk<'a> {
+        Walk {
+            pattern,
+            carry,
+            n,
+            step: 0,
+            buf: None,
+            vals: Vec::new(),
+        }
+    }
+
+    fn buf(&self) -> RegHandle {
+        self.buf.expect("registered in superstep 0")
+    }
+
+    /// Superstep 0: allocate the buffer, place this rank's input, register.
+    fn register(&mut self, ctx: &mut BspCtx) {
+        let (pid, p, n) = (ctx.pid(), ctx.nprocs(), self.n);
+        let blocks = match self.carry {
+            Carry::HeldSpan | Carry::Personalised => p,
+            _ => 1,
+        };
+        let buf = ctx.alloc(blocks * n * 8);
+        let own = pid * n * 8..(pid + 1) * n * 8;
+        match self.carry {
+            Carry::Replicate | Carry::OwnChunk => {
+                if self.pattern.root() == Some(pid) {
+                    write_f64s(seed_values(pid, n), ctx.write_buf(buf));
                 }
-                ctx.push_reg(h);
-                self.buf = Some(h);
-                self.step = 1;
-                StepOutcome::Continue
             }
-            1 => {
-                if ctx.pid() == self.root && self.n > 0 {
-                    let h = self.buf.expect("registered");
-                    for dst in 0..ctx.nprocs() {
-                        if dst != self.root {
-                            hpput_f64s(ctx, dst, h, 0, &self.out);
-                        }
-                    }
+            Carry::Fold(_) => self.vals = seed_vector(pid, n),
+            Carry::HeldSpan => write_f64s(seed_values(pid, n), &mut ctx.write_buf(buf)[own]),
+            Carry::Personalised => {
+                write_f64s(chunk_values(pid, pid, n), &mut ctx.write_buf(buf)[own]);
+            }
+        }
+        ctx.push_reg(buf);
+        self.buf = Some(buf);
+    }
+
+    /// What a receiver of stage `s` does with what landed in its buffer.
+    fn absorb(&mut self, ctx: &BspCtx, s: usize) {
+        let inbound = ctx.read_buf(self.buf());
+        match self.carry {
+            Carry::Fold(k) if s < k => {
+                for (a, b) in self.vals.iter_mut().zip(f64s(inbound)) {
+                    *a += b;
                 }
-                self.step = 2;
-                StepOutcome::Continue
             }
-            _ => {
-                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
-                StepOutcome::Halt
+            Carry::Fold(_) => load(&mut self.vals, inbound),
+            _ => {}
+        }
+    }
+
+    /// The puts of the stage-`s` edge from this rank to `dst`.
+    fn put(&mut self, ctx: &mut BspCtx, s: usize, dst: usize) {
+        let (pid, p, n) = (ctx.pid(), ctx.nprocs(), self.n);
+        match self.carry {
+            Carry::Replicate => self.forward(ctx, dst, 0, n),
+            Carry::OwnChunk => {
+                let (c, j) = (n.div_ceil(p), if s == 0 { dst } else { pid });
+                self.forward(ctx, dst, (j * c).min(n), ((j + 1) * c).min(n));
+            }
+            Carry::Fold(_) => hpput_f64s(ctx, dst, self.buf(), 0, &self.vals),
+            Carry::HeldSpan => {
+                // After s completed stages virtual rank vr (root ≡ 0)
+                // holds the blocks of [vr, vr + 2^s), clipped to p; each
+                // lives at its physical rank's offset.
+                let root = self.pattern.root().expect("gather is rooted");
+                let vr = (pid + p - root) % p;
+                for w in vr..vr + (1usize << s).min(p - vr) {
+                    let b = (w + root) % p;
+                    self.forward(ctx, dst, b * n, (b + 1) * n);
+                }
+            }
+            Carry::Personalised => {
+                if n > 0 {
+                    ctx.hpput_with(dst, self.buf(), pid * n * 8, n * 8, |slot| {
+                        write_f64s(chunk_values(pid, dst, n), slot)
+                    });
+                }
             }
         }
     }
+
+    /// Puts elements `lo..hi` of this rank's buffer to the same place at
+    /// `dst`, unpacked into `vals` and re-marshalled in the slot.
+    fn forward(&mut self, ctx: &mut BspCtx, dst: usize, lo: usize, hi: usize) {
+        if lo < hi {
+            let buf = self.buf();
+            load(&mut self.vals, &ctx.read_buf(buf)[lo * 8..hi * 8]);
+            hpput_f64s(ctx, dst, buf, lo * 8, &self.vals);
+        }
+    }
+}
+
+impl BspProgram for Walk<'_> {
+    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
+        let (pattern, pid) = (self.pattern, ctx.pid());
+        let step = self.step;
+        self.step += 1;
+        if step == 0 {
+            self.register(ctx);
+            return StepOutcome::Continue;
+        }
+        // Stage s communicates now; stage s − 1 landed at the last sync.
+        let s = step - 1;
+        if s > 0 && !pattern.stage(s - 1).srcs(pid).is_empty() {
+            self.absorb(ctx, s - 1);
+        }
+        if s == pattern.stages() {
+            if !matches!(self.carry, Carry::Fold(_)) {
+                let buf = self.buf();
+                load(&mut self.vals, ctx.read_buf(buf));
+            }
+            return StepOutcome::Halt;
+        }
+        for &dst in pattern.stage(s).dsts(pid) {
+            self.put(ctx, s, dst);
+        }
+        StepOutcome::Continue
+    }
+}
+
+/// Runs `pattern` on `cfg`'s machine, `n` elements per vector, block or
+/// chunk; each rank's result is the program's final `vals`.
+fn run(cfg: &BspConfig, pattern: &CollectivePattern, carry: Carry, n: usize) -> CollectiveOutcome {
+    assert_eq!(
+        pattern.p(),
+        cfg.placement.nprocs(),
+        "{} is built for another process count than the placement's",
+        pattern.name()
+    );
+    let res = run_spmd(cfg, |_| Walk::new(pattern, carry, n))
+        .unwrap_or_else(|e| panic!("{} run: {e}", pattern.name()));
+    CollectiveOutcome {
+        total_time: res.total_time,
+        supersteps: res.superstep_count(),
+        values: res.programs.into_iter().map(|w| w.vals).collect(),
+    }
+}
+
+/// The pattern builders' `bytes` for `n` `f64`s.
+fn bytes(n: usize) -> u64 {
+    8 * n as u64
 }
 
 /// One-phase broadcast: the root puts the full vector to every rank.
 pub fn run_broadcast_flat(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
-    let res = run_spmd(cfg, |_| BcastFlat {
-        root,
-        n,
-        step: 0,
-        buf: None,
-        out: Vec::new(),
-    })
-    .expect("broadcast-flat run");
-    finish(res, |prog| prog.out)
-}
-
-struct BcastTwoPhase {
-    root: usize,
-    n: usize,
-    step: usize,
-    buf: Option<RegHandle>,
-    out: Vec<f64>,
-}
-
-impl BcastTwoPhase {
-    /// Chunk of rank `j`: element range `[j·c, min((j+1)·c, n))`.
-    fn chunk_range(&self, j: usize, p: usize) -> (usize, usize) {
-        let c = self.n.div_ceil(p);
-        ((j * c).min(self.n), ((j + 1) * c).min(self.n))
-    }
-}
-
-impl BspProgram for BcastTwoPhase {
-    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        let p = ctx.nprocs();
-        match self.step {
-            0 => {
-                let h = ctx.alloc(self.n * 8);
-                if ctx.pid() == self.root {
-                    self.out = seed_vector(self.root, self.n);
-                    write_f64s(self.out.iter().copied(), ctx.write_buf(h));
-                }
-                ctx.push_reg(h);
-                self.buf = Some(h);
-                self.step = 1;
-                StepOutcome::Continue
-            }
-            1 => {
-                // Scatter: root sends chunk j to rank j.
-                if ctx.pid() == self.root {
-                    let h = self.buf.expect("registered");
-                    for j in 0..p {
-                        let (lo, hi) = self.chunk_range(j, p);
-                        if j != self.root && lo < hi {
-                            hpput_f64s(ctx, j, h, lo * 8, &self.out[lo..hi]);
-                        }
-                    }
-                }
-                self.step = 2;
-                StepOutcome::Continue
-            }
-            2 => {
-                // Allgather: every rank sends its own chunk (scattered
-                // into its registered buffer) to all others.
-                let h = self.buf.expect("registered");
-                let (lo, hi) = self.chunk_range(ctx.pid(), p);
-                if lo < hi {
-                    load(&mut self.out, &ctx.read_buf(h)[lo * 8..hi * 8]);
-                    for dst in 0..p {
-                        if dst != ctx.pid() {
-                            hpput_f64s(ctx, dst, h, lo * 8, &self.out);
-                        }
-                    }
-                }
-                self.step = 3;
-                StepOutcome::Continue
-            }
-            _ => {
-                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
-                StepOutcome::Halt
-            }
-        }
-    }
+    let pat = pattern::broadcast_flat(cfg.placement.nprocs(), root, bytes(n));
+    run(cfg, &pat, Carry::Replicate, n)
 }
 
 /// Two-phase broadcast (scatter + allgather): `p`-fold less data through
 /// the root at one extra stage of latency.
 pub fn run_broadcast_two_phase(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
-    let res = run_spmd(cfg, |_| BcastTwoPhase {
-        root,
-        n,
-        step: 0,
-        buf: None,
-        out: Vec::new(),
-    })
-    .expect("broadcast-two-phase run");
-    finish(res, |prog| prog.out)
-}
-
-// ------------------------------------------- combining trees (reduce &c)
-
-/// Which collective a [`Combining`] program executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CombineKind {
-    /// Binomial combining tree toward the root.
-    Reduce,
-    /// Reduce to rank 0 followed by the mirrored binomial broadcast.
-    Allreduce,
-    /// Hillis–Steele inclusive prefix scan.
-    Scan,
-}
-
-/// Shared engine for the combining collectives: one superstep per stage,
-/// each folding the staging buffer filled in the previous stage before
-/// issuing its own puts.
-struct Combining {
-    kind: CombineKind,
-    root: usize,
-    n: usize,
-    step: usize,
-    staging: Option<RegHandle>,
-    acc: Vec<f64>,
-}
-
-impl Combining {
-    fn fold_add(&mut self, ctx: &BspCtx) {
-        let inbound = f64s(ctx.read_buf(self.staging.expect("registered")));
-        for (a, b) in self.acc.iter_mut().zip(inbound) {
-            *a += b;
-        }
-    }
-
-    fn replace(&mut self, ctx: &BspCtx) {
-        load(
-            &mut self.acc,
-            ctx.read_buf(self.staging.expect("registered")),
-        );
-    }
-}
-
-impl BspProgram for Combining {
-    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        let p = ctx.nprocs();
-        let s_total = log2_ceil(p);
-        let vr = match self.kind {
-            CombineKind::Scan => ctx.pid(),
-            _ => vrank(ctx.pid(), self.root, p),
-        };
-        if self.step == 0 {
-            let h = ctx.alloc(self.n * 8);
-            ctx.push_reg(h);
-            self.staging = Some(h);
-            self.acc = seed_vector(ctx.pid(), self.n);
-            self.step = 1;
-            return StepOutcome::Continue;
-        }
-        let t = self.step; // superstep index: stage t−1 communicates now
-                           // Fold what landed at the end of the previous superstep.
-        if t >= 2 {
-            let s_prev = t - 2;
-            match self.kind {
-                CombineKind::Reduce if s_prev < s_total && receives_in(vr, s_prev, p) => {
-                    self.fold_add(ctx)
-                }
-                CombineKind::Scan if s_prev < s_total && vr >= (1 << s_prev) => self.fold_add(ctx),
-                CombineKind::Allreduce => {
-                    if s_prev < s_total {
-                        // Up-phase receive.
-                        if receives_in(vr, s_prev, p) {
-                            self.fold_add(ctx);
-                        }
-                    } else if s_prev < 2 * s_total {
-                        // Down-phase receive: the final value replaces acc.
-                        let d = 1usize << (2 * s_total - 1 - s_prev);
-                        if vr % (2 * d) == d {
-                            self.replace(ctx);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Issue this superstep's stage, if any remains.
-        let stages = match self.kind {
-            CombineKind::Allreduce => 2 * s_total,
-            _ => s_total,
-        };
-        if t <= stages {
-            let s = t - 1;
-            let h = self.staging.expect("registered");
-            match self.kind {
-                CombineKind::Reduce if sends_in(vr, s) => {
-                    let dst = prank(vr - (1 << s), self.root, p);
-                    hpput_f64s(ctx, dst, h, 0, &self.acc);
-                }
-                CombineKind::Scan if vr + (1 << s) < p => {
-                    hpput_f64s(ctx, vr + (1 << s), h, 0, &self.acc);
-                }
-                CombineKind::Allreduce => {
-                    if s < s_total {
-                        if sends_in(vr, s) {
-                            hpput_f64s(ctx, vr - (1 << s), h, 0, &self.acc);
-                        }
-                    } else {
-                        let d = 1usize << (2 * s_total - 1 - s);
-                        if vr % (2 * d) == 0 && vr + d < p {
-                            hpput_f64s(ctx, vr + d, h, 0, &self.acc);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            self.step += 1;
-            StepOutcome::Continue
-        } else {
-            StepOutcome::Halt
-        }
-    }
-}
-
-fn run_combining(cfg: &BspConfig, kind: CombineKind, root: usize, n: usize) -> CollectiveOutcome {
-    // Only the reduce arms map virtual ranks back through the root
-    // rotation; allreduce and scan address peers by raw virtual rank.
-    assert!(
-        kind == CombineKind::Reduce || root == 0,
-        "{kind:?} does not support a non-zero root"
-    );
-    let res = run_spmd(cfg, |_| Combining {
-        kind,
-        root,
-        n,
-        step: 0,
-        staging: None,
-        acc: Vec::new(),
-    })
-    .expect("combining collective run");
-    finish(res, |prog| prog.acc)
+    let pat = pattern::broadcast_two_phase(cfg.placement.nprocs(), root, bytes(n));
+    run(cfg, &pat, Carry::OwnChunk, n)
 }
 
 /// Binomial-tree reduce: the root ends holding the elementwise sum.
 pub fn run_reduce(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
-    run_combining(cfg, CombineKind::Reduce, root, n)
+    let pat = pattern::reduce_binomial(cfg.placement.nprocs(), root, bytes(n));
+    run(cfg, &pat, Carry::Fold(pat.stages()), n)
 }
 
 /// Allreduce (reduce + mirrored broadcast): every rank ends holding the
 /// elementwise sum.
 pub fn run_allreduce(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
-    run_combining(cfg, CombineKind::Allreduce, 0, n)
+    let pat = pattern::allreduce(cfg.placement.nprocs(), bytes(n));
+    run(cfg, &pat, Carry::Fold(pat.stages() / 2), n)
 }
 
 /// Inclusive prefix scan: rank `i` ends holding the elementwise sum of
 /// ranks `0..=i`.
 pub fn run_scan(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
-    run_combining(cfg, CombineKind::Scan, 0, n)
-}
-
-// ----------------------------------------------------------------- gather
-
-struct Gather {
-    root: usize,
-    n: usize,
-    step: usize,
-    buf: Option<RegHandle>,
-    out: Vec<f64>,
-}
-
-impl BspProgram for Gather {
-    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        let p = ctx.nprocs();
-        let s_total = log2_ceil(p);
-        let vr = vrank(ctx.pid(), self.root, p);
-        let block = self.n * 8;
-        match self.step {
-            0 => {
-                let h = ctx.alloc(p * block);
-                if block > 0 {
-                    let pid = ctx.pid();
-                    write_f64s(
-                        seed_values(pid, self.n),
-                        &mut ctx.write_buf(h)[pid * block..(pid + 1) * block],
-                    );
-                }
-                ctx.push_reg(h);
-                self.buf = Some(h);
-                self.step = 1;
-                StepOutcome::Continue
-            }
-            t if t <= s_total => {
-                let s = t - 1;
-                if sends_in(vr, s) && block > 0 {
-                    // Held span after s completed stages: [vr, vr + 2^s)
-                    // clipped to p, in virtual ranks; blocks live at their
-                    // physical offsets.
-                    let h = self.buf.expect("registered");
-                    let dst = prank(vr - (1 << s), self.root, p);
-                    let held = (1usize << s).min(p - vr);
-                    for w in vr..vr + held {
-                        let off = prank(w, self.root, p) * block;
-                        load(&mut self.out, &ctx.read_buf(h)[off..off + block]);
-                        hpput_f64s(ctx, dst, h, off, &self.out);
-                    }
-                }
-                self.step += 1;
-                StepOutcome::Continue
-            }
-            _ => {
-                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
-                StepOutcome::Halt
-            }
-        }
-    }
+    let pat = pattern::scan(cfg.placement.nprocs(), bytes(n));
+    run(cfg, &pat, Carry::Fold(pat.stages()), n)
 }
 
 /// Binomial-tree gather: the root ends holding every rank's block, at
 /// physical-rank offsets.
 pub fn run_gather(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
-    let res = run_spmd(cfg, |_| Gather {
-        root,
-        n,
-        step: 0,
-        buf: None,
-        out: Vec::new(),
-    })
-    .expect("gather run");
-    finish(res, |prog| prog.out)
-}
-
-// --------------------------------------------------------- total exchange
-
-struct TotalExchange {
-    n: usize,
-    step: usize,
-    buf: Option<RegHandle>,
-    out: Vec<f64>,
-}
-
-impl BspProgram for TotalExchange {
-    fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        let p = ctx.nprocs();
-        let block = self.n * 8;
-        match self.step {
-            0 => {
-                let h = ctx.alloc(p * block);
-                if block > 0 {
-                    let pid = ctx.pid();
-                    write_f64s(
-                        chunk_values(pid, pid, self.n),
-                        &mut ctx.write_buf(h)[pid * block..(pid + 1) * block],
-                    );
-                }
-                ctx.push_reg(h);
-                self.buf = Some(h);
-                self.step = 1;
-                StepOutcome::Continue
-            }
-            1 => {
-                if block > 0 {
-                    let h = self.buf.expect("registered");
-                    let src = ctx.pid();
-                    for dst in 0..p {
-                        if dst != src {
-                            ctx.hpput_with(dst, h, src * block, block, |slot| {
-                                write_f64s(chunk_values(src, dst, self.n), slot)
-                            });
-                        }
-                    }
-                }
-                self.step = 2;
-                StepOutcome::Continue
-            }
-            _ => {
-                load(&mut self.out, ctx.read_buf(self.buf.expect("registered")));
-                StepOutcome::Halt
-            }
-        }
-    }
+    let pat = pattern::gather_binomial(cfg.placement.nprocs(), root, bytes(n));
+    run(cfg, &pat, Carry::HeldSpan, n)
 }
 
 /// Total exchange: rank `j` ends holding chunk `i → j` at offset `i·n`,
 /// for every `i`.
 pub fn run_total_exchange(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
-    let res = run_spmd(cfg, |_| TotalExchange {
-        n,
-        step: 0,
-        buf: None,
-        out: Vec::new(),
-    })
-    .expect("total-exchange run");
-    finish(res, |prog| prog.out)
+    let pat = pattern::total_exchange(cfg.placement.nprocs(), bytes(n));
+    run(cfg, &pat, Carry::Personalised, n)
 }
 
 #[cfg(test)]
@@ -655,14 +440,138 @@ mod tests {
         assert_eq!(a.values, b.values);
     }
 
+    /// The seven collectives as the `run_*` functions pair them: the
+    /// pattern and what its edges carry.
+    fn seven(p: usize, root: usize, n: usize) -> [(CollectivePattern, Carry); 7] {
+        let b = bytes(n);
+        let stages = |pat: &CollectivePattern| pat.stages();
+        let (reduce, all, scan) = (
+            pattern::reduce_binomial(p, root, b),
+            pattern::allreduce(p, b),
+            pattern::scan(p, b),
+        );
+        let fold = [stages(&reduce), stages(&all) / 2, stages(&scan)].map(Carry::Fold);
+        [
+            (pattern::broadcast_flat(p, root, b), Carry::Replicate),
+            (pattern::broadcast_two_phase(p, root, b), Carry::OwnChunk),
+            (reduce, fold[0]),
+            (all, fold[1]),
+            (scan, fold[2]),
+            (pattern::gather_binomial(p, root, b), Carry::HeldSpan),
+            (pattern::total_exchange(p, b), Carry::Personalised),
+        ]
+    }
+
+    fn supersteps_of_all_seven(p: usize, root: usize, n: usize) -> [usize; 7] {
+        let c = &cfg(p);
+        [
+            run_broadcast_flat(c, root, n),
+            run_broadcast_two_phase(c, root, n),
+            run_reduce(c, root, n),
+            run_allreduce(c, n),
+            run_scan(c, n),
+            run_gather(c, root, n),
+            run_total_exchange(c, n),
+        ]
+        .map(|out| out.supersteps)
+    }
+
     #[test]
     fn superstep_counts_match_stage_structure() {
-        // Stage-per-superstep: register + ⌈log₂p⌉ stages + drain.
-        let p = 8;
-        assert_eq!(run_reduce(&cfg(p), 0, 4).supersteps, 2 + log2_ceil(p));
-        assert_eq!(run_allreduce(&cfg(p), 4).supersteps, 2 + 2 * log2_ceil(p));
-        assert_eq!(run_broadcast_flat(&cfg(p), 0, 4).supersteps, 3);
-        assert_eq!(run_broadcast_two_phase(&cfg(p), 0, 4).supersteps, 4);
-        assert_eq!(run_total_exchange(&cfg(p), 4).supersteps, 3);
+        // Stage-per-superstep: register, one per stage, absorb-and-halt.
+        for (p, root) in [(8, 0), (13, 5)] {
+            let ran = supersteps_of_all_seven(p, root, 4);
+            for ((pat, _), ran) in seven(p, root, 4).iter().zip(ran) {
+                assert_eq!(ran, 2 + pat.stages(), "{} p={p}", pat.name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_process_registers_and_halts() {
+        // A zero-stage pattern is two supersteps for every collective.
+        // Until PR 20 the hand-written flat broadcast, two-phase broadcast
+        // and total exchange stepped through their fixed 1 / 2 / 1 stages
+        // even at p = 1 (3 / 4 / 3 supersteps, the extra ones empty);
+        // total time and values were and are the same either way.
+        assert_eq!(supersteps_of_all_seven(1, 0, 4), [2; 7]);
+        assert_eq!(
+            run_broadcast_flat(&cfg(1), 0, 4).values,
+            [seed_vector(0, 4)]
+        );
+        assert_eq!(
+            run_total_exchange(&cfg(1), 4).values,
+            [exchange_chunk(0, 0, 4)]
+        );
+    }
+
+    /// Pattern ≡ program, superstep by superstep: superstep `s + 1`
+    /// commits one put per edge of stage `s`, each of the payload
+    /// schedule's size — what `predict_collective` charges is what the
+    /// runtime moves. Gather is the one intended difference (DESIGN.md):
+    /// the pattern models an edge as one message of the sender's whole
+    /// span, the program puts the span block by block.
+    #[test]
+    fn every_superstep_commits_its_stage() {
+        for p in [2usize, 3, 5, 8, 13, 16] {
+            // p | n, so the two-phase chunks are the schedule's ⌈8n/p⌉.
+            let (root, n) = (p - 1, 3 * p);
+            for (pat, carry) in seven(p, root, n) {
+                let res = run_spmd(&cfg(p), |_| Walk::new(&pat, carry, n)).expect("clean run");
+                let name = pat.name();
+                assert_eq!(res.superstep_count(), 2 + pat.stages(), "{name} p={p}");
+                for (t, trace) in res.supersteps.iter().enumerate() {
+                    let (ops, each) = match t.checked_sub(1).filter(|&s| s < pat.stages()) {
+                        None => (0, 0),
+                        Some(s) if matches!(carry, Carry::HeldSpan) => {
+                            let stage = pat.stage(s);
+                            let held = |i: usize| (1usize << s).min(p - (i + p - root) % p);
+                            let senders = (0..p).filter(|&i| !stage.dsts(i).is_empty());
+                            (senders.map(held).sum(), bytes(n))
+                        }
+                        Some(s) => (pat.stage(s).edge_count(), pat.payload().bytes(s)),
+                    };
+                    assert_eq!(trace.ops, ops, "{name} p={p} superstep {t}");
+                    assert_eq!(
+                        trace.payload_bytes,
+                        ops as u64 * each,
+                        "{name} p={p} superstep {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An out-of-range root is the pattern builder's to reject, before the
+    /// first superstep. (The hand-written broadcasts ran it and returned
+    /// all-zero vectors; reduce and gather overflowed.)
+    #[test]
+    #[should_panic(expected = "root out of range")]
+    fn broadcast_flat_rejects_an_out_of_range_root() {
+        run_broadcast_flat(&cfg(4), 7, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "root out of range")]
+    fn broadcast_two_phase_rejects_an_out_of_range_root() {
+        run_broadcast_two_phase(&cfg(4), 7, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "root out of range")]
+    fn reduce_rejects_an_out_of_range_root() {
+        run_reduce(&cfg(4), 7, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "root out of range")]
+    fn gather_rejects_an_out_of_range_root() {
+        run_gather(&cfg(4), 7, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "another process count")]
+    fn a_pattern_for_another_process_count_is_rejected() {
+        run(&cfg(4), &pattern::scan(5, 8), Carry::Fold(3), 1);
     }
 }

@@ -5,22 +5,21 @@
 //! crate extends the validated machinery to the standard collective
 //! operations — broadcast (one-phase, binomial and two-phase
 //! scatter-allgather), reduce, allreduce, prefix scan, gather and total
-//! exchange — each in two coupled forms:
+//! exchange — each defined **once**, as a staged pattern ([`pattern`]):
+//! the thesis' stage incidence matrices, held as sparse edge-list stages,
+//! plus a per-stage payload schedule (the Ch. 6.5 extension). That one
+//! definition is all its three consumers need:
 //!
-//! * **a staged cost pattern** ([`pattern`]): the thesis' stage incidence
-//!   matrices, held as sparse edge-list stages, plus a per-stage payload
-//!   schedule (the Ch. 6.5 extension), flowing through the same knowledge
-//!   verification (`hpm_core::knowledge`, generalized to *rooted* goals),
-//!   Eq. 5.4 critical-path prediction ([`predict`]) and staged simulation
-//!   as the barrier patterns do;
-//! * **an executable SPMD implementation** ([`exec`]): BSPlib supersteps
-//!   over [`hpm_bsplib::BspCtx`] that move real `f64` payload through the
-//!   simulated cluster and produce numerically checkable results.
+//! * **verification** — `hpm_core::knowledge`, generalized to *rooted*
+//!   goals, exactly as for the barrier patterns;
+//! * **prediction** ([`predict`]) — the Eq. 5.4 critical path, and the
+//!   staged simulator it is validated against;
+//! * **execution** ([`exec`]) — one SPMD program over
+//!   [`hpm_bsplib::BspCtx`] that walks the stages and puts real `f64`
+//!   payload along exactly their edges, with numerically checkable results.
 //!
-//! The pairing is the point: the executable form establishes that the
-//! algorithm computes the right answer on the runtime, while the pattern
-//! form gives the closed-form heterogeneous prediction of what it costs —
-//! and the predict-vs-sim test suite holds the two against each other
+//! What the predictor charges and what the runtime moves cannot drift
+//! apart; the predict-vs-sim suite holds prediction against simulation
 //! across homogeneous, heterogeneous-rate and multi-cluster topologies.
 
 pub mod exec;
