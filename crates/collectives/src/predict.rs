@@ -65,7 +65,7 @@ mod tests {
         let c = 1e-6;
         for p in [8usize, 16, 64] {
             let pred = predict_collective(&allreduce(p, 0), &CommCosts::uniform(p, 0.0, 0.0, c));
-            let stages = 2.0 * (p as f64).log2().ceil();
+            let stages = 2.0 * crate::pattern::log2_ceil(p) as f64;
             assert!(
                 (pred.total - 2.0 * c * stages).abs() < 1e-12,
                 "p={p}: {} vs {}",

@@ -323,7 +323,7 @@ mod tests {
         for p in [8usize, 16, 32, 64] {
             let costs = CommCosts::uniform(p, 0.0, 0.0, c);
             let pred = predict_barrier(&dissemination(p), &costs, &PayloadSchedule::none());
-            let stages = (p as f64).log2().ceil();
+            let stages = crate::pattern::log2_ceil(p) as f64;
             let expect = 2.0 * c * stages;
             assert!(
                 (pred.total - expect).abs() < 1e-12,

@@ -47,8 +47,7 @@ pub mod recovery;
 pub use barrier::{BarrierMeasurement, BarrierSim, SimScratch};
 pub use batch::LaneScratch;
 pub use exchange::{
-    exchange_jitter_draws, resolve_exchange, resolve_exchange_into, ExchangeMsg, ExchangeResult,
-    ExchangeScratch,
+    exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
 pub use faults::{FaultReport, FaultScratch, RankOutcome};
 pub use microbench::{
@@ -73,7 +72,7 @@ pub(crate) mod fixtures {
 
     /// The ⌈log₂ p⌉-stage dissemination barrier, authored sparsely.
     pub(crate) fn dissemination(p: usize) -> CompiledPattern {
-        let stages = (p as f64).log2().ceil() as usize;
+        let stages = hpm_core::pattern::log2_ceil(p);
         let edges: Vec<Vec<(usize, usize)>> = (0..stages)
             .map(|s| (0..p).map(|i| (i, (i + (1 << s)) % p)).collect())
             .collect();

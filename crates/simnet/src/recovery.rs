@@ -40,6 +40,7 @@ use crate::faults::{last_exit, FaultReport, FaultScratch, RankOutcome};
 use crate::net::{NetState, NoFaults};
 use crate::params::PlatformParams;
 use hpm_core::knowledge::KnowledgeGoal;
+use hpm_core::pattern::log2_ceil;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
 use hpm_core::recovery::repair_plan;
@@ -137,7 +138,7 @@ pub fn consensus_cost(params: &PlatformParams, survivors: usize) -> f64 {
     if survivors <= 1 {
         return 0.0;
     }
-    let rounds = (usize::BITS - (survivors - 1).leading_zeros()) as f64;
+    let rounds = log2_ceil(survivors) as f64;
     let lc = &params.remote;
     rounds * (params.call_overhead + lc.o_send + lc.latency + lc.o_recv)
 }
