@@ -94,11 +94,6 @@ impl DMat {
         self.zip_with(other, |a, b| a + b)
     }
 
-    /// Element-wise difference; dimensions must match.
-    pub fn sub(&self, other: &DMat) -> DMat {
-        self.zip_with(other, |a, b| a - b)
-    }
-
     /// Hadamard (element-wise) product — the `⊗` of Eq. 3.13.
     pub fn hadamard(&self, other: &DMat) -> DMat {
         self.zip_with(other, |a, b| a * b)

@@ -18,7 +18,7 @@ use hpm_topology::Placement;
 /// messages draw nothing (pure bandwidth, no transport).
 pub const TRANSFER_JITTER_DRAWS: usize = 3;
 
-/// Exact jitter draws [`resolve_exchange`] consumes for `msgs`:
+/// Exact jitter draws [`resolve_exchange_into`] consumes for `msgs`:
 /// [`TRANSFER_JITTER_DRAWS`] per message with distinct endpoints. The
 /// batched callers size their `JitterBuf` fills by this; the audit tests
 /// pin the equality.
@@ -65,28 +65,12 @@ pub struct ExchangeResult {
     pub last_out: Vec<f64>,
 }
 
-/// Resolves all messages of a superstep against the network state.
+/// Resolves all messages of a superstep against the network state, over
+/// caller-owned scratch and output buffers: after warmup the resolution
+/// allocates nothing.
 ///
 /// Messages are handled in issue order (ties broken by input order), which
 /// keeps NIC and receiver queues causal.
-///
-/// One-shot convenience over [`resolve_exchange_into`], allocating the
-/// result and scratch per call.
-pub fn resolve_exchange<J: JitterSource>(
-    params: &PlatformParams,
-    placement: &Placement,
-    msgs: &[ExchangeMsg],
-    net: &mut NetState,
-    jit: &mut J,
-) -> ExchangeResult {
-    let mut scratch = ExchangeScratch::default();
-    let mut out = ExchangeResult::default();
-    resolve_exchange_into(params, placement, msgs, net, jit, &mut scratch, &mut out);
-    out
-}
-
-/// [`resolve_exchange`] over caller-owned scratch and output buffers:
-/// after warmup the resolution allocates nothing.
 ///
 /// Fast path: the BSPlib runtime commits operations in program order, so
 /// its message lists usually arrive already sorted by issue time; a
@@ -152,6 +136,20 @@ mod tests {
     use crate::params::xeon_cluster_params;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
+
+    /// One-shot [`resolve_exchange_into`] with fresh scratch and result.
+    fn resolve_exchange<J: JitterSource>(
+        params: &PlatformParams,
+        placement: &Placement,
+        msgs: &[ExchangeMsg],
+        net: &mut NetState,
+        jit: &mut J,
+    ) -> ExchangeResult {
+        let mut scratch = ExchangeScratch::default();
+        let mut out = ExchangeResult::default();
+        resolve_exchange_into(params, placement, msgs, net, jit, &mut scratch, &mut out);
+        out
+    }
 
     fn setup(n: usize) -> (PlatformParams, Placement) {
         (

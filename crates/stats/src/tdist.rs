@@ -60,11 +60,6 @@ impl StudentT {
         StudentT { nu, log_norm }
     }
 
-    /// Degrees of freedom.
-    pub fn dof(&self) -> f64 {
-        self.nu
-    }
-
     /// Probability density at `t`.
     pub fn pdf(&self, t: f64) -> f64 {
         (self.log_norm - (self.nu + 1.0) / 2.0 * (1.0 + t * t / self.nu).ln()).exp()

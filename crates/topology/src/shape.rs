@@ -28,17 +28,9 @@ pub enum LinkClass {
 }
 
 impl LinkClass {
-    /// All classes, cheapest first.
-    pub const ALL: [LinkClass; 4] = [
-        LinkClass::SelfLoop,
-        LinkClass::SameSocket,
-        LinkClass::SameNode,
-        LinkClass::Remote,
-    ];
-
-    /// Position of this class in [`LinkClass::ALL`] — a dense index for
-    /// per-class tables (sampled microbenchmarks, class-level cost
-    /// models).
+    /// Position of this class among the four, cheapest first — a dense
+    /// index for per-class tables (sampled microbenchmarks, class-level
+    /// cost models).
     pub fn index(&self) -> usize {
         match self {
             LinkClass::SelfLoop => 0,
