@@ -176,16 +176,26 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// The puts of the stage-`s` edge from this rank to `dst`.
-    fn put(&mut self, ctx: &mut BspCtx, s: usize, dst: usize) {
+    /// The puts of stage `s` from this rank to `dsts`, in order.
+    fn send(&mut self, ctx: &mut BspCtx, s: usize, dsts: &[usize]) {
         let (pid, p, n) = (ctx.pid(), ctx.nprocs(), self.n);
+        let chunk = |j: usize| {
+            let c = n.div_ceil(p);
+            ((j * c).min(n), ((j + 1) * c).min(n))
+        };
         match self.carry {
-            Carry::Replicate => self.forward(ctx, dst, 0, n),
-            Carry::OwnChunk => {
-                let (c, j) = (n.div_ceil(p), if s == 0 { dst } else { pid });
-                self.forward(ctx, dst, (j * c).min(n), ((j + 1) * c).min(n));
+            Carry::Replicate => self.forward(ctx, dsts, (0, n)),
+            Carry::OwnChunk if s == 0 => {
+                for &dst in dsts {
+                    self.forward(ctx, &[dst], chunk(dst));
+                }
             }
-            Carry::Fold(_) => hpput_f64s(ctx, dst, self.buf(), 0, &self.vals),
+            Carry::OwnChunk => self.forward(ctx, dsts, chunk(pid)),
+            Carry::Fold(_) => {
+                for &dst in dsts {
+                    hpput_f64s(ctx, dst, self.buf(), 0, &self.vals);
+                }
+            }
             Carry::HeldSpan => {
                 // After s completed stages virtual rank vr (root ≡ 0)
                 // holds the blocks of [vr, vr + 2^s), clipped to p; each
@@ -194,26 +204,30 @@ impl<'a> Walk<'a> {
                 let vr = (pid + p - root) % p;
                 for w in vr..vr + (1usize << s).min(p - vr) {
                     let b = (w + root) % p;
-                    self.forward(ctx, dst, b * n, (b + 1) * n);
+                    self.forward(ctx, dsts, (b * n, (b + 1) * n));
                 }
             }
-            Carry::Personalised => {
-                if n > 0 {
+            Carry::Personalised if n > 0 => {
+                for &dst in dsts {
                     ctx.hpput_with(dst, self.buf(), pid * n * 8, n * 8, |slot| {
                         write_f64s(chunk_values(pid, dst, n), slot)
                     });
                 }
             }
+            Carry::Personalised => {}
         }
     }
 
     /// Puts elements `lo..hi` of this rank's buffer to the same place at
-    /// `dst`, unpacked into `vals` and re-marshalled in the slot.
-    fn forward(&mut self, ctx: &mut BspCtx, dst: usize, lo: usize, hi: usize) {
-        if lo < hi {
+    /// every one of `dsts`: unpacked into `vals` once, re-marshalled in
+    /// each slot.
+    fn forward(&mut self, ctx: &mut BspCtx, dsts: &[usize], (lo, hi): (usize, usize)) {
+        if lo < hi && !dsts.is_empty() {
             let buf = self.buf();
             load(&mut self.vals, &ctx.read_buf(buf)[lo * 8..hi * 8]);
-            hpput_f64s(ctx, dst, buf, lo * 8, &self.vals);
+            for &dst in dsts {
+                hpput_f64s(ctx, dst, buf, lo * 8, &self.vals);
+            }
         }
     }
 }
@@ -239,9 +253,7 @@ impl BspProgram for Walk<'_> {
             }
             return StepOutcome::Halt;
         }
-        for &dst in pattern.stage(s).dsts(pid) {
-            self.put(ctx, s, dst);
-        }
+        self.send(ctx, s, pattern.stage(s).dsts(pid));
         StepOutcome::Continue
     }
 }
@@ -444,19 +456,17 @@ mod tests {
     /// pattern and what its edges carry.
     fn seven(p: usize, root: usize, n: usize) -> [(CollectivePattern, Carry); 7] {
         let b = bytes(n);
-        let stages = |pat: &CollectivePattern| pat.stages();
-        let (reduce, all, scan) = (
-            pattern::reduce_binomial(p, root, b),
-            pattern::allreduce(p, b),
-            pattern::scan(p, b),
-        );
-        let fold = [stages(&reduce), stages(&all) / 2, stages(&scan)].map(Carry::Fold);
+        // The adding stages are the first of the pattern's `phases`.
+        let folding = |pat: CollectivePattern, phases: usize| {
+            let k = pat.stages() / phases;
+            (pat, Carry::Fold(k))
+        };
         [
             (pattern::broadcast_flat(p, root, b), Carry::Replicate),
             (pattern::broadcast_two_phase(p, root, b), Carry::OwnChunk),
-            (reduce, fold[0]),
-            (all, fold[1]),
-            (scan, fold[2]),
+            folding(pattern::reduce_binomial(p, root, b), 1),
+            folding(pattern::allreduce(p, b), 2),
+            folding(pattern::scan(p, b), 1),
             (pattern::gather_binomial(p, root, b), Carry::HeldSpan),
             (pattern::total_exchange(p, b), Carry::Personalised),
         ]
