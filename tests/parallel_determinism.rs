@@ -622,6 +622,62 @@ fn sampled_microbench_deterministic_and_close_at_p256() {
     assert_eq!(serial.o_self, exhaustive.o_self, "diagonal pass is shared");
 }
 
+/// Golden pin of the §5.6.3 microbenchmark (PR 25, struck on the
+/// parent's code while every measured unit built its own jitter table):
+/// one hash over the bits of `bench_platform`'s `O`/`L`/`β` matrices at
+/// p = 64 with the benchmark's `fit_dense` dimensions, and one over every
+/// field of `bench_platform_classes` at p = 256 and p = 4096 with 16
+/// sampled pairs per class — each at 1 and 2 threads. Every unit owns
+/// the stream `(seed, MICRO_*_LABEL, unit)`, so where a unit's scratch
+/// comes from cannot move a bit. Jittered, hence the platform gate of
+/// the goldens above.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn microbench_profiles_match_goldens() {
+    use hpm::simnet::microbench::{bench_platform, bench_platform_classes, MicrobenchConfig};
+    use hpm::topology::{cluster_32x2x4, cluster_512x2x4};
+
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let floats = |h: u64, v: &[f64]| v.iter().fold(h, |h, x| word(h, x.to_bits()));
+    let params = xeon_cluster_params();
+    let dense_cfg = MicrobenchConfig {
+        reps: 7,
+        max_requests: 4,
+        size_exponents: (0, 14),
+        pair_sample: None,
+    };
+    let class_cfg = MicrobenchConfig::quick().with_pair_sample(16);
+    for threads in [1, 2] {
+        hpm::par::with_threads(Some(threads), || {
+            let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
+            let costs = bench_platform(&params, &placement, &dense_cfg, 2012).costs;
+            let h = [&costs.o, &costs.l, &costs.beta]
+                .iter()
+                .flat_map(|m| (0..m.rows()).map(|i| m.row(i)))
+                .fold(0xcbf29ce484222325, floats);
+            assert_eq!(
+                h, 0x6d45172f02a634da,
+                "bench_platform moved at {threads} threads"
+            );
+            for (p, shape, golden) in [
+                (256, cluster_32x2x4(), 0x59d2ef757cc92a3fu64),
+                (4096, cluster_512x2x4(), 0x0129df91b8580e8b),
+            ] {
+                let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
+                let prof = bench_platform_classes(&params, &placement, &class_cfg, 2012);
+                let h = [&[prof.o_self][..], &prof.o, &prof.l, &prof.beta]
+                    .into_iter()
+                    .fold(0xcbf29ce484222325, floats);
+                let h = prof.sampled_pairs.iter().fold(h, |h, &n| word(h, n as u64));
+                assert_eq!(
+                    h, golden,
+                    "bench_platform_classes p={p} moved at {threads} threads"
+                );
+            }
+        });
+    }
+}
+
 /// A randomized chatter program: every process computes for a
 /// pid-dependent time, then commits a mix of puts, hp-puts and BSMP
 /// sends to its next `fan` neighbours, twice, then halts.
