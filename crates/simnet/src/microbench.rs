@@ -100,14 +100,14 @@ pub struct PlatformProfile {
 /// Runs the full §5.6.3 benchmark over all ordered process pairs.
 ///
 /// Every measured unit — a diagonal `O_i` entry or an ordered pair's
-/// `(O_ij, L_ij, β_ij)` triple — batch-fills its own jitter table from
-/// the seed and its matrix position (exact draw count known up front),
-/// so the units are independent and run on the [`hpm_par`] fan-out with
+/// `(O_ij, L_ij, β_ij)` triple — batch-fills its jitter table from the
+/// seed and its matrix position (exact draw count known up front), so
+/// the units are independent and run on the [`hpm_par`] fan-out with
 /// bit-identical results at any thread count, and the sampling loops
 /// consume multipliers by cursor instead of stepping an RNG per draw.
-/// Each pair unit reuses one per-unit [`NetState`] scratch
-/// ([`NetState::reset`] between pings) and one sample buffer instead of
-/// allocating per ping.
+/// The table, one [`NetState`] ([`NetState::reset`] between pings) and
+/// one sample buffer are per worker, reused by every unit it measures:
+/// the log-normal quantile table is built once per worker, not per unit.
 pub fn bench_platform(
     params: &PlatformParams,
     placement: &Placement,
@@ -121,56 +121,37 @@ pub fn bench_platform(
     let (lo, hi) = cfg.size_exponents;
     assert!(lo <= hi, "size exponent range is empty");
 
-    // O_i: median cost of an empty invocation.
-    let diag: Vec<f64> = hpm_par::par_map_indexed(p, |i| {
-        let mut jit = JitterBuf::new();
-        jit.fill(
-            params.jitter.sigma,
-            seed,
-            MICRO_DIAG_LABEL,
-            i as u64,
-            cfg.reps,
-        );
-        let mut samples: Vec<f64> = (0..cfg.reps)
-            .map(|_| params.call_overhead * jit.next_mult())
-            .collect();
-        quantile_inplace(&mut samples, 0.5)
-    });
+    let diag = diag_medians(params, placement, cfg, seed);
     for (i, &v) in diag.iter().enumerate() {
         o.set(i, i, v);
     }
 
-    if let Some(per_class) = cfg.pair_sample {
+    let pairs: Vec<(usize, usize)> = (0..p)
+        .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
+    let triples: Vec<(f64, f64, f64)> = if let Some(per_class) = cfg.pair_sample {
         // Sampled mode: fit per class, then broadcast each class's
         // parameters to all its ordered pairs — the dense matrices are a
         // reconstruction, suitable at moderate p. Scale callers wanting
         // no p² storage at all go through [`bench_platform_classes`].
         let fits = class_fits(params, placement, cfg, seed, Some(per_class));
-        for i in 0..p {
-            for j in 0..p {
-                if i != j {
-                    let c = placement.link(i, j).index();
-                    o.set(i, j, fits.o[c]);
-                    l.set(i, j, fits.l[c]);
-                    beta.set(i, j, fits.beta[c]);
-                }
-            }
-        }
+        let class = |&(i, j): &(usize, usize)| placement.link(i, j).index();
+        let fit = |c: usize| (fits.o[c], fits.l[c], fits.beta[c]);
+        pairs.iter().map(class).map(fit).collect()
     } else {
-        let pairs: Vec<(usize, usize)> = (0..p)
-            .flat_map(|i| (0..p).filter(move |&j| j != i).map(move |j| (i, j)))
-            .collect();
-        let triples = hpm_par::par_map_slice(&pairs, |_, &(i, j)| {
-            let unit = measure_pair(params, placement, cfg, seed, i, j);
+        let scratch = || UnitScratch::new(placement, cfg);
+        hpm_par::par_map_indexed_with(pairs.len(), scratch, |s, k| {
+            let (i, j) = pairs[k];
+            let unit = measure_pair(params, placement, cfg, seed, s, i, j);
             let o_ij = LinearFit::fit(&unit.req_pts).nonneg_slope();
             let fit = LinearFit::fit(&unit.size_pts);
             (o_ij, fit.nonneg_intercept(), fit.nonneg_slope())
-        });
-        for (&(i, j), &(o_ij, l_ij, b_ij)) in pairs.iter().zip(triples.iter()) {
-            o.set(i, j, o_ij);
-            l.set(i, j, l_ij);
-            beta.set(i, j, b_ij);
-        }
+        })
+    };
+    for (&(i, j), &(o_ij, l_ij, b_ij)) in pairs.iter().zip(triples.iter()) {
+        o.set(i, j, o_ij);
+        l.set(i, j, l_ij);
+        beta.set(i, j, b_ij);
     }
 
     let costs = CommCosts::new(o, l.clone(), beta.clone());
@@ -185,6 +166,45 @@ struct PairPoints {
     size_pts: Vec<(f64, f64)>,
 }
 
+/// One worker's scratch, reused by every unit it measures: the jitter
+/// table (refilled from each unit's own stream, its quantile table kept
+/// while σ is), the network state (reset before every ping) and the
+/// `reps` samples of one median (overwritten before each read).
+struct UnitScratch {
+    jit: JitterBuf,
+    net: NetState,
+    samples: Vec<f64>,
+}
+
+impl UnitScratch {
+    fn new(placement: &Placement, cfg: &MicrobenchConfig) -> UnitScratch {
+        UnitScratch {
+            jit: JitterBuf::new(),
+            net: NetState::new(placement),
+            samples: vec![0.0; cfg.reps],
+        }
+    }
+}
+
+/// `O_i` per rank: the median cost of an empty invocation, each rank's
+/// samples from its own `(seed, MICRO_DIAG_LABEL, i)` stream.
+fn diag_medians(
+    params: &PlatformParams,
+    placement: &Placement,
+    cfg: &MicrobenchConfig,
+    seed: u64,
+) -> Vec<f64> {
+    let scratch = || UnitScratch::new(placement, cfg);
+    hpm_par::par_map_indexed_with(placement.nprocs(), scratch, |s, i| {
+        let (sigma, reps) = (params.jitter.sigma, cfg.reps);
+        s.jit.fill(sigma, seed, MICRO_DIAG_LABEL, i as u64, reps);
+        for x in s.samples.iter_mut() {
+            *x = params.call_overhead * s.jit.next_mult();
+        }
+        quantile_inplace(&mut s.samples, 0.5)
+    })
+}
+
 /// One ordered-pair measurement unit — shared verbatim by the exhaustive
 /// and sampled paths. The unit's jitter stream is keyed by its matrix
 /// position `(seed, MICRO_PAIR_LABEL, i*p + j)`, so a sampled run
@@ -195,31 +215,21 @@ fn measure_pair(
     placement: &Placement,
     cfg: &MicrobenchConfig,
     seed: u64,
+    s: &mut UnitScratch,
     i: usize,
     j: usize,
 ) -> PairPoints {
     let p = placement.nprocs();
     let (lo, hi) = cfg.size_exponents;
-    // Per-pair scratch, reused across every ping of this unit: one
-    // network state (reset to the quiet-network benchmark scenario
-    // between pings), one sample buffer for the medians, and one
-    // jitter table filled to the unit's exact draw count — the
-    // request loops draw `reps*(1+k)` multipliers per request count
-    // and every sized ping one signal round trip's worth.
+    // The unit's exact draw count: `reps*(1+k)` multipliers per request
+    // count, one signal round trip's worth per sized ping.
     let draws: usize = (1..=cfg.max_requests)
         .map(|k| cfg.reps * (1 + k))
         .sum::<usize>()
         + (hi - lo + 1) as usize * cfg.reps * SIGNAL_JITTER_DRAWS;
-    let mut jit = JitterBuf::new();
-    jit.fill(
-        params.jitter.sigma,
-        seed,
-        MICRO_PAIR_LABEL,
-        (i * p + j) as u64,
-        draws,
-    );
-    let mut net = NetState::new(placement);
-    let mut samples = vec![0.0f64; cfg.reps];
+    let UnitScratch { jit, net, samples } = s;
+    let unit = (i * p + j) as u64;
+    jit.fill(params.jitter.sigma, seed, MICRO_PAIR_LABEL, unit, draws);
 
     // O_ij: time to start k requests, regressed on k. Starting a
     // request costs the sender only its per-message CPU overhead
@@ -234,7 +244,7 @@ fn measure_pair(
             }
             *s = t;
         }
-        req_pts.push((k as f64, quantile_inplace(&mut samples, 0.5)));
+        req_pts.push((k as f64, quantile_inplace(samples, 0.5)));
     }
 
     // L_ij and β_ij: one-way transfer time over growing sizes.
@@ -246,12 +256,12 @@ fn measure_pair(
         for s in samples.iter_mut() {
             net.reset();
             let (_, processed) =
-                net.signal_round_trip(params, placement, &mut jit, i, j, 0.0, bytes, 0.0);
+                net.signal_round_trip(params, placement, jit, i, j, 0.0, bytes, 0.0);
             // One-way time: processed at receiver (the ack is
             // transport-internal and not application-visible).
             *s = processed;
         }
-        size_pts.push((bytes as f64, quantile_inplace(&mut samples, 0.5)));
+        size_pts.push((bytes as f64, quantile_inplace(samples, 0.5)));
     }
     debug_assert!(params.jitter.sigma == 0.0 || jit.consumed() == draws);
     PairPoints { req_pts, size_pts }
@@ -429,8 +439,10 @@ fn class_fits(
     // jitter stream is keyed by its matrix position, so the points are
     // bit-identical to what the exhaustive sweep would measure for the
     // same pair — then pool per class in selection order and fit once.
-    let points = hpm_par::par_map_slice(&units, |_, &(_, i, j)| {
-        measure_pair(params, placement, cfg, seed, i, j)
+    let scratch = || UnitScratch::new(placement, cfg);
+    let points = hpm_par::par_map_indexed_with(units.len(), scratch, |s, k| {
+        let (_, i, j) = units[k];
+        measure_pair(params, placement, cfg, seed, s, i, j)
     });
     let mut fits = ClassFits {
         o: [0.0; 4],
@@ -474,23 +486,9 @@ pub fn bench_platform_classes(
     cfg: &MicrobenchConfig,
     seed: u64,
 ) -> ClassProfile {
-    let p = placement.nprocs();
     let (lo, hi) = cfg.size_exponents;
     assert!(lo <= hi, "size exponent range is empty");
-    let mut diag: Vec<f64> = hpm_par::par_map_indexed(p, |i| {
-        let mut jit = JitterBuf::new();
-        jit.fill(
-            params.jitter.sigma,
-            seed,
-            MICRO_DIAG_LABEL,
-            i as u64,
-            cfg.reps,
-        );
-        let mut samples: Vec<f64> = (0..cfg.reps)
-            .map(|_| params.call_overhead * jit.next_mult())
-            .collect();
-        quantile_inplace(&mut samples, 0.5)
-    });
+    let mut diag = diag_medians(params, placement, cfg, seed);
     let o_self = quantile_inplace(&mut diag, 0.5);
     let fits = class_fits(params, placement, cfg, seed, cfg.pair_sample);
     ClassProfile {

@@ -5,10 +5,12 @@
 //! up one `(NetState, SimScratch)` pair, snapshots the allocation
 //! counter, runs many full repetitions (including RNG derivation, the
 //! measurement loop's real per-item work) and asserts the counter did not
-//! move. The allocator counts requested bytes too, for the one absolute
-//! size check: constructing the p = 4096 placement stays linear. This
-//! file holds exactly one test: integration-test binaries are one process
-//! each, so no concurrent test can pollute the counters.
+//! move. The allocator counts requested bytes too, for the absolute size
+//! checks: constructing the p = 4096 placement stays linear, and a warm
+//! microbenchmark call requests a tenth of what one quantile table per
+//! measured unit cost. This file holds exactly one test: integration-test
+//! binaries are one process each, so no concurrent test can pollute the
+//! counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -220,5 +222,55 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     assert!(
         requested <= 2_000_000,
         "building the p = 4096 placement requested {requested} B"
+    );
+
+    // The §5.6.3 microbenchmark takes its jitter table, network state and
+    // sample buffer from one scratch per worker, not one per measured
+    // unit. Bytes requested by a warm single-worker call may be a tenth
+    // of what the parent (a fresh 16 KiB quantile table per unit)
+    // requested: `bench_platform` at p = 64 with the benchmark's
+    // `fit_dense` dimensions (4 096 units) 88 154 560 B on the parent,
+    // 1 656 168 B with per-worker scratch; `bench_platform_classes` at
+    // p = 4096 with 16 pairs per class (4 096 diagonal units, 48 pairs)
+    // 70 743 844 B, then 203 484 B.
+    use hpm::simnet::microbench::{bench_platform, bench_platform_classes, MicrobenchConfig};
+    let warm_bytes = |fit: &dyn Fn()| {
+        fit();
+        (0..4)
+            .map(|_| {
+                let before = BYTES_REQUESTED.load(Ordering::SeqCst);
+                hpm::par::with_threads(Some(1), fit);
+                BYTES_REQUESTED.load(Ordering::SeqCst) - before
+            })
+            .min()
+            .expect("four trials")
+    };
+    let dense_cfg = MicrobenchConfig {
+        reps: 7,
+        max_requests: 4,
+        size_exponents: (0, 14),
+        pair_sample: None,
+    };
+    let dense = warm_bytes(&|| {
+        let prof = bench_platform(&params, &placement, &dense_cfg, 2012);
+        assert!(prof.costs.l.is_finite());
+    });
+    let big = Placement::new(
+        hpm::topology::cluster_512x2x4(),
+        PlacementPolicy::RoundRobin,
+        4096,
+    );
+    let class_cfg = MicrobenchConfig::quick().with_pair_sample(16);
+    let classes = warm_bytes(&|| {
+        let prof = bench_platform_classes(&params, &big, &class_cfg, 2012);
+        assert!(prof.o_self > 0.0);
+    });
+    assert!(
+        dense <= 88_154_560 / 10,
+        "a warm p = 64 bench_platform call requested {dense} B"
+    );
+    assert!(
+        classes <= 70_743_844 / 10,
+        "a warm p = 4096 bench_platform_classes call requested {classes} B"
     );
 }
