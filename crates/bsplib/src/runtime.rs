@@ -406,12 +406,8 @@ pub fn run_spmd<P: BspProgram>(
         // Phase 1: run program code, collect ops.
         let mut compute_end = vec![0.0f64; p];
         let mut halts = 0usize;
+        logs.iter_mut().for_each(Vec::clear);
         for pid in 0..p {
-            logs[pid].clear();
-            // SPMD: a process commits about as many operations as its
-            // predecessor, so a new log is sized once, not grown.
-            let hint = logs[pid.saturating_sub(1)].len();
-            logs[pid].reserve(hint);
             let mut ctx = BspCtx::new(
                 pid,
                 p,
@@ -435,6 +431,17 @@ pub fn run_spmd<P: BspProgram>(
             compute_end[pid] = now;
             if outcome == StepOutcome::Halt {
                 halts += 1;
+            }
+            if pid == 0 {
+                // SPMD: the others commit about as many operations as
+                // process 0, so a new log is sized once, not grown — and
+                // all of them here, in one pass before process 1 runs:
+                // a log reserved between two processes' runs can land on
+                // the heap top above the staging buffer and force its
+                // next growth step to move (DESIGN.md, "The BSPlib
+                // payload path").
+                let hint = logs[0].len();
+                logs[1..].iter_mut().for_each(|log| log.reserve(hint));
             }
         }
         if halts > 0 && halts < p {
