@@ -215,7 +215,7 @@ fn measure_pair(
     placement: &Placement,
     cfg: &MicrobenchConfig,
     seed: u64,
-    s: &mut UnitScratch,
+    scratch: &mut UnitScratch,
     i: usize,
     j: usize,
 ) -> PairPoints {
@@ -227,7 +227,7 @@ fn measure_pair(
         .map(|k| cfg.reps * (1 + k))
         .sum::<usize>()
         + (hi - lo + 1) as usize * cfg.reps * SIGNAL_JITTER_DRAWS;
-    let UnitScratch { jit, net, samples } = s;
+    let UnitScratch { jit, net, samples } = scratch;
     let unit = (i * p + j) as u64;
     jit.fill(params.jitter.sigma, seed, MICRO_PAIR_LABEL, unit, draws);
 
