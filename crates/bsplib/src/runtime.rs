@@ -434,12 +434,10 @@ pub fn run_spmd<P: BspProgram>(
             }
             if pid == 0 {
                 // SPMD: the others commit about as many operations as
-                // process 0, so a new log is sized once, not grown — and
-                // all of them here, in one pass before process 1 runs:
-                // a log reserved between two processes' runs can land on
-                // the heap top above the staging buffer and force its
-                // next growth step to move (DESIGN.md, "The BSPlib
-                // payload path").
+                // process 0. Sized here in one pass, no log is allocated
+                // between two growth steps of the staging buffer, where
+                // it could force the next one to move (DESIGN.md, "The
+                // BSPlib payload path").
                 let hint = logs[0].len();
                 logs[1..].iter_mut().for_each(|log| log.reserve(hint));
             }

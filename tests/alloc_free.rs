@@ -235,7 +235,6 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     // 70 743 844 B, then 203 484 B.
     use hpm::simnet::microbench::{bench_platform, bench_platform_classes, MicrobenchConfig};
     let warm_bytes = |fit: &dyn Fn()| {
-        fit();
         (0..4)
             .map(|_| {
                 let before = BYTES_REQUESTED.load(Ordering::SeqCst);
