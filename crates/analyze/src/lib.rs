@@ -10,9 +10,9 @@
 //! compiled-form contract as a structured [`Diagnostic`], and
 //! [`analyze_with_goal`] additionally decides knowledge-goal
 //! attainability through the §5.5 recurrence — all without running a
-//! single simulated repetition. That is the verdict ROADMAP item 4
-//! (pattern synthesis) needs: machine-generated candidate plans are
-//! rejected by rule name, not by a crashed simulation.
+//! single simulated repetition. A malformed plan, hand-written or
+//! built by a search such as the greedy adaptive barrier, is rejected
+//! by rule name, not by a crashed simulation.
 //!
 //! The rule catalogue (see DESIGN.md, "The static analysis layer"):
 //!

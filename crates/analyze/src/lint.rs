@@ -13,7 +13,10 @@
 //!   entry rather than a silent pass);
 //! - **ambient RNG** (`thread_rng`, `from_entropy`, `OsRng`,
 //!   `rand::random`) — draws outside the keyed-stream discipline;
-//! - **`static mut`** — cross-thread mutable state with no ordering.
+//! - **`static mut`** — cross-thread mutable state with no ordering;
+//! - **`unsafe`** — code the compiler no longer checks, which could
+//!   break any of the above unseen. Each use is one audited allowlist
+//!   entry, so a first `unsafe` in a file cannot land silently.
 //!
 //! [`scan_source`] is the pure core: it walks one file's lines, strips
 //! `//` comments, skips `#[cfg(test)]` items (test code may time and
@@ -55,6 +58,7 @@ pub const RULES: &[(&str, &[&str])] = &[
         &["thread_rng", "from_entropy", "OsRng", "rand::random"],
     ),
     ("static-mut", &["static mut"]),
+    ("unsafe-code", &["unsafe"]),
 ];
 
 /// One allowlist entry: findings under `path_prefix` whose rule matches
@@ -405,6 +409,11 @@ mod tests {
             rules_hit("static mut COUNTER: u64 = 0;"),
             vec!["static-mut"]
         );
+        assert_eq!(rules_hit("let v = unsafe { *ptr };"), vec!["unsafe-code"]);
+        assert_eq!(
+            rules_hit("unsafe fn kernel(out: &mut [f64]) {"),
+            vec!["unsafe-code"]
+        );
     }
 
     #[test]
@@ -412,6 +421,7 @@ mod tests {
         assert!(rules_hit("struct InstantArray;").is_empty());
         assert!(rules_hit("let my_hash_map_like = 1;").is_empty());
         assert!(rules_hit("fn instant() {}").is_empty());
+        assert!(rules_hit("#![deny(unsafe_op_in_unsafe_fn)]").is_empty());
     }
 
     #[test]

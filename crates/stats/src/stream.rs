@@ -262,8 +262,9 @@ pub struct QuantileTable {
 const CELLS: usize = 2048;
 
 /// Lane width of the one multi-lane [`QuantileTable::fill_rows`] kernel
-/// compiled for a fixed width (single-lane fills have the other); any
-/// other width runs the same code with the width in a register.
+/// compiled for a fixed width (single-lane fills have the other), and
+/// the one with a vector kernel; any other width runs the scalar code
+/// with the width in a register.
 pub const WIDE_LANES: usize = 8;
 
 /// Cells per [`QuantileTable::fill_rows`] block: 2 KiB of output, still
@@ -361,11 +362,17 @@ impl QuantileTable {
     /// branch. Cells whose index lies in the slow margin are noted and,
     /// once the block is done, recomputed from the counter by the exact
     /// function, as `mult` would have.
+    ///
+    /// At [`WIDE_LANES`] on an `x86_64` CPU with AVX-512DQ/VL the rows
+    /// are filled by a 256-bit vector kernel with the same cell values
+    /// (see DESIGN.md, "The jitter engine").
     pub fn fill_rows(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
         if let Ok(one) = <&[SplitMix64; 1]>::try_from(streams) {
             self.fill_rows_of(one, first_row, out);
         } else if let Ok(wide) = <&[SplitMix64; WIDE_LANES]>::try_from(streams) {
-            self.fill_rows_of(wide, first_row, out);
+            if !self.fill_rows_vector(wide, first_row, out) {
+                self.fill_rows_of(wide, first_row, out);
+            }
         } else {
             self.fill_rows_of(streams, first_row, out);
         }
@@ -393,7 +400,7 @@ impl QuantileTable {
         for block in out.chunks_mut(block_rows * lanes) {
             let mut n_slow = 0;
             for (r, cells) in block.chunks_exact_mut(lanes).enumerate() {
-                let step = (row + r as u64 + 1).wrapping_mul(GOLDEN);
+                let step = row.wrapping_add(r as u64 + 1).wrapping_mul(GOLDEN);
                 for (l, (cell, stream)) in cells.iter_mut().zip(streams).enumerate() {
                     let x = mix64(stream.state.wrapping_add(step));
                     let k = (x >> 53) as usize;
@@ -405,10 +412,128 @@ impl QuantileTable {
                 }
             }
             for &i in &slow[..n_slow] {
-                let mut at = streams[i % lanes].seek(row + (i / lanes) as u64);
+                let mut at = streams[i % lanes].seek(row.wrapping_add((i / lanes) as u64));
                 block[i] = (self.exact)(self.param, at.next_unit_open());
             }
-            row += block_rows as u64;
+            row = row.wrapping_add(block_rows as u64);
+        }
+    }
+
+    /// Runs [`QuantileTable::fill_rows_x8`] if this CPU has its
+    /// features; `false`, with `out` untouched, if it does not.
+    #[inline]
+    fn fill_rows_vector(
+        &self,
+        streams: &[SplitMix64; WIDE_LANES],
+        first_row: u64,
+        out: &mut [f64],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512dq") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: the kernel's one requirement is that the CPU has
+            // AVX-512DQ and AVX-512VL, detected on the line above.
+            unsafe { self.fill_rows_x8(streams, first_row, out) };
+            return true;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (streams, first_row, out);
+        false
+    }
+
+    /// [`QuantileTable::fill_rows_of`] at [`WIDE_LANES`] on 256-bit
+    /// registers: each row is two halves of four lanes. The mix is
+    /// [`mix64`] with 64-bit lane multiplies, the cell index is `x >> 53`,
+    /// and the lerp fraction is read off the same integer bits,
+    /// `((x >> 12) mod 2⁴¹ + ½)·2⁻⁴¹`, which is exactly `t − k`. The lerp
+    /// is a separate multiply and add, as in the scalar kernel, so each
+    /// cell rounds the same. Slow-margin cells are one bit each in a
+    /// per-row mask and are patched after each block.
+    ///
+    /// 512-bit registers are deliberately not used (DESIGN.md gives the
+    /// measurements).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512DQ and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512dq,avx512vl")]
+    unsafe fn fill_rows_x8(
+        &self,
+        streams: &[SplitMix64; WIDE_LANES],
+        first_row: u64,
+        out: &mut [f64],
+    ) {
+        use std::arch::x86_64::*;
+        const HALF: usize = WIDE_LANES / 2;
+        const BLOCK_ROWS: usize = FILL_BLOCK / WIDE_LANES;
+        assert!(
+            out.len().is_multiple_of(WIDE_LANES),
+            "whole rows of {WIDE_LANES} lanes"
+        );
+        let splat = |v: u64| _mm256_set1_epi64x(v as i64);
+        let half = |h: usize| {
+            let s = &streams[h * HALF..][..HALF];
+            _mm256_set_epi64x(
+                s[3].state as i64,
+                s[2].state as i64,
+                s[1].state as i64,
+                s[0].state as i64,
+            )
+        };
+        let states = [half(0), half(1)];
+        let (m1, m2) = (splat(0xBF58_476D_1CE4_E5B9), splat(0x94D0_49BB_1331_11EB));
+        let margin = splat(self.margin as u64);
+        let served = splat((CELLS - 2 * self.margin) as u64);
+        let frac_bits = splat((1 << 41) - 1);
+        let (one_half, frac_unit) = (
+            _mm256_set1_pd(0.5),
+            _mm256_set1_pd(1.0 / (1u64 << 41) as f64),
+        );
+        let (lo, hi) = (self.knots.as_ptr(), self.knots[1..].as_ptr());
+        let mut row = first_row;
+        for block in out.chunks_mut(FILL_BLOCK) {
+            let mut slow = [0u8; BLOCK_ROWS];
+            for (r, cells) in block.chunks_exact_mut(WIDE_LANES).enumerate() {
+                let step = splat(row.wrapping_add(r as u64 + 1).wrapping_mul(GOLDEN));
+                // Four lanes' cells from their states; returns their
+                // slow-margin bits.
+                let half_row = |state: __m256i, cells: &mut [f64]| {
+                    let mut x = _mm256_add_epi64(state, step);
+                    x = _mm256_xor_si256(x, _mm256_srli_epi64::<30>(x));
+                    x = _mm256_mullo_epi64(x, m1);
+                    x = _mm256_xor_si256(x, _mm256_srli_epi64::<27>(x));
+                    x = _mm256_mullo_epi64(x, m2);
+                    x = _mm256_xor_si256(x, _mm256_srli_epi64::<31>(x));
+                    let k = _mm256_srli_epi64::<53>(x);
+                    let m = _mm256_and_si256(_mm256_srli_epi64::<12>(x), frac_bits);
+                    let f =
+                        _mm256_mul_pd(_mm256_add_pd(_mm256_cvtepi64_pd(m), one_half), frac_unit);
+                    // SAFETY: k = x >> 53 ≤ 2047, so the gathers read
+                    // knots k and k + 1 of 2049, and the store writes the
+                    // four cells of `cells`.
+                    let a = _mm256_i64gather_pd::<8>(lo, k);
+                    let b = _mm256_i64gather_pd::<8>(hi, k);
+                    let v = _mm256_add_pd(a, _mm256_mul_pd(f, _mm256_sub_pd(b, a)));
+                    _mm256_storeu_pd(cells.as_mut_ptr(), v);
+                    _mm256_cmpge_epu64_mask(_mm256_sub_epi64(k, margin), served)
+                };
+                let (left, right) = cells.split_at_mut(HALF);
+                slow[r] = half_row(states[0], left) | half_row(states[1], right) << HALF;
+            }
+            // Eight row masks read as one word are a bitmap of 64 cells
+            // in cell order; walking words, not rows, takes fewer
+            // mispredicted branches.
+            for (w, rows) in slow.chunks_exact(8).enumerate() {
+                let mut cells = u64::from_le_bytes(rows.try_into().expect("eight row masks"));
+                while cells != 0 {
+                    let i = 64 * w + cells.trailing_zeros() as usize;
+                    cells &= cells - 1;
+                    let mut at =
+                        streams[i % WIDE_LANES].seek(row.wrapping_add((i / WIDE_LANES) as u64));
+                    block[i] = (self.exact)(self.param, at.next_unit_open());
+                }
+            }
+            row = row.wrapping_add(BLOCK_ROWS as u64);
         }
     }
 }
@@ -594,20 +719,80 @@ mod tests {
     #[test]
     fn fill_rows_patches_block_edges() {
         let tab = QuantileTable::lognormal(0.2);
+        for lanes in [1, WIDE_LANES, 5] {
+            let seed = block_edge_seed(&tab, lanes);
+            assert_rows_match_mult(&tab, seed, lanes, 0, 2 * (FILL_BLOCK / lanes));
+        }
+    }
+
+    /// The first seed whose `(seed, 7, lane)` streams draw slow-margin
+    /// cells on the first and the last cell of the first block and on
+    /// the first cell of the second.
+    fn block_edge_seed(tab: &QuantileTable, lanes: usize) -> u64 {
         let slow = |s: SplitMix64, row: usize| {
             let k = (s.seek(row as u64).next_unit_open() * CELLS as f64) as usize;
             !tab.tabulated(k)
         };
-        for lanes in [1, WIDE_LANES, 5] {
-            let block_rows = FILL_BLOCK / lanes;
-            let seed = (0..)
-                .find(|&seed| {
-                    let first = SplitMix64::from_parts(seed, 7, 0);
-                    let last = SplitMix64::from_parts(seed, 7, lanes as u64 - 1);
-                    slow(first, 0) && slow(last, block_rows - 1) && slow(first, block_rows)
-                })
-                .expect("some seed has slow draws on all three edge cells");
-            assert_rows_match_mult(&tab, seed, lanes, 0, 2 * block_rows);
+        let block_rows = FILL_BLOCK / lanes;
+        (0..)
+            .find(|&seed| {
+                let first = SplitMix64::from_parts(seed, 7, 0);
+                let last = SplitMix64::from_parts(seed, 7, lanes as u64 - 1);
+                slow(first, 0) && slow(last, block_rows - 1) && slow(first, block_rows)
+            })
+            .expect("some seed has slow draws on all three edge cells")
+    }
+
+    /// The vector kernel against the scalar one, called directly on the
+    /// same inputs: every cell bit for bit, including a row counter that
+    /// wraps past `u64::MAX` and the block-edge patch seeds.
+    #[test]
+    fn vector_kernel_matches_scalar_kernel_bitwise() {
+        let probe = QuantileTable::lognormal(0.2);
+        let streams = [SplitMix64::new(0); WIDE_LANES];
+        if !probe.fill_rows_vector(&streams, 0, &mut []) {
+            eprintln!("skipped: this CPU lacks AVX-512DQ/VL, so fill_rows runs the scalar kernel");
+            return;
+        }
+        let edge_seed = block_edge_seed(&probe, WIDE_LANES);
+        let tables = [
+            QuantileTable::lognormal(0.05),
+            QuantileTable::lognormal(0.5),
+            QuantileTable::lognormal(3.0),
+            QuantileTable::pareto(1.5),
+        ];
+        for tab in &tables {
+            for seed in [1, 29, edge_seed, block_edge_seed(tab, WIDE_LANES)] {
+                let streams: [SplitMix64; WIDE_LANES] =
+                    std::array::from_fn(|l| SplitMix64::from_parts(seed, 7, l as u64));
+                for first_row in [0, 1234, u64::MAX - 40] {
+                    for rows in [0, 1, 31, 32, 33, 1500] {
+                        let mut want = vec![0.0; rows * WIDE_LANES];
+                        let mut got = vec![1.0; rows * WIDE_LANES];
+                        tab.fill_rows_of(&streams, first_row, &mut want);
+                        assert!(tab.fill_rows_vector(&streams, first_row, &mut got));
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "param {} seed {seed} first row {first_row} rows {rows}: cell {i}",
+                                tab.param
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The vector kernel's lerp fraction, read off the integer bits,
+        /// is exactly the scalar kernel's `t − k`.
+        #[test]
+        fn integer_bit_fraction_is_t_minus_k(x in 0u64..u64::MAX) {
+            let frac = (((x >> 12) & ((1 << 41) - 1)) as f64 + 0.5) * (1.0 / (1u64 << 41) as f64);
+            let t_minus_k = unit_open(x) * CELLS as f64 - (x >> 53) as f64;
+            proptest::prop_assert_eq!(frac.to_bits(), t_minus_k.to_bits());
         }
     }
 

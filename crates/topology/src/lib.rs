@@ -43,7 +43,8 @@ pub fn cluster_128x2x4() -> ClusterShape {
 }
 
 /// A 512-node scale-up of the Xeon cluster shape (4096 cores) — the
-/// ROADMAP's production-scale target.
+/// largest shape the `scale` experiment and the `barrier_p4096`
+/// benchmark workload run.
 pub fn cluster_512x2x4() -> ClusterShape {
     ClusterShape::new(512, 2, 4)
 }
