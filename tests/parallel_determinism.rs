@@ -454,6 +454,105 @@ fn registry_plan_structures_match_goldens() {
     }
 }
 
+/// Golden pin of the Eq. 5.4 predictor's totals (struck on the parent's
+/// code, before the two-row rewrite): the bits of every predicted total
+/// for the six registry barriers and the eight catalog collectives on a
+/// non-uniform dense platform whose diagonal `O_ii` differs from every
+/// off-diagonal `O_ij` (so the invocation floor and the posted-receiver
+/// refinement both bind somewhere), each with and without a payload; and
+/// the scale barrier on fitted per-class costs at p = 256, 1024 and 4096.
+#[test]
+fn predictions_match_goldens() {
+    use hpm::barriers::patterns::{
+        all_to_all, binary_tree, dissemination, kary_tree, linear, ring,
+    };
+    use hpm::collectives::pattern::catalog;
+    use hpm::model::matrix::DMat;
+    use hpm::model::predictor::{predict_barrier, CommCosts, PayloadSchedule};
+
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let ramp = PayloadSchedule::from_bytes((0..16).map(|s| 24 + 40 * s).collect());
+    for (p, golden) in [
+        (2usize, 0x51ae557761bdd64fu64),
+        (3, 0xeed6db2d2d59af91),
+        (5, 0x9c242f3093b00c85),
+        (8, 0xfb42c6f3f91c2bb8),
+        (17, 0x10308477c16c5cbc),
+        (64, 0x07e2b2716bb26abb),
+    ] {
+        let f = |i: usize, j: usize, k: usize| ((i * 7 + j * 13 + k) % 11) as f64 + 1.0;
+        let costs = CommCosts::new(
+            DMat::from_fn(p, p, |i, j| {
+                if i == j {
+                    1e-8 * f(i, j, 3)
+                } else {
+                    1e-7 * f(i, j, 0)
+                }
+            }),
+            DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { 1e-6 * f(i, j, 5) }),
+            DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { 1e-9 * f(i, j, 2) }),
+        );
+        let none = PayloadSchedule::none();
+        let mut h = 0xcbf29ce484222325;
+        for b in [
+            linear(p, 0),
+            dissemination(p),
+            binary_tree(p),
+            kary_tree(p, 4),
+            ring(p),
+            all_to_all(p),
+        ] {
+            for payload in [&none, &ramp] {
+                h = word(h, predict_barrier(&b, &costs, payload).total.to_bits());
+            }
+        }
+        for c in catalog(p, p - 1, 1024) {
+            for payload in [&none, c.payload()] {
+                h = word(h, predict_barrier(&c, &costs, payload).total.to_bits());
+            }
+        }
+        assert_eq!(h, golden, "p={p}: a dense prediction moved ({h:#018x})");
+    }
+
+    // The scale barrier on fitted class costs: the fit is jittered, hence
+    // the platform gate of the sample goldens above.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        use hpm::barriers::patterns::dissemination_plan;
+        use hpm::model::predictor::predict_compiled_with;
+        use hpm::simnet::microbench::{bench_platform_classes, ClassCosts, MicrobenchConfig};
+        use hpm::topology::{cluster_128x2x4, cluster_32x2x4, cluster_512x2x4};
+
+        let cfg = MicrobenchConfig::quick().with_pair_sample(16);
+        for (p, shape, golden) in [
+            (256, cluster_32x2x4(), 0xdda90e2abc3d4932u64),
+            (1024, cluster_128x2x4(), 0x875cdf480271ac77),
+            (4096, cluster_512x2x4(), 0x99e98b2a93db6e83),
+        ] {
+            let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
+            let profile = bench_platform_classes(&xeon_cluster_params(), &placement, &cfg, 2012);
+            let costs = ClassCosts::new(&placement, profile);
+            let plan = dissemination_plan(p);
+            let mut h = 0xcbf29ce484222325;
+            for payload in [
+                PayloadSchedule::none(),
+                PayloadSchedule::dissemination_count_map(p),
+            ] {
+                h = word(
+                    h,
+                    predict_compiled_with(&plan, &costs, &payload)
+                        .total
+                        .to_bits(),
+                );
+            }
+            assert_eq!(
+                h, golden,
+                "p={p}: a class-cost prediction moved ({h:#018x})"
+            );
+        }
+    }
+}
+
 /// Runs the given experiments at quick effort into a throwaway directory
 /// and returns every produced file as `(name, bytes)`.
 fn run_all(ids: &[&str], threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
