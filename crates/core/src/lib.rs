@@ -36,7 +36,10 @@
 //!   goals for collective operations.
 //! * [`predictor`] — the critical-path barrier cost predictor with the
 //!   Eq. 5.4 stage cost, both §5.6.5 refinements and the Ch. 6.5 payload
-//!   extension, over any [`predictor::CostModel`].
+//!   extension, over any [`predictor::CostModel`] (one
+//!   [`predictor::CostModel::pair`] query per edge). It returns only the
+//!   total, from two p-length rows; a per-stage value is the total of a
+//!   prefix plan.
 //! * [`superstep`] — the fundamental equation of modeling (Eq. 1.1/1.4)
 //!   and the overlap estimate (Eqs. 3.15–3.16).
 //! * [`recovery`] — survivor re-planning after crashes:
@@ -63,7 +66,7 @@ pub use matrix::{DMat, IMat};
 pub use pattern::{BarrierPattern, CommPattern};
 pub use plan::{CompiledPattern, StagePlan};
 pub use predictor::{
-    predict_barrier, predict_compiled_with, BarrierPrediction, CommCosts, CostModel,
+    predict_barrier, predict_compiled_with, BarrierPrediction, CommCosts, CostModel, PairCost,
     PayloadSchedule,
 };
 pub use recovery::{remap_goal, repair_plan};

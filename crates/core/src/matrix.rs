@@ -89,6 +89,11 @@ impl DMat {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// The row-major backing storage: element `(i, j)` at `i * cols + j`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Element-wise sum; dimensions must match.
     pub fn add(&self, other: &DMat) -> DMat {
         self.zip_with(other, |a, b| a + b)

@@ -19,12 +19,18 @@
 //!
 //! The thesis describes a recursive search over all paths recording the
 //! maximal arrival at the final stage; because the graph is layered, the
-//! equivalent forward dynamic program used here visits each edge once:
+//! equivalent forward dynamic program used here visits each edge twice
+//! per stage and keeps two p-length rows, nothing stage-resolved:
 //!
 //! ```text
-//! entry(j, s+1) = max( entry(j, s) + cost(s, j),
-//!                      max_{i: S_s(i,j)} entry(i, s) + cost(s, i) )
+//! done(i)  = entry(i) + cost(s, i)                      (out-CSR pass)
+//! entry(j) = max( done(j), max_{i: S_s(i,j)} done(i) )  (in-CSR gather)
 //! ```
+//!
+//! Only the total comes back. The value after stage `s` is the total of
+//! the prefix plan `CompiledPattern::from_stages(.., stages[..=s])`: the
+//! §5.6.5 posted table of a stage depends only on the stages before it,
+//! so a prefix reproduces the first `s + 1` stages bit for bit.
 
 use crate::matrix::DMat;
 use crate::pattern::CommPattern;
@@ -72,37 +78,52 @@ impl CommCosts {
     }
 }
 
+/// The link parameters of one edge `i → j`, `i ≠ j`: what the
+/// predictor reads per signal, answered by one [`CostModel::pair`] query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairCost {
+    /// Per-request overhead `O_ij`.
+    pub o: f64,
+    /// One-way latency `L_ij`.
+    pub l: f64,
+    /// Inverse bandwidth `β_ij`.
+    pub beta: f64,
+}
+
 /// The point-to-point cost queries the predictor reads, abstracted over
 /// storage — every predictor entry point takes any implementor.
 /// [`CommCosts`] answers them from dense benchmarked matrices — O(p²)
 /// floats, the right form when every pair was measured. Scale callers
 /// answer them from a few per-link-class parameters plus the O(ranks)
 /// placement hierarchy (see `hpm-simnet`'s `ClassCosts`), so a p = 4096
-/// prediction never materializes a 16.7M-entry matrix.
+/// prediction never materializes a 16.7M-entry matrix. One query per
+/// edge: a class-level model classifies each link once.
 pub trait CostModel {
     /// Process count the model covers.
     fn p(&self) -> usize;
-    /// Overhead: invocation overhead `O_ii` on the diagonal, per-request
-    /// overhead `O_ij` off it.
-    fn o(&self, i: usize, j: usize) -> f64;
-    /// One-way latency `L_ij` (zero on the diagonal).
-    fn l(&self, i: usize, j: usize) -> f64;
-    /// Inverse bandwidth `β_ij`.
-    fn beta(&self, i: usize, j: usize) -> f64;
+    /// Invocation overhead `O_ii` (an empty request-start/wait call).
+    fn o_self(&self, i: usize) -> f64;
+    /// `O_ij`, `L_ij` and `β_ij` of the link `i → j`; only asked for
+    /// `i ≠ j` (plans carry no self-sends).
+    fn pair(&self, i: usize, j: usize) -> PairCost;
 }
 
 impl CostModel for CommCosts {
     fn p(&self) -> usize {
         CommCosts::p(self)
     }
-    fn o(&self, i: usize, j: usize) -> f64 {
-        self.o.get(i, j)
+    fn o_self(&self, i: usize) -> f64 {
+        self.o.get(i, i)
     }
-    fn l(&self, i: usize, j: usize) -> f64 {
-        self.l.get(i, j)
-    }
-    fn beta(&self, i: usize, j: usize) -> f64 {
-        self.beta.get(i, j)
+    fn pair(&self, i: usize, j: usize) -> PairCost {
+        let p = self.p();
+        assert!(i < p && j < p, "pair ({i},{j}) out of range");
+        let k = i * p + j;
+        PairCost {
+            o: self.o.as_slice()[k],
+            l: self.l.as_slice()[k],
+            beta: self.beta.as_slice()[k],
+        }
     }
 }
 
@@ -158,55 +179,11 @@ impl PayloadSchedule {
     }
 }
 
-/// Prediction result: stage-resolved entry times and the total.
+/// Prediction result: the worst-case completion over all processes.
 #[derive(Debug, Clone)]
 pub struct BarrierPrediction {
-    /// `entry[s][i]`: time process i enters stage s; the last row is the
-    /// exit from the final stage.
-    pub entry: Vec<Vec<f64>>,
-    /// `stage_cost[s][i]`: the Eq. 5.4 cost process i adds in stage s.
-    pub stage_cost: Vec<Vec<f64>>,
     /// Worst-case completion over all processes.
     pub total: f64,
-}
-
-impl BarrierPrediction {
-    /// Completion time of one process.
-    pub fn completion(&self, i: usize) -> f64 {
-        *self
-            .entry
-            .last()
-            .expect("at least one row")
-            .get(i)
-            .expect("process index in range")
-    }
-}
-
-/// Eq. 5.4 stage cost with payload extension and both refinements, over
-/// the compiled pattern: destination slices from the CSR plan, posted
-/// receivers from the precomputed table.
-fn stage_cost<C: CostModel + ?Sized>(
-    plan: &CompiledPattern,
-    costs: &C,
-    payload: &PayloadSchedule,
-    s: usize,
-    i: usize,
-) -> f64 {
-    let bytes = payload.bytes(s) as f64;
-    let mut latency_term = 0.0;
-    let mut max_term = costs.o(i, i); // refinement 1: floor at O_ii
-    for &j in plan.stage(s).dsts(i) {
-        latency_term += 2.0 * costs.l(i, j) + bytes * costs.beta(i, j);
-        let o = if plan.is_posted(j, s) {
-            costs.o(j, j) // refinement 2: posted receiver
-        } else {
-            costs.o(i, j)
-        };
-        if o > max_term {
-            max_term = o;
-        }
-    }
-    latency_term + max_term
 }
 
 /// Predicts the cost of executing `pattern` on a platform described by
@@ -227,10 +204,9 @@ pub fn predict_barrier<P: CommPattern + ?Sized, C: CostModel + ?Sized>(
 }
 
 /// The forward dynamic program over a compiled pattern and any
-/// [`CostModel`]: CSR slices and O(1) posted lookups, allocating only
-/// the prediction it returns — O(p·stages + edges) in time and
-/// O(p·stages) in its tables, so with a class-level model the whole
-/// prediction is free of pairwise-dense anything.
+/// [`CostModel`]: CSR slices, O(1) posted lookups and two p-length rows —
+/// O(p·stages + edges) in time and O(p) in memory, so with a class-level
+/// model the whole prediction is free of pairwise-dense anything.
 pub fn predict_compiled_with<C: CostModel + ?Sized>(
     plan: &CompiledPattern,
     costs: &C,
@@ -242,37 +218,42 @@ pub fn predict_compiled_with<C: CostModel + ?Sized>(
         "pattern and cost matrices must agree on process count"
     );
     let p = plan.p();
-    let stages = plan.stages();
-    let mut entry = vec![vec![0.0f64; p]];
-    let mut stage_costs = Vec::with_capacity(stages);
-    for s in 0..stages {
-        let costs_s: Vec<f64> = (0..p)
-            .map(|i| stage_cost(plan, costs, payload, s, i))
-            .collect();
-        let prev = entry.last().expect("entry starts non-empty").clone();
-        let mut next: Vec<f64> = (0..p).map(|j| prev[j] + costs_s[j]).collect();
+    let mut entry = vec![0.0f64; p];
+    let mut done = vec![0.0f64; p];
+    for s in 0..plan.stages() {
         let stage = plan.stage(s);
-        for i in 0..p {
-            let done = prev[i] + costs_s[i];
+        let bytes = payload.bytes(s) as f64;
+        let posted = &plan.posted_table()[s * p..(s + 1) * p];
+        // Eq. 5.4 with the payload term and both refinements.
+        for (i, (d, &e)) in done.iter_mut().zip(&entry).enumerate() {
+            let mut latency_term = 0.0;
+            let mut max_term = costs.o_self(i); // refinement 1: floor at O_ii
             for &j in stage.dsts(i) {
-                if done > next[j] {
-                    next[j] = done;
+                let c = costs.pair(i, j);
+                latency_term += 2.0 * c.l + bytes * c.beta;
+                let o = if posted[j] {
+                    costs.o_self(j) // refinement 2: posted receiver
+                } else {
+                    c.o
+                };
+                if o > max_term {
+                    max_term = o;
                 }
             }
+            *d = e + (latency_term + max_term);
         }
-        stage_costs.push(costs_s);
-        entry.push(next);
+        for (j, e) in entry.iter_mut().enumerate() {
+            let mut t = done[j];
+            for &i in stage.srcs(j) {
+                if done[i] > t {
+                    t = done[i];
+                }
+            }
+            *e = t;
+        }
     }
-    let total = entry
-        .last()
-        .expect("non-empty")
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
     BarrierPrediction {
-        entry,
-        stage_cost: stage_costs,
-        total,
+        total: entry.iter().copied().fold(f64::NEG_INFINITY, f64::max),
     }
 }
 
@@ -297,6 +278,166 @@ mod tests {
             })
             .collect();
         BarrierPattern::new("dissemination", p, stages)
+    }
+
+    /// Eq. 5.4 cost of process i in stage s, as the stage-resolved
+    /// predictor computed it.
+    fn oracle_stage_cost(
+        plan: &CompiledPattern,
+        costs: &CommCosts,
+        payload: &PayloadSchedule,
+        s: usize,
+        i: usize,
+    ) -> f64 {
+        let bytes = payload.bytes(s) as f64;
+        let mut latency_term = 0.0;
+        let mut max_term = costs.o.get(i, i);
+        for &j in plan.stage(s).dsts(i) {
+            latency_term += 2.0 * costs.l.get(i, j) + bytes * costs.beta.get(i, j);
+            let o = if plan.is_posted(j, s) {
+                costs.o.get(j, j)
+            } else {
+                costs.o.get(i, j)
+            };
+            if o > max_term {
+                max_term = o;
+            }
+        }
+        latency_term + max_term
+    }
+
+    /// The stage-resolved dynamic program the predictor ran before it
+    /// kept two rows, verbatim but for reading the dense matrices
+    /// directly: the differential oracle. Returns `entry[s][i]`, the time
+    /// process i enters stage s (the last row is the exit).
+    fn oracle_entry(
+        plan: &CompiledPattern,
+        costs: &CommCosts,
+        payload: &PayloadSchedule,
+    ) -> Vec<Vec<f64>> {
+        let p = plan.p();
+        let mut entry = vec![vec![0.0f64; p]];
+        for s in 0..plan.stages() {
+            let costs_s: Vec<f64> = (0..p)
+                .map(|i| oracle_stage_cost(plan, costs, payload, s, i))
+                .collect();
+            let prev = entry.last().expect("entry starts non-empty").clone();
+            let mut next: Vec<f64> = (0..p).map(|j| prev[j] + costs_s[j]).collect();
+            let stage = plan.stage(s);
+            for i in 0..p {
+                let done = prev[i] + costs_s[i];
+                for &j in stage.dsts(i) {
+                    if done > next[j] {
+                        next[j] = done;
+                    }
+                }
+            }
+            entry.push(next);
+        }
+        entry
+    }
+
+    fn row_max(row: &[f64]) -> f64 {
+        row.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The total of the plan's first `n` stages.
+    fn prefix_total(plan: &CompiledPattern, n: usize, costs: &CommCosts) -> f64 {
+        let stages = (0..n).map(|s| plan.stage(s).clone()).collect();
+        let prefix = CompiledPattern::from_stages("prefix", plan.p(), stages);
+        predict_compiled_with(&prefix, costs, &PayloadSchedule::none()).total
+    }
+
+    /// xorshift64*: the differential test's deterministic case stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// The two-row kernel against the stage-resolved oracle, bit for bit:
+    /// random sparse plans over p = 1..=70 with empty stages, fan-in and
+    /// fan-out above 1 and posted receivers, on random dense costs (the
+    /// diagonal drawn on its own scale) and random payload schedules,
+    /// some shorter than the plan.
+    #[test]
+    fn two_row_kernel_matches_stage_resolved_oracle() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut posted_hits, mut fan_in, mut fan_out) = (0, 0, 0);
+        for case in 0..600 {
+            let p = 1 + case % 70;
+            let stages: Vec<StagePlan> = (0..rng.below(9))
+                .map(|_| {
+                    // A quarter of the stages are empty; the rest draw up to
+                    // 3p edges, so some ranks send or receive several.
+                    let n = if rng.below(4) == 0 || p == 1 {
+                        0
+                    } else {
+                        rng.below(3 * p + 1)
+                    };
+                    let mut edges: Vec<(usize, usize)> = (0..n)
+                        .map(|_| (rng.below(p), rng.below(p)))
+                        .filter(|&(i, j)| i != j)
+                        .collect();
+                    edges.sort_unstable();
+                    edges.dedup();
+                    StagePlan::from_edges(p, &edges)
+                })
+                .collect();
+            let plan = CompiledPattern::from_stages("random", p, stages);
+            let mut draw = |scale: f64| DMat::from_fn(p, p, |_, _| scale * rng.unit());
+            let (mut o, l, beta) = (draw(1e-6), draw(1e-5), draw(1e-9));
+            for i in 0..p {
+                o.set(i, i, 2e-7 * rng.unit());
+            }
+            let costs = CommCosts::new(o, l, beta);
+            let payload = if rng.below(3) == 0 {
+                PayloadSchedule::none()
+            } else {
+                let len = rng.below(plan.stages() + 2);
+                PayloadSchedule::from_bytes((0..len).map(|_| rng.next() % 65_536).collect())
+            };
+            let entry = oracle_entry(&plan, &costs, &payload);
+            let total = predict_compiled_with(&plan, &costs, &payload).total;
+            let want = row_max(entry.last().expect("non-empty"));
+            assert_eq!(total.to_bits(), want.to_bits(), "case {case}, p = {p}");
+            for s in 0..plan.stages() {
+                let stage = plan.stage(s);
+                for r in 0..p {
+                    posted_hits += usize::from(plan.is_posted(r, s) && stage.in_degree(r) > 0);
+                    fan_in += usize::from(stage.in_degree(r) > 1);
+                    fan_out += usize::from(stage.out_degree(r) > 1);
+                }
+            }
+        }
+        assert!(
+            posted_hits > 0 && fan_in > 0 && fan_out > 0,
+            "cases too thin"
+        );
+    }
+
+    /// A prefix plan reproduces the stage-resolved entry times: its total
+    /// is the worst entry after that many stages, bit for bit.
+    #[test]
+    fn prefix_totals_match_stage_resolved_entries() {
+        let p = 8;
+        let costs = CommCosts::uniform(p, 1e-7, 5e-7, 1e-6);
+        let plan = dissemination(p).into_plan();
+        let entry = oracle_entry(&plan, &costs, &PayloadSchedule::none());
+        for (n, row) in entry.iter().enumerate() {
+            assert_eq!(prefix_total(&plan, n, &costs), row_max(row), "{n} stages");
+        }
     }
 
     #[test]
@@ -343,13 +484,22 @@ mod tests {
 
     #[test]
     fn invocation_floor_applies_to_idle_processes() {
-        // In stage 1 of the linear barrier, ranks 1..p only receive; their
-        // stage cost must be exactly O_ii.
+        // Free messages (L = 0, O_ij = 0) and O_00 = 1e-7 below every
+        // other O_ii = 3e-7: in the linear barrier's release stage ranks
+        // 1..p only receive, and their floor alone sets the total — the
+        // release prefix adds exactly O_11 to the gather prefix.
         let p = 4;
-        let costs = CommCosts::uniform(p, 3e-7, 9e-7, 1e-6);
-        let pred = predict_barrier(&linear(p), &costs, &PayloadSchedule::none());
-        // Rank 1 cost in stage 1 = O_11.
-        assert!((pred.stage_cost[1][1] - 3e-7).abs() < 1e-18);
+        let o = DMat::from_fn(p, p, |i, j| match (i == j, i) {
+            (true, 0) => 1e-7,
+            (true, _) => 3e-7,
+            (false, _) => 0.0,
+        });
+        let costs = CommCosts::new(o, DMat::zeros(p, p), DMat::zeros(p, p));
+        let plan = linear(p).into_plan();
+        let gather = prefix_total(&plan, 1, &costs);
+        let release = prefix_total(&plan, 2, &costs);
+        assert!((gather - 3e-7).abs() < 1e-18, "gather {gather}");
+        assert!((release - gather - 3e-7).abs() < 1e-18, "release {release}");
     }
 
     #[test]
@@ -357,17 +507,20 @@ mod tests {
         // 3-stage pattern: 1 → 0 in stage 0; filler 2 → 1 keeps stage 1
         // non-empty; 1 → 0 again in stage 2. By stage 2, rank 0 has been
         // idle since before stage 1, so rank 1's max term uses O_00 < O_10.
+        // Rank 1 is on the critical path throughout, so each prefix adds
+        // its stage cost to the total.
         let p = 3;
         let s0 = StagePlan::from_edges(p, &[(1, 0)]);
         let s1 = StagePlan::from_edges(p, &[(2, 1)]);
         let s2 = StagePlan::from_edges(p, &[(1, 0)]);
-        let pat = BarrierPattern::new("posted", p, vec![s0, s1, s2]);
+        let plan = CompiledPattern::from_stages("posted", p, vec![s0, s1, s2]);
         let costs = CommCosts::uniform(p, 1e-7, 8e-7, 1e-6);
-        let pred = predict_barrier(&pat, &costs, &PayloadSchedule::none());
         // Stage 0: receiver not yet posted → O_10 = 8e-7 in the max term.
-        assert!((pred.stage_cost[0][1] - (2e-6 + 8e-7)).abs() < 1e-15);
+        let first = prefix_total(&plan, 1, &costs);
+        assert!((first - (2e-6 + 8e-7)).abs() < 1e-15, "stage 0 {first}");
         // Stage 2: rank 0 posted → O_00 = 1e-7.
-        assert!((pred.stage_cost[2][1] - (2e-6 + 1e-7)).abs() < 1e-15);
+        let last = prefix_total(&plan, 3, &costs) - prefix_total(&plan, 2, &costs);
+        assert!((last - (2e-6 + 1e-7)).abs() < 1e-15, "stage 2 {last}");
     }
 
     #[test]
@@ -410,15 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_accessor_matches_total() {
-        let p = 8;
-        let costs = CommCosts::uniform(p, 1e-7, 5e-7, 1e-6);
-        let pred = predict_barrier(&dissemination(p), &costs, &PayloadSchedule::none());
-        let max = (0..p).map(|i| pred.completion(i)).fold(0.0, f64::max);
-        assert_eq!(max, pred.total);
-    }
-
-    #[test]
     fn heterogeneous_latency_shifts_critical_path() {
         // Make rank 3's links 50x slower: the prediction must rise and the
         // slow rank must sit on the critical path.
@@ -455,9 +599,7 @@ mod tests {
             let costs = CommCosts::uniform(24, o, 5.0 * o, 1e-6);
             let fresh = predict_barrier(&pat, &costs, &PayloadSchedule::none());
             let reused = predict_compiled_with(&plan, &costs, &PayloadSchedule::none());
-            assert_eq!(fresh.total, reused.total);
-            assert_eq!(fresh.entry, reused.entry);
-            assert_eq!(fresh.stage_cost, reused.stage_cost);
+            assert_eq!(fresh.total.to_bits(), reused.total.to_bits());
         }
     }
 }

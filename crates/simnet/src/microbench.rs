@@ -20,7 +20,7 @@ use crate::params::PlatformParams;
 use hpm_core::hockney::HeteroHockney;
 use hpm_core::matrix::DMat;
 use hpm_core::plan::SIGNAL_JITTER_DRAWS;
-use hpm_core::predictor::{CommCosts, CostModel};
+use hpm_core::predictor::{CommCosts, CostModel, PairCost};
 use hpm_stats::quantile::quantile_inplace;
 use hpm_stats::regression::LinearFit;
 use hpm_stats::rng::{JitterBuf, JitterSource};
@@ -500,10 +500,10 @@ pub fn bench_platform_classes(
     }
 }
 
-/// A [`CostModel`] over a [`ClassProfile`]: every predictor query is two
-/// indexed loads (the hierarchical link class) and an array lookup, with
-/// O(classes) parameter storage — the scale-clean counterpart of the
-/// dense [`CommCosts`] matrices.
+/// A [`CostModel`] over a [`ClassProfile`]: a pair query classifies the
+/// link once (the hierarchical link class) and reads `O`, `L` and `β`
+/// from the per-class arrays, with O(classes) parameter storage — the
+/// scale-clean counterpart of the dense [`CommCosts`] matrices.
 #[derive(Debug, Clone, Copy)]
 pub struct ClassCosts<'a> {
     placement: &'a Placement,
@@ -528,27 +528,16 @@ impl CostModel for ClassCosts<'_> {
         self.placement.nprocs()
     }
 
-    fn o(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            self.profile.o_self
-        } else {
-            self.profile.o[self.placement.link(i, j).index()]
-        }
+    fn o_self(&self, _i: usize) -> f64 {
+        self.profile.o_self
     }
 
-    fn l(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            0.0
-        } else {
-            self.profile.l[self.placement.link(i, j).index()]
-        }
-    }
-
-    fn beta(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            0.0
-        } else {
-            self.profile.beta[self.placement.link(i, j).index()]
+    fn pair(&self, i: usize, j: usize) -> PairCost {
+        let c = self.placement.link(i, j).index();
+        PairCost {
+            o: self.profile.o[c],
+            l: self.profile.l[c],
+            beta: self.profile.beta[c],
         }
     }
 }
@@ -731,17 +720,13 @@ mod tests {
         for i in 0..16 {
             for j in 0..16 {
                 if i == j {
-                    assert_eq!(costs.o(i, i), profile.o_self);
-                    assert_eq!(costs.l(i, i), 0.0);
+                    assert_eq!(costs.o_self(i), profile.o_self);
                     continue;
                 }
-                assert_eq!(costs.o(i, j), dense.costs.o.get(i, j), "o ({i},{j})");
-                assert_eq!(costs.l(i, j), dense.costs.l.get(i, j), "l ({i},{j})");
-                assert_eq!(
-                    costs.beta(i, j),
-                    dense.costs.beta.get(i, j),
-                    "beta ({i},{j})"
-                );
+                let pair = costs.pair(i, j);
+                assert_eq!(pair.o, dense.costs.o.get(i, j), "o ({i},{j})");
+                assert_eq!(pair.l, dense.costs.l.get(i, j), "l ({i},{j})");
+                assert_eq!(pair.beta, dense.costs.beta.get(i, j), "beta ({i},{j})");
             }
         }
         // Round-robin 16 on 2 nodes populates every class; the sampled
