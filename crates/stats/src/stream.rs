@@ -193,41 +193,6 @@ pub fn fast_exp(x: f64) -> f64 {
     poly * f64::from_bits(((1023 + k as i64) as u64) << 52)
 }
 
-/// The *exact* (non-tabulated) composition over a counter-based stream:
-/// one uniform per normal through [`norminv`], `exp(σ·Z)` through
-/// [`fast_exp`] — the reference the equivalence tests hold
-/// [`QuantileTable::lognormal`] against.
-#[cfg(test)]
-#[derive(Debug, Clone)]
-pub(crate) struct NormalSource {
-    stream: SplitMix64,
-}
-
-#[cfg(test)]
-impl NormalSource {
-    /// Source keyed by `(seed, label, rep)` — see
-    /// [`SplitMix64::from_parts`].
-    pub(crate) fn new(seed: u64, label: u64, rep: u64) -> NormalSource {
-        NormalSource {
-            stream: SplitMix64::from_parts(seed, label, rep),
-        }
-    }
-
-    /// Fills `out` with standard normals.
-    pub(crate) fn fill_normal(&mut self, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = norminv(self.stream.next_unit_open());
-        }
-    }
-
-    /// Fills `out` with log-normal multipliers `exp(σ·Z)`, median 1.
-    pub(crate) fn fill_lognormal(&mut self, sigma: f64, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = fast_exp(sigma * norminv(self.stream.next_unit_open()));
-        }
-    }
-}
-
 /// A median-1 multiplier quantile function `u ↦ q(u)` for one fixed
 /// parameter, tabulated on a uniform grid and served by linear
 /// interpolation: the log-normal `exp(σ·Φ⁻¹(u))` of the jitter engine
@@ -534,6 +499,41 @@ impl QuantileTable {
                 }
             }
             row = row.wrapping_add(BLOCK_ROWS as u64);
+        }
+    }
+}
+
+/// The *exact* (non-tabulated) composition over a counter-based stream:
+/// one uniform per normal through [`norminv`], `exp(σ·Z)` through
+/// [`fast_exp`] — the reference the equivalence tests hold
+/// [`QuantileTable::lognormal`] against.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct NormalSource {
+    stream: SplitMix64,
+}
+
+#[cfg(test)]
+impl NormalSource {
+    /// Source keyed by `(seed, label, rep)` — see
+    /// [`SplitMix64::from_parts`].
+    pub(crate) fn new(seed: u64, label: u64, rep: u64) -> NormalSource {
+        NormalSource {
+            stream: SplitMix64::from_parts(seed, label, rep),
+        }
+    }
+
+    /// Fills `out` with standard normals.
+    pub(crate) fn fill_normal(&mut self, out: &mut [f64]) {
+        for slot in out.iter_mut() {
+            *slot = norminv(self.stream.next_unit_open());
+        }
+    }
+
+    /// Fills `out` with log-normal multipliers `exp(σ·Z)`, median 1.
+    pub(crate) fn fill_lognormal(&mut self, sigma: f64, out: &mut [f64]) {
+        for slot in out.iter_mut() {
+            *slot = fast_exp(sigma * norminv(self.stream.next_unit_open()));
         }
     }
 }
