@@ -90,6 +90,36 @@ fn measure_samples_match_jitter_engine_goldens() {
     assert_eq!(fnv_samples(&m.samples), 0x7841983e9cac3925);
 }
 
+/// Golden pin of the one-lane jitter fill, the table every scalar
+/// executor (fault and recovery layers, BSPlib sync, exchange resolver,
+/// microbenchmark) reads: one FNV-1a over the bits of whole
+/// [`JitterBuf::fill`] tables at sizes around the fill's 8-cell and
+/// 256-cell boundaries, two σ and two stream keys, then of a windowed
+/// `begin_lanes(…, 1, 5000)` table read through `next_mult`. Jittered,
+/// hence the platform gate of the goldens above.
+///
+/// [`JitterBuf::fill`]: hpm::stats::JitterBuf::fill
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn single_lane_fills_match_goldens() {
+    use hpm::stats::{JitterBuf, JitterSource};
+
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let mut h = 0xcbf29ce484222325;
+    let mut buf = JitterBuf::new();
+    for (seed, label, rep) in [(42, 0x4241_5252, 0), (2012, 7, 1_000_003)] {
+        for sigma in [0.05, 0.5] {
+            for draws in [0, 1, 7, 8, 9, 255, 256, 257, 2049, 10_240] {
+                buf.fill(sigma, seed, label, rep, draws);
+                h = buf.rows(draws).iter().fold(h, |h, x| word(h, x.to_bits()));
+            }
+            buf.begin_lanes(sigma, seed, label, rep, 1, 5000);
+            h = (0..5000).fold(h, |h, _| word(h, buf.next_mult().to_bits()));
+        }
+    }
+    assert_eq!(h, 0xb733e45eceb95b81, "one-lane fills moved");
+}
+
 /// A representatively nasty fault model for the determinism tests:
 /// every fault class enabled at once.
 fn stress_fault_model() -> hpm::stats::fault::FaultModel {
