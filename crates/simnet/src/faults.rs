@@ -204,7 +204,7 @@ impl FaultView for Faults<'_> {
             self.fault.drop.local
         };
         let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > self.fault.max_retries + 1 {
+        if attempts > self.fault.max_retries.saturating_add(1) {
             return None;
         }
         let retry_delay = self.fault.retry_delay(attempts);
@@ -699,6 +699,47 @@ mod tests {
             mean(&dropped),
             mean(&clean)
         );
+    }
+
+    /// A drop probability a hair below 1 passes `checked()`, and its
+    /// attempt counts pass `u32::MAX`: they saturate, so every signal is
+    /// lost after the full budget — none is delivered on wrapped counts.
+    #[test]
+    fn near_certain_drop_loses_every_signal() {
+        let p = 16;
+        let (params, placement) = sim_fixture(p);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(p);
+        let fault = FaultModel {
+            drop: DropProb::uniform(1.0 - 1e-15),
+            ..FaultModel::NONE
+        };
+        assert_eq!(fault.checked(), Ok(()));
+        for report in sim.measure_faulty(&plan, &PayloadSchedule::none(), &fault, 4, 5) {
+            assert_eq!(report.retries, 0);
+            assert_eq!(report.lost_signals, plan.total_signals() as u64);
+            assert_eq!(report.completed_count(), 0);
+        }
+    }
+
+    /// A `u32::MAX` retry cap is legal: no signal is ever given up on.
+    #[test]
+    fn unbounded_retry_cap_loses_no_signal() {
+        let p = 16;
+        let (params, placement) = sim_fixture(p);
+        let sim = BarrierSim::new(&params, &placement);
+        let fault = FaultModel {
+            drop: DropProb::uniform(0.01),
+            max_retries: u32::MAX,
+            ..FaultModel::NONE
+        };
+        let reports =
+            sim.measure_faulty(&dissemination(p), &PayloadSchedule::none(), &fault, 16, 5);
+        assert!(reports.iter().map(|r| r.retries).sum::<u64>() > 0);
+        for report in &reports {
+            assert_eq!(report.lost_signals, 0);
+            assert!(report.all_completed());
+        }
     }
 
     /// Stragglers delay entry, and the delay propagates into completion

@@ -277,15 +277,21 @@ impl FaultModel {
 /// `attempts = 1 + ⌊ln(u)/ln(drop_p)⌋`. `drop_p ≤ 0` yields 1 attempt
 /// (the caller consumes the uniform regardless, keeping the drop-draw
 /// count independent of the knob values). Counts above
-/// `max_retries + 1` mean the signal was lost.
+/// `max_retries + 1` mean the signal was lost; the count saturates at
+/// `u32::MAX`.
+///
+/// A `u` clearly above `drop_p` is 1 attempt without calling `ln`:
+/// past the `2⁻²⁰` relative margin, `ln u` exceeds `ln drop_p` by
+/// ~1e-6, far beyond libm's error, so the computed quotient is below 1
+/// and the formula gives 1 as well (DESIGN.md, "The fault layer").
 #[inline]
 pub fn attempts_from_uniform(u: f64, drop_p: f64) -> u32 {
-    if drop_p <= 0.0 {
+    if drop_p <= 0.0 || u > drop_p * (1.0 + 1.0 / (1u64 << 20) as f64) {
         return 1;
     }
     debug_assert!(drop_p < 1.0, "drop probability must be < 1, got {drop_p}");
     let failures = (u.ln() / drop_p.ln()) as u32;
-    1 + failures
+    failures.saturating_add(1)
 }
 
 /// The per-signal drop stream: one uniform per planned signal from
@@ -619,6 +625,64 @@ mod tests {
     fn zero_drop_probability_is_one_attempt() {
         assert_eq!(attempts_from_uniform(0.5, 0.0), 1);
         assert_eq!(attempts_from_uniform(1e-12, 0.0), 1);
+    }
+
+    /// The geometric inverse CDF evaluated in full, `ln` and all: the
+    /// reference for the `ln`-free path.
+    fn exact_attempts(u: f64, drop_p: f64) -> u32 {
+        ((u.ln() / drop_p.ln()) as u32).saturating_add(1)
+    }
+
+    /// Asserts `attempts_from_uniform` ≡ the full formula at `drop_p`
+    /// for each in-domain `u` of `us` and at the `ln`-free path's
+    /// threshold and its two neighbours.
+    fn assert_matches_exact(drop_p: f64, us: &[f64]) {
+        let threshold = drop_p * (1.0 + 1.0 / (1u64 << 20) as f64);
+        let edges = [threshold.next_down(), threshold, threshold.next_up()];
+        for &u in us.iter().chain(&edges).filter(|&&u| u > 0.0 && u < 1.0) {
+            assert_eq!(
+                attempts_from_uniform(u, drop_p),
+                exact_attempts(u, drop_p),
+                "u {u:e} drop_p {drop_p:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_free_path_matches_exact_formula_at_pinned_edges() {
+        let us = [2f64.powi(-53), 0.01, 0.5, 1.0 - f64::EPSILON / 2.0];
+        for drop_p in [
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.01,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+        ] {
+            assert_matches_exact(drop_p, &us);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        /// Random drop probabilities over the whole range (log-uniform
+        /// down to subnormals, and uniform), with `u` uniform, within a
+        /// factor e of `drop_p`, and within 2⁻²² (relative) of the
+        /// threshold.
+        #[test]
+        fn ln_free_path_matches_exact_formula(
+            log_p in -744.0f64..0.0,
+            flat_p in 0.0f64..1.0,
+            unit in 0.0f64..1.0,
+            scale in -1.0f64..1.0,
+            near in -1.0f64..1.0
+        ) {
+            for drop_p in [log_p.exp(), flat_p] {
+                let at_threshold = drop_p * (1.0 + (1.0 + near / 4.0) / (1u64 << 20) as f64);
+                assert_matches_exact(drop_p, &[unit, drop_p * scale.exp(), at_threshold]);
+            }
+        }
     }
 
     #[test]

@@ -226,10 +226,11 @@ pub struct QuantileTable {
 /// Grid cells of a [`QuantileTable`] (16 KiB of knots).
 const CELLS: usize = 2048;
 
-/// Lane width of the one multi-lane [`QuantileTable::fill_rows`] kernel
-/// compiled for a fixed width (single-lane fills have the other), and
-/// the one with a vector kernel; any other width runs the scalar code
-/// with the width in a register.
+/// Lane width of the [`QuantileTable::fill_rows`] vector kernel, which
+/// serves both eight-lane fills and single-lane ones (as eight virtual
+/// lanes of the one stream). The scalar kernel is compiled for this
+/// width and for one lane; any other width runs it with the width in a
+/// register.
 pub const WIDE_LANES: usize = 8;
 
 /// Cells per [`QuantileTable::fill_rows`] block: 2 KiB of output, still
@@ -330,23 +331,43 @@ impl QuantileTable {
     ///
     /// At [`WIDE_LANES`] on an `x86_64` CPU with AVX-512DQ/VL the rows
     /// are filled by a 256-bit vector kernel with the same cell values
-    /// (see DESIGN.md, "The jitter engine").
+    /// (see DESIGN.md, "The jitter engine"). A single lane runs the same
+    /// kernel over eight virtual lanes of its one stream: lane `j` is the
+    /// stream sought to draw `first_row + j`, and each row steps eight
+    /// draws, so cell `(r, j)` is draw `first_row + 8r + j` and the rows
+    /// come out in draw order. The scalar kernel fills the last
+    /// `out.len() mod 8` cells.
     pub fn fill_rows(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
         if let Ok(one) = <&[SplitMix64; 1]>::try_from(streams) {
-            self.fill_rows_of(one, first_row, out);
+            let body = out.len() - out.len() % WIDE_LANES;
+            let lanes = std::array::from_fn(|j| one[0].seek(first_row.wrapping_add(j as u64)));
+            let stride = WIDE_LANES as u64;
+            let done = if self.fill_rows_vector(&lanes, 0, stride, &mut out[..body]) {
+                body
+            } else {
+                0
+            };
+            self.fill_rows_of(
+                one,
+                first_row.wrapping_add(done as u64),
+                1,
+                &mut out[done..],
+            );
         } else if let Ok(wide) = <&[SplitMix64; WIDE_LANES]>::try_from(streams) {
-            if !self.fill_rows_vector(wide, first_row, out) {
-                self.fill_rows_of(wide, first_row, out);
+            if !self.fill_rows_vector(wide, first_row, 1, out) {
+                self.fill_rows_of(wide, first_row, 1, out);
             }
         } else {
-            self.fill_rows_of(streams, first_row, out);
+            self.fill_rows_of(streams, first_row, 1, out);
         }
     }
 
-    /// [`QuantileTable::fill_rows`] proper; inlined into each caller so
-    /// a width known there is a constant here.
+    /// [`QuantileTable::fill_rows`] proper, with rows `stride` draws
+    /// apart: the cell of row `r`, lane `l` is draw
+    /// `(first_row + r)·stride` of `streams[l]`. Inlined into each
+    /// caller so a width known there is a constant here.
     #[inline(always)]
-    fn fill_rows_of(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
+    fn fill_rows_of(&self, streams: &[SplitMix64], first_row: u64, stride: u64, out: &mut [f64]) {
         let lanes = streams.len();
         assert!(
             lanes >= 1 && out.len().is_multiple_of(lanes),
@@ -361,11 +382,14 @@ impl QuantileTable {
             heap.resize(lanes, 0);
             &mut heap
         };
+        // The counter of the current row's draw, less the lane's state:
+        // a running sum, one add per row.
+        let delta = stride.wrapping_mul(GOLDEN);
+        let mut step = first_row.wrapping_mul(delta).wrapping_add(GOLDEN);
         let mut row = first_row;
         for block in out.chunks_mut(block_rows * lanes) {
             let mut n_slow = 0;
             for (r, cells) in block.chunks_exact_mut(lanes).enumerate() {
-                let step = row.wrapping_add(r as u64 + 1).wrapping_mul(GOLDEN);
                 for (l, (cell, stream)) in cells.iter_mut().zip(streams).enumerate() {
                     let x = mix64(stream.state.wrapping_add(step));
                     let k = (x >> 53) as usize;
@@ -375,9 +399,11 @@ impl QuantileTable {
                     slow[n_slow] = r * lanes + l;
                     n_slow += usize::from(!self.tabulated(k));
                 }
+                step = step.wrapping_add(delta);
             }
             for &i in &slow[..n_slow] {
-                let mut at = streams[i % lanes].seek(row.wrapping_add((i / lanes) as u64));
+                let draw = row.wrapping_add((i / lanes) as u64).wrapping_mul(stride);
+                let mut at = streams[i % lanes].seek(draw);
                 block[i] = (self.exact)(self.param, at.next_unit_open());
             }
             row = row.wrapping_add(block_rows as u64);
@@ -391,22 +417,24 @@ impl QuantileTable {
         &self,
         streams: &[SplitMix64; WIDE_LANES],
         first_row: u64,
+        stride: u64,
         out: &mut [f64],
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx512dq") && is_x86_feature_detected!("avx512vl") {
             // SAFETY: the kernel's one requirement is that the CPU has
             // AVX-512DQ and AVX-512VL, detected on the line above.
-            unsafe { self.fill_rows_x8(streams, first_row, out) };
+            unsafe { self.fill_rows_x8(streams, first_row, stride, out) };
             return true;
         }
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = (streams, first_row, out);
+        let _ = (streams, first_row, stride, out);
         false
     }
 
     /// [`QuantileTable::fill_rows_of`] at [`WIDE_LANES`] on 256-bit
-    /// registers: each row is two halves of four lanes. The mix is
+    /// registers: each row is two halves of four lanes, each half's
+    /// counters one register that steps `stride·γ` per row. The mix is
     /// [`mix64`] with 64-bit lane multiplies, the cell index is `x >> 53`,
     /// and the lerp fraction is read off the same integer bits,
     /// `((x >> 12) mod 2⁴¹ + ½)·2⁻⁴¹`, which is exactly `t − k`. The lerp
@@ -426,6 +454,7 @@ impl QuantileTable {
         &self,
         streams: &[SplitMix64; WIDE_LANES],
         first_row: u64,
+        stride: u64,
         out: &mut [f64],
     ) {
         use std::arch::x86_64::*;
@@ -445,7 +474,10 @@ impl QuantileTable {
                 s[0].state as i64,
             )
         };
-        let states = [half(0), half(1)];
+        let delta = stride.wrapping_mul(GOLDEN);
+        let first = splat(first_row.wrapping_mul(delta).wrapping_add(GOLDEN));
+        let mut counters = [half(0), half(1)].map(|state| _mm256_add_epi64(state, first));
+        let delta = splat(delta);
         let (m1, m2) = (splat(0xBF58_476D_1CE4_E5B9), splat(0x94D0_49BB_1331_11EB));
         let margin = splat(self.margin as u64);
         let served = splat((CELLS - 2 * self.margin) as u64);
@@ -459,11 +491,9 @@ impl QuantileTable {
         for block in out.chunks_mut(FILL_BLOCK) {
             let mut slow = [0u8; BLOCK_ROWS];
             for (r, cells) in block.chunks_exact_mut(WIDE_LANES).enumerate() {
-                let step = splat(row.wrapping_add(r as u64 + 1).wrapping_mul(GOLDEN));
-                // Four lanes' cells from their states; returns their
+                // Four lanes' cells from their counters; returns their
                 // slow-margin bits.
-                let half_row = |state: __m256i, cells: &mut [f64]| {
-                    let mut x = _mm256_add_epi64(state, step);
+                let half_row = |mut x: __m256i, cells: &mut [f64]| {
                     x = _mm256_xor_si256(x, _mm256_srli_epi64::<30>(x));
                     x = _mm256_mullo_epi64(x, m1);
                     x = _mm256_xor_si256(x, _mm256_srli_epi64::<27>(x));
@@ -483,7 +513,8 @@ impl QuantileTable {
                     _mm256_cmpge_epu64_mask(_mm256_sub_epi64(k, margin), served)
                 };
                 let (left, right) = cells.split_at_mut(HALF);
-                slow[r] = half_row(states[0], left) | half_row(states[1], right) << HALF;
+                slow[r] = half_row(counters[0], left) | half_row(counters[1], right) << HALF;
+                counters = counters.map(|c| _mm256_add_epi64(c, delta));
             }
             // Eight row masks read as one word are a bitmap of 64 cells
             // in cell order; walking words, not rows, takes fewer
@@ -493,8 +524,10 @@ impl QuantileTable {
                 while cells != 0 {
                     let i = 64 * w + cells.trailing_zeros() as usize;
                     cells &= cells - 1;
-                    let mut at =
-                        streams[i % WIDE_LANES].seek(row.wrapping_add((i / WIDE_LANES) as u64));
+                    let draw = row
+                        .wrapping_add((i / WIDE_LANES) as u64)
+                        .wrapping_mul(stride);
+                    let mut at = streams[i % WIDE_LANES].seek(draw);
                     block[i] = (self.exact)(self.param, at.next_unit_open());
                 }
             }
@@ -706,6 +739,8 @@ mod tests {
                 }
                 assert_rows_match_mult(&tab, 5, lanes, 1234, 3 * block_rows + 1);
             }
+            // One lane's virtual lanes seek past a wrapping counter.
+            assert_rows_match_mult(&tab, 9, 1, u64::MAX - 40, 1500);
         }
         let tab = QuantileTable::pareto(1.5);
         for lanes in [1, 8, 13] {
@@ -743,14 +778,17 @@ mod tests {
             .expect("some seed has slow draws on all three edge cells")
     }
 
-    /// The vector kernel against the scalar one, called directly on the
-    /// same inputs: every cell bit for bit, including a row counter that
-    /// wraps past `u64::MAX` and the block-edge patch seeds.
+    /// The vector kernel against the scalar one on the same draws, every
+    /// cell bit for bit: eight lanes called directly on identical inputs,
+    /// and one stream through `fill_rows`' virtual lanes (rows eight
+    /// draws apart, the scalar kernel on the tail) against the one-lane
+    /// scalar kernel — with a row counter that wraps past `u64::MAX` and
+    /// the block-edge patch seeds of both routes.
     #[test]
     fn vector_kernel_matches_scalar_kernel_bitwise() {
         let probe = QuantileTable::lognormal(0.2);
         let streams = [SplitMix64::new(0); WIDE_LANES];
-        if !probe.fill_rows_vector(&streams, 0, &mut []) {
+        if !probe.fill_rows_vector(&streams, 0, 1, &mut []) {
             eprintln!("skipped: this CPU lacks AVX-512DQ/VL, so fill_rows runs the scalar kernel");
             return;
         }
@@ -761,24 +799,42 @@ mod tests {
             QuantileTable::lognormal(3.0),
             QuantileTable::pareto(1.5),
         ];
+        let assert_bits = |got: &[f64], want: &[f64], case: &str| {
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{case}: cell {i}");
+            }
+        };
         for tab in &tables {
-            for seed in [1, 29, edge_seed, block_edge_seed(tab, WIDE_LANES)] {
-                let streams: [SplitMix64; WIDE_LANES] =
-                    std::array::from_fn(|l| SplitMix64::from_parts(seed, 7, l as u64));
-                for first_row in [0, 1234, u64::MAX - 40] {
+            for first_row in [0, 1234, u64::MAX - 40] {
+                for seed in [1, 29, edge_seed, block_edge_seed(tab, WIDE_LANES)] {
+                    let streams: [SplitMix64; WIDE_LANES] =
+                        std::array::from_fn(|l| SplitMix64::from_parts(seed, 7, l as u64));
                     for rows in [0, 1, 31, 32, 33, 1500] {
                         let mut want = vec![0.0; rows * WIDE_LANES];
                         let mut got = vec![1.0; rows * WIDE_LANES];
-                        tab.fill_rows_of(&streams, first_row, &mut want);
-                        assert!(tab.fill_rows_vector(&streams, first_row, &mut got));
-                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                            assert_eq!(
-                                g.to_bits(),
-                                w.to_bits(),
-                                "param {} seed {seed} first row {first_row} rows {rows}: cell {i}",
-                                tab.param
-                            );
-                        }
+                        tab.fill_rows_of(&streams, first_row, 1, &mut want);
+                        assert!(tab.fill_rows_vector(&streams, first_row, 1, &mut got));
+                        let case = format!(
+                            "param {} seed {seed} first row {first_row} rows {rows}",
+                            tab.param
+                        );
+                        assert_bits(&got, &want, &case);
+                    }
+                }
+                // Edge seed: slow draws on cells 0, 255 and 256, the
+                // first virtual block's two ends and the second's start.
+                for seed in [1, 29, block_edge_seed(tab, 1)] {
+                    let one = [SplitMix64::from_parts(seed, 7, 0)];
+                    for cells in (0..=17).chain([255, 256, 257, 1500]) {
+                        let mut want = vec![0.0; cells];
+                        let mut got = vec![1.0; cells];
+                        tab.fill_rows_of(&one, first_row, 1, &mut want);
+                        tab.fill_rows(&one, first_row, &mut got);
+                        let case = format!(
+                            "param {} one lane seed {seed} first row {first_row} cells {cells}",
+                            tab.param
+                        );
+                        assert_bits(&got, &want, &case);
                     }
                 }
             }
