@@ -16,6 +16,10 @@
 //! model reproduces the fault-free executor bit-for-bit (all fault
 //! arithmetic collapses to `×1.0`/`+0.0`).
 //!
+//! A drop uniform becomes an attempt count without `ln` whenever that
+//! count is provably 1 ([`attempts_from_uniform`]); attempt counts and
+//! the retry cap saturate at `u32::MAX`.
+//!
 //! Unlike the healthy executor, global completion is not assumed: each
 //! rank finishes as [`RankOutcome::Completed`], gives up waiting for a
 //! signal that never arrives ([`RankOutcome::TimedOut`], after the

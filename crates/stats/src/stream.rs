@@ -21,8 +21,12 @@
 //!   Pareto quantile function) tabulated once per parameter and served
 //!   by interpolation, one draw at a time ([`QuantileTable::mult`]) or a
 //!   block of rows at a time ([`QuantileTable::fill_rows`], what the
-//!   hot-path `JitterBuf` fill runs). The exact composition survives as
-//!   the test-only `NormalSource` the equivalence tests compare against.
+//!   hot-path `JitterBuf` fill runs). Where the CPU has AVX-512DQ/VL,
+//!   eight-lane and one-lane fills alike run a vector kernel: a single
+//!   stream is eight virtual lanes of itself, each row eight draws on,
+//!   because a counter-based draw is a function of its index. The exact
+//!   composition survives as the test-only `NormalSource` the
+//!   equivalence tests compare against.
 //!
 //! One uniform becomes one normal (inverse-CDF), so there is no discarded
 //! Box-Muller branch to regret; the classic both-outputs Box-Muller trick
@@ -336,23 +340,17 @@ impl QuantileTable {
     /// stream sought to draw `first_row + j`, and each row steps eight
     /// draws, so cell `(r, j)` is draw `first_row + 8r + j` and the rows
     /// come out in draw order. The scalar kernel fills the last
-    /// `out.len() mod 8` cells.
+    /// `out.len() mod 8` cells, or all of them where the vector kernel
+    /// does not run.
     pub fn fill_rows(&self, streams: &[SplitMix64], first_row: u64, out: &mut [f64]) {
         if let Ok(one) = <&[SplitMix64; 1]>::try_from(streams) {
-            let body = out.len() - out.len() % WIDE_LANES;
             let lanes = std::array::from_fn(|j| one[0].seek(first_row.wrapping_add(j as u64)));
-            let stride = WIDE_LANES as u64;
-            let done = if self.fill_rows_vector(&lanes, 0, stride, &mut out[..body]) {
-                body
-            } else {
-                0
-            };
-            self.fill_rows_of(
-                one,
-                first_row.wrapping_add(done as u64),
-                1,
-                &mut out[done..],
-            );
+            let mut body = out.len() - out.len() % WIDE_LANES;
+            if !self.fill_rows_vector(&lanes, 0, WIDE_LANES as u64, &mut out[..body]) {
+                body = 0;
+            }
+            let tail_row = first_row.wrapping_add(body as u64);
+            self.fill_rows_of(one, tail_row, 1, &mut out[body..]);
         } else if let Ok(wide) = <&[SplitMix64; WIDE_LANES]>::try_from(streams) {
             if !self.fill_rows_vector(wide, first_row, 1, out) {
                 self.fill_rows_of(wide, first_row, 1, out);
@@ -474,10 +472,14 @@ impl QuantileTable {
                 s[0].state as i64,
             )
         };
-        let delta = stride.wrapping_mul(GOLDEN);
-        let first = splat(first_row.wrapping_mul(delta).wrapping_add(GOLDEN));
+        let delta = splat(stride.wrapping_mul(GOLDEN));
+        let first = splat(
+            first_row
+                .wrapping_mul(stride)
+                .wrapping_add(1)
+                .wrapping_mul(GOLDEN),
+        );
         let mut counters = [half(0), half(1)].map(|state| _mm256_add_epi64(state, first));
-        let delta = splat(delta);
         let (m1, m2) = (splat(0xBF58_476D_1CE4_E5B9), splat(0x94D0_49BB_1331_11EB));
         let margin = splat(self.margin as u64);
         let served = splat((CELLS - 2 * self.margin) as u64);
