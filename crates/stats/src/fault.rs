@@ -272,6 +272,9 @@ impl FaultModel {
     }
 }
 
+/// `1 + 2⁻²⁰`: [`attempts_from_uniform`] skips `ln` past `drop_p` times this.
+const LN_FREE_MARGIN: f64 = 1.0 + 1.0 / (1u64 << 20) as f64;
+
 /// Converts one uniform into a delivery-attempt count by the geometric
 /// inverse CDF: `P(first n attempts all drop) = drop_p^n`, so
 /// `attempts = 1 + ⌊ln(u)/ln(drop_p)⌋`. `drop_p ≤ 0` yields 1 attempt
@@ -286,7 +289,7 @@ impl FaultModel {
 /// and the formula gives 1 as well (DESIGN.md, "The fault layer").
 #[inline]
 pub fn attempts_from_uniform(u: f64, drop_p: f64) -> u32 {
-    if drop_p <= 0.0 || u > drop_p * (1.0 + 1.0 / (1u64 << 20) as f64) {
+    if drop_p <= 0.0 || u > drop_p * LN_FREE_MARGIN {
         return 1;
     }
     debug_assert!(drop_p < 1.0, "drop probability must be < 1, got {drop_p}");
@@ -637,7 +640,7 @@ mod tests {
     /// for each in-domain `u` of `us` and at the `ln`-free path's
     /// threshold and its two neighbours.
     fn assert_matches_exact(drop_p: f64, us: &[f64]) {
-        let threshold = drop_p * (1.0 + 1.0 / (1u64 << 20) as f64);
+        let threshold = drop_p * LN_FREE_MARGIN;
         let edges = [threshold.next_down(), threshold, threshold.next_up()];
         for &u in us.iter().chain(&edges).filter(|&&u| u > 0.0 && u < 1.0) {
             assert_eq!(
@@ -679,7 +682,7 @@ mod tests {
             near in -1.0f64..1.0
         ) {
             for drop_p in [log_p.exp(), flat_p] {
-                let at_threshold = drop_p * (1.0 + (1.0 + near / 4.0) / (1u64 << 20) as f64);
+                let at_threshold = drop_p * LN_FREE_MARGIN * (1.0 + near / (1u64 << 22) as f64);
                 assert_matches_exact(drop_p, &[unit, drop_p * scale.exp(), at_threshold]);
             }
         }

@@ -472,14 +472,10 @@ impl QuantileTable {
                 s[0].state as i64,
             )
         };
-        let delta = splat(stride.wrapping_mul(GOLDEN));
-        let first = splat(
-            first_row
-                .wrapping_mul(stride)
-                .wrapping_add(1)
-                .wrapping_mul(GOLDEN),
-        );
+        let delta = stride.wrapping_mul(GOLDEN);
+        let first = splat(first_row.wrapping_mul(delta).wrapping_add(GOLDEN));
         let mut counters = [half(0), half(1)].map(|state| _mm256_add_epi64(state, first));
+        let delta = splat(delta);
         let (m1, m2) = (splat(0xBF58_476D_1CE4_E5B9), splat(0x94D0_49BB_1331_11EB));
         let margin = splat(self.margin as u64);
         let served = splat((CELLS - 2 * self.margin) as u64);
@@ -778,6 +774,24 @@ mod tests {
                 slow(first, 0) && slow(last, block_rows - 1) && slow(first, block_rows)
             })
             .expect("some seed has slow draws on all three edge cells")
+    }
+
+    /// The counter identity behind one-lane fills, on the scalar kernel
+    /// so on any CPU: eight virtual lanes of one stream, rows eight draws
+    /// apart, read row-major, are the stream's draws in order.
+    #[test]
+    fn virtual_lanes_are_the_stream_in_draw_order() {
+        let tab = QuantileTable::lognormal(0.5);
+        let one = [SplitMix64::from_parts(block_edge_seed(&tab, 1), 7, 0)];
+        for first_row in [0, 1234, u64::MAX - 40] {
+            let lanes: [SplitMix64; WIDE_LANES] =
+                std::array::from_fn(|j| one[0].seek(first_row.wrapping_add(j as u64)));
+            let (mut want, mut got) = (vec![0.0; 1504], vec![1.0; 1504]);
+            tab.fill_rows_of(&one, first_row, 1, &mut want);
+            tab.fill_rows_of(&lanes, 0, WIDE_LANES as u64, &mut got);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "first row {first_row}");
+        }
     }
 
     /// The vector kernel against the scalar one on the same draws, every
