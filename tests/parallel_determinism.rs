@@ -622,19 +622,27 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // is the one consumer of `CommPattern::render`. `fig6_4`, `table7_1`
     // and `fig7_6` ride along since PR 19: one artifact per sweep family
     // that had none (the 12x2x6 machine, the SSS table, the greedy sweep);
-    // `scale` is the consumer of the sampled microbenchmark.
+    // `scale` is the consumer of the sampled microbenchmark. `fig5_10`,
+    // `table7_2`, `fig7_4`, `fig7_5`, `fig7_7` and `fig8_18` ride along
+    // so that every artifact computed from a §5.6.3 profile is pinned.
     let ids = [
         "fig5_2",
         "fig5_6",
+        "fig5_10",
         "fig6_3",
         "fig6_4",
         "table7_1",
+        "table7_2",
+        "fig7_4",
+        "fig7_5",
         "fig7_6",
+        "fig7_7",
         "collectives",
         "faults",
         "recovery",
         "coll_rt",
         "fig8_10",
+        "fig8_18",
         "scale",
     ];
     let serial = run_all(&ids, 1, "t1");
@@ -665,6 +673,23 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("table7_1.csv", 0xf39f0dafd5abebd1),
             ("fig7_6.csv", 0xbd9295f8ea454c60),
             ("scale_p.csv", 0xf4e9da4901bec8e2),
+            ("fig5_10to13_12x2x6_abs_error.csv", 0xa9f74f98107eba14),
+            ("fig5_10to13_12x2x6_measured.csv", 0xb740fcb3f51fe38b),
+            ("fig5_10to13_12x2x6_predicted.csv", 0x5798583ef993ef52),
+            ("fig5_10to13_12x2x6_rel_error.csv", 0xc4ae3bc4af557980),
+            ("fig7_4.csv", 0xd25e0ed7449e7eae),
+            ("fig7_5.csv", 0xcf5eca1f7eb607e6),
+            ("fig7_7.csv", 0xdc0f31c75c9a459f),
+            ("table7_2.csv", 0x86d1af7f47d9f0ba),
+            ("table7_1_detail.txt", 0xb51601540941f42d),
+            ("table7_2_detail.txt", 0x1700200edb2f2b04),
+            ("fig8_11_B2.csv", 0xc7f17cdf21976af2),
+            ("fig8_12_B3.csv", 0x918321c998c5c7ca),
+            ("fig8_13_B4.csv", 0x72408a54bcc0361f),
+            ("fig8_14_B5.csv", 0x7729deb68acfa4ca),
+            ("fig8_15_B6.csv", 0x11d753b9d13350d8),
+            ("fig8_18_C1.csv", 0x59df0caddde4ac3b),
+            ("fig8_18_C1_optimum.txt", 0xe4fe1ffe067071f1),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
