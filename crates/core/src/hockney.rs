@@ -30,21 +30,23 @@ impl Hockney {
     }
 }
 
-/// Heterogeneous Hockney model: per-pair latency and inverse bandwidth.
+/// Heterogeneous Hockney model: per-pair latency and inverse bandwidth,
+/// a view over matrices its owner keeps (a benchmarked profile serves
+/// one over its `L` and `β` cost matrices, so they are stored once).
 ///
 /// Both matrices are `P×P`; diagonals are conventionally zero (a process
 /// does not transport data to itself through the interconnect).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeteroHockney {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HeteroHockney<'a> {
     /// `alpha.get(i, j)`: startup latency from i to j, seconds.
-    pub alpha: DMat,
+    pub alpha: &'a DMat,
     /// `beta.get(i, j)`: inverse bandwidth from i to j, seconds/byte.
-    pub beta: DMat,
+    pub beta: &'a DMat,
 }
 
-impl HeteroHockney {
+impl<'a> HeteroHockney<'a> {
     /// Validates shapes and constructs the model.
-    pub fn new(alpha: DMat, beta: DMat) -> HeteroHockney {
+    pub fn new(alpha: &'a DMat, beta: &'a DMat) -> HeteroHockney<'a> {
         assert_eq!(alpha.rows(), alpha.cols(), "alpha must be square");
         assert_eq!(
             (alpha.rows(), alpha.cols()),
@@ -71,12 +73,12 @@ impl HeteroHockney {
 /// `msg_counts.get(i, j)` is the number of messages i sends to j in the
 /// superstep; `volumes.get(i, j)` the bytes. Both must be `P×P` matching
 /// the model.
-pub fn comm_times(msg_counts: &DMat, volumes: &DMat, hh: &HeteroHockney) -> Vec<f64> {
+pub fn comm_times(msg_counts: &DMat, volumes: &DMat, hh: &HeteroHockney<'_>) -> Vec<f64> {
     let p = hh.p();
     assert_eq!((msg_counts.rows(), msg_counts.cols()), (p, p));
     assert_eq!((volumes.rows(), volumes.cols()), (p, p));
-    let latency_part = msg_counts.hadamard(&hh.alpha);
-    let bandwidth_part = volumes.hadamard(&hh.beta);
+    let latency_part = msg_counts.hadamard(hh.alpha);
+    let bandwidth_part = volumes.hadamard(hh.beta);
     latency_part.add(&bandwidth_part).row_sums()
 }
 
@@ -84,7 +86,8 @@ pub fn comm_times(msg_counts: &DMat, volumes: &DMat, hh: &HeteroHockney) -> Vec<
 mod tests {
     use super::*;
 
-    fn two_scale_model() -> HeteroHockney {
+    /// The `(α, β)` matrices of [`HeteroHockney`] views in these tests.
+    fn two_scale_model() -> (DMat, DMat) {
         // 4 processes: {0,1} and {2,3} are local pairs (1 µs), cross pairs
         // remote (50 µs); bandwidths 1 GB/s local, 100 MB/s remote.
         let local = 1e-6;
@@ -109,7 +112,7 @@ mod tests {
                 br
             }
         });
-        HeteroHockney::new(alpha, beta)
+        (alpha, beta)
     }
 
     #[test]
@@ -124,7 +127,8 @@ mod tests {
 
     #[test]
     fn pairwise_costs_respect_locality() {
-        let hh = two_scale_model();
+        let (alpha, beta) = two_scale_model();
+        let hh = HeteroHockney::new(&alpha, &beta);
         assert!(hh.cost(0, 1, 0) < hh.cost(0, 2, 0));
         // A large message is cheaper to a local peer despite equal size.
         assert!(hh.cost(0, 1, 1 << 20) < hh.cost(0, 3, 1 << 20));
@@ -132,7 +136,8 @@ mod tests {
 
     #[test]
     fn comm_times_compose_latency_and_volume() {
-        let hh = two_scale_model();
+        let (alpha, beta) = two_scale_model();
+        let hh = HeteroHockney::new(&alpha, &beta);
         // Process 0 sends one 1000-byte message to 1 and one to 2.
         let mut counts = DMat::zeros(4, 4);
         counts.set(0, 1, 1.0);
@@ -149,7 +154,8 @@ mod tests {
 
     #[test]
     fn message_count_scales_latency_linearly() {
-        let hh = two_scale_model();
+        let (alpha, beta) = two_scale_model();
+        let hh = HeteroHockney::new(&alpha, &beta);
         let mut one = DMat::zeros(4, 4);
         one.set(0, 3, 1.0);
         let mut five = DMat::zeros(4, 4);
@@ -163,6 +169,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn non_square_alpha_rejected() {
-        HeteroHockney::new(DMat::zeros(2, 3), DMat::zeros(2, 3));
+        HeteroHockney::new(&DMat::zeros(2, 3), &DMat::zeros(2, 3));
     }
 }

@@ -87,14 +87,20 @@ impl MicrobenchConfig {
     }
 }
 
-/// The benchmarked profile: predictor cost matrices and the heterogeneous
-/// Hockney model, both derived from the same simulated measurements.
+/// The benchmarked profile: the predictor's cost matrices, which also
+/// serve the heterogeneous Hockney model ([`PlatformProfile::hockney`]).
 #[derive(Debug, Clone)]
 pub struct PlatformProfile {
     /// `O`/`L`/`β` matrices for the barrier predictor.
     pub costs: CommCosts,
-    /// Latency/inverse-bandwidth model for general communication.
-    pub hockney: HeteroHockney,
+}
+
+impl PlatformProfile {
+    /// Latency/inverse-bandwidth model for general communication: `L`
+    /// as α and `β` as β, read in place from [`PlatformProfile::costs`].
+    pub fn hockney(&self) -> HeteroHockney<'_> {
+        HeteroHockney::new(&self.costs.l, &self.costs.beta)
+    }
 }
 
 /// Runs the full §5.6.3 benchmark over all ordered process pairs.
@@ -105,9 +111,10 @@ pub struct PlatformProfile {
 /// the units are independent and run on the [`hpm_par`] fan-out with
 /// bit-identical results at any thread count, and the sampling loops
 /// consume multipliers by cursor instead of stepping an RNG per draw.
-/// The table, one [`NetState`] ([`NetState::reset`] between pings) and
-/// one sample buffer are per worker, reused by every unit it measures:
-/// the log-normal quantile table is built once per worker, not per unit.
+/// The table, one [`NetState`] (the two queues a ping reads reset before
+/// each ping) and one sample buffer are per worker, reused by every unit
+/// it measures: the log-normal quantile table is built once per worker,
+/// not per unit.
 pub fn bench_platform(
     params: &PlatformParams,
     placement: &Placement,
@@ -154,9 +161,9 @@ pub fn bench_platform(
         beta.set(i, j, b_ij);
     }
 
-    let costs = CommCosts::new(o, l.clone(), beta.clone());
-    let hockney = HeteroHockney::new(l, beta);
-    PlatformProfile { costs, hockney }
+    PlatformProfile {
+        costs: CommCosts::new(o, l, beta),
+    }
 }
 
 /// The raw regression points of one ordered-pair unit: request-count
@@ -168,7 +175,8 @@ struct PairPoints {
 
 /// One worker's scratch, reused by every unit it measures: the jitter
 /// table (refilled from each unit's own stream, its quantile table kept
-/// while σ is), the network state (reset before every ping) and the
+/// while σ is), the network state (the pinged pair's two queues reset
+/// before every ping) and the
 /// `reps` samples of one median (overwritten before each read).
 struct UnitScratch {
     jit: JitterBuf,
@@ -253,8 +261,10 @@ fn measure_pair(
     let mut size_pts = Vec::with_capacity((hi - lo + 1) as usize);
     for e in lo..=hi {
         let bytes = 1u64 << e;
+        // Resetting only the two queues the ping reads leaves it reading
+        // the zeros a full reset would.
         for s in samples.iter_mut() {
-            net.reset();
+            net.reset_pair(placement, i, j);
             let (_, processed) =
                 net.signal_round_trip(params, placement, jit, i, j, 0.0, bytes, 0.0);
             // One-way time: processed at receiver (the ack is
@@ -582,7 +592,7 @@ mod tests {
     #[test]
     fn extracted_bandwidth_near_truth() {
         let (params, prof) = profile(16, 13);
-        let got = prof.hockney.beta.get(0, 1);
+        let got = prof.hockney().beta.get(0, 1);
         let truth = params.remote.inv_bandwidth;
         assert!((got - truth).abs() / truth < 0.15, "beta {got} vs {truth}");
     }
@@ -632,7 +642,7 @@ mod tests {
                 assert_eq!(serial.costs.o, prof.costs.o, "seed {seed}");
                 assert_eq!(serial.costs.l, prof.costs.l, "seed {seed}");
                 assert_eq!(serial.costs.beta, prof.costs.beta, "seed {seed}");
-                assert_eq!(serial.hockney.beta, prof.hockney.beta, "seed {seed}");
+                assert_eq!(serial.hockney().beta, prof.hockney().beta, "seed {seed}");
             }
         }
     }

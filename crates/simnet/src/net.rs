@@ -185,6 +185,15 @@ impl NetState {
         self.recv_busy.iter_mut().for_each(|t| *t = 0.0);
     }
 
+    /// Resets only the two queues a `src → dst` signal reads: `dst`'s
+    /// receive thread and `src`'s node NIC (read when the link is
+    /// remote). The next such signal then computes what it would after
+    /// [`NetState::reset`], bit for bit, in O(1) instead of O(p + nodes).
+    pub(crate) fn reset_pair(&mut self, placement: &Placement, src: usize, dst: usize) {
+        self.recv_busy[dst] = 0.0;
+        self.nic_free[placement.node_of(src)] = 0.0;
+    }
+
     /// Applies NIC egress serialization: a message of link class `class`
     /// ready at `ready` departs, when remote, once `src`'s node's NIC
     /// frees up.
@@ -354,6 +363,7 @@ impl NetState {
 mod tests {
     use super::*;
     use crate::params::xeon_cluster_params;
+    use hpm_core::plan::SIGNAL_JITTER_DRAWS;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
@@ -449,6 +459,61 @@ mod tests {
             p2 >= p1 + params.remote.o_recv * 0.99,
             "second processing must queue behind the first"
         );
+    }
+
+    /// A ping after [`NetState::reset_pair`] on a dirty state is the
+    /// ping after a full [`NetState::reset`], bit for bit, for every link
+    /// class: the signal reads no queue besides the two reset.
+    #[test]
+    fn pair_reset_matches_full_reset_bitwise() {
+        use hpm_stats::rng::JitterBuf;
+        let params = xeon_cluster_params();
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 32);
+        // Round-robin over 8 nodes: 0 and 8 share a socket, 0 and 16 a
+        // node on the other socket, 0 and 1 are remote.
+        let pairs = [(0, 8), (0, 16), (0, 1)];
+        let classes = pairs.map(|(i, j)| placement.link(i, j));
+        assert_eq!(
+            classes,
+            [
+                LinkClass::SameSocket,
+                LinkClass::SameNode,
+                LinkClass::Remote
+            ]
+        );
+        let draws = 64 * SIGNAL_JITTER_DRAWS;
+        let mut jit = JitterBuf::new();
+        jit.fill(params.jitter.sigma, 9, 1, 0, draws);
+        let mut dirty = NetState::new(&placement);
+        for k in 0..64 {
+            let (src, dst) = (k % 32, (k * 7 + 3) % 32);
+            if src != dst {
+                dirty.signal_round_trip(&params, &placement, &mut jit, src, dst, 1e-6, 64, 0.0);
+            }
+        }
+        for (i, j) in pairs {
+            let ping = |net: &mut NetState| {
+                let mut jit = JitterBuf::new();
+                jit.fill(
+                    params.jitter.sigma,
+                    9,
+                    2,
+                    (i * 32 + j) as u64,
+                    SIGNAL_JITTER_DRAWS,
+                );
+                let (ack, processed) =
+                    net.signal_round_trip(&params, &placement, &mut jit, i, j, 0.0, 256, 0.0);
+                (ack.to_bits(), processed.to_bits())
+            };
+            let mut full = dirty.clone();
+            full.reset();
+            let mut pair = dirty.clone();
+            pair.reset_pair(&placement, i, j);
+            assert_eq!(ping(&mut pair), ping(&mut full), "pair ({i}, {j})");
+            let node = placement.node_of(i);
+            assert_eq!(pair.recv_busy[j].to_bits(), full.recv_busy[j].to_bits());
+            assert_eq!(pair.nic_free[node].to_bits(), full.nic_free[node].to_bits());
+        }
     }
 
     #[test]

@@ -112,6 +112,7 @@ pub fn predict_ghost_width(
     } else {
         0.0
     };
+    let hockney = profile.hockney();
     let mut worst = 0.0f64;
     for r in 0..p {
         let cells = superstep_cells(&decomp, r, w);
@@ -131,8 +132,8 @@ pub fn predict_ghost_width(
         ] {
             if let Some(peer) = peer {
                 let bytes = band_bytes(len, w) + HEADER_BYTES;
-                comm += profile.hockney.cost(r, peer, bytes as usize)
-                    + profile.hockney.alpha.get(r, peer); // header message
+                // The payload message, then the header message.
+                comm += hockney.cost(r, peer, bytes as usize) + hockney.alpha.get(r, peer);
             }
         }
         // Eq. 1.4 with all comm maskable against post-commit compute.

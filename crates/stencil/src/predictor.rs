@@ -88,7 +88,7 @@ pub fn predict_bsp_iteration(
             }
         }
     }
-    let comm = comm_times(&counts, &volumes, &profile.hockney);
+    let comm = comm_times(&counts, &volumes, &profile.hockney());
     // Early commit: everything is exposed to overlap.
     let comm_maskable = comm.clone();
 
