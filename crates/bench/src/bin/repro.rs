@@ -18,7 +18,7 @@
 //! identical at every thread count (the per-point RNG streams are derived
 //! from the seed and the point's coordinates, never shared).
 
-use hpm_bench::experiments::{find, registry, Effort, Experiment};
+use hpm_bench::experiments::{registry, run_experiments, Effort, ExperimentRun};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -96,35 +96,34 @@ fn main() {
     if ids.iter().any(|s| s == "all") {
         ids = registry().iter().map(|e| e.id.to_string()).collect();
     }
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
     let t0 = std::time::Instant::now();
-    let mut timings: Vec<Timing> = Vec::new();
-    for id in &ids {
-        let Some(exp) = find(id) else {
-            eprintln!("unknown experiment id: {id} (try `repro list`)");
-            std::process::exit(2);
-        };
-        let start = std::time::Instant::now();
-        let paths = (exp.run)(&out_dir, &effort);
-        let secs = start.elapsed().as_secs_f64();
-        for p in &paths {
-            println!("[{id}] wrote {} ({secs:.1}s)", p.display());
-        }
-        timings.push(Timing {
-            exp,
-            secs,
-            files: paths.len(),
-            items: count_items(&paths),
-        });
-    }
+    let clock = || t0.elapsed().as_secs_f64();
+    let runs = run_experiments(&ids, &out_dir, &effort, clock).unwrap_or_else(|id| {
+        eprintln!("unknown experiment id: {id} (try `repro list`)");
+        std::process::exit(2);
+    });
     let total = t0.elapsed().as_secs_f64();
+    for r in &runs {
+        for p in &r.paths {
+            println!("[{}] wrote {} ({:.1}s)", r.exp.id, p.display(), r.seconds);
+        }
+    }
+    let fitted: usize = runs.iter().map(|r| r.fitted).sum();
+    let reused: usize = runs.iter().map(|r| r.reused).sum();
+    let fit_seconds: f64 = runs.iter().map(|r| r.fit_seconds).sum();
     if let Some(path) = json_path {
-        write_json(&path, effort_name, total, &timings);
+        write_json(&path, effort_name, total, fit_seconds, &runs);
         println!("wrote {}", path.display());
     }
     if check {
         run_check(&out_dir);
     }
-    println!("done: {} experiments in {total:.1}s", ids.len());
+    println!(
+        "done: {} experiments in {total:.1}s; {fitted} profiles fitted in {fit_seconds:.1}s, \
+         {reused} reused",
+        ids.len()
+    );
 }
 
 /// `--check`: the determinism cross-check between the faults and
@@ -228,16 +227,6 @@ fn run_analyze() {
     }
 }
 
-/// One experiment's timing record for the JSON report. The entry's
-/// `stochastic` and `max_procs` ride along: throughput numbers only
-/// compare on the same engine at equal problem scale.
-struct Timing {
-    exp: &'static Experiment,
-    secs: f64,
-    files: usize,
-    items: usize,
-}
-
 /// Result items an experiment produced: data rows across its CSV
 /// artifacts (header excluded). `items / seconds` is the experiment's
 /// sweep throughput, the derivable ops/sec the perf trajectory tracks.
@@ -254,21 +243,32 @@ fn count_items(paths: &[std::path::PathBuf]) -> usize {
 }
 
 /// Emits the machine-readable timing report CI archives as
-/// `BENCH_repro.json`: wall-clock and result-item count per experiment
-/// plus the fan-out width, so the perf trajectory can track sweep
-/// throughput (items/sec) across commits.
-fn write_json(path: &PathBuf, effort: &str, total: f64, timings: &[Timing]) {
+/// `BENCH_repro.json`: wall-clock, result-item count and profile fits
+/// per experiment plus the fan-out width and the run's total fitting
+/// time, so the perf trajectory can track sweep throughput (items/sec)
+/// across commits. An entry's `stochastic_path` and `p` ride along:
+/// throughput numbers only compare on the same engine at equal problem
+/// scale.
+fn write_json(path: &PathBuf, effort: &str, total: f64, fit_seconds: f64, runs: &[ExperimentRun]) {
     let mut s = String::from("{\n");
     s.push_str(&format!("  \"threads\": {},\n", hpm_par::threads()));
     s.push_str(&format!("  \"effort\": \"{effort}\",\n"));
     s.push_str(&format!("  \"total_seconds\": {total:.3},\n"));
+    s.push_str(&format!("  \"fit_seconds\": {fit_seconds:.3},\n"));
     s.push_str("  \"experiments\": [\n");
-    for (k, t) in timings.iter().enumerate() {
-        let comma = if k + 1 < timings.len() { "," } else { "" };
+    for (k, r) in runs.iter().enumerate() {
+        let comma = if k + 1 < runs.len() { "," } else { "" };
         s.push_str(&format!(
             "    {{\"id\": \"{}\", \"seconds\": {:.3}, \"files\": {}, \"items\": {}, \
-             \"stochastic_path\": \"{}\", \"p\": {}}}{comma}\n",
-            t.exp.id, t.secs, t.files, t.items, t.exp.stochastic, t.exp.max_procs
+             \"fitted\": {}, \"reused\": {}, \"stochastic_path\": \"{}\", \"p\": {}}}{comma}\n",
+            r.exp.id,
+            r.seconds,
+            r.paths.len(),
+            count_items(&r.paths),
+            r.fitted,
+            r.reused,
+            r.exp.stochastic,
+            r.exp.max_procs
         ));
     }
     s.push_str("  ]\n}\n");

@@ -127,10 +127,33 @@ impl Effort {
     }
 }
 
+/// The validation machines by name: what a [`FitPoint`] says about the
+/// platform its profile was fitted on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MachineId {
+    /// The 8-node Xeon cluster, 8×2×4 = 64 cores.
+    Xeon,
+    /// The 12-node Opteron cluster, 12×2×6 = 144 cores.
+    Opteron,
+    /// Table 7.2's 10-node allocation of the Opteron cluster.
+    Opteron10Nodes,
+}
+
+impl MachineId {
+    fn machine(self) -> Machine {
+        match self {
+            MachineId::Xeon => Machine::xeon(),
+            MachineId::Opteron => Machine::opteron(),
+            MachineId::Opteron10Nodes => Machine::opteron_10_nodes(),
+        }
+    }
+}
+
 /// A validation machine of the thesis: the label its rows carry, the
 /// platform parameters, the cluster shape and the per-core rate model.
 /// Every sweep takes one by reference.
 pub(crate) struct Machine {
+    id: MachineId,
     label: &'static str,
     params: PlatformParams,
     pub(crate) shape: ClusterShape,
@@ -141,6 +164,7 @@ impl Machine {
     /// The 8-node Xeon cluster: 8×2×4 = 64 cores.
     pub(crate) fn xeon() -> Machine {
         Machine {
+            id: MachineId::Xeon,
             label: "xeon-8x2x4",
             params: xeon_cluster_params(),
             shape: cluster_8x2x4(),
@@ -151,6 +175,7 @@ impl Machine {
     /// The 12-node Opteron cluster: 12×2×6 = 144 cores.
     fn opteron() -> Machine {
         Machine {
+            id: MachineId::Opteron,
             label: "opteron-12x2x6",
             params: opteron_cluster_params(),
             shape: cluster_12x2x6(),
@@ -161,6 +186,7 @@ impl Machine {
     /// Table 7.2's 10-node allocation of the Opteron cluster.
     fn opteron_10_nodes() -> Machine {
         Machine {
+            id: MachineId::Opteron10Nodes,
             label: "opteron-10x2x6",
             shape: cluster_10x2x6(),
             ..Machine::opteron()
@@ -178,14 +204,116 @@ impl Machine {
         Placement::new(self.shape, PlacementPolicy::RoundRobin, p)
     }
 
-    /// The microbenchmarked profile of a placement on this machine.
-    fn profile(&self, placement: &Placement, effort: &Effort) -> PlatformProfile {
-        bench_platform(&self.params, placement, &effort.micro, SEED)
+    /// The fit point of `p` processes on this machine.
+    fn point(&self, p: usize) -> FitPoint {
+        FitPoint {
+            machine: self.id,
+            p,
+        }
     }
 
     /// BSPlib runtime configuration for `p` processes.
     fn bsp_cfg(&self, p: usize, seed: u64) -> BspConfig {
         BspConfig::new(self.params.clone(), self.place(p), self.core.clone(), seed)
+    }
+}
+
+// ------------------------------------------------------------ profiles
+
+/// One §5.6.3 fit: `p` processes placed round-robin on a validation
+/// machine. Its profile is a pure function of the point, the effort's
+/// microbenchmark dimensions and the experiments' fixed seed, so one
+/// run fits it once, whichever experiments read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FitPoint {
+    /// The machine the processes are placed on.
+    pub machine: MachineId,
+    /// The process count.
+    pub p: usize,
+}
+
+/// The run-scoped profile table: the microbenchmarked profile of every
+/// [`FitPoint`] an experiment of the run still needs.
+///
+/// [`run_experiments`] fits an experiment's declared points
+/// ([`Experiment::fits`]) before the experiment runs, hands it the table
+/// by shared reference (its parallel sweep points read it without a
+/// lock) and afterwards drops every entry no later experiment of the run
+/// declares. The table lives in one call's stack frame: nothing outlives
+/// the run.
+#[derive(Debug, Clone, Default)]
+pub struct Profiles {
+    /// The experiment reading the table, named when a read misses.
+    reader: &'static str,
+    entries: Vec<(FitPoint, PlatformProfile)>,
+}
+
+impl Profiles {
+    /// Fits each point of `points` the table does not hold yet, one
+    /// after the other: each fit fans out over its own pairs, so a
+    /// p = 144 point keeps every worker busy. Returns the number fitted.
+    pub fn fit(&mut self, points: &[FitPoint], effort: &Effort) -> usize {
+        let mut fitted = 0;
+        for &point in points {
+            if self.entries.iter().all(|(held, _)| *held != point) {
+                let m = point.machine.machine();
+                let profile = bench_platform(&m.params, &m.place(point.p), &effort.micro, SEED);
+                self.entries.push((point, profile));
+                fitted += 1;
+            }
+        }
+        fitted
+    }
+
+    /// Keeps the entries whose point `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&FitPoint) -> bool) {
+        self.entries.retain(|(point, _)| keep(point));
+    }
+
+    /// Profiles held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the table holds no profile.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The profile of `p` processes on `m`.
+    ///
+    /// Panics, naming the reading experiment and the point, when the
+    /// table does not hold it: the runner fits every declared point
+    /// first, so a miss means the experiment's `fits` left a point out.
+    fn get(&self, m: &Machine, p: usize) -> &PlatformProfile {
+        let point = m.point(p);
+        self.entries
+            .iter()
+            .find(|(held, _)| *held == point)
+            .map(|(_, profile)| profile)
+            .unwrap_or_else(|| panic!("{} read the undeclared {point:?}", self.reader))
+    }
+}
+
+/// A process-count sweep over one machine: `first`, `first + stride`, …
+/// up to its core count. An experiment's `fits` and its `run` read the
+/// same `Sweep`, so the points fitted are the points swept.
+#[derive(Clone, Copy)]
+struct Sweep {
+    on: MachineId,
+    first: usize,
+    stride: fn(&Effort) -> usize,
+}
+
+impl Sweep {
+    fn ps(&self, effort: &Effort) -> Vec<usize> {
+        let max = self.on.machine().shape.total_cores();
+        (self.first..=max).step_by((self.stride)(effort)).collect()
+    }
+
+    fn fits(&self, effort: &Effort) -> Vec<FitPoint> {
+        let m = self.on.machine();
+        self.ps(effort).into_iter().map(|p| m.point(p)).collect()
     }
 }
 
@@ -369,18 +497,18 @@ pub fn fig5_2_3_4(dir: &Path, _effort: &Effort) -> Vec<PathBuf> {
 fn barrier_sweep(
     dir: &Path,
     prefix: &str,
-    m: &Machine,
-    stride: usize,
+    sweep: Sweep,
     effort: &Effort,
+    profiles: &Profiles,
 ) -> Vec<PathBuf> {
+    let m = &sweep.on.machine();
     let mut measured = CsvTable::new(&["P", "D", "T", "L"]);
     let mut predicted = CsvTable::new(&["P", "D", "T", "L"]);
     let mut abs_err = CsvTable::new(&["P", "D", "T", "L"]);
     let mut rel_err = CsvTable::new(&["P", "D", "T", "L"]);
-    let ps: Vec<usize> = (2..=m.shape.total_cores()).step_by(stride).collect();
-    for (m_row, p_row, a_row, r_row) in par_points(&ps, |&p| {
+    for (m_row, p_row, a_row, r_row) in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = m.profile(&placement, effort);
+        let profile = profiles.get(m, p);
         let sim = BarrierSim::new(&m.params, &placement);
         let mut m_row = vec![p.to_string()];
         let mut p_row = vec![p.to_string()];
@@ -416,15 +544,15 @@ fn barrier_sweep(
 fn bsp_sync_sweep(
     dir: &Path,
     name: &str,
-    m: &Machine,
-    stride: usize,
+    sweep: Sweep,
     effort: &Effort,
+    profiles: &Profiles,
 ) -> Vec<PathBuf> {
+    let m = &sweep.on.machine();
     let mut t = CsvTable::new(&["P", "measured_s", "estimate_s"]);
-    let ps: Vec<usize> = (2..=m.shape.total_cores()).step_by(stride).collect();
-    for row in par_points(&ps, |&p| {
+    for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = m.profile(&placement, effort);
+        let profile = profiles.get(m, p);
         let sim = BarrierSim::new(&m.params, &placement);
         let pat = dissemination(p);
         let payload = PayloadSchedule::dissemination_count_map(p);
@@ -442,8 +570,8 @@ fn bsp_sync_sweep(
 // ---------------------------------------------------------------- Ch. 7
 
 /// Tables 7.1/7.2: SSS clustering of `p` processes on a machine.
-fn sss_table(dir: &Path, name: &str, m: &Machine, p: usize, effort: &Effort) -> Vec<PathBuf> {
-    let profile = m.profile(&m.place(p), effort);
+fn sss_table(dir: &Path, name: &str, point: FitPoint, profiles: &Profiles) -> Vec<PathBuf> {
+    let profile = profiles.get(&point.machine.machine(), point.p);
     let clustering = sss_clusters(&profile.costs.l);
     let mut t = CsvTable::new(&["subset", "size", "representative"]);
     for (k, g) in clustering.groups.iter().enumerate() {
@@ -459,15 +587,15 @@ fn sss_table(dir: &Path, name: &str, m: &Machine, p: usize, effort: &Effort) -> 
 fn hybrid_sweep(
     dir: &Path,
     name: &str,
-    m: &Machine,
-    stride: usize,
+    sweep: Sweep,
     effort: &Effort,
+    profiles: &Profiles,
 ) -> Vec<PathBuf> {
+    let m = &sweep.on.machine();
     let mut t = CsvTable::new(&["P", "D", "T", "L", "hybrid"]);
-    let ps: Vec<usize> = (4..=m.shape.total_cores()).step_by(stride).collect();
-    for row in par_points(&ps, |&p| {
+    for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = m.profile(&placement, effort);
+        let profile = profiles.get(m, p);
         let sim = BarrierSim::new(&m.params, &placement);
         let mut row = vec![p.to_string()];
         for pat in std_patterns(p) {
@@ -491,15 +619,15 @@ fn hybrid_sweep(
 fn adapted_sweep(
     dir: &Path,
     name: &str,
-    m: &Machine,
-    stride: usize,
+    sweep: Sweep,
     effort: &Effort,
+    profiles: &Profiles,
 ) -> Vec<PathBuf> {
+    let m = &sweep.on.machine();
     let mut t = CsvTable::new(&["P", "adapted_meas", "best_default_meas", "adapted_pred"]);
-    let ps: Vec<usize> = (4..=m.shape.total_cores()).step_by(stride).collect();
-    for row in par_points(&ps, |&p| {
+    for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = m.profile(&placement, effort);
+        let profile = profiles.get(m, p);
         let sim = BarrierSim::new(&m.params, &placement);
         let report = greedy_adaptive_barrier(&profile.costs);
         let adapted = barrier_mean(&sim, &report.pattern, effort);
@@ -648,6 +776,14 @@ pub fn fig8_7(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     )]
 }
 
+/// The stencil process counts a machine holds.
+fn prediction_ps(m: &Machine) -> Vec<usize> {
+    stencil_p_set()
+        .into_iter()
+        .filter(|&p| p <= m.shape.total_cores())
+        .collect()
+}
+
 /// The B-series: prediction vs measurement for the BSP stencil.
 fn prediction_sweep(
     dir: &Path,
@@ -656,16 +792,13 @@ fn prediction_sweep(
     n: usize,
     discipline: CommitDiscipline,
     effort: &Effort,
+    profiles: &Profiles,
 ) -> PathBuf {
     let mut t = CsvTable::new(&["P", "predicted_s", "measured_s"]);
-    let ps: Vec<usize> = stencil_p_set()
-        .into_iter()
-        .filter(|&p| p <= m.shape.total_cores())
-        .collect();
-    for row in par_points(&ps, |&p| {
+    for row in par_points(&prediction_ps(m), |&p| {
         let cfg = m.bsp_cfg(p, SEED);
-        let profile = m.profile(&cfg.placement, effort);
-        let base = predict_bsp_iteration(&profile, &m.core, &cfg.placement, n);
+        let profile = profiles.get(m, p);
+        let base = predict_bsp_iteration(profile, &m.core, &cfg.placement, n);
         let predicted = match discipline {
             CommitDiscipline::Late => {
                 // No overlap exposed: the sequential composition of the
@@ -688,32 +821,60 @@ fn prediction_sweep(
     write_csv(dir, name, &t)
 }
 
-/// Figs. 8.10–8.15 (B1–B6).
-pub fn fig8_10_to_8_15(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+/// Figs. 8.10–8.15 (B1–B6): artifact, machine, problem size and commit
+/// discipline of each sweep.
+const B_SERIES: [(&str, MachineId, usize, CommitDiscipline); 6] = {
     use CommitDiscipline::{EarlyUnbuffered, Late};
-    let [xeon, opteron] = Machine::both();
+    use MachineId::{Opteron, Xeon};
     [
-        ("fig8_10_B1", &xeon, LARGE_N, EarlyUnbuffered),
-        ("fig8_11_B2", &xeon, SMALL_N, EarlyUnbuffered),
-        ("fig8_12_B3", &opteron, LARGE_N, EarlyUnbuffered),
-        ("fig8_13_B4", &opteron, SMALL_N, EarlyUnbuffered),
-        ("fig8_14_B5", &xeon, LARGE_N, Late),
-        ("fig8_15_B6", &xeon, SMALL_N, Late),
+        ("fig8_10_B1", Xeon, LARGE_N, EarlyUnbuffered),
+        ("fig8_11_B2", Xeon, SMALL_N, EarlyUnbuffered),
+        ("fig8_12_B3", Opteron, LARGE_N, EarlyUnbuffered),
+        ("fig8_13_B4", Opteron, SMALL_N, EarlyUnbuffered),
+        ("fig8_14_B5", Xeon, LARGE_N, Late),
+        ("fig8_15_B6", Xeon, SMALL_N, Late),
     ]
-    .into_iter()
-    .map(|(name, m, n, discipline)| prediction_sweep(dir, name, m, n, discipline, effort))
-    .collect()
+};
+
+/// Figs. 8.10–8.15 (B1–B6).
+fn fig8_10_to_8_15(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<PathBuf> {
+    B_SERIES
+        .into_iter()
+        .map(|(name, on, n, discipline)| {
+            prediction_sweep(dir, name, &on.machine(), n, discipline, effort, profiles)
+        })
+        .collect()
 }
+
+/// The B-series' points: each machine's stencil process counts, once.
+fn fig8_10_fits(_effort: &Effort) -> Vec<FitPoint> {
+    let mut points = Vec::new();
+    for (_, on, _, _) in B_SERIES {
+        let m = on.machine();
+        for point in prediction_ps(&m).into_iter().map(|p| m.point(p)) {
+            if !points.contains(&point) {
+                points.push(point);
+            }
+        }
+    }
+    points
+}
+
+/// Fig. 8.18's one point: the full Xeon machine.
+const FIG8_18: FitPoint = FitPoint {
+    machine: MachineId::Xeon,
+    p: 64,
+};
 
 /// Fig. 8.18 (C1): predicted vs measured per-iteration time across ghost
 /// widths, with the model-selected optimum.
-pub fn fig8_18(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    let xeon = Machine::xeon();
-    let placement = xeon.place(64);
-    let profile = xeon.profile(&placement, effort);
+fn fig8_18(dir: &Path, profiles: &Profiles) -> Vec<PathBuf> {
+    let xeon = FIG8_18.machine.machine();
+    let placement = xeon.place(FIG8_18.p);
+    let profile = profiles.get(&xeon, FIG8_18.p);
     let sweep = optimize_ghost_width(
         &xeon.params,
-        &profile,
+        profile,
         &xeon.core,
         &placement,
         SMALL_N,
@@ -747,7 +908,7 @@ pub fn fig8_18(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// sweeps, applied to the full collective catalog on a homogeneous
 /// single-socket placement, a heterogeneous two-node placement and the
 /// full multi-node cluster, on both test machines.
-pub fn collectives_predict_vs_sim(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+fn collectives_predict_vs_sim(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<PathBuf> {
     let bytes = 1024u64;
     let mut t = CsvTable::new(&[
         "machine",
@@ -762,20 +923,9 @@ pub fn collectives_predict_vs_sim(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     // One fan-out unit per (machine, topology) case; each case expands to
     // one row per collective in catalog order, flattened back in case
     // order so the CSV is byte-identical to the serial nesting.
-    let cases: Vec<(&Machine, &str, usize)> = machines
-        .iter()
-        .flat_map(|m| {
-            [
-                ("homogeneous-1socket", m.shape.cores_per_socket()),
-                ("heterogeneous-2node", 2 * m.shape.cores_per_node()),
-                ("multi-cluster", m.shape.total_cores()),
-            ]
-            .map(move |(topology, p)| (m, topology, p))
-        })
-        .collect();
-    for rows in par_points(&cases, |&(m, topology, p)| {
+    for rows in par_points(&collective_cases(&machines), |&(m, topology, p)| {
         let placement = m.place(p);
-        let profile = m.profile(&placement, effort);
+        let profile = profiles.get(m, p);
         catalog(p, 0, bytes)
             .into_iter()
             .map(|pat| {
@@ -802,21 +952,40 @@ pub fn collectives_predict_vs_sim(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     vec![write_csv(dir, "collectives_predict_vs_sim", &t)]
 }
 
+/// The collective sweep's cases: per machine, one socket, two nodes and
+/// the whole machine.
+fn collective_cases(machines: &[Machine; 2]) -> Vec<(&Machine, &'static str, usize)> {
+    machines
+        .iter()
+        .flat_map(|m| {
+            [
+                ("homogeneous-1socket", m.shape.cores_per_socket()),
+                ("heterogeneous-2node", 2 * m.shape.cores_per_node()),
+                ("multi-cluster", m.shape.total_cores()),
+            ]
+            .map(move |(topology, p)| (m, topology, p))
+        })
+        .collect()
+}
+
+fn collectives_fits(_effort: &Effort) -> Vec<FitPoint> {
+    let machines = Machine::both();
+    collective_cases(&machines)
+        .into_iter()
+        .map(|(m, _, p)| m.point(p))
+        .collect()
+}
+
 /// Allreduce through the full BSPlib runtime (real payload, count-map
 /// sync, background transfers) vs the pattern-level prediction — the
 /// end-to-end counterpart of `collectives_predict_vs_sim`.
-pub fn collectives_runtime(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+fn collectives_runtime(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<PathBuf> {
     let xeon = Machine::xeon();
     let n = 4096; // 32 KiB vector
     let mut t = CsvTable::new(&["P", "runtime_s", "pattern_pred_s", "supersteps"]);
-    let max = xeon.shape.total_cores();
-    let mut ps: Vec<usize> = (2..=max).step_by(effort.stride_small.max(6)).collect();
-    if ps.last() != Some(&max) {
-        ps.push(max); // always include the full machine
-    }
-    for row in par_points(&ps, |&p| {
+    for row in par_points(&coll_rt_ps(effort), |&p| {
         let cfg = xeon.bsp_cfg(p, SEED);
-        let profile = xeon.profile(&cfg.placement, effort);
+        let profile = profiles.get(&xeon, p);
         let run = run_allreduce(&cfg, n);
         let pred = predict_collective(
             &hpm_collectives::pattern::allreduce(p, 8 * n as u64),
@@ -833,6 +1002,17 @@ pub fn collectives_runtime(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
         t.push(row);
     }
     vec![write_csv(dir, "collectives_runtime", &t)]
+}
+
+/// The runtime allreduce's Xeon process counts, the full machine always
+/// among them.
+fn coll_rt_ps(effort: &Effort) -> Vec<usize> {
+    let max = Machine::xeon().shape.total_cores();
+    let mut ps: Vec<usize> = (2..=max).step_by(effort.stride_small.max(6)).collect();
+    if ps.last() != Some(&max) {
+        ps.push(max); // always include the full machine
+    }
+    ps
 }
 
 // ---------------------------------------------------- scale runs (ext.)
@@ -1296,9 +1476,76 @@ pub struct Experiment {
     /// — reported by `repro --json` so throughput artifacts carry their
     /// problem scale.
     pub max_procs: usize,
-    /// Writes the artifacts under the directory; returns their paths.
-    pub run: fn(&Path, &Effort) -> Vec<PathBuf>,
+    /// The profiles `run` reads at this effort, each point once.
+    pub fits: fn(&Effort) -> Vec<FitPoint>,
+    /// Writes the artifacts under the directory, reading profiles from a
+    /// table that holds every point of `fits`; returns their paths.
+    pub run: fn(&Path, &Effort, &Profiles) -> Vec<PathBuf>,
 }
+
+impl Experiment {
+    /// Runs the experiment against `profiles`, which must hold every
+    /// point of `fits`; returns the files written.
+    pub fn run_on(&self, dir: &Path, effort: &Effort, profiles: &mut Profiles) -> Vec<PathBuf> {
+        profiles.reader = self.id;
+        (self.run)(dir, effort, profiles)
+    }
+}
+
+/// `fits` of an experiment that reads no §5.6.3 profile.
+fn no_fits(_effort: &Effort) -> Vec<FitPoint> {
+    Vec::new()
+}
+
+const FIG5_6: Sweep = Sweep {
+    on: MachineId::Xeon,
+    first: 2,
+    stride: |e| e.stride_small,
+};
+
+const FIG5_10: Sweep = Sweep {
+    on: MachineId::Opteron,
+    first: 2,
+    stride: |e| e.stride_large,
+};
+
+const FIG6_3: Sweep = FIG5_6;
+
+const FIG6_4: Sweep = FIG5_10;
+
+const FIG7_4: Sweep = Sweep {
+    on: MachineId::Xeon,
+    first: 4,
+    stride: |e| e.stride_small.max(2),
+};
+
+const FIG7_5: Sweep = Sweep {
+    on: MachineId::Opteron,
+    first: 4,
+    stride: |e| e.stride_large,
+};
+
+const FIG7_6: Sweep = Sweep {
+    on: MachineId::Xeon,
+    first: 4,
+    stride: |e| e.stride_small.max(4),
+};
+
+const FIG7_7: Sweep = Sweep {
+    on: MachineId::Opteron,
+    first: 4,
+    stride: |e| e.stride_large.max(12),
+};
+
+const TABLE7_1: FitPoint = FitPoint {
+    machine: MachineId::Xeon,
+    p: 60,
+};
+
+const TABLE7_2: FitPoint = FitPoint {
+    machine: MachineId::Opteron10Nodes,
+    p: 115,
+};
 
 static REGISTRY: &[Experiment] = &[
     Experiment {
@@ -1306,183 +1553,191 @@ static REGISTRY: &[Experiment] = &[
         about: "BSPBench parameter values, 8x2x4 cluster",
         stochastic: "batched",
         max_procs: 64,
-        run: table3_1,
+        fits: no_fits,
+        run: |dir, e, _| table3_1(dir, e),
     },
     Experiment {
         id: "fig3_2",
         about: "inner product: timings vs classic BSP estimates",
         stochastic: "batched",
         max_procs: 64,
-        run: fig3_2,
+        fits: no_fits,
+        run: |dir, e, _| fig3_2(dir, e),
     },
     Experiment {
         id: "fig4_2",
         about: "bspbench computation rates vs vector size (host)",
         stochastic: "host-clock",
         max_procs: 1,
-        run: fig4_2,
+        fits: no_fits,
+        run: |dir, e, _| fig4_2(dir, e),
     },
     Experiment {
         id: "fig4_3",
         about: "kernel rates and predictions, 2 kernels (host)",
         stochastic: "host-clock",
         max_procs: 1,
-        run: fig4_3_4_4,
+        fits: no_fits,
+        run: |dir, e, _| fig4_3_4_4(dir, e),
     },
     Experiment {
         id: "fig4_5",
         about: "L1 BLAS, in-cache problem sizes (host)",
         stochastic: "host-clock",
         max_procs: 1,
-        run: fig4_5,
+        fits: no_fits,
+        run: |dir, e, _| fig4_5(dir, e),
     },
     Experiment {
         id: "fig4_6",
         about: "L1 BLAS, out-of-cache problem sizes (host)",
         stochastic: "host-clock",
         max_procs: 1,
-        run: fig4_6,
+        fits: no_fits,
+        run: |dir, e, _| fig4_6(dir, e),
     },
     Experiment {
         id: "fig5_2",
         about: "4-process barrier patterns in matrix form",
         stochastic: "none",
         max_procs: 4,
-        run: fig5_2_3_4,
+        fits: no_fits,
+        run: |dir, e, _| fig5_2_3_4(dir, e),
     },
     Experiment {
         id: "fig5_6",
         about: "barrier timings/predictions/errors, 8x2x4",
         stochastic: "batched",
         max_procs: 64,
-        run: |dir, e| barrier_sweep(dir, "fig5_6to9_8x2x4", &Machine::xeon(), e.stride_small, e),
+        fits: |e| FIG5_6.fits(e),
+        run: |dir, e, t| barrier_sweep(dir, "fig5_6to9_8x2x4", FIG5_6, e, t),
     },
     Experiment {
         id: "fig5_10",
         about: "barrier timings/predictions/errors, 12x2x6",
         stochastic: "batched",
         max_procs: 144,
-        run: |dir, e| {
-            barrier_sweep(
-                dir,
-                "fig5_10to13_12x2x6",
-                &Machine::opteron(),
-                e.stride_large,
-                e,
-            )
-        },
+        fits: |e| FIG5_10.fits(e),
+        run: |dir, e, t| barrier_sweep(dir, "fig5_10to13_12x2x6", FIG5_10, e, t),
     },
     Experiment {
         id: "fig6_3",
         about: "BSP sync measured vs estimate, 8x2x4",
         stochastic: "batched",
         max_procs: 64,
-        run: |dir, e| bsp_sync_sweep(dir, "fig6_3", &Machine::xeon(), e.stride_small, e),
+        fits: |e| FIG6_3.fits(e),
+        run: |dir, e, t| bsp_sync_sweep(dir, "fig6_3", FIG6_3, e, t),
     },
     Experiment {
         id: "fig6_4",
         about: "BSP sync measured vs estimate, 12x2x6",
         stochastic: "batched",
         max_procs: 144,
-        run: |dir, e| bsp_sync_sweep(dir, "fig6_4", &Machine::opteron(), e.stride_large, e),
+        fits: |e| FIG6_4.fits(e),
+        run: |dir, e, t| bsp_sync_sweep(dir, "fig6_4", FIG6_4, e, t),
     },
     Experiment {
         id: "table7_1",
         about: "SSS clustering, 60 processes on 8x2x4",
         stochastic: "batched",
         max_procs: 60,
-        run: |dir, e| sss_table(dir, "table7_1", &Machine::xeon(), 60, e),
+        fits: |_| vec![TABLE7_1],
+        run: |dir, _, t| sss_table(dir, "table7_1", TABLE7_1, t),
     },
     Experiment {
         id: "table7_2",
         about: "SSS clustering, 115 processes on 10x2x6",
         stochastic: "batched",
         max_procs: 115,
-        run: |dir, e| sss_table(dir, "table7_2", &Machine::opteron_10_nodes(), 115, e),
+        fits: |_| vec![TABLE7_2],
+        run: |dir, _, t| sss_table(dir, "table7_2", TABLE7_2, t),
     },
     Experiment {
         id: "fig7_4",
         about: "hybrid barrier performance, 8x2x4",
         stochastic: "batched",
         max_procs: 64,
-        run: |dir, e| hybrid_sweep(dir, "fig7_4", &Machine::xeon(), e.stride_small.max(2), e),
+        fits: |e| FIG7_4.fits(e),
+        run: |dir, e, t| hybrid_sweep(dir, "fig7_4", FIG7_4, e, t),
     },
     Experiment {
         id: "fig7_5",
         about: "hybrid barrier performance, 12x2x6",
         stochastic: "batched",
         max_procs: 144,
-        run: |dir, e| hybrid_sweep(dir, "fig7_5", &Machine::opteron(), e.stride_large, e),
+        fits: |e| FIG7_5.fits(e),
+        run: |dir, e, t| hybrid_sweep(dir, "fig7_5", FIG7_5, e, t),
     },
     Experiment {
         id: "fig7_6",
         about: "greedy adapted barrier, 8x2x4",
         stochastic: "batched",
         max_procs: 64,
-        run: |dir, e| adapted_sweep(dir, "fig7_6", &Machine::xeon(), e.stride_small.max(4), e),
+        fits: |e| FIG7_6.fits(e),
+        run: |dir, e, t| adapted_sweep(dir, "fig7_6", FIG7_6, e, t),
     },
     Experiment {
         id: "fig7_7",
         about: "greedy adapted barrier, 12x2x6",
         stochastic: "batched",
         max_procs: 144,
-        run: |dir, e| {
-            adapted_sweep(
-                dir,
-                "fig7_7",
-                &Machine::opteron(),
-                e.stride_large.max(12),
-                e,
-            )
-        },
+        fits: |e| FIG7_7.fits(e),
+        run: |dir, e, t| adapted_sweep(dir, "fig7_7", FIG7_7, e, t),
     },
     Experiment {
         id: "table8_1",
         about: "stencil experimental configurations",
         stochastic: "none",
         max_procs: 1,
-        run: table8_1,
+        fits: no_fits,
+        run: |dir, e, _| table8_1(dir, e),
     },
     Experiment {
         id: "table8_2",
         about: "MPI and MPI+R wall times",
         stochastic: "batched",
         max_procs: 64,
-        run: table8_2,
+        fits: no_fits,
+        run: |dir, e, _| table8_2(dir, e),
     },
     Experiment {
         id: "fig8_4",
         about: "A1: strong scaling, all implementations",
         stochastic: "batched",
         max_procs: 64,
-        run: fig8_4,
+        fits: no_fits,
+        run: |dir, e, _| fig8_4(dir, e),
     },
     Experiment {
         id: "fig8_5",
         about: "A2: strong scaling, BSP implementations",
         stochastic: "batched",
         max_procs: 64,
-        run: fig8_5,
+        fits: no_fits,
+        run: |dir, e, _| fig8_5(dir, e),
     },
     Experiment {
         id: "fig8_6",
         about: "A3: strong scaling, selected, small problem",
         stochastic: "batched",
         max_procs: 64,
-        run: fig8_6,
+        fits: no_fits,
+        run: |dir, e, _| fig8_6(dir, e),
     },
     Experiment {
         id: "fig8_7",
         about: "A4: strong scaling, incl. hybrid, small problem",
         stochastic: "batched",
         max_procs: 64,
-        run: fig8_7,
+        fits: no_fits,
+        run: |dir, e, _| fig8_7(dir, e),
     },
     Experiment {
         id: "fig8_10",
         about: "B1-B6: stencil prediction vs measurement",
         stochastic: "batched",
         max_procs: 144,
+        fits: fig8_10_fits,
         run: fig8_10_to_8_15,
     },
     Experiment {
@@ -1490,13 +1745,15 @@ static REGISTRY: &[Experiment] = &[
         about: "C1: ghost-width adaptation",
         stochastic: "batched",
         max_procs: 64,
-        run: fig8_18,
+        fits: |_| vec![FIG8_18],
+        run: |dir, _, t| fig8_18(dir, t),
     },
     Experiment {
         id: "collectives",
         about: "predicted vs simulated collective costs",
         stochastic: "batched",
         max_procs: 144,
+        fits: collectives_fits,
         run: collectives_predict_vs_sim,
     },
     Experiment {
@@ -1504,6 +1761,12 @@ static REGISTRY: &[Experiment] = &[
         about: "allreduce through the BSPlib runtime vs prediction",
         stochastic: "batched",
         max_procs: 64,
+        fits: |e| {
+            coll_rt_ps(e)
+                .into_iter()
+                .map(|p| Machine::xeon().point(p))
+                .collect()
+        },
         run: collectives_runtime,
     },
     Experiment {
@@ -1511,21 +1774,24 @@ static REGISTRY: &[Experiment] = &[
         about: "sampled microbench + class model vs sim, p to 4096",
         stochastic: "batched",
         max_procs: 4096,
-        run: scale_p,
+        fits: no_fits,
+        run: |dir, e, _| scale_p(dir, e),
     },
     Experiment {
         id: "faults",
         about: "fault injection: drops/stragglers/crashes vs completion",
         stochastic: "batched",
         max_procs: 256,
-        run: faults,
+        fits: no_fits,
+        run: |dir, e, _| faults(dir, e),
     },
     Experiment {
         id: "recovery",
         about: "survivor re-planning: recovery policies and repair costs",
         stochastic: "batched",
         max_procs: 256,
-        run: recovery,
+        fits: no_fits,
+        run: |dir, e, _| recovery(dir, e),
     },
 ];
 
@@ -1539,7 +1805,69 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id == id)
 }
 
+/// What one experiment of a [`run_experiments`] call did.
+pub struct ExperimentRun {
+    pub exp: &'static Experiment,
+    /// The files it wrote.
+    pub paths: Vec<PathBuf>,
+    /// Seconds of its fits and its run, on the caller's clock.
+    pub seconds: f64,
+    /// The part of `seconds` spent fitting.
+    pub fit_seconds: f64,
+    /// Declared points fitted for it.
+    pub fitted: usize,
+    /// Declared points an earlier experiment of the run had fitted.
+    pub reused: usize,
+    /// Profiles the table still holds after it, for later experiments.
+    pub held: usize,
+}
+
+/// Runs the experiments in order with one [`Profiles`] table, each
+/// §5.6.3 point fitted once for the whole run. Before experiment `k` the
+/// table gains the points `k` declares and does not hold; after it, it
+/// drops every point no later id declares, so it is empty when the run
+/// ends. Every id is resolved before anything runs: `Err` carries the
+/// first unknown one.
+///
+/// `clock` reads seconds from any fixed origin; the runner reads it
+/// around each experiment's fits and run. The library reads no host
+/// clock itself (the determinism lint's `host-clock` rule): `repro`
+/// passes one, and a caller without a use for timings passes `|| 0.0`.
+pub fn run_experiments(
+    ids: &[&str],
+    dir: &Path,
+    effort: &Effort,
+    clock: impl Fn() -> f64,
+) -> Result<Vec<ExperimentRun>, String> {
+    let exps = ids
+        .iter()
+        .map(|&id| find(id).ok_or_else(|| id.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let declared: Vec<Vec<FitPoint>> = exps.iter().map(|e| (e.fits)(effort)).collect();
+    let mut table = Profiles::default();
+    let mut runs = Vec::with_capacity(exps.len());
+    for (k, exp) in exps.into_iter().enumerate() {
+        let start = clock();
+        let fitted = table.fit(&declared[k], effort);
+        let fit_seconds = clock() - start;
+        let paths = exp.run_on(dir, effort, &mut table);
+        let later = &declared[k + 1..];
+        table.retain(|point| later.iter().any(|points| points.contains(point)));
+        runs.push(ExperimentRun {
+            exp,
+            paths,
+            seconds: clock() - start,
+            fit_seconds,
+            fitted,
+            reused: declared[k].len() - fitted,
+            held: table.len(),
+        });
+    }
+    Ok(runs)
+}
+
 /// Runs one experiment by id; returns the files written.
 pub fn run_experiment(id: &str, dir: &Path, effort: &Effort) -> Option<Vec<PathBuf>> {
-    find(id).map(|e| (e.run)(dir, effort))
+    let mut runs = run_experiments(&[id], dir, effort, || 0.0).ok()?;
+    Some(runs.remove(0).paths)
 }
