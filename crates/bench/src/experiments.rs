@@ -140,6 +140,11 @@ pub enum MachineId {
 }
 
 impl MachineId {
+    /// The fit point of `p` processes on this machine.
+    pub const fn at(self, p: usize) -> FitPoint {
+        FitPoint { machine: self, p }
+    }
+
     fn machine(self) -> Machine {
         match self {
             MachineId::Xeon => Machine::xeon(),
@@ -204,14 +209,6 @@ impl Machine {
         Placement::new(self.shape, PlacementPolicy::RoundRobin, p)
     }
 
-    /// The fit point of `p` processes on this machine.
-    fn point(&self, p: usize) -> FitPoint {
-        FitPoint {
-            machine: self.id,
-            p,
-        }
-    }
-
     /// BSPlib runtime configuration for `p` processes.
     fn bsp_cfg(&self, p: usize, seed: u64) -> BspConfig {
         BspConfig::new(self.params.clone(), self.place(p), self.core.clone(), seed)
@@ -241,7 +238,7 @@ pub struct FitPoint {
 /// lock) and afterwards drops every entry no later experiment of the run
 /// declares. The table lives in one call's stack frame: nothing outlives
 /// the run.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Profiles {
     /// The experiment reading the table, named when a read misses.
     reader: &'static str,
@@ -286,7 +283,7 @@ impl Profiles {
     /// table does not hold it: the runner fits every declared point
     /// first, so a miss means the experiment's `fits` left a point out.
     fn get(&self, m: &Machine, p: usize) -> &PlatformProfile {
-        let point = m.point(p);
+        let point = m.id.at(p);
         self.entries
             .iter()
             .find(|(held, _)| *held == point)
@@ -306,14 +303,17 @@ struct Sweep {
 }
 
 impl Sweep {
+    const fn new(on: MachineId, first: usize, stride: fn(&Effort) -> usize) -> Sweep {
+        Sweep { on, first, stride }
+    }
+
     fn ps(&self, effort: &Effort) -> Vec<usize> {
         let max = self.on.machine().shape.total_cores();
         (self.first..=max).step_by((self.stride)(effort)).collect()
     }
 
     fn fits(&self, effort: &Effort) -> Vec<FitPoint> {
-        let m = self.on.machine();
-        self.ps(effort).into_iter().map(|p| m.point(p)).collect()
+        self.ps(effort).into_iter().map(|p| self.on.at(p)).collect()
     }
 }
 
@@ -851,7 +851,7 @@ fn fig8_10_fits(_effort: &Effort) -> Vec<FitPoint> {
     let mut points = Vec::new();
     for (_, on, _, _) in B_SERIES {
         let m = on.machine();
-        for point in prediction_ps(&m).into_iter().map(|p| m.point(p)) {
+        for point in prediction_ps(&m).into_iter().map(|p| m.id.at(p)) {
             if !points.contains(&point) {
                 points.push(point);
             }
@@ -861,10 +861,7 @@ fn fig8_10_fits(_effort: &Effort) -> Vec<FitPoint> {
 }
 
 /// Fig. 8.18's one point: the full Xeon machine.
-const FIG8_18: FitPoint = FitPoint {
-    machine: MachineId::Xeon,
-    p: 64,
-};
+const FIG8_18: FitPoint = MachineId::Xeon.at(64);
 
 /// Fig. 8.18 (C1): predicted vs measured per-iteration time across ghost
 /// widths, with the model-selected optimum.
@@ -972,7 +969,7 @@ fn collectives_fits(_effort: &Effort) -> Vec<FitPoint> {
     let machines = Machine::both();
     collective_cases(&machines)
         .into_iter()
-        .map(|(m, _, p)| m.point(p))
+        .map(|(m, _, p)| m.id.at(p))
         .collect()
 }
 
@@ -1497,55 +1494,17 @@ fn no_fits(_effort: &Effort) -> Vec<FitPoint> {
     Vec::new()
 }
 
-const FIG5_6: Sweep = Sweep {
-    on: MachineId::Xeon,
-    first: 2,
-    stride: |e| e.stride_small,
-};
-
-const FIG5_10: Sweep = Sweep {
-    on: MachineId::Opteron,
-    first: 2,
-    stride: |e| e.stride_large,
-};
-
+const FIG5_6: Sweep = Sweep::new(MachineId::Xeon, 2, |e| e.stride_small);
+const FIG5_10: Sweep = Sweep::new(MachineId::Opteron, 2, |e| e.stride_large);
+// The BSP sync sweeps of Figs. 6.3/6.4 run at the barrier sweeps' points.
 const FIG6_3: Sweep = FIG5_6;
-
 const FIG6_4: Sweep = FIG5_10;
-
-const FIG7_4: Sweep = Sweep {
-    on: MachineId::Xeon,
-    first: 4,
-    stride: |e| e.stride_small.max(2),
-};
-
-const FIG7_5: Sweep = Sweep {
-    on: MachineId::Opteron,
-    first: 4,
-    stride: |e| e.stride_large,
-};
-
-const FIG7_6: Sweep = Sweep {
-    on: MachineId::Xeon,
-    first: 4,
-    stride: |e| e.stride_small.max(4),
-};
-
-const FIG7_7: Sweep = Sweep {
-    on: MachineId::Opteron,
-    first: 4,
-    stride: |e| e.stride_large.max(12),
-};
-
-const TABLE7_1: FitPoint = FitPoint {
-    machine: MachineId::Xeon,
-    p: 60,
-};
-
-const TABLE7_2: FitPoint = FitPoint {
-    machine: MachineId::Opteron10Nodes,
-    p: 115,
-};
+const FIG7_4: Sweep = Sweep::new(MachineId::Xeon, 4, |e| e.stride_small.max(2));
+const FIG7_5: Sweep = Sweep::new(MachineId::Opteron, 4, |e| e.stride_large);
+const FIG7_6: Sweep = Sweep::new(MachineId::Xeon, 4, |e| e.stride_small.max(4));
+const FIG7_7: Sweep = Sweep::new(MachineId::Opteron, 4, |e| e.stride_large.max(12));
+const TABLE7_1: FitPoint = MachineId::Xeon.at(60);
+const TABLE7_2: FitPoint = MachineId::Opteron10Nodes.at(115);
 
 static REGISTRY: &[Experiment] = &[
     Experiment {
@@ -1764,7 +1723,7 @@ static REGISTRY: &[Experiment] = &[
         fits: |e| {
             coll_rt_ps(e)
                 .into_iter()
-                .map(|p| Machine::xeon().point(p))
+                .map(|p| MachineId::Xeon.at(p))
                 .collect()
         },
         run: collectives_runtime,
