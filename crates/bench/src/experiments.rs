@@ -267,23 +267,12 @@ impl Profiles {
         self.entries.retain(|(point, _)| keep(point));
     }
 
-    /// Profiles held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table holds no profile.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The profile of `p` processes on `m`.
+    /// The profile of `point`.
     ///
     /// Panics, naming the reading experiment and the point, when the
     /// table does not hold it: the runner fits every declared point
     /// first, so a miss means the experiment's `fits` left a point out.
-    fn get(&self, m: &Machine, p: usize) -> &PlatformProfile {
-        let point = m.id.at(p);
+    fn get(&self, point: FitPoint) -> &PlatformProfile {
         self.entries
             .iter()
             .find(|(held, _)| *held == point)
@@ -508,7 +497,7 @@ fn barrier_sweep(
     let mut rel_err = CsvTable::new(&["P", "D", "T", "L"]);
     for (m_row, p_row, a_row, r_row) in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         let sim = BarrierSim::new(&m.params, &placement);
         let mut m_row = vec![p.to_string()];
         let mut p_row = vec![p.to_string()];
@@ -552,7 +541,7 @@ fn bsp_sync_sweep(
     let mut t = CsvTable::new(&["P", "measured_s", "estimate_s"]);
     for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         let sim = BarrierSim::new(&m.params, &placement);
         let pat = dissemination(p);
         let payload = PayloadSchedule::dissemination_count_map(p);
@@ -571,7 +560,7 @@ fn bsp_sync_sweep(
 
 /// Tables 7.1/7.2: SSS clustering of `p` processes on a machine.
 fn sss_table(dir: &Path, name: &str, point: FitPoint, profiles: &Profiles) -> Vec<PathBuf> {
-    let profile = profiles.get(&point.machine.machine(), point.p);
+    let profile = profiles.get(point);
     let clustering = sss_clusters(&profile.costs.l);
     let mut t = CsvTable::new(&["subset", "size", "representative"]);
     for (k, g) in clustering.groups.iter().enumerate() {
@@ -595,7 +584,7 @@ fn hybrid_sweep(
     let mut t = CsvTable::new(&["P", "D", "T", "L", "hybrid"]);
     for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         let sim = BarrierSim::new(&m.params, &placement);
         let mut row = vec![p.to_string()];
         for pat in std_patterns(p) {
@@ -627,7 +616,7 @@ fn adapted_sweep(
     let mut t = CsvTable::new(&["P", "adapted_meas", "best_default_meas", "adapted_pred"]);
     for row in par_points(&sweep.ps(effort), |&p| {
         let placement = m.place(p);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         let sim = BarrierSim::new(&m.params, &placement);
         let report = greedy_adaptive_barrier(&profile.costs);
         let adapted = barrier_mean(&sim, &report.pattern, effort);
@@ -797,7 +786,7 @@ fn prediction_sweep(
     let mut t = CsvTable::new(&["P", "predicted_s", "measured_s"]);
     for row in par_points(&prediction_ps(m), |&p| {
         let cfg = m.bsp_cfg(p, SEED);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         let base = predict_bsp_iteration(profile, &m.core, &cfg.placement, n);
         let predicted = match discipline {
             CommitDiscipline::Late => {
@@ -868,7 +857,7 @@ const FIG8_18: FitPoint = MachineId::Xeon.at(64);
 fn fig8_18(dir: &Path, profiles: &Profiles) -> Vec<PathBuf> {
     let xeon = FIG8_18.machine.machine();
     let placement = xeon.place(FIG8_18.p);
-    let profile = profiles.get(&xeon, FIG8_18.p);
+    let profile = profiles.get(FIG8_18);
     let sweep = optimize_ghost_width(
         &xeon.params,
         profile,
@@ -922,7 +911,7 @@ fn collectives_predict_vs_sim(dir: &Path, effort: &Effort, profiles: &Profiles) 
     // order so the CSV is byte-identical to the serial nesting.
     for rows in par_points(&collective_cases(&machines), |&(m, topology, p)| {
         let placement = m.place(p);
-        let profile = profiles.get(m, p);
+        let profile = profiles.get(m.id.at(p));
         catalog(p, 0, bytes)
             .into_iter()
             .map(|pat| {
@@ -982,7 +971,7 @@ fn collectives_runtime(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<
     let mut t = CsvTable::new(&["P", "runtime_s", "pattern_pred_s", "supersteps"]);
     for row in par_points(&coll_rt_ps(effort), |&p| {
         let cfg = xeon.bsp_cfg(p, SEED);
-        let profile = profiles.get(&xeon, p);
+        let profile = profiles.get(xeon.id.at(p));
         let run = run_allreduce(&cfg, n);
         let pred = predict_collective(
             &hpm_collectives::pattern::allreduce(p, 8 * n as u64),
@@ -1766,6 +1755,7 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
 
 /// What one experiment of a [`run_experiments`] call did.
 pub struct ExperimentRun {
+    /// The registry entry that ran.
     pub exp: &'static Experiment,
     /// The files it wrote.
     pub paths: Vec<PathBuf>,
@@ -1819,7 +1809,7 @@ pub fn run_experiments(
             fit_seconds,
             fitted,
             reused: declared[k].len() - fitted,
-            held: table.len(),
+            held: table.entries.len(),
         });
     }
     Ok(runs)

@@ -176,8 +176,8 @@ struct PairPoints {
 /// One worker's scratch, reused by every unit it measures: the jitter
 /// table (refilled from each unit's own stream, its quantile table kept
 /// while σ is), the network state (the pinged pair's two queues reset
-/// before every ping) and the
-/// `reps` samples of one median (overwritten before each read).
+/// before every ping) and the `reps` samples of one median (overwritten
+/// before each read).
 struct UnitScratch {
     jit: JitterBuf,
     net: NetState,
