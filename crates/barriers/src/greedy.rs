@@ -12,14 +12,14 @@ use crate::hybrid::{hybrid_barrier, GatherShape};
 use crate::patterns;
 use crate::sss::{sss_clusters, Clustering};
 use hpm_core::matrix::DMat;
-use hpm_core::pattern::{BarrierPattern, CommPattern};
-use hpm_core::predictor::{predict_barrier, CommCosts, PayloadSchedule};
+use hpm_core::plan::CompiledPattern;
+use hpm_core::predictor::{predict_compiled_with, CommCosts, PayloadSchedule};
 
 /// The constructed barrier plus the decisions that produced it.
 #[derive(Debug, Clone)]
 pub struct GreedyReport {
     /// The generated pattern.
-    pub pattern: BarrierPattern,
+    pub pattern: CompiledPattern,
     /// The latency clustering the construction was based on.
     pub clustering: Clustering,
     /// Chosen gather shape and predicted subset cost per group.
@@ -39,7 +39,7 @@ fn sub_costs(costs: &CommCosts, ranks: &[usize]) -> CommCosts {
 
 /// Builds a standalone gather+release barrier over a subset (in local
 /// indices) so its cost can be predicted in isolation.
-fn subset_barrier(n: usize, shape: GatherShape) -> BarrierPattern {
+fn subset_barrier(n: usize, shape: GatherShape) -> CompiledPattern {
     match shape {
         GatherShape::Flat => patterns::linear(n, 0),
         GatherShape::Tree(d) => patterns::kary_tree(n, d),
@@ -68,7 +68,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
 
     // Degenerate single-scale platform: pick the best flat algorithm.
     if clustering.len() == p || clustering.len() == 1 {
-        let candidates: Vec<BarrierPattern> = vec![
+        let candidates: Vec<CompiledPattern> = vec![
             patterns::linear(p, 0),
             patterns::binary_tree(p),
             patterns::kary_tree(p, 4),
@@ -77,7 +77,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
         let (best, cost) = candidates
             .into_iter()
             .map(|b| {
-                let c = predict_barrier(&b, costs, &payload).total;
+                let c = predict_compiled_with(&b, costs, &payload).total;
                 (b, c)
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN prediction"))
@@ -106,7 +106,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
             .into_iter()
             .map(|s| {
                 let b = subset_barrier(group.len(), s);
-                (s, predict_barrier(&b, &local, &payload).total)
+                (s, predict_compiled_with(&b, &local, &payload).total)
             })
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN prediction"))
             .expect("non-empty candidates");
@@ -116,7 +116,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
 
     // Top-level choice by full-composition prediction.
     let m = clustering.len();
-    let inter_candidates: Vec<BarrierPattern> = if m == 2 {
+    let inter_candidates: Vec<CompiledPattern> = if m == 2 {
         vec![patterns::linear(2, 0)]
     } else {
         vec![
@@ -125,12 +125,12 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
             patterns::dissemination(m),
         ]
     };
-    let mut candidates: Vec<(BarrierPattern, String, f64)> = inter_candidates
+    let mut candidates: Vec<(CompiledPattern, String, f64)> = inter_candidates
         .into_iter()
         .map(|inter| {
             let name = inter.name().to_string();
             let full = hybrid_barrier(p, &clustering.groups, &shapes, Some(&inter));
-            let t = predict_barrier(&full, costs, &payload).total;
+            let t = predict_compiled_with(&full, costs, &payload).total;
             (full, name, t)
         })
         .collect();
@@ -145,7 +145,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
         patterns::kary_tree(p, 4),
         patterns::dissemination(p),
     ] {
-        let t = predict_barrier(&flat, costs, &payload).total;
+        let t = predict_compiled_with(&flat, costs, &payload).total;
         let name = flat.name().to_string();
         candidates.push((flat, name, t));
     }
@@ -166,7 +166,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_core::knowledge::verify_synchronizes;
+    use hpm_core::knowledge::VerifyScratch;
 
     /// Two-scale synthetic cost model: `nodes` groups by `rank % nodes`.
     fn synthetic_costs(p: usize, nodes: usize) -> CommCosts {
@@ -190,7 +190,7 @@ mod tests {
         for (p, nodes) in [(16usize, 2usize), (24, 3), (60, 8), (31, 4)] {
             let rep = greedy_adaptive_barrier(&synthetic_costs(p, nodes));
             assert!(
-                verify_synchronizes(&rep.pattern).synchronizes(),
+                VerifyScratch::new().verify(&rep.pattern).synchronizes(),
                 "p={p} nodes={nodes}"
             );
         }
@@ -215,7 +215,7 @@ mod tests {
             patterns::binary_tree(32),
             patterns::dissemination(32),
         ] {
-            let d = predict_barrier(&pat, &costs, &payload).total;
+            let d = predict_compiled_with(&pat, &costs, &payload).total;
             assert!(
                 rep.predicted_total <= d * 1.001,
                 "adaptive {} must not lose to {} ({d})",
@@ -232,7 +232,7 @@ mod tests {
         let o = DMat::from_fn(p, p, |i, j| if i == j { 1e-7 } else { 2e-7 });
         let costs = CommCosts::new(o, l, DMat::zeros(p, p));
         let rep = greedy_adaptive_barrier(&costs);
-        assert!(verify_synchronizes(&rep.pattern).synchronizes());
+        assert!(VerifyScratch::new().verify(&rep.pattern).synchronizes());
         assert!(rep.intra_choices.is_empty());
         // On a uniform platform the log-depth patterns win.
         assert_ne!(rep.inter_choice.0, "linear");

@@ -8,8 +8,7 @@
 //! phase, release stages left-aligned after it.
 
 use crate::patterns;
-use hpm_core::pattern::{BarrierPattern, CommPattern};
-use hpm_core::plan::StagePlan;
+use hpm_core::plan::{CompiledPattern, StagePlan};
 
 /// How a subset gathers to (and is released by) its representative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +77,8 @@ pub fn hybrid_barrier(
     p: usize,
     groups: &[Vec<usize>],
     shapes: &[GatherShape],
-    inter: Option<&BarrierPattern>,
-) -> BarrierPattern {
+    inter: Option<&CompiledPattern>,
+) -> CompiledPattern {
     assert!(!groups.is_empty(), "need at least one group");
     assert_eq!(groups.len(), shapes.len(), "one shape per group");
     // Partition check.
@@ -156,7 +155,7 @@ pub fn hybrid_barrier(
     }
     let inter_name = inter.map(|i| i.name().to_string()).unwrap_or_default();
     let shape_names: Vec<String> = shapes.iter().map(|s| s.label()).collect();
-    BarrierPattern::new(
+    patterns::barrier(
         &format!("hybrid[{}|{}]", shape_names.join(","), inter_name),
         p,
         stages,
@@ -166,7 +165,7 @@ pub fn hybrid_barrier(
 /// Convenience: one group per node-like cluster, flat gathers, a
 /// dissemination top level — the common-sense hierarchical default the
 /// greedy constructor competes with.
-pub fn flat_dissemination_hybrid(p: usize, groups: &[Vec<usize>]) -> BarrierPattern {
+pub fn flat_dissemination_hybrid(p: usize, groups: &[Vec<usize>]) -> CompiledPattern {
     let shapes = vec![GatherShape::Flat; groups.len()];
     if groups.len() == 1 {
         hybrid_barrier(p, groups, &shapes, None)
@@ -179,7 +178,7 @@ pub fn flat_dissemination_hybrid(p: usize, groups: &[Vec<usize>]) -> BarrierPatt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_core::knowledge::verify_synchronizes;
+    use hpm_core::knowledge::VerifyScratch;
 
     fn groups_round_robin(p: usize, nodes: usize) -> Vec<Vec<usize>> {
         let mut g = vec![Vec::new(); nodes];
@@ -200,7 +199,7 @@ mod tests {
                 let groups = groups_round_robin(p, nodes);
                 let b = flat_dissemination_hybrid(p, &groups);
                 assert!(
-                    verify_synchronizes(&b).synchronizes(),
+                    VerifyScratch::new().verify(&b).synchronizes(),
                     "p={p} nodes={nodes}"
                 );
             }
@@ -214,7 +213,7 @@ mod tests {
         let shapes = vec![GatherShape::Tree(2); 3];
         let inter = patterns::binary_tree(3);
         let b = hybrid_barrier(p, &groups, &shapes, Some(&inter));
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(VerifyScratch::new().verify(&b).synchronizes());
     }
 
     #[test]
@@ -223,13 +222,13 @@ mod tests {
         let shapes = vec![GatherShape::Tree(2), GatherShape::Flat, GatherShape::Flat];
         let inter = patterns::linear(3, 0);
         let b = hybrid_barrier(10, &groups, &shapes, Some(&inter));
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(VerifyScratch::new().verify(&b).synchronizes());
     }
 
     #[test]
     fn single_group_needs_no_inter() {
         let b = hybrid_barrier(6, &[vec![0, 1, 2, 3, 4, 5]], &[GatherShape::Tree(2)], None);
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(VerifyScratch::new().verify(&b).synchronizes());
     }
 
     #[test]
@@ -241,7 +240,7 @@ mod tests {
         let inter = patterns::linear(2, 0);
         let b = hybrid_barrier(6, &groups, &shapes, Some(&inter));
         assert_eq!(b.stages(), 2 + 2 + 2);
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(VerifyScratch::new().verify(&b).synchronizes());
     }
 
     #[test]

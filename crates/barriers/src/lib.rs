@@ -7,10 +7,9 @@
 //! hierarchical hybrid composition ([`hybrid`], Fig. 7.2) and greedy
 //! model-driven construction ([`greedy`], §7.3, Fig. 7.3).
 //!
-//! Every builder produces a [`hpm_core::BarrierPattern`], so all of them
-//! flow through the same knowledge-matrix verification, cost predictor and
-//! simulator unchanged — the uniformity that makes automatic adaptation
-//! possible.
+//! Every builder returns a [`hpm_core::CompiledPattern`], the one form
+//! the knowledge verifier, cost predictor and simulator all take — the
+//! uniformity that makes automatic adaptation possible.
 
 pub mod greedy;
 pub mod hybrid;
@@ -19,7 +18,5 @@ pub mod sss;
 
 pub use greedy::{greedy_adaptive_barrier, GreedyReport};
 pub use hybrid::{hybrid_barrier, GatherShape};
-pub use patterns::{
-    all_to_all, binary_tree, dissemination, dissemination_plan, kary_tree, linear, ring,
-};
+pub use patterns::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
 pub use sss::{sss_clusters, Clustering};

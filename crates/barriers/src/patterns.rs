@@ -9,25 +9,34 @@
 //! patterns are the §5.6.6 extremities of the design space (minimum and
 //! maximum concurrent communication), included because the thesis
 //! discusses them as the boundary cases where prediction quality
-//! degrades.
+//! degrades. Every builder returns the pattern's [`CompiledPattern`].
 
-use hpm_core::pattern::{log2_ceil, BarrierPattern};
+use hpm_core::pattern::{log2_ceil, validate_stages};
 use hpm_core::plan::{CompiledPattern, StagePlan};
+
+/// Compiles a barrier's stages after the checks every barrier must pass:
+/// at least one process, at least one stage (barriers always
+/// communicate), and every stage `p` wide and non-empty.
+pub(crate) fn barrier(name: &str, p: usize, stages: Vec<StagePlan>) -> CompiledPattern {
+    assert!(!stages.is_empty(), "pattern needs at least one stage");
+    validate_stages(p, &stages);
+    CompiledPattern::from_stages(name, p, stages)
+}
 
 /// The linear barrier (Fig. 5.2): every process signals `root`, then
 /// `root` signals everyone.
-pub fn linear(p: usize, root: usize) -> BarrierPattern {
+pub fn linear(p: usize, root: usize) -> CompiledPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
     assert!(root < p, "root out of range");
     let gather: Vec<(usize, usize)> = (0..p).filter(|&i| i != root).map(|i| (i, root)).collect();
     let gather = StagePlan::from_edges(p, &gather);
     let release = gather.transpose();
-    BarrierPattern::new("linear", p, vec![gather, release])
+    barrier("linear", p, vec![gather, release])
 }
 
 /// The dissemination barrier (Fig. 5.3): `⌈log₂P⌉` stages of cyclic shifts,
 /// stage `s` signalling `i → (i + 2^s) mod P`.
-pub fn dissemination(p: usize) -> BarrierPattern {
+pub fn dissemination(p: usize) -> CompiledPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
     let stages = (0..log2_ceil(p))
         .map(|s| {
@@ -35,20 +44,20 @@ pub fn dissemination(p: usize) -> BarrierPattern {
             StagePlan::from_edges(p, &edges)
         })
         .collect();
-    BarrierPattern::new("dissemination", p, stages)
+    barrier("dissemination", p, stages)
 }
 
-/// The dissemination barrier's execution form — the scale runs' entry
-/// point (64 KB of CSR per stage at p = 4096).
+/// Alias of [`dissemination`], kept because the benchmark harness's
+/// pinned surface (`benchmark/src/surface.rs`) names it.
 pub fn dissemination_plan(p: usize) -> CompiledPattern {
-    dissemination(p).into_plan()
+    dissemination(p)
 }
 
 /// A k-ary tree barrier rooted at rank 0 with heap indexing
 /// (`parent(i) = (i−1)/degree`): arrival stages from the deepest level up,
 /// then the transposed stages in reverse as release (Fig. 5.4's
 /// construction rule).
-pub fn kary_tree(p: usize, degree: usize) -> BarrierPattern {
+pub fn kary_tree(p: usize, degree: usize) -> CompiledPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
     assert!(degree >= 1, "tree degree must be at least 1");
     let depth_of = |i: usize| -> usize {
@@ -74,68 +83,57 @@ pub fn kary_tree(p: usize, degree: usize) -> BarrierPattern {
     let release: Vec<StagePlan> = arrival.iter().rev().map(StagePlan::transpose).collect();
     let mut stages = arrival;
     stages.extend(release);
-    BarrierPattern::new(&format!("tree-{degree}"), p, stages)
+    barrier(&format!("tree-{degree}"), p, stages)
 }
 
 /// Binary tree barrier — the `T` of Figs. 5.6–5.13.
-pub fn binary_tree(p: usize) -> BarrierPattern {
+pub fn binary_tree(p: usize) -> CompiledPattern {
     kary_tree(p, 2)
 }
 
 /// The token-ring barrier: `2(P−1)` stages with a single signal each —
 /// the minimum-concurrency extremity (§5.6.6).
-pub fn ring(p: usize) -> BarrierPattern {
+pub fn ring(p: usize) -> CompiledPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
     let stages = (0..2 * (p - 1))
         .map(|k| StagePlan::from_edges(p, &[(k % p, (k + 1) % p)]))
         .collect();
-    BarrierPattern::new("ring", p, stages)
+    barrier("ring", p, stages)
 }
 
 /// The single-stage all-to-all barrier: every ordered pair signals at once
 /// — the maximum-concurrency extremity (§5.6.6).
-pub fn all_to_all(p: usize) -> BarrierPattern {
+pub fn all_to_all(p: usize) -> CompiledPattern {
     assert!(p >= 2, "a barrier needs at least two processes");
-    BarrierPattern::new("all-to-all", p, vec![StagePlan::complete(p)])
+    barrier("all-to-all", p, vec![StagePlan::complete(p)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_core::knowledge::verify_synchronizes;
+    use hpm_core::knowledge::VerifyScratch;
     use hpm_core::pattern::CommPattern;
+
+    fn synchronizes(b: &CompiledPattern) -> bool {
+        VerifyScratch::new().verify(b).synchronizes()
+    }
 
     #[test]
     fn all_builders_synchronize_across_process_counts() {
         for p in 2..=33 {
-            assert!(
-                verify_synchronizes(&linear(p, 0)).synchronizes(),
-                "linear {p}"
-            );
-            assert!(
-                verify_synchronizes(&dissemination(p)).synchronizes(),
-                "dissemination {p}"
-            );
-            assert!(
-                verify_synchronizes(&binary_tree(p)).synchronizes(),
-                "binary tree {p}"
-            );
-            assert!(
-                verify_synchronizes(&kary_tree(p, 4)).synchronizes(),
-                "4-ary tree {p}"
-            );
-            assert!(verify_synchronizes(&ring(p)).synchronizes(), "ring {p}");
-            assert!(
-                verify_synchronizes(&all_to_all(p)).synchronizes(),
-                "all-to-all {p}"
-            );
+            assert!(synchronizes(&linear(p, 0)), "linear {p}");
+            assert!(synchronizes(&dissemination(p)), "dissemination {p}");
+            assert!(synchronizes(&binary_tree(p)), "binary tree {p}");
+            assert!(synchronizes(&kary_tree(p, 4)), "4-ary tree {p}");
+            assert!(synchronizes(&ring(p)), "ring {p}");
+            assert!(synchronizes(&all_to_all(p)), "all-to-all {p}");
         }
     }
 
     #[test]
     fn linear_with_nonzero_root() {
         let b = linear(5, 3);
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(synchronizes(&b));
         assert_eq!(b.stage(0).srcs(3), &[0, 1, 2, 4]);
     }
 
@@ -202,7 +200,7 @@ mod tests {
     fn tree_signal_count_is_two_p_minus_two() {
         // Each non-root signals its parent once and is released once.
         for p in [2usize, 5, 8, 16, 23] {
-            assert_eq!(binary_tree(p).plan().total_signals(), 2 * (p - 1), "p={p}");
+            assert_eq!(binary_tree(p).total_signals(), 2 * (p - 1), "p={p}");
         }
     }
 
@@ -219,8 +217,20 @@ mod tests {
     #[test]
     fn unary_tree_degenerates_to_chain() {
         let b = kary_tree(4, 1);
-        assert!(verify_synchronizes(&b).synchronizes());
+        assert!(synchronizes(&b));
         // Chain of depth 3: 6 stages.
         assert_eq!(b.stages(), 6);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_stages_rejected_for_barriers() {
+        barrier("bad", 3, Vec::new());
+    }
+
+    #[test]
+    #[should_panic]
+    fn empty_stage_rejected() {
+        barrier("bad", 3, vec![StagePlan::from_edges(3, &[])]);
     }
 }

@@ -9,8 +9,7 @@
 //! here encode those qualitative bounds.
 
 use hpm_barriers::patterns::{binary_tree, dissemination, linear};
-use hpm_core::pattern::{BarrierPattern, CommPattern};
-use hpm_core::predictor::{predict_barrier, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_simnet::barrier::BarrierSim;
 use hpm_simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm_simnet::params::xeon_cluster_params;
@@ -30,10 +29,12 @@ fn run_cases(ps: &[usize]) -> Vec<Case> {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 42);
         let sim = BarrierSim::new(&params, &placement);
-        let patterns: Vec<BarrierPattern> = vec![dissemination(p), binary_tree(p), linear(p, 0)];
-        for pat in patterns {
-            let predicted = predict_barrier(&pat, &profile.costs, &PayloadSchedule::none()).total;
-            let measured = sim.measure(&pat, &PayloadSchedule::none(), 16, 7).mean();
+        for pat in [dissemination(p), binary_tree(p), linear(p, 0)] {
+            let predicted =
+                predict_compiled_with(&pat, &profile.costs, &PayloadSchedule::none()).total;
+            let measured = sim
+                .measure_compiled(&pat, &PayloadSchedule::none(), 16, 7)
+                .mean();
             out.push(Case {
                 p,
                 name: match pat.name() {
@@ -119,8 +120,10 @@ fn round_robin_parity_oscillation_is_predicted() {
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 42);
         let sim = BarrierSim::new(&params, &placement);
         let pat = dissemination(p);
-        let pred = predict_barrier(&pat, &profile.costs, &PayloadSchedule::none()).total;
-        let meas = sim.measure(&pat, &PayloadSchedule::none(), 16, 11).mean();
+        let pred = predict_compiled_with(&pat, &profile.costs, &PayloadSchedule::none()).total;
+        let meas = sim
+            .measure_compiled(&pat, &PayloadSchedule::none(), 16, 11)
+            .mean();
         println!("P={p}: pred {pred:.3e} meas {meas:.3e}");
         if let Some((pp, pm)) = prev {
             total += 1;

@@ -6,7 +6,7 @@
 //! barrier family and the eight collectives at the two validation
 //! machines' full sizes (p = 64 Xeon, p = 144 Opteron, read off
 //! `Machine::both`), the hybrid two-level barrier on its node
-//! partition, and the sparse-authored `dissemination_plan` at the scale
+//! partition, and the dissemination barrier again at the scale
 //! run's process counts (p ∈ {256, 1024, 4096}, read off `SCALE_PROCS`).
 //! Every plan must analyze clean — zero diagnostics, warnings included —
 //! before an experiment is allowed to spend simulation time on it.
@@ -20,9 +20,7 @@
 use crate::experiments::{Machine, SCALE_PROCS};
 use hpm_analyze::{Analyzer, Diagnostic};
 use hpm_barriers::hybrid::flat_dissemination_hybrid;
-use hpm_barriers::{
-    all_to_all, binary_tree, dissemination, dissemination_plan, kary_tree, linear, ring,
-};
+use hpm_barriers::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
 use hpm_collectives::pattern::catalog;
 use hpm_core::knowledge::KnowledgeGoal;
 use hpm_core::pattern::CommPattern;
@@ -59,7 +57,7 @@ pub fn pattern_registry() -> Vec<RegisteredPlan> {
         for b in barriers {
             out.push(RegisteredPlan {
                 id: format!("{}-p{p}", b.name()),
-                plan: b.plan(),
+                plan: b,
                 goal: KnowledgeGoal::AllToAll,
             });
         }
@@ -82,15 +80,14 @@ pub fn pattern_registry() -> Vec<RegisteredPlan> {
     let hybrid = flat_dissemination_hybrid(p, &groups);
     out.push(RegisteredPlan {
         id: format!("{}-p{p}", hybrid.name()),
-        plan: hybrid.plan(),
+        plan: hybrid,
         goal: KnowledgeGoal::AllToAll,
     });
-    // The scale run authors its patterns sparsely, never through a dense
-    // stage matrix — analyze exactly what it executes.
+    // The scale run's process counts — analyze exactly what it executes.
     for p in SCALE_PROCS {
         out.push(RegisteredPlan {
             id: format!("dissemination-sparse-p{p}"),
-            plan: dissemination_plan(p),
+            plan: dissemination(p),
             goal: KnowledgeGoal::AllToAll,
         });
     }

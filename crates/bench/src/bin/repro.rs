@@ -126,13 +126,17 @@ fn main() {
     );
 }
 
-/// `--check`: the determinism cross-check between the faults and
-/// recovery artifacts. The recovery grid's `failfast` rows are computed
-/// by the same code path as `faults.csv`, so at the shared corner —
-/// every `failfast` row whose `(P, drop, straggler_prob,
+/// `--check`: the cross-check between the faulty and the recovering
+/// executor. `faults.csv` aggregates `measure_faulty` reports; the
+/// recovery grid's `failfast` rows aggregate, through the same
+/// function, the attempts of the `measure_recovering` run that also
+/// writes the `recover` rows. A recovering run's attempt must be
+/// bitwise the faulty run of the same repetition, so at the shared
+/// corner — every `failfast` row whose `(P, drop, straggler_prob,
 /// straggler_scale, crashes)` coordinates appear in `faults.csv` — the
-/// twelve shared cells must be *byte-identical*. A mismatch means one
-/// of the executors' streams moved; exit 1 so CI catches it.
+/// twelve shared cells must be *byte-identical*. A mismatch means the
+/// two executors diverged or one of their streams moved; exit 1 so CI
+/// catches it.
 fn run_check(out_dir: &std::path::Path) {
     let read = |name: &str| -> Vec<Vec<String>> {
         let path = out_dir.join(name);

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use hpm_analyze::Analyzer;
 use hpm_barriers::greedy::greedy_adaptive_barrier;
 use hpm_barriers::hybrid::flat_dissemination_hybrid;
-use hpm_barriers::patterns::{binary_tree, dissemination, dissemination_plan, linear};
+use hpm_barriers::patterns::{binary_tree, dissemination, linear};
 use hpm_barriers::sss::sss_clusters;
 use hpm_bsplib::bench::bspbench;
 use hpm_bsplib::inprod::bspinprod;
@@ -24,9 +24,9 @@ use hpm_collectives::pattern::catalog;
 use hpm_collectives::predict::{predict_collective, simulate_collective};
 use hpm_core::classic::ClassicBsp;
 use hpm_core::knowledge::KnowledgeGoal;
-use hpm_core::pattern::{BarrierPattern, CommPattern};
+use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
-use hpm_core::predictor::{predict_barrier, predict_compiled_with, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
 use hpm_kernels::blas1::Axpy;
 use hpm_kernels::harness::{profile_kernel, BenchConfig, WallClock};
@@ -40,7 +40,7 @@ use hpm_simnet::microbench::{
 };
 use hpm_simnet::params::{opteron_cluster_params, xeon_cluster_params, PlatformParams};
 use hpm_simnet::recovery::{RecoveryReport, RecoveryScratch};
-use hpm_simnet::{NetState, RankOutcome, SimScratch};
+use hpm_simnet::{FaultReport, NetState, RankOutcome, SimScratch};
 use hpm_stats::fault::{DropProb, FaultModel, FaultPlan};
 use hpm_stats::quantile::median;
 use hpm_stencil::bsp::{run_bsp_stencil, CommitDiscipline};
@@ -308,14 +308,14 @@ impl Sweep {
 
 /// The three default barriers every comparison measures: dissemination,
 /// binary tree, linear (the `D`, `T`, `L` columns).
-fn std_patterns(p: usize) -> [BarrierPattern; 3] {
+fn std_patterns(p: usize) -> [CompiledPattern; 3] {
     [dissemination(p), binary_tree(p), linear(p, 0)]
 }
 
 /// Mean simulated time of a payload-free barrier at the effort's
 /// repetition count.
-fn barrier_mean(sim: &BarrierSim, pattern: &BarrierPattern, effort: &Effort) -> f64 {
-    sim.measure(pattern, &PayloadSchedule::none(), effort.barrier_reps, SEED)
+fn barrier_mean(sim: &BarrierSim, plan: &CompiledPattern, effort: &Effort) -> f64 {
+    sim.measure_compiled(plan, &PayloadSchedule::none(), effort.barrier_reps, SEED)
         .mean()
 }
 
@@ -505,7 +505,7 @@ fn barrier_sweep(
         let mut r_row = vec![p.to_string()];
         for pat in std_patterns(p) {
             let meas = barrier_mean(&sim, &pat, effort);
-            let pred = predict_barrier(&pat, &profile.costs, &PayloadSchedule::none()).total;
+            let pred = predict_compiled_with(&pat, &profile.costs, &PayloadSchedule::none()).total;
             m_row.push(fmt(meas));
             p_row.push(fmt(pred));
             a_row.push(fmt(pred - meas));
@@ -546,9 +546,9 @@ fn bsp_sync_sweep(
         let pat = dissemination(p);
         let payload = PayloadSchedule::dissemination_count_map(p);
         let meas = sim
-            .measure(&pat, &payload, effort.barrier_reps, SEED)
+            .measure_compiled(&pat, &payload, effort.barrier_reps, SEED)
             .mean();
-        let est = predict_barrier(&pat, &profile.costs, &payload).total;
+        let est = predict_compiled_with(&pat, &profile.costs, &payload).total;
         vec![p.to_string(), fmt(meas), fmt(est)]
     }) {
         t.push(row);
@@ -1047,7 +1047,7 @@ pub fn scale_p(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
         let micro = effort.micro.with_pair_sample(SCALE_PAIR_SAMPLE);
         let profile = bench_platform_classes(&params, &placement, &micro, SEED);
         let costs = ClassCosts::new(&placement, profile);
-        let plan = dissemination_plan(p);
+        let plan = dissemination(p);
         let sim = BarrierSim::new(&params, &placement);
         let meas = sim
             .measure_compiled(&plan, &PayloadSchedule::none(), effort.barrier_reps, SEED)
@@ -1116,7 +1116,7 @@ fn fault_beds(reps: usize) -> Vec<FaultBed> {
     par_points(&FAULT_PROCS, |&p| {
         let params = Machine::xeon().params;
         let placement = xeon_preset_placement(p);
-        let plan = dissemination_plan(p);
+        let plan = dissemination(p);
         let [baseline, baseline_rep0] = [reps, 1].map(|r| {
             BarrierSim::new(&params, &placement)
                 .measure_compiled(&plan, &PayloadSchedule::none(), r, SEED)
@@ -1192,31 +1192,27 @@ impl FaultCase<'_> {
         fault
     }
 
-    /// The [`FAILFAST_COLS`] cells: the case through
-    /// [`BarrierSim::measure_faulty`], priced against the bed's
-    /// baseline. Both files' rows come from here, which is what keeps
-    /// their shared corner byte-identical (the `repro --check`
-    /// invariant).
-    fn failfast_cells(&self) -> Vec<String> {
-        let bed = self.bed;
-        let FaultBed { plan, baseline, .. } = bed;
-        let reports = bed.sim().measure_faulty(
-            plan,
-            &PayloadSchedule::none(),
-            &self.model(),
-            bed.reps,
-            SEED,
-        );
-        let n = reports.len() as f64;
-        let completion = reports
-            .iter()
+    /// The [`FAILFAST_COLS`] cells of the case's fail-fast attempts,
+    /// priced against the bed's baseline: [`faults`] passes the reports
+    /// of [`BarrierSim::measure_faulty`], [`recovery`] the attempts of
+    /// [`BarrierSim::measure_recovering`]. Both files' rows come from
+    /// here, so their shared corner is byte-identical exactly when the
+    /// two executors' attempts are (the `repro --check` invariant).
+    fn failfast_cells<'r>(
+        &self,
+        attempts: impl ExactSizeIterator<Item = &'r FaultReport> + Clone,
+    ) -> Vec<String> {
+        let FaultBed { plan, baseline, .. } = self.bed;
+        let n = attempts.len() as f64;
+        let completion = attempts
+            .clone()
             .map(|r| r.completed_count() as f64 / plan.p() as f64)
             .sum::<f64>()
             / n;
-        let retries = reports.iter().map(|r| r.retries as f64).sum::<f64>() / n;
-        let lost: u64 = reports.iter().map(|r| r.lost_signals).sum();
-        let suppressed: u64 = reports.iter().map(|r| r.suppressed_signals).sum();
-        let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
+        let retries = attempts.clone().map(|r| r.retries as f64).sum::<f64>() / n;
+        let lost: u64 = attempts.clone().map(|r| r.lost_signals).sum();
+        let suppressed: u64 = attempts.clone().map(|r| r.suppressed_signals).sum();
+        let mean_total = attempts.map(|r| r.total()).sum::<f64>() / n;
         vec![
             format!("{completion:.4}"),
             format!("{retries:.2}"),
@@ -1242,7 +1238,15 @@ pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     let beds = fault_beds(effort.barrier_reps);
     let mut t = CsvTable::new(&[&FAULT_COORD_COLS[..], &FAILFAST_COLS[..]].concat());
     for row in par_points(&fault_grid(&beds), |case| {
-        [case.coords(), case.failfast_cells()].concat()
+        let bed = case.bed;
+        let reports = bed.sim().measure_faulty(
+            &bed.plan,
+            &PayloadSchedule::none(),
+            &case.model(),
+            bed.reps,
+            SEED,
+        );
+        [case.coords(), case.failfast_cells(reports.iter())].concat()
     }) {
         t.push(row);
     }
@@ -1253,12 +1257,12 @@ pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// layer, plus the deterministic registry crash-set sweep.
 ///
 /// Section A (`recovery.csv`) repeats the [`faults`] grid under both
-/// recovery policies. `failfast` rows are the cells [`faults`] writes,
-/// from the same function; `recover` rows run the same repetitions
-/// through [`BarrierSim::measure_recovering`] and report post-recovery
-/// completion, detection/consensus costs and the recovered-run
-/// inflation. Section B (`recovery_registry.csv`) forces every
-/// deterministic size-k crash set from [`crate::analyze::crash_sets`]
+/// recovery policies from one [`BarrierSim::measure_recovering`] run
+/// per case. `failfast` rows are the cells [`faults`] writes, from the
+/// same function, over that run's attempts; `recover` rows report
+/// post-recovery completion, detection/consensus costs and the
+/// recovered-run inflation. Section B (`recovery_registry.csv`) forces
+/// every deterministic size-k crash set from [`crate::analyze::crash_sets`]
 /// (k ∈ {1, 2}) onto the sparse dissemination plan, records the static
 /// [`hpm_analyze::Analyzer::k_crash_coverage`] verdict next to what the
 /// recovery layer actually achieved, and prices each repair against the
@@ -1266,11 +1270,8 @@ pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     let beds = fault_beds(effort.barrier_reps);
 
-    // ---- Section A: the faults() grid under both policies.
-    let cases: Vec<(FaultCase, &str)> = fault_grid(&beds)
-        .into_iter()
-        .flat_map(|case| ["failfast", "recover"].map(|policy| (case, policy)))
-        .collect();
+    // ---- Section A: the faults() grid under both policies, from one
+    // recovering run per case.
     let mut grid = CsvTable::new(
         &[
             &FAULT_COORD_COLS[..],
@@ -1286,64 +1287,56 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
         .concat(),
     );
     let width = grid.header.len();
-    for row in par_points(&cases, |&(case, policy)| {
+    for rows in par_points(&fault_grid(&beds), |case| {
         let bed = case.bed;
         let FaultBed { plan, baseline, .. } = bed;
-        let mut row = case.coords();
-        row.push(policy.to_string());
-        if policy == "failfast" {
-            row.extend(case.failfast_cells());
-            row.resize(width, String::new()); // no recovery cells
-        } else {
-            let reports = bed.sim().measure_recovering(
-                plan,
-                &PayloadSchedule::none(),
-                KnowledgeGoal::AllToAll,
-                &case.model(),
-                bed.reps,
-                SEED,
-            );
-            let n = reports.len() as f64;
-            let completion = reports
-                .iter()
-                .map(|r| {
-                    r.outcomes
-                        .iter()
-                        .filter(|o| matches!(o, RankOutcome::Completed(_)))
-                        .count() as f64
-                        / plan.p() as f64
-                })
-                .sum::<f64>()
-                / n;
-            let retries = reports
-                .iter()
-                .map(|r| r.attempt.retries as f64)
-                .sum::<f64>()
-                / n;
-            let lost: u64 = reports.iter().map(|r| r.attempt.lost_signals).sum();
-            let suppressed: u64 = reports.iter().map(|r| r.attempt.suppressed_signals).sum();
-            let mean_attempt = reports.iter().map(|r| r.attempt.total()).sum::<f64>() / n;
-            let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
-            let recovered = reports.iter().filter(|r| r.recovered).count() as f64 / n;
-            let detection = reports.iter().map(|r| r.detection_time).sum::<f64>() / n;
-            let consensus = reports.iter().map(|r| r.consensus_cost).sum::<f64>() / n;
-            row.extend([
-                format!("{completion:.4}"),
-                format!("{retries:.2}"),
-                lost.to_string(),
-                suppressed.to_string(),
-                fmt(*baseline),
-                fmt(mean_attempt),
-                format!("{:.4}", mean_attempt / baseline),
+        let reports = bed.sim().measure_recovering(
+            plan,
+            &PayloadSchedule::none(),
+            KnowledgeGoal::AllToAll,
+            &case.model(),
+            bed.reps,
+            SEED,
+        );
+        let failfast = case.failfast_cells(reports.iter().map(|r| &r.attempt));
+        let n = reports.len() as f64;
+        let completion = reports
+            .iter()
+            .map(|r| {
+                r.outcomes
+                    .iter()
+                    .filter(|o| matches!(o, RankOutcome::Completed(_)))
+                    .count() as f64
+                    / plan.p() as f64
+            })
+            .sum::<f64>()
+            / n;
+        let mean_total = reports.iter().map(|r| r.total()).sum::<f64>() / n;
+        let recovered = reports.iter().filter(|r| r.recovered).count() as f64 / n;
+        let detection = reports.iter().map(|r| r.detection_time).sum::<f64>() / n;
+        let consensus = reports.iter().map(|r| r.consensus_cost).sum::<f64>() / n;
+        // The recover row shares every attempt cell but the completion
+        // rate, which counts ranks completed after recovery; the failfast
+        // row has no recovery cells.
+        let recover_row = [
+            case.coords(),
+            vec!["recover".into(), format!("{completion:.4}")],
+            failfast[1..].to_vec(),
+            vec![
                 format!("{recovered:.4}"),
                 fmt(detection),
                 fmt(consensus),
                 format!("{:.4}", mean_total / baseline),
-            ]);
-        }
-        row
+            ],
+        ]
+        .concat();
+        let mut failfast_row = [case.coords(), vec!["failfast".into()], failfast].concat();
+        failfast_row.resize(width, String::new());
+        [failfast_row, recover_row]
     }) {
-        grid.push(row);
+        for row in rows {
+            grid.push(row);
+        }
     }
 
     // ---- Section B: forced registry crash sets through the recovery

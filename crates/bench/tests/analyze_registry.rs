@@ -26,7 +26,7 @@ fn registry_warnings_also_gate() {
 
 #[test]
 fn registry_reaches_the_scale_path() {
-    // dissemination_plan at p = 4096 is the largest plan any experiment
+    // dissemination at p = 4096 is the largest plan any experiment
     // executes; the analyzer must handle it (and its 16.7M-pair
     // knowledge tables) without blowing up.
     let reg = pattern_registry();

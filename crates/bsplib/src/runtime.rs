@@ -38,6 +38,7 @@ use crate::ctx::BspCtx;
 use crate::mem::{BsmpMsg, ProcMem, RegHandle};
 use crate::ops::{CommOp, StepOutcome, HEADER_BYTES};
 use hpm_barriers::patterns::dissemination;
+use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_simnet::barrier::{BarrierSim, SimScratch};
@@ -89,9 +90,8 @@ impl SyncPattern {
     /// processes. Non-dissemination shapes carry one `4·p`-byte counter
     /// row per signal — an approximation of the aggregated map the exact
     /// §6.5 schedule spells out for dissemination.
-    fn build(&self, p: usize) -> (Option<hpm_core::pattern::BarrierPattern>, PayloadSchedule) {
+    fn build(&self, p: usize) -> (Option<CompiledPattern>, PayloadSchedule) {
         use hpm_barriers::patterns::{binary_tree, linear};
-        use hpm_core::pattern::CommPattern;
         if p < 2 {
             return (None, PayloadSchedule::none());
         }
@@ -355,21 +355,13 @@ pub fn run_spmd<P: BspProgram>(
     let mut mems: Vec<ProcMem> = (0..p).map(|_| ProcMem::default()).collect();
     let mut clocks = vec![0.0f64; p];
     let mut rng = derive_rng(cfg.seed, 0xB5F);
-    // The sync pattern becomes its execution form once (its stages move
-    // into the plan) and every superstep's barrier runs over reused
-    // scratch. A shrink rebuilds
-    // everything sized or shaped by the process count: the placement,
-    // the network, the compiled sync and its scratch.
-    let build_sync = |n: usize| {
-        let (pat, payload) = cfg.sync.build(n);
-        (
-            pat.map(hpm_core::pattern::BarrierPattern::into_plan),
-            payload,
-        )
-    };
+    // The sync plan is built once and every superstep's barrier runs
+    // over reused scratch. A shrink rebuilds everything sized or shaped
+    // by the process count: the placement, the network, the sync plan
+    // and its scratch.
     let mut placement = cfg.placement.clone();
     let mut net = NetState::new(&placement);
-    let (mut compiled_sync, mut payload) = build_sync(p);
+    let (mut compiled_sync, mut payload) = cfg.sync.build(p);
     let mut sync_scratch = SimScratch::new(&placement);
     // The faulty sync's fault plan, bookkeeping and report are reused
     // across supersteps (and resize themselves after a shrink).
@@ -720,9 +712,7 @@ pub fn run_spmd<P: BspProgram>(
             });
             placement = Placement::new(placement.shape(), placement.policy(), p);
             net = NetState::new(&placement);
-            let (cs, pl) = build_sync(p);
-            compiled_sync = cs;
-            payload = pl;
+            (compiled_sync, payload) = cfg.sync.build(p);
             sync_scratch = SimScratch::new(&placement);
             continue;
         }

@@ -335,16 +335,15 @@ pub fn catalog(p: usize, root: usize, bytes: u64) -> Vec<CollectivePattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_core::knowledge::verify_synchronizes;
+    use hpm_core::knowledge::VerifyScratch;
 
     #[test]
     fn catalog_satisfies_knowledge_goals() {
         for p in 1..=17 {
             for root in [0, p / 2, p - 1] {
                 for c in catalog(p, root, 256) {
-                    let trace = verify_synchronizes(&c);
                     assert!(
-                        trace.satisfies(c.goal()),
+                        VerifyScratch::new().verify(&c.plan()).satisfies(c.goal()),
                         "{} p={p} root={root} violates {:?}",
                         c.name(),
                         c.goal()
@@ -441,8 +440,10 @@ mod tests {
         assert_eq!(b.stage(0).dsts(3), &[0, 1, 2, 4]);
         assert_eq!(b.stage(0).in_degree(3), 0);
         let r = reduce_binomial(5, 2, 64);
-        let trace = verify_synchronizes(&r);
-        assert!(trace.satisfies(KnowledgeGoal::RootGathers(2)));
+        let plan = r.plan();
+        assert!(VerifyScratch::new()
+            .verify(&plan)
+            .satisfies(KnowledgeGoal::RootGathers(2)));
         assert_eq!(r.root(), Some(2));
     }
 

@@ -8,7 +8,8 @@
 //! measured clusters.
 
 use crate::pattern::CollectivePattern;
-use hpm_core::predictor::{predict_barrier, BarrierPrediction, CostModel};
+use hpm_core::pattern::CommPattern;
+use hpm_core::predictor::{predict_compiled_with, BarrierPrediction, CostModel};
 use hpm_simnet::barrier::{BarrierMeasurement, BarrierSim};
 use hpm_simnet::params::PlatformParams;
 use hpm_topology::Placement;
@@ -20,7 +21,7 @@ pub fn predict_collective<C: CostModel + ?Sized>(
     pattern: &CollectivePattern,
     costs: &C,
 ) -> BarrierPrediction {
-    predict_barrier(pattern, costs, pattern.payload())
+    predict_compiled_with(&pattern.plan(), costs, pattern.payload())
 }
 
 /// Executes the collective's stage structure on the simulated platform,
@@ -33,7 +34,8 @@ pub fn simulate_collective(
     reps: usize,
     seed: u64,
 ) -> BarrierMeasurement {
-    BarrierSim::new(params, placement).measure(pattern, pattern.payload(), reps, seed)
+    let sim = BarrierSim::new(params, placement);
+    sim.measure_compiled(&pattern.plan(), pattern.payload(), reps, seed)
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@
 //! them, so every pattern — barrier or collective — flows through one
 //! verifier.
 
-use crate::pattern::CommPattern;
 use crate::plan::CompiledPattern;
 
 /// What a pattern must guarantee to be correct: which knowledge pairs must
@@ -168,25 +167,16 @@ impl VerifyScratch {
     }
 }
 
-/// Verifies a pattern that is not compiled yet: builds its plan, runs
-/// the recurrence and hands back the verifier holding the outcome.
-pub fn verify_synchronizes<P: CommPattern + ?Sized>(pattern: &P) -> VerifyScratch {
-    let mut scratch = VerifyScratch::new();
-    scratch.verify(&pattern.plan());
-    scratch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::BarrierPattern;
     use crate::plan::StagePlan;
 
-    fn linear(p: usize) -> BarrierPattern {
+    fn linear(p: usize) -> CompiledPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
         let gather = StagePlan::from_edges(p, &gather);
         let release = gather.transpose();
-        BarrierPattern::new("linear", p, vec![gather, release])
+        CompiledPattern::from_stages("linear", p, vec![gather, release])
     }
 
     /// The first `stages` stages of the dissemination barrier.
@@ -201,15 +191,15 @@ mod tests {
         CompiledPattern::from_stage_edges("dissemination", p, &edges)
     }
 
-    fn single_stage(name: &str, p: usize, edges: &[(usize, usize)]) -> BarrierPattern {
-        BarrierPattern::new(name, p, vec![StagePlan::from_edges(p, edges)])
+    fn single_stage(name: &str, p: usize, edges: &[(usize, usize)]) -> CompiledPattern {
+        CompiledPattern::from_stage_edges(name, p, &[edges.to_vec()])
     }
 
     #[test]
     fn linear_barrier_synchronizes() {
+        let mut scratch = VerifyScratch::new();
         for p in [2, 3, 4, 8, 17] {
-            let t = verify_synchronizes(&linear(p));
-            assert!(t.synchronizes(), "linear p={p}");
+            assert!(scratch.verify(&linear(p)).synchronizes(), "linear p={p}");
         }
     }
 
@@ -225,7 +215,8 @@ mod tests {
     fn broken_barrier_detected_with_trace() {
         // Gather without release: ranks 1..p never learn of each other.
         let b = single_stage("broken", 4, &[(1, 0), (2, 0), (3, 0)]);
-        let t = verify_synchronizes(&b);
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&b);
         assert!(!t.synchronizes());
         let unknown: Vec<(usize, usize)> = t.missing(KnowledgeGoal::AllToAll).collect();
         assert!(unknown.contains(&(1, 2)), "1 must not know 2: {unknown:?}");
@@ -239,7 +230,8 @@ mod tests {
         // The broken barrier above is a perfectly good gather pattern:
         // the root knows all, nobody else learns anything new.
         let b = single_stage("gather", 4, &[(1, 0), (2, 0), (3, 0)]);
-        let t = verify_synchronizes(&b);
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&b);
         assert!(t.satisfies(KnowledgeGoal::RootGathers(0)));
         assert!(!t.satisfies(KnowledgeGoal::RootReaches(0)));
         assert!(!t.satisfies(KnowledgeGoal::AllToAll));
@@ -250,7 +242,8 @@ mod tests {
     #[test]
     fn release_alone_satisfies_only_the_broadcast_goal() {
         let b = single_stage("release", 4, &[(0, 1), (0, 2), (0, 3)]);
-        let t = verify_synchronizes(&b);
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&b);
         assert!(t.satisfies(KnowledgeGoal::RootReaches(0)));
         assert!(!t.satisfies(KnowledgeGoal::RootGathers(0)));
         assert!(!t.satisfies(KnowledgeGoal::AllToAll));
@@ -263,8 +256,9 @@ mod tests {
         let stages: Vec<StagePlan> = (0..p - 1)
             .map(|i| StagePlan::from_edges(p, &[(i, i + 1)]))
             .collect();
-        let b = BarrierPattern::new("chain", p, stages);
-        let t = verify_synchronizes(&b);
+        let b = CompiledPattern::from_stages("chain", p, stages);
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&b);
         assert!(t.satisfies(KnowledgeGoal::Prefix));
         assert!(!t.satisfies(KnowledgeGoal::AllToAll));
         // The downward chain (p−1 → p−2 → … → 0, stages in that order)
@@ -273,9 +267,10 @@ mod tests {
             .rev()
             .map(|i| StagePlan::from_edges(p, &[(i, i - 1)]))
             .collect();
-        let r = BarrierPattern::new("rev-chain", p, rev);
-        assert!(!verify_synchronizes(&r).satisfies(KnowledgeGoal::Prefix));
-        assert!(verify_synchronizes(&r).satisfies(KnowledgeGoal::RootGathers(0)));
+        let r = CompiledPattern::from_stages("rev-chain", p, rev);
+        let t = scratch.verify(&r);
+        assert!(!t.satisfies(KnowledgeGoal::Prefix));
+        assert!(t.satisfies(KnowledgeGoal::RootGathers(0)));
     }
 
     #[test]
@@ -322,7 +317,8 @@ mod tests {
 
     #[test]
     fn self_knowledge_never_lost() {
-        let t = verify_synchronizes(&linear(6));
+        let mut scratch = VerifyScratch::new();
+        let t = scratch.verify(&linear(6));
         for i in 0..6 {
             assert!(t.knows(i, i));
         }

@@ -23,8 +23,8 @@
 //!   latency and inverse-bandwidth matrices (§3.4, Eq. 3.14).
 //! * [`pattern`] — staged communication patterns as sequences of sparse
 //!   stages (§5.5; `render()` prints the incidence matrices of
-//!   Figs. 5.2–5.4): the shared [`pattern::CommPattern`] abstraction plus
-//!   the barrier-shaped [`pattern::BarrierPattern`].
+//!   Figs. 5.2–5.4): the shared [`pattern::CommPattern`] abstraction,
+//!   which [`plan::CompiledPattern`] implements — a barrier is a plan.
 //! * [`plan`] — the one stage representation, from authoring to
 //!   execution: CSR adjacency ([`plan::StagePlan`], built from edge
 //!   lists) and whole patterns with their precomputed §5.6.5 tables
@@ -61,13 +61,12 @@ pub mod superstep;
 pub use classic::ClassicBsp;
 pub use compute::{cross_mapping_costs, imbalance, superstep_times};
 pub use hockney::{comm_times, HeteroHockney, Hockney};
-pub use knowledge::{verify_synchronizes, KnowledgeGoal, VerifyScratch};
+pub use knowledge::{KnowledgeGoal, VerifyScratch};
 pub use matrix::{DMat, IMat};
-pub use pattern::{BarrierPattern, CommPattern};
+pub use pattern::CommPattern;
 pub use plan::{CompiledPattern, StagePlan};
 pub use predictor::{
-    predict_barrier, predict_compiled_with, BarrierPrediction, CommCosts, CostModel, PairCost,
-    PayloadSchedule,
+    predict_compiled_with, BarrierPrediction, CommCosts, CostModel, PairCost, PayloadSchedule,
 };
 pub use recovery::{remap_goal, repair_plan};
 pub use superstep::{overlap_estimate, SuperstepModel};

@@ -15,11 +15,13 @@
 //! [`CommPattern::render`] prints the 0/1 grids of Figs. 5.2–5.4.
 //!
 //! [`CommPattern`] is the shared abstraction: anything exposing its
-//! stages flows through the same knowledge verification
-//! ([`crate::knowledge`]), critical-path cost prediction
-//! ([`crate::predictor`]) and staged simulation unchanged.
-//! [`BarrierPattern`] is the barrier-shaped implementation; the collective
-//! operations of `hpm-collectives` provide another.
+//! stages compiles ([`CommPattern::plan`]) into the one form the
+//! knowledge verification ([`crate::knowledge`]), critical-path cost
+//! prediction ([`crate::predictor`]) and staged simulation take.
+//! [`CompiledPattern`] is that form and implements the trait itself, so
+//! a barrier is built as a plan and its `plan()` is a copy; the
+//! collective operations of `hpm-collectives` provide the other
+//! implementation.
 
 use crate::plan::{CompiledPattern, StagePlan};
 
@@ -83,51 +85,26 @@ pub fn validate_stages(p: usize, stages: &[StagePlan]) {
     }
 }
 
-/// A barrier algorithm encoded as a stage sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BarrierPattern {
-    name: String,
-    p: usize,
-    stages: Vec<StagePlan>,
-}
-
-impl BarrierPattern {
-    /// Builds a pattern, validating that every stage spans `p` processes
-    /// and that no stage is empty. Barriers always communicate, so at
-    /// least one stage is required.
-    pub fn new(name: &str, p: usize, stages: Vec<StagePlan>) -> BarrierPattern {
-        assert!(!stages.is_empty(), "pattern needs at least one stage");
-        validate_stages(p, &stages);
-        BarrierPattern {
-            name: name.to_string(),
-            p,
-            stages,
-        }
-    }
-
-    /// The execution form of a pattern that is built only to be run: the
-    /// stages move into the plan instead of being cloned as
-    /// [`CommPattern::plan`] must.
-    pub fn into_plan(self) -> CompiledPattern {
-        CompiledPattern::from_stages(&self.name, self.p, self.stages)
-    }
-}
-
-impl CommPattern for BarrierPattern {
+impl CommPattern for CompiledPattern {
     fn name(&self) -> &str {
-        &self.name
+        CompiledPattern::name(self)
     }
 
     fn p(&self) -> usize {
-        self.p
+        CompiledPattern::p(self)
     }
 
     fn stages(&self) -> usize {
-        self.stages.len()
+        CompiledPattern::stages(self)
     }
 
     fn stage(&self, k: usize) -> &StagePlan {
-        &self.stages[k]
+        CompiledPattern::stage(self, k)
+    }
+
+    /// Already the execution form: a copy, not a re-derivation.
+    fn plan(&self) -> CompiledPattern {
+        self.clone()
     }
 }
 
@@ -136,18 +113,18 @@ mod tests {
     use super::*;
     use crate::matrix::IMat;
 
-    fn linear4() -> BarrierPattern {
+    fn linear4() -> CompiledPattern {
         // Fig. 5.2: gather to rank 0, then release.
         let s0 = StagePlan::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
         let s1 = StagePlan::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        BarrierPattern::new("linear", 4, vec![s0, s1])
+        CompiledPattern::from_stages("linear", 4, vec![s0, s1])
     }
 
     #[test]
     fn fig_5_2_linear_shape() {
         let b = linear4();
         assert_eq!(b.stages(), 2);
-        assert_eq!(b.plan().total_signals(), 6);
+        assert_eq!(b.total_signals(), 6);
         assert_eq!(b.stage(0).srcs(0), &[1, 2, 3]);
         assert_eq!(b.stage(1).dsts(0), &[1, 2, 3]);
     }
@@ -167,32 +144,28 @@ mod tests {
         assert_eq!(linear4().render(), format!("S0 =\n{s0}S1 =\n{s1}"));
     }
 
+    /// A plan's trait view answers as the plan does, and its `plan()` is
+    /// the plan itself, tables included.
     #[test]
     fn trait_object_view_matches_concrete() {
         let b = linear4();
         let dyn_view: &dyn CommPattern = &b;
         assert_eq!(dyn_view.p(), 4);
         assert_eq!(dyn_view.stages(), 2);
-        assert_eq!(dyn_view.plan(), b.plan());
-        assert_eq!(b.clone().into_plan(), b.plan());
+        assert_eq!(dyn_view.stage(1), b.stage(1));
+        assert_eq!(dyn_view.plan(), b);
         assert_eq!(dyn_view.name(), "linear");
     }
 
     #[test]
     #[should_panic]
     fn empty_stage_rejected() {
-        BarrierPattern::new("bad", 3, vec![StagePlan::from_edges(3, &[])]);
+        validate_stages(3, &[StagePlan::from_edges(3, &[])]);
     }
 
     #[test]
     #[should_panic]
     fn wrong_dimension_rejected() {
-        BarrierPattern::new("bad", 4, vec![StagePlan::from_edges(3, &[(0, 1)])]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_stages_rejected_for_barriers() {
-        BarrierPattern::new("bad", 3, Vec::new());
+        validate_stages(4, &[StagePlan::from_edges(3, &[(0, 1)])]);
     }
 }

@@ -15,8 +15,9 @@
 //!
 //! [`CompiledPattern`] is a whole pattern's stages together with the
 //! derived tables the predictor needs: per-rank last-transmission stages
-//! and the §5.6.5 posted-receiver booleans. Build once per pattern (via
-//! [`crate::pattern::CommPattern::plan`]), then every enumeration is a
+//! and the §5.6.5 posted-receiver booleans. Barrier builders return one
+//! directly; any other pattern is compiled once via
+//! [`crate::pattern::CommPattern::plan`]. Then every enumeration is a
 //! slice borrow and every posted test an indexed load.
 //!
 //! Both directions of every stage enumerate ascending; the RNG draw

@@ -33,7 +33,6 @@
 //! so a prefix reproduces the first `s + 1` stages bit for bit.
 
 use crate::matrix::DMat;
-use crate::pattern::CommPattern;
 use crate::plan::CompiledPattern;
 
 /// Benchmarked platform cost matrices (§5.6.3).
@@ -186,23 +185,6 @@ pub struct BarrierPrediction {
     pub total: f64,
 }
 
-/// Predicts the cost of executing `pattern` on a platform described by
-/// `costs`, with per-stage payloads from `payload`.
-///
-/// Works on any [`CommPattern`] — barriers and collectives alike; the name
-/// keeps the thesis' framing (the predictor was introduced for barriers,
-/// §5.6.5) while the machinery is pattern-agnostic. Builds the pattern's
-/// plan and delegates to [`predict_compiled_with`]; callers predicting the
-/// same pattern repeatedly (parameter sweeps) should build the plan once
-/// themselves.
-pub fn predict_barrier<P: CommPattern + ?Sized, C: CostModel + ?Sized>(
-    pattern: &P,
-    costs: &C,
-    payload: &PayloadSchedule,
-) -> BarrierPrediction {
-    predict_compiled_with(&pattern.plan(), costs, payload)
-}
-
 /// The forward dynamic program over a compiled pattern and any
 /// [`CostModel`]: CSR slices, O(1) posted lookups and two p-length rows —
 /// O(p·stages + edges) in time and O(p) in memory, so with a class-level
@@ -260,24 +242,23 @@ pub fn predict_compiled_with<C: CostModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::BarrierPattern;
     use crate::plan::StagePlan;
 
-    fn linear(p: usize) -> BarrierPattern {
+    fn linear(p: usize) -> CompiledPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
         let gather = StagePlan::from_edges(p, &gather);
         let release = gather.transpose();
-        BarrierPattern::new("linear", p, vec![gather, release])
+        CompiledPattern::from_stages("linear", p, vec![gather, release])
     }
 
-    fn dissemination(p: usize) -> BarrierPattern {
+    fn dissemination(p: usize) -> CompiledPattern {
         let stages = (0..crate::pattern::log2_ceil(p))
             .map(|s| {
                 let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + (1 << s)) % p)).collect();
                 StagePlan::from_edges(p, &edges)
             })
             .collect();
-        BarrierPattern::new("dissemination", p, stages)
+        CompiledPattern::from_stages("dissemination", p, stages)
     }
 
     /// Eq. 5.4 cost of process i in stage s, as the stage-resolved
@@ -433,7 +414,7 @@ mod tests {
     fn prefix_totals_match_stage_resolved_entries() {
         let p = 8;
         let costs = CommCosts::uniform(p, 1e-7, 5e-7, 1e-6);
-        let plan = dissemination(p).into_plan();
+        let plan = dissemination(p);
         let entry = oracle_entry(&plan, &costs, &PayloadSchedule::none());
         for (n, row) in entry.iter().enumerate() {
             assert_eq!(prefix_total(&plan, n, &costs), row_max(row), "{n} stages");
@@ -449,7 +430,7 @@ mod tests {
         let p = 16;
         let c = 1e-6;
         let costs = CommCosts::uniform(p, 0.0, 0.0, c);
-        let pred = predict_barrier(&linear(p), &costs, &PayloadSchedule::none());
+        let pred = predict_compiled_with(&linear(p), &costs, &PayloadSchedule::none());
         let expect = 2.0 * c + 2.0 * c * (p as f64 - 1.0);
         assert!(
             (pred.total - expect).abs() < 1e-15,
@@ -463,7 +444,7 @@ mod tests {
         let c = 1e-6;
         for p in [8usize, 16, 32, 64] {
             let costs = CommCosts::uniform(p, 0.0, 0.0, c);
-            let pred = predict_barrier(&dissemination(p), &costs, &PayloadSchedule::none());
+            let pred = predict_compiled_with(&dissemination(p), &costs, &PayloadSchedule::none());
             let stages = crate::pattern::log2_ceil(p) as f64;
             let expect = 2.0 * c * stages;
             assert!(
@@ -477,8 +458,9 @@ mod tests {
     #[test]
     fn linear_to_dissemination_ratio_grows_with_p() {
         let costs64 = CommCosts::uniform(64, 1e-7, 5e-7, 1e-6);
-        let lin = predict_barrier(&linear(64), &costs64, &PayloadSchedule::none()).total;
-        let dis = predict_barrier(&dissemination(64), &costs64, &PayloadSchedule::none()).total;
+        let lin = predict_compiled_with(&linear(64), &costs64, &PayloadSchedule::none()).total;
+        let dis =
+            predict_compiled_with(&dissemination(64), &costs64, &PayloadSchedule::none()).total;
         assert!(lin > 5.0 * dis, "linear {lin} vs dissemination {dis}");
     }
 
@@ -495,7 +477,7 @@ mod tests {
             (false, _) => 0.0,
         });
         let costs = CommCosts::new(o, DMat::zeros(p, p), DMat::zeros(p, p));
-        let plan = linear(p).into_plan();
+        let plan = linear(p);
         let gather = prefix_total(&plan, 1, &costs);
         let release = prefix_total(&plan, 2, &costs);
         assert!((gather - 3e-7).abs() < 1e-18, "gather {gather}");
@@ -529,9 +511,9 @@ mod tests {
         let mut costs = CommCosts::uniform(p, 0.0, 0.0, 1e-6);
         costs.beta = DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { 1e-8 });
         let pat = dissemination(p);
-        let no_payload = predict_barrier(&pat, &costs, &PayloadSchedule::none()).total;
+        let no_payload = predict_compiled_with(&pat, &costs, &PayloadSchedule::none()).total;
         let payload = PayloadSchedule::dissemination_count_map(p);
-        let with_payload = predict_barrier(&pat, &costs, &payload).total;
+        let with_payload = predict_compiled_with(&pat, &costs, &payload).total;
         // Payload bytes over the critical path: stage s carries
         // min(2^s, P−2^s)·4P bytes at β = 1e-8.
         let extra: f64 = (0..3)
@@ -576,8 +558,8 @@ mod tests {
             }
         }
         let pat = dissemination(p);
-        let fast = predict_barrier(&pat, &uniform, &PayloadSchedule::none()).total;
-        let slowed = predict_barrier(&pat, &slow, &PayloadSchedule::none()).total;
+        let fast = predict_compiled_with(&pat, &uniform, &PayloadSchedule::none()).total;
+        let slowed = predict_compiled_with(&pat, &slow, &PayloadSchedule::none()).total;
         assert!(slowed > 10.0 * fast, "{slowed} vs {fast}");
     }
 
@@ -585,19 +567,18 @@ mod tests {
     #[should_panic]
     fn mismatched_process_count_rejected() {
         let costs = CommCosts::uniform(4, 0.0, 0.0, 1e-6);
-        predict_barrier(&linear(8), &costs, &PayloadSchedule::none());
+        predict_compiled_with(&linear(8), &costs, &PayloadSchedule::none());
     }
 
     /// A plan built once and reused across cost matrices yields the
-    /// exact numbers the per-call entry point produces.
+    /// exact numbers a freshly built plan produces.
     #[test]
     fn reused_plan_matches_fresh_compilation() {
-        let pat = dissemination(24);
-        let plan = pat.plan();
+        let plan = dissemination(24);
         for seed in 0..4u64 {
             let o = 1e-7 * (seed + 1) as f64;
             let costs = CommCosts::uniform(24, o, 5.0 * o, 1e-6);
-            let fresh = predict_barrier(&pat, &costs, &PayloadSchedule::none());
+            let fresh = predict_compiled_with(&dissemination(24), &costs, &PayloadSchedule::none());
             let reused = predict_compiled_with(&plan, &costs, &PayloadSchedule::none());
             assert_eq!(fresh.total.to_bits(), reused.total.to_bits());
         }

@@ -29,7 +29,7 @@
 //! [`JitterBuf`] with exactly [`CompiledPattern::jitter_draws`]
 //! multipliers from a counter-based stream keyed by `(seed, label, rep)`
 //! before executing — the stage loop then touches no RNG at all.
-//! [`BarrierSim::measure`] goes one step further and runs repetitions in
+//! [`BarrierSim::measure_compiled`] goes one step further and runs repetitions in
 //! SoA lanes on the [`crate::batch::LaneScratch`] executor; because every
 //! repetition's multipliers come from its own `(seed, rep)` stream, the
 //! samples are identical however repetitions are grouped into lanes or
@@ -38,7 +38,6 @@
 use crate::batch::LaneScratch;
 use crate::net::{FaultView, NetState, NoFaults, SignalFate};
 use crate::params::PlatformParams;
-use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
 use hpm_stats::rng::{JitterBuf, JitterSource};
@@ -50,7 +49,7 @@ use hpm_topology::Placement;
 /// one lane of the SoA executor.
 pub const BARRIER_JITTER_LABEL: u64 = 0x4241_5252; // "BARR"
 
-/// Lanes per batch of [`BarrierSim::measure`]: the width the jitter
+/// Lanes per batch of [`BarrierSim::measure_compiled`]: the width the jitter
 /// fill has a fixed-width kernel for. A tuning knob, not a contract:
 /// samples are bit-identical for any lane width because each repetition
 /// owns its `(seed, rep)` jitter stream.
@@ -334,24 +333,9 @@ impl<'a> BarrierSim<'a> {
     /// and the per-lane arithmetic is the scalar recurrence verbatim, the
     /// samples are bit-identical to one-at-a-time cold-start
     /// [`BarrierSim::run_once_batched`] runs — at any lane width and any
-    /// [`hpm_par`] thread count. The pattern is compiled once, each
-    /// worker carries one [`LaneScratch`] across its batches, and every
-    /// batch writes its totals straight into its slice of the samples.
-    pub fn measure<P: CommPattern + ?Sized + Sync>(
-        &self,
-        pattern: &P,
-        payload: &PayloadSchedule,
-        reps: usize,
-        seed: u64,
-    ) -> BarrierMeasurement {
-        self.measure_compiled(&pattern.plan(), payload, reps, seed)
-    }
-
-    /// [`BarrierSim::measure`] over an already-compiled pattern — the
-    /// entry point of the scale path, where patterns are authored
-    /// sparsely (see `StagePlan::from_edges`) and a dense intermediate
-    /// would dwarf the simulation state. Identical samples to
-    /// [`BarrierSim::measure`] on the pattern the plan was compiled from.
+    /// [`hpm_par`] thread count. Each worker carries one [`LaneScratch`]
+    /// across its batches, and every batch writes its totals straight
+    /// into its slice of the samples.
     pub fn measure_compiled(
         &self,
         plan: &CompiledPattern,
@@ -385,16 +369,15 @@ mod tests {
     use super::*;
     use crate::fixtures::dissemination;
     use crate::params::xeon_cluster_params;
-    use hpm_core::pattern::BarrierPattern;
     use hpm_core::plan::StagePlan;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 
-    fn linear(p: usize) -> BarrierPattern {
+    fn linear(p: usize) -> CompiledPattern {
         let gather: Vec<(usize, usize)> = (1..p).map(|i| (i, 0)).collect();
         let gather = StagePlan::from_edges(p, &gather);
         let release = gather.transpose();
-        BarrierPattern::new("linear", p, vec![gather, release])
+        CompiledPattern::from_stages("linear", p, vec![gather, release])
     }
 
     #[test]
@@ -434,7 +417,7 @@ mod tests {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
         let sim = BarrierSim::new(&params, &placement);
         let lin = sim
-            .measure(&linear(64), &PayloadSchedule::none(), 8, 1)
+            .measure_compiled(&linear(64), &PayloadSchedule::none(), 8, 1)
             .mean();
         let dis = sim
             .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 8, 1)
@@ -494,10 +477,10 @@ mod tests {
         let s64 = BarrierSim::new(&params, &placement64);
         let s16 = BarrierSim::new(&params, &placement16);
         let lin_ratio = s64
-            .measure(&linear(64), &PayloadSchedule::none(), 3, 5)
+            .measure_compiled(&linear(64), &PayloadSchedule::none(), 3, 5)
             .mean()
             / s16
-                .measure(&linear(16), &PayloadSchedule::none(), 3, 5)
+                .measure_compiled(&linear(16), &PayloadSchedule::none(), 3, 5)
                 .mean();
         let dis_ratio = s64
             .measure_compiled(&dissemination(64), &PayloadSchedule::none(), 3, 5)

@@ -388,7 +388,7 @@ impl BarrierSim<'_> {
     /// streams per repetition, fanned out on [`hpm_par`]. Repetition `r`
     /// is bit-identical to a lone [`BarrierSim::run_once_faulty_into`] at
     /// `rep = r` — grouping into workers is invisible, exactly like the
-    /// lane batching of the healthy `measure`.
+    /// lane batching of the healthy `measure_compiled`.
     ///
     /// # Panics
     ///

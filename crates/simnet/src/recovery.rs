@@ -376,6 +376,63 @@ mod tests {
         }
     }
 
+    /// A fault report as words: each outcome's kind and time bits, the
+    /// counters and the retry delay's bits — so two reports compare
+    /// bitwise rather than by `f64` equality.
+    fn report_words(r: &FaultReport) -> Vec<u64> {
+        let mut words: Vec<u64> = r
+            .outcomes
+            .iter()
+            .flat_map(|o| match *o {
+                RankOutcome::Completed(t) => [0, t.to_bits()],
+                RankOutcome::TimedOut(t) => [1, t.to_bits()],
+                RankOutcome::Crashed(t) => [2, t.to_bits()],
+            })
+            .collect();
+        words.extend([
+            r.retries,
+            r.retry_delay.to_bits(),
+            r.lost_signals,
+            r.suppressed_signals,
+        ]);
+        words
+    }
+
+    /// Crashes, drops and stragglers that send repetitions down the
+    /// re-plan path: repetition `r` of `measure_recovering` carries as
+    /// its attempt bitwise what repetition `r` of `measure_faulty`
+    /// reports — recovery adds to a failed attempt, never perturbs it.
+    #[test]
+    fn recovering_attempt_is_bitwise_the_faulty_run() {
+        let p = 20;
+        let (params, placement) = sim_fixture(p);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(p);
+        let payload = PayloadSchedule::none();
+        let fault = FaultModel {
+            crash_count: 2,
+            crash_window: 1e-4,
+            drop: DropProb::uniform(0.02),
+            straggler_prob: 0.1,
+            straggler_scale: 5e-5,
+            straggler_alpha: 1.5,
+            timeout: 2e-4,
+            ..FaultModel::NONE
+        };
+        let goal = KnowledgeGoal::AllToAll;
+        let faulty = sim.measure_faulty(&plan, &payload, &fault, 12, 31);
+        let recovering = sim.measure_recovering(&plan, &payload, goal, &fault, 12, 31);
+        assert!(
+            recovering.iter().any(|r| r.replanned),
+            "fixture must exercise the re-plan path"
+        );
+        assert!(faulty.iter().any(|f| f.retries > 0), "fixture must drop");
+        assert_eq!(recovering.len(), faulty.len());
+        for (r, (rec, f)) in recovering.iter().zip(&faulty).enumerate() {
+            assert_eq!(report_words(&rec.attempt), report_words(f), "rep {r}");
+        }
+    }
+
     /// A forced crash set: survivors pay detection + consensus, execute
     /// the repaired plan, and everyone alive completes after the crash.
     #[test]

@@ -21,8 +21,7 @@
 use crate::decomp::Decomposition;
 use hpm_barriers::patterns::dissemination;
 use hpm_bsplib::ops::HEADER_BYTES;
-use hpm_core::pattern::CommPattern;
-use hpm_core::predictor::{predict_barrier, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
 use hpm_simnet::barrier::{BarrierSim, SimScratch};
@@ -103,7 +102,7 @@ pub fn predict_ghost_width(
     let p = placement.nprocs();
     let decomp = Decomposition::new(n, p);
     let sync = if p >= 2 {
-        predict_barrier(
+        predict_compiled_with(
             &dissemination(p),
             &profile.costs,
             &PayloadSchedule::dissemination_count_map(p),
@@ -162,7 +161,7 @@ pub fn measure_ghost_width(
     let sim = BarrierSim::new(params, placement);
     // Fixed pattern for the whole sweep point: compile once, reuse the
     // executor and exchange scratch across supersteps.
-    let plan = (p >= 2).then(|| dissemination(p).plan());
+    let plan = (p >= 2).then(|| dissemination(p));
     let payload = PayloadSchedule::dissemination_count_map(p);
     let mut rng = derive_rng(seed, w as u64);
     let mut jitter = params.jitter;

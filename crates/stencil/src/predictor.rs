@@ -22,7 +22,7 @@ use hpm_bsplib::ops::HEADER_BYTES;
 use hpm_core::compute::superstep_times;
 use hpm_core::hockney::comm_times;
 use hpm_core::matrix::DMat;
-use hpm_core::predictor::{predict_barrier, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
@@ -94,7 +94,7 @@ pub fn predict_bsp_iteration(
 
     // Synchronization: the payload-carrying barrier.
     let sync = if p >= 2 {
-        predict_barrier(
+        predict_compiled_with(
             &dissemination(p),
             &profile.costs,
             &PayloadSchedule::dissemination_count_map(p),

@@ -220,17 +220,9 @@ impl Placement {
         self.node_ranks.iter().filter(|r| !r.is_empty()).count()
     }
 
-    /// Ranks resident on a node, ascending — served from the node buckets
-    /// built at construction (see [`Placement::node_ranks`] for the
-    /// borrow-only form). An out-of-range node hosts no ranks, as in the
-    /// original scan-based implementation.
-    #[must_use]
-    pub fn ranks_on_node(&self, node: usize) -> Vec<usize> {
-        self.node_ranks.get(node).cloned().unwrap_or_default()
-    }
-
-    /// Borrow the ranks resident on a node, ascending; empty for a node
-    /// outside the shape.
+    /// Borrow the ranks resident on a node, ascending — served from the
+    /// node buckets built at construction; empty for a node outside the
+    /// shape.
     #[must_use]
     pub fn node_ranks(&self, node: usize) -> &[usize] {
         self.node_ranks.get(node).map_or(&[], Vec::as_slice)
@@ -296,7 +288,7 @@ mod tests {
             let p = Placement::new(shape, PlacementPolicy::RoundRobin, n);
             for node in 0..shape.nodes() {
                 assert!(
-                    p.ranks_on_node(node).len() <= shape.cores_per_node(),
+                    p.node_ranks(node).len() <= shape.cores_per_node(),
                     "{n} procs overfilled node {node}"
                 );
             }
@@ -393,12 +385,11 @@ mod tests {
                 for node in 0..shape.nodes() {
                     let bucket: Vec<usize> =
                         (0..n).filter(|&r| p.core_of(r).node == node).collect();
-                    assert_eq!(p.ranks_on_node(node), bucket);
                     assert_eq!(p.node_ranks(node), &bucket[..]);
                 }
                 // Out-of-range nodes host nothing (the pre-LinkMap
                 // scan-based behavior).
-                assert!(p.ranks_on_node(shape.nodes()).is_empty());
+                assert!(p.node_ranks(shape.nodes()).is_empty());
                 assert!(p.node_ranks(shape.nodes() + 7).is_empty());
             }
         }

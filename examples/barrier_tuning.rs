@@ -9,8 +9,7 @@
 
 use hpm::barriers::greedy::greedy_adaptive_barrier;
 use hpm::barriers::patterns::{binary_tree, dissemination, linear};
-use hpm::model::pattern::CommPattern;
-use hpm::model::predictor::{predict_barrier, PayloadSchedule};
+use hpm::model::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm::simnet::barrier::BarrierSim;
 use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm::simnet::params::xeon_cluster_params;
@@ -49,8 +48,8 @@ fn main() {
     rows.push(("binary tree".into(), binary_tree(p)));
     rows.push(("linear".into(), linear(p, 0)));
     for (name, pat) in rows {
-        let predicted = predict_barrier(&pat, &profile.costs, &payload).total;
-        let measured = sim.measure(&pat, &payload, 64, 23).mean();
+        let predicted = predict_compiled_with(&pat, &profile.costs, &payload).total;
+        let measured = sim.measure_compiled(&pat, &payload, 64, 23).mean();
         println!(
             "{:<22} {:>10.2} us {:>10.2} us",
             name,

@@ -8,9 +8,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use hpm::barriers::patterns::{binary_tree, dissemination, linear};
-use hpm::model::knowledge::verify_synchronizes;
-use hpm::model::pattern::CommPattern;
-use hpm::model::predictor::{predict_barrier, PayloadSchedule};
+use hpm::model::knowledge::VerifyScratch;
+use hpm::model::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm::simnet::barrier::BarrierSim;
 use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm::simnet::params::xeon_cluster_params;
@@ -38,13 +37,14 @@ fn main() {
     );
     for pattern in [dissemination(p), binary_tree(p), linear(p, 0)] {
         assert!(
-            verify_synchronizes(&pattern).synchronizes(),
+            VerifyScratch::new().verify(&pattern).synchronizes(),
             "{} must synchronize",
             pattern.name()
         );
-        let predicted = predict_barrier(&pattern, &profile.costs, &PayloadSchedule::none()).total;
+        let predicted =
+            predict_compiled_with(&pattern, &profile.costs, &PayloadSchedule::none()).total;
         let measured = sim
-            .measure(&pattern, &PayloadSchedule::none(), 64, 7)
+            .measure_compiled(&pattern, &PayloadSchedule::none(), 64, 7)
             .mean();
         println!(
             "{:<15} {:>10.2} us {:>10.2} us {:>+7.1}%",

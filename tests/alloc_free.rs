@@ -151,7 +151,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
 
     // `measure_compiled` allocates per call (its samples, one worker's
     // scratch), not per lane batch: 64 batches cost what 4 do.
-    let plan = dissemination(64).plan();
+    let plan = dissemination(64);
     let per_call = |reps: usize| {
         (0..8)
             .map(|_| {
@@ -172,11 +172,7 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     // The knowledge verifier: after one warmup sizes its two bit tables,
     // repeated verification loops — including across the two pattern
     // shapes — stay off the heap entirely (goal queries included).
-    let plans = [
-        dissemination(64).plan(),
-        binary_tree(64).plan(),
-        dissemination(48).plan(),
-    ];
+    let plans = [dissemination(64), binary_tree(64), dissemination(48)];
     use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
     let mut scratch = VerifyScratch::new();
     assert!(scratch.verify(&plans[0]).synchronizes());

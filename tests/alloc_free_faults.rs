@@ -46,7 +46,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn faulty_and_recovering_repetitions_allocate_nothing() {
     use hpm::barriers::patterns::dissemination;
     use hpm::model::knowledge::KnowledgeGoal;
-    use hpm::model::pattern::CommPattern;
     use hpm::model::predictor::PayloadSchedule;
     use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
     use hpm::simnet::net::NetState;
@@ -59,7 +58,7 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     let params = xeon_cluster_params();
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
     let sim = BarrierSim::new(&params, &placement);
-    let plan = dissemination(64).plan();
+    let plan = dissemination(64);
     let payload = PayloadSchedule::none();
     let zeros = vec![0.0; 64];
 

@@ -5,9 +5,8 @@ use hpm::barriers::greedy::greedy_adaptive_barrier;
 use hpm::barriers::patterns::{binary_tree, dissemination, linear, ring};
 use hpm::bsplib::runtime::BspConfig;
 use hpm::kernels::rate::{opteron_core, xeon_core};
-use hpm::model::knowledge::verify_synchronizes;
-use hpm::model::pattern::CommPattern;
-use hpm::model::predictor::{predict_barrier, PayloadSchedule};
+use hpm::model::knowledge::VerifyScratch;
+use hpm::model::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm::simnet::barrier::BarrierSim;
 use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm::simnet::params::{opteron_cluster_params, xeon_cluster_params};
@@ -24,13 +23,15 @@ fn adaptive_barrier_beats_or_matches_defaults_in_simulation() {
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 60);
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 1);
     let report = greedy_adaptive_barrier(&profile.costs);
-    assert!(verify_synchronizes(&report.pattern).synchronizes());
+    assert!(VerifyScratch::new().verify(&report.pattern).synchronizes());
 
     let sim = BarrierSim::new(&params, &placement);
     let payload = PayloadSchedule::none();
-    let adapted = sim.measure(&report.pattern, &payload, 32, 2).mean();
+    let adapted = sim
+        .measure_compiled(&report.pattern, &payload, 32, 2)
+        .mean();
     for pat in [dissemination(60), binary_tree(60), linear(60, 0)] {
-        let d = sim.measure(&pat, &payload, 32, 2).mean();
+        let d = sim.measure_compiled(&pat, &payload, 32, 2).mean();
         assert!(
             adapted <= d * 1.10,
             "adapted {adapted:.3e} lost to {} ({d:.3e})",
@@ -47,8 +48,10 @@ fn prediction_tracks_simulation_on_the_opteron_cluster_too() {
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 3);
     let sim = BarrierSim::new(&params, &placement);
     for pat in [dissemination(96), binary_tree(96)] {
-        let predicted = predict_barrier(&pat, &profile.costs, &PayloadSchedule::none()).total;
-        let measured = sim.measure(&pat, &PayloadSchedule::none(), 16, 4).mean();
+        let predicted = predict_compiled_with(&pat, &profile.costs, &PayloadSchedule::none()).total;
+        let measured = sim
+            .measure_compiled(&pat, &PayloadSchedule::none(), 16, 4)
+            .mean();
         let rel = (predicted - measured).abs() / measured;
         assert!(
             rel < 1.0,
@@ -82,13 +85,15 @@ fn extreme_patterns_synchronize_but_scale_poorly() {
     // §5.6.6's boundary cases: the ring barrier is correct but its
     // simulated cost dwarfs the dissemination barrier at scale.
     let p = 32;
-    assert!(verify_synchronizes(&ring(p)).synchronizes());
+    assert!(VerifyScratch::new().verify(&ring(p)).synchronizes());
     let params = xeon_cluster_params();
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
     let sim = BarrierSim::new(&params, &placement);
-    let ring_t = sim.measure(&ring(p), &PayloadSchedule::none(), 8, 6).mean();
+    let ring_t = sim
+        .measure_compiled(&ring(p), &PayloadSchedule::none(), 8, 6)
+        .mean();
     let diss_t = sim
-        .measure(&dissemination(p), &PayloadSchedule::none(), 8, 6)
+        .measure_compiled(&dissemination(p), &PayloadSchedule::none(), 8, 6)
         .mean();
     assert!(
         ring_t > 3.0 * diss_t,
@@ -122,8 +127,10 @@ fn faster_interconnect_shrinks_barrier_spread_and_overlap_benefit() {
     let payload = PayloadSchedule::none();
     let spread = |params: &hpm::simnet::params::PlatformParams| {
         let sim = BarrierSim::new(params, &placement);
-        let lin = sim.measure(&linear(p, 0), &payload, 8, 9).mean();
-        let dis = sim.measure(&dissemination(p), &payload, 8, 9).mean();
+        let lin = sim.measure_compiled(&linear(p, 0), &payload, 8, 9).mean();
+        let dis = sim
+            .measure_compiled(&dissemination(p), &payload, 8, 9)
+            .mean();
         lin / dis
     };
     let gige = spread(&xeon_cluster_params());
@@ -137,8 +144,8 @@ fn faster_interconnect_shrinks_barrier_spread_and_overlap_benefit() {
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 13);
     let sim = BarrierSim::new(&params, &placement);
     let pat = dissemination(p);
-    let predicted = predict_barrier(&pat, &profile.costs, &payload).total;
-    let measured = sim.measure(&pat, &payload, 16, 14).mean();
+    let predicted = predict_compiled_with(&pat, &profile.costs, &payload).total;
+    let measured = sim.measure_compiled(&pat, &payload, 16, 14).mean();
     let rel = (predicted - measured).abs() / measured;
     assert!(rel < 1.0, "IB prediction {predicted:.3e} vs {measured:.3e}");
 }

@@ -40,7 +40,7 @@ fn fnv_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// Golden pin of the batched jitter engine (PR 5): the samples
-/// [`hpm::simnet::BarrierSim::measure`] produces were hashed on the new
+/// [`hpm::simnet::BarrierSim::measure_compiled`] produces were hashed on the new
 /// engine (per-repetition counter streams, tabulated log-normal
 /// quantiles, lane-parallel execution) and must not move again — the
 /// draw-order contract was *deliberately* re-struck in this PR (every
@@ -72,7 +72,7 @@ fn measure_samples_match_jitter_engine_goldens() {
     ] {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         let sim = BarrierSim::new(&params, &placement);
-        let m = sim.measure(&dissemination(p), &PayloadSchedule::none(), 256, 42);
+        let m = sim.measure_compiled(&dissemination(p), &PayloadSchedule::none(), 256, 42);
         assert_eq!(m.samples.len(), 256);
         assert_eq!(m.samples[0].to_bits(), golden_first, "p={p} first sample");
         assert_eq!(fnv_samples(&m.samples), golden_fnv, "p={p} sample stream");
@@ -80,7 +80,7 @@ fn measure_samples_match_jitter_engine_goldens() {
     // A payload-carrying tree pattern exercises the srcs/posted tables.
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 24);
     let sim = BarrierSim::new(&params, &placement);
-    let m = sim.measure(
+    let m = sim.measure_compiled(
         &binary_tree(24),
         &PayloadSchedule::dissemination_count_map(24),
         64,
@@ -148,7 +148,6 @@ fn stress_fault_model() -> hpm::stats::fault::FaultModel {
 #[test]
 fn faulty_measure_bit_identical_across_thread_counts() {
     use hpm::barriers::patterns::dissemination;
-    use hpm::model::pattern::CommPattern;
     use hpm::model::predictor::PayloadSchedule;
     use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
     use hpm::simnet::net::NetState;
@@ -158,7 +157,7 @@ fn faulty_measure_bit_identical_across_thread_counts() {
     let p = 64;
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
     let sim = BarrierSim::new(&params, &placement);
-    let plan = dissemination(p).plan();
+    let plan = dissemination(p);
     let fault = stress_fault_model();
     let reps = 32;
     let seed = 2026;
@@ -238,7 +237,6 @@ fn fnv_outcomes(h: u64, outcomes: &[hpm::simnet::RankOutcome]) -> u64 {
 fn recovering_outcomes_match_goldens() {
     use hpm::barriers::patterns::dissemination;
     use hpm::model::knowledge::KnowledgeGoal;
-    use hpm::model::pattern::CommPattern;
     use hpm::model::predictor::PayloadSchedule;
     use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
     use hpm::simnet::net::NetState;
@@ -254,7 +252,7 @@ fn recovering_outcomes_match_goldens() {
     let p = 64;
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
     let sim = BarrierSim::new(&params, &placement);
-    let plan = dissemination(p).plan();
+    let plan = dissemination(p);
     let payload = PayloadSchedule::dissemination_count_map(p);
 
     // Realized faults: every fault class at once, 32 repetitions.
@@ -498,7 +496,8 @@ fn predictions_match_goldens() {
     };
     use hpm::collectives::pattern::catalog;
     use hpm::model::matrix::DMat;
-    use hpm::model::predictor::{predict_barrier, CommCosts, PayloadSchedule};
+    use hpm::model::pattern::CommPattern;
+    use hpm::model::predictor::{predict_compiled_with, CommCosts, PayloadSchedule};
 
     let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
     let ramp = PayloadSchedule::from_bytes((0..16).map(|s| 24 + 40 * s).collect());
@@ -533,12 +532,21 @@ fn predictions_match_goldens() {
             all_to_all(p),
         ] {
             for payload in [&none, &ramp] {
-                h = word(h, predict_barrier(&b, &costs, payload).total.to_bits());
+                h = word(
+                    h,
+                    predict_compiled_with(&b, &costs, payload).total.to_bits(),
+                );
             }
         }
         for c in catalog(p, p - 1, 1024) {
+            let plan = c.plan();
             for payload in [&none, c.payload()] {
-                h = word(h, predict_barrier(&c, &costs, payload).total.to_bits());
+                h = word(
+                    h,
+                    predict_compiled_with(&plan, &costs, payload)
+                        .total
+                        .to_bits(),
+                );
             }
         }
         assert_eq!(h, golden, "p={p}: a dense prediction moved ({h:#018x})");
@@ -548,8 +556,6 @@ fn predictions_match_goldens() {
     // the platform gate of the sample goldens above.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     {
-        use hpm::barriers::patterns::dissemination_plan;
-        use hpm::model::predictor::predict_compiled_with;
         use hpm::simnet::microbench::{bench_platform_classes, ClassCosts, MicrobenchConfig};
         use hpm::topology::{cluster_128x2x4, cluster_32x2x4, cluster_512x2x4};
 
@@ -562,7 +568,7 @@ fn predictions_match_goldens() {
             let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
             let profile = bench_platform_classes(&xeon_cluster_params(), &placement, &cfg, 2012);
             let costs = ClassCosts::new(&placement, profile);
-            let plan = dissemination_plan(p);
+            let plan = dissemination(p);
             let mut h = 0xcbf29ce484222325;
             for payload in [
                 PayloadSchedule::none(),
@@ -913,7 +919,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use hpm::barriers::patterns::dissemination;
-        use hpm::model::pattern::CommPattern;
         use hpm::model::predictor::PayloadSchedule;
         use hpm::simnet::barrier::BarrierSim;
         use hpm::stats::fault::FaultModel;
@@ -921,7 +926,7 @@ proptest! {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p).plan();
+        let plan = dissemination(p);
         let healthy = sim.measure_compiled(&plan, &PayloadSchedule::none(), reps, seed);
         let faulty = sim.measure_faulty(&plan, &PayloadSchedule::none(), &FaultModel::NONE, reps, seed);
         prop_assert_eq!(healthy.samples.len(), reps);

@@ -9,11 +9,11 @@ use hpm::collectives::pattern::catalog;
 use hpm::collectives::predict::predict_collective;
 use hpm::kernels::rate::xeon_core;
 use hpm::model::compute::{imbalance, superstep_times};
-use hpm::model::knowledge::verify_synchronizes;
+use hpm::model::knowledge::VerifyScratch;
 use hpm::model::matrix::DMat;
 use hpm::model::pattern::CommPattern;
 use hpm::model::plan::CompiledPattern;
-use hpm::model::predictor::{predict_barrier, CommCosts, PayloadSchedule};
+use hpm::model::predictor::{predict_compiled_with, CommCosts, PayloadSchedule};
 use hpm::model::superstep::SuperstepModel;
 use hpm::simnet::params::xeon_cluster_params;
 use hpm::stats::quantile::{median, quantile};
@@ -136,11 +136,11 @@ proptest! {
     /// Every standard builder synchronizes for every process count.
     #[test]
     fn all_standard_barriers_synchronize(p in 2usize..48) {
-        prop_assert!(verify_synchronizes(&linear(p, 0)).synchronizes());
-        prop_assert!(verify_synchronizes(&dissemination(p)).synchronizes());
-        prop_assert!(verify_synchronizes(&binary_tree(p)).synchronizes());
-        prop_assert!(verify_synchronizes(&ring(p)).synchronizes());
-        prop_assert!(verify_synchronizes(&all_to_all(p)).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&linear(p, 0)).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&dissemination(p)).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&binary_tree(p)).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&ring(p)).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&all_to_all(p)).synchronizes());
     }
 
     /// Arbitrary-degree trees synchronize and have the 2(p−1) signal
@@ -148,22 +148,21 @@ proptest! {
     #[test]
     fn kary_trees_synchronize(p in 2usize..40, d in 1usize..6) {
         let b = kary_tree(p, d);
-        prop_assert!(verify_synchronizes(&b).synchronizes());
-        prop_assert_eq!(b.plan().total_signals(), 2 * (p - 1));
+        prop_assert!(VerifyScratch::new().verify(&b).synchronizes());
+        prop_assert_eq!(b.total_signals(), 2 * (p - 1));
     }
 
     /// Dropping the final stage of a dissemination barrier (p > 2) must
     /// break synchronization — the stage count is tight.
     #[test]
     fn dissemination_stage_count_is_tight(p in 3usize..33) {
-        use hpm::model::pattern::BarrierPattern;
         use hpm::model::plan::StagePlan;
         let full = dissemination(p);
         if full.stages() >= 2 {
             let stages: Vec<StagePlan> =
                 (0..full.stages() - 1).map(|s| full.stage(s).clone()).collect();
-            let truncated = BarrierPattern::new("short", p, stages);
-            prop_assert!(!verify_synchronizes(&truncated).synchronizes());
+            let truncated = CompiledPattern::from_stages("short", p, stages);
+            prop_assert!(!VerifyScratch::new().verify(&truncated).synchronizes());
         }
     }
 
@@ -252,8 +251,8 @@ proptest! {
             base.beta.clone(),
         );
         let pat = dissemination(p);
-        let t0 = predict_barrier(&pat, &base, &PayloadSchedule::none()).total;
-        let t1 = predict_barrier(&pat, &scaled, &PayloadSchedule::none()).total;
+        let t0 = predict_compiled_with(&pat, &base, &PayloadSchedule::none()).total;
+        let t1 = predict_compiled_with(&pat, &scaled, &PayloadSchedule::none()).total;
         prop_assert!(t1 >= t0 * 0.999);
     }
 
@@ -263,8 +262,8 @@ proptest! {
         let mut costs = CommCosts::uniform(p, 1e-7, 5e-7, 2e-6);
         costs.beta = DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { 1e-9 });
         let pat = dissemination(p);
-        let plain = predict_barrier(&pat, &costs, &PayloadSchedule::none()).total;
-        let loaded = predict_barrier(
+        let plain = predict_compiled_with(&pat, &costs, &PayloadSchedule::none()).total;
+        let loaded = predict_compiled_with(
             &pat,
             &costs,
             &PayloadSchedule::uniform(pat.stages(), bytes),
@@ -366,7 +365,7 @@ proptest! {
         let shapes = vec![GatherShape::Tree(2); groups];
         let inter = dissemination(groups);
         let b = hybrid_barrier(p, &gs, &shapes, Some(&inter));
-        prop_assert!(verify_synchronizes(&b).synchronizes());
+        prop_assert!(VerifyScratch::new().verify(&b).synchronizes());
     }
 
     /// Every collective pattern in the catalog passes its knowledge /
@@ -380,10 +379,8 @@ proptest! {
     ) {
         let root = root_pick % p;
         for c in catalog(p, root, bytes) {
-            use hpm::model::knowledge::verify_synchronizes as verify;
-            let trace = verify(&c);
             prop_assert!(
-                trace.satisfies(c.goal()),
+                VerifyScratch::new().verify(&c.plan()).satisfies(c.goal()),
                 "{} p={} root={} violates {:?}",
                 c.name(), p, root, c.goal()
             );
