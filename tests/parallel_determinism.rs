@@ -482,6 +482,35 @@ fn registry_plan_structures_match_goldens() {
     }
 }
 
+/// Golden pin of the plans at the scale extension's sizes: dissemination
+/// at p ∈ {256, 1024, 4096}, and the p = 4096 plan restricted to the
+/// survivors of a crash of rank 1365. The registry pin above stops at
+/// p = 64; these hash the compiled arrays where index width could first
+/// matter, so a narrower storage form must reproduce every word.
+#[test]
+fn large_plan_structures_match_goldens() {
+    use hpm::barriers::patterns::dissemination;
+
+    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+    for (p, golden) in [
+        (256usize, 0x6e59e139402d9e9au64),
+        (1024, 0x2e5cf71df5054048),
+        (4096, 0x4b94a65603a25bfe),
+    ] {
+        let h = fnv_plan(FNV_OFFSET, &dissemination(p));
+        assert_eq!(
+            h, golden,
+            "dissemination({p}) compiled form moved: {h:#018x}"
+        );
+    }
+    let restricted = dissemination(4096).restrict_to_survivors(&[1365]);
+    let h = fnv_plan(FNV_OFFSET, &restricted);
+    assert_eq!(
+        h, 0x2e581738b9eae183,
+        "dissemination(4096) minus rank 1365 moved: {h:#018x}"
+    );
+}
+
 /// Golden pin of the Eq. 5.4 predictor's totals (struck on the parent's
 /// code, before the two-row rewrite): the bits of every predicted total
 /// for the six registry barriers and the eight catalog collectives on a
