@@ -255,7 +255,7 @@ impl Analyzer {
                     let stage = plan.stage(s);
                     (0..p)
                         .filter(|&i| !dead[i])
-                        .flat_map(|i| stage.dsts(i).iter().map(move |&j| (i, j)))
+                        .flat_map(|i| stage.dsts(i).iter().map(move |&j| (i, j as usize)))
                         .filter(|&(_, j)| !dead[j])
                         .collect()
                 })
@@ -388,7 +388,7 @@ pub fn analyze_with_goal(plan: &CompiledPattern, goal: KnowledgeGoal) -> Vec<Dia
 /// Describes how an offset array violates the CSR shape, or `None` when
 /// it is well-formed: length `p + 1`, starts at 0, monotone
 /// non-decreasing, ends at the index-array length.
-fn offsets_error(off: &[usize], p: usize, indices_len: usize) -> Option<String> {
+fn offsets_error(off: &[u32], p: usize, indices_len: usize) -> Option<String> {
     if off.len() != p + 1 {
         return Some(format!(
             "offset array has {} entries, want p + 1 = {}",
@@ -406,7 +406,7 @@ fn offsets_error(off: &[usize], p: usize, indices_len: usize) -> Option<String> 
             off[i + 1]
         ));
     }
-    if off[p] != indices_len {
+    if off[p] as usize != indices_len {
         return Some(format!(
             "offsets end at {}, but the index array holds {} entries",
             off[p], indices_len
@@ -482,7 +482,11 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
                         message: format!("{dir}({r}) is not strictly ascending: {span:?}"),
                     });
                 }
-                let bad: Vec<usize> = span.iter().copied().filter(|&x| x >= p).collect();
+                let bad: Vec<usize> = span
+                    .iter()
+                    .map(|&x| x as usize)
+                    .filter(|&x| x >= p)
+                    .collect();
                 if !bad.is_empty() {
                     in_range = false;
                     let listed: Vec<usize> = bad.iter().copied().take(MAX_LISTED).collect();
@@ -497,7 +501,7 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
                         ),
                     });
                 }
-                if !spans && span.contains(&r) {
+                if !spans && span.iter().any(|&x| x as usize == r) {
                     diags.push(Diagnostic {
                         severity: Severity::Error,
                         stage: Some(s),
@@ -515,14 +519,16 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
             let mut missing: Vec<(usize, usize)> = Vec::new();
             for i in 0..p {
                 for &j in stage.dsts(i) {
-                    if !stage.srcs(j).contains(&i) {
+                    let j = j as usize;
+                    if !stage.srcs(j).contains(&(i as u32)) {
                         missing.push((i, j));
                     }
                 }
             }
             for j in 0..p {
                 for &i in stage.srcs(j) {
-                    if !stage.dsts(i).contains(&j) {
+                    let i = i as usize;
+                    if !stage.dsts(i).contains(&(j as u32)) {
                         missing.push((i, j));
                     }
                 }
@@ -630,12 +636,12 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
     // §5.6.5 derived tables: recompute both from the out-degrees and
     // compare. `last_send` first — `posted` is defined in terms of it.
     let n_stages = plan.stages();
-    let mut last_send = vec![usize::MAX; (n_stages + 1) * p];
+    let mut last_send = vec![u32::MAX; (n_stages + 1) * p];
     for s in 0..n_stages {
         for i in 0..p {
             let prev = last_send[s * p + i];
             last_send[(s + 1) * p + i] = if plan.stage(s).out_degree(i) > 0 {
-                s
+                s as u32
             } else {
                 prev
             };
@@ -655,7 +661,7 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
     for s in 0..n_stages {
         for i in 0..p {
             let prev = last_send[s * p + i];
-            posted[s * p + i] = s > 0 && (prev == usize::MAX || prev + 1 < s);
+            posted[s * p + i] = s > 0 && (prev == u32::MAX || prev as usize + 1 < s);
         }
     }
     if plan.posted_table() != posted.as_slice() {
@@ -681,7 +687,7 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
 
 /// `(row, rank)` positions where two same-shape tables differ; when the
 /// shapes differ the answer is the whole table, represented empty.
-fn table_mismatches(got: &[usize], want: &[usize], p: usize) -> Vec<(usize, usize)> {
+fn table_mismatches(got: &[u32], want: &[u32], p: usize) -> Vec<(usize, usize)> {
     if got.len() != want.len() {
         return vec![];
     }
@@ -771,7 +777,7 @@ mod tests {
     /// single wrong derived-table entry.
     fn raw_clone_with<F>(plan: &CompiledPattern, mutate: F) -> CompiledPattern
     where
-        F: FnOnce(&mut Vec<bool>, &mut Vec<usize>, &mut usize),
+        F: FnOnce(&mut Vec<bool>, &mut Vec<u32>, &mut usize),
     {
         let stages: Vec<StagePlan> = (0..plan.stages()).map(|s| plan.stage(s).clone()).collect();
         let mut posted = plan.posted_table().to_vec();

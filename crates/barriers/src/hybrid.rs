@@ -132,6 +132,7 @@ pub fn hybrid_barrier(
             let mut edges = Vec::new();
             for a in 0..ip.p() {
                 for &b in ip.stage(s).dsts(a) {
+                    let b = b as usize;
                     edges.push((reps[a], reps[b]));
                 }
             }

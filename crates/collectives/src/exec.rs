@@ -177,7 +177,7 @@ impl<'a> Walk<'a> {
     }
 
     /// The puts of stage `s` from this rank to `dsts`, in order.
-    fn send(&mut self, ctx: &mut BspCtx, s: usize, dsts: &[usize]) {
+    fn send(&mut self, ctx: &mut BspCtx, s: usize, dsts: &[u32]) {
         let (pid, p, n) = (ctx.pid(), ctx.nprocs(), self.n);
         let chunk = |j: usize| {
             let c = n.div_ceil(p);
@@ -187,13 +187,13 @@ impl<'a> Walk<'a> {
             Carry::Replicate => self.forward(ctx, dsts, (0, n)),
             Carry::OwnChunk if s == 0 => {
                 for &dst in dsts {
-                    self.forward(ctx, &[dst], chunk(dst));
+                    self.forward(ctx, &[dst], chunk(dst as usize));
                 }
             }
             Carry::OwnChunk => self.forward(ctx, dsts, chunk(pid)),
             Carry::Fold(_) => {
                 for &dst in dsts {
-                    hpput_f64s(ctx, dst, self.buf(), 0, &self.vals);
+                    hpput_f64s(ctx, dst as usize, self.buf(), 0, &self.vals);
                 }
             }
             Carry::HeldSpan => {
@@ -209,6 +209,7 @@ impl<'a> Walk<'a> {
             }
             Carry::Personalised if n > 0 => {
                 for &dst in dsts {
+                    let dst = dst as usize;
                     ctx.hpput_with(dst, self.buf(), pid * n * 8, n * 8, |slot| {
                         write_f64s(chunk_values(pid, dst, n), slot)
                     });
@@ -221,12 +222,12 @@ impl<'a> Walk<'a> {
     /// Puts elements `lo..hi` of this rank's buffer to the same place at
     /// every one of `dsts`: unpacked into `vals` once, re-marshalled in
     /// each slot.
-    fn forward(&mut self, ctx: &mut BspCtx, dsts: &[usize], (lo, hi): (usize, usize)) {
+    fn forward(&mut self, ctx: &mut BspCtx, dsts: &[u32], (lo, hi): (usize, usize)) {
         if lo < hi && !dsts.is_empty() {
             let buf = self.buf();
             load(&mut self.vals, &ctx.read_buf(buf)[lo * 8..hi * 8]);
             for &dst in dsts {
-                hpput_f64s(ctx, dst, buf, lo * 8, &self.vals);
+                hpput_f64s(ctx, dst as usize, buf, lo * 8, &self.vals);
             }
         }
     }

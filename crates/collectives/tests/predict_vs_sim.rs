@@ -18,11 +18,14 @@
 //! (binomial broadcast/reduce/gather, allreduce, scan, flat broadcast)
 //! predict within a relative error of **0.6** on every topology; the
 //! dense single-stage patterns (total exchange, the two-phase
-//! broadcast's allgather stage) within **0.95**. The dense patterns are
-//! the §5.6.6 maximum-concurrency extremity where the thesis itself
-//! observes prediction quality degrading — Eq. 5.4 serializes each
-//! sender's requests but not the NIC egress and receiver contention a
-//! complete exchange provokes, so the predictor underestimates there.
+//! broadcast's allgather stage) within **0.95**. The dense patterns'
+//! under-prediction is the simulated executor's, not missing contention
+//! in Eq. 5.4: it resolves a stage sender by sender in rank order, so a
+//! later-ranked sender queues behind an earlier cohabiting sender's
+//! whole sequence (see `hpm_simnet::net`). A noiseless total exchange at
+//! p = 64 takes 10.45 ms in rank order against 1.543 ms in send-start
+//! time order. The bound stays until the executor resolves stages in
+//! time order.
 
 use hpm_collectives::pattern::{catalog, CollectivePattern};
 use hpm_collectives::predict::{predict_collective, simulate_collective};

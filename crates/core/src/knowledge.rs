@@ -122,6 +122,7 @@ impl VerifyScratch {
             for i in 0..p {
                 let src = &self.snapshot[i * w..(i + 1) * w];
                 for &j in stage.dsts(i) {
+                    let j = j as usize;
                     let dst = &mut self.known[j * w..(j + 1) * w];
                     dst.iter_mut().zip(src).for_each(|(d, k)| *d |= k);
                 }

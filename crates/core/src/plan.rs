@@ -3,10 +3,13 @@
 //!
 //! Every hot loop of this workspace (the Eq. 5.4 predictor, the knowledge
 //! recurrence, the Fig. 5.5 staged executor) walks "the destinations of
-//! rank i in stage s". [`StagePlan`] stores exactly that — flat index
-//! arrays plus offsets, both directions — in O(p + E) space, so a
-//! dissemination stage at p = 4096 is 64 KB where the `P×P` incidence
-//! matrix of §5.5 is 16.7 MB. Pattern builders author stages straight
+//! rank i in stage s". [`StagePlan`] stores exactly that — flat `u32`
+//! index arrays plus offsets, both directions — in O(p + E) space, so a
+//! dissemination stage at p = 4096 is 64 KB (four arrays of 4 096 or
+//! 4 097 entries) where the `P×P` incidence matrix of §5.5 is 16.7 MB.
+//! The whole compiled dissemination plan at p = 4096 — 12 stages, the
+//! `u32` last-send table and the posted booleans — holds 1 049 933 B,
+//! 21.4 B per signal. Pattern builders author stages straight
 //! from edge lists ([`StagePlan::from_edges`]); nothing in production
 //! passes through a dense matrix. The thesis' matrices survive as the
 //! boolean incidence matrix of [`crate::matrix`], the oracle the property
@@ -36,17 +39,29 @@ pub const SIGNAL_JITTER_DRAWS: usize = 4;
 pub const ENTRY_JITTER_DRAWS: usize = 1;
 
 /// One stage of a pattern in compressed sparse row form, both directions.
+/// Ranks and offsets are stored as `u32`: construction asserts that `p`
+/// and the edge count fit, and callers widen each value where they use it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     p: usize,
     /// Destination lists of all ranks, concatenated in rank order.
-    dsts: Vec<usize>,
+    dsts: Vec<u32>,
     /// `dsts_off[i]..dsts_off[i+1]` delimits rank i's destinations.
-    dsts_off: Vec<usize>,
+    dsts_off: Vec<u32>,
     /// Source lists of all ranks, concatenated in rank order.
-    srcs: Vec<usize>,
+    srcs: Vec<u32>,
     /// `srcs_off[j]..srcs_off[j+1]` delimits rank j's sources.
-    srcs_off: Vec<usize>,
+    srcs_off: Vec<u32>,
+}
+
+/// Panics unless `n` fits the plan's 32-bit index type; `what` names the
+/// quantity in the message.
+fn assert_fits_u32(n: usize, what: &str) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "{what} = {n} exceeds the 32-bit index limit of compiled plans (u32::MAX = {})",
+        u32::MAX
+    );
 }
 
 impl StagePlan {
@@ -60,8 +75,13 @@ impl StagePlan {
     /// CSR the executors would misinterpret: panics on out-of-range
     /// ranks, duplicate edges (a signal would be double-counted in
     /// jitter-draw accounting), and self-sends (`i → i` is not a
-    /// communication the staged model assigns a cost to).
+    /// communication the staged model assigns a cost to). Panics before
+    /// allocating when `p` or the edge count exceeds `u32::MAX`, the
+    /// limit of the 32-bit CSR arrays; only the `p` bound has a test, as
+    /// exercising the edge bound would take 2³² edges.
     pub fn from_edges(p: usize, edges: &[(usize, usize)]) -> StagePlan {
+        assert_fits_u32(p, "p");
+        assert_fits_u32(edges.len(), "edge count");
         let mut es = edges.to_vec();
         es.sort_unstable();
         for w in es.windows(2) {
@@ -75,32 +95,31 @@ impl StagePlan {
         let mut dsts = Vec::with_capacity(es.len());
         let mut dsts_off = Vec::with_capacity(p + 1);
         dsts_off.push(0);
-        let mut in_deg = vec![0usize; p];
+        // In-degrees shifted by one, then prefix-summed into offsets.
+        let mut srcs_off = vec![0u32; p + 1];
         for &(i, j) in &es {
             assert!(i < p && j < p, "edge ({i},{j}) out of range for p={p}");
             assert!(
                 i != j,
                 "self-send edge ({i},{j}) — ranks never signal themselves"
             );
-            in_deg[j] += 1;
+            srcs_off[j + 1] += 1;
         }
-        let mut srcs_off = Vec::with_capacity(p + 1);
-        srcs_off.push(0);
         for j in 0..p {
-            srcs_off.push(srcs_off[j] + in_deg[j]);
+            srcs_off[j + 1] += srcs_off[j];
         }
-        let mut srcs = vec![0usize; es.len()];
+        let mut srcs = vec![0u32; es.len()];
         let mut cursor = srcs_off[..p].to_vec();
         let mut next = 0usize;
         for rank in 0..p {
             while next < es.len() && es[next].0 == rank {
                 let j = es[next].1;
-                dsts.push(j);
-                srcs[cursor[j]] = rank;
+                dsts.push(j as u32);
+                srcs[cursor[j] as usize] = rank as u32;
                 cursor[j] += 1;
                 next += 1;
             }
-            dsts_off.push(dsts.len());
+            dsts_off.push(dsts.len() as u32);
         }
         StagePlan {
             p,
@@ -129,10 +148,10 @@ impl StagePlan {
     /// built this way before executing them.
     pub fn from_raw_csr(
         p: usize,
-        dsts: Vec<usize>,
-        dsts_off: Vec<usize>,
-        srcs: Vec<usize>,
-        srcs_off: Vec<usize>,
+        dsts: Vec<u32>,
+        dsts_off: Vec<u32>,
+        srcs: Vec<u32>,
+        srcs_off: Vec<u32>,
     ) -> StagePlan {
         StagePlan {
             p,
@@ -166,26 +185,26 @@ impl StagePlan {
 
     /// Destinations signalled by `i`, ascending — a borrowed slice.
     #[must_use]
-    pub fn dsts(&self, i: usize) -> &[usize] {
-        &self.dsts[self.dsts_off[i]..self.dsts_off[i + 1]]
+    pub fn dsts(&self, i: usize) -> &[u32] {
+        &self.dsts[self.dsts_off[i] as usize..self.dsts_off[i + 1] as usize]
     }
 
     /// Sources signalling `j`, ascending — a borrowed slice.
     #[must_use]
-    pub fn srcs(&self, j: usize) -> &[usize] {
-        &self.srcs[self.srcs_off[j]..self.srcs_off[j + 1]]
+    pub fn srcs(&self, j: usize) -> &[u32] {
+        &self.srcs[self.srcs_off[j] as usize..self.srcs_off[j + 1] as usize]
     }
 
     /// Number of destinations `i` signals.
     #[must_use]
     pub fn out_degree(&self, i: usize) -> usize {
-        self.dsts_off[i + 1] - self.dsts_off[i]
+        (self.dsts_off[i + 1] - self.dsts_off[i]) as usize
     }
 
     /// Number of sources signalling `j`.
     #[must_use]
     pub fn in_degree(&self, j: usize) -> usize {
-        self.srcs_off[j + 1] - self.srcs_off[j]
+        (self.srcs_off[j + 1] - self.srcs_off[j]) as usize
     }
 
     /// Total edge count.
@@ -199,28 +218,28 @@ impl StagePlan {
     /// static analyzer, which must inspect the arrays without trusting
     /// the sliced accessors' indexing to be in bounds.
     #[must_use]
-    pub fn dst_indices(&self) -> &[usize] {
+    pub fn dst_indices(&self) -> &[u32] {
         &self.dsts
     }
 
     /// The destination offset array: `dst_offsets()[i]..[i + 1]`
     /// delimits rank i's span in [`StagePlan::dst_indices`].
     #[must_use]
-    pub fn dst_offsets(&self) -> &[usize] {
+    pub fn dst_offsets(&self) -> &[u32] {
         &self.dsts_off
     }
 
     /// The concatenated source lists, all ranks — the raw CSR index
     /// array behind [`StagePlan::srcs`].
     #[must_use]
-    pub fn src_indices(&self) -> &[usize] {
+    pub fn src_indices(&self) -> &[u32] {
         &self.srcs
     }
 
     /// The source offset array: `src_offsets()[j]..[j + 1]` delimits
     /// rank j's span in [`StagePlan::src_indices`].
     #[must_use]
-    pub fn src_offsets(&self) -> &[usize] {
+    pub fn src_offsets(&self) -> &[u32] {
         &self.srcs_off
     }
 
@@ -240,7 +259,7 @@ impl fmt::Display for StagePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.p {
             for j in 0..self.p {
-                let set = self.dsts(i).contains(&j);
+                let set = self.dsts(i).contains(&(j as u32));
                 f.write_str(if set { " 1" } else { " 0" })?;
             }
             writeln!(f)?;
@@ -261,10 +280,10 @@ pub struct CompiledPattern {
     /// two stages earlier) — refinement 2 of §5.6.5, precomputed.
     posted: Vec<bool>,
     /// `last_send[s * p + i]`: last stage index `< s` in which rank i
-    /// transmitted, or `usize::MAX` when it had not yet. Row `s == 0` is
+    /// transmitted, or `u32::MAX` when it had not yet. Row `s == 0` is
     /// all-MAX; the table has `stages + 1` rows so the final row answers
     /// "before the end of the pattern".
-    last_send: Vec<usize>,
+    last_send: Vec<u32>,
     /// Exact jitter draws one staged execution consumes, precomputed —
     /// the batched engine sizes its `JitterBuf` from this.
     jitter_draws: usize,
@@ -288,20 +307,32 @@ impl CompiledPattern {
 
     /// Assembles a compiled pattern from already-built stage plans and
     /// derives the §5.6.5 posted/last-send tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stage's dimension is not `p`, or when the stage
+    /// count exceeds `u32::MAX` (stage indices share the last-send
+    /// table's 32-bit words with its `u32::MAX` sentinel); the latter has
+    /// no test, as it would take 2³² stages.
     pub fn from_stages(name: &str, p: usize, stages: Vec<StagePlan>) -> CompiledPattern {
         for (s, stage) in stages.iter().enumerate() {
             assert_eq!(stage.p(), p, "stage {s} has wrong dimension");
         }
         let n_stages = stages.len();
+        assert_fits_u32(n_stages, "stage count");
         let mut posted = vec![false; n_stages * p];
-        let mut last_send = vec![usize::MAX; (n_stages + 1) * p];
+        let mut last_send = vec![u32::MAX; (n_stages + 1) * p];
         for s in 0..n_stages {
             for i in 0..p {
                 let prev = last_send[s * p + i];
                 // Posted iff the rank's last transmission (if any) ended
                 // at least two stages ago; at stage 0 nothing is posted.
-                posted[s * p + i] = s > 0 && (prev == usize::MAX || prev + 1 < s);
-                last_send[(s + 1) * p + i] = if stages[s].out_degree(i) > 0 { s } else { prev };
+                posted[s * p + i] = s > 0 && (prev == u32::MAX || prev as usize + 1 < s);
+                last_send[(s + 1) * p + i] = if stages[s].out_degree(i) > 0 {
+                    s as u32
+                } else {
+                    prev
+                };
             }
         }
         let jitter_draws = stages.iter().map(StagePlan::jitter_draws).sum();
@@ -326,7 +357,7 @@ impl CompiledPattern {
         p: usize,
         stages: Vec<StagePlan>,
         posted: Vec<bool>,
-        last_send: Vec<usize>,
+        last_send: Vec<u32>,
         jitter_draws: usize,
     ) -> CompiledPattern {
         CompiledPattern {
@@ -378,10 +409,10 @@ impl CompiledPattern {
     }
 
     /// The raw last-transmission table (`(stages + 1) × p`, row-major)
-    /// behind [`CompiledPattern::last_send_stage`]; `usize::MAX` encodes
+    /// behind [`CompiledPattern::last_send_stage`]; `u32::MAX` encodes
     /// "has not transmitted yet".
     #[must_use]
-    pub fn last_send_table(&self) -> &[usize] {
+    pub fn last_send_table(&self) -> &[u32] {
         &self.last_send
     }
 
@@ -410,7 +441,7 @@ impl CompiledPattern {
     pub fn last_send_stage(&self, i: usize, before: usize) -> Option<usize> {
         let row = before.min(self.stages.len());
         let s = self.last_send[row * self.p + i];
-        (s != usize::MAX).then_some(s)
+        (s != u32::MAX).then_some(s as usize)
     }
 
     /// The survivor-compacted repair of this plan after the ranks in
@@ -462,6 +493,7 @@ impl CompiledPattern {
                     continue;
                 }
                 for &j in stage.dsts(i) {
+                    let j = j as usize;
                     if !dead[j] {
                         edges.push((remap[i], remap[j]));
                     }
@@ -486,6 +518,11 @@ mod tests {
         CompiledPattern::from_stage_edges("dissemination", p, &dissemination_edges(p))
     }
 
+    /// A CSR span widened to the `usize` ranks the dense oracle yields.
+    fn widened(span: &[u32]) -> Vec<usize> {
+        span.iter().map(|&r| r as usize).collect()
+    }
+
     /// The CSR form against the thesis' matrix form: same enumeration,
     /// same degrees, as the dense `IMat` built from the same edges.
     #[test]
@@ -503,8 +540,16 @@ mod tests {
             let flat = plan.stage(s);
             assert_eq!(flat.edge_count(), dense.edge_count());
             for r in 0..13 {
-                assert_eq!(flat.dsts(r), dense.dsts(r).collect::<Vec<_>>(), "stage {s}");
-                assert_eq!(flat.srcs(r), dense.srcs(r).collect::<Vec<_>>(), "stage {s}");
+                assert_eq!(
+                    widened(flat.dsts(r)),
+                    dense.dsts(r).collect::<Vec<_>>(),
+                    "stage {s}"
+                );
+                assert_eq!(
+                    widened(flat.srcs(r)),
+                    dense.srcs(r).collect::<Vec<_>>(),
+                    "stage {s}"
+                );
                 assert_eq!(flat.out_degree(r), dense.out_degree(r));
                 assert_eq!(flat.in_degree(r), dense.in_degree(r));
             }
@@ -523,8 +568,8 @@ mod tests {
         assert_eq!(t, StagePlan::from_edges(5, &flipped));
         let dense = IMat::from_edges(5, &edges).transpose();
         for r in 0..5 {
-            assert_eq!(t.dsts(r), dense.dsts(r).collect::<Vec<_>>());
-            assert_eq!(t.srcs(r), dense.srcs(r).collect::<Vec<_>>());
+            assert_eq!(widened(t.dsts(r)), dense.dsts(r).collect::<Vec<_>>());
+            assert_eq!(widened(t.srcs(r)), dense.srcs(r).collect::<Vec<_>>());
         }
         assert_eq!(t.to_string(), dense.to_string());
     }
@@ -609,6 +654,14 @@ mod tests {
         StagePlan::from_edges(4, &[(0, 4)]);
     }
 
+    /// `p = 2³²` does not fit the 32-bit CSR arrays: rejected up front,
+    /// before the `p + 1`-entry offset arrays (16 GiB each) are sized.
+    #[test]
+    #[should_panic(expected = "p = 4294967296 exceeds the 32-bit index limit")]
+    fn sparse_authoring_rejects_p_beyond_32_bits() {
+        StagePlan::from_edges(u32::MAX as usize + 1, &[]);
+    }
+
     #[test]
     #[should_panic(expected = "duplicate edge (0,1)")]
     fn sparse_authoring_rejects_duplicate_edges() {
@@ -642,6 +695,7 @@ mod tests {
                     continue;
                 }
                 for &j in plan.stage(s).dsts(i) {
+                    let j = j as usize;
                     if j != 3 {
                         edges.push((remap(i), remap(j)));
                     }

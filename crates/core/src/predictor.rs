@@ -211,6 +211,7 @@ pub fn predict_compiled_with<C: CostModel + ?Sized>(
             let mut latency_term = 0.0;
             let mut max_term = costs.o_self(i); // refinement 1: floor at O_ii
             for &j in stage.dsts(i) {
+                let j = j as usize;
                 let c = costs.pair(i, j);
                 latency_term += 2.0 * c.l + bytes * c.beta;
                 let o = if posted[j] {
@@ -227,6 +228,7 @@ pub fn predict_compiled_with<C: CostModel + ?Sized>(
         for (j, e) in entry.iter_mut().enumerate() {
             let mut t = done[j];
             for &i in stage.srcs(j) {
+                let i = i as usize;
                 if done[i] > t {
                     t = done[i];
                 }
@@ -274,6 +276,7 @@ mod tests {
         let mut latency_term = 0.0;
         let mut max_term = costs.o.get(i, i);
         for &j in plan.stage(s).dsts(i) {
+            let j = j as usize;
             latency_term += 2.0 * costs.l.get(i, j) + bytes * costs.beta.get(i, j);
             let o = if plan.is_posted(j, s) {
                 costs.o.get(j, j)
@@ -308,6 +311,7 @@ mod tests {
             for i in 0..p {
                 let done = prev[i] + costs_s[i];
                 for &j in stage.dsts(i) {
+                    let j = j as usize;
                     if done > next[j] {
                         next[j] = done;
                     }

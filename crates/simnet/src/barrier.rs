@@ -281,6 +281,7 @@ impl<'a> BarrierSim<'a> {
             for i in 0..p {
                 let mut t = posted[i];
                 for &j in stage.dsts(i) {
+                    let j = j as usize;
                     let fate = net.signal(
                         self.params,
                         self.placement,

@@ -229,6 +229,7 @@ fn run_stage_lanes(
     for i in 0..p {
         acks.copy_from_slice(&posted[i * lanes..(i + 1) * lanes]);
         for &j in stage.dsts(i) {
+            let j = j as usize;
             let link = placement.link(i, j);
             let lc = params.link(link);
             let wire_base = lc.latency + bytes as f64 * lc.inv_bandwidth;

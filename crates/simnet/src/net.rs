@@ -18,8 +18,14 @@
 //! thread per process, §6.2); remote messages from cohabiting processes
 //! serialize at their node's NIC egress. Within one resolution pass,
 //! messages are handled in a deterministic global order (senders by rank,
-//! sends by destination), a documented approximation of true event order
-//! whose error is bounded by single `o_recv` magnitudes.
+//! sends by destination), not in event order. On dense stages that error
+//! is large: each NIC egress and receive queue holds one "free from"
+//! time, so a later-ranked sender on a node queues behind an earlier
+//! sender's *entire* sequence, even with a zero NIC gap. A noiseless total
+//! exchange at p = 64 takes 10.45 ms resolved in rank order against
+//! 1.543 ms resolved in send-start time order (p = 16: 1.412 against
+//! 0.332 ms); barriers move by at most 6.2 %. Time-ordered resolution is
+//! the open fix listed in ROADMAP.md.
 //!
 //! Jitter multipliers arrive through a [`JitterSource`], never drawn
 //! here: scalar callers pass a [`hpm_stats::rng::ScalarJitter`] over

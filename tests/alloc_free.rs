@@ -5,12 +5,13 @@
 //! up one `(NetState, SimScratch)` pair, snapshots the allocation
 //! counter, runs many full repetitions (including RNG derivation, the
 //! measurement loop's real per-item work) and asserts the counter did not
-//! move. The allocator counts requested bytes too, for the absolute size
-//! checks: constructing the p = 4096 placement stays linear, and a warm
-//! microbenchmark call requests a tenth of what one quantile table per
-//! measured unit cost. This file holds exactly one test: integration-test
-//! binaries are one process each, so no concurrent test can pollute the
-//! counters.
+//! move. The allocator counts requested and live bytes too, for the
+//! absolute size checks: constructing the p = 4096 placement stays
+//! linear, the p = 4096 dissemination plan holds 32-bit indices, and a
+//! warm microbenchmark call requests a tenth of what one quantile table
+//! per measured unit cost. This file holds exactly one test:
+//! integration-test binaries are one process each, so no concurrent test
+//! can pollute the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,24 +20,30 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static BYTES_REQUESTED: AtomicUsize = AtomicUsize::new(0);
+static BYTES_LIVE: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
         BYTES_REQUESTED.fetch_add(layout.size(), Ordering::SeqCst);
+        BYTES_LIVE.fetch_add(layout.size(), Ordering::SeqCst);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
         BYTES_REQUESTED.fetch_add(layout.size(), Ordering::SeqCst);
+        BYTES_LIVE.fetch_add(layout.size(), Ordering::SeqCst);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
         BYTES_REQUESTED.fetch_add(new_size, Ordering::SeqCst);
+        BYTES_LIVE.fetch_add(new_size, Ordering::SeqCst);
+        BYTES_LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        BYTES_LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
         System.dealloc(ptr, layout)
     }
 }
@@ -218,6 +225,51 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     assert!(
         requested <= 2_000_000,
         "building the p = 4096 placement requested {requested} B"
+    );
+
+    // The p = 4096 dissemination plan, the largest structure the
+    // modelling side holds, stores 32-bit indices, offsets and last-send
+    // stages. With `usize` words it held 2 049 453 B live after compile
+    // and requested 4 408 749 B while compiling; with `u32` words it
+    // holds 1 049 933 B (21.4 B per signal) and requests 2 819 405 B.
+    let (live, requested) = (0..4)
+        .map(|_| {
+            let (live0, req0) = (
+                BYTES_LIVE.load(Ordering::SeqCst),
+                BYTES_REQUESTED.load(Ordering::SeqCst),
+            );
+            let plan = dissemination(4096);
+            let counts = (
+                BYTES_LIVE.load(Ordering::SeqCst) - live0,
+                BYTES_REQUESTED.load(Ordering::SeqCst) - req0,
+            );
+            assert_eq!(plan.total_signals(), 12 * 4096);
+            counts
+        })
+        .min()
+        .expect("four trials");
+    assert!(
+        live <= 1_100_000,
+        "dissemination(4096) holds {live} B after compile"
+    );
+    assert!(
+        requested <= 2_819_405 * 11 / 10,
+        "compiling dissemination(4096) requested {requested} B"
+    );
+    // A process count beyond the 32-bit indices is refused before the
+    // offset arrays are sized: only the panic's own message allocates.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let before = BYTES_REQUESTED.load(Ordering::SeqCst);
+    let refused = std::panic::catch_unwind(|| {
+        hpm::model::plan::StagePlan::from_edges(u32::MAX as usize + 1, &[])
+    });
+    let requested = BYTES_REQUESTED.load(Ordering::SeqCst) - before;
+    std::panic::set_hook(hook);
+    assert!(refused.is_err(), "p = 2^32 must be refused");
+    assert!(
+        requested < 4096,
+        "refusing p = 2^32 requested {requested} B"
     );
 
     // The §5.6.3 microbenchmark takes its jitter table, network state and

@@ -377,10 +377,14 @@ fn collective_runs_match_goldens() {
 }
 
 /// FNV-1a over one compiled plan: every array the executors, the
-/// predictor and the analyzer read, plus the name.
+/// predictor and the analyzer read, plus the name. Each 32-bit index is
+/// hashed as a 64-bit word, and the last-send table's `u32::MAX`
+/// "not yet" sentinel as `u64::MAX`, so the pins struck when the plan
+/// stored `usize` indices still hold.
 fn fnv_plan(h: u64, plan: &hpm::model::plan::CompiledPattern) -> u64 {
     let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
-    let words = |h: u64, ws: &[usize]| ws.iter().fold(h, |h, &w| word(h, w as u64));
+    let widen = |w: u32| if w == u32::MAX { u64::MAX } else { w as u64 };
+    let words = |h: u64, ws: &[u32]| ws.iter().fold(h, |h, &w| word(h, widen(w)));
     let mut h = plan.name().bytes().fold(h, |h, b| word(h, b as u64));
     h = word(word(h, plan.p() as u64), plan.stages() as u64);
     for s in 0..plan.stages() {

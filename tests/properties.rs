@@ -193,8 +193,9 @@ proptest! {
             let flat = plan.stage(s);
             prop_assert_eq!(flat.edge_count(), dense.edge_count());
             for r in 0..p {
-                prop_assert_eq!(flat.dsts(r), &dense.dsts(r).collect::<Vec<_>>()[..]);
-                prop_assert_eq!(flat.srcs(r), &dense.srcs(r).collect::<Vec<_>>()[..]);
+                let wide = |xs: &[u32]| xs.iter().map(|&x| x as usize).collect::<Vec<_>>();
+                prop_assert_eq!(wide(flat.dsts(r)), dense.dsts(r).collect::<Vec<_>>());
+                prop_assert_eq!(wide(flat.srcs(r)), dense.srcs(r).collect::<Vec<_>>());
                 prop_assert_eq!(flat.out_degree(r), dense.out_degree(r));
                 prop_assert_eq!(flat.in_degree(r), dense.in_degree(r));
             }
