@@ -501,7 +501,7 @@ fn structural(plan: &CompiledPattern) -> Vec<Diagnostic> {
                         ),
                     });
                 }
-                if !spans && span.iter().any(|&x| x as usize == r) {
+                if !spans && span.contains(&(r as u32)) {
                     diags.push(Diagnostic {
                         severity: Severity::Error,
                         stage: Some(s),
