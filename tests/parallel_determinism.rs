@@ -486,6 +486,115 @@ fn registry_plan_structures_match_goldens() {
     }
 }
 
+/// Bit-level pin of the three dense-cost readers besides the Eq. 5.4
+/// predictor (struck on the code that still read the `P×P` matrices
+/// directly): the greedy constructor's `predicted_total` and every
+/// per-subset cost, the B-series stencil prediction's total and its
+/// per-process comm vector at p ∈ {4, 16, 64} and both fig8_10 problem
+/// sizes, and the C1 ghost-width prediction at p = 64 for every swept
+/// width. The CSV pins print rounded decimals and can miss a one-ulp
+/// move; these cannot.
+#[test]
+fn cost_model_readers_match_goldens() {
+    use hpm::barriers::greedy_adaptive_barrier;
+    use hpm::model::predictor::CommCosts;
+
+    let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
+    let greedy_hash = |rep: &hpm::barriers::GreedyReport| {
+        let h = word(0xcbf29ce484222325, rep.predicted_total.to_bits());
+        rep.intra_choices
+            .iter()
+            .fold(h, |h, (_, c)| word(h, c.to_bits()))
+    };
+    let mut h = 0xcbf29ce484222325;
+    for p in [2usize, 3, 5, 8, 17, 64] {
+        let uniform = CommCosts::uniform(p, 1e-7, 5e-7, 2e-6);
+        h = word(h, greedy_hash(&greedy_adaptive_barrier(&uniform)));
+    }
+    assert_eq!(
+        h, 0xd6b48a7509638ac7,
+        "greedy on uniform platforms moved ({h:#018x})"
+    );
+
+    // Benchmarked platforms: the fit is jittered, hence the platform gate
+    // of the sample goldens above.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    {
+        use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
+        use hpm::stencil::configs::{LARGE_N, SMALL_N};
+        use hpm::stencil::overlap_opt::predict_ghost_width;
+        use hpm::stencil::predictor::predict_bsp_iteration;
+
+        let cfg = MicrobenchConfig {
+            reps: 3,
+            max_requests: 2,
+            size_exponents: (0, 8),
+            pair_sample: None,
+        };
+        let profile = |p: usize| {
+            let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+            let profile = bench_platform(&xeon_cluster_params(), &placement, &cfg, 2012);
+            (placement, profile)
+        };
+
+        let (_, p60) = profile(60);
+        let h = greedy_hash(&greedy_adaptive_barrier(&p60.costs));
+        assert_eq!(
+            h, 0x10d36e6e9c071bf6,
+            "greedy on the benchmarked 8x2x4 platform moved ({h:#018x})"
+        );
+
+        for (p, goldens) in [
+            (
+                4usize,
+                [
+                    (0x3f71312b91063b2fu64, 0xbe6f2b29552203edu64),
+                    (0x3fb12e3de2b4ccdf, 0x1a234fc6bf02491e),
+                ],
+            ),
+            (
+                16,
+                [
+                    (0x3f4224bc17fcdeb6, 0x545f21db980e409b),
+                    (0x3f9135c169a586d6, 0xe632d82386042511),
+                ],
+            ),
+            (
+                64,
+                [
+                    (0x3f2d6be7b9a6e764, 0xf9485832ccc1f925),
+                    (0x3f718ffac6b2d71b, 0xc4fd14e3e717dcf8),
+                ],
+            ),
+        ] {
+            let (placement, prof) = profile(p);
+            for (n, (total, comm)) in [SMALL_N, LARGE_N].into_iter().zip(goldens) {
+                let pr = predict_bsp_iteration(&prof, &xeon_core(), &placement, n);
+                let got = (pr.total.to_bits(), fnv_samples(&pr.model.comm));
+                assert_eq!(got, (total, comm), "p={p} n={n}: stencil prediction moved");
+            }
+        }
+
+        let (placement, p64) = profile(64);
+        let got: Vec<u64> = [1usize, 2, 3, 4, 6, 8]
+            .into_iter()
+            .map(|w| predict_ghost_width(&p64, &xeon_core(), &placement, SMALL_N, w).to_bits())
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x3f2d6be7b9a6e764,
+                0x3f276f7844cefcf7,
+                0x3f2587d53b418337,
+                0x3f24a587a89e75f0,
+                0x3f23e69d9a8248a9,
+                0x3f23aafea04a730a,
+            ],
+            "ghost-width prediction moved"
+        );
+    }
+}
+
 /// Golden pin of the plans at the scale extension's sizes: dissemination
 /// at p ∈ {256, 1024, 4096}, and the p = 4096 plan restricted to the
 /// survivors of a crash of rank 1365. The registry pin above stops at
