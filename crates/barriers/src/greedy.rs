@@ -3,17 +3,17 @@
 //! Fully automatic barrier generation from a platform profile: cluster the
 //! latency matrix into subsets (§7.2), greedily choose the cheapest gather
 //! shape for every subset using the cost predictor on the subset's own
-//! sub-matrices, then choose the top-level pattern by predicting the cost
-//! of each complete composition. The thesis' Chapter-7 result is that the
-//! barriers this procedure emits equal or outperform the library defaults
-//! on both test clusters (Figs. 7.6–7.7).
+//! view of the cost model, then choose the top-level pattern by predicting
+//! the cost of each complete composition. The thesis' Chapter-7 result is
+//! that the barriers this procedure emits equal or outperform the library
+//! defaults on both test clusters (Figs. 7.6–7.7).
 
 use crate::hybrid::{hybrid_barrier, GatherShape};
 use crate::patterns;
 use crate::sss::{sss_clusters, Clustering};
 use hpm_core::matrix::DMat;
 use hpm_core::plan::CompiledPattern;
-use hpm_core::predictor::{predict_compiled_with, CommCosts, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, CostModel, PairCost, PayloadSchedule};
 
 /// The constructed barrier plus the decisions that produced it.
 #[derive(Debug, Clone)]
@@ -30,20 +30,33 @@ pub struct GreedyReport {
     pub predicted_total: f64,
 }
 
-/// Restricts cost matrices to a subset of ranks.
-fn sub_costs(costs: &CommCosts, ranks: &[usize]) -> CommCosts {
-    let n = ranks.len();
-    let pick = |m: &DMat| DMat::from_fn(n, n, |i, j| m.get(ranks[i], ranks[j]));
-    CommCosts::new(pick(&costs.o), pick(&costs.l), pick(&costs.beta))
+/// A cost model restricted to a subset of ranks: local rank `i` is
+/// global rank `ranks[i]`.
+struct Subset<'a, C: ?Sized> {
+    costs: &'a C,
+    ranks: &'a [usize],
 }
 
-/// Builds a standalone gather+release barrier over a subset (in local
-/// indices) so its cost can be predicted in isolation.
-fn subset_barrier(n: usize, shape: GatherShape) -> CompiledPattern {
-    match shape {
-        GatherShape::Flat => patterns::linear(n, 0),
-        GatherShape::Tree(d) => patterns::kary_tree(n, d),
+impl<C: CostModel + ?Sized> CostModel for Subset<'_, C> {
+    fn p(&self) -> usize {
+        self.ranks.len()
     }
+    fn o_self(&self, i: usize) -> f64 {
+        self.costs.o_self(self.ranks[i])
+    }
+    fn pair(&self, i: usize, j: usize) -> PairCost {
+        self.costs.pair(self.ranks[i], self.ranks[j])
+    }
+}
+
+/// Predicted cost of a standalone `shape` gather+release barrier over
+/// `ranks` (at least two), in isolation from the other processes.
+pub fn subset_cost<C: CostModel + ?Sized>(costs: &C, ranks: &[usize], shape: GatherShape) -> f64 {
+    let plan = match shape {
+        GatherShape::Flat => patterns::linear(ranks.len(), 0),
+        GatherShape::Tree(d) => patterns::kary_tree(ranks.len(), d),
+    };
+    predict_compiled_with(&plan, &Subset { costs, ranks }, &PayloadSchedule::none()).total
 }
 
 /// Candidate gather shapes for a subset of `n` members.
@@ -60,10 +73,12 @@ fn intra_candidates(n: usize) -> Vec<GatherShape> {
 }
 
 /// Constructs a customized barrier for the platform described by `costs`.
-pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
+pub fn greedy_adaptive_barrier<C: CostModel + ?Sized>(costs: &C) -> GreedyReport {
     let p = costs.p();
     assert!(p >= 2, "a barrier needs at least two processes");
-    let clustering = sss_clusters(&costs.l);
+    // SSS never reads the diagonal.
+    let latency = DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { costs.pair(i, j).l });
+    let clustering = sss_clusters(&latency);
     let payload = PayloadSchedule::none();
 
     // Degenerate single-scale platform: pick the best flat algorithm.
@@ -101,13 +116,9 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
             intra_choices.push((GatherShape::Flat, 0.0));
             continue;
         }
-        let local = sub_costs(costs, group);
         let (shape, cost) = intra_candidates(group.len())
             .into_iter()
-            .map(|s| {
-                let b = subset_barrier(group.len(), s);
-                (s, predict_compiled_with(&b, &local, &payload).total)
-            })
+            .map(|s| (s, subset_cost(costs, group, s)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN prediction"))
             .expect("non-empty candidates");
         shapes.push(shape);
@@ -167,6 +178,7 @@ pub fn greedy_adaptive_barrier(costs: &CommCosts) -> GreedyReport {
 mod tests {
     use super::*;
     use hpm_core::knowledge::VerifyScratch;
+    use hpm_core::predictor::CommCosts;
 
     /// Two-scale synthetic cost model: `nodes` groups by `rank % nodes`.
     fn synthetic_costs(p: usize, nodes: usize) -> CommCosts {

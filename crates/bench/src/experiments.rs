@@ -787,7 +787,7 @@ fn prediction_sweep(
     for row in par_points(&prediction_ps(m), |&p| {
         let cfg = m.bsp_cfg(p, SEED);
         let profile = profiles.get(m.id.at(p));
-        let base = predict_bsp_iteration(profile, &m.core, &cfg.placement, n);
+        let base = predict_bsp_iteration(&profile.costs, &m.core, &cfg.placement, n);
         let predicted = match discipline {
             CommitDiscipline::Late => {
                 // No overlap exposed: the sequential composition of the
@@ -860,7 +860,7 @@ fn fig8_18(dir: &Path, profiles: &Profiles) -> Vec<PathBuf> {
     let profile = profiles.get(FIG8_18);
     let sweep = optimize_ghost_width(
         &xeon.params,
-        profile,
+        &profile.costs,
         &xeon.core,
         &placement,
         SMALL_N,

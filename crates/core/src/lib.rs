@@ -19,8 +19,10 @@
 //! * [`compute`] — heterogeneous computation: requirement ⊗ cost
 //!   composition, per-superstep time vectors and imbalance (§3.3,
 //!   Eqs. 3.9–3.13).
-//! * [`hockney`] — the heterogeneous Hockney communication model: `P×P`
-//!   latency and inverse-bandwidth matrices (§3.4, Eq. 3.14).
+//! * [`hockney`] — the heterogeneous Hockney communication model (§3.4,
+//!   Eq. 3.14): the per-pair `(l, beta)` of [`predictor::CostModel::pair`],
+//!   with the dense Eq. 3.15 composition [`hockney::comm_times`] kept as
+//!   the test oracle of the stencil predictors' per-neighbour sums.
 //! * [`pattern`] — staged communication patterns as sequences of sparse
 //!   stages (§5.5; `render()` prints the incidence matrices of
 //!   Figs. 5.2–5.4): the shared [`pattern::CommPattern`] abstraction,
@@ -60,7 +62,7 @@ pub mod superstep;
 
 pub use classic::ClassicBsp;
 pub use compute::{cross_mapping_costs, imbalance, superstep_times};
-pub use hockney::{comm_times, HeteroHockney, Hockney};
+pub use hockney::comm_times;
 pub use knowledge::{KnowledgeGoal, VerifyScratch};
 pub use matrix::{DMat, IMat};
 pub use pattern::CommPattern;

@@ -17,7 +17,6 @@
 
 use crate::net::NetState;
 use crate::params::PlatformParams;
-use hpm_core::hockney::HeteroHockney;
 use hpm_core::matrix::DMat;
 use hpm_core::plan::SIGNAL_JITTER_DRAWS;
 use hpm_core::predictor::{CommCosts, CostModel, PairCost};
@@ -87,20 +86,15 @@ impl MicrobenchConfig {
     }
 }
 
-/// The benchmarked profile: the predictor's cost matrices, which also
-/// serve the heterogeneous Hockney model ([`PlatformProfile::hockney`]).
+/// The benchmarked profile: the dense `O`/`L`/`β` cost matrices. Model
+/// code reads them through [`CostModel`] — the barrier predictor, the
+/// collectives, the greedy constructor and the stencil predictors alike
+/// (its `pair(i, j)`'s `(l, beta)` is the heterogeneous Hockney model) —
+/// and only the latency clustering takes the `L` matrix itself.
 #[derive(Debug, Clone)]
 pub struct PlatformProfile {
-    /// `O`/`L`/`β` matrices for the barrier predictor.
+    /// `O`/`L`/`β` matrices for the cost predictors.
     pub costs: CommCosts,
-}
-
-impl PlatformProfile {
-    /// Latency/inverse-bandwidth model for general communication: `L`
-    /// as α and `β` as β, read in place from [`PlatformProfile::costs`].
-    pub fn hockney(&self) -> HeteroHockney<'_> {
-        HeteroHockney::new(&self.costs.l, &self.costs.beta)
-    }
 }
 
 /// Runs the full §5.6.3 benchmark over all ordered process pairs.
@@ -592,7 +586,7 @@ mod tests {
     #[test]
     fn extracted_bandwidth_near_truth() {
         let (params, prof) = profile(16, 13);
-        let got = prof.hockney().beta.get(0, 1);
+        let got = prof.costs.beta.get(0, 1);
         let truth = params.remote.inv_bandwidth;
         assert!((got - truth).abs() / truth < 0.15, "beta {got} vs {truth}");
     }
@@ -642,7 +636,6 @@ mod tests {
                 assert_eq!(serial.costs.o, prof.costs.o, "seed {seed}");
                 assert_eq!(serial.costs.l, prof.costs.l, "seed {seed}");
                 assert_eq!(serial.costs.beta, prof.costs.beta, "seed {seed}");
-                assert_eq!(serial.hockney().beta, prof.hockney().beta, "seed {seed}");
             }
         }
     }

@@ -26,7 +26,8 @@
 //! prediction-vs-measurement comparisons. [`overlap_opt`] is the §8.6
 //! model-driven optimization: choosing the ghost-zone (shadow region)
 //! width that balances redundant computation against amortized
-//! synchronization (Figs. 8.16–8.18).
+//! synchronization (Figs. 8.16–8.18). Both read communication costs
+//! through any `hpm_core::CostModel`, dense or per link class.
 
 pub mod bsp;
 pub mod configs;

@@ -21,14 +21,13 @@
 use crate::decomp::Decomposition;
 use hpm_barriers::patterns::dissemination;
 use hpm_bsplib::ops::HEADER_BYTES;
-use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, CostModel, PayloadSchedule};
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
 use hpm_simnet::barrier::{BarrierSim, SimScratch};
 use hpm_simnet::exchange::{
     exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
-use hpm_simnet::microbench::PlatformProfile;
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
 use hpm_stats::rng::{derive_rng, JitterBuf};
@@ -91,8 +90,8 @@ impl GhostSweep {
 }
 
 /// Predicts the per-iteration cost of a `w`-deep superstep.
-pub fn predict_ghost_width(
-    profile: &PlatformProfile,
+pub fn predict_ghost_width<C: CostModel + ?Sized>(
+    costs: &C,
     proc_model: &ProcessorModel,
     placement: &Placement,
     n: usize,
@@ -104,14 +103,13 @@ pub fn predict_ghost_width(
     let sync = if p >= 2 {
         predict_compiled_with(
             &dissemination(p),
-            &profile.costs,
+            costs,
             &PayloadSchedule::dissemination_count_map(p),
         )
         .total
     } else {
         0.0
     };
-    let hockney = profile.hockney();
     let mut worst = 0.0f64;
     for r in 0..p {
         let cells = superstep_cells(&decomp, r, w);
@@ -130,9 +128,10 @@ pub fn predict_ghost_width(
             (nb.east, b.height),
         ] {
             if let Some(peer) = peer {
-                let bytes = band_bytes(len, w) + HEADER_BYTES;
+                let c = costs.pair(r, peer);
+                let bytes = (band_bytes(len, w) + HEADER_BYTES) as f64;
                 // The payload message, then the header message.
-                comm += hockney.cost(r, peer, bytes as usize) + hockney.alpha.get(r, peer);
+                comm += (c.l + c.beta * bytes) + c.l;
             }
         }
         // Eq. 1.4 with all comm maskable against post-commit compute.
@@ -251,9 +250,9 @@ pub fn measure_ghost_width(
 
 /// Runs the full C1 experiment: predict and measure per-iteration cost for
 /// each candidate width.
-pub fn optimize_ghost_width(
+pub fn optimize_ghost_width<C: CostModel + ?Sized>(
     params: &PlatformParams,
-    profile: &PlatformProfile,
+    costs: &C,
     proc_model: &ProcessorModel,
     placement: &Placement,
     n: usize,
@@ -262,7 +261,7 @@ pub fn optimize_ghost_width(
 ) -> GhostSweep {
     let predicted = widths
         .iter()
-        .map(|&w| predict_ghost_width(profile, proc_model, placement, n, w))
+        .map(|&w| predict_ghost_width(costs, proc_model, placement, n, w))
         .collect();
     let measured = widths
         .iter()
@@ -289,7 +288,7 @@ mod tests {
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 33);
         optimize_ghost_width(
             &params,
-            &profile,
+            &profile.costs,
             &xeon_core(),
             &placement,
             n,

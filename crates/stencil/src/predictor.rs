@@ -5,9 +5,12 @@
 //!
 //! * a `P×1` requirement matrix of stencil cells against a `P×1` cost
 //!   matrix of per-cell rates at the local footprint (the Ch. 4 term);
-//! * `P×P` message-count and volume matrices against the benchmarked
-//!   heterogeneous Hockney matrices (the Ch. 5 term), with the §6.2
-//!   out-of-band header charged per operation;
+//! * message counts and volumes against the benchmarked heterogeneous
+//!   Hockney costs, `CostModel::pair`'s `l` and `beta` (the Ch. 5 term),
+//!   with the §6.2 out-of-band header charged per operation — Fig. 8.8's
+//!   `P×P` matrices have at most four nonzeros per row, so each process
+//!   sums its neighbours' terms directly (`hpm_core::hockney::comm_times`
+//!   is the dense oracle);
 //! * the payload-carrying dissemination-barrier prediction (the Ch. 6
 //!   term);
 //!
@@ -20,13 +23,11 @@ use crate::decomp::Decomposition;
 use hpm_barriers::patterns::dissemination;
 use hpm_bsplib::ops::HEADER_BYTES;
 use hpm_core::compute::superstep_times;
-use hpm_core::hockney::comm_times;
 use hpm_core::matrix::DMat;
-use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
+use hpm_core::predictor::{predict_compiled_with, CostModel, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
-use hpm_simnet::microbench::PlatformProfile;
 use hpm_topology::Placement;
 
 /// A per-iteration prediction for the BSP stencil.
@@ -42,8 +43,8 @@ pub struct StencilPrediction {
 
 /// Builds the Fig. 8.8 matrices and evaluates the Fig. 8.9 predictor for
 /// one Jacobi iteration on an `n×n` problem.
-pub fn predict_bsp_iteration(
-    profile: &PlatformProfile,
+pub fn predict_bsp_iteration<C: CostModel + ?Sized>(
+    costs: &C,
     proc_model: &ProcessorModel,
     placement: &Placement,
     n: usize,
@@ -67,28 +68,24 @@ pub fn predict_bsp_iteration(
         })
         .collect();
 
-    // Communication: counts (header + payload per neighbour) and volumes.
-    let mut counts = DMat::zeros(p, p);
-    let mut volumes = DMat::zeros(p, p);
-    for i in 0..p {
-        let nb = decomp.neighbours(i);
-        for (peer, bytes) in [
-            (nb.north, decomp.ns_exchange_bytes(i, 1)),
-            (nb.south, decomp.ns_exchange_bytes(i, 1)),
-            (nb.west, decomp.we_exchange_bytes(i, 1)),
-            (nb.east, decomp.we_exchange_bytes(i, 1)),
-        ] {
-            if let Some(peer) = peer {
-                counts.set(i, peer, counts.get(i, peer) + 2.0);
-                volumes.set(
-                    i,
-                    peer,
-                    volumes.get(i, peer) + bytes as f64 + HEADER_BYTES as f64,
-                );
-            }
-        }
-    }
-    let comm = comm_times(&counts, &volumes, &profile.hockney());
+    // Communication: per neighbour a header and a payload operation (two
+    // latencies) carrying the border bytes plus the header, summed in
+    // ascending rank order (N, W, E, S on the row-major grid) — the
+    // order, and so the bits, of the dense row sum.
+    let comm: Vec<f64> = (0..p)
+        .map(|i| {
+            let nb = decomp.neighbours(i);
+            let ns = decomp.ns_exchange_bytes(i, 1);
+            let we = decomp.we_exchange_bytes(i, 1);
+            [(nb.north, ns), (nb.west, we), (nb.east, we), (nb.south, ns)]
+                .into_iter()
+                .filter_map(|(peer, bytes)| Some((peer?, bytes)))
+                .fold(0.0, |t, (j, bytes)| {
+                    let c = costs.pair(i, j);
+                    t + (2.0 * c.l + (bytes + HEADER_BYTES) as f64 * c.beta)
+                })
+        })
+        .collect();
     // Early commit: everything is exposed to overlap.
     let comm_maskable = comm.clone();
 
@@ -96,7 +93,7 @@ pub fn predict_bsp_iteration(
     let sync = if p >= 2 {
         predict_compiled_with(
             &dissemination(p),
-            &profile.costs,
+            costs,
             &PayloadSchedule::dissemination_count_map(p),
         )
         .total
@@ -121,7 +118,7 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 21);
-        predict_bsp_iteration(&profile, &xeon_core(), &placement, n)
+        predict_bsp_iteration(&profile.costs, &xeon_core(), &placement, n)
     }
 
     #[test]

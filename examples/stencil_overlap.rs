@@ -60,7 +60,7 @@ fn main() {
     // Prediction vs measurement at full machine.
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 64);
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::default(), 5);
-    let prediction = predict_bsp_iteration(&profile, &model, &placement, n);
+    let prediction = predict_bsp_iteration(&profile.costs, &model, &placement, n);
     let cfg = BspConfig::new(params.clone(), placement.clone(), model.clone(), 5);
     let measured = run_bsp_stencil(&cfg, n, 4, CommitDiscipline::EarlyUnbuffered, false);
     println!(
@@ -73,7 +73,7 @@ fn main() {
     // Model-driven ghost-width adaptation (§8.6).
     let sweep = optimize_ghost_width(
         &params,
-        &profile,
+        &profile.costs,
         &model,
         &placement,
         n,

@@ -69,7 +69,7 @@ fn stencil_prediction_tracks_bsp_measurement() {
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 32);
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 5);
     let model = xeon_core();
-    let predicted = predict_bsp_iteration(&profile, &model, &placement, 2048).total;
+    let predicted = predict_bsp_iteration(&profile.costs, &model, &placement, 2048).total;
     let cfg = BspConfig::new(params, placement, model, 5);
     let measured =
         run_bsp_stencil(&cfg, 2048, 3, CommitDiscipline::EarlyUnbuffered, false).mean_iter();
@@ -108,11 +108,12 @@ fn heterogeneous_processors_shift_the_stencil_balance() {
     let params = xeon_cluster_params();
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), 7);
-    let fast = predict_bsp_iteration(&profile, &xeon_core(), &placement, 4096).total;
-    let slow = predict_bsp_iteration(&profile, &xeon_core().scaled(0.5), &placement, 4096).total;
+    let fast = predict_bsp_iteration(&profile.costs, &xeon_core(), &placement, 4096).total;
+    let slow =
+        predict_bsp_iteration(&profile.costs, &xeon_core().scaled(0.5), &placement, 4096).total;
     assert!(slow > fast * 1.5, "slow {slow:.3e} vs fast {fast:.3e}");
     // And the Opteron model differs from the Xeon model.
-    let opteron = predict_bsp_iteration(&profile, &opteron_core(), &placement, 4096).total;
+    let opteron = predict_bsp_iteration(&profile.costs, &opteron_core(), &placement, 4096).total;
     assert!(opteron != fast);
 }
 

@@ -569,7 +569,7 @@ fn cost_model_readers_match_goldens() {
         ] {
             let (placement, prof) = profile(p);
             for (n, (total, comm)) in [SMALL_N, LARGE_N].into_iter().zip(goldens) {
-                let pr = predict_bsp_iteration(&prof, &xeon_core(), &placement, n);
+                let pr = predict_bsp_iteration(&prof.costs, &xeon_core(), &placement, n);
                 let got = (pr.total.to_bits(), fnv_samples(&pr.model.comm));
                 assert_eq!(got, (total, comm), "p={p} n={n}: stencil prediction moved");
             }
@@ -578,7 +578,9 @@ fn cost_model_readers_match_goldens() {
         let (placement, p64) = profile(64);
         let got: Vec<u64> = [1usize, 2, 3, 4, 6, 8]
             .into_iter()
-            .map(|w| predict_ghost_width(&p64, &xeon_core(), &placement, SMALL_N, w).to_bits())
+            .map(|w| {
+                predict_ghost_width(&p64.costs, &xeon_core(), &placement, SMALL_N, w).to_bits()
+            })
             .collect();
         assert_eq!(
             got,

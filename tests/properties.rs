@@ -510,3 +510,172 @@ proptest! {
         prop_assert!(seen.iter().all(|&s| s));
     }
 }
+
+/// Random positive dense costs: every entry, diagonal included, drawn
+/// from its own decade-wide range so no two links agree by accident.
+fn random_costs(p: usize, seed: u64) -> CommCosts {
+    let mut state = seed;
+    let mut next = move |scale: f64| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        scale * (1.0 + 9.0 * ((x ^ (x >> 31)) >> 11) as f64 / (1u64 << 53) as f64)
+    };
+    let o = DMat::from_fn(p, p, |_, _| next(1e-7));
+    let l = DMat::from_fn(p, p, |_, _| next(1e-6));
+    let beta = DMat::from_fn(p, p, |_, _| next(1e-9));
+    CommCosts::new(o, l, beta)
+}
+
+/// The stencil predictor's per-neighbour comm sums equal the dense
+/// Eq. 3.15 composition over Fig. 8.8's `P×P` count and volume matrices
+/// (built here as the predictor once built them), bit for bit, for every
+/// p ≤ 64 with a valid decomposition of each problem size.
+#[test]
+fn stencil_comm_matches_dense_hockney() {
+    use hpm::bsplib::ops::HEADER_BYTES;
+    use hpm::model::hockney::comm_times;
+    use hpm::stencil::predictor::predict_bsp_iteration;
+
+    let valid = |n: usize, p: usize| {
+        let px = (1..=p)
+            .filter(|d| p.is_multiple_of(*d))
+            .min_by_key(|&d| d.abs_diff(p / d))
+            .expect("p has a divisor");
+        n / px >= 2 && n / (p / px) >= 2
+    };
+    let mut cases = 0;
+    for n in [16usize, 37, 64, 257] {
+        for p in (1..=64).filter(|&p| valid(n, p)) {
+            let costs = random_costs(p, (n * 100 + p) as u64);
+            let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+            let decomp = Decomposition::new(n, p);
+            let mut counts = DMat::zeros(p, p);
+            let mut volumes = DMat::zeros(p, p);
+            for i in 0..p {
+                let nb = decomp.neighbours(i);
+                for (peer, bytes) in [
+                    (nb.north, decomp.ns_exchange_bytes(i, 1)),
+                    (nb.south, decomp.ns_exchange_bytes(i, 1)),
+                    (nb.west, decomp.we_exchange_bytes(i, 1)),
+                    (nb.east, decomp.we_exchange_bytes(i, 1)),
+                ] {
+                    if let Some(peer) = peer {
+                        counts.set(i, peer, counts.get(i, peer) + 2.0);
+                        let v = volumes.get(i, peer) + bytes as f64 + HEADER_BYTES as f64;
+                        volumes.set(i, peer, v);
+                    }
+                }
+            }
+            let dense = comm_times(&counts, &volumes, &costs);
+            let sparse = predict_bsp_iteration(&costs, &xeon_core(), &placement, n)
+                .model
+                .comm;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sparse), bits(&dense), "n={n} p={p}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 199, "decompositions covered");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Greedy's per-subset prediction — the cost model viewed through a
+    /// subset of ranks — equals the prediction on an explicitly copied
+    /// sub-matrix profile, bit for bit, for every gather shape.
+    #[test]
+    fn subset_cost_matches_copied_sub_matrices(
+        p in 2usize..40,
+        picks in proptest::collection::vec(0usize..1000, 2..24),
+        seed in 0u64..1_000_000,
+    ) {
+        use hpm::barriers::greedy::subset_cost;
+
+        let costs = random_costs(p, seed);
+        let mut ranks: Vec<usize> = Vec::new();
+        for k in picks {
+            if !ranks.contains(&(k % p)) {
+                ranks.push(k % p);
+            }
+        }
+        prop_assume!(ranks.len() >= 2);
+        let n = ranks.len();
+        let pick = |m: &DMat| DMat::from_fn(n, n, |i, j| m.get(ranks[i], ranks[j]));
+        let local = CommCosts::new(pick(&costs.o), pick(&costs.l), pick(&costs.beta));
+        for shape in [GatherShape::Flat, GatherShape::Tree(2), GatherShape::Tree(4)] {
+            let plan = match shape {
+                GatherShape::Flat => linear(n, 0),
+                GatherShape::Tree(d) => kary_tree(n, d),
+            };
+            let copied = predict_compiled_with(&plan, &local, &PayloadSchedule::none()).total;
+            let viewed = subset_cost(&costs, &ranks, shape);
+            prop_assert_eq!(viewed.to_bits(), copied.to_bits(), "{:?} over {:?}", shape, ranks);
+        }
+    }
+}
+
+/// The generic cost path: on a per-class profile fitted at p = 64, the
+/// greedy constructor, the stencil prediction and the ghost-width
+/// prediction give bit-identical results on [`ClassCosts`] and on its
+/// dense reconstruction (`o_self` on the diagonal, each pair's class
+/// values off it).
+///
+/// [`ClassCosts`]: hpm::simnet::microbench::ClassCosts
+#[test]
+fn class_costs_match_their_dense_reconstruction() {
+    use hpm::barriers::greedy::{greedy_adaptive_barrier, subset_cost};
+    use hpm::model::predictor::CostModel;
+    use hpm::simnet::microbench::{bench_platform_classes, ClassCosts, MicrobenchConfig};
+    use hpm::stencil::configs::SMALL_N;
+    use hpm::stencil::overlap_opt::predict_ghost_width;
+    use hpm::stencil::predictor::predict_bsp_iteration;
+
+    let p = 64;
+    let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+    let cfg = MicrobenchConfig::quick().with_pair_sample(16);
+    let profile = bench_platform_classes(&xeon_cluster_params(), &placement, &cfg, 2012);
+    let class = ClassCosts::new(&placement, profile);
+    let off = |f: fn(&ClassCosts, usize, usize) -> f64, diag: fn(&ClassCosts, usize) -> f64| {
+        DMat::from_fn(p, p, |i, j| {
+            if i == j {
+                diag(&class, i)
+            } else {
+                f(&class, i, j)
+            }
+        })
+    };
+    let dense = CommCosts::new(
+        off(|c, i, j| c.pair(i, j).o, |c, i| c.o_self(i)),
+        off(|c, i, j| c.pair(i, j).l, |_, _| 0.0),
+        off(|c, i, j| c.pair(i, j).beta, |_, _| 0.0),
+    );
+
+    let (a, b) = (
+        greedy_adaptive_barrier(&class),
+        greedy_adaptive_barrier(&dense),
+    );
+    assert_eq!(a.pattern, b.pattern);
+    assert_eq!(a.predicted_total.to_bits(), b.predicted_total.to_bits());
+    assert!(a.clustering.len() > 1, "8 nodes should cluster");
+    for (group, &(shape, cost)) in a.clustering.groups.iter().zip(&a.intra_choices) {
+        if group.len() >= 2 {
+            assert_eq!(cost.to_bits(), subset_cost(&dense, group, shape).to_bits());
+        }
+    }
+
+    for n in [SMALL_N, 8192] {
+        let a = predict_bsp_iteration(&class, &xeon_core(), &placement, n);
+        let b = predict_bsp_iteration(&dense, &xeon_core(), &placement, n);
+        assert_eq!(a.total.to_bits(), b.total.to_bits(), "n={n}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.model.comm), bits(&b.model.comm), "n={n}");
+    }
+    for w in [1, 2, 3, 4, 6, 8] {
+        let a = predict_ghost_width(&class, &xeon_core(), &placement, SMALL_N, w);
+        let b = predict_ghost_width(&dense, &xeon_core(), &placement, SMALL_N, w);
+        assert_eq!(a.to_bits(), b.to_bits(), "w={w}");
+    }
+}
