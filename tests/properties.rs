@@ -638,19 +638,20 @@ fn class_costs_match_their_dense_reconstruction() {
     let cfg = MicrobenchConfig::quick().with_pair_sample(16);
     let profile = bench_platform_classes(&xeon_cluster_params(), &placement, &cfg, 2012);
     let class = ClassCosts::new(&placement, profile);
-    let off = |f: fn(&ClassCosts, usize, usize) -> f64, diag: fn(&ClassCosts, usize) -> f64| {
+    let dense = CommCosts::new(
         DMat::from_fn(p, p, |i, j| {
             if i == j {
-                diag(&class, i)
+                class.o_self(i)
             } else {
-                f(&class, i, j)
+                class.pair(i, j).o
             }
-        })
-    };
-    let dense = CommCosts::new(
-        off(|c, i, j| c.pair(i, j).o, |c, i| c.o_self(i)),
-        off(|c, i, j| c.pair(i, j).l, |_, _| 0.0),
-        off(|c, i, j| c.pair(i, j).beta, |_, _| 0.0),
+        }),
+        DMat::from_fn(p, p, |i, j| if i == j { 0.0 } else { class.pair(i, j).l }),
+        DMat::from_fn(
+            p,
+            p,
+            |i, j| if i == j { 0.0 } else { class.pair(i, j).beta },
+        ),
     );
 
     let (a, b) = (
