@@ -121,17 +121,13 @@ fn single_lane_fills_match_goldens() {
 }
 
 /// A representatively nasty fault model for the determinism tests:
-/// every fault class enabled at once.
+/// crashes, drops and stragglers at once.
 fn stress_fault_model() -> hpm::stats::fault::FaultModel {
     use hpm::stats::fault::{DropProb, FaultModel};
     FaultModel {
         crash_count: 2,
         crash_window: 1e-4,
         drop: DropProb::uniform(0.02),
-        degraded_prob: 0.1,
-        degraded_mult: 3.0,
-        slow_prob: 0.2,
-        slow_mult: 1.5,
         straggler_prob: 0.1,
         straggler_scale: 1e-4,
         straggler_alpha: 1.5,
@@ -206,7 +202,7 @@ fn faulty_measure_bit_identical_across_thread_counts() {
         let totals: Vec<f64> = serial.iter().map(|r| r.total()).collect();
         assert_eq!(
             fnv_samples(&totals),
-            0x7663fe4035a77fb7,
+            0xd22dc1ea36738bfe,
             "faulty exit stream diverged from its golden"
         );
     }
@@ -267,7 +263,7 @@ fn recovering_outcomes_match_goldens() {
     assert!(reports.iter().any(|r| r.replanned));
     assert_eq!(
         reports.iter().fold(FNV_OFFSET, hash),
-        0x048dc0a9d12069c6,
+        0xc5ad9e1163975791,
         "recovering outcomes under the stress model diverged from their golden"
     );
 
@@ -303,6 +299,47 @@ fn recovering_outcomes_match_goldens() {
         h, 0x32da526ae5555e56,
         "recovering outcomes under forced crashes diverged from their golden"
     );
+}
+
+/// Golden pin of the fault-plan stream: the `crash_time` and
+/// `straggler_delay` bits [`hpm::stats::fault::FaultPlan::realize_into`]
+/// realizes for crash-plus-straggler models at p ∈ {8, 64, 256}, 16
+/// repetitions each, into one reused plan. The realization's draw order
+/// (crash ranks, crash times, two per-node draws, per-rank straggler gate
+/// and magnitude) is what these hashes hold. Straggler magnitudes read
+/// the Pareto quantile table, whose knots go through libm `ln`: same
+/// platform gate as the goldens above.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn fault_plan_realizations_match_goldens() {
+    use hpm::stats::fault::{FaultModel, FaultPlan};
+
+    let heavy = FaultModel {
+        crash_count: 5,
+        crash_window: 1e-3,
+        straggler_prob: 0.5,
+        straggler_scale: 2e-4,
+        straggler_alpha: 2.5,
+        ..FaultModel::NONE
+    };
+    let mut plan = FaultPlan::neutral(0, 0);
+    for (fault, golden) in [
+        (stress_fault_model(), 0xccc55b30e16ef193),
+        (heavy, 0x8ac9af8cbee80c07),
+    ] {
+        let mut h = 0xcbf29ce484222325u64;
+        for (p, nodes) in [(8usize, 8usize), (64, 8), (256, 32)] {
+            for rep in 0..16u64 {
+                plan.realize_into(&fault, p, nodes, 2026, rep);
+                h = plan
+                    .crash_time
+                    .iter()
+                    .chain(&plan.straggler_delay)
+                    .fold(h, |h, t| (h ^ t.to_bits()).wrapping_mul(0x100000001b3));
+            }
+        }
+        assert_eq!(h, golden, "realized fault plans moved ({h:#018x})");
+    }
 }
 
 /// Golden pin of the seven executable collectives (PR 20, struck on the
