@@ -50,6 +50,4 @@ pub mod runtime;
 pub use ctx::BspCtx;
 pub use mem::RegHandle;
 pub use ops::StepOutcome;
-pub use runtime::{
-    run_spmd, BspConfig, BspError, BspProgram, BspRunResult, RecoveryEvent, RecoveryPolicy,
-};
+pub use runtime::{run_spmd, BspConfig, BspError, BspProgram, BspRunResult};

@@ -24,6 +24,11 @@
 //! puts land (deterministically ordered), sends appear in next-superstep
 //! queues, registrations commit.
 //!
+//! The sync runs on the healthy machine, as the thesis models it: every
+//! process completes every superstep. Fault injection belongs to the
+//! barrier executors (`BarrierSim::measure_faulty` and
+//! `BarrierSim::measure_recovering` in `hpm-simnet`).
+//!
 //! On the host, the runtime owns one operation log and one byte staging
 //! buffer per superstep, shared by all processes: a put reserves a span of
 //! the buffer and writes its payload there ([`BspCtx::put_with`]), the
@@ -45,10 +50,8 @@ use hpm_simnet::barrier::{BarrierSim, SimScratch};
 use hpm_simnet::exchange::{
     exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
-use hpm_simnet::faults::{FaultReport, FaultScratch, RankOutcome};
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
-use hpm_stats::fault::FaultModel;
 use hpm_stats::rng::{derive_rng, JitterBuf};
 use hpm_topology::Placement;
 use std::ops::Range;
@@ -114,44 +117,6 @@ impl SyncPattern {
     }
 }
 
-/// What the runtime does when a fault-injected sync fails on some
-/// processes (ULFM-style error handling for the simulated machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Abort the run with [`BspError::SyncFailed`] — the pre-recovery
-    /// behavior, and the default.
-    #[default]
-    FailFast,
-    /// Shrink the process set to the sync's survivors, remap their pids
-    /// to `0..n_survivors` (rank order preserved), rebuild the sync for
-    /// the smaller machine, and resume the superstep loop from the
-    /// post-consensus instant. What happened is surfaced on
-    /// [`BspRunResult::recoveries`] instead of an error.
-    ShrinkAndContinue,
-}
-
-/// One shrink event on a [`BspRunResult`]: which sync failed, who was
-/// evicted, and what the survivors paid to agree on it. Pids are in the
-/// numbering that was current *at that superstep* (earlier shrinks have
-/// already renumbered).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryEvent {
-    /// Superstep whose sync failed.
-    pub superstep: usize,
-    /// Processes evicted (crashed or timed out), in rank order.
-    pub failed: Vec<usize>,
-    /// Processes that continue, in rank order; survivor `survivors[i]`
-    /// becomes pid `i` from the next superstep on.
-    pub survivors: Vec<usize>,
-    /// When the survivors had detected the failure: last survivor exit
-    /// from the failed sync plus one retry-timeout budget.
-    pub detection_time: f64,
-    /// Modeled agreement-round cost the survivors paid on top.
-    pub consensus_cost: f64,
-    /// Process count after the shrink.
-    pub nprocs_after: usize,
-}
-
 /// Runtime configuration.
 #[derive(Debug, Clone)]
 pub struct BspConfig {
@@ -163,12 +128,6 @@ pub struct BspConfig {
     pub max_supersteps: usize,
     /// Barrier shape the sync executes; dissemination unless overridden.
     pub sync: SyncPattern,
-    /// Fault model injected into every sync; [`FaultModel::NONE`] (the
-    /// default) keeps the run bit-identical to the fault-free runtime.
-    pub fault: FaultModel,
-    /// What a failed sync does to the run; [`RecoveryPolicy::FailFast`]
-    /// (the default) preserves the pre-recovery abort behavior.
-    pub recovery: RecoveryPolicy,
 }
 
 impl BspConfig {
@@ -186,8 +145,6 @@ impl BspConfig {
             seed,
             max_supersteps: 100_000,
             sync: SyncPattern::default(),
-            fault: FaultModel::NONE,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -206,22 +163,6 @@ pub enum BspError {
     MixedHalt { superstep: usize },
     /// The `max_supersteps` guard tripped.
     SuperstepLimit,
-    /// The configured [`FaultModel`] failed [`FaultModel::checked`]; the
-    /// message names the offending knob. Returned before the first
-    /// superstep, so a bad user-supplied model cannot silently misbehave
-    /// mid-run.
-    InvalidFaultModel(String),
-    /// A fault-injected sync could not complete on every process: some
-    /// crashed or timed out waiting for signals that never arrived. The
-    /// run stops at that superstep; `survivors` lists the processes that
-    /// still completed the sync cleanly.
-    SyncFailed {
-        superstep: usize,
-        /// Processes that crashed or timed out, in rank order.
-        failed: Vec<usize>,
-        /// Processes that completed the sync, in rank order.
-        survivors: Vec<usize>,
-    },
 }
 
 impl std::fmt::Display for BspError {
@@ -239,17 +180,6 @@ impl std::fmt::Display for BspError {
                 "superstep {superstep}: some processes halted while others continued (bsp_end must be collective)"
             ),
             BspError::SuperstepLimit => write!(f, "superstep limit exceeded"),
-            BspError::InvalidFaultModel(msg) => write!(f, "invalid fault model: {msg}"),
-            BspError::SyncFailed {
-                superstep,
-                failed,
-                survivors,
-            } => write!(
-                f,
-                "superstep {superstep}: sync failed on {} of {} processes (failed ranks: {failed:?})",
-                failed.len(),
-                failed.len() + survivors.len()
-            ),
         }
     }
 }
@@ -304,13 +234,8 @@ pub struct BspRunResult<P> {
     pub programs: Vec<P>,
     /// Total virtual time (latest completion of the final sync).
     pub total_time: f64,
-    /// Per-superstep traces. A trace recorded before a shrink spans the
-    /// process count that was current then.
+    /// Per-superstep traces.
     pub supersteps: Vec<SuperstepTrace>,
-    /// Shrink events under [`RecoveryPolicy::ShrinkAndContinue`], in
-    /// superstep order; empty on a clean run and always empty under
-    /// [`RecoveryPolicy::FailFast`].
-    pub recoveries: Vec<RecoveryEvent>,
 }
 
 impl<P> BspRunResult<P> {
@@ -335,38 +260,22 @@ impl<P> BspRunResult<P> {
 }
 
 /// Runs an SPMD program built by `make(pid)` on the configured platform.
-///
-/// Returns [`BspError::InvalidFaultModel`] before the first superstep
-/// when `cfg.fault` fails [`FaultModel::checked`]. Under
-/// [`RecoveryPolicy::ShrinkAndContinue`] a failed sync evicts the
-/// failed processes and the loop resumes over the renumbered survivors
-/// (the halting superstep is re-executed by the survivors if the final
-/// sync itself failed); each shrink is recorded on
-/// [`BspRunResult::recoveries`].
 pub fn run_spmd<P: BspProgram>(
     cfg: &BspConfig,
     mut make: impl FnMut(usize) -> P,
 ) -> Result<BspRunResult<P>, BspError> {
-    if let Err(e) = cfg.fault.checked() {
-        return Err(BspError::InvalidFaultModel(e.to_string()));
-    }
-    let mut p = cfg.placement.nprocs();
+    let placement = &cfg.placement;
+    let p = placement.nprocs();
     let mut programs: Vec<P> = (0..p).map(&mut make).collect();
     let mut mems: Vec<ProcMem> = (0..p).map(|_| ProcMem::default()).collect();
     let mut clocks = vec![0.0f64; p];
     let mut rng = derive_rng(cfg.seed, 0xB5F);
     // The sync plan is built once and every superstep's barrier runs
-    // over reused scratch. A shrink rebuilds everything sized or shaped
-    // by the process count: the placement, the network, the sync plan
-    // and its scratch.
-    let mut placement = cfg.placement.clone();
-    let mut net = NetState::new(&placement);
-    let (mut compiled_sync, mut payload) = cfg.sync.build(p);
-    let mut sync_scratch = SimScratch::new(&placement);
-    // The faulty sync's fault plan, bookkeeping and report are reused
-    // across supersteps (and resize themselves after a shrink).
-    let mut fault_scratch = FaultScratch::new();
-    let mut sync_report = FaultReport::new(p);
+    // over reused scratch.
+    let sim = BarrierSim::new(&cfg.params, placement);
+    let mut net = NetState::new(placement);
+    let (compiled_sync, payload) = cfg.sync.build(p);
+    let mut sync_scratch = SimScratch::new(placement);
     let mut ex_scratch = ExchangeScratch::default();
     // Background transfers run on the batched jitter engine: one table
     // per resolution pass, filled to the message list's exact draw count
@@ -377,7 +286,6 @@ pub fn run_spmd<P: BspProgram>(
     let mut r1 = ExchangeResult::default();
     let mut r2 = ExchangeResult::default();
     let mut supersteps = Vec::new();
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
     // Per-process operation logs, cleared and refilled every superstep,
     // and the superstep's one payload staging buffer (see `ops`): every
     // process' puts and sends append to it during phase 1; phase 4 adds
@@ -389,12 +297,10 @@ pub fn run_spmd<P: BspProgram>(
     let mut headers: Vec<ExchangeMsg> = Vec::new();
     let mut get_requests: Vec<(usize, usize, usize)> = Vec::new(); // (header idx, pid, op idx)
     let mut replies: Vec<ExchangeMsg> = Vec::new();
-    let mut survives: Vec<bool> = Vec::new();
     // (requester, its destination buffer and offset, staged snapshot)
     let mut get_results: Vec<(usize, RegHandle, usize, Range<usize>)> = Vec::new();
 
     for step in 0..cfg.max_supersteps {
-        let sim = BarrierSim::new(&cfg.params, &placement);
         // Phase 1: run program code, collect ops.
         let mut compute_end = vec![0.0f64; p];
         let mut halts = 0usize;
@@ -471,7 +377,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &placement,
+            placement,
             &headers,
             &mut net,
             &mut ex_jitter,
@@ -498,7 +404,7 @@ pub fn run_spmd<P: BspProgram>(
         );
         resolve_exchange_into(
             &cfg.params,
-            &placement,
+            placement,
             &replies,
             &mut net,
             &mut ex_jitter,
@@ -506,40 +412,8 @@ pub fn run_spmd<P: BspProgram>(
             &mut r2,
         );
 
-        // Phase 3: synchronize. Under a fault model the sync runs on the
-        // faulty executor (same stream label and rep, so a zero-fault
-        // model reproduces the healthy path bit-for-bit). A sync that
-        // not every process completes aborts the run with the survivor
-        // set under `FailFast`, or triggers a shrink below under
-        // `ShrinkAndContinue`.
-        let mut sync_failed = false;
+        // Phase 3: synchronize.
         let barrier_exit = match &compiled_sync {
-            Some(plan) if !cfg.fault.is_none() => {
-                sim.run_once_faulty_into(
-                    plan,
-                    &payload,
-                    &cfg.fault,
-                    &compute_end,
-                    &mut net,
-                    cfg.seed,
-                    SYNC_JITTER_LABEL,
-                    step as u64,
-                    &mut sync_scratch,
-                    &mut fault_scratch,
-                    &mut sync_report,
-                );
-                if !sync_report.all_completed() {
-                    if cfg.recovery == RecoveryPolicy::FailFast {
-                        return Err(BspError::SyncFailed {
-                            superstep: step,
-                            failed: sync_report.failed(),
-                            survivors: sync_report.survivors(),
-                        });
-                    }
-                    sync_failed = true;
-                }
-                sync_scratch.exits().to_vec()
-            }
             Some(plan) => {
                 sim.run_once_batched(
                     plan,
@@ -572,20 +446,6 @@ pub fn run_spmd<P: BspProgram>(
             .collect();
 
         // Phase 4: memory effects in BSPlib order.
-        // After a failed sync under ShrinkAndContinue, only effects
-        // whose source and destination both survive commit — data to or
-        // from an evicted process died with it.
-        survives.clear();
-        if sync_failed {
-            survives.extend(
-                sync_report
-                    .outcomes
-                    .iter()
-                    .map(|o| matches!(o, RankOutcome::Completed(_))),
-            );
-        } else {
-            survives.resize(p, true);
-        }
         // Every operation with its issuing process, in `(pid, program
         // order)` — the order puts land in.
         let ops = || {
@@ -607,16 +467,13 @@ pub fn run_spmd<P: BspProgram>(
                 ..
             } = op
             {
-                if !(survives[pid] && survives[*src]) {
-                    continue;
-                }
                 let start = staging.len();
                 staging
                     .extend_from_slice(&mems[*src].read(*src_reg)[*src_offset..*src_offset + *len]);
                 get_results.push((pid, *dst_reg, *dst_offset, start..staging.len()));
             }
         }
-        for (pid, op) in ops() {
+        for (_, op) in ops() {
             if let CommOp::Put {
                 dst,
                 reg,
@@ -625,9 +482,6 @@ pub fn run_spmd<P: BspProgram>(
                 ..
             } = op
             {
-                if !(survives[pid] && survives[*dst]) {
-                    continue;
-                }
                 mems[*dst].write(*reg)[*offset..*offset + data.len()]
                     .copy_from_slice(&staging[data.clone()]);
             }
@@ -636,14 +490,11 @@ pub fn run_spmd<P: BspProgram>(
             mems[pid].write(dst_reg)[dst_offset..dst_offset + snapshot.len()]
                 .copy_from_slice(&staging[snapshot]);
         }
-        for (pid, op) in ops() {
+        for (_, op) in ops() {
             if let CommOp::Send {
                 dst, tag, payload, ..
             } = op
             {
-                if !(survives[pid] && survives[*dst]) {
-                    continue;
-                }
                 // The message's one owned copy is made at delivery.
                 mems[*dst].arriving.push(BsmpMsg {
                     tag: staging[tag.clone()].to_vec(),
@@ -671,59 +522,12 @@ pub fn run_spmd<P: BspProgram>(
             ops: logs.iter().map(Vec::len).sum(),
         });
 
-        if sync_failed {
-            let report = &sync_report;
-            // ShrinkAndContinue: evict the failed processes, renumber
-            // the survivors to 0..n in rank order, rebuild everything
-            // shaped by the process count, and resume from the
-            // post-detection/consensus instant.
-            let survivor_ranks = report.survivors();
-            let failed = report.failed();
-            if survivor_ranks.is_empty() {
-                return Err(BspError::SyncFailed {
-                    superstep: step,
-                    failed,
-                    survivors: survivor_ranks,
-                });
-            }
-            let detection_time = report.total() + cfg.fault.timeout;
-            let consensus = hpm_simnet::recovery::consensus_cost(&cfg.params, survivor_ranks.len());
-            let t0 = detection_time + consensus;
-            let mut keep = survives.iter();
-            programs.retain(|_| *keep.next().expect("mask spans programs"));
-            let mut keep = survives.iter();
-            mems.retain(|_| *keep.next().expect("mask spans mems"));
-            let mut keep = survives.iter();
-            clocks.retain(|_| *keep.next().expect("mask spans clocks"));
-            // Survivors resume no earlier than the agreement instant;
-            // a transfer tail that outlived it keeps its later clock.
-            for c in clocks.iter_mut() {
-                *c = c.max(t0);
-            }
-            p = survivor_ranks.len();
-            logs.truncate(p);
-            recoveries.push(RecoveryEvent {
-                superstep: step,
-                failed,
-                survivors: survivor_ranks,
-                detection_time,
-                consensus_cost: consensus,
-                nprocs_after: p,
-            });
-            placement = Placement::new(placement.shape(), placement.policy(), p);
-            net = NetState::new(&placement);
-            (compiled_sync, payload) = cfg.sync.build(p);
-            sync_scratch = SimScratch::new(&placement);
-            continue;
-        }
-
         if halts == p {
             let total_time = clocks.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             return Ok(BspRunResult {
                 programs,
                 total_time,
                 supersteps,
-                recoveries,
             });
         }
     }
@@ -1203,244 +1007,16 @@ mod tests {
         }
     }
 
-    /// A fault model with a benign drop probability (no crashes, retry
-    /// budget far above the loss threshold) completes the run, still
-    /// delivers every put, and can only ever push completion later than
-    /// the fault-free run (retransmission delay is additive).
-    #[test]
-    fn faulty_sync_with_benign_drops_still_delivers() {
-        use hpm_stats::fault::DropProb;
-        let healthy = run_spmd(&config(8), |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        })
-        .expect("healthy run succeeds");
-        let mut cfg = config(8);
-        cfg.fault = FaultModel {
-            drop: DropProb::uniform(0.05),
-            ..FaultModel::NONE
-        };
-        let res = run_spmd(&cfg, |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        })
-        .expect("faulty run degrades gracefully");
-        for (pid, prog) in res.programs.iter().enumerate() {
-            let left = ((pid + 8) - 1) % 8;
-            assert_eq!(prog.seen, vec![left as u8], "pid {pid}");
-        }
-        assert!(
-            res.total_time >= healthy.total_time,
-            "drops may only delay completion: faulty {} vs healthy {}",
-            res.total_time,
-            healthy.total_time
-        );
-    }
-
-    /// Crashed processes surface as a structured [`BspError::SyncFailed`]
-    /// carrying the superstep and the failed/survivor partition — not as
-    /// a hang or a silent wrong answer.
-    #[test]
-    fn early_crash_fails_sync_with_survivor_set() {
-        let mut cfg = config(8);
-        cfg.fault = FaultModel {
-            crash_count: 2,
-            crash_window: 1e-9,
-            ..FaultModel::NONE
-        };
-        let err = run_spmd(&cfg, |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        })
-        .expect_err("crashed ranks must fail the sync");
-        match err {
-            BspError::SyncFailed {
-                superstep,
-                failed,
-                survivors,
-            } => {
-                assert_eq!(superstep, 0, "the crash window opens at time zero");
-                assert!(!failed.is_empty(), "crashed ranks must be reported");
-                let mut all: Vec<usize> = failed.iter().chain(&survivors).copied().collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..8).collect::<Vec<_>>(), "partition of ranks");
-            }
-            other => panic!("expected SyncFailed, got {other:?}"),
-        }
-    }
-
-    /// A configuration that fails fast on its first lossy sync completes
-    /// under `ShrinkAndContinue`: each failed sync evicts the processes
-    /// that gave up, the survivors renumber and resume, and the shrink
-    /// trail lands on the result. (Transient losses — a retry-less drop
-    /// model — rather than crashes, so later syncs over the survivors
-    /// can succeed and the run can finish.)
-    #[test]
-    fn shrink_and_continue_survives_what_failfast_aborts() {
-        use hpm_stats::fault::DropProb;
-        let mut cfg = config(8);
-        cfg.seed = 0;
-        cfg.fault = FaultModel {
-            drop: DropProb::uniform(0.02),
-            max_retries: 0,
-            timeout: 2e-5,
-            ..FaultModel::NONE
-        };
-        let make = |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        };
-        assert!(matches!(
-            run_spmd(&cfg, make).expect_err("fail-fast aborts"),
-            BspError::SyncFailed { .. }
-        ));
-        cfg.recovery = RecoveryPolicy::ShrinkAndContinue;
-        let res = run_spmd(&cfg, make).expect("survivors complete the run");
-        assert!(!res.recoveries.is_empty(), "shrinks must be recorded");
-        let mut nprocs = 8;
-        for ev in &res.recoveries {
-            assert!(!ev.failed.is_empty() && !ev.survivors.is_empty());
-            assert_eq!(ev.failed.len() + ev.survivors.len(), nprocs);
-            assert_eq!(ev.nprocs_after, ev.survivors.len());
-            assert!(ev.detection_time > 0.0, "detection pays the timeout");
-            assert!(
-                ev.nprocs_after == 1 || ev.consensus_cost > 0.0,
-                "agreement among >1 survivors costs time"
-            );
-            nprocs = ev.nprocs_after;
-        }
-        assert_eq!(res.programs.len(), nprocs, "result spans the survivors");
-        assert!(res.total_time > res.recoveries[0].detection_time);
-    }
-
-    /// Regression: after a shrink the background transfers must resolve
-    /// on the survivors' placement, like the sync does. Round-robin maps
-    /// rank → node by `r mod nodes_used`, so 16 ranks alternate between
-    /// two nodes while ≤ 8 renumbered survivors all sit on node 0. The
-    /// rooted sync loses (nearly) every wire signal: the root and the odd
-    /// ranks time out, the root's even node-mates survive. Their ring put
-    /// in the next superstep crosses no wire; classified on the
-    /// pre-shrink placement, every odd-distance hop paid the remote
-    /// link's millisecond latency.
-    #[test]
-    fn exchange_after_shrink_resolves_on_the_survivor_placement() {
-        use hpm_simnet::params::LinkCost;
-        use hpm_stats::fault::DropProb;
-        use hpm_stats::rng::JitterModel;
-        const REMOTE_LATENCY: f64 = 1e-3;
-        let link = |latency: f64| LinkCost {
-            o_send: 1e-8,
-            o_recv: 1e-8,
-            latency,
-            inv_bandwidth: 0.0,
-        };
-        let params = PlatformParams {
-            name: "far-wire".into(),
-            call_overhead: 1e-8,
-            same_socket: link(1e-9),
-            same_node: link(2e-9),
-            remote: link(REMOTE_LATENCY),
-            nic_gap: 0.0,
-            ack_factor: 0.0,
-            unexpected_penalty: 0.0,
-            jitter: JitterModel::NONE,
-        }
-        .validated();
-        let mut cfg = BspConfig::new(
-            params,
-            Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16),
-            xeon_core(),
-            3,
-        );
-        cfg.sync = SyncPattern::Linear { root: 0 };
-        cfg.recovery = RecoveryPolicy::ShrinkAndContinue;
-        cfg.fault = FaultModel {
-            drop: DropProb {
-                local: 0.0,
-                remote: 0.999,
-            },
-            max_retries: 0,
-            timeout: 2e-5,
-            ..FaultModel::NONE
-        };
-        let res = run_spmd(&cfg, |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        })
-        .expect("survivors complete the run");
-        assert_eq!(res.recoveries.len(), 1, "one shrink, at the first sync");
-        assert_eq!(res.recoveries[0].superstep, 0);
-        assert_eq!(res.recoveries[0].survivors, vec![2, 4, 6, 8, 10, 12, 14]);
-        // Superstep 1 is the survivors' ring put.
-        let tr = &res.supersteps[1];
-        assert_eq!((tr.ops, tr.compute_end.len()), (7, 7));
-        for i in 0..7 {
-            let inbound = tr.recv_complete[i] - tr.compute_end[i];
-            assert!(
-                inbound > 0.0 && inbound < 0.1 * REMOTE_LATENCY,
-                "survivor {i} waited {inbound} s for an intra-node put"
-            );
-        }
-    }
-
-    /// With no faults configured, the recovery policy is inert: both
-    /// policies produce bitwise identical runs and no recovery events.
-    #[test]
-    fn zero_fault_policies_are_bitwise_identical() {
-        let make = |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        };
-        let cfg = config(8);
-        let fail_fast = run_spmd(&cfg, make).expect("clean run");
-        let mut cfg2 = config(8);
-        cfg2.recovery = RecoveryPolicy::ShrinkAndContinue;
-        let shrink = run_spmd(&cfg2, make).expect("clean run");
-        assert_eq!(fail_fast.total_time.to_bits(), shrink.total_time.to_bits());
-        assert!(fail_fast.recoveries.is_empty() && shrink.recoveries.is_empty());
-    }
-
-    /// A bad fault model is rejected at entry with a structured error
-    /// naming the knob, before any superstep runs.
-    #[test]
-    fn invalid_fault_model_is_rejected_at_entry() {
-        let mut cfg = config(4);
-        cfg.fault.backoff = 0.5;
-        let err = run_spmd(&cfg, |_| RotatePut {
-            step: 0,
-            buf: None,
-            seen: Vec::new(),
-        })
-        .expect_err("bad model must be rejected");
-        match err {
-            BspError::InvalidFaultModel(msg) => {
-                assert!(msg.contains("backoff"), "names the knob: {msg}")
-            }
-            other => panic!("expected InvalidFaultModel, got {other:?}"),
-        }
-    }
-
     /// `BspError` is a real error type: `Display` carries the rank and
     /// superstep context, and it boxes into `dyn Error` so callers can
     /// `?` it.
     #[test]
     fn bsp_error_displays_and_boxes() {
-        let err = BspError::SyncFailed {
-            superstep: 3,
-            failed: vec![1, 4],
-            survivors: vec![0, 2, 3],
-        };
+        let err = BspError::MixedHalt { superstep: 3 };
         let msg = err.to_string();
         assert!(msg.contains("superstep 3"), "{msg}");
-        assert!(msg.contains("2 of 5"), "{msg}");
         let boxed: Box<dyn std::error::Error> = Box::new(err);
-        assert!(boxed.to_string().contains("failed ranks: [1, 4]"));
+        assert!(boxed.to_string().contains("bsp_end must be collective"));
         assert_eq!(
             BspError::SuperstepLimit.to_string(),
             "superstep limit exceeded"

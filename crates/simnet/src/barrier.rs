@@ -270,9 +270,8 @@ impl<'a> BarrierSim<'a> {
             let last_arrival = &mut scratch.last_arrival[..p];
             // Every process calls into the library: posted time = entry +
             // call overhead; from then on its receives are posted.
-            for (i, (post, &e)) in posted.iter_mut().zip(cur).enumerate() {
-                let slow = view.slow(self.placement, rank_of(i));
-                *post = e + self.params.call_overhead * jit.next_mult() * slow;
+            for (post, &e) in posted.iter_mut().zip(cur) {
+                *post = e + self.params.call_overhead * jit.next_mult();
             }
             nxt.copy_from_slice(posted);
             // last_arrival[j] accumulates processing times of j's inbound

@@ -1,5 +1,5 @@
-//! The fault-aware barrier executor: crashes, drops, degraded links and
-//! stragglers over the staged executor, with per-rank outcomes.
+//! The fault-aware barrier executor: crashes, drops and stragglers over
+//! the staged executor, with per-rank outcomes.
 //!
 //! [`crate::barrier::BarrierSim::run_once_faulty_into`] executes one
 //! compiled pattern under a [`FaultModel`]: the repetition's faults are
@@ -14,7 +14,7 @@
 //! [`CompiledPattern::jitter_draws`] multipliers), faulty runs are
 //! bit-identical at any thread count, and a [`FaultModel::is_none`]
 //! model reproduces the fault-free executor bit-for-bit (all fault
-//! arithmetic collapses to `×1.0`/`+0.0`).
+//! arithmetic collapses to `+0.0`).
 //!
 //! A drop uniform becomes an attempt count without `ln` whenever that
 //! count is provably 1 ([`attempts_from_uniform`]); attempt counts and
@@ -31,7 +31,7 @@ use crate::net::{FaultView, NetState, SignalFate};
 use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
 use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
-use hpm_topology::{LinkClass, Placement};
+use hpm_topology::LinkClass;
 
 /// How one rank left a faulty run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,23 +111,6 @@ impl FaultReport {
     pub fn total(&self) -> f64 {
         last_exit(&self.outcomes)
     }
-
-    /// Ranks that did (`true`) or did not complete cleanly, in rank
-    /// order.
-    fn ranks(&self, completed: bool) -> Vec<usize> {
-        let is = |r: &usize| matches!(self.outcomes[*r], RankOutcome::Completed(_)) == completed;
-        (0..self.outcomes.len()).filter(is).collect()
-    }
-
-    /// Ranks that completed cleanly, in rank order.
-    pub fn survivors(&self) -> Vec<usize> {
-        self.ranks(true)
-    }
-
-    /// Ranks that crashed or timed out, in rank order.
-    pub fn failed(&self) -> Vec<usize> {
-        self.ranks(false)
-    }
 }
 
 /// Reusable per-worker state for the faulty executor: the realized
@@ -187,17 +170,6 @@ impl FaultView for Faults<'_> {
     #[inline]
     fn crashed_at(&self, rank: usize, t: f64) -> bool {
         self.fplan.crashed_at(rank, t)
-    }
-
-    #[inline]
-    fn slow(&self, placement: &Placement, rank: usize) -> f64 {
-        self.fplan.node_slow[placement.node_of(rank)]
-    }
-
-    #[inline]
-    fn wire_mult(&self, placement: &Placement, src: usize, dst: usize) -> f64 {
-        self.fplan
-            .wire_mult(placement.node_of(src), placement.node_of(dst))
     }
 
     #[inline]
@@ -434,10 +406,6 @@ mod tests {
             crash_count: 2,
             crash_window: 1e-4,
             drop: DropProb::uniform(0.05),
-            degraded_prob: 0.1,
-            degraded_mult: 3.0,
-            slow_prob: 0.2,
-            slow_mult: 2.0,
             straggler_prob: 0.1,
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,
@@ -778,21 +746,18 @@ mod tests {
         );
     }
 
-    /// Report bookkeeping: survivors and failed partition the ranks.
+    /// A tail exponent the Pareto table cannot take fails the entry
+    /// check, naming the field, instead of panicking inside a worker.
     #[test]
-    fn survivors_and_failed_partition_ranks() {
+    #[should_panic(expected = "measure_faulty: invalid FaultModel: straggler_alpha")]
+    fn zero_straggler_alpha_is_rejected_at_entry() {
         let p = 16;
         let (params, placement) = sim_fixture(p);
         let sim = BarrierSim::new(&params, &placement);
-        let plan = dissemination(p);
-        let fault = faulty_model();
-        let reports = sim.measure_faulty(&plan, &PayloadSchedule::none(), &fault, 4, 13);
-        for report in &reports {
-            let mut all: Vec<usize> = report.survivors();
-            all.extend(report.failed());
-            all.sort_unstable();
-            assert_eq!(all, (0..p).collect::<Vec<_>>());
-            assert_eq!(report.completed_count(), report.survivors().len());
-        }
+        let fault = FaultModel {
+            straggler_alpha: 0.0,
+            ..faulty_model()
+        };
+        sim.measure_faulty(&dissemination(p), &PayloadSchedule::none(), &fault, 4, 1);
     }
 }

@@ -68,8 +68,8 @@ pub(crate) enum SignalFate {
 /// What one repetition's faults do to the stage kernel and to
 /// [`NetState::signal`], sealed inside the crate. The provided bodies
 /// *are* the fault-free executor: [`NoFaults`] overrides nothing, so it
-/// draws no drop uniform, multiplies by a literal `1.0` and delivers
-/// every signal — the clean loop, the fault branches gone after
+/// draws no drop uniform, crashes no rank and delivers every signal on
+/// its first attempt — the clean loop, the fault branches gone after
 /// monomorphisation. `crate::faults::Faults` overrides every method.
 /// Ranks are machine ranks (what [`Placement`] and the fault plan index
 /// by), except where a method says plan rank.
@@ -84,18 +84,6 @@ pub(crate) trait FaultView {
     #[inline(always)]
     fn crashed_at(&self, _rank: usize, _t: f64) -> bool {
         false
-    }
-
-    /// Slow-period multiplier of the CPU overheads `rank`'s node pays.
-    #[inline(always)]
-    fn slow(&self, _placement: &Placement, _rank: usize) -> f64 {
-        1.0
-    }
-
-    /// Degradation multiplier of the wire between two ranks' nodes.
-    #[inline(always)]
-    fn wire_mult(&self, _placement: &Placement, _src: usize, _dst: usize) -> f64 {
-        1.0
     }
 
     /// Retransmissions of a signal ready at `send_done` whose drop
@@ -257,18 +245,17 @@ impl NetState {
 
     /// The one signal primitive: [`NetState::signal_round_trip`] under a
     /// [`FaultView`]. The signal may be dropped (timeout → retransmit →
-    /// exponential backoff), slowed by its endpoints' slow periods,
-    /// stretched by degraded links, or suppressed entirely by a crashed
+    /// exponential backoff) or suppressed entirely by a crashed
     /// sender/receiver.
     ///
     /// Randomness contract: exactly **one** [`FaultView::drop_uniform`]
     /// and [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers from `jit`
     /// (send, wire, receive, ack — in that order) are consumed per call,
     /// whatever the fate, so the cursor contracts of the batched engine
-    /// extend to faults unchanged. A neutral fault plan multiplies by
-    /// `1.0` and adds `+0.0` — IEEE-754 identities on the simulator's
-    /// non-negative times — where [`NoFaults`] does not multiply or add
-    /// at all, which is why the two agree bit for bit.
+    /// extend to faults unchanged. A neutral fault plan adds `+0.0` — an
+    /// IEEE-754 identity on the simulator's non-negative times — where
+    /// [`NoFaults`] does not add at all, which is why the two agree bit
+    /// for bit.
     ///
     /// Approximation: a signal lost beyond the retry budget does not
     /// occupy the NIC for its failed attempts (only delivered signals
@@ -298,15 +285,14 @@ impl NetState {
         }
         let class = placement.link(src, dst);
         let lc = params.link(class);
-        let send_done = start + lc.o_send * m_send * view.slow(placement, src);
+        let send_done = start + lc.o_send * m_send;
         let Some((ready, retries, retry_delay)) = view.retransmit(u, class, send_done) else {
             return SignalFate::Lost {
                 gave_up: send_done + view.loss_delay(),
             };
         };
         let dep = self.depart(params, placement, class, src, ready);
-        let wire_deg = view.wire_mult(placement, src, dst);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire * wire_deg;
+        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire;
         let arrival = dep + wire;
         if view.crashed_at(dst, arrival) {
             return SignalFate::Lost {
@@ -318,8 +304,8 @@ impl NetState {
             arrival,
             dst_posted_at,
             &mut self.recv_busy[dst],
-            lc.o_recv * m_recv * view.slow(placement, dst),
-            lc.latency * params.ack_factor * m_ack * wire_deg,
+            lc.o_recv * m_recv,
+            lc.latency * params.ack_factor * m_ack,
         );
         SignalFate::Delivered {
             ack,

@@ -343,7 +343,7 @@ mod tests {
         out
     }
 
-    /// Crash-free faults (drops, stragglers, slow nodes) that every rank
+    /// Crash-free faults (drops and stragglers) that every rank
     /// survives: the recovering run must be bitwise the faulty run.
     #[test]
     fn clean_attempt_is_bitwise_the_faulty_run() {
@@ -354,8 +354,6 @@ mod tests {
         let fault = FaultModel {
             drop: DropProb::uniform(0.02),
             max_retries: 12,
-            slow_prob: 0.2,
-            slow_mult: 2.0,
             straggler_prob: 0.1,
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,

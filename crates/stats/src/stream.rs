@@ -230,6 +230,9 @@ pub struct QuantileTable {
 /// Grid cells of a [`QuantileTable`] (16 KiB of knots).
 const CELLS: usize = 2048;
 
+/// [`QuantileTable::pareto`] takes tail exponents above this floor only.
+pub(crate) const MIN_PARETO_ALPHA: f64 = 0.05;
+
 /// Lane width of the [`QuantileTable::fill_rows`] vector kernel, which
 /// serves both eight-lane fills and single-lane ones (as eight virtual
 /// lanes of the one stream). The scalar kernel is compiled for this
@@ -271,8 +274,8 @@ impl QuantileTable {
     /// diverges as `u → 1`, so the slow margin is twice the log-normal's.
     pub fn pareto(alpha: f64) -> QuantileTable {
         assert!(
-            alpha.is_finite() && alpha > 0.05,
-            "pareto tail exponent must be finite and > 0.05, got {alpha}"
+            alpha.is_finite() && alpha > MIN_PARETO_ALPHA,
+            "pareto tail exponent must be finite and > {MIN_PARETO_ALPHA}, got {alpha}"
         );
         let exact = |alpha: f64, u: f64| fast_exp(-(2.0 * (1.0 - u)).ln() / alpha);
         QuantileTable::build(alpha, exact, 64)

@@ -6,7 +6,7 @@
 //! warmup repetition to size every reused buffer (fault plan, timeout
 //! bookkeeping, jitter tables, reports), then many repetitions under a
 //! snapshot of the allocation counter. Two paths are covered: the faulty
-//! executor under a drop + slow-node model, and the recovering executor
+//! executor under a drop + straggler model, and the recovering executor
 //! on its no-failure path (a *successful* recovery synthesizes a fresh
 //! plan, which legitimately allocates — that path is exercised
 //! functionally elsewhere). Stragglers are included: the fault plan
@@ -62,13 +62,11 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     let payload = PayloadSchedule::none();
     let zeros = vec![0.0; 64];
 
-    // Faulty executor: drops, retries, slow nodes and Pareto stragglers.
+    // Faulty executor: drops, retries and Pareto stragglers.
     let faulty_model = FaultModel {
         drop: DropProb::uniform(0.05),
         max_retries: 12,
         timeout: 2e-4,
-        slow_prob: 0.2,
-        slow_mult: 1.5,
         straggler_prob: 0.1,
         straggler_scale: 1e-4,
         straggler_alpha: 1.5,
@@ -125,14 +123,14 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
         "every trial of 64 warm faulty repetitions heap-allocated (min {min_delta})"
     );
 
-    // Recovering executor on the no-failure path: fault streams flow
-    // (slow and degraded nodes) but no rank can crash or time out, so
-    // `finish_recovery` takes its clean early exit every repetition.
+    // Recovering executor on the no-failure path: the fault plan stream
+    // flows (stragglers) but no signal drops and no rank crashes, so none
+    // can time out and `finish_recovery` takes its clean early exit
+    // every repetition.
     let clean_model = FaultModel {
-        slow_prob: 0.2,
-        slow_mult: 1.5,
-        degraded_prob: 0.1,
-        degraded_mult: 2.0,
+        straggler_prob: 0.1,
+        straggler_scale: 1e-4,
+        straggler_alpha: 1.5,
         ..FaultModel::NONE
     };
     clean_model.validate();

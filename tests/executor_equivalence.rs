@@ -143,10 +143,6 @@ proptest! {
             crash_count: (seed % 3) as usize,
             crash_window: 1e-4,
             drop: DropProb::uniform(0.05),
-            slow_prob: 0.2,
-            slow_mult: 1.5,
-            degraded_prob: 0.1,
-            degraded_mult: 2.0,
             straggler_prob: 0.1,
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,
