@@ -336,8 +336,8 @@ impl PartialEq for FaultPlan {
 impl FaultPlan {
     /// A neutral plan for `p` ranks: nobody crashes, every delay is
     /// exactly +0.0 — bitwise inert under IEEE-754. A plan holds no
-    /// per-node state; `_nodes` keeps the machine-shape arguments of
-    /// [`FaultPlan::realize_into`].
+    /// per-node state, so `_nodes` is unused; it keeps the signature
+    /// existing callers use.
     pub fn neutral(p: usize, _nodes: usize) -> FaultPlan {
         FaultPlan {
             crash_time: vec![f64::INFINITY; p],
@@ -706,23 +706,21 @@ mod tests {
             bad_backoff.checked(),
             Err(FaultModelError::BackoffBelowOne { value: 0.5 })
         );
-    }
-
-    /// Every tail exponent `QuantileTable::pareto` would panic on is
-    /// rejected up front, naming the field; the floor itself is out.
-    #[test]
-    fn checked_rejects_straggler_alpha_the_pareto_table_cannot_take() {
+        // Every tail exponent `QuantileTable::pareto` would panic on is
+        // rejected up front, naming the field; the floor itself is out.
         for alpha in [0.0, MIN_PARETO_ALPHA, -1.5, f64::NAN, f64::INFINITY] {
             let m = FaultModel {
                 straggler_alpha: alpha,
                 ..faulty_model()
             };
             let err = m.checked().expect_err("alpha out of the table's range");
-            assert!(
-                matches!(err, FaultModelError::StragglerAlphaOutOfRange { value } if value.to_bits() == alpha.to_bits()),
-                "{err:?}"
-            );
             assert!(err.to_string().contains("straggler_alpha"), "{err}");
+            match err {
+                FaultModelError::StragglerAlphaOutOfRange { value } => {
+                    assert_eq!(value.to_bits(), alpha.to_bits())
+                }
+                other => panic!("{other:?}"),
+            }
         }
         let just_above = FaultModel {
             straggler_alpha: MIN_PARETO_ALPHA.next_up(),
