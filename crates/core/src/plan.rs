@@ -140,28 +140,6 @@ impl StagePlan {
         StagePlan::from_edges(p, &edges)
     }
 
-    /// Assembles a stage from raw CSR parts, **unvalidated** — the
-    /// adversarial-input route for the static analyzer's tests and the
-    /// escape hatch pattern synthesis will use. Nothing checks that the
-    /// offsets are monotone, the adjacency sorted, or the two directions
-    /// mirrors of each other; run `hpm_analyze::analyze` over plans
-    /// built this way before executing them.
-    pub fn from_raw_csr(
-        p: usize,
-        dsts: Vec<u32>,
-        dsts_off: Vec<u32>,
-        srcs: Vec<u32>,
-        srcs_off: Vec<u32>,
-    ) -> StagePlan {
-        StagePlan {
-            p,
-            dsts,
-            dsts_off,
-            srcs,
-            srcs_off,
-        }
-    }
-
     /// The reversed stage, every `i → j` becoming `j → i`: the release
     /// stages of gather/release patterns are the transposed arrival
     /// stages in reverse order (§5.5). The CSR form stores both
@@ -214,9 +192,9 @@ impl StagePlan {
     }
 
     /// The concatenated destination lists, all ranks — the raw CSR index
-    /// array behind [`StagePlan::dsts`]. Introspection hook for the
-    /// static analyzer, which must inspect the arrays without trusting
-    /// the sliced accessors' indexing to be in bounds.
+    /// array behind [`StagePlan::dsts`]. This and the other three raw
+    /// arrays exist so the plan-structure goldens can hash the CSR word
+    /// for word.
     #[must_use]
     pub fn dst_indices(&self) -> &[u32] {
         &self.dsts
@@ -346,30 +324,6 @@ impl CompiledPattern {
         }
     }
 
-    /// Assembles a compiled pattern from caller-supplied derived tables,
-    /// **unvalidated** — the adversarial-input route for the static
-    /// analyzer's tests: planting a wrong posted bit, last-send entry or
-    /// draw count here is how each consistency rule gets its failing
-    /// input. [`CompiledPattern::from_stages`] is the honest route that
-    /// derives the tables itself.
-    pub fn from_raw_tables(
-        name: &str,
-        p: usize,
-        stages: Vec<StagePlan>,
-        posted: Vec<bool>,
-        last_send: Vec<u32>,
-        jitter_draws: usize,
-    ) -> CompiledPattern {
-        CompiledPattern {
-            name: name.to_string(),
-            p,
-            stages,
-            posted,
-            last_send,
-            jitter_draws,
-        }
-    }
-
     /// Descriptive name inherited from the source pattern.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -401,8 +355,8 @@ impl CompiledPattern {
     }
 
     /// The raw §5.6.5 posted table (`stages × p`, row-major) behind
-    /// [`CompiledPattern::is_posted`] — introspection hook so the static
-    /// analyzer can check the table's shape before indexing it.
+    /// [`CompiledPattern::is_posted`]; the predictor reads a stage's row
+    /// as one slice and the plan-structure goldens hash the whole table.
     #[must_use]
     pub fn posted_table(&self) -> &[bool] {
         &self.posted
@@ -410,7 +364,7 @@ impl CompiledPattern {
 
     /// The raw last-transmission table (`(stages + 1) × p`, row-major)
     /// behind [`CompiledPattern::last_send_stage`]; `u32::MAX` encodes
-    /// "has not transmitted yet".
+    /// "has not transmitted yet". Exposed for the plan-structure goldens.
     #[must_use]
     pub fn last_send_table(&self) -> &[u32] {
         &self.last_send
@@ -649,9 +603,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "edge (0,4) out of range for p=4")]
     fn sparse_authoring_rejects_out_of_range_edges() {
         StagePlan::from_edges(4, &[(0, 4)]);
+    }
+
+    /// Every stage of a compiled pattern shares the pattern's `p`: a
+    /// stage built for another process count is refused at compile time.
+    #[test]
+    #[should_panic(expected = "stage 1 has wrong dimension")]
+    fn compiling_rejects_a_stage_of_another_dimension() {
+        let stages = vec![StagePlan::from_edges(4, &[(0, 1)]), StagePlan::complete(3)];
+        let _ = CompiledPattern::from_stages("mixed", 4, stages);
     }
 
     /// `p = 2³²` does not fit the 32-bit CSR arrays: rejected up front,

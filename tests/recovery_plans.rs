@@ -62,10 +62,11 @@ proptest! {
 
     /// Pruning any random pattern to any proper survivor set yields a
     /// plan the structural analyzer accepts without a single
-    /// error-severity diagnostic: CSR invariants, mirror consistency,
-    /// rank ranges and the no-self-send rule all survive the surgery.
-    /// (Dead-rank *warnings* are expected — isolating a survivor is
-    /// legitimate post-crash shape.)
+    /// error-severity diagnostic: every stage the surgery empties is
+    /// dropped, not kept. The CSR invariants need no check here — the
+    /// restriction rebuilds through `from_stage_edges`, which enforces
+    /// them. (Dead-rank *warnings* are expected — isolating a survivor
+    /// is legitimate post-crash shape.)
     #[test]
     fn restricted_plans_pass_structural_analysis(
         p in 2usize..48,
