@@ -812,7 +812,12 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // `scale` is the consumer of the sampled microbenchmark. `fig5_10`,
     // `table7_2`, `fig7_4`, `fig7_5`, `fig7_7` and `fig8_18` ride along
     // so that every artifact computed from a §5.6.3 profile is pinned.
+    // `table3_1`, `fig3_2`, `table8_1`, `table8_2` and `fig8_4`–`fig8_7`
+    // complete the set: the MPI-stencil and bspbench outputs, so every
+    // simulated artifact is pinned.
     let ids = [
+        "table3_1",
+        "fig3_2",
         "fig5_2",
         "fig5_6",
         "fig5_10",
@@ -829,6 +834,12 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
         "recovery",
         "coll_rt",
         "fig8_10",
+        "table8_1",
+        "table8_2",
+        "fig8_4",
+        "fig8_5",
+        "fig8_6",
+        "fig8_7",
         "fig8_18",
         "scale",
     ];
@@ -877,6 +888,14 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("fig8_15_B6.csv", 0x11d753b9d13350d8),
             ("fig8_18_C1.csv", 0x59df0caddde4ac3b),
             ("fig8_18_C1_optimum.txt", 0xe4fe1ffe067071f1),
+            ("table3_1.csv", 0x937e626a399eecc7),
+            ("fig3_2.csv", 0xa66499e087ad7215),
+            ("table8_1.txt", 0x52b40e4e18868557),
+            ("table8_2.csv", 0xd7e287f6d0f4ae9f),
+            ("fig8_4_A1.csv", 0x2702063dbac15513),
+            ("fig8_5_A2.csv", 0x83ed451b9da7ddc0),
+            ("fig8_6_A3.csv", 0xc3b33f9843d48c83),
+            ("fig8_7_A4.csv", 0xa4787b42746ff862),
         ];
         for (name, want) in goldens {
             let (_, bytes) = serial
