@@ -18,7 +18,7 @@ use hpm_barriers::patterns::{binary_tree, dissemination, linear};
 use hpm_barriers::sss::sss_clusters;
 use hpm_bsplib::bench::bspbench;
 use hpm_bsplib::inprod::bspinprod;
-use hpm_bsplib::runtime::BspConfig;
+use hpm_bsplib::runtime::{BspConfig, SyncPattern};
 use hpm_collectives::exec::run_allreduce;
 use hpm_collectives::pattern::catalog;
 use hpm_collectives::predict::{predict_collective, simulate_collective};
@@ -543,12 +543,12 @@ fn bsp_sync_sweep(
         let placement = m.place(p);
         let profile = profiles.get(m.id.at(p));
         let sim = BarrierSim::new(&m.params, &placement);
-        let pat = dissemination(p);
-        let payload = PayloadSchedule::dissemination_count_map(p);
+        let sync = SyncPattern::Dissemination;
+        let (pat, payload) = sync.plan(p).expect("the sync sweeps start at p = 2");
         let meas = sim
             .measure_compiled(&pat, &payload, effort.barrier_reps, SEED)
             .mean();
-        let est = predict_compiled_with(&pat, &profile.costs, &payload).total;
+        let est = sync.predict(p, &profile.costs);
         vec![p.to_string(), fmt(meas), fmt(est)]
     }) {
         t.push(row);

@@ -20,6 +20,14 @@
 //!    the Fig. 1.2 processing model exposes; a transfer committed right
 //!    before the sync still charges its sender-side `o_send` tail.
 //!
+//! Steps 1–3 are resolved one after another, each to completion, over
+//! one shared network state: first every request (header and put/send
+//! payload), then every get reply, then the sync. They are not
+//! interleaved in event order, so a sync signal can queue behind data
+//! that became ready after it. [`SuperstepNet`] holds that network side
+//! — the shared state, the exchange and the sync — and
+//! [`ExchangeResult::done`] is step 4's rule.
+//!
 //! Memory effects then apply in BSPlib order: gets read the pre-put state,
 //! puts land (deterministically ordered), sends appear in next-superstep
 //! queues, registrations commit.
@@ -42,17 +50,17 @@
 use crate::ctx::BspCtx;
 use crate::mem::{BsmpMsg, ProcMem, RegHandle};
 use crate::ops::{CommOp, StepOutcome, HEADER_BYTES};
-use hpm_barriers::patterns::dissemination;
+use hpm_barriers::patterns::{binary_tree, dissemination, linear};
 use hpm_core::plan::CompiledPattern;
-use hpm_core::predictor::PayloadSchedule;
+use hpm_core::predictor::{predict_compiled_with, CostModel, PayloadSchedule};
 use hpm_kernels::rate::ProcessorModel;
 use hpm_simnet::barrier::{BarrierSim, SimScratch};
 use hpm_simnet::exchange::{
-    exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
+    resolve_exchange_batched, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
-use hpm_stats::rng::{derive_rng, JitterBuf};
+use hpm_stats::rng::derive_rng;
 use hpm_topology::Placement;
 use std::ops::Range;
 
@@ -89,31 +97,100 @@ pub enum SyncPattern {
 }
 
 impl SyncPattern {
-    /// Builds the pattern and its count-map payload schedule for `p`
-    /// processes. Non-dissemination shapes carry one `4·p`-byte counter
-    /// row per signal — an approximation of the aggregated map the exact
-    /// §6.5 schedule spells out for dissemination.
-    fn build(&self, p: usize) -> (Option<CompiledPattern>, PayloadSchedule) {
-        use hpm_barriers::patterns::{binary_tree, linear};
+    /// The sync of `p` processes: its barrier plan and count-map payload
+    /// schedule, or `None` below `p = 2`, where no barrier runs.
+    /// Non-dissemination shapes carry one `4·p`-byte counter row per
+    /// signal — an approximation of the aggregated map the exact §6.5
+    /// schedule spells out for dissemination.
+    pub fn plan(&self, p: usize) -> Option<(CompiledPattern, PayloadSchedule)> {
         if p < 2 {
-            return (None, PayloadSchedule::none());
+            return None;
         }
-        match *self {
-            SyncPattern::Dissemination => (
-                Some(dissemination(p)),
-                PayloadSchedule::dissemination_count_map(p),
-            ),
-            SyncPattern::Linear { root } => {
-                let pat = linear(p, root);
-                let payload = PayloadSchedule::uniform(pat.stages(), 4 * p as u64);
-                (Some(pat), payload)
-            }
-            SyncPattern::BinaryTree => {
-                let pat = binary_tree(p);
-                let payload = PayloadSchedule::uniform(pat.stages(), 4 * p as u64);
-                (Some(pat), payload)
-            }
+        let pat = match *self {
+            SyncPattern::Dissemination => dissemination(p),
+            SyncPattern::Linear { root } => linear(p, root),
+            SyncPattern::BinaryTree => binary_tree(p),
+        };
+        let payload = if *self == SyncPattern::Dissemination {
+            PayloadSchedule::dissemination_count_map(p)
+        } else {
+            PayloadSchedule::uniform(pat.stages(), 4 * p as u64)
+        };
+        Some((pat, payload))
+    }
+
+    /// Predicted cost of the sync of `p` processes over `costs`: the
+    /// [`SyncPattern::plan`]'s total, 0 below `p = 2`.
+    pub fn predict<C: CostModel + ?Sized>(&self, p: usize, costs: &C) -> f64 {
+        self.plan(p).map_or(0.0, |(plan, payload)| {
+            predict_compiled_with(&plan, costs, &payload).total
+        })
+    }
+}
+
+/// The network side of a BSPlib superstep: one [`NetState`] shared by the
+/// background transfers and the sync, the exchange's scratch and the
+/// sync's plan with its executor scratch. Every simulated superstep —
+/// [`run_spmd`]'s and the Fig. 8.18 ghost-width driver's — runs here.
+/// Each call takes its jitter from the keyed stream `(seed, label, rep)`.
+pub struct SuperstepNet<'a> {
+    sim: BarrierSim<'a>,
+    net: NetState,
+    exchange: ExchangeScratch,
+    sync: Option<(CompiledPattern, PayloadSchedule)>,
+    sync_scratch: SimScratch,
+}
+
+impl<'a> SuperstepNet<'a> {
+    /// A cold network for `placement`'s processes, syncing with `sync`.
+    pub fn new(
+        params: &'a PlatformParams,
+        placement: &'a Placement,
+        sync: SyncPattern,
+    ) -> SuperstepNet<'a> {
+        SuperstepNet {
+            sim: BarrierSim::new(params, placement),
+            net: NetState::new(placement),
+            exchange: ExchangeScratch::default(),
+            sync: sync.plan(placement.nprocs()),
+            sync_scratch: SimScratch::new(placement),
         }
+    }
+
+    /// Resolves background transfers into `out`.
+    pub fn exchange(
+        &mut self,
+        msgs: &[ExchangeMsg],
+        stream: (u64, u64, u64),
+        out: &mut ExchangeResult,
+    ) {
+        let (params, placement) = (self.sim.params, self.sim.placement);
+        let (net, scratch) = (&mut self.net, &mut self.exchange);
+        resolve_exchange_batched(params, placement, msgs, net, stream, scratch, out);
+    }
+
+    /// Runs the sync from the processes' entry times and returns their
+    /// exits: the entries themselves when no barrier runs (`p < 2`).
+    pub fn sync<'s>(
+        &'s mut self,
+        entry: &'s [f64],
+        (seed, label, rep): (u64, u64, u64),
+    ) -> &'s [f64] {
+        let Some((plan, payload)) = &self.sync else {
+            return entry;
+        };
+        let scratch = &mut self.sync_scratch;
+        self.sim.run_once_batched(
+            plan,
+            payload,
+            entry,
+            &mut self.net,
+            seed,
+            label,
+            rep,
+            scratch,
+        );
+        scratch.exits()
     }
 }
 
@@ -270,19 +347,12 @@ pub fn run_spmd<P: BspProgram>(
     let mut mems: Vec<ProcMem> = (0..p).map(|_| ProcMem::default()).collect();
     let mut clocks = vec![0.0f64; p];
     let mut rng = derive_rng(cfg.seed, 0xB5F);
-    // The sync plan is built once and every superstep's barrier runs
-    // over reused scratch.
-    let sim = BarrierSim::new(&cfg.params, placement);
-    let mut net = NetState::new(placement);
-    let (compiled_sync, payload) = cfg.sync.build(p);
-    let mut sync_scratch = SimScratch::new(placement);
-    let mut ex_scratch = ExchangeScratch::default();
-    // Background transfers run on the batched jitter engine: one table
-    // per resolution pass, filled to the message list's exact draw count
-    // from a stream keyed by the superstep. (Program compute jitter
-    // stays on the scalar path through `rng` — the draws arrive one at a
-    // time as the program advances its clock.)
-    let mut ex_jitter = JitterBuf::new();
+    // The sync plan is built once and every superstep runs over reused
+    // scratch. Background transfers and the sync draw from streams keyed
+    // by the superstep; program compute jitter stays on the scalar path
+    // through `rng` — the draws arrive one at a time as the program
+    // advances its clock.
+    let mut snet = SuperstepNet::new(&cfg.params, placement, cfg.sync);
     let mut r1 = ExchangeResult::default();
     let mut r2 = ExchangeResult::default();
     let mut supersteps = Vec::new();
@@ -368,22 +438,8 @@ pub fn run_spmd<P: BspProgram>(
                 }
             }
         }
-        ex_jitter.fill(
-            cfg.params.jitter.sigma,
-            cfg.seed,
-            EXCHANGE_JITTER_LABEL,
-            2 * step as u64,
-            exchange_jitter_draws(&headers),
-        );
-        resolve_exchange_into(
-            &cfg.params,
-            placement,
-            &headers,
-            &mut net,
-            &mut ex_jitter,
-            &mut ex_scratch,
-            &mut r1,
-        );
+        let stream = (cfg.seed, EXCHANGE_JITTER_LABEL, 2 * step as u64);
+        snet.exchange(&headers, stream, &mut r1);
         // Get replies: issued by the owner once the request is processed.
         replies.clear();
         replies.extend(get_requests.iter().map(|&(msg_idx, requester, i)| {
@@ -395,46 +451,19 @@ pub fn run_spmd<P: BspProgram>(
                 issue: r1.processed[msg_idx],
             }
         }));
-        ex_jitter.fill(
-            cfg.params.jitter.sigma,
-            cfg.seed,
-            EXCHANGE_JITTER_LABEL,
-            2 * step as u64 + 1,
-            exchange_jitter_draws(&replies),
-        );
-        resolve_exchange_into(
-            &cfg.params,
-            placement,
-            &replies,
-            &mut net,
-            &mut ex_jitter,
-            &mut ex_scratch,
-            &mut r2,
-        );
+        let stream = (cfg.seed, EXCHANGE_JITTER_LABEL, 2 * step as u64 + 1);
+        snet.exchange(&replies, stream, &mut r2);
 
         // Phase 3: synchronize.
-        let barrier_exit = match &compiled_sync {
-            Some(plan) => {
-                sim.run_once_batched(
-                    plan,
-                    &payload,
-                    &compute_end,
-                    &mut net,
-                    cfg.seed,
-                    SYNC_JITTER_LABEL,
-                    step as u64,
-                    &mut sync_scratch,
-                );
-                sync_scratch.exits().to_vec()
-            }
-            None => compute_end.clone(),
-        };
+        let stream = (cfg.seed, SYNC_JITTER_LABEL, step as u64);
+        let barrier_exit = snet.sync(&compute_end, stream).to_vec();
         // A process completes the sync when the barrier is done, all its
         // inbound data landed, AND its own outbound transfers' sender-side
         // cost has elapsed — a sender that issued an hp-put just before
         // the sync still owns its CPU for the `o_send` tail (and a get
         // owner for the reply it serves), exactly as the MPI stencil's
-        // blocking stages account it.
+        // blocking stages account it. The barrier exit is never earlier
+        // than the entry, so it stands in for `compute_end` here.
         let send_complete: Vec<f64> = (0..p)
             .map(|i| compute_end[i].max(r1.last_out[i]).max(r2.last_out[i]))
             .collect();
@@ -442,7 +471,7 @@ pub fn run_spmd<P: BspProgram>(
             .map(|i| compute_end[i].max(r1.last_in[i]).max(r2.last_in[i]))
             .collect();
         let completion: Vec<f64> = (0..p)
-            .map(|i| barrier_exit[i].max(recv_complete[i]).max(send_complete[i]))
+            .map(|i| r2.done(i, r1.done(i, barrier_exit[i])))
             .collect();
 
         // Phase 4: memory effects in BSPlib order.

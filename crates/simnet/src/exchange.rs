@@ -10,7 +10,7 @@
 
 use crate::net::NetState;
 use crate::params::PlatformParams;
-use hpm_stats::rng::JitterSource;
+use hpm_stats::rng::{JitterBuf, JitterSource};
 use hpm_topology::Placement;
 
 /// Jitter multipliers one non-self [`NetState::transfer`] consumes: the
@@ -19,10 +19,10 @@ use hpm_topology::Placement;
 pub const TRANSFER_JITTER_DRAWS: usize = 3;
 
 /// Exact jitter draws [`resolve_exchange_into`] consumes for `msgs`:
-/// [`TRANSFER_JITTER_DRAWS`] per message with distinct endpoints. The
-/// batched callers size their `JitterBuf` fills by this; the audit tests
-/// pin the equality.
-pub fn exchange_jitter_draws(msgs: &[ExchangeMsg]) -> usize {
+/// [`TRANSFER_JITTER_DRAWS`] per message with distinct endpoints.
+/// [`resolve_exchange_batched`] sizes its fill by this; the audit test
+/// pins the equality.
+fn exchange_jitter_draws(msgs: &[ExchangeMsg]) -> usize {
     msgs.iter().filter(|m| m.src != m.dst).count() * TRANSFER_JITTER_DRAWS
 }
 
@@ -39,11 +39,13 @@ pub struct ExchangeMsg {
     pub issue: f64,
 }
 
-/// Reusable index scratch for [`resolve_exchange_into`]: the issue-order
-/// permutation, only touched when the input is not already sorted.
+/// Reusable scratch of the exchange resolvers: the issue-order
+/// permutation, only touched when the input is not already sorted, and
+/// the jitter table [`resolve_exchange_batched`] refills per exchange.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeScratch {
     order: Vec<usize>,
+    jitter: JitterBuf,
 }
 
 /// Resolved timings of an exchange.
@@ -65,12 +67,44 @@ pub struct ExchangeResult {
     pub last_out: Vec<f64>,
 }
 
+impl ExchangeResult {
+    /// When process `r`, ready at `t`, is done with the exchange: its
+    /// inbound data landed and its own sends released its CPU.
+    pub fn done(&self, r: usize, t: f64) -> f64 {
+        t.max(self.last_in[r]).max(self.last_out[r])
+    }
+}
+
+/// [`resolve_exchange_into`] on the batched jitter engine: fills the
+/// scratch's jitter table with the exchange's exact draw count from the
+/// stream `(seed, label, rep)` and resolves over it.
+pub fn resolve_exchange_batched(
+    params: &PlatformParams,
+    placement: &Placement,
+    msgs: &[ExchangeMsg],
+    net: &mut NetState,
+    (seed, label, rep): (u64, u64, u64),
+    scratch: &mut ExchangeScratch,
+    out: &mut ExchangeResult,
+) {
+    let draws = exchange_jitter_draws(msgs);
+    let mut jit = std::mem::take(&mut scratch.jitter);
+    jit.fill(params.jitter.sigma, seed, label, rep, draws);
+    resolve_exchange_into(params, placement, msgs, net, &mut jit, scratch, out);
+    debug_assert!(params.jitter.sigma == 0.0 || jit.consumed() == draws);
+    scratch.jitter = jit;
+}
+
 /// Resolves all messages of a superstep against the network state, over
 /// caller-owned scratch and output buffers: after warmup the resolution
 /// allocates nothing.
 ///
-/// Messages are handled in issue order (ties broken by input order), which
-/// keeps NIC and receiver queues causal.
+/// Messages are handled one at a time in issue order (ties broken by
+/// input order), each taking its three draws as it is handled. A NIC or
+/// a receive thread therefore serves messages in that order too: a
+/// reception waits behind every earlier-issued message to the same
+/// receiver, even one that arrives later. Receptions are not served in
+/// arrival order.
 ///
 /// Fast path: the BSPlib runtime commits operations in program order, so
 /// its message lists usually arrive already sorted by issue time; a
@@ -384,10 +418,12 @@ mod tests {
 
     /// Draw-count audit: the resolver consumes exactly
     /// [`exchange_jitter_draws`] multipliers from a batch-filled buffer —
-    /// self messages (which draw nothing) included in the message list.
+    /// self messages (which draw nothing) included in the message list —
+    /// and [`resolve_exchange_batched`] is that fill and resolution,
+    /// bit for bit.
     #[test]
     fn resolver_consumes_exactly_reported_draws() {
-        use hpm_stats::rng::{JitterBuf, JitterModel};
+        use hpm_stats::rng::JitterModel;
         let (mut params, placement) = setup(16);
         params.jitter = JitterModel::new(0.05);
         let msgs: Vec<ExchangeMsg> = (0..14)
@@ -407,6 +443,24 @@ mod tests {
         let r = resolve_exchange(&params, &placement, &msgs, &mut net, &mut buf);
         assert_eq!(buf.consumed(), draws);
         assert!(r.processed.iter().all(|t| t.is_finite()));
+
+        net.reset();
+        let mut scratch = ExchangeScratch::default();
+        let mut batched = ExchangeResult::default();
+        resolve_exchange_batched(
+            &params,
+            &placement,
+            &msgs,
+            &mut net,
+            (1, 2, 3),
+            &mut scratch,
+            &mut batched,
+        );
+        assert_eq!(scratch.jitter.consumed(), draws);
+        assert_eq!(batched.processed, r.processed);
+        assert_eq!(batched.send_done, r.send_done);
+        assert_eq!(batched.last_in, r.last_in);
+        assert_eq!(batched.last_out, r.last_out);
     }
 
     #[test]

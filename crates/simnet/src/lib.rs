@@ -47,7 +47,7 @@ pub mod recovery;
 pub use barrier::{BarrierMeasurement, BarrierSim, SimScratch};
 pub use batch::LaneScratch;
 pub use exchange::{
-    exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
+    resolve_exchange_batched, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
 pub use faults::{FaultReport, FaultScratch, RankOutcome};
 pub use microbench::{

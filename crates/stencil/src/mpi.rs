@@ -17,11 +17,11 @@ use crate::decomp::Decomposition;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
 use hpm_simnet::exchange::{
-    exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
+    resolve_exchange_batched, ExchangeMsg, ExchangeResult, ExchangeScratch,
 };
 use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
-use hpm_stats::rng::{derive_rng, JitterBuf};
+use hpm_stats::rng::derive_rng;
 use hpm_topology::Placement;
 
 /// Stream label of the border-exchange resolutions; `rep` enumerates
@@ -91,7 +91,6 @@ pub fn run_mpi_stencil(
     let mut jitter = params.jitter;
     let mut net = NetState::new(placement);
     let mut ex_scratch = ExchangeScratch::default();
-    let mut ex_jitter = JitterBuf::new();
     let mut res = ExchangeResult::default();
     let mut t = vec![0.0f64; p];
     let mut iter_times = Vec::with_capacity(iters);
@@ -108,28 +107,19 @@ pub fn run_mpi_stencil(
                     let cells = decomp.block(r).cells() as f64;
                     *tr += cells * per_cell[r] * jitter.draw(&mut rng);
                 }
-                // Stage 1: north/south sendrecv.
-                exchange_stage(
-                    params,
-                    placement,
-                    &decomp,
-                    &mut t,
-                    &mut net,
-                    (&mut ex_jitter, seed, 2 * it as u64),
-                    (&mut ex_scratch, &mut res),
-                    true,
-                );
-                // Stage 2: west/east sendrecv.
-                exchange_stage(
-                    params,
-                    placement,
-                    &decomp,
-                    &mut t,
-                    &mut net,
-                    (&mut ex_jitter, seed, 2 * it as u64 + 1),
-                    (&mut ex_scratch, &mut res),
-                    false,
-                );
+                // Stage 1: north/south sendrecv; stage 2: west/east.
+                for (stage, north_south) in [(0, true), (1, false)] {
+                    exchange_stage(
+                        params,
+                        placement,
+                        &decomp,
+                        &mut t,
+                        &mut net,
+                        (seed, 2 * it as u64 + stage),
+                        (&mut ex_scratch, &mut res),
+                        north_south,
+                    );
+                }
             }
             MpiVariant::EarlyRequests => {
                 // Borders first, post everything, interior overlapped.
@@ -160,19 +150,12 @@ pub fn run_mpi_stencil(
                         * jitter.draw(&mut rng);
                     interior_done[r] = t_border + rest;
                 }
-                ex_jitter.fill(
-                    params.jitter.sigma,
-                    seed,
-                    STENCIL_JITTER_LABEL,
-                    it as u64,
-                    exchange_jitter_draws(&msgs),
-                );
-                resolve_exchange_into(
+                resolve_exchange_batched(
                     params,
                     placement,
                     &msgs,
                     &mut net,
-                    &mut ex_jitter,
+                    (seed, STENCIL_JITTER_LABEL, it as u64),
                     &mut ex_scratch,
                     &mut res,
                 );
@@ -182,7 +165,7 @@ pub fn run_mpi_stencil(
                 // tails (`last_out`), its inbound borders, and its
                 // interior compute.
                 for (r, tr) in t.iter_mut().enumerate() {
-                    *tr = interior_done[r].max(res.last_in[r]).max(res.last_out[r]);
+                    *tr = res.done(r, interior_done[r]);
                 }
             }
         }
@@ -206,7 +189,7 @@ fn exchange_stage(
     decomp: &Decomposition,
     t: &mut [f64],
     net: &mut NetState,
-    (ex_jitter, seed, rep): (&mut JitterBuf, u64, u64),
+    (seed, rep): (u64, u64),
     (ex_scratch, res): (&mut ExchangeScratch, &mut ExchangeResult),
     north_south: bool,
 ) {
@@ -235,18 +218,12 @@ fn exchange_stage(
             }
         }
     }
-    ex_jitter.fill(
-        params.jitter.sigma,
-        seed,
-        STENCIL_JITTER_LABEL,
-        rep,
-        exchange_jitter_draws(&msgs),
-    );
-    resolve_exchange_into(params, placement, &msgs, net, ex_jitter, ex_scratch, res);
+    let stream = (seed, STENCIL_JITTER_LABEL, rep);
+    resolve_exchange_batched(params, placement, &msgs, net, stream, ex_scratch, res);
     // Blocking semantics: a process leaves the stage when its inbound
     // borders are in and its own sends have left the CPU.
     for (r, tr) in t.iter_mut().enumerate() {
-        *tr = tr.max(res.last_in[r]).max(res.last_out[r]);
+        *tr = res.done(r, *tr);
     }
 }
 

@@ -19,18 +19,14 @@
 //! simulated execution.
 
 use crate::decomp::Decomposition;
-use hpm_barriers::patterns::dissemination;
 use hpm_bsplib::ops::HEADER_BYTES;
-use hpm_core::predictor::{predict_compiled_with, CostModel, PayloadSchedule};
+use hpm_bsplib::runtime::{SuperstepNet, SyncPattern};
+use hpm_core::predictor::CostModel;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
-use hpm_simnet::barrier::{BarrierSim, SimScratch};
-use hpm_simnet::exchange::{
-    exchange_jitter_draws, resolve_exchange_into, ExchangeMsg, ExchangeResult, ExchangeScratch,
-};
-use hpm_simnet::net::NetState;
+use hpm_simnet::exchange::{ExchangeMsg, ExchangeResult};
 use hpm_simnet::params::PlatformParams;
-use hpm_stats::rng::{derive_rng, JitterBuf};
+use hpm_stats::rng::derive_rng;
 use hpm_topology::Placement;
 
 /// Stream labels of the adapted superstep's band exchange and sync; the
@@ -53,6 +49,20 @@ fn superstep_cells(decomp: &Decomposition, rank: usize, w: usize) -> usize {
             (b.width + faces_x * d) * (b.height + faces_y * d)
         })
         .sum()
+}
+
+/// The faces of `rank`'s block that border a neighbour, as `(peer, face
+/// length)` in N, S, W, E order.
+fn faces(decomp: &Decomposition, rank: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (nb, b) = (decomp.neighbours(rank), decomp.block(rank));
+    [
+        (nb.north, b.width),
+        (nb.south, b.width),
+        (nb.west, b.height),
+        (nb.east, b.height),
+    ]
+    .into_iter()
+    .filter_map(|(peer, len)| Some((peer?, len)))
 }
 
 /// Border band bytes for one face with `w`-deep ghost zones (band depth
@@ -100,16 +110,7 @@ pub fn predict_ghost_width<C: CostModel + ?Sized>(
     assert!(w >= 1);
     let p = placement.nprocs();
     let decomp = Decomposition::new(n, p);
-    let sync = if p >= 2 {
-        predict_compiled_with(
-            &dissemination(p),
-            costs,
-            &PayloadSchedule::dissemination_count_map(p),
-        )
-        .total
-    } else {
-        0.0
-    };
+    let sync = SyncPattern::Dissemination.predict(p, costs);
     let mut worst = 0.0f64;
     for r in 0..p {
         let cells = superstep_cells(&decomp, r, w);
@@ -118,21 +119,12 @@ pub fn predict_ghost_width<C: CostModel + ?Sized>(
         // Border compute before commit: the outer ring of the expanded
         // block at depth w−1 (approximated by the plain outer ring).
         let pre = decomp.regions(r).pre_comm() as f64 * per_cell;
-        let nb = decomp.neighbours(r);
-        let b = decomp.block(r);
         let mut comm = 0.0;
-        for (peer, len) in [
-            (nb.north, b.width),
-            (nb.south, b.width),
-            (nb.west, b.height),
-            (nb.east, b.height),
-        ] {
-            if let Some(peer) = peer {
-                let c = costs.pair(r, peer);
-                let bytes = (band_bytes(len, w) + HEADER_BYTES) as f64;
-                // The payload message, then the header message.
-                comm += (c.l + c.beta * bytes) + c.l;
-            }
+        for (peer, len) in faces(&decomp, r) {
+            let c = costs.pair(r, peer);
+            let bytes = (band_bytes(len, w) + HEADER_BYTES) as f64;
+            // The payload message, then the header message.
+            comm += (c.l + c.beta * bytes) + c.l;
         }
         // Eq. 1.4 with all comm maskable against post-commit compute.
         let maskable_comp = comp - pre;
@@ -143,7 +135,11 @@ pub fn predict_ghost_width<C: CostModel + ?Sized>(
 }
 
 /// Simulates the adapted superstep for width `w`, returning the mean
-/// per-iteration time over `supersteps` supersteps.
+/// per-iteration time over `supersteps` supersteps. Each superstep runs
+/// on a [`SuperstepNet`]: the band exchange, then the dissemination sync.
+///
+/// # Panics
+/// If `w` or `supersteps` is 0.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_ghost_width(
     params: &PlatformParams,
@@ -154,20 +150,18 @@ pub fn measure_ghost_width(
     supersteps: usize,
     seed: u64,
 ) -> f64 {
+    assert!(w >= 1, "ghost width w must be at least 1");
+    assert!(supersteps >= 1, "supersteps must be at least 1");
     let placement = profile_placement;
     let p = placement.nprocs();
     let decomp = Decomposition::new(n, p);
-    let sim = BarrierSim::new(params, placement);
     // Fixed pattern for the whole sweep point: compile once, reuse the
-    // executor and exchange scratch across supersteps.
-    let plan = (p >= 2).then(|| dissemination(p));
-    let payload = PayloadSchedule::dissemination_count_map(p);
+    // network and its scratch across supersteps.
+    let mut snet = SuperstepNet::new(params, placement, SyncPattern::Dissemination);
+    let exchange_label = GHOST_EXCHANGE_JITTER_LABEL.wrapping_add(w as u64);
+    let sync_label = GHOST_SYNC_JITTER_LABEL.wrapping_add(w as u64);
     let mut rng = derive_rng(seed, w as u64);
     let mut jitter = params.jitter;
-    let mut net = NetState::new(placement);
-    let mut scratch = SimScratch::new(placement);
-    let mut ex_scratch = ExchangeScratch::default();
-    let mut ex_jitter = JitterBuf::new();
     let mut res = ExchangeResult::default();
     let mut msgs: Vec<ExchangeMsg> = Vec::new();
     let mut compute_done = vec![0.0f64; p];
@@ -179,25 +173,12 @@ pub fn measure_ghost_width(
             let per_cell = proc_model.secs_per_element(&Stencil5, decomp.block(r).cells());
             let pre = decomp.regions(r).pre_comm() as f64 * per_cell;
             let t_commit = t[r] + pre * jitter.draw(&mut rng);
-            let nb = decomp.neighbours(r);
-            let b = decomp.block(r);
-            for (peer, len) in [
-                (nb.north, b.width),
-                (nb.south, b.width),
-                (nb.west, b.height),
-                (nb.east, b.height),
-            ] {
-                if let Some(peer) = peer {
+            for (peer, len) in faces(&decomp, r) {
+                for bytes in [HEADER_BYTES, band_bytes(len, w)] {
                     msgs.push(ExchangeMsg {
                         src: r,
                         dst: peer,
-                        bytes: HEADER_BYTES,
-                        issue: t_commit,
-                    });
-                    msgs.push(ExchangeMsg {
-                        src: r,
-                        dst: peer,
-                        bytes: band_bytes(len, w),
+                        bytes,
                         issue: t_commit,
                     });
                 }
@@ -205,43 +186,10 @@ pub fn measure_ghost_width(
             let rest = (cells as f64 * per_cell - pre).max(0.0);
             compute_done[r] = t_commit + rest * jitter.draw(&mut rng);
         }
-        ex_jitter.fill(
-            params.jitter.sigma,
-            seed,
-            GHOST_EXCHANGE_JITTER_LABEL.wrapping_add(w as u64),
-            ss as u64,
-            exchange_jitter_draws(&msgs),
-        );
-        resolve_exchange_into(
-            params,
-            placement,
-            &msgs,
-            &mut net,
-            &mut ex_jitter,
-            &mut ex_scratch,
-            &mut res,
-        );
-        let exits: &[f64] = match &plan {
-            Some(plan) => {
-                sim.run_once_batched(
-                    plan,
-                    &payload,
-                    &compute_done,
-                    &mut net,
-                    seed,
-                    GHOST_SYNC_JITTER_LABEL.wrapping_add(w as u64),
-                    ss as u64,
-                    &mut scratch,
-                );
-                scratch.exits()
-            }
-            None => &compute_done,
-        };
-        // A process leaves the superstep once the barrier released it,
-        // its inbound bands landed, and its own sends' o_send tails have
-        // released the CPU (same accounting as the BSPlib sync).
+        snet.exchange(&msgs, (seed, exchange_label, ss as u64), &mut res);
+        let exits = snet.sync(&compute_done, (seed, sync_label, ss as u64));
         for (r, tr) in t.iter_mut().enumerate() {
-            *tr = exits[r].max(res.last_in[r]).max(res.last_out[r]);
+            *tr = res.done(r, exits[r]);
         }
     }
     let total = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -295,6 +243,40 @@ mod tests {
             &[1, 2, 3, 4, 6, 8],
             33,
         )
+    }
+
+    /// One noiseless measurement on the 8x2x4 cluster.
+    fn measure(p: usize, n: usize, w: usize, supersteps: usize) -> f64 {
+        let params = xeon_cluster_params().noiseless();
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        measure_ghost_width(&params, &placement, &xeon_core(), n, w, supersteps, 7)
+    }
+
+    /// At p = 1 no band is exchanged and no barrier runs, so a superstep
+    /// costs its compute alone: one whole-block sweep per iteration.
+    #[test]
+    fn single_process_costs_its_compute_alone() {
+        let n = 256;
+        let want = (n * n) as f64 * xeon_core().secs_per_element(&Stencil5, n * n);
+        for w in [1, 2, 3, 4, 6, 8] {
+            let got = measure(1, n, w, 3);
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "w = {w}: {got} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ghost width w must be at least 1")]
+    fn zero_width_is_rejected() {
+        measure(4, 64, 0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "supersteps must be at least 1")]
+    fn zero_supersteps_is_rejected() {
+        measure(4, 64, 2, 0);
     }
 
     #[test]

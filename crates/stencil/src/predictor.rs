@@ -20,11 +20,11 @@
 //! communication.
 
 use crate::decomp::Decomposition;
-use hpm_barriers::patterns::dissemination;
 use hpm_bsplib::ops::HEADER_BYTES;
+use hpm_bsplib::runtime::SyncPattern;
 use hpm_core::compute::superstep_times;
 use hpm_core::matrix::DMat;
-use hpm_core::predictor::{predict_compiled_with, CostModel, PayloadSchedule};
+use hpm_core::predictor::CostModel;
 use hpm_core::superstep::SuperstepModel;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
@@ -90,16 +90,7 @@ pub fn predict_bsp_iteration<C: CostModel + ?Sized>(
     let comm_maskable = comm.clone();
 
     // Synchronization: the payload-carrying barrier.
-    let sync = if p >= 2 {
-        predict_compiled_with(
-            &dissemination(p),
-            costs,
-            &PayloadSchedule::dissemination_count_map(p),
-        )
-        .total
-    } else {
-        0.0
-    };
+    let sync = SyncPattern::Dissemination.predict(p, costs);
 
     let model = SuperstepModel::new(comp, comp_maskable, comm, comm_maskable, sync);
     let total = model.total();
