@@ -5,8 +5,7 @@
 //! repro analyze              # static-verify every registry pattern, run nothing
 //! repro <id> [<id> ...]      # run selected experiments
 //! repro all                  # run everything
-//! repro all --quick          # smoke-test resolution
-//! repro all --effort quick   # same, spelled out
+//! repro all --effort quick   # smoke-test resolution
 //! repro all --threads 8      # fan each sweep out over 8 workers
 //! repro all --json BENCH_repro.json   # machine-readable timing report
 //! repro faults recovery --check       # cross-check shared CSV corners
@@ -50,10 +49,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_dir = PathBuf::from(value(&mut args, "--out needs a directory")),
-            "--quick" => {
-                effort = Effort::quick();
-                effort_name = "quick";
-            }
             "--effort" => match args.next().as_deref() {
                 Some("quick") => {
                     effort = Effort::quick();
@@ -90,6 +85,7 @@ fn main() {
                 run_analyze();
                 return;
             }
+            other if other.starts_with("--") => bad_args(&format!("unknown option {other}")),
             other => ids.push(other.to_string()),
         }
     }
@@ -285,7 +281,7 @@ fn write_json(path: &PathBuf, effort: &str, total: f64, fit_seconds: f64, runs: 
 
 fn usage() {
     eprintln!(
-        "usage: repro [--out DIR] [--quick | --effort quick|standard] \
-         [--threads N] [--json FILE] [--check] (list | analyze | all | <id> ...)"
+        "usage: repro [--out DIR] [--effort quick|standard] [--threads N] [--json FILE] \
+         [--check] (list | analyze | all | <id> ...)"
     );
 }

@@ -28,12 +28,11 @@ use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
-use hpm_kernels::blas1::Axpy;
-use hpm_kernels::harness::{profile_kernel, BenchConfig, WallClock};
+use hpm_kernels::blas1::{self, AXPY};
+use hpm_kernels::harness::{profile_kernel, BatchTimer, BenchConfig, WallClock};
 use hpm_kernels::kernel::Kernel;
 use hpm_kernels::rate::{opteron_core, xeon_core, ProcessorModel};
 use hpm_kernels::stencil::Stencil5;
-use hpm_kernels::{blas1_suite, harness::BatchTimer};
 use hpm_simnet::barrier::{BarrierSim, BARRIER_JITTER_LABEL};
 use hpm_simnet::microbench::{
     bench_platform, bench_platform_classes, ClassCosts, MicrobenchConfig, PlatformProfile,
@@ -371,15 +370,15 @@ pub fn fig4_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     let mut timer = WallClock::default();
     for e in 0..=10u32 {
         let n = 1usize << e;
-        let mut state = Axpy.alloc(n);
+        let mut state = AXPY.alloc(n);
         let reps = (1 << 22) / n.max(1) as u64 + 1;
         let samples: Vec<f64> = (0..effort.host_reps)
-            .map(|_| timer.time_batch(&Axpy, &mut state, reps))
+            .map(|_| timer.time_batch(&AXPY, &mut state, reps))
             .collect();
         let secs = median(&samples) / reps as f64;
         t.push(vec![
             n.to_string(),
-            format!("{:.2}", Axpy.flops(n) / secs / 1e6),
+            format!("{:.2}", AXPY.flops(n) / secs / 1e6),
         ]);
     }
     vec![write_csv(dir, "fig4_2", &t)]
@@ -392,12 +391,11 @@ pub fn fig4_3_4_4(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     let cfg = BenchConfig {
         n: 1024,
         samples: effort.host_reps.max(4),
-        confidence: 0.95,
         max_passes: 4,
         iter_exponents: (2, 10),
     };
     let kernels: Vec<(&str, Box<dyn Kernel>)> =
-        vec![("D", Box::new(Axpy)), ("5P", Box::new(Stencil5))];
+        vec![("D", Box::new(AXPY)), ("5P", Box::new(Stencil5))];
     let mut pred = CsvTable::new(&["iterations", "D_pred", "D_act", "5P_pred", "5P_act"]);
     let mut rel = CsvTable::new(&["iterations", "D_rel", "5P_rel"]);
     let profiles: Vec<_> = kernels
@@ -428,7 +426,7 @@ pub fn fig4_3_4_4(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 }
 
 fn blas_sweep(dir: &Path, name: &str, sizes: &[usize], reps: usize) -> PathBuf {
-    let suite = blas1_suite();
+    let suite = blas1::SUITE;
     let mut header: Vec<String> = vec!["bytes".into()];
     header.extend(suite.iter().map(|k| k.name().to_string()));
     let mut t = CsvTable {
@@ -445,7 +443,7 @@ fn blas_sweep(dir: &Path, name: &str, sizes: &[usize], reps: usize) -> PathBuf {
             let mut state = k.alloc(n);
             let inner = (1usize << 22) / n.max(1) + 1;
             let samples: Vec<f64> = (0..reps)
-                .map(|_| timer.time_batch(k.as_ref(), &mut state, inner as u64) / inner as f64)
+                .map(|_| timer.time_batch(k, &mut state, inner as u64) / inner as f64)
                 .collect();
             row.push(fmt(median(&samples)));
         }
@@ -1178,7 +1176,7 @@ impl FaultCase<'_> {
     }
 
     fn model(&self) -> FaultModel {
-        let fault = FaultModel {
+        FaultModel {
             crash_count: self.crashes,
             crash_window: 1e-4,
             drop: DropProb::uniform(self.drop),
@@ -1186,10 +1184,7 @@ impl FaultCase<'_> {
             straggler_scale: self.straggler_scale,
             straggler_alpha: 1.5,
             timeout: FAULT_TIMEOUT,
-            ..FaultModel::NONE
-        };
-        fault.validate();
-        fault
+        }
     }
 
     /// The [`FAILFAST_COLS`] cells of the case's fail-fast attempts,
@@ -1256,22 +1251,23 @@ pub fn faults(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
 /// Recovery: the fault grid re-run through the survivor re-planning
 /// layer, plus the deterministic registry crash-set sweep.
 ///
-/// Section A (`recovery.csv`) repeats the [`faults`] grid under both
-/// recovery policies from one [`BarrierSim::measure_recovering`] run
-/// per case. `failfast` rows are the cells [`faults`] writes, from the
-/// same function, over that run's attempts; `recover` rows report
-/// post-recovery completion, detection/consensus costs and the
-/// recovered-run inflation. Section B (`recovery_registry.csv`) forces
-/// every deterministic size-k crash set from [`crate::analyze::crash_sets`]
-/// (k ∈ {1, 2}) onto the sparse dissemination plan, records the static
+/// Section A (`recovery.csv`) repeats the [`faults`] grid through one
+/// [`BarrierSim::measure_recovering`] run per case and writes two rows
+/// from it. `failfast` rows are the cells [`faults`] writes, from the
+/// same function, over that run's attempts, before any recovery;
+/// `recover` rows report completion after survivor re-planning,
+/// detection/consensus costs and the recovered-run inflation. Section B
+/// (`recovery_registry.csv`) forces every deterministic size-k crash set
+/// from [`crate::analyze::crash_sets`] (k ∈ {1, 2}) onto the sparse
+/// dissemination plan, records the static
 /// [`hpm_analyze::Analyzer::k_crash_coverage`] verdict next to what the
 /// recovery layer actually achieved, and prices each repair against the
 /// fault-free baseline.
 pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     let beds = fault_beds(effort.barrier_reps);
 
-    // ---- Section A: the faults() grid under both policies, from one
-    // recovering run per case.
+    // ---- Section A: the faults() grid, attempt and recovered rows from
+    // one recovering run per case.
     let mut grid = CsvTable::new(
         &[
             &FAULT_COORD_COLS[..],
@@ -1385,7 +1381,7 @@ pub fn recovery(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
             timeout: FAULT_TIMEOUT,
             ..FaultModel::NONE
         };
-        let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), set);
+        let fplan = FaultPlan::with_crashes(p, set);
         let zeros = vec![0.0; p];
         let mut scratch = SimScratch::new(placement);
         let mut net = NetState::new(placement);
@@ -1728,7 +1724,7 @@ static REGISTRY: &[Experiment] = &[
     },
     Experiment {
         id: "recovery",
-        about: "survivor re-planning: recovery policies and repair costs",
+        about: "survivor re-planning: fail-fast vs recovered runs, repair costs",
         stochastic: "batched",
         max_procs: 256,
         fits: no_fits,

@@ -13,7 +13,7 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn malformed_command_lines_print_usage_and_exit_2() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 10] = [
         &[],
         &["--out"],
         &["--threads"],
@@ -22,6 +22,8 @@ fn malformed_command_lines_print_usage_and_exit_2() {
         &["--effort"],
         &["--effort", "heroic"],
         &["fig5_2", "--out"],
+        &["--bogus"],
+        &["--quick"],
     ];
     for args in cases {
         let out = repro(args);

@@ -11,7 +11,7 @@
 use crate::ctx::BspCtx;
 use crate::ops::StepOutcome;
 use crate::runtime::{run_spmd, BspConfig, BspProgram};
-use hpm_kernels::blas1::Axpy;
+use hpm_kernels::blas1::AXPY;
 use hpm_kernels::kernel::Kernel;
 use hpm_stats::regression::LinearFit;
 
@@ -42,9 +42,9 @@ impl BspProgram for RateProgram {
             let n = 1usize << e;
             let reps = 4096 / n.max(1) as u64 + 4;
             let t0 = ctx.time();
-            ctx.compute_kernel(&Axpy, n, reps);
+            ctx.compute_kernel(&AXPY, n, reps);
             let t1 = ctx.time();
-            self.samples.push((Axpy.flops(n) * reps as f64, t1 - t0));
+            self.samples.push((AXPY.flops(n) * reps as f64, t1 - t0));
         }
         StepOutcome::Halt
     }

@@ -352,7 +352,7 @@ impl<'a> BspCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpm_kernels::blas1::Axpy;
+    use hpm_kernels::blas1::AXPY;
     use hpm_kernels::rate::xeon_core;
     use hpm_stats::rng::derive_rng;
 
@@ -394,8 +394,8 @@ mod tests {
     #[test]
     fn compute_kernel_advances_clock_by_model_rate() {
         let model = xeon_core();
-        let expect = model.time_per_apply(&Axpy, 1024) * 10.0;
-        let ((), now, ..) = with_ctx(|ctx| ctx.compute_kernel(&Axpy, 1024, 10));
+        let expect = model.time_per_apply(&AXPY, 1024) * 10.0;
+        let ((), now, ..) = with_ctx(|ctx| ctx.compute_kernel(&AXPY, 1024, 10));
         assert!((now - expect).abs() / expect < 1e-12);
     }
 

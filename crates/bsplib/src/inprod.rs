@@ -16,7 +16,7 @@ use crate::ctx::BspCtx;
 use crate::mem::{f64s, RegHandle};
 use crate::ops::StepOutcome;
 use crate::runtime::{run_spmd, BspConfig, BspProgram};
-use hpm_kernels::blas1::Dot;
+use hpm_kernels::blas1::DOT;
 use hpm_stats::quantile::median;
 
 /// The SPMD inner-product program.
@@ -54,7 +54,7 @@ impl BspProgram for InProd {
                 // everyone (committed immediately after computing — the
                 // early-communication discipline).
                 let n = self.local_n(ctx.pid(), p) as usize;
-                ctx.compute_kernel(&Dot, n.max(1), 1);
+                ctx.compute_kernel(&DOT, n.max(1), 1);
                 let partial = n as f64; // all-ones vectors
                 let reg = self.partials.expect("registered");
                 let bytes = partial.to_le_bytes();

@@ -14,222 +14,160 @@ use crate::kernel::{Kernel, KernelState, KernelTraits};
 
 const ELEM: usize = std::mem::size_of::<f64>();
 
-/// `x ↔ y`: element-wise swap; pure data movement.
-pub struct Swap;
+/// One level-1 BLAS routine: everything but the loop is data.
+#[derive(Debug, Clone, Copy)]
+pub struct Blas1 {
+    name: &'static str,
+    traits: KernelTraits,
+    /// Distinct vectors the loop touches.
+    vectors: usize,
+    /// The scalar operand a fresh state starts with.
+    a: f64,
+    apply: fn(&mut KernelState) -> f64,
+}
 
-impl Kernel for Swap {
+impl Kernel for Blas1 {
     fn name(&self) -> &'static str {
-        "swap"
+        self.name
     }
     fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 0.0,
-            bytes_per_element: 4.0 * ELEM as f64, // read+write both vectors
-        }
+        self.traits
     }
     fn footprint_bytes(&self, n: usize) -> usize {
-        2 * n * ELEM
+        self.vectors * n * ELEM
     }
     fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
+        KernelState {
+            a: self.a,
+            ..KernelState::with_len(n, n)
+        }
     }
     fn apply(&self, s: &mut KernelState) -> f64 {
+        (self.apply)(s)
+    }
+}
+
+/// Traits of a kernel doing `flops` operations and moving `elems`
+/// vector elements per element processed.
+const fn traits(flops: f64, elems: f64) -> KernelTraits {
+    KernelTraits {
+        flops_per_element: flops,
+        bytes_per_element: elems * ELEM as f64,
+    }
+}
+
+/// `x ↔ y`: element-wise swap; pure data movement (reads and writes
+/// both vectors).
+pub const SWAP: Blas1 = Blas1 {
+    name: "swap",
+    traits: traits(0.0, 4.0),
+    vectors: 2,
+    a: 1.5,
+    apply: |s| {
         for (xi, yi) in s.x.iter_mut().zip(s.y.iter_mut()) {
             std::mem::swap(xi, yi);
         }
         s.x[0] + s.y[s.n - 1]
-    }
-}
+    },
+};
 
 /// `x ← a·x`: scaling in place; one multiply per element, one vector.
-pub struct Scal;
-
-impl Kernel for Scal {
-    fn name(&self) -> &'static str {
-        "scal"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 1.0,
-            bytes_per_element: 2.0 * ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        let mut st = KernelState::with_len(n, n);
-        st.a = 1.000_000_1; // stays finite over many applications
-        st
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+/// `a` stays finite over many applications.
+pub const SCAL: Blas1 = Blas1 {
+    name: "scal",
+    traits: traits(1.0, 2.0),
+    vectors: 1,
+    a: 1.000_000_1,
+    apply: |s| {
         let a = s.a;
         for xi in s.x.iter_mut() {
             *xi *= a;
         }
         s.x[s.n / 2]
-    }
-}
+    },
+};
 
 /// `y ← x`: copy; pure data movement over two vectors.
-pub struct Copy;
-
-impl Kernel for Copy {
-    fn name(&self) -> &'static str {
-        "copy"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 0.0,
-            bytes_per_element: 2.0 * ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        2 * n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+pub const COPY: Blas1 = Blas1 {
+    name: "copy",
+    traits: traits(0.0, 2.0),
+    vectors: 2,
+    a: 1.5,
+    apply: |s| {
         s.y.copy_from_slice(&s.x);
         s.y[s.n - 1]
-    }
-}
+    },
+};
 
-/// `y ← y + a·x`: the DAXPY kernel of bspbench (§3.1); two flops/element.
-pub struct Axpy;
-
-impl Kernel for Axpy {
-    fn name(&self) -> &'static str {
-        "axpy"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 2.0,
-            bytes_per_element: 3.0 * ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        2 * n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        let mut st = KernelState::with_len(n, n);
-        st.a = 1e-9; // keep y bounded across 2^24 applications
-        st
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+/// `y ← y + a·x`: the DAXPY kernel of bspbench (§3.1); two
+/// flops/element. `a` keeps `y` bounded across 2^24 applications.
+pub const AXPY: Blas1 = Blas1 {
+    name: "axpy",
+    traits: traits(2.0, 3.0),
+    vectors: 2,
+    a: 1e-9,
+    apply: |s| {
         let a = s.a;
         for (yi, xi) in s.y.iter_mut().zip(s.x.iter()) {
             *yi += a * *xi;
         }
         s.y[s.n / 3]
-    }
-}
+    },
+};
 
 /// `dot ← Σ xᵢ·yᵢ`: reduction over two vectors; two flops/element.
-pub struct Dot;
-
-impl Kernel for Dot {
-    fn name(&self) -> &'static str {
-        "dot"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 2.0,
-            bytes_per_element: 2.0 * ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        2 * n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+pub const DOT: Blas1 = Blas1 {
+    name: "dot",
+    traits: traits(2.0, 2.0),
+    vectors: 2,
+    a: 1.5,
+    apply: |s| {
         let mut acc = 0.0;
         for (xi, yi) in s.x.iter().zip(s.y.iter()) {
             acc += xi * yi;
         }
         acc
-    }
-}
+    },
+};
 
 /// `nrm2 ← sqrt(Σ xᵢ²)`: Euclidean norm; two flops/element plus a root.
-pub struct Nrm2;
-
-impl Kernel for Nrm2 {
-    fn name(&self) -> &'static str {
-        "nrm2"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 2.0,
-            bytes_per_element: ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+pub const NRM2: Blas1 = Blas1 {
+    name: "nrm2",
+    traits: traits(2.0, 1.0),
+    vectors: 1,
+    a: 1.5,
+    apply: |s| {
         let mut acc = 0.0;
         for xi in s.x.iter() {
             acc += xi * xi;
         }
         acc.sqrt()
-    }
-}
+    },
+};
 
 /// `asum ← Σ |xᵢ|`: absolute sum; one add plus one abs per element.
-pub struct Asum;
-
-impl Kernel for Asum {
-    fn name(&self) -> &'static str {
-        "asum"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 2.0,
-            bytes_per_element: ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+pub const ASUM: Blas1 = Blas1 {
+    name: "asum",
+    traits: traits(2.0, 1.0),
+    vectors: 1,
+    a: 1.5,
+    apply: |s| {
         let mut acc = 0.0;
         for xi in s.x.iter() {
             acc += xi.abs();
         }
         acc
-    }
-}
+    },
+};
 
-/// `iamax ← argmax |xᵢ|`: index of the largest magnitude; compares only.
-pub struct Iamax;
-
-impl Kernel for Iamax {
-    fn name(&self) -> &'static str {
-        "iamax"
-    }
-    fn traits(&self) -> KernelTraits {
-        KernelTraits {
-            flops_per_element: 1.0, // one compare counted as one op
-            bytes_per_element: ELEM as f64,
-        }
-    }
-    fn footprint_bytes(&self, n: usize) -> usize {
-        n * ELEM
-    }
-    fn alloc(&self, n: usize) -> KernelState {
-        KernelState::with_len(n, n)
-    }
-    fn apply(&self, s: &mut KernelState) -> f64 {
+/// `iamax ← argmax |xᵢ|`: index of the largest magnitude; one compare
+/// per element, counted as one op.
+pub const IAMAX: Blas1 = Blas1 {
+    name: "iamax",
+    traits: traits(1.0, 1.0),
+    vectors: 1,
+    a: 1.5,
+    apply: |s| {
         let mut best = 0usize;
         let mut best_val = f64::NEG_INFINITY;
         for (i, xi) in s.x.iter().enumerate() {
@@ -240,8 +178,11 @@ impl Kernel for Iamax {
             }
         }
         best as f64
-    }
-}
+    },
+};
+
+/// All level-1 BLAS kernels in the order of Figs. 4.5–4.6.
+pub const SUITE: [Blas1; 8] = [SWAP, SCAL, COPY, AXPY, DOT, NRM2, ASUM, IAMAX];
 
 #[cfg(test)]
 mod tests {
@@ -249,7 +190,7 @@ mod tests {
 
     #[test]
     fn axpy_computes_correctly() {
-        let k = Axpy;
+        let k = AXPY;
         let mut s = KernelState {
             n: 3,
             x: vec![1.0, 2.0, 3.0],
@@ -262,7 +203,7 @@ mod tests {
 
     #[test]
     fn dot_known_value() {
-        let k = Dot;
+        let k = DOT;
         let mut s = KernelState {
             n: 3,
             x: vec![1.0, 2.0, 3.0],
@@ -274,7 +215,7 @@ mod tests {
 
     #[test]
     fn nrm2_known_value() {
-        let k = Nrm2;
+        let k = NRM2;
         let mut s = KernelState {
             n: 2,
             x: vec![3.0, 4.0],
@@ -286,7 +227,7 @@ mod tests {
 
     #[test]
     fn asum_handles_negatives() {
-        let k = Asum;
+        let k = ASUM;
         let mut s = KernelState {
             n: 3,
             x: vec![-1.0, 2.0, -3.0],
@@ -298,7 +239,7 @@ mod tests {
 
     #[test]
     fn iamax_finds_largest_magnitude() {
-        let k = Iamax;
+        let k = IAMAX;
         let mut s = KernelState {
             n: 4,
             x: vec![1.0, -9.0, 3.0, 8.0],
@@ -310,7 +251,7 @@ mod tests {
 
     #[test]
     fn swap_round_trips() {
-        let k = Swap;
+        let k = SWAP;
         let mut s = k.alloc(16);
         let (x0, y0) = (s.x.clone(), s.y.clone());
         k.apply(&mut s);
@@ -321,7 +262,7 @@ mod tests {
 
     #[test]
     fn copy_duplicates() {
-        let k = Copy;
+        let k = COPY;
         let mut s = k.alloc(16);
         k.apply(&mut s);
         assert_eq!(s.x, s.y);
@@ -329,7 +270,7 @@ mod tests {
 
     #[test]
     fn scal_scales() {
-        let k = Scal;
+        let k = SCAL;
         let mut s = KernelState {
             n: 2,
             x: vec![2.0, 4.0],
@@ -342,15 +283,15 @@ mod tests {
 
     #[test]
     fn footprints_reflect_vector_counts() {
-        assert_eq!(Scal.footprint_bytes(1000), 8000);
-        assert_eq!(Axpy.footprint_bytes(1000), 16000);
-        assert_eq!(Swap.footprint_bytes(1000), 16000);
-        assert_eq!(Nrm2.footprint_bytes(1000), 8000);
+        assert_eq!(SCAL.footprint_bytes(1000), 8000);
+        assert_eq!(AXPY.footprint_bytes(1000), 16000);
+        assert_eq!(SWAP.footprint_bytes(1000), 16000);
+        assert_eq!(NRM2.footprint_bytes(1000), 8000);
     }
 
     #[test]
     fn repeated_axpy_stays_finite() {
-        let k = Axpy;
+        let k = AXPY;
         let mut s = k.alloc(64);
         for _ in 0..100_000 {
             k.apply(&mut s);

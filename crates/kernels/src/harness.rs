@@ -16,6 +16,9 @@ use crate::kernel::{Kernel, KernelState};
 use hpm_stats::outlier::filter_outlier_means;
 use hpm_stats::regression::LinearFit;
 
+/// Confidence level of the outlier interval (§4.1).
+pub const CONFIDENCE: f64 = 0.95;
+
 /// Configuration of one benchmark run.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
@@ -23,8 +26,6 @@ pub struct BenchConfig {
     pub n: usize,
     /// Samples per iteration count (thesis: 30).
     pub samples: usize,
-    /// Confidence level for the outlier interval (thesis: 0.95).
-    pub confidence: f64,
     /// Re-sampling pass budget before giving up (§4.1 discusses why runs
     /// needing ≥2 passes signal calibration problems).
     pub max_passes: usize,
@@ -37,7 +38,6 @@ impl Default for BenchConfig {
         BenchConfig {
             n: 1024,
             samples: 30,
-            confidence: 0.95,
             max_passes: 8,
             iter_exponents: (1, 12),
         }
@@ -50,7 +50,6 @@ impl BenchConfig {
         BenchConfig {
             n,
             samples: 8,
-            confidence: 0.95,
             max_passes: 4,
             iter_exponents: (1, 6),
         }
@@ -158,10 +157,9 @@ pub fn profile_kernel_with<T: BatchTimer>(
     let mut points = Vec::new();
     for e in lo..=hi {
         let iters = 1u64 << e;
-        let report =
-            filter_outlier_means(config.samples, config.confidence, config.max_passes, || {
-                timer.time_batch(kernel, &mut state, iters)
-            });
+        let report = filter_outlier_means(config.samples, CONFIDENCE, config.max_passes, || {
+            timer.time_batch(kernel, &mut state, iters)
+        });
         points.push(BenchPoint {
             iterations: iters,
             batch_seconds: report.mean(),
@@ -192,7 +190,7 @@ pub fn profile_kernel(kernel: &dyn Kernel, config: &BenchConfig) -> KernelProfil
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas1::Axpy;
+    use crate::blas1::AXPY;
     use crate::stencil::Stencil5;
 
     /// Deterministic timer: linear in iterations with a fixed overhead and
@@ -221,11 +219,10 @@ mod tests {
         let cfg = BenchConfig {
             n: 1024,
             samples: 10,
-            confidence: 0.95,
             max_passes: 4,
             iter_exponents: (1, 10),
         };
-        let p = profile_kernel_with(&Axpy, &cfg, &mut t);
+        let p = profile_kernel_with(&AXPY, &cfg, &mut t);
         assert!(
             (p.secs_per_apply() - 2e-6).abs() / 2e-6 < 0.01,
             "slope {} should be ~2e-6",
@@ -243,7 +240,7 @@ mod tests {
             tick: 0,
         };
         let cfg = BenchConfig::quick(256);
-        let p = profile_kernel_with(&Axpy, &cfg, &mut t);
+        let p = profile_kernel_with(&AXPY, &cfg, &mut t);
         let pred = p.predict(1 << 16);
         let truth = 1e-6 * (1 << 16) as f64;
         assert!((pred - truth).abs() / truth < 0.05);
@@ -255,11 +252,10 @@ mod tests {
         let cfg = BenchConfig {
             n: 1024,
             samples: 5,
-            confidence: 0.95,
             max_passes: 3,
             iter_exponents: (4, 9),
         };
-        let p = profile_kernel(&Axpy, &cfg);
+        let p = profile_kernel(&AXPY, &cfg);
         assert!(p.secs_per_apply() > 0.0, "rate must be positive");
         assert!(
             p.fit.r_squared > 0.5,
@@ -276,11 +272,10 @@ mod tests {
         let cfg = BenchConfig {
             n: 1024,
             samples: 5,
-            confidence: 0.95,
             max_passes: 3,
             iter_exponents: (4, 8),
         };
-        let pa = profile_kernel(&Axpy, &cfg);
+        let pa = profile_kernel(&AXPY, &cfg);
         let ps = profile_kernel(&Stencil5, &cfg);
         assert!(pa.secs_per_apply() > 0.0 && ps.secs_per_apply() > 0.0);
         // They must not be identical to within a percent — if they were,

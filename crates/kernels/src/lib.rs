@@ -27,17 +27,3 @@ pub mod stencil;
 pub use harness::{BenchConfig, KernelProfile};
 pub use kernel::{Kernel, KernelState, KernelTraits};
 pub use rate::{CacheLevel, ProcessorModel};
-
-/// All level-1 BLAS kernels in the order of Figs. 4.5–4.6.
-pub fn blas1_suite() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(blas1::Swap),
-        Box::new(blas1::Scal),
-        Box::new(blas1::Copy),
-        Box::new(blas1::Axpy),
-        Box::new(blas1::Dot),
-        Box::new(blas1::Nrm2),
-        Box::new(blas1::Asum),
-        Box::new(blas1::Iamax),
-    ]
-}

@@ -168,14 +168,14 @@ pub fn opteron_core() -> ProcessorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas1::{Axpy, Dot, Scal};
+    use crate::blas1::{AXPY, DOT, SCAL};
     use crate::stencil::Stencil5;
 
     #[test]
     fn daxpy_sustains_about_a_gigaflop_on_xeon() {
         let p = xeon_core();
         // 1024 elements: 16 KiB footprint, in L1.
-        let rate = Axpy.flops(1024) / p.time_per_apply(&Axpy, 1024);
+        let rate = AXPY.flops(1024) / p.time_per_apply(&AXPY, 1024);
         assert!(
             (rate - 1.0e9).abs() / 1.0e9 < 0.35,
             "expected ~1 Gflop/s, got {rate:.3e}"
@@ -194,8 +194,8 @@ mod tests {
         // Per-element time must strictly grow when the footprint leaves L1
         // (the Fig. 4.6 breakaway).
         let p = xeon_core();
-        let small = p.secs_per_element(&Axpy, 2 * 1024); // 32 KiB
-        let large = p.secs_per_element(&Axpy, 1024 * 1024); // 16 MiB
+        let small = p.secs_per_element(&AXPY, 2 * 1024); // 32 KiB
+        let large = p.secs_per_element(&AXPY, 1024 * 1024); // 16 MiB
         assert!(
             large > small * 1.5,
             "expected a knee: in-cache {small:.3e}, out {large:.3e}"
@@ -206,8 +206,8 @@ mod tests {
     fn kernels_differ_in_cache() {
         // Fig. 4.5: axpy and dot differ even with uniform access cost.
         let p = xeon_core();
-        let axpy = p.secs_per_element(&Axpy, 1024);
-        let dot = p.secs_per_element(&Dot, 1024);
+        let axpy = p.secs_per_element(&AXPY, 1024);
+        let dot = p.secs_per_element(&DOT, 1024);
         assert!(axpy > dot, "axpy moves more bytes per element");
     }
 
@@ -232,8 +232,8 @@ mod tests {
     fn scaled_model_is_proportionally_faster() {
         let p = xeon_core();
         let f = p.scaled(2.0);
-        let t1 = p.time_per_apply(&Scal, 4096);
-        let t2 = f.time_per_apply(&Scal, 4096);
+        let t1 = p.time_per_apply(&SCAL, 4096);
+        let t2 = f.time_per_apply(&SCAL, 4096);
         assert!((t1 / t2 - 2.0).abs() < 1e-9);
     }
 
@@ -242,7 +242,7 @@ mod tests {
         let p = opteron_core();
         let n = 2048;
         assert!(
-            (p.secs_per_element(&Axpy, n) * n as f64 - p.time_per_apply(&Axpy, n)).abs() < 1e-15
+            (p.secs_per_element(&AXPY, n) * n as f64 - p.time_per_apply(&AXPY, n)).abs() < 1e-15
         );
     }
 

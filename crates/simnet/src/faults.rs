@@ -17,8 +17,8 @@
 //! arithmetic collapses to `+0.0`).
 //!
 //! A drop uniform becomes an attempt count without `ln` whenever that
-//! count is provably 1 ([`attempts_from_uniform`]); attempt counts and
-//! the retry cap saturate at `u32::MAX`.
+//! count is provably 1 ([`attempts_from_uniform`]); attempt counts
+//! saturate at `u32::MAX`.
 //!
 //! Unlike the healthy executor, global completion is not assumed: each
 //! rank finishes as [`RankOutcome::Completed`], gives up waiting for a
@@ -31,7 +31,6 @@ use crate::net::{FaultView, NetState, SignalFate};
 use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
 use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
-use hpm_topology::LinkClass;
 
 /// How one rank left a faulty run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,14 +172,9 @@ impl FaultView for Faults<'_> {
     }
 
     #[inline]
-    fn retransmit(&self, u: f64, class: LinkClass, send_done: f64) -> Option<(f64, u32, f64)> {
-        let drop_p = if class == LinkClass::Remote {
-            self.fault.drop.remote
-        } else {
-            self.fault.drop.local
-        };
-        let attempts = attempts_from_uniform(u, drop_p);
-        if attempts > self.fault.max_retries.saturating_add(1) {
+    fn retransmit(&self, u: f64, send_done: f64) -> Option<(f64, u32, f64)> {
+        let attempts = attempts_from_uniform(u, self.fault.drop.0);
+        if attempts > FaultModel::MAX_RETRIES + 1 {
             return None;
         }
         let retry_delay = self.fault.retry_delay(attempts);
@@ -475,18 +469,16 @@ mod tests {
         assert_eq!(faults.drops.drawn(), 4);
     }
 
-    /// Certain drop (attempts beyond any budget) loses the signal after
-    /// the full backed-off budget; a crashed sender never emits, and
-    /// both still consume their draws.
+    /// Near-certain drop (attempts beyond the budget) loses the signal
+    /// after the full backed-off budget; a crashed sender never emits,
+    /// and both still consume their draws.
     #[test]
     fn hopeless_drops_and_dead_senders_lose_signals() {
         use hpm_stats::rng::JitterBuf;
         let (params, placement) = sim_fixture(16);
         let fault = FaultModel {
             drop: DropProb::uniform(0.999_999),
-            max_retries: 2,
             timeout: 1e-3,
-            backoff: 2.0,
             ..FaultModel::NONE
         };
         let mut fplan = FaultPlan::neutral(16, placement.shape().nodes());
@@ -506,8 +498,8 @@ mod tests {
             0,
             0.0,
         ) {
-            // Full budget: timeout·(1 + 2 + 4) past the send.
-            SignalFate::Lost { gave_up } => assert!(gave_up >= 7e-3, "gave_up {gave_up}"),
+            // Full budget: timeout·(1 + 2 + 4 + 8) past the send.
+            SignalFate::Lost { gave_up } => assert!(gave_up >= 15e-3, "gave_up {gave_up}"),
             other => panic!("near-certain drop must lose, got {other:?}"),
         }
         let fate = net.signal(
@@ -654,7 +646,6 @@ mod tests {
             &payload,
             &FaultModel {
                 drop: DropProb::uniform(0.08),
-                max_retries: 10,
                 ..FaultModel::NONE
             },
             16,
@@ -691,26 +682,6 @@ mod tests {
             assert_eq!(report.retries, 0);
             assert_eq!(report.lost_signals, plan.total_signals() as u64);
             assert_eq!(report.completed_count(), 0);
-        }
-    }
-
-    /// A `u32::MAX` retry cap is legal: no signal is ever given up on.
-    #[test]
-    fn unbounded_retry_cap_loses_no_signal() {
-        let p = 16;
-        let (params, placement) = sim_fixture(p);
-        let sim = BarrierSim::new(&params, &placement);
-        let fault = FaultModel {
-            drop: DropProb::uniform(0.01),
-            max_retries: u32::MAX,
-            ..FaultModel::NONE
-        };
-        let reports =
-            sim.measure_faulty(&dissemination(p), &PayloadSchedule::none(), &fault, 16, 5);
-        assert!(reports.iter().map(|r| r.retries).sum::<u64>() > 0);
-        for report in &reports {
-            assert_eq!(report.lost_signals, 0);
-            assert!(report.all_completed());
         }
     }
 

@@ -90,7 +90,7 @@ pub(crate) trait FaultView {
     /// uniform is `u`: `(ready to depart, retries, retry delay)`, or
     /// `None` when every attempt within the budget drops.
     #[inline(always)]
-    fn retransmit(&self, _u: f64, _class: LinkClass, send_done: f64) -> Option<(f64, u32, f64)> {
+    fn retransmit(&self, _u: f64, send_done: f64) -> Option<(f64, u32, f64)> {
         Some((send_done, 0, 0.0))
     }
 
@@ -135,8 +135,8 @@ pub(crate) fn egress(nic_free: &mut f64, gap: f64, ready: f64) -> f64 {
 /// the unexpected-message penalty, processing (`o_recv`, already
 /// jittered) queues behind earlier receptions, and the acknowledgement
 /// flies back for `ack_flight`. Returns `(processed, ack)`. Shared by
-/// the scalar primitive and every lane of [`crate::batch`], which is
-/// what makes a lane the scalar recurrence verbatim.
+/// signals, [`NetState::transfer`] and every lane of [`crate::batch`],
+/// which is what makes a lane the scalar recurrence verbatim.
 #[inline(always)]
 pub(crate) fn receive(
     params: &PlatformParams,
@@ -286,7 +286,7 @@ impl NetState {
         let class = placement.link(src, dst);
         let lc = params.link(class);
         let send_done = start + lc.o_send * m_send;
-        let Some((ready, retries, retry_delay)) = view.retransmit(u, class, send_done) else {
+        let Some((ready, retries, retry_delay)) = view.retransmit(u, send_done) else {
             return SignalFate::Lost {
                 gave_up: send_done + view.loss_delay(),
             };
@@ -344,9 +344,10 @@ impl NetState {
         let send_done = issue + lc.o_send * jit.next_mult();
         let dep = self.depart(params, placement, class, src, send_done);
         let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
-        let arrival = dep + wire;
-        let processed = arrival.max(self.recv_busy[dst]) + lc.o_recv * jit.next_mult();
-        self.recv_busy[dst] = processed;
+        let o_recv = lc.o_recv * jit.next_mult();
+        // Posted since forever: never unexpected, and no ack flies back.
+        let busy = &mut self.recv_busy[dst];
+        let (processed, _) = receive(params, dep + wire, f64::NEG_INFINITY, busy, o_recv, 0.0);
         (send_done, processed)
     }
 }

@@ -330,7 +330,7 @@ mod tests {
         let zeros = vec![0.0; p];
         match forced {
             Some(crashed) => {
-                let fplan = FaultPlan::with_crashes(p, sim.placement.shape().nodes(), crashed);
+                let fplan = FaultPlan::with_crashes(p, crashed);
                 sim.run_once_recovering_with(
                     plan, &payload, goal, fault, &fplan, &zeros, net, seed, label, rep, scratch,
                     rs, &mut out,
@@ -353,7 +353,6 @@ mod tests {
         let plan = dissemination(p);
         let fault = FaultModel {
             drop: DropProb::uniform(0.02),
-            max_retries: 12,
             straggler_prob: 0.1,
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,
@@ -415,7 +414,6 @@ mod tests {
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,
             timeout: 2e-4,
-            ..FaultModel::NONE
         };
         let goal = KnowledgeGoal::AllToAll;
         let faulty = sim.measure_faulty(&plan, &payload, &fault, 12, 31);
@@ -525,7 +523,7 @@ mod tests {
         let sim = BarrierSim::new(&params, &placement);
         let plan = dissemination(p);
         let bad = FaultModel {
-            backoff: 0.0,
+            timeout: 0.0,
             ..FaultModel::NONE
         };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -540,6 +538,6 @@ mod tests {
         }))
         .expect_err("bad model must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("backoff"), "panic names the knob: {msg}");
+        assert!(msg.contains("timeout"), "panic names the knob: {msg}");
     }
 }

@@ -32,31 +32,17 @@ pub const FAULT_LABEL: u64 = 0x4641_4C54;
 /// Stream label of the per-signal drop/attempt stream ("DROP").
 pub const FAULT_DROP_LABEL: u64 = 0x4452_4F50;
 
-/// Per-link-class drop probabilities. The simulator classifies each
-/// signal by whether it crosses node boundaries; intra-node transport
-/// (shared memory) and the wire fail at very different rates, so the
-/// knobs are separate.
+/// The signal drop probability, the same on every link class.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DropProb {
-    /// Drop probability of intra-node signals.
-    pub local: f64,
-    /// Drop probability of inter-node (wire) signals.
-    pub remote: f64,
-}
+pub struct DropProb(pub f64);
 
 impl DropProb {
-    /// No drops on either class.
-    pub const NONE: DropProb = DropProb {
-        local: 0.0,
-        remote: 0.0,
-    };
+    /// No drops.
+    pub const NONE: DropProb = DropProb(0.0);
 
-    /// The same probability on both classes.
+    /// Drop probability `p` on every link class.
     pub fn uniform(p: f64) -> DropProb {
-        DropProb {
-            local: p,
-            remote: p,
-        }
+        DropProb(p)
     }
 }
 
@@ -75,8 +61,6 @@ pub enum FaultModelError {
     NegativeDuration { field: &'static str, value: f64 },
     /// The retry timeout is not strictly positive.
     NonPositiveTimeout { value: f64 },
-    /// The exponential backoff factor is below 1.
-    BackoffBelowOne { value: f64 },
 }
 
 impl std::fmt::Display for FaultModelError {
@@ -97,9 +81,6 @@ impl std::fmt::Display for FaultModelError {
             FaultModelError::NonPositiveTimeout { value } => {
                 write!(f, "timeout must be positive, got {value}")
             }
-            FaultModelError::BackoffBelowOne { value } => {
-                write!(f, "backoff must be >= 1, got {value}")
-            }
         }
     }
 }
@@ -119,7 +100,7 @@ pub struct FaultModel {
     pub crash_count: usize,
     /// Crash times are uniform in `[0, crash_window)` seconds.
     pub crash_window: f64,
-    /// Per-link-class signal drop probability.
+    /// Signal drop probability.
     pub drop: DropProb,
     /// Probability a rank straggles into the repetition.
     pub straggler_prob: f64,
@@ -132,10 +113,6 @@ pub struct FaultModel {
     /// retransmitting, and a receiver waits past its post before
     /// declaring a missing signal timed out.
     pub timeout: f64,
-    /// Retransmissions attempted before a signal is declared lost.
-    pub max_retries: u32,
-    /// Exponential backoff factor between retransmissions (≥ 1).
-    pub backoff: f64,
 }
 
 impl FaultModel {
@@ -148,9 +125,10 @@ impl FaultModel {
         straggler_scale: 0.0,
         straggler_alpha: 2.0,
         timeout: 1e-3,
-        max_retries: 3,
-        backoff: 2.0,
     };
+
+    /// Retransmissions attempted before a signal is declared lost.
+    pub const MAX_RETRIES: u32 = 3;
 
     /// True when every realized plan is neutral and no signal can drop —
     /// the executor may (but need not) skip fault bookkeeping entirely.
@@ -160,14 +138,13 @@ impl FaultModel {
 
     /// Validates the knob ranges (probabilities in [0,1), the straggler
     /// tail exponent finite and > 0.05, non-negative durations, positive
-    /// timeout, backoff ≥ 1) without panicking — the faulty and
-    /// recovering measurement loops call this on entry, so a bad model
-    /// fails with a structured, clearly worded error instead of
-    /// panicking inside a worker mid-sweep.
+    /// timeout) without panicking — the faulty and recovering
+    /// measurement loops call this on entry, so a bad model fails with a
+    /// structured, clearly worded error instead of panicking inside a
+    /// worker mid-sweep.
     pub fn checked(&self) -> Result<(), FaultModelError> {
         for (field, value) in [
-            ("drop.local", self.drop.local),
-            ("drop.remote", self.drop.remote),
+            ("drop", self.drop.0),
             ("straggler_prob", self.straggler_prob),
         ] {
             if !(0.0..1.0).contains(&value) {
@@ -192,20 +169,7 @@ impl FaultModel {
                 value: self.timeout,
             });
         }
-        if !(1.0..).contains(&self.backoff) {
-            return Err(FaultModelError::BackoffBelowOne {
-                value: self.backoff,
-            });
-        }
         Ok(())
-    }
-
-    /// Panicking twin of [`FaultModel::checked`] for call sites whose
-    /// models are authored in code, where a bad knob is a bug.
-    pub fn validate(&self) {
-        if let Err(e) = self.checked() {
-            panic!("invalid FaultModel: {e}");
-        }
     }
 
     /// Plan-stream draws consumed by [`FaultPlan::realize_into`] for `p`
@@ -219,37 +183,26 @@ impl FaultModel {
         2 * self.crash_count.min(p) + 2 * nodes + 2 * p
     }
 
-    /// Backed-off windows summed beyond this many waits contribute
-    /// nothing new at f64 precision for any sane timeout (with the
-    /// minimal backoff of 2 the 64th window is already 2⁶³ timeouts), so
-    /// [`FaultModel::retry_delay`] saturates here: the loop stays O(1)
-    /// for adversarially large retry caps and the unguarded geometric
-    /// growth can no longer overflow a total to `inf` and poison every
-    /// downstream mean.
-    pub const MAX_BACKOFF_STEPS: u32 = 64;
-
     /// The added latency of `attempts − 1` retransmissions: the sender
-    /// burns the full (exponentially backed-off) timeout of every
-    /// failed attempt before the one that lands. Saturates after
-    /// [`FaultModel::MAX_BACKOFF_STEPS`] windows and clamps the sum to
-    /// `f64::MAX`, so the result is finite for every attempt count —
-    /// large retry caps inflate totals, they never `inf`-poison them.
+    /// burns the full timeout of every failed attempt before the one
+    /// that lands, each window twice the one before. Counts past the
+    /// loss budget (`MAX_RETRIES + 2` attempts) cost what the budget
+    /// does, so the loop runs at most `MAX_RETRIES + 1` times.
     pub fn retry_delay(&self, attempts: u32) -> f64 {
-        let steps = attempts.saturating_sub(1).min(Self::MAX_BACKOFF_STEPS);
+        let steps = attempts.saturating_sub(1).min(Self::MAX_RETRIES + 1);
         let mut delay = 0.0;
         let mut window = self.timeout;
         for _ in 0..steps {
             delay += window;
-            window *= self.backoff;
+            window *= 2.0;
         }
-        delay.min(f64::MAX)
+        delay
     }
 
     /// The full retry budget: time burned when every attempt fails and
-    /// the signal is declared lost (`max_retries + 1` windows; the
-    /// addition saturates so a `u32::MAX` retry cap is legal).
+    /// the signal is declared lost (`MAX_RETRIES + 1` windows).
     pub fn loss_delay(&self) -> f64 {
-        self.retry_delay(self.max_retries.saturating_add(2))
+        self.retry_delay(Self::MAX_RETRIES + 2)
     }
 }
 
@@ -261,7 +214,7 @@ const LN_FREE_MARGIN: f64 = 1.0 + 1.0 / (1u64 << 20) as f64;
 /// `attempts = 1 + ⌊ln(u)/ln(drop_p)⌋`. `drop_p ≤ 0` yields 1 attempt
 /// (the caller consumes the uniform regardless, keeping the drop-draw
 /// count independent of the knob values). Counts above
-/// `max_retries + 1` mean the signal was lost; the count saturates at
+/// `MAX_RETRIES + 1` mean the signal was lost; the count saturates at
 /// `u32::MAX`.
 ///
 /// A `u` clearly above `drop_p` is 1 attempt without calling `ln`:
@@ -417,13 +370,12 @@ impl FaultPlan {
     /// A neutral plan with the given ranks force-crashed at time 0 — the
     /// deterministic "what if exactly this set fails" scenario the
     /// recovery sweep replays against every registry crash set, with no
-    /// stream draws at all. `_nodes` is unused, as in
-    /// [`FaultPlan::neutral`].
+    /// stream draws at all.
     ///
     /// # Panics
     ///
     /// Panics when a rank is out of range.
-    pub fn with_crashes(p: usize, _nodes: usize, crashed: &[usize]) -> FaultPlan {
+    pub fn with_crashes(p: usize, crashed: &[usize]) -> FaultPlan {
         let mut plan = FaultPlan::neutral(p, 0);
         for &r in crashed {
             assert!(r < p, "crashed rank {r} out of range for p={p}");
@@ -628,47 +580,16 @@ mod tests {
     fn retry_delay_follows_exponential_backoff() {
         let m = FaultModel {
             timeout: 1.0,
-            backoff: 2.0,
-            max_retries: 3,
             ..FaultModel::NONE
         };
         assert_eq!(m.retry_delay(1), 0.0);
         assert_eq!(m.retry_delay(2), 1.0);
         assert_eq!(m.retry_delay(3), 3.0);
         assert_eq!(m.retry_delay(4), 7.0);
-        // Loss burns all max_retries + 1 windows: 1 + 2 + 4 + 8.
+        // Loss burns all MAX_RETRIES + 1 windows: 1 + 2 + 4 + 8, and no
+        // attempt count costs more.
         assert_eq!(m.loss_delay(), 15.0);
-    }
-
-    /// The backoff saturation point: attempts beyond
-    /// `MAX_BACKOFF_STEPS + 1` add nothing, the value stays finite for
-    /// any attempt count, and the pinned small-attempt values are
-    /// untouched by the clamp.
-    #[test]
-    fn retry_delay_saturates_finite() {
-        let m = FaultModel {
-            timeout: 1.0,
-            backoff: 2.0,
-            max_retries: 3,
-            ..FaultModel::NONE
-        };
-        let cap = FaultModel::MAX_BACKOFF_STEPS;
-        let at_cap = m.retry_delay(cap + 1);
-        assert!(at_cap.is_finite());
-        // 2^64 − 1 at timeout 1, backoff 2.
-        assert_eq!(at_cap, 2f64.powi(64) - 1.0);
-        assert_eq!(m.retry_delay(cap + 2), at_cap, "saturation point");
-        assert_eq!(m.retry_delay(u32::MAX), at_cap);
-        // An adversarial model that used to overflow to inf in a handful
-        // of windows now clamps to f64::MAX.
-        let nasty = FaultModel {
-            timeout: 1e308,
-            backoff: 10.0,
-            max_retries: u32::MAX,
-            ..FaultModel::NONE
-        };
-        assert!(nasty.retry_delay(u32::MAX).is_finite());
-        assert!(nasty.loss_delay().is_finite(), "u32::MAX cap may not wrap");
+        assert_eq!(m.retry_delay(u32::MAX), 15.0);
     }
 
     #[test]
@@ -683,13 +604,13 @@ mod tests {
         assert_eq!(
             err,
             FaultModelError::ProbabilityOutOfRange {
-                field: "drop.local",
+                field: "drop",
                 value: 1.0
             }
         );
-        assert_eq!(err.to_string(), "drop.local must be in [0,1), got 1");
+        assert_eq!(err.to_string(), "drop must be in [0,1), got 1");
         let boxed: Box<dyn std::error::Error> = Box::new(err);
-        assert!(boxed.to_string().contains("drop.local"));
+        assert!(boxed.to_string().contains("drop"));
         let bad_timeout = FaultModel {
             timeout: 0.0,
             ..FaultModel::NONE
@@ -697,14 +618,6 @@ mod tests {
         assert_eq!(
             bad_timeout.checked(),
             Err(FaultModelError::NonPositiveTimeout { value: 0.0 })
-        );
-        let bad_backoff = FaultModel {
-            backoff: 0.5,
-            ..FaultModel::NONE
-        };
-        assert_eq!(
-            bad_backoff.checked(),
-            Err(FaultModelError::BackoffBelowOne { value: 0.5 })
         );
         // Every tail exponent `QuantileTable::pareto` would panic on is
         // rejected up front, naming the field; the floor itself is out.
@@ -757,12 +670,12 @@ mod tests {
 
     #[test]
     fn with_crashes_forces_exactly_the_given_set() {
-        let plan = FaultPlan::with_crashes(8, 2, &[1, 6]);
+        let plan = FaultPlan::with_crashes(8, &[1, 6]);
         assert!(plan.crashed_ranks_iter().eq([1, 6]));
         assert!(plan.crashed_at(1, 0.0) && plan.crashed_at(6, 0.0));
         assert!(!plan.crashed_at(0, f64::MAX));
         assert!(!plan.is_neutral());
-        assert!(FaultPlan::with_crashes(4, 1, &[]).is_neutral());
+        assert!(FaultPlan::with_crashes(4, &[]).is_neutral());
     }
 
     #[test]
@@ -783,11 +696,5 @@ mod tests {
     fn plan_draw_count_matches_the_declared_formula() {
         let m = faulty_model();
         assert_eq!(m.plan_draws(32, 8), 2 * 3 + 2 * 8 + 2 * 32);
-    }
-
-    #[test]
-    fn validate_accepts_the_faulty_model() {
-        faulty_model().validate();
-        FaultModel::NONE.validate();
     }
 }

@@ -107,7 +107,6 @@ impl LinkMap {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     shape: ClusterShape,
-    policy: PlacementPolicy,
     nprocs: usize,
     cores: Vec<CoreId>,
     links: LinkMap,
@@ -160,7 +159,6 @@ impl Placement {
             nprocs * nprocs - node_ranks.iter().map(|r| r.len() * r.len()).sum::<usize>();
         Placement {
             shape,
-            policy,
             nprocs,
             cores,
             links,
@@ -173,12 +171,6 @@ impl Placement {
     #[must_use]
     pub fn shape(&self) -> ClusterShape {
         self.shape
-    }
-
-    /// Placement policy in effect.
-    #[must_use]
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
     }
 
     /// Number of placed ranks.

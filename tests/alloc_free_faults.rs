@@ -65,14 +65,13 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     // Faulty executor: drops, retries and Pareto stragglers.
     let faulty_model = FaultModel {
         drop: DropProb::uniform(0.05),
-        max_retries: 12,
         timeout: 2e-4,
         straggler_prob: 0.1,
         straggler_scale: 1e-4,
         straggler_alpha: 1.5,
         ..FaultModel::NONE
     };
-    faulty_model.validate();
+    assert_eq!(faulty_model.checked(), Ok(()));
     let mut net = NetState::new(&placement);
     let mut scratch = SimScratch::new(&placement);
     let mut fs = FaultScratch::new();
@@ -133,7 +132,7 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
         straggler_alpha: 1.5,
         ..FaultModel::NONE
     };
-    clean_model.validate();
+    assert_eq!(clean_model.checked(), Ok(()));
     let mut rs = RecoveryScratch::new();
     let mut rec = RecoveryReport::new(64);
     net.reset();

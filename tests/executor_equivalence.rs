@@ -147,7 +147,6 @@ proptest! {
             straggler_scale: 5e-5,
             straggler_alpha: 1.5,
             timeout: 2e-4,
-            ..FaultModel::NONE
         };
         let mut rs = RecoveryScratch::new();
         let mut rec = RecoveryReport::new(p);

@@ -132,7 +132,6 @@ fn stress_fault_model() -> hpm::stats::fault::FaultModel {
         straggler_scale: 1e-4,
         straggler_alpha: 1.5,
         timeout: 2e-4,
-        ..FaultModel::NONE
     }
 }
 
@@ -269,7 +268,7 @@ fn recovering_outcomes_match_goldens() {
 
     // Forced crash set: drops still fire, so the attempt retries too.
     let fault = stress_fault_model();
-    let fplan = FaultPlan::with_crashes(p, placement.shape().nodes(), &[3, 17, 40]);
+    let fplan = FaultPlan::with_crashes(p, &[3, 17, 40]);
     let mut scratch = SimScratch::new(&placement);
     let mut net = NetState::new(&placement);
     let mut rs = RecoveryScratch::new();
