@@ -46,14 +46,6 @@ impl Clustering {
         self.groups.iter().map(|g| g[0]).collect()
     }
 
-    /// Group index of a rank.
-    pub fn group_of(&self, rank: usize) -> usize {
-        self.groups
-            .iter()
-            .position(|g| g.binary_search(&rank).is_ok())
-            .expect("rank not in any group")
-    }
-
     /// Renders the Tables 7.1/7.2 layout: one row per group with size and
     /// members.
     pub fn render(&self) -> String {
@@ -185,8 +177,7 @@ mod tests {
         let c = sss_clusters(&l);
         assert_eq!(c.len(), 3);
         assert_eq!(c.sizes(), vec![4, 4, 4]);
-        assert_eq!(c.group_of(0), c.group_of(3));
-        assert_ne!(c.group_of(0), c.group_of(1));
+        assert_eq!(c.groups[0], [0, 3, 6, 9]);
     }
 
     #[test]

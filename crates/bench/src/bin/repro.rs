@@ -19,6 +19,7 @@
 
 use hpm_bench::experiments::{registry, run_experiments, Effort, ExperimentRun};
 use std::io::Write;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 /// Every malformed command line ends here: the reason, the usage line,
@@ -35,11 +36,7 @@ fn value(args: &mut impl Iterator<Item = String>, why: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        bad_args("nothing to run");
-    }
-    let mut args = args.into_iter();
+    let mut args = std::env::args().skip(1);
     let mut out_dir = PathBuf::from("results");
     let mut effort = Effort::standard();
     let mut effort_name = "standard";
@@ -63,10 +60,10 @@ fn main() {
                 )),
             },
             "--threads" => {
-                let n: usize = value(&mut args, "--threads needs a count")
+                let n: NonZeroUsize = value(&mut args, "--threads needs a count")
                     .parse()
                     .unwrap_or_else(|_| bad_args("--threads needs a positive integer"));
-                hpm_par::set_threads(Some(n));
+                hpm_par::set_threads(Some(n.get()));
             }
             "--json" => {
                 json_path = Some(PathBuf::from(value(&mut args, "--json needs a file path")));
@@ -88,6 +85,10 @@ fn main() {
             other if other.starts_with("--") => bad_args(&format!("unknown option {other}")),
             other => ids.push(other.to_string()),
         }
+    }
+    // Bare `--check` checks an existing output directory.
+    if ids.is_empty() && !check {
+        bad_args("nothing to run");
     }
     if ids.iter().any(|s| s == "all") {
         ids = registry().iter().map(|e| e.id.to_string()).collect();

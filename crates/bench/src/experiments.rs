@@ -2,11 +2,12 @@
 //!
 //! Ids follow the thesis numbering (`table3_1`, `fig5_6`, …). Each
 //! experiment writes one or more CSV/text artifacts into the output
-//! directory and returns their paths. Three tables say once what the
+//! directory and returns their paths. Four tables say once what the
 //! sweeps only use: the validation `Machine`s, the fault grid
-//! ([`faults`] and [`recovery`] sweep the same cases on the same beds)
-//! and the [`registry`] that `repro` dispatches on. DESIGN.md carries
-//! the experiment → module map.
+//! ([`faults`] and [`recovery`] sweep the same cases on the same beds),
+//! the Ch. 8 stencil series ([`table8_1`] is rendered from them) and
+//! the [`registry`] that `repro` dispatches on. DESIGN.md carries the
+//! experiment → module map.
 
 use crate::output::{fmt, write_csv, write_text, CsvTable};
 use std::path::{Path, PathBuf};
@@ -43,10 +44,10 @@ use hpm_simnet::{FaultReport, NetState, RankOutcome, SimScratch};
 use hpm_stats::fault::{DropProb, FaultModel, FaultPlan};
 use hpm_stats::quantile::median;
 use hpm_stencil::bsp::{run_bsp_stencil, CommitDiscipline};
-use hpm_stencil::configs::{render_table_8_1, LARGE_N, SMALL_N};
+use hpm_stencil::configs::{LARGE_N, SMALL_N};
 use hpm_stencil::hybrid::run_hybrid_stencil;
 use hpm_stencil::mpi::{run_mpi_stencil, MpiVariant};
-use hpm_stencil::overlap_opt::optimize_ghost_width;
+use hpm_stencil::overlap_opt::{optimize_ghost_width, GHOST_SUPERSTEPS};
 use hpm_stencil::predictor::predict_bsp_iteration;
 use hpm_topology::{
     cluster_10x2x6, cluster_128x2x4, cluster_12x2x6, cluster_32x2x4, cluster_512x2x4,
@@ -636,9 +637,28 @@ fn adapted_sweep(
 
 // ---------------------------------------------------------------- Ch. 8
 
-/// Table 8.1: the experimental configurations.
-pub fn table8_1(dir: &Path, _effort: &Effort) -> Vec<PathBuf> {
-    vec![write_text(dir, "table8_1", &render_table_8_1())]
+/// Table 8.1: the Ch. 8 configurations, rendered from the series the
+/// figures run. The A and B rows list the iterations of figure
+/// resolution; C1 lists the supersteps each ghost width is measured over.
+pub fn table8_1(dir: &Path) -> Vec<PathBuf> {
+    let iters = Effort::standard().stencil_iters;
+    let rows = A_SERIES
+        .iter()
+        .map(|&(id, _, n, impls)| (id, n, iters, impls.iter().map(|i| i.label()).collect()))
+        .chain(
+            B_SERIES
+                .iter()
+                .map(|&(id, _, _, n, discipline)| (id, n, iters, vec![discipline.label()])),
+        )
+        .chain([("C1", SMALL_N, GHOST_SUPERSTEPS, vec!["BSP-adapted"])]);
+    let mut text = format!(
+        "{:<4} {:<8} {:>6} {:<40}\n",
+        "id", "N", "iters", "implementations"
+    );
+    for (id, n, iters, impls) in rows {
+        text += &format!("{id:<4} {n:<8} {iters:>6} {:<40}\n", impls.join(", "));
+    }
+    vec![write_text(dir, "table8_1", &text)]
 }
 
 fn stencil_p_set() -> Vec<usize> {
@@ -675,92 +695,106 @@ pub fn table8_2(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
     vec![write_csv(dir, "table8_2", &t)]
 }
 
-fn scaling_table(dir: &Path, name: &str, n: usize, impls: &[&str], effort: &Effort) -> PathBuf {
+/// One stencil implementation of the Ch. 8 comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StencilImpl {
+    /// The BSPlib stencil under one commit discipline.
+    Bsp(CommitDiscipline),
+    /// An MPI-style stencil.
+    Mpi(MpiVariant),
+    /// One MPI+R process per node, threaded within it.
+    Hybrid,
+}
+
+impl StencilImpl {
+    /// Column label in Table 8.1 and the A-series CSVs.
+    fn label(self) -> &'static str {
+        match self {
+            StencilImpl::Bsp(discipline) => discipline.label(),
+            StencilImpl::Mpi(variant) => variant.label(),
+            StencilImpl::Hybrid => "Hybrid",
+        }
+    }
+}
+
+/// Figs. 8.4–8.7 (A1–A4): Table 8.1 id, artifact, problem size and the
+/// implementations each strong-scaling sweep compares.
+const A_SERIES: [(&str, &str, usize, &[StencilImpl]); 4] = {
+    use CommitDiscipline::{EarlyBuffered, EarlyUnbuffered, Late};
+    use MpiVariant::{Blocking2Stage, EarlyRequests};
+    use StencilImpl::{Bsp, Hybrid, Mpi};
+    [
+        (
+            "A1",
+            "fig8_4_A1",
+            LARGE_N,
+            &[
+                Bsp(EarlyUnbuffered),
+                Bsp(EarlyBuffered),
+                Bsp(Late),
+                Mpi(Blocking2Stage),
+                Mpi(EarlyRequests),
+                Hybrid,
+            ],
+        ),
+        (
+            "A2",
+            "fig8_5_A2",
+            LARGE_N,
+            &[Bsp(EarlyUnbuffered), Bsp(EarlyBuffered), Bsp(Late)],
+        ),
+        (
+            "A3",
+            "fig8_6_A3",
+            SMALL_N,
+            &[
+                Bsp(EarlyUnbuffered),
+                Mpi(Blocking2Stage),
+                Mpi(EarlyRequests),
+            ],
+        ),
+        (
+            "A4",
+            "fig8_7_A4",
+            SMALL_N,
+            &[Bsp(EarlyUnbuffered), Mpi(EarlyRequests), Hybrid],
+        ),
+    ]
+};
+
+/// Figs. 8.4–8.7: the strong-scaling sweep of `A_SERIES[k]` on the Xeon
+/// cluster, one column per implementation.
+fn a_series(dir: &Path, k: usize, effort: &Effort) -> Vec<PathBuf> {
+    let (_, name, n, impls) = A_SERIES[k];
     let xeon = Machine::xeon();
     let iters = effort.stencil_iters;
-    let mut header = vec!["P".to_string()];
-    header.extend(impls.iter().map(|s| s.to_string()));
-    let mut t = CsvTable {
-        header,
-        rows: Vec::new(),
-    };
+    let mut header = vec!["P"];
+    header.extend(impls.iter().map(|i| i.label()));
+    let mut t = CsvTable::new(&header);
     for row in par_points(&stencil_p_set(), |&p| {
         let placement = xeon.place(p);
-        let bsp = |discipline| {
-            run_bsp_stencil(&xeon.bsp_cfg(p, SEED), n, iters, discipline, false).mean_iter()
-        };
         let mut row = vec![p.to_string()];
         for &im in impls {
-            let time = match im {
-                "BSP-hp" => bsp(CommitDiscipline::EarlyUnbuffered),
-                "BSP-buf" => bsp(CommitDiscipline::EarlyBuffered),
-                "BSP-late" => bsp(CommitDiscipline::Late),
-                "MPI" => mpi_iter(&xeon, &placement, n, MpiVariant::Blocking2Stage, effort),
-                "MPI+R" => mpi_iter(&xeon, &placement, n, MpiVariant::EarlyRequests, effort),
-                // The hybrid uses whole nodes only.
-                "Hybrid" if p % xeon.shape.cores_per_node() != 0 => f64::NAN,
-                "Hybrid" => {
-                    run_hybrid_stencil(&xeon.params, xeon.shape, &xeon.core, n, iters, p, SEED)
-                        .mean_iter()
+            row.push(match im {
+                StencilImpl::Bsp(d) => {
+                    fmt(run_bsp_stencil(&xeon.bsp_cfg(p, SEED), n, iters, d, false).mean_iter())
                 }
-                other => panic!("unknown implementation {other}"),
-            };
-            row.push(if time.is_nan() {
-                String::new()
-            } else {
-                fmt(time)
+                StencilImpl::Mpi(variant) => fmt(mpi_iter(&xeon, &placement, n, variant, effort)),
+                // The hybrid uses whole nodes only.
+                StencilImpl::Hybrid if p % xeon.shape.cores_per_node() != 0 => String::new(),
+                StencilImpl::Hybrid => {
+                    fmt(
+                        run_hybrid_stencil(&xeon.params, xeon.shape, &xeon.core, n, iters, p, SEED)
+                            .mean_iter(),
+                    )
+                }
             });
         }
         row
     }) {
         t.push(row);
     }
-    write_csv(dir, name, &t)
-}
-
-/// Fig. 8.4 (A1): all implementations, large problem.
-pub fn fig8_4(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    vec![scaling_table(
-        dir,
-        "fig8_4_A1",
-        LARGE_N,
-        &["BSP-hp", "BSP-buf", "BSP-late", "MPI", "MPI+R", "Hybrid"],
-        effort,
-    )]
-}
-
-/// Fig. 8.5 (A2): BSP implementations only, large problem.
-pub fn fig8_5(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    vec![scaling_table(
-        dir,
-        "fig8_5_A2",
-        LARGE_N,
-        &["BSP-hp", "BSP-buf", "BSP-late"],
-        effort,
-    )]
-}
-
-/// Fig. 8.6 (A3): selected implementations, small problem.
-pub fn fig8_6(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    vec![scaling_table(
-        dir,
-        "fig8_6_A3",
-        SMALL_N,
-        &["BSP-hp", "MPI", "MPI+R"],
-        effort,
-    )]
-}
-
-/// Fig. 8.7 (A4): selected implementations including hybrid, small
-/// problem.
-pub fn fig8_7(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
-    vec![scaling_table(
-        dir,
-        "fig8_7_A4",
-        SMALL_N,
-        &["BSP-hp", "MPI+R", "Hybrid"],
-        effort,
-    )]
+    vec![write_csv(dir, name, &t)]
 }
 
 /// The stencil process counts a machine holds.
@@ -808,18 +842,18 @@ fn prediction_sweep(
     write_csv(dir, name, &t)
 }
 
-/// Figs. 8.10–8.15 (B1–B6): artifact, machine, problem size and commit
-/// discipline of each sweep.
-const B_SERIES: [(&str, MachineId, usize, CommitDiscipline); 6] = {
+/// Figs. 8.10–8.15 (B1–B6): Table 8.1 id, artifact, machine, problem
+/// size and commit discipline of each sweep.
+const B_SERIES: [(&str, &str, MachineId, usize, CommitDiscipline); 6] = {
     use CommitDiscipline::{EarlyUnbuffered, Late};
     use MachineId::{Opteron, Xeon};
     [
-        ("fig8_10_B1", Xeon, LARGE_N, EarlyUnbuffered),
-        ("fig8_11_B2", Xeon, SMALL_N, EarlyUnbuffered),
-        ("fig8_12_B3", Opteron, LARGE_N, EarlyUnbuffered),
-        ("fig8_13_B4", Opteron, SMALL_N, EarlyUnbuffered),
-        ("fig8_14_B5", Xeon, LARGE_N, Late),
-        ("fig8_15_B6", Xeon, SMALL_N, Late),
+        ("B1", "fig8_10_B1", Xeon, LARGE_N, EarlyUnbuffered),
+        ("B2", "fig8_11_B2", Xeon, SMALL_N, EarlyUnbuffered),
+        ("B3", "fig8_12_B3", Opteron, LARGE_N, EarlyUnbuffered),
+        ("B4", "fig8_13_B4", Opteron, SMALL_N, EarlyUnbuffered),
+        ("B5", "fig8_14_B5", Xeon, LARGE_N, Late),
+        ("B6", "fig8_15_B6", Xeon, SMALL_N, Late),
     ]
 };
 
@@ -827,7 +861,7 @@ const B_SERIES: [(&str, MachineId, usize, CommitDiscipline); 6] = {
 fn fig8_10_to_8_15(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<PathBuf> {
     B_SERIES
         .into_iter()
-        .map(|(name, on, n, discipline)| {
+        .map(|(_, name, on, n, discipline)| {
             prediction_sweep(dir, name, &on.machine(), n, discipline, effort, profiles)
         })
         .collect()
@@ -836,7 +870,7 @@ fn fig8_10_to_8_15(dir: &Path, effort: &Effort, profiles: &Profiles) -> Vec<Path
 /// The B-series' points: each machine's stencil process counts, once.
 fn fig8_10_fits(_effort: &Effort) -> Vec<FitPoint> {
     let mut points = Vec::new();
-    for (_, on, _, _) in B_SERIES {
+    for (_, _, on, _, _) in B_SERIES {
         let m = on.machine();
         for point in prediction_ps(&m).into_iter().map(|p| m.id.at(p)) {
             if !points.contains(&point) {
@@ -1627,7 +1661,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "none",
         max_procs: 1,
         fits: no_fits,
-        run: |dir, e, _| table8_1(dir, e),
+        run: |dir, _, _| table8_1(dir),
     },
     Experiment {
         id: "table8_2",
@@ -1643,7 +1677,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "batched",
         max_procs: 64,
         fits: no_fits,
-        run: |dir, e, _| fig8_4(dir, e),
+        run: |dir, e, _| a_series(dir, 0, e),
     },
     Experiment {
         id: "fig8_5",
@@ -1651,7 +1685,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "batched",
         max_procs: 64,
         fits: no_fits,
-        run: |dir, e, _| fig8_5(dir, e),
+        run: |dir, e, _| a_series(dir, 1, e),
     },
     Experiment {
         id: "fig8_6",
@@ -1659,7 +1693,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "batched",
         max_procs: 64,
         fits: no_fits,
-        run: |dir, e, _| fig8_6(dir, e),
+        run: |dir, e, _| a_series(dir, 2, e),
     },
     Experiment {
         id: "fig8_7",
@@ -1667,7 +1701,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "batched",
         max_procs: 64,
         fits: no_fits,
-        run: |dir, e, _| fig8_7(dir, e),
+        run: |dir, e, _| a_series(dir, 3, e),
     },
     Experiment {
         id: "fig8_10",

@@ -13,7 +13,7 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn malformed_command_lines_print_usage_and_exit_2() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 13] = [
         &[],
         &["--out"],
         &["--threads"],
@@ -24,6 +24,9 @@ fn malformed_command_lines_print_usage_and_exit_2() {
         &["fig5_2", "--out"],
         &["--bogus"],
         &["--quick"],
+        &["--out", "x"],
+        &["--effort", "quick"],
+        &["--threads", "0"],
     ];
     for args in cases {
         let out = repro(args);

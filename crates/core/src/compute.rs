@@ -11,9 +11,7 @@
 //! t = (R ⊗ C) · s,   s = [1, 1, …]ᵀ
 //! ```
 //!
-//! The spread of `t` exposes load imbalance (Eq. 3.11); the regular product
-//! `R · Cᵀ` evaluates every process-requirement-to-processor mapping, the
-//! scheduling view the thesis notes in passing.
+//! The spread of `t` exposes load imbalance (Eq. 3.11).
 
 use crate::matrix::DMat;
 
@@ -28,32 +26,6 @@ pub fn superstep_times(r: &DMat, c: &DMat) -> Vec<f64> {
         "requirement and cost matrices must agree in shape"
     );
     r.hadamard(c).row_sums()
-}
-
-/// Load imbalance of a superstep time vector: `max/mean − 1`; zero for a
-/// perfectly balanced step, and 0 for an empty or all-zero vector.
-pub fn imbalance(t: &[f64]) -> f64 {
-    if t.is_empty() {
-        return 0.0;
-    }
-    let mean = t.iter().sum::<f64>() / t.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let max = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    max / mean - 1.0
-}
-
-/// The `P×P` map of "cost of running process i's requirements on processor
-/// j's capabilities": `R · Cᵀ`. Its diagonal is `superstep_times`; its
-/// permutations evaluate alternative task mappings (§3.3).
-pub fn cross_mapping_costs(r: &DMat, c: &DMat) -> DMat {
-    assert_eq!(
-        (r.rows(), r.cols()),
-        (c.rows(), c.cols()),
-        "requirement and cost matrices must agree in shape"
-    );
-    r.matmul(&c.transpose())
 }
 
 #[cfg(test)]
@@ -81,7 +53,6 @@ mod tests {
         let c = DMat::from_rows(&[&[2.0, 3.0], &[2.0, 3.0]]);
         let t = superstep_times(&r, &c);
         assert_eq!(t[0], t[1]);
-        assert_eq!(imbalance(&t), 0.0);
     }
 
     #[test]
@@ -92,25 +63,6 @@ mod tests {
         let c = DMat::from_rows(&[&[1.0, 1.0, 1.0, 1.0], &[1.0, 1.0, 1.0, 1.0]]);
         let t = superstep_times(&r, &c);
         assert_eq!(t, vec![24.0, 16.0]);
-        assert!(imbalance(&t) > 0.0);
-    }
-
-    #[test]
-    fn cross_mapping_diagonal_matches_times() {
-        let (r, c) = eq_3_12_matrices(7.0);
-        let x = cross_mapping_costs(&r, &c);
-        let t = superstep_times(&r, &c);
-        assert_eq!(x.get(0, 0), t[0]);
-        assert_eq!(x.get(1, 1), t[1]);
-        // Off-diagonal: process 0's needs on processor 1's capabilities.
-        assert_eq!(x.get(0, 1), 14.0);
-    }
-
-    #[test]
-    fn imbalance_edge_cases() {
-        assert_eq!(imbalance(&[]), 0.0);
-        assert_eq!(imbalance(&[0.0, 0.0]), 0.0);
-        assert!((imbalance(&[1.0, 3.0]) - 0.5).abs() < 1e-12);
     }
 
     #[test]

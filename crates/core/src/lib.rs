@@ -17,8 +17,7 @@
 //!   dense oracle of the property tests; nothing in production runs
 //!   through it.
 //! * [`compute`] — heterogeneous computation: requirement ⊗ cost
-//!   composition, per-superstep time vectors and imbalance (§3.3,
-//!   Eqs. 3.9–3.13).
+//!   composition into per-superstep time vectors (§3.3, Eqs. 3.9–3.13).
 //! * [`hockney`] — the heterogeneous Hockney communication model (§3.4,
 //!   Eq. 3.14): the per-pair `(l, beta)` of [`predictor::CostModel::pair`],
 //!   with the dense Eq. 3.15 composition [`hockney::comm_times`] kept as
@@ -43,7 +42,7 @@
 //!   total, from two p-length rows; a per-stage value is the total of a
 //!   prefix plan.
 //! * [`superstep`] — the fundamental equation of modeling (Eq. 1.1/1.4)
-//!   and the overlap estimate (Eqs. 3.15–3.16).
+//!   and the overlap it saves (Eq. 3.15).
 //! * [`recovery`] — survivor re-planning after crashes:
 //!   [`plan::CompiledPattern::restrict_to_survivors`] prunes and
 //!   compacts, [`recovery::repair_plan`] synthesizes a fresh verified
@@ -61,7 +60,7 @@ pub mod recovery;
 pub mod superstep;
 
 pub use classic::ClassicBsp;
-pub use compute::{cross_mapping_costs, imbalance, superstep_times};
+pub use compute::superstep_times;
 pub use hockney::comm_times;
 pub use knowledge::{KnowledgeGoal, VerifyScratch};
 pub use matrix::{DMat, IMat};
@@ -71,4 +70,4 @@ pub use predictor::{
     predict_compiled_with, BarrierPrediction, CommCosts, CostModel, PairCost, PayloadSchedule,
 };
 pub use recovery::{remap_goal, repair_plan};
-pub use superstep::{overlap_estimate, SuperstepModel};
+pub use superstep::SuperstepModel;

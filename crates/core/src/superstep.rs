@@ -1,5 +1,5 @@
 //! The fundamental equation of modeling and the overlap term
-//! (Eqs. 1.1–1.4, 3.15–3.16).
+//! (Eqs. 1.1–1.4, 3.15).
 //!
 //! With the computational superstep as the unit of work, total time splits
 //! into non-maskable computation, non-maskable communication, the larger of
@@ -9,10 +9,6 @@
 //! T_total = (T_comp − T'_comp) + (T_comm − T'_comm)
 //!           + max(T'_comp, T'_comm) + T_sync          (Eq. 1.4)
 //! ```
-//!
-//! Conversely, measuring `T_total` alongside the component estimates yields
-//! the overlap actually achieved (Eq. 3.16):
-//! `T_overlap = T_comp + T_comm − (T_total − T_sync)`.
 
 /// Per-process superstep cost decomposition.
 ///
@@ -101,15 +97,6 @@ impl SuperstepModel {
     }
 }
 
-/// Eq. 3.16: the overlap achieved in an observed execution, from measured
-/// component estimates and a measured total (per process).
-///
-/// Negative values are clamped to zero: measurement noise can make the sum
-/// of parts smaller than the whole.
-pub fn overlap_estimate(comp: f64, comm: f64, sync: f64, measured_total: f64) -> f64 {
-    (comp + comm + sync - measured_total).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +146,6 @@ mod tests {
             0.0,
         );
         assert!((m.total() - 11.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq_3_16_overlap_estimate() {
-        // Components sum to 9, measured total 7 → 2 units were overlapped.
-        assert!((overlap_estimate(4.0, 3.0, 2.0, 7.0) - 2.0).abs() < 1e-12);
-        // Noise making total exceed the parts clamps to zero.
-        assert_eq!(overlap_estimate(1.0, 1.0, 0.5, 3.0), 0.0);
     }
 
     #[test]

@@ -399,12 +399,6 @@ impl FaultPlan {
             .filter(|(_, &t)| t < f64::INFINITY)
             .map(|(r, _)| r)
     }
-
-    /// True when every field is bitwise neutral.
-    pub fn is_neutral(&self) -> bool {
-        self.crash_time.iter().all(|t| *t == f64::INFINITY)
-            && self.straggler_delay.iter().all(|d| *d == 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +427,6 @@ mod tests {
     #[test]
     fn none_model_realizes_neutral_without_draws() {
         let plan = realized(&FaultModel::NONE, 16, 4, 42, 0);
-        assert!(plan.is_neutral());
         assert_eq!(plan, FaultPlan::neutral(16, 4));
         assert_eq!(FaultModel::NONE.plan_draws(16, 4), 0);
     }
@@ -674,8 +667,7 @@ mod tests {
         assert!(plan.crashed_ranks_iter().eq([1, 6]));
         assert!(plan.crashed_at(1, 0.0) && plan.crashed_at(6, 0.0));
         assert!(!plan.crashed_at(0, f64::MAX));
-        assert!(!plan.is_neutral());
-        assert!(FaultPlan::with_crashes(4, &[]).is_neutral());
+        assert_eq!(FaultPlan::with_crashes(4, &[]), FaultPlan::neutral(4, 0));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::decomp::Decomposition;
 use crate::field::{LocalField, Side};
+use crate::StencilReport;
 use hpm_bsplib::ctx::BspCtx;
 use hpm_bsplib::mem::RegHandle;
 use hpm_bsplib::ops::StepOutcome;
@@ -181,26 +182,6 @@ impl BspProgram for StencilProgram {
     }
 }
 
-/// Result of a BSP stencil run.
-#[derive(Debug, Clone)]
-pub struct BspStencilReport {
-    /// Wall time of each Jacobi iteration (superstep).
-    pub iter_times: Vec<f64>,
-    /// Total virtual run time.
-    pub total: f64,
-    /// Sum of owned cells over all processes after the run (data mode).
-    pub checksum: Option<f64>,
-    /// The decomposition used.
-    pub decomp: Decomposition,
-}
-
-impl BspStencilReport {
-    /// Mean per-iteration time.
-    pub fn mean_iter(&self) -> f64 {
-        self.iter_times.iter().sum::<f64>() / self.iter_times.len().max(1) as f64
-    }
-}
-
 /// Runs the BSP stencil.
 ///
 /// `carry_data`: move real field values through the runtime (small grids;
@@ -212,7 +193,7 @@ pub fn run_bsp_stencil(
     iters: usize,
     discipline: CommitDiscipline,
     carry_data: bool,
-) -> BspStencilReport {
+) -> StencilReport {
     let p = cfg.placement.nprocs();
     let decomp = Decomposition::new(n, p);
     let init = |x: usize, y: usize| ((x * 31 + y * 17) % 101) as f64 / 101.0;
@@ -230,7 +211,7 @@ pub fn run_bsp_stencil(
     // timed iterations are supersteps 2..=iters+1.
     let iter_times: Vec<f64> = (2..=iters + 1).map(|k| res.superstep_time(k)).collect();
     let checksum = carry_data.then(|| res.programs.iter().map(|p| p.checksum).sum());
-    BspStencilReport {
+    StencilReport {
         iter_times,
         total: res.total_time,
         checksum,

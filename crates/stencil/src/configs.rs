@@ -1,163 +1,23 @@
-//! Experimental configurations (Table 8.1).
+//! The problem sizes of Table 8.1.
 //!
-//! The A/B/C experiment families of Chapter 8, with the problem sizes and
-//! implementation sets each compares. The absolute sizes are calibrated
-//! to the simulated platform so that the "large" problem is
-//! compute-dominated at full machine scale and the "small" problem is
-//! communication/synchronization-dominated — the regimes the thesis'
-//! large/small pairs probe.
-
-/// One row of Table 8.1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExperimentConfig {
-    /// Experiment id (A1–A4, B1–B6, C1).
-    pub id: &'static str,
-    /// What the experiment compares.
-    pub description: &'static str,
-    /// Global grid side.
-    pub n: usize,
-    /// Implementations included.
-    pub implementations: &'static [&'static str],
-    /// Jacobi iterations timed.
-    pub iters: usize,
-}
+//! The absolute sizes are calibrated to the simulated platform so that
+//! the "large" problem is compute-dominated at full machine scale and the
+//! "small" problem is communication/synchronization-dominated — the
+//! regimes the thesis' large/small pairs probe. Which experiment runs
+//! which size with which implementations is said once, in
+//! `hpm_bench::experiments`, which also renders the table.
 
 /// The "large" problem side (compute-dominated at 64 processes).
 pub const LARGE_N: usize = 8192;
 /// The "small" problem side (sync-dominated at 64 processes).
 pub const SMALL_N: usize = 2048;
 
-/// Table 8.1.
-pub fn table_8_1() -> Vec<ExperimentConfig> {
-    vec![
-        ExperimentConfig {
-            id: "A1",
-            description: "strong scaling, all implementations, large problem",
-            n: LARGE_N,
-            implementations: &["BSP-hp", "BSP-buf", "BSP-late", "MPI", "MPI+R", "Hybrid"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "A2",
-            description: "strong scaling, BSP implementations only, large problem",
-            n: LARGE_N,
-            implementations: &["BSP-hp", "BSP-buf", "BSP-late"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "A3",
-            description: "strong scaling, selected implementations, small problem",
-            n: SMALL_N,
-            implementations: &["BSP-hp", "MPI", "MPI+R"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "A4",
-            description: "strong scaling, selected implementations incl. hybrid, small problem",
-            n: SMALL_N,
-            implementations: &["BSP-hp", "MPI+R", "Hybrid"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B1",
-            description: "prediction vs measurement, BSP, large problem, xeon cluster",
-            n: LARGE_N,
-            implementations: &["BSP-hp"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B2",
-            description: "prediction vs measurement, BSP, small problem, xeon cluster",
-            n: SMALL_N,
-            implementations: &["BSP-hp"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B3",
-            description: "prediction vs measurement, BSP, large problem, opteron cluster",
-            n: LARGE_N,
-            implementations: &["BSP-hp"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B4",
-            description: "prediction vs measurement, BSP, small problem, opteron cluster",
-            n: SMALL_N,
-            implementations: &["BSP-hp"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B5",
-            description: "prediction vs measurement, BSP-late, large problem, xeon cluster",
-            n: LARGE_N,
-            implementations: &["BSP-late"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "B6",
-            description: "prediction vs measurement, BSP-late, small problem, xeon cluster",
-            n: SMALL_N,
-            implementations: &["BSP-late"],
-            iters: 4,
-        },
-        ExperimentConfig {
-            id: "C1",
-            description: "model-driven ghost-width adaptation, small problem, full machine",
-            n: SMALL_N,
-            implementations: &["BSP-adapted"],
-            iters: 6,
-        },
-    ]
-}
-
-/// Renders Table 8.1.
-pub fn render_table_8_1() -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(
-        out,
-        "{:<4} {:<8} {:>6} {:<40}",
-        "id", "N", "iters", "implementations"
-    )
-    .expect("writing to a String cannot fail");
-    for c in table_8_1() {
-        writeln!(
-            out,
-            "{:<4} {:<8} {:>6} {:<40}",
-            c.id,
-            c.n,
-            c.iters,
-            c.implementations.join(", ")
-        )
-        .expect("writing to a String cannot fail");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn table_has_all_experiment_ids() {
-        let ids: Vec<&str> = table_8_1().iter().map(|c| c.id).collect();
-        for want in [
-            "A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4", "B5", "B6", "C1",
-        ] {
-            assert!(ids.contains(&want), "missing {want}");
-        }
-    }
-
-    #[test]
     fn large_exceeds_small() {
         const { assert!(LARGE_N > SMALL_N) };
-    }
-
-    #[test]
-    fn render_includes_every_row() {
-        let text = render_table_8_1();
-        for c in table_8_1() {
-            assert!(text.contains(c.id));
-        }
     }
 }

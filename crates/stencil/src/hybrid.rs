@@ -6,7 +6,8 @@
 //! cost something). The network then carries only node-boundary exchanges:
 //! fewer, larger messages over fewer NICs.
 
-use crate::mpi::{run_mpi_stencil, MpiReport, MpiVariant};
+use crate::mpi::{run_mpi_stencil, MpiVariant};
+use crate::StencilReport;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_simnet::params::PlatformParams;
 use hpm_topology::{ClusterShape, Placement, PlacementPolicy};
@@ -26,7 +27,7 @@ pub fn run_hybrid_stencil(
     iters: usize,
     total_cores: usize,
     seed: u64,
-) -> MpiReport {
+) -> StencilReport {
     let cpn = shape.cores_per_node();
     assert!(
         total_cores.is_multiple_of(cpn) && total_cores > 0,

@@ -28,6 +28,10 @@
 //! width that balances redundant computation against amortized
 //! synchronization (Figs. 8.16–8.18). Both read communication costs
 //! through any `hpm_core::CostModel`, dense or per link class.
+//!
+//! Every implementation returns one [`StencilReport`]. Which
+//! implementations each Table 8.1 experiment compares, at which problem
+//! size ([`configs`]), is said once, in `hpm_bench::experiments`.
 
 pub mod bsp;
 pub mod configs;
@@ -38,9 +42,30 @@ pub mod mpi;
 pub mod overlap_opt;
 pub mod predictor;
 
-pub use bsp::{run_bsp_stencil, BspStencilReport, CommitDiscipline};
+pub use bsp::{run_bsp_stencil, CommitDiscipline};
 pub use decomp::{Decomposition, LocalBlock};
 pub use hybrid::run_hybrid_stencil;
 pub use mpi::{run_mpi_stencil, MpiVariant};
 pub use overlap_opt::{optimize_ghost_width, GhostSweep};
 pub use predictor::{predict_bsp_iteration, StencilPrediction};
+
+/// Result of a stencil run, whichever implementation ran it.
+#[derive(Debug, Clone)]
+pub struct StencilReport {
+    /// Wall time of each timed Jacobi iteration.
+    pub iter_times: Vec<f64>,
+    /// Total virtual run time.
+    pub total: f64,
+    /// Sum of owned cells over all processes after the run; `Some` only
+    /// for a BSP run that carried real field data.
+    pub checksum: Option<f64>,
+    /// The decomposition used.
+    pub decomp: Decomposition,
+}
+
+impl StencilReport {
+    /// Mean per-iteration time.
+    pub fn mean_iter(&self) -> f64 {
+        self.iter_times.iter().sum::<f64>() / self.iter_times.len().max(1) as f64
+    }
+}

@@ -14,6 +14,7 @@
 //! count-map barrier) and bare neighbour exchanges.
 
 use crate::decomp::Decomposition;
+use crate::StencilReport;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
 use hpm_simnet::exchange::{
@@ -48,24 +49,6 @@ impl MpiVariant {
     }
 }
 
-/// Timing report of a run.
-#[derive(Debug, Clone)]
-pub struct MpiReport {
-    /// Wall time of each iteration (max completion step over processes).
-    pub iter_times: Vec<f64>,
-    /// Total wall time.
-    pub total: f64,
-    /// The decomposition used.
-    pub decomp: Decomposition,
-}
-
-impl MpiReport {
-    /// Mean per-iteration time.
-    pub fn mean_iter(&self) -> f64 {
-        self.iter_times.iter().sum::<f64>() / self.iter_times.len().max(1) as f64
-    }
-}
-
 /// Runs the MPI-style stencil on `placement` with per-core `proc_model`.
 ///
 /// `speedup` scales the compute rate (used by the hybrid variant to model
@@ -80,7 +63,7 @@ pub fn run_mpi_stencil(
     variant: MpiVariant,
     speedup: f64,
     seed: u64,
-) -> MpiReport {
+) -> StencilReport {
     assert!(speedup > 0.0);
     let p = placement.nprocs();
     let decomp = Decomposition::new(n, p);
@@ -172,9 +155,10 @@ pub fn run_mpi_stencil(
         let end_max = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         iter_times.push(end_max - start_max.max(0.0));
     }
-    MpiReport {
+    StencilReport {
         total: t.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         iter_times,
+        checksum: None,
         decomp,
     }
 }
@@ -242,7 +226,7 @@ mod tests {
         )
     }
 
-    fn run(p: usize, n: usize, variant: MpiVariant) -> MpiReport {
+    fn run(p: usize, n: usize, variant: MpiVariant) -> StencilReport {
         let (params, placement, model) = setup(p);
         run_mpi_stencil(&params, &placement, &model, n, 4, variant, 1.0, 3)
     }

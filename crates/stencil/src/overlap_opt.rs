@@ -71,6 +71,10 @@ fn band_bytes(side_len: usize, w: usize) -> u64 {
     ((side_len + 2 * w) * w * 8) as u64
 }
 
+/// Supersteps each candidate width is measured over by
+/// [`optimize_ghost_width`]: the iterations Table 8.1 lists for C1.
+pub const GHOST_SUPERSTEPS: usize = 6;
+
 /// Sweep result: predicted and measured per-iteration times per width.
 #[derive(Debug, Clone)]
 pub struct GhostSweep {
@@ -197,7 +201,7 @@ pub fn measure_ghost_width(
 }
 
 /// Runs the full C1 experiment: predict and measure per-iteration cost for
-/// each candidate width.
+/// each candidate width, each measured over [`GHOST_SUPERSTEPS`].
 pub fn optimize_ghost_width<C: CostModel + ?Sized>(
     params: &PlatformParams,
     costs: &C,
@@ -213,7 +217,7 @@ pub fn optimize_ghost_width<C: CostModel + ?Sized>(
         .collect();
     let measured = widths
         .iter()
-        .map(|&w| measure_ghost_width(params, placement, proc_model, n, w, 6, seed))
+        .map(|&w| measure_ghost_width(params, placement, proc_model, n, w, GHOST_SUPERSTEPS, seed))
         .collect();
     GhostSweep {
         widths: widths.to_vec(),

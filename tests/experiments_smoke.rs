@@ -69,6 +69,31 @@ fn run_experiment_is_find_then_run() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Table 8.1 says what the figures ran: each A row lists exactly the
+/// implementation columns of its figure's CSV, in order.
+#[test]
+fn table8_1_lists_what_the_a_series_ran() {
+    let dir = std::env::temp_dir().join(format!("hpm-exp-table8_1-{}", std::process::id()));
+    let ids = ["table8_1", "fig8_4", "fig8_5", "fig8_6", "fig8_7"];
+    run_experiments(&ids, &dir, &Effort::quick(), || 0.0).expect("registered ids");
+    let table = std::fs::read_to_string(dir.join("table8_1.txt")).expect("read table");
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .filter(|f: &Vec<&str>| f[0].starts_with('A'))
+        .collect();
+    let artifacts = ["fig8_4_A1", "fig8_5_A2", "fig8_6_A3", "fig8_7_A4"];
+    assert_eq!(rows.len(), artifacts.len());
+    for (row, name) in rows.iter().zip(artifacts) {
+        assert!(name.ends_with(row[0]), "{name} is not row {}", row[0]);
+        let csv = std::fs::read_to_string(dir.join(format!("{name}.csv"))).expect("read csv");
+        let header = csv.lines().next().expect("csv header");
+        let columns = header.strip_prefix("P,").expect("P column first");
+        assert_eq!(row[3..].join(" "), columns.replace(',', ", "), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The registry's simulated ids: every id but the host-clock ones,
 /// whose bytes are host timings.
 fn simulated_ids() -> Vec<&'static str> {

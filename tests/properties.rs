@@ -8,7 +8,7 @@ use hpm::collectives::exec::{run_reduce, run_scan, seed_vector};
 use hpm::collectives::pattern::catalog;
 use hpm::collectives::predict::predict_collective;
 use hpm::kernels::rate::xeon_core;
-use hpm::model::compute::{imbalance, superstep_times};
+use hpm::model::compute::superstep_times;
 use hpm::model::knowledge::VerifyScratch;
 use hpm::model::matrix::DMat;
 use hpm::model::pattern::CommPattern;
@@ -286,16 +286,6 @@ proptest! {
         for (a, b) in t1.iter().zip(t2.iter()) {
             prop_assert!((b - a * k).abs() <= 1e-12 * b.abs().max(1.0));
         }
-    }
-
-    /// Imbalance is scale-invariant and non-negative.
-    #[test]
-    fn imbalance_properties(t in proptest::collection::vec(0.1f64..100.0, 1..16), k in 0.5f64..10.0) {
-        let i1 = imbalance(&t);
-        let scaled: Vec<f64> = t.iter().map(|x| x * k).collect();
-        let i2 = imbalance(&scaled);
-        prop_assert!(i1 >= -1e-12);
-        prop_assert!((i1 - i2).abs() < 1e-9);
     }
 
     /// Eq. 1.4 is bounded by the sequential and perfect-overlap extremes.
