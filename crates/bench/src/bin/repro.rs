@@ -108,7 +108,7 @@ fn main() {
     }
     let fitted: usize = runs.iter().map(|r| r.fitted).sum();
     let reused: usize = runs.iter().map(|r| r.reused).sum();
-    let fit_seconds: f64 = runs.iter().map(|r| r.fit_seconds).sum();
+    let fit_seconds = runs.iter().fold(0.0, |s, r| s + r.fit_seconds); // an empty sum() is -0.0
     if let Some(path) = json_path {
         write_json(&path, effort_name, total, fit_seconds, &runs);
         println!("wrote {}", path.display());

@@ -52,3 +52,22 @@ fn unknown_id_exits_2_and_list_prints_the_registry() {
     let ids: Vec<&str> = hpm_bench::registry().iter().map(|e| e.id).collect();
     assert_eq!(listed, ids);
 }
+
+/// Bare `--check` with no ids only checks an existing output directory:
+/// it exits 0 and its summary line reports no negative zero.
+#[test]
+fn bare_check_exits_0_without_negative_zero() {
+    let dir = std::env::temp_dir().join(format!("repro-bare-check-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    let run = repro(&["--effort", "quick", "--out", dir_arg, "faults", "recovery"]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let out = repro(&["--check", "--out", dir_arg]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(!stdout.contains("-0.0"), "{stdout}");
+}

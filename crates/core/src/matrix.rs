@@ -149,11 +149,6 @@ impl DMat {
         out
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> DMat {
-        DMat::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
-    }
-
     /// Product with the all-ones column vector: the row sums, i.e. the `·s`
     /// of Eq. 3.13 that turns a per-(proc, kernel) cost map into a
     /// per-process time vector.
@@ -368,12 +363,6 @@ mod tests {
         let c = DMat::from_rows(&[&[10.0, 100.0], &[1.0, 0.1]]);
         let t = r.hadamard(&c).row_sums();
         assert_eq!(t, vec![320.0, 4.5]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = DMat::from_fn(3, 5, |i, j| (i * 7 + j) as f64);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub struct ExchangeMsg {
 }
 
 /// Reusable scratch of the exchange resolvers: the issue-order
-/// permutation, only touched when the input is not already sorted, and
-/// the jitter table [`resolve_exchange_batched`] refills per exchange.
+/// permutation and the jitter table [`resolve_exchange_batched`] refills
+/// per exchange.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeScratch {
     order: Vec<usize>,
@@ -105,13 +105,6 @@ pub fn resolve_exchange_batched(
 /// reception waits behind every earlier-issued message to the same
 /// receiver, even one that arrives later. Receptions are not served in
 /// arrival order.
-///
-/// Fast path: the BSPlib runtime commits operations in program order, so
-/// its message lists usually arrive already sorted by issue time; a
-/// single O(n) monotonicity scan then skips building and sorting the
-/// permutation entirely. The unsorted path is identical to before — sort
-/// by `(issue, input index)`, which the sorted fast path preserves
-/// because equal issues keep input order either way.
 #[allow(clippy::too_many_arguments)]
 pub fn resolve_exchange_into<J: JitterSource>(
     params: &PlatformParams,
@@ -131,7 +124,16 @@ pub fn resolve_exchange_into<J: JitterSource>(
     out.last_in.resize(p, 0.0);
     out.last_out.clear();
     out.last_out.resize(p, 0.0);
-    let mut step = |idx: usize, net: &mut NetState, jit: &mut J| {
+    scratch.order.clear();
+    scratch.order.extend(0..msgs.len());
+    scratch.order.sort_by(|&a, &b| {
+        msgs[a]
+            .issue
+            .partial_cmp(&msgs[b].issue)
+            .expect("NaN issue time")
+            .then(a.cmp(&b))
+    });
+    for &idx in &scratch.order {
         let m = &msgs[idx];
         assert!(m.src < p && m.dst < p, "message endpoints out of range");
         let (cpu, done) = net.transfer(params, placement, jit, m.src, m.dst, m.bytes, m.issue);
@@ -142,24 +144,6 @@ pub fn resolve_exchange_into<J: JitterSource>(
         }
         if cpu > out.last_out[m.src] {
             out.last_out[m.src] = cpu;
-        }
-    };
-    if msgs.windows(2).all(|w| w[0].issue <= w[1].issue) {
-        for idx in 0..msgs.len() {
-            step(idx, net, jit);
-        }
-    } else {
-        scratch.order.clear();
-        scratch.order.extend(0..msgs.len());
-        scratch.order.sort_by(|&a, &b| {
-            msgs[a]
-                .issue
-                .partial_cmp(&msgs[b].issue)
-                .expect("NaN issue time")
-                .then(a.cmp(&b))
-        });
-        for &idx in &scratch.order {
-            step(idx, net, jit);
         }
     }
 }
@@ -312,9 +296,8 @@ mod tests {
         assert!(r.processed[1] > r.processed[0]);
     }
 
-    /// The sorted fast path and the permutation path resolve an unsorted
-    /// message list identically, and reused scratch/output buffers match
-    /// the one-shot API bitwise.
+    /// Sorted and unsorted message lists, with ties, resolve through
+    /// reused scratch/output buffers bitwise as through the one-shot API.
     #[test]
     fn scratch_reuse_and_unsorted_input_match_one_shot() {
         let (params, placement) = setup(16);
@@ -340,7 +323,7 @@ mod tests {
                     src: (k * 7) % 16,
                     dst: (k * 11 + 1) % 16,
                     bytes: 1000,
-                    issue: k as f64 * 1e-7, // sorted: fast path
+                    issue: k as f64 * 1e-7, // already sorted
                 })
                 .collect(),
         ];
@@ -373,8 +356,7 @@ mod tests {
     }
 
     /// An unsorted list resolves exactly as the same list pre-sorted by
-    /// `(issue, input order)` — the fast path and the permutation are the
-    /// same schedule.
+    /// `(issue, input order)`: the permutation is the schedule.
     #[test]
     fn unsorted_equals_presorted_schedule() {
         let (params, placement) = setup(16);

@@ -27,5 +27,5 @@ pub use quantile::{median, quantile};
 pub use regression::LinearFit;
 pub use rng::{derive_rng, JitterBuf, JitterModel, JitterSource, ScalarJitter};
 pub use stream::{fast_exp, norminv, QuantileTable, SplitMix64};
-pub use summary::{mean, Summary};
+pub use summary::mean;
 pub use tdist::{student_t_critical, StudentT};

@@ -1,14 +1,12 @@
 //! Order statistics: medians and linear-interpolated quantiles.
 //!
-//! Three entry points trade convenience against allocation:
+//! Two entry points trade convenience against allocation:
 //!
 //! * [`quantile`] / [`median`] — borrow a slice, pay one scratch
 //!   allocation, and *select* (no full sort) the needed order statistics;
 //! * [`quantile_inplace`] — quantile over a caller-owned scratch buffer:
 //!   no allocation at all, which is what the parallel measurement loops
-//!   use on their per-worker buffers;
-//! * [`quantile_sorted`] — O(1) lookup into an already-sorted slice, for
-//!   callers that keep their samples ordered (e.g. `Summary`).
+//!   use on their per-worker buffers.
 
 use std::cmp::Ordering;
 
@@ -53,27 +51,6 @@ pub fn quantile_inplace(xs: &mut [f64], q: f64) -> f64 {
     lo_v + (h - lo as f64) * (hi_v - lo_v)
 }
 
-/// [`quantile`] of an ascending-sorted slice: no allocation, no data
-/// movement, O(1).
-pub fn quantile_sorted(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    debug_assert!(
-        xs.windows(2).all(|w| w[0] <= w[1]),
-        "quantile_sorted needs ascending input"
-    );
-    let q = q.clamp(0.0, 1.0);
-    let h = (xs.len() as f64 - 1.0) * q;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        xs[lo]
-    } else {
-        xs[lo] + (h - lo as f64) * (xs[hi] - xs[lo])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +60,6 @@ mod tests {
         assert_eq!(median(&[]), 0.0);
         assert_eq!(quantile(&[], 0.9), 0.0);
         assert_eq!(quantile_inplace(&mut [], 0.5), 0.0);
-        assert_eq!(quantile_sorted(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -123,8 +99,17 @@ mod tests {
         assert_eq!(median(&xs), 4.0);
     }
 
-    /// The three paths agree bit-for-bit on awkward sizes and duplicate-
-    /// heavy data — the selection path must be a pure optimization.
+    /// Type-7 quantile read off a fully sorted copy: the oracle the
+    /// selection path is held against.
+    fn by_full_sort(sorted: &[f64], q: f64) -> f64 {
+        let h = (sorted.len() as f64 - 1.0) * q;
+        let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+    }
+
+    /// Both paths agree bit-for-bit with a full sort on awkward sizes and
+    /// duplicate-heavy data — the selection path must be a pure
+    /// optimization.
     #[test]
     fn all_paths_agree() {
         let mut rng = crate::rng::derive_rng(404, 0);
@@ -138,7 +123,7 @@ mod tests {
                 let a = quantile(&xs, q);
                 let mut scratch = xs.clone();
                 let b = quantile_inplace(&mut scratch, q);
-                let c = quantile_sorted(&sorted, q);
+                let c = by_full_sort(&sorted, q);
                 assert_eq!(a, b, "n={n} q={q}");
                 assert_eq!(a, c, "n={n} q={q}");
             }

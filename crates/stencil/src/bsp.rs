@@ -13,8 +13,8 @@
 //! copy), and late commit (everything computed before any communication —
 //! the discipline the classic BSP processing model would use).
 
-use crate::decomp::Decomposition;
-use crate::field::{LocalField, Side};
+use crate::decomp::{Decomposition, Side};
+use crate::field::LocalField;
 use crate::StencilReport;
 use hpm_bsplib::ctx::BspCtx;
 use hpm_bsplib::mem::RegHandle;
@@ -52,74 +52,41 @@ struct StencilProgram {
     /// Real field data (None = timing-only run with dummy payloads).
     field: Option<LocalField>,
     step: usize,
-    ghosts: [Option<RegHandle>; 4], // N, S, W, E receive buffers
+    /// Receive buffers, indexed by `Side as usize`.
+    ghosts: [Option<RegHandle>; 4],
     checksum: f64,
 }
 
-const SIDES: [Side; 4] = [Side::North, Side::South, Side::West, Side::East];
-
 impl StencilProgram {
-    fn neighbour(&self, rank: usize, side: Side) -> Option<usize> {
-        let nb = self.decomp.neighbours(rank);
-        match side {
-            Side::North => nb.north,
-            Side::South => nb.south,
-            Side::West => nb.west,
-            Side::East => nb.east,
-        }
-    }
-
-    fn commit_borders(&mut self, ctx: &mut BspCtx, buffered: bool) {
-        let rank = ctx.pid();
-        let block = self.decomp.block(rank);
-        for (k, side) in SIDES.iter().enumerate() {
-            let Some(peer) = self.neighbour(rank, *side) else {
-                continue;
-            };
+    fn commit_borders(&self, ctx: &mut BspCtx, buffered: bool) {
+        for (side, peer, cells) in self.decomp.faces(ctx.pid()) {
             // My border for `side` lands in the peer's opposite ghost
             // buffer. Registration handles agree across processes because
             // allocation order is identical (SPMD).
-            let peer_buf = self.ghosts[opposite_index(k)].expect("registered");
-            let len = side.cells(&block) * 8;
+            let peer_buf = self.ghosts[side.opposite() as usize].expect("registered");
             // The border is gathered straight into the put's slot; a
             // timing-only run leaves the slot's zeros as its dummy payload.
             let fill = |slot: &mut [u8]| {
                 if let Some(f) = &self.field {
-                    f.extract_border(*side, slot);
+                    f.extract_border(side, slot);
                 }
             };
             if buffered {
-                ctx.put_with(peer, peer_buf, 0, len, fill);
+                ctx.put_with(peer, peer_buf, 0, cells * 8, fill);
             } else {
-                ctx.hpput_with(peer, peer_buf, 0, len, fill);
+                ctx.hpput_with(peer, peer_buf, 0, cells * 8, fill);
             }
         }
     }
 
     fn install_ghosts(&mut self, ctx: &mut BspCtx) {
-        let rank = ctx.pid();
-        let peers = SIDES.map(|side| self.neighbour(rank, side));
         let Some(field) = &mut self.field else {
             return;
         };
-        for (k, side) in SIDES.iter().enumerate() {
-            if peers[k].is_some() {
-                field.install_ghost(*side, ctx.read_buf(self.ghosts[k].expect("registered")));
-            }
+        for (side, _, _) in self.decomp.faces(ctx.pid()) {
+            let buf = self.ghosts[side as usize].expect("registered");
+            field.install_ghost(side, ctx.read_buf(buf));
         }
-    }
-}
-
-/// Ghost buffer index receiving data from a side's neighbour: the
-/// neighbour's `side.opposite()` border arrives in our `side` buffer, so
-/// when *we* send our `side` border it must go to the peer's opposite
-/// buffer index.
-fn opposite_index(side_index: usize) -> usize {
-    match side_index {
-        0 => 1, // our north border → peer's south ghost buffer
-        1 => 0,
-        2 => 3,
-        _ => 2,
     }
 }
 
@@ -128,11 +95,11 @@ impl BspProgram for StencilProgram {
         let rank = ctx.pid();
         if self.step == 0 {
             // Registration superstep: one ghost buffer per side.
-            for (k, side) in SIDES.iter().enumerate() {
+            for side in Side::ALL {
                 let len = side.cells(&self.decomp.block(rank)) * 8;
                 let h = ctx.alloc(len.max(8));
                 ctx.push_reg(h);
-                self.ghosts[k] = Some(h);
+                self.ghosts[side as usize] = Some(h);
             }
             self.step = 1;
             return StepOutcome::Continue;
@@ -162,19 +129,14 @@ impl BspProgram for StencilProgram {
         let regions = self.decomp.regions(rank);
         let cells = self.decomp.block(rank).cells();
         match self.discipline {
-            CommitDiscipline::EarlyUnbuffered => {
-                ctx.compute_elements(&Stencil5, cells, regions.pre_comm());
-                self.commit_borders(ctx, false);
-                ctx.compute_elements(&Stencil5, cells, regions.inner_ring + regions.interior);
-            }
-            CommitDiscipline::EarlyBuffered => {
-                ctx.compute_elements(&Stencil5, cells, regions.pre_comm());
-                self.commit_borders(ctx, true);
-                ctx.compute_elements(&Stencil5, cells, regions.inner_ring + regions.interior);
-            }
             CommitDiscipline::Late => {
                 ctx.compute_elements(&Stencil5, cells, regions.total());
                 self.commit_borders(ctx, true);
+            }
+            early => {
+                ctx.compute_elements(&Stencil5, cells, regions.pre_comm());
+                self.commit_borders(ctx, early == CommitDiscipline::EarlyBuffered);
+                ctx.compute_elements(&Stencil5, cells, regions.inner_ring + regions.interior);
             }
         }
         self.step += 1;

@@ -34,21 +34,36 @@ impl LocalBlock {
     }
 }
 
-/// Face neighbours of a block (ranks), in N/S/W/E order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Neighbours {
-    pub north: Option<usize>,
-    pub south: Option<usize>,
-    pub west: Option<usize>,
-    pub east: Option<usize>,
+/// A face of a block. The discriminants, 0..4 in N, S, W, E order, index
+/// per-face arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    North,
+    South,
+    West,
+    East,
 }
 
-impl Neighbours {
-    /// All present neighbours.
-    pub fn iter(&self) -> impl Iterator<Item = usize> {
-        [self.north, self.south, self.west, self.east]
-            .into_iter()
-            .flatten()
+impl Side {
+    /// The four faces, in N, S, W, E order.
+    pub const ALL: [Side; 4] = [Side::North, Side::South, Side::West, Side::East];
+
+    /// Number of cells along this face of `block`.
+    pub fn cells(&self, block: &LocalBlock) -> usize {
+        match self {
+            Side::North | Side::South => block.width,
+            Side::West | Side::East => block.height,
+        }
+    }
+
+    /// The matching face at the neighbour.
+    pub fn opposite(&self) -> Side {
+        match self {
+            Side::North => Side::South,
+            Side::South => Side::North,
+            Side::West => Side::East,
+            Side::East => Side::West,
+        }
     }
 }
 
@@ -97,27 +112,27 @@ impl Decomposition {
         }
     }
 
-    /// Face neighbours of a rank.
-    pub fn neighbours(&self, rank: usize) -> Neighbours {
+    /// The rank across `side` of `rank`'s block; `None` where the face
+    /// lies on the domain boundary.
+    pub fn face(&self, rank: usize, side: Side) -> Option<usize> {
         let gx = rank % self.px;
         let gy = rank / self.px;
-        Neighbours {
-            north: (gy > 0).then(|| rank - self.px),
-            south: (gy + 1 < self.py).then(|| rank + self.px),
-            west: (gx > 0).then(|| rank - 1),
-            east: (gx + 1 < self.px).then(|| rank + 1),
+        match side {
+            Side::North => (gy > 0).then(|| rank - self.px),
+            Side::South => (gy + 1 < self.py).then(|| rank + self.px),
+            Side::West => (gx > 0).then(|| rank - 1),
+            Side::East => (gx + 1 < self.px).then(|| rank + 1),
         }
     }
 
-    /// Bytes exchanged with one horizontal (N/S) neighbour per iteration
-    /// with ghost width `w`: `w` rows of the block width.
-    pub fn ns_exchange_bytes(&self, rank: usize, w: usize) -> u64 {
-        (self.block(rank).width * w * 8) as u64
-    }
-
-    /// Bytes exchanged with one vertical (W/E) neighbour per iteration.
-    pub fn we_exchange_bytes(&self, rank: usize, w: usize) -> u64 {
-        (self.block(rank).height * w * 8) as u64
+    /// The faces of `rank`'s block that border a neighbour, as `(side,
+    /// peer, cells)` in N, S, W, E order: `cells` is the face length, the
+    /// cells one ghost line carries each way per iteration.
+    pub fn faces(&self, rank: usize) -> impl Iterator<Item = (Side, usize, usize)> {
+        let (d, block) = (*self, self.block(rank));
+        Side::ALL
+            .into_iter()
+            .filter_map(move |side| Some((side, d.face(rank, side)?, side.cells(&block))))
     }
 
     /// The 17-region split of Fig. 8.2 for a block: cell counts for the
@@ -212,40 +227,46 @@ mod tests {
         assert_eq!(d3.block(1).width, 5);
     }
 
+    /// Every face's peer reports the opposite face back, with the same
+    /// cell count: square and non-square process grids, remainder
+    /// blocks, and a single process with no faces at all.
     #[test]
-    fn corner_block_has_two_neighbours() {
-        let d = Decomposition::new(64, 9); // 3x3
-        let n = d.neighbours(0);
-        assert_eq!(n.north, None);
-        assert_eq!(n.west, None);
-        assert_eq!(n.south, Some(3));
-        assert_eq!(n.east, Some(1));
-        assert_eq!(n.iter().count(), 2);
-    }
-
-    #[test]
-    fn centre_block_has_four_neighbours() {
-        let d = Decomposition::new(64, 9);
-        let n = d.neighbours(4);
-        assert_eq!(n.iter().count(), 4);
-        assert_eq!(n.north, Some(1));
-        assert_eq!(n.south, Some(7));
-        assert_eq!(n.west, Some(3));
-        assert_eq!(n.east, Some(5));
-    }
-
-    #[test]
-    fn neighbour_relation_is_symmetric() {
-        let d = Decomposition::new(128, 12);
-        for r in 0..12 {
-            let n = d.neighbours(r);
-            if let Some(e) = n.east {
-                assert_eq!(d.neighbours(e).west, Some(r));
+    fn faces_are_symmetric() {
+        for (n, p) in [(64, 9), (128, 12), (37, 6), (17, 4), (50, 7), (12, 1)] {
+            let d = Decomposition::new(n, p);
+            let mut count = 0;
+            for r in 0..p {
+                for (side, peer, cells) in d.faces(r) {
+                    assert_eq!(d.face(r, side), Some(peer), "n={n} p={p} rank {r}");
+                    let back: Vec<_> = d.faces(peer).filter(|f| f.0 == side.opposite()).collect();
+                    assert_eq!(back, [(side.opposite(), r, cells)], "n={n} p={p} rank {r}");
+                    count += 1;
+                }
             }
-            if let Some(s) = n.south {
-                assert_eq!(d.neighbours(s).north, Some(r));
-            }
+            // Each of the px·py grid's interior edges, counted from both ends.
+            let edges = d.py * (d.px - 1) + d.px * (d.py - 1);
+            assert_eq!(count, 2 * edges, "n={n} p={p}");
         }
+    }
+
+    #[test]
+    fn corner_and_centre_face_lists() {
+        let d = Decomposition::new(64, 9); // 3x3, blocks 22/21/21 wide
+        assert_eq!(
+            d.faces(0).collect::<Vec<_>>(),
+            [(Side::South, 3, 22), (Side::East, 1, 22)]
+        );
+        assert_eq!(
+            d.faces(4).collect::<Vec<_>>(),
+            [
+                (Side::North, 1, 21),
+                (Side::South, 7, 21),
+                (Side::West, 3, 21),
+                (Side::East, 5, 21),
+            ]
+        );
+        assert_eq!(d.face(0, Side::North), None);
+        assert_eq!(d.face(0, Side::West), None);
     }
 
     #[test]
@@ -260,10 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn exchange_bytes_scale_with_ghost_width() {
-        let d = Decomposition::new(256, 16);
-        assert_eq!(d.ns_exchange_bytes(0, 2), 2 * d.ns_exchange_bytes(0, 1));
-        assert_eq!(d.we_exchange_bytes(0, 3), 3 * d.we_exchange_bytes(0, 1));
+    fn opposite_sides_pair_up() {
+        assert_eq!(Side::North.opposite(), Side::South);
+        assert_eq!(Side::East.opposite(), Side::West);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! computation reproduces the sequential reference exactly, which is what
 //! lets the timing experiments claim they time a *correct* program.
 
-use crate::decomp::{Decomposition, LocalBlock};
+use crate::decomp::{Decomposition, LocalBlock, Side};
 use hpm_bsplib::mem::{f64s, write_f64s};
 
 /// A process-local field with a one-deep ghost ring.
@@ -89,12 +89,13 @@ impl LocalField {
         let s = self.stride();
         let (w, h) = (self.block.width, self.block.height);
         let g = usize::from(ghost);
-        match side {
-            Side::North => ((1 - g) * s + 1, 1, w),
-            Side::South => ((h + g) * s + 1, 1, w),
-            Side::West => (s + 1 - g, s, h),
-            Side::East => (s + w + g, s, h),
-        }
+        let (first, step) = match side {
+            Side::North => ((1 - g) * s + 1, 1),
+            Side::South => ((h + g) * s + 1, 1),
+            Side::West => (s + 1 - g, s),
+            Side::East => (s + w + g, s),
+        };
+        (first, step, side.cells(&self.block))
     }
 
     /// Writes the `side` ∈ {N, S, W, E} border of the owned area into
@@ -124,35 +125,6 @@ impl LocalField {
             }
         }
         acc
-    }
-}
-
-/// A face of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    North,
-    South,
-    West,
-    East,
-}
-
-impl Side {
-    /// Number of cells along this face of `block`.
-    pub fn cells(&self, block: &LocalBlock) -> usize {
-        match self {
-            Side::North | Side::South => block.width,
-            Side::West | Side::East => block.height,
-        }
-    }
-
-    /// The matching face at the neighbour.
-    pub fn opposite(&self) -> Side {
-        match self {
-            Side::North => Side::South,
-            Side::South => Side::North,
-            Side::West => Side::East,
-            Side::East => Side::West,
-        }
     }
 }
 
@@ -198,20 +170,11 @@ pub fn distributed_reference(
     for _ in 0..iters {
         // Exchange all borders, then sweep.
         let mut transfers: Vec<(usize, Side, Vec<u8>)> = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..p {
-            let nb = decomp.neighbours(r);
-            for (side, peer) in [
-                (Side::North, nb.north),
-                (Side::South, nb.south),
-                (Side::West, nb.west),
-                (Side::East, nb.east),
-            ] {
-                if let Some(peer) = peer {
-                    let mut bytes = vec![0u8; 8 * side.cells(&fields[r].block)];
-                    fields[r].extract_border(side, &mut bytes);
-                    transfers.push((peer, side.opposite(), bytes));
-                }
+        for (r, fld) in fields.iter().enumerate() {
+            for (side, peer, cells) in decomp.faces(r) {
+                let mut bytes = vec![0u8; 8 * cells];
+                fld.extract_border(side, &mut bytes);
+                transfers.push((peer, side.opposite(), bytes));
             }
         }
         for (dst, side, bytes) in transfers {
@@ -397,12 +360,6 @@ mod tests {
             assert_eq!(other.cur[(k + 1) * s], v);
             assert_eq!(fld.get(fld.block.width - 1, k), v);
         }
-    }
-
-    #[test]
-    fn opposite_sides_pair_up() {
-        assert_eq!(Side::North.opposite(), Side::South);
-        assert_eq!(Side::East.opposite(), Side::West);
     }
 
     #[test]

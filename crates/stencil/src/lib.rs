@@ -3,7 +3,11 @@
 //! A Jacobi iteration on an `N×N` grid, block-decomposed over a 2-D
 //! process grid with one-deep ghost areas (Fig. 8.1), in four
 //! implementations whose strong-scaling behaviour the thesis compares
-//! (Figs. 8.4–8.7):
+//! (Figs. 8.4–8.7). Which faces of a block border a neighbour, and how
+//! many cells each carries, is said once, by [`Decomposition::face`] and
+//! [`Decomposition::faces`]; every implementation, both predictors and
+//! the data-correctness harness ([`field::distributed_reference`]) read
+//! them.
 //!
 //! * [`bsp`] — the BSPlib implementation: the local domain is split into
 //!   the 17 regions of Fig. 8.2 (outer boundary ring: 4 corners + 4

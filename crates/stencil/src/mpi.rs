@@ -13,7 +13,7 @@
 //! between the runtimes' synchronization/one-sided machinery (headers,
 //! count-map barrier) and bare neighbour exchanges.
 
-use crate::decomp::Decomposition;
+use crate::decomp::{Decomposition, Side};
 use crate::StencilReport;
 use hpm_kernels::rate::ProcessorModel;
 use hpm_kernels::stencil::Stencil5;
@@ -91,7 +91,10 @@ pub fn run_mpi_stencil(
                     *tr += cells * per_cell[r] * jitter.draw(&mut rng);
                 }
                 // Stage 1: north/south sendrecv; stage 2: west/east.
-                for (stage, north_south) in [(0, true), (1, false)] {
+                for (stage, sides) in [
+                    (0, [Side::North, Side::South]),
+                    (1, [Side::West, Side::East]),
+                ] {
                     exchange_stage(
                         params,
                         placement,
@@ -100,7 +103,7 @@ pub fn run_mpi_stencil(
                         &mut net,
                         (seed, 2 * it as u64 + stage),
                         (&mut ex_scratch, &mut res),
-                        north_south,
+                        sides,
                     );
                 }
             }
@@ -112,21 +115,13 @@ pub fn run_mpi_stencil(
                     let regions = decomp.regions(r);
                     let border = regions.pre_comm() as f64 * per_cell[r] * jitter.draw(&mut rng);
                     let t_border = t[r] + border;
-                    let nb = decomp.neighbours(r);
-                    for (peer, bytes) in [
-                        (nb.north, decomp.ns_exchange_bytes(r, 1)),
-                        (nb.south, decomp.ns_exchange_bytes(r, 1)),
-                        (nb.west, decomp.we_exchange_bytes(r, 1)),
-                        (nb.east, decomp.we_exchange_bytes(r, 1)),
-                    ] {
-                        if let Some(peer) = peer {
-                            msgs.push(ExchangeMsg {
-                                src: r,
-                                dst: peer,
-                                bytes,
-                                issue: t_border,
-                            });
-                        }
+                    for (_, peer, cells) in decomp.faces(r) {
+                        msgs.push(ExchangeMsg {
+                            src: r,
+                            dst: peer,
+                            bytes: (cells * 8) as u64,
+                            issue: t_border,
+                        });
                     }
                     let rest = (regions.inner_ring + regions.interior) as f64
                         * per_cell[r]
@@ -163,9 +158,9 @@ pub fn run_mpi_stencil(
     }
 }
 
-/// One blocking sendrecv stage: every process exchanges with its N/S (or
-/// W/E) neighbours; it proceeds once its sends are issued and its inbound
-/// borders have arrived.
+/// One blocking sendrecv stage: every process exchanges across its faces
+/// on `sides` (N/S or W/E); it proceeds once its sends are issued and its
+/// inbound borders have arrived.
 #[allow(clippy::too_many_arguments)]
 fn exchange_stage(
     params: &PlatformParams,
@@ -175,31 +170,17 @@ fn exchange_stage(
     net: &mut NetState,
     (seed, rep): (u64, u64),
     (ex_scratch, res): (&mut ExchangeScratch, &mut ExchangeResult),
-    north_south: bool,
+    sides: [Side; 2],
 ) {
     let mut msgs = Vec::new();
     for (r, &tr) in t.iter().enumerate() {
-        let nb = decomp.neighbours(r);
-        let pairs = if north_south {
-            [
-                (nb.north, decomp.ns_exchange_bytes(r, 1)),
-                (nb.south, decomp.ns_exchange_bytes(r, 1)),
-            ]
-        } else {
-            [
-                (nb.west, decomp.we_exchange_bytes(r, 1)),
-                (nb.east, decomp.we_exchange_bytes(r, 1)),
-            ]
-        };
-        for (peer, bytes) in pairs {
-            if let Some(peer) = peer {
-                msgs.push(ExchangeMsg {
-                    src: r,
-                    dst: peer,
-                    bytes,
-                    issue: tr,
-                });
-            }
+        for (_, peer, cells) in decomp.faces(r).filter(|f| sides.contains(&f.0)) {
+            msgs.push(ExchangeMsg {
+                src: r,
+                dst: peer,
+                bytes: (cells * 8) as u64,
+                issue: tr,
+            });
         }
     }
     let stream = (seed, STENCIL_JITTER_LABEL, rep);

@@ -18,7 +18,7 @@
 //! matrices as Ch. 8.5, and which the C1 experiment validates against
 //! simulated execution.
 
-use crate::decomp::Decomposition;
+use crate::decomp::{Decomposition, Side};
 use hpm_bsplib::ops::HEADER_BYTES;
 use hpm_bsplib::runtime::{SuperstepNet, SyncPattern};
 use hpm_core::predictor::CostModel;
@@ -40,29 +40,15 @@ const GHOST_SYNC_JITTER_LABEL: u64 = 0x4757_5359; // b"GWSY"
 /// `j` (boundary faces do not expand). Returns the per-superstep total.
 fn superstep_cells(decomp: &Decomposition, rank: usize, w: usize) -> usize {
     let b = decomp.block(rank);
-    let nb = decomp.neighbours(rank);
-    let faces_x = usize::from(nb.west.is_some()) + usize::from(nb.east.is_some());
-    let faces_y = usize::from(nb.north.is_some()) + usize::from(nb.south.is_some());
+    let faces_on = |pair: [Side; 2]| decomp.faces(rank).filter(|f| pair.contains(&f.0)).count();
+    let faces_x = faces_on([Side::West, Side::East]);
+    let faces_y = faces_on([Side::North, Side::South]);
     (0..w)
         .map(|j| {
             let d = w - 1 - j;
             (b.width + faces_x * d) * (b.height + faces_y * d)
         })
         .sum()
-}
-
-/// The faces of `rank`'s block that border a neighbour, as `(peer, face
-/// length)` in N, S, W, E order.
-fn faces(decomp: &Decomposition, rank: usize) -> impl Iterator<Item = (usize, usize)> {
-    let (nb, b) = (decomp.neighbours(rank), decomp.block(rank));
-    [
-        (nb.north, b.width),
-        (nb.south, b.width),
-        (nb.west, b.height),
-        (nb.east, b.height),
-    ]
-    .into_iter()
-    .filter_map(|(peer, len)| Some((peer?, len)))
 }
 
 /// Border band bytes for one face with `w`-deep ghost zones (band depth
@@ -124,7 +110,7 @@ pub fn predict_ghost_width<C: CostModel + ?Sized>(
         // block at depth w−1 (approximated by the plain outer ring).
         let pre = decomp.regions(r).pre_comm() as f64 * per_cell;
         let mut comm = 0.0;
-        for (peer, len) in faces(&decomp, r) {
+        for (_, peer, len) in decomp.faces(r) {
             let c = costs.pair(r, peer);
             let bytes = (band_bytes(len, w) + HEADER_BYTES) as f64;
             // The payload message, then the header message.
@@ -177,7 +163,7 @@ pub fn measure_ghost_width(
             let per_cell = proc_model.secs_per_element(&Stencil5, decomp.block(r).cells());
             let pre = decomp.regions(r).pre_comm() as f64 * per_cell;
             let t_commit = t[r] + pre * jitter.draw(&mut rng);
-            for (peer, len) in faces(&decomp, r) {
+            for (_, peer, len) in decomp.faces(r) {
                 for bytes in [HEADER_BYTES, band_bytes(len, w)] {
                     msgs.push(ExchangeMsg {
                         src: r,

@@ -19,7 +19,7 @@
 //! ring is maskable computation, all border traffic is maskable
 //! communication.
 
-use crate::decomp::Decomposition;
+use crate::decomp::{Decomposition, Side};
 use hpm_bsplib::ops::HEADER_BYTES;
 use hpm_bsplib::runtime::SyncPattern;
 use hpm_core::compute::superstep_times;
@@ -74,15 +74,13 @@ pub fn predict_bsp_iteration<C: CostModel + ?Sized>(
     // order, and so the bits, of the dense row sum.
     let comm: Vec<f64> = (0..p)
         .map(|i| {
-            let nb = decomp.neighbours(i);
-            let ns = decomp.ns_exchange_bytes(i, 1);
-            let we = decomp.we_exchange_bytes(i, 1);
-            [(nb.north, ns), (nb.west, we), (nb.east, we), (nb.south, ns)]
+            let block = decomp.block(i);
+            [Side::North, Side::West, Side::East, Side::South]
                 .into_iter()
-                .filter_map(|(peer, bytes)| Some((peer?, bytes)))
-                .fold(0.0, |t, (j, bytes)| {
+                .filter_map(|side| Some((decomp.face(i, side)?, side.cells(&block))))
+                .fold(0.0, |t, (j, cells)| {
                     let c = costs.pair(i, j);
-                    t + (2.0 * c.l + (bytes + HEADER_BYTES) as f64 * c.beta)
+                    t + (2.0 * c.l + ((cells * 8) as u64 + HEADER_BYTES) as f64 * c.beta)
                 })
         })
         .collect();

@@ -544,18 +544,11 @@ fn stencil_comm_matches_dense_hockney() {
             let mut counts = DMat::zeros(p, p);
             let mut volumes = DMat::zeros(p, p);
             for i in 0..p {
-                let nb = decomp.neighbours(i);
-                for (peer, bytes) in [
-                    (nb.north, decomp.ns_exchange_bytes(i, 1)),
-                    (nb.south, decomp.ns_exchange_bytes(i, 1)),
-                    (nb.west, decomp.we_exchange_bytes(i, 1)),
-                    (nb.east, decomp.we_exchange_bytes(i, 1)),
-                ] {
-                    if let Some(peer) = peer {
-                        counts.set(i, peer, counts.get(i, peer) + 2.0);
-                        let v = volumes.get(i, peer) + bytes as f64 + HEADER_BYTES as f64;
-                        volumes.set(i, peer, v);
-                    }
+                for (_, peer, cells) in decomp.faces(i) {
+                    let bytes = (cells * 8) as u64;
+                    counts.set(i, peer, counts.get(i, peer) + 2.0);
+                    let v = volumes.get(i, peer) + bytes as f64 + HEADER_BYTES as f64;
+                    volumes.set(i, peer, v);
                 }
             }
             let dense = comm_times(&counts, &volumes, &costs);
