@@ -112,7 +112,6 @@ pub fn all_to_all(p: usize) -> CompiledPattern {
 mod tests {
     use super::*;
     use hpm_core::knowledge::VerifyScratch;
-    use hpm_core::pattern::CommPattern;
 
     fn synchronizes(b: &CompiledPattern) -> bool {
         VerifyScratch::new().verify(b).synchronizes()

@@ -23,7 +23,6 @@ use hpm_barriers::hybrid::flat_dissemination_hybrid;
 use hpm_barriers::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
 use hpm_collectives::pattern::catalog;
 use hpm_core::knowledge::KnowledgeGoal;
-use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 
 /// One entry of the static-analysis registry: a compiled plan and the
@@ -62,10 +61,11 @@ pub fn pattern_registry() -> Vec<RegisteredPlan> {
             });
         }
         for c in catalog(p, 0, COLLECTIVE_BYTES) {
+            let plan = c.compiled().clone();
             out.push(RegisteredPlan {
-                id: format!("{}-p{p}", c.name()),
+                id: format!("{}-p{p}", plan.name()),
                 goal: c.goal(),
-                plan: c.plan(),
+                plan,
             });
         }
     }

@@ -22,10 +22,9 @@ use hpm_bsplib::inprod::bspinprod;
 use hpm_bsplib::runtime::{BspConfig, SyncPattern};
 use hpm_collectives::exec::run_allreduce;
 use hpm_collectives::pattern::catalog;
-use hpm_collectives::predict::{predict_collective, simulate_collective};
+use hpm_collectives::predict::predict_collective;
 use hpm_core::classic::ClassicBsp;
 use hpm_core::knowledge::KnowledgeGoal;
-use hpm_core::pattern::CommPattern;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::{predict_compiled_with, PayloadSchedule};
 use hpm_core::superstep::SuperstepModel;
@@ -943,19 +942,21 @@ fn collectives_predict_vs_sim(dir: &Path, effort: &Effort, profiles: &Profiles) 
     // order so the CSV is byte-identical to the serial nesting.
     for rows in par_points(&collective_cases(&machines), |&(m, topology, p)| {
         let placement = m.place(p);
+        let sim = BarrierSim::new(&m.params, &placement);
         let profile = profiles.get(m.id.at(p));
         catalog(p, 0, bytes)
             .into_iter()
             .map(|pat| {
+                let plan = pat.compiled();
                 let pred = predict_collective(&pat, &profile.costs).total;
-                let sim =
-                    simulate_collective(&pat, &m.params, &placement, effort.barrier_reps, SEED)
-                        .mean();
+                let sim = sim
+                    .measure_compiled(plan, pat.payload(), effort.barrier_reps, SEED)
+                    .mean();
                 vec![
                     m.label.to_string(),
                     topology.to_string(),
                     p.to_string(),
-                    pat.name().to_string(),
+                    plan.name().to_string(),
                     fmt(pred),
                     fmt(sim),
                     format!("{:.4}", (pred - sim) / sim),

@@ -3,7 +3,7 @@
 //!
 //! A collective is defined once, as the [`CollectivePattern`] the verifier
 //! and the Eq. 5.4 predictor already consume. One private `BspProgram`
-//! walks it: superstep 0 allocates and registers the buffer inbound puts
+//! walks its compiled plan: superstep 0 allocates and registers the buffer inbound puts
 //! land in; superstep `s + 1` first absorbs what stage `s − 1` delivered
 //! (if `stage(s − 1).srcs(pid)` is non-empty), then puts to exactly
 //! `stage(s).dsts(pid)`, in order; the superstep after the last stage
@@ -32,7 +32,6 @@ use hpm_bsplib::ctx::BspCtx;
 use hpm_bsplib::mem::{f64s, write_f64s, RegHandle};
 use hpm_bsplib::ops::StepOutcome;
 use hpm_bsplib::runtime::{run_spmd, BspConfig, BspProgram};
-use hpm_core::pattern::CommPattern;
 
 use crate::pattern::{self, CollectivePattern};
 
@@ -235,7 +234,7 @@ impl<'a> Walk<'a> {
 
 impl BspProgram for Walk<'_> {
     fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-        let (pattern, pid) = (self.pattern, ctx.pid());
+        let (plan, pid) = (self.pattern.compiled(), ctx.pid());
         let step = self.step;
         self.step += 1;
         if step == 0 {
@@ -244,17 +243,17 @@ impl BspProgram for Walk<'_> {
         }
         // Stage s communicates now; stage s − 1 landed at the last sync.
         let s = step - 1;
-        if s > 0 && !pattern.stage(s - 1).srcs(pid).is_empty() {
+        if s > 0 && !plan.stage(s - 1).srcs(pid).is_empty() {
             self.absorb(ctx, s - 1);
         }
-        if s == pattern.stages() {
+        if s == plan.stages() {
             if !matches!(self.carry, Carry::Fold(_)) {
                 let buf = self.buf();
                 load(&mut self.vals, ctx.read_buf(buf));
             }
             return StepOutcome::Halt;
         }
-        self.send(ctx, s, pattern.stage(s).dsts(pid));
+        self.send(ctx, s, plan.stage(s).dsts(pid));
         StepOutcome::Continue
     }
 }
@@ -262,14 +261,14 @@ impl BspProgram for Walk<'_> {
 /// Runs `pattern` on `cfg`'s machine, `n` elements per vector, block or
 /// chunk; each rank's result is the program's final `vals`.
 fn run(cfg: &BspConfig, pattern: &CollectivePattern, carry: Carry, n: usize) -> CollectiveOutcome {
+    let name = pattern.compiled().name();
     assert_eq!(
-        pattern.p(),
+        pattern.compiled().p(),
         cfg.placement.nprocs(),
-        "{} is built for another process count than the placement's",
-        pattern.name()
+        "{name} is built for another process count than the placement's"
     );
     let res = run_spmd(cfg, |_| Walk::new(pattern, carry, n))
-        .unwrap_or_else(|e| panic!("{} run: {e}", pattern.name()));
+        .unwrap_or_else(|e| panic!("{name} run: {e}"));
     CollectiveOutcome {
         total_time: res.total_time,
         supersteps: res.superstep_count(),
@@ -298,21 +297,21 @@ pub fn run_broadcast_two_phase(cfg: &BspConfig, root: usize, n: usize) -> Collec
 /// Binomial-tree reduce: the root ends holding the elementwise sum.
 pub fn run_reduce(cfg: &BspConfig, root: usize, n: usize) -> CollectiveOutcome {
     let pat = pattern::reduce_binomial(cfg.placement.nprocs(), root, bytes(n));
-    run(cfg, &pat, Carry::Fold(pat.stages()), n)
+    run(cfg, &pat, Carry::Fold(pat.compiled().stages()), n)
 }
 
 /// Allreduce (reduce + mirrored broadcast): every rank ends holding the
 /// elementwise sum.
 pub fn run_allreduce(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
     let pat = pattern::allreduce(cfg.placement.nprocs(), bytes(n));
-    run(cfg, &pat, Carry::Fold(pat.stages() / 2), n)
+    run(cfg, &pat, Carry::Fold(pat.compiled().stages() / 2), n)
 }
 
 /// Inclusive prefix scan: rank `i` ends holding the elementwise sum of
 /// ranks `0..=i`.
 pub fn run_scan(cfg: &BspConfig, n: usize) -> CollectiveOutcome {
     let pat = pattern::scan(cfg.placement.nprocs(), bytes(n));
-    run(cfg, &pat, Carry::Fold(pat.stages()), n)
+    run(cfg, &pat, Carry::Fold(pat.compiled().stages()), n)
 }
 
 /// Binomial-tree gather: the root ends holding every rank's block, at
@@ -459,7 +458,7 @@ mod tests {
         let b = bytes(n);
         // The adding stages are the first of the pattern's `phases`.
         let folding = |pat: CollectivePattern, phases: usize| {
-            let k = pat.stages() / phases;
+            let k = pat.compiled().stages() / phases;
             (pat, Carry::Fold(k))
         };
         [
@@ -493,7 +492,8 @@ mod tests {
         for (p, root) in [(8, 0), (13, 5)] {
             let ran = supersteps_of_all_seven(p, root, 4);
             for ((pat, _), ran) in seven(p, root, 4).iter().zip(ran) {
-                assert_eq!(ran, 2 + pat.stages(), "{} p={p}", pat.name());
+                let plan = pat.compiled();
+                assert_eq!(ran, 2 + plan.stages(), "{} p={p}", plan.name());
             }
         }
     }
@@ -529,18 +529,18 @@ mod tests {
             let (root, n) = (p - 1, 3 * p);
             for (pat, carry) in seven(p, root, n) {
                 let res = run_spmd(&cfg(p), |_| Walk::new(&pat, carry, n)).expect("clean run");
-                let name = pat.name();
-                assert_eq!(res.superstep_count(), 2 + pat.stages(), "{name} p={p}");
+                let (plan, name) = (pat.compiled(), pat.compiled().name());
+                assert_eq!(res.superstep_count(), 2 + plan.stages(), "{name} p={p}");
                 for (t, trace) in res.supersteps.iter().enumerate() {
-                    let (ops, each) = match t.checked_sub(1).filter(|&s| s < pat.stages()) {
+                    let (ops, each) = match t.checked_sub(1).filter(|&s| s < plan.stages()) {
                         None => (0, 0),
                         Some(s) if matches!(carry, Carry::HeldSpan) => {
-                            let stage = pat.stage(s);
+                            let stage = plan.stage(s);
                             let held = |i: usize| (1usize << s).min(p - (i + p - root) % p);
                             let senders = (0..p).filter(|&i| !stage.dsts(i).is_empty());
                             (senders.map(held).sum(), bytes(n))
                         }
-                        Some(s) => (pat.stage(s).edge_count(), pat.payload().bytes(s)),
+                        Some(s) => (plan.stage(s).edge_count(), pat.payload().bytes(s)),
                     };
                     assert_eq!(trace.ops, ops, "{name} p={p} superstep {t}");
                     assert_eq!(

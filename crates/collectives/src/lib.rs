@@ -6,14 +6,17 @@
 //! operations — broadcast (one-phase, binomial and two-phase
 //! scatter-allgather), reduce, allreduce, prefix scan, gather and total
 //! exchange — each defined **once**, as a staged pattern ([`pattern`]):
-//! the thesis' stage incidence matrices, held as sparse edge-list stages,
-//! plus a per-stage payload schedule (the Ch. 6.5 extension). That one
-//! definition is all its three consumers need:
+//! the thesis' stage incidence matrices, authored as sparse edge-list
+//! stages and compiled once into the [`CollectivePattern`]'s
+//! `CompiledPattern`, plus a per-stage payload schedule (the Ch. 6.5
+//! extension). That one definition is all its three consumers need, and
+//! each reads the held plan ([`CollectivePattern::compiled`]):
 //!
 //! * **verification** — `hpm_core::knowledge`, generalized to *rooted*
 //!   goals, exactly as for the barrier patterns;
-//! * **prediction** ([`predict`]) — the Eq. 5.4 critical path, and the
-//!   staged simulator it is validated against;
+//! * **prediction** ([`predict`]) — the Eq. 5.4 critical path, validated
+//!   against the staged simulator
+//!   (`hpm_simnet::barrier::BarrierSim::measure_compiled`);
 //! * **execution** ([`exec`]) — one SPMD program over
 //!   [`hpm_bsplib::BspCtx`] that walks the stages and puts real `f64`
 //!   payload along exactly their edges, with numerically checkable results.
@@ -34,4 +37,4 @@ pub use pattern::{
     allreduce, broadcast_binomial, broadcast_flat, broadcast_two_phase, catalog, gather_binomial,
     log2_ceil, reduce_binomial, scan, total_exchange, CollectivePattern,
 };
-pub use predict::{predict_collective, simulate_collective};
+pub use predict::predict_collective;

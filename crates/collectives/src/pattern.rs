@@ -4,10 +4,11 @@
 //! barriers (§5.5): a sequence of stages — which process signals which —
 //! extended with the Ch. 6.5 payload schedule giving the per-message byte
 //! count of each stage. Stages are authored as edge lists into the sparse
-//! [`StagePlan`] form; the thesis' `P×P` incidence matrices are what
-//! `render()` prints from it. The pair `(stages, payload)` is everything
-//! the knowledge verifier, the Eq. 5.4 critical-path predictor and the
-//! staged simulator need, so each builder yields a *closed-form
+//! [`StagePlan`] form and compiled once, when the pattern is built: a
+//! collective holds its [`CompiledPattern`], whose `render()` prints the
+//! thesis' `P×P` incidence matrices. The pair `(plan, payload)` is
+//! everything the knowledge verifier, the Eq. 5.4 critical-path predictor
+//! and the staged simulator need, so each builder yields a *closed-form
 //! heterogeneous prediction* for free — the whole point of the
 //! matrix-composed model.
 //!
@@ -28,25 +29,23 @@
 use hpm_core::knowledge::KnowledgeGoal;
 pub use hpm_core::pattern::log2_ceil;
 use hpm_core::pattern::{validate_stages, CommPattern};
-use hpm_core::plan::StagePlan;
+use hpm_core::plan::{CompiledPattern, StagePlan};
 use hpm_core::predictor::PayloadSchedule;
 
-/// A collective operation as a staged pattern: stages, per-stage payload and
-/// the knowledge goal its correctness requires.
+/// A collective operation as a staged pattern: its compiled plan, per-stage
+/// payload and the knowledge goal its correctness requires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectivePattern {
-    name: String,
-    p: usize,
-    stages: Vec<StagePlan>,
+    plan: CompiledPattern,
     payload: PayloadSchedule,
     goal: KnowledgeGoal,
     root: Option<usize>,
 }
 
 impl CollectivePattern {
-    /// Builds a pattern, validating stage dimensions and non-emptiness.
-    /// Unlike barriers, a zero-stage pattern is legal: it is the `p == 1`
-    /// degenerate case of every collective.
+    /// Builds a pattern and compiles its stages, validating stage
+    /// dimensions and non-emptiness. Unlike barriers, a zero-stage pattern
+    /// is legal: it is the `p == 1` degenerate case of every collective.
     pub fn new(
         name: &str,
         p: usize,
@@ -60,13 +59,17 @@ impl CollectivePattern {
             assert!(r < p, "root {r} out of range for {p} processes");
         }
         CollectivePattern {
-            name: name.to_string(),
-            p,
-            stages,
+            plan: CompiledPattern::from_stages(name, p, stages),
             payload,
             goal,
             root,
         }
+    }
+
+    /// The compiled plan: stages, name, process count and the §5.6.5
+    /// tables.
+    pub fn compiled(&self) -> &CompiledPattern {
+        &self.plan
     }
 
     /// Per-stage message payload sizes.
@@ -87,19 +90,11 @@ impl CollectivePattern {
 
 impl CommPattern for CollectivePattern {
     fn name(&self) -> &str {
-        &self.name
+        self.plan.name()
     }
 
-    fn p(&self) -> usize {
-        self.p
-    }
-
-    fn stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    fn stage(&self, k: usize) -> &StagePlan {
-        &self.stages[k]
+    fn plan(&self) -> CompiledPattern {
+        self.plan.clone()
     }
 }
 
@@ -343,7 +338,9 @@ mod tests {
             for root in [0, p / 2, p - 1] {
                 for c in catalog(p, root, 256) {
                     assert!(
-                        VerifyScratch::new().verify(&c.plan()).satisfies(c.goal()),
+                        VerifyScratch::new()
+                            .verify(c.compiled())
+                            .satisfies(c.goal()),
                         "{} p={p} root={root} violates {:?}",
                         c.name(),
                         c.goal()
@@ -356,8 +353,8 @@ mod tests {
     #[test]
     fn single_process_patterns_are_empty() {
         for c in catalog(1, 0, 1024) {
-            assert_eq!(c.stages(), 0, "{}", c.name());
-            assert_eq!(c.plan().total_signals(), 0);
+            assert_eq!(c.compiled().stages(), 0, "{}", c.name());
+            assert_eq!(c.compiled().total_signals(), 0);
         }
     }
 
@@ -365,10 +362,22 @@ mod tests {
     fn binomial_depth_is_log() {
         for p in [2usize, 3, 4, 7, 8, 9, 16, 33] {
             let s = log2_ceil(p);
-            assert_eq!(broadcast_binomial(p, 0, 1).stages(), s, "bcast p={p}");
-            assert_eq!(reduce_binomial(p, 0, 1).stages(), s, "reduce p={p}");
-            assert_eq!(scan(p, 1).stages(), s, "scan p={p}");
-            assert_eq!(allreduce(p, 1).stages(), 2 * s, "allreduce p={p}");
+            assert_eq!(
+                broadcast_binomial(p, 0, 1).compiled().stages(),
+                s,
+                "bcast p={p}"
+            );
+            assert_eq!(
+                reduce_binomial(p, 0, 1).compiled().stages(),
+                s,
+                "reduce p={p}"
+            );
+            assert_eq!(scan(p, 1).compiled().stages(), s, "scan p={p}");
+            assert_eq!(
+                allreduce(p, 1).compiled().stages(),
+                2 * s,
+                "allreduce p={p}"
+            );
         }
     }
 
@@ -377,12 +386,12 @@ mod tests {
         // A combining tree delivers exactly one message per non-root.
         for p in 2..=33 {
             assert_eq!(
-                reduce_binomial(p, 0, 1).plan().total_signals(),
+                reduce_binomial(p, 0, 1).compiled().total_signals(),
                 p - 1,
                 "p={p}"
             );
             assert_eq!(
-                broadcast_binomial(p, 0, 1).plan().total_signals(),
+                broadcast_binomial(p, 0, 1).compiled().total_signals(),
                 p - 1,
                 "p={p}"
             );
@@ -392,11 +401,11 @@ mod tests {
     #[test]
     fn allreduce_is_reduce_mirrored() {
         let a = allreduce(12, 64);
-        let s = a.stages();
+        let s = a.compiled().stages();
         for k in 0..s / 2 {
             assert_eq!(
-                a.stage(s - 1 - k),
-                &a.stage(k).transpose(),
+                a.compiled().stage(s - 1 - k),
+                &a.compiled().stage(k).transpose(),
                 "stage {k} must mirror"
             );
         }
@@ -405,15 +414,15 @@ mod tests {
     #[test]
     fn total_exchange_is_single_complete_stage() {
         let t = total_exchange(6, 128);
-        assert_eq!(t.stages(), 1);
-        assert_eq!(t.stage(0).edge_count(), 30);
+        assert_eq!(t.compiled().stages(), 1);
+        assert_eq!(t.compiled().stage(0).edge_count(), 30);
         assert_eq!(t.payload().bytes(0), 128);
     }
 
     #[test]
     fn two_phase_broadcast_splits_payload() {
         let b = broadcast_two_phase(8, 0, 4096);
-        assert_eq!(b.stages(), 2);
+        assert_eq!(b.compiled().stages(), 2);
         assert_eq!(b.payload().bytes(0), 512);
         assert_eq!(b.payload().bytes(1), 512);
         // Non-dividing size rounds up.
@@ -430,19 +439,18 @@ mod tests {
         assert_eq!(g.payload().bytes(3), 800);
         // Final stage of a non-power-of-two gather carries the remainder.
         let g6 = gather_binomial(6, 0, 100);
-        assert_eq!(g6.stages(), 3);
+        assert_eq!(g6.compiled().stages(), 3);
         assert_eq!(g6.payload().bytes(2), 200); // span min(4, 6-4) = 2
     }
 
     #[test]
     fn rooted_patterns_rotate_with_the_root() {
         let b = broadcast_flat(5, 3, 64);
-        assert_eq!(b.stage(0).dsts(3), &[0, 1, 2, 4]);
-        assert_eq!(b.stage(0).in_degree(3), 0);
+        assert_eq!(b.compiled().stage(0).dsts(3), &[0, 1, 2, 4]);
+        assert_eq!(b.compiled().stage(0).in_degree(3), 0);
         let r = reduce_binomial(5, 2, 64);
-        let plan = r.plan();
         assert!(VerifyScratch::new()
-            .verify(&plan)
+            .verify(r.compiled())
             .satisfies(KnowledgeGoal::RootGathers(2)));
         assert_eq!(r.root(), Some(2));
     }
@@ -451,10 +459,10 @@ mod tests {
     fn scan_respects_boundaries() {
         let s = scan(5, 8);
         // Stage 0: i -> i+1 for i in 0..4.
-        assert_eq!(s.stage(0).edge_count(), 4);
+        assert_eq!(s.compiled().stage(0).edge_count(), 4);
         // Stage 2 (shift 4): only 0 -> 4.
-        assert_eq!(s.stage(2).edge_count(), 1);
-        assert_eq!(s.stage(2).dsts(0), &[4]);
+        assert_eq!(s.compiled().stage(2).edge_count(), 1);
+        assert_eq!(s.compiled().stage(2).dsts(0), &[4]);
     }
 
     #[test]

@@ -1,18 +1,16 @@
-//! Closed-form prediction and staged simulation of collective patterns.
+//! Closed-form prediction of collective patterns.
 //!
-//! A [`CollectivePattern`] carries everything the Eq. 5.4 critical-path
-//! predictor needs — stages plus payload schedule — so prediction is a
-//! single call into `hpm-core`. The same pair drives the Fig. 5.5 staged
-//! executor of `hpm-simnet`, which is what the predict-vs-sim experiments
-//! compare against: the simulator is the stand-in for the thesis'
-//! measured clusters.
+//! A [`CollectivePattern`] holds everything the Eq. 5.4 critical-path
+//! predictor needs — its compiled plan plus payload schedule — so
+//! prediction is a single call into `hpm-core`. The same pair drives the
+//! Fig. 5.5 staged executor of `hpm-simnet`
+//! ([`hpm_simnet::barrier::BarrierSim::measure_compiled`] on
+//! [`CollectivePattern::compiled`]), which is what the predict-vs-sim
+//! experiments compare against: the simulator is the stand-in for the
+//! thesis' measured clusters.
 
 use crate::pattern::CollectivePattern;
-use hpm_core::pattern::CommPattern;
 use hpm_core::predictor::{predict_compiled_with, BarrierPrediction, CostModel};
-use hpm_simnet::barrier::{BarrierMeasurement, BarrierSim};
-use hpm_simnet::params::PlatformParams;
-use hpm_topology::Placement;
 
 /// Predicts the collective's critical-path cost from benchmarked platform
 /// costs (§5.6.3's `O`/`L`/`β`) — dense `CommCosts` matrices or any other
@@ -21,21 +19,7 @@ pub fn predict_collective<C: CostModel + ?Sized>(
     pattern: &CollectivePattern,
     costs: &C,
 ) -> BarrierPrediction {
-    predict_compiled_with(&pattern.plan(), costs, pattern.payload())
-}
-
-/// Executes the collective's stage structure on the simulated platform,
-/// repeating with independent jitter streams; the mean worst-case time is
-/// the measurement the prediction is validated against.
-pub fn simulate_collective(
-    pattern: &CollectivePattern,
-    params: &PlatformParams,
-    placement: &Placement,
-    reps: usize,
-    seed: u64,
-) -> BarrierMeasurement {
-    let sim = BarrierSim::new(params, placement);
-    sim.measure_compiled(&pattern.plan(), pattern.payload(), reps, seed)
+    predict_compiled_with(pattern.compiled(), costs, pattern.payload())
 }
 
 #[cfg(test)]
@@ -43,8 +27,9 @@ mod tests {
     use super::*;
     use crate::pattern::{allreduce, broadcast_flat, broadcast_two_phase, total_exchange};
     use hpm_core::predictor::CommCosts;
+    use hpm_simnet::barrier::BarrierSim;
     use hpm_simnet::params::xeon_cluster_params;
-    use hpm_topology::{cluster_8x2x4, PlacementPolicy};
+    use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
 
     #[test]
     fn flat_broadcast_cost_is_linear_in_p_under_uniform_costs() {
@@ -95,8 +80,12 @@ mod tests {
         let params = xeon_cluster_params();
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, 16);
         let pat = total_exchange(16, 1024);
-        let a = simulate_collective(&pat, &params, &placement, 4, 99).mean();
-        let b = simulate_collective(&pat, &params, &placement, 4, 99).mean();
+        let sim = BarrierSim::new(&params, &placement);
+        let measure = || {
+            sim.measure_compiled(pat.compiled(), pat.payload(), 4, 99)
+                .mean()
+        };
+        let (a, b) = (measure(), measure());
         assert_eq!(a, b);
         assert!(a > 0.0);
     }

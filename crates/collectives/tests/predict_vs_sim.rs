@@ -28,8 +28,8 @@
 //! time order.
 
 use hpm_collectives::pattern::{catalog, CollectivePattern};
-use hpm_collectives::predict::{predict_collective, simulate_collective};
-use hpm_core::pattern::CommPattern;
+use hpm_collectives::predict::predict_collective;
+use hpm_simnet::barrier::BarrierSim;
 use hpm_simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm_simnet::params::xeon_cluster_params;
 use hpm_topology::{cluster_8x2x4, Placement, PlacementPolicy};
@@ -56,13 +56,15 @@ fn run_cases() -> Vec<Case> {
     ] {
         let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), SEED);
+        let sim = BarrierSim::new(&params, &placement);
         for pat in catalog(p, 0, PAYLOAD) {
+            let plan = pat.compiled();
             let predicted = predict_collective(&pat, &profile.costs).total;
-            let measured = simulate_collective(&pat, &params, &placement, REPS, SEED).mean();
+            let measured = sim.measure_compiled(plan, pat.payload(), REPS, SEED).mean();
             out.push(Case {
                 topology,
                 p,
-                name: pat.name().to_string(),
+                name: plan.name().to_string(),
                 predicted,
                 measured,
             });
@@ -107,10 +109,12 @@ fn prediction_ranks_broadcast_variants_like_the_simulator() {
     let bytes = 1 << 16; // 64 KiB vector
     let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
     let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), SEED);
+    let sim = BarrierSim::new(&params, &placement);
     let eval = |pat: &CollectivePattern| {
         (
             predict_collective(pat, &profile.costs).total,
-            simulate_collective(pat, &params, &placement, REPS, SEED).mean(),
+            sim.measure_compiled(pat.compiled(), pat.payload(), REPS, SEED)
+                .mean(),
         )
     };
     let (flat_pred, flat_meas) = eval(&hpm_collectives::broadcast_flat(p, 0, bytes));
@@ -137,7 +141,9 @@ fn heterogeneity_shifts_both_prediction_and_simulation() {
         let profile = bench_platform(&params, &placement, &MicrobenchConfig::quick(), SEED);
         (
             predict_collective(&pat, &profile.costs).total,
-            simulate_collective(&pat, &params, &placement, REPS, SEED).mean(),
+            BarrierSim::new(&params, &placement)
+                .measure_compiled(pat.compiled(), pat.payload(), REPS, SEED)
+                .mean(),
         )
     };
     // Block keeps all 16 ranks on one 8-core node? No — 16 > 8 cores, so
@@ -146,7 +152,9 @@ fn heterogeneity_shifts_both_prediction_and_simulation() {
     let placement8 = Placement::new(cluster_8x2x4(), PlacementPolicy::Block, 8);
     let profile8 = bench_platform(&params, &placement8, &MicrobenchConfig::quick(), SEED);
     let pred8 = predict_collective(&pat8, &profile8.costs).total;
-    let meas8 = simulate_collective(&pat8, &params, &placement8, REPS, SEED).mean();
+    let meas8 = BarrierSim::new(&params, &placement8)
+        .measure_compiled(pat8.compiled(), pat8.payload(), REPS, SEED)
+        .mean();
     let (pred16, meas16) = eval(PlacementPolicy::RoundRobin);
     assert!(
         pred16 > 3.0 * pred8,

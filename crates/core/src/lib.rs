@@ -23,9 +23,11 @@
 //!   with the dense Eq. 3.15 composition [`hockney::comm_times`] kept as
 //!   the test oracle of the stencil predictors' per-neighbour sums.
 //! * [`pattern`] — staged communication patterns as sequences of sparse
-//!   stages (§5.5; `render()` prints the incidence matrices of
-//!   Figs. 5.2–5.4): the shared [`pattern::CommPattern`] abstraction,
-//!   which [`plan::CompiledPattern`] implements — a barrier is a plan.
+//!   stages (§5.5; [`plan::CompiledPattern::render`] prints the incidence
+//!   matrices of Figs. 5.2–5.4). Every pattern is a
+//!   [`plan::CompiledPattern`]: a barrier is one, a collective holds one.
+//!   [`pattern::CommPattern`] is the owned-plan view (`name`, `plan`) the
+//!   benchmark surface takes of both.
 //! * [`plan`] — the one stage representation, from authoring to
 //!   execution: CSR adjacency ([`plan::StagePlan`], built from edge
 //!   lists) and whole patterns with their precomputed §5.6.5 tables

@@ -12,58 +12,26 @@
 //! stage is a [`StagePlan`] — the same edge set as sparse adjacency,
 //! O(p + edges) instead of O(p²) — from the builder that authors it to
 //! the executor that runs it. The matrix view is still one call away:
-//! [`CommPattern::render`] prints the 0/1 grids of Figs. 5.2–5.4.
+//! [`CompiledPattern::render`] prints the 0/1 grids of Figs. 5.2–5.4.
 //!
-//! [`CommPattern`] is the shared abstraction: anything exposing its
-//! stages compiles ([`CommPattern::plan`]) into the one form the
-//! knowledge verification ([`crate::knowledge`]), critical-path cost
-//! prediction ([`crate::predictor`]) and staged simulation take.
-//! [`CompiledPattern`] is that form and implements the trait itself, so
-//! a barrier is built as a plan and its `plan()` is a copy; the
-//! collective operations of `hpm-collectives` provide the other
-//! implementation.
+//! Every pattern is one [`CompiledPattern`]: a barrier builder returns
+//! it, and a collective of `hpm-collectives` holds it beside its payload
+//! schedule and knowledge goal. Knowledge verification
+//! ([`crate::knowledge`]), critical-path prediction
+//! ([`crate::predictor`]) and staged simulation all read that one form.
+//! [`CommPattern`] is only the owned-plan view the benchmark surface
+//! takes of both kinds.
 
 use crate::plan::{CompiledPattern, StagePlan};
 
-/// A staged communication pattern: a sequence of sparse stages.
-///
-/// Implementors supply the four accessors; [`CommPattern::plan`] and
-/// [`CommPattern::render`] come for free. The trait is object-safe so
-/// heterogeneous pattern collections can be handled through `&dyn
-/// CommPattern`.
+/// A named pattern that hands out its compiled plan. Object-safe, so
+/// barriers and collectives can sit behind one `&dyn CommPattern`.
 pub trait CommPattern {
     /// Descriptive name (e.g. `dissemination`, `allreduce`).
     fn name(&self) -> &str;
 
-    /// Process count.
-    fn p(&self) -> usize;
-
-    /// Number of stages. A zero-stage pattern is the degenerate
-    /// single-process collective: nothing to communicate.
-    fn stages(&self) -> usize;
-
-    /// Borrow one stage.
-    fn stage(&self, k: usize) -> &StagePlan;
-
-    /// The pattern's execution form: its stages plus the precomputed
-    /// §5.6.5 tables. Build once, then hand the result to the predictor,
-    /// verifier and simulator hot paths.
-    fn plan(&self) -> CompiledPattern {
-        let stages = (0..self.stages()).map(|k| self.stage(k).clone());
-        CompiledPattern::from_stages(self.name(), self.p(), stages.collect())
-    }
-
-    /// Renders all stages as `P×P` incidence matrices, in the layout of
-    /// Figs. 5.2–5.4.
-    fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for k in 0..self.stages() {
-            writeln!(out, "S{k} =").expect("writing to a String cannot fail");
-            write!(out, "{}", self.stage(k)).expect("writing to a String cannot fail");
-        }
-        out
-    }
+    /// An owned copy of the pattern's compiled plan.
+    fn plan(&self) -> CompiledPattern;
 }
 
 /// `⌈log₂ p⌉`: the stage depth of the binomial and dissemination-style
@@ -74,13 +42,13 @@ pub fn log2_ceil(p: usize) -> usize {
     usize::BITS as usize - (p - 1).leading_zeros() as usize
 }
 
-/// Validates a stage list: every stage must span `p` processes and be
-/// non-empty (an empty stage is a semantic no-op that would distort
-/// stage-count-based analysis). Shared by every pattern constructor.
+/// Validates a stage list: at least one process, and no empty stage (an
+/// empty stage is a semantic no-op that would distort stage-count-based
+/// analysis). Shared by every pattern constructor; each stage's width is
+/// checked by [`CompiledPattern::from_stages`].
 pub fn validate_stages(p: usize, stages: &[StagePlan]) {
     assert!(p > 0, "pattern needs at least one process");
     for (k, s) in stages.iter().enumerate() {
-        assert_eq!(s.p(), p, "stage {k} has wrong dimension");
         assert!(s.edge_count() > 0, "stage {k} is empty");
     }
 }
@@ -88,18 +56,6 @@ pub fn validate_stages(p: usize, stages: &[StagePlan]) {
 impl CommPattern for CompiledPattern {
     fn name(&self) -> &str {
         CompiledPattern::name(self)
-    }
-
-    fn p(&self) -> usize {
-        CompiledPattern::p(self)
-    }
-
-    fn stages(&self) -> usize {
-        CompiledPattern::stages(self)
-    }
-
-    fn stage(&self, k: usize) -> &StagePlan {
-        CompiledPattern::stage(self, k)
     }
 
     /// Already the execution form: a copy, not a re-derivation.
@@ -111,7 +67,6 @@ impl CommPattern for CompiledPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::IMat;
 
     fn linear4() -> CompiledPattern {
         // Fig. 5.2: gather to rank 0, then release.
@@ -135,24 +90,12 @@ mod tests {
         assert_eq!(b.stage(1), &b.stage(0).transpose());
     }
 
-    /// `render()` prints exactly the thesis' incidence matrices: the
-    /// same text `IMat`'s `Display` gives for the same edges.
-    #[test]
-    fn render_equals_the_dense_matrix_text() {
-        let s0 = IMat::from_edges(4, &[(1, 0), (2, 0), (3, 0)]);
-        let s1 = IMat::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(linear4().render(), format!("S0 =\n{s0}S1 =\n{s1}"));
-    }
-
     /// A plan's trait view answers as the plan does, and its `plan()` is
     /// the plan itself, tables included.
     #[test]
     fn trait_object_view_matches_concrete() {
         let b = linear4();
         let dyn_view: &dyn CommPattern = &b;
-        assert_eq!(dyn_view.p(), 4);
-        assert_eq!(dyn_view.stages(), 2);
-        assert_eq!(dyn_view.stage(1), b.stage(1));
         assert_eq!(dyn_view.plan(), b);
         assert_eq!(dyn_view.name(), "linear");
     }
@@ -161,11 +104,5 @@ mod tests {
     #[should_panic]
     fn empty_stage_rejected() {
         validate_stages(3, &[StagePlan::from_edges(3, &[])]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn wrong_dimension_rejected() {
-        validate_stages(4, &[StagePlan::from_edges(3, &[(0, 1)])]);
     }
 }

@@ -18,10 +18,10 @@
 //!
 //! [`CompiledPattern`] is a whole pattern's stages together with the
 //! derived tables the predictor needs: per-rank last-transmission stages
-//! and the §5.6.5 posted-receiver booleans. Barrier builders return one
-//! directly; any other pattern is compiled once via
-//! [`crate::pattern::CommPattern::plan`]. Then every enumeration is a
-//! slice borrow and every posted test an indexed load.
+//! and the §5.6.5 posted-receiver booleans. Every pattern is compiled
+//! once, when it is built: barrier builders return one, and a collective
+//! holds one. Then every enumeration is a slice borrow and every posted
+//! test an indexed load.
 //!
 //! Both directions of every stage enumerate ascending; the RNG draw
 //! order of the simulator is part of that contract (see DESIGN.md).
@@ -346,6 +346,18 @@ impl CompiledPattern {
     #[must_use]
     pub fn stage(&self, k: usize) -> &StagePlan {
         &self.stages[k]
+    }
+
+    /// Renders all stages as `P×P` incidence matrices, in the layout of
+    /// Figs. 5.2–5.4.
+    #[must_use]
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (k, stage) in self.stages.iter().enumerate() {
+            write!(out, "S{k} =\n{stage}").expect("writing to a String cannot fail");
+        }
+        out
     }
 
     /// Total signal count across all stages.
@@ -715,25 +727,21 @@ mod tests {
 
     #[test]
     fn zero_stage_pattern_compiles() {
-        use crate::pattern::CommPattern;
-        struct Degenerate;
-        impl CommPattern for Degenerate {
-            fn name(&self) -> &str {
-                "degenerate"
-            }
-            fn p(&self) -> usize {
-                1
-            }
-            fn stages(&self) -> usize {
-                0
-            }
-            fn stage(&self, _: usize) -> &StagePlan {
-                unreachable!("no stages")
-            }
-        }
-        let plan = Degenerate.plan();
+        let plan = CompiledPattern::from_stages("degenerate", 1, Vec::new());
         assert_eq!(plan.stages(), 0);
         assert_eq!(plan.total_signals(), 0);
         assert_eq!(plan.last_send_stage(0, 0), None);
+    }
+
+    /// `render()` prints exactly the thesis' incidence matrices: the
+    /// same text `IMat`'s `Display` gives for the same edges.
+    #[test]
+    fn render_equals_the_dense_matrix_text() {
+        let gather = [(1, 0), (2, 0), (3, 0)];
+        let release = [(0, 1), (0, 2), (0, 3)];
+        let plan =
+            CompiledPattern::from_stage_edges("linear", 4, &[gather.to_vec(), release.to_vec()]);
+        let (s0, s1) = (IMat::from_edges(4, &gather), IMat::from_edges(4, &release));
+        assert_eq!(plan.render(), format!("S0 =\n{s0}S1 =\n{s1}"));
     }
 }

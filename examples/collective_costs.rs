@@ -16,9 +16,9 @@
 use hpm::bsplib::runtime::BspConfig;
 use hpm::collectives::exec::{run_allreduce, seed_vector};
 use hpm::collectives::pattern::catalog;
-use hpm::collectives::predict::{predict_collective, simulate_collective};
+use hpm::collectives::predict::predict_collective;
 use hpm::kernels::rate::xeon_core;
-use hpm::model::pattern::CommPattern;
+use hpm::simnet::barrier::BarrierSim;
 use hpm::simnet::microbench::{bench_platform, MicrobenchConfig};
 use hpm::simnet::params::xeon_cluster_params;
 use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
@@ -41,12 +41,14 @@ fn main() {
         "\n{:<22} {:>12} {:>12} {:>8}",
         "collective", "predicted", "simulated", "rel"
     );
+    let sim = BarrierSim::new(&params, &placement);
     for pat in catalog(p, 0, bytes) {
+        let plan = pat.compiled();
         let pred = predict_collective(&pat, &profile.costs).total;
-        let meas = simulate_collective(&pat, &params, &placement, 16, 7).mean();
+        let meas = sim.measure_compiled(plan, pat.payload(), 16, 7).mean();
         println!(
             "{:<22} {:>10.3e} s {:>10.3e} s {:>+8.2}",
-            pat.name(),
+            plan.name(),
             pred,
             meas,
             (pred - meas) / meas

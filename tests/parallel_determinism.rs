@@ -805,7 +805,7 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
     // experiments that move real payload through `run_spmd` (collectives
     // and the BSP/MPI stencils), so their bytes pin the runtime's `elapse`
     // sequence end to end. `fig5_2` rides along since PR 16: its text file
-    // is the one consumer of `CommPattern::render`. `fig6_4`, `table7_1`
+    // is the one consumer of `CompiledPattern::render`. `fig6_4`, `table7_1`
     // and `fig7_6` ride along since PR 19: one artifact per sweep family
     // that had none (the 12x2x6 machine, the SSS table, the greedy sweep);
     // `scale` is the consumer of the sampled microbenchmark. `fig5_10`,
