@@ -188,7 +188,6 @@ impl<'a> BspCtx<'a> {
             reg,
             offset,
             data: start..start + len,
-            high_perf: hp,
         });
     }
 
@@ -426,14 +425,12 @@ mod tests {
                 dst,
                 offset,
                 data,
-                high_perf,
                 ..
             } => {
                 assert!(*issue > 5e-6);
                 assert_eq!(*dst, 2);
                 assert_eq!(*offset, 4);
                 assert_eq!(staging[data.clone()], [9; 8]);
-                assert!(!high_perf);
             }
             other => panic!("expected put, got {other:?}"),
         }

@@ -32,7 +32,8 @@ pub enum StepOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommOp {
     /// `bsp_put`/`bsp_hpput`: write the staged bytes `data` into
-    /// `(dst, reg, offset)`.
+    /// `(dst, reg, offset)`. The two differ only in the send-side copy,
+    /// which the sender paid when it issued the op.
     Put {
         issue: f64,
         dst: usize,
@@ -40,9 +41,6 @@ pub enum CommOp {
         offset: usize,
         /// Span of the payload in the superstep's staging buffer.
         data: Range<usize>,
-        /// High-performance (unbuffered) variant: skips the send-side
-        /// buffer copy, so the sender pays less CPU.
-        high_perf: bool,
     },
     /// `bsp_get`/`bsp_hpget`: read `len` bytes from `(src, src_reg,
     /// src_offset)` into the local `(dst_reg, dst_offset)`.
@@ -105,7 +103,6 @@ mod tests {
             reg: RegHandle(0),
             offset: 0,
             data: 40..140,
-            high_perf: false,
         };
         assert_eq!(put.target(), 3);
         assert_eq!(put.payload_bytes(), 100);

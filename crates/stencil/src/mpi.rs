@@ -73,8 +73,12 @@ pub fn run_mpi_stencil(
     let mut rng = derive_rng(seed, 0x4D50);
     let mut jitter = params.jitter;
     let mut net = NetState::new(placement);
+    // Buffers reused by every iteration: the messages an exchange posts,
+    // its resolver's scratch and result, and MPI+R's interior finish times.
+    let mut msgs = Vec::new();
     let mut ex_scratch = ExchangeScratch::default();
     let mut res = ExchangeResult::default();
+    let mut interior_done = vec![0.0f64; p];
     let mut t = vec![0.0f64; p];
     let mut iter_times = Vec::with_capacity(iters);
     let per_cell: Vec<f64> = (0..p)
@@ -102,15 +106,14 @@ pub fn run_mpi_stencil(
                         &mut t,
                         &mut net,
                         (seed, 2 * it as u64 + stage),
-                        (&mut ex_scratch, &mut res),
+                        (&mut msgs, &mut ex_scratch, &mut res),
                         sides,
                     );
                 }
             }
             MpiVariant::EarlyRequests => {
                 // Borders first, post everything, interior overlapped.
-                let mut msgs = Vec::new();
-                let mut interior_done = vec![0.0f64; p];
+                msgs.clear();
                 for r in 0..p {
                     let regions = decomp.regions(r);
                     let border = regions.pre_comm() as f64 * per_cell[r] * jitter.draw(&mut rng);
@@ -169,10 +172,14 @@ fn exchange_stage(
     t: &mut [f64],
     net: &mut NetState,
     (seed, rep): (u64, u64),
-    (ex_scratch, res): (&mut ExchangeScratch, &mut ExchangeResult),
+    (msgs, ex_scratch, res): (
+        &mut Vec<ExchangeMsg>,
+        &mut ExchangeScratch,
+        &mut ExchangeResult,
+    ),
     sides: [Side; 2],
 ) {
-    let mut msgs = Vec::new();
+    msgs.clear();
     for (r, &tr) in t.iter().enumerate() {
         for (_, peer, cells) in decomp.faces(r).filter(|f| sides.contains(&f.0)) {
             msgs.push(ExchangeMsg {
@@ -184,7 +191,7 @@ fn exchange_stage(
         }
     }
     let stream = (seed, STENCIL_JITTER_LABEL, rep);
-    resolve_exchange_batched(params, placement, &msgs, net, stream, ex_scratch, res);
+    resolve_exchange_batched(params, placement, msgs, net, stream, ex_scratch, res);
     // Blocking semantics: a process leaves the stage when its inbound
     // borders are in and its own sends have left the CPU.
     for (r, tr) in t.iter_mut().enumerate() {
