@@ -637,10 +637,10 @@ fn adapted_sweep(
 // ---------------------------------------------------------------- Ch. 8
 
 /// Table 8.1: the Ch. 8 configurations, rendered from the series the
-/// figures run. The A and B rows list the iterations of figure
-/// resolution; C1 lists the supersteps each ghost width is measured over.
-pub fn table8_1(dir: &Path) -> Vec<PathBuf> {
-    let iters = Effort::standard().stencil_iters;
+/// figures run. The A and B rows list the iterations `effort` runs them
+/// for; C1 lists the supersteps each ghost width is measured over.
+pub fn table8_1(dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+    let iters = effort.stencil_iters;
     let rows = A_SERIES
         .iter()
         .map(|&(id, _, n, impls)| (id, n, iters, impls.iter().map(|i| i.label()).collect()))
@@ -1662,7 +1662,7 @@ static REGISTRY: &[Experiment] = &[
         stochastic: "none",
         max_procs: 1,
         fits: no_fits,
-        run: |dir, _, _| table8_1(dir),
+        run: |dir, e, _| table8_1(dir, e),
     },
     Experiment {
         id: "table8_2",

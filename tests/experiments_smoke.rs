@@ -69,13 +69,15 @@ fn run_experiment_is_find_then_run() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Table 8.1 says what the figures ran: each A row lists exactly the
-/// implementation columns of its figure's CSV, in order.
+/// Table 8.1 says what the figures ran: each A row lists the iterations
+/// the run's effort gave the figures and exactly the implementation
+/// columns of its figure's CSV, in order.
 #[test]
 fn table8_1_lists_what_the_a_series_ran() {
     let dir = std::env::temp_dir().join(format!("hpm-exp-table8_1-{}", std::process::id()));
     let ids = ["table8_1", "fig8_4", "fig8_5", "fig8_6", "fig8_7"];
-    run_experiments(&ids, &dir, &Effort::quick(), || 0.0).expect("registered ids");
+    let effort = Effort::quick();
+    run_experiments(&ids, &dir, &effort, || 0.0).expect("registered ids");
     let table = std::fs::read_to_string(dir.join("table8_1.txt")).expect("read table");
     let rows: Vec<Vec<&str>> = table
         .lines()
@@ -86,6 +88,11 @@ fn table8_1_lists_what_the_a_series_ran() {
     assert_eq!(rows.len(), artifacts.len());
     for (row, name) in rows.iter().zip(artifacts) {
         assert!(name.ends_with(row[0]), "{name} is not row {}", row[0]);
+        assert_eq!(
+            row[2],
+            effort.stencil_iters.to_string(),
+            "{name} iterations"
+        );
         let csv = std::fs::read_to_string(dir.join(format!("{name}.csv"))).expect("read csv");
         let header = csv.lines().next().expect("csv header");
         let columns = header.strip_prefix("P,").expect("P column first");

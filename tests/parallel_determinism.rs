@@ -889,7 +889,7 @@ fn experiment_csv_bytes_identical_across_thread_counts() {
             ("fig8_18_C1_optimum.txt", 0xe4fe1ffe067071f1),
             ("table3_1.csv", 0x937e626a399eecc7),
             ("fig3_2.csv", 0xa66499e087ad7215),
-            ("table8_1.txt", 0x52b40e4e18868557),
+            ("table8_1.txt", 0x2f60a7eb8bfc0563),
             ("table8_2.csv", 0xd7e287f6d0f4ae9f),
             ("fig8_4_A1.csv", 0x2702063dbac15513),
             ("fig8_5_A2.csv", 0x83ed451b9da7ddc0),
