@@ -261,8 +261,9 @@ fn measure_pair(
             net.reset_pair(placement, i, j);
             let (_, processed) =
                 net.signal_round_trip(params, placement, jit, i, j, 0.0, bytes, 0.0);
-            // One-way time: processed at receiver (the ack is
-            // transport-internal and not application-visible).
+            // One-way time: processed at receiver. The ack waits for the
+            // receiver's post (here at 0.0, with the sender's start) and
+            // only frees the sender, so it is not part of the one-way time.
             *s = processed;
         }
         size_pts.push((bytes as f64, quantile_inplace(samples, 0.5)));

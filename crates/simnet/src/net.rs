@@ -5,9 +5,12 @@
 //! software stack moves data:
 //!
 //! * [`NetState::signal_round_trip`] — small control signals (barrier
-//!   stages). The sender is occupied until the transport-level
-//!   acknowledgement returns; this per-message round trip is the platform
-//!   behaviour that the Eq. 5.4 factor 2 models. It is the fault-free
+//!   stages). The sender is occupied until the acknowledgement returns,
+//!   and the receiver acknowledges only once it has processed the
+//!   signal, which it does no earlier than its own post (its entry into
+//!   the stage): the ack waits for the receiver's post, so a signal is a
+//!   rendezvous. This per-message round trip is the platform behaviour
+//!   that the Eq. 5.4 factor 2 models. It is the fault-free
 //!   instantiation of the one signal primitive, `NetState::signal`,
 //!   which the stage kernel calls under whatever `FaultView` the run has.
 //! * [`NetState::transfer`] — one-sided bulk transfers (BSPlib put/get
