@@ -319,7 +319,7 @@ const BEYOND_RANDOM: [[usize; 2]; 2] = [[230, 7940], [102, 2624]];
 #[test]
 fn late_rank_delays_only_its_closure() {
     for (pi, p) in [16usize, 64].into_iter().enumerate() {
-        let mut patterns: Vec<(CompiledPattern, PayloadSchedule)> = [
+        let patterns: Vec<(CompiledPattern, PayloadSchedule)> = [
             linear(p, 0),
             dissemination(p),
             binary_tree(p),
