@@ -269,9 +269,11 @@ impl<'a> BarrierSim<'a> {
             let posted = &mut scratch.posted[..p];
             let last_arrival = &mut scratch.last_arrival[..p];
             // Every process calls into the library: posted time = entry +
-            // call overhead; from then on its receives are posted.
+            // call overhead; from then on its receives are posted. The
+            // stage's entry multipliers land in `posted` as one slice.
+            jit.next_mults(posted);
             for (post, &e) in posted.iter_mut().zip(cur) {
-                *post = e + self.params.call_overhead * jit.next_mult();
+                *post = e + self.params.call_overhead * *post;
             }
             nxt.copy_from_slice(posted);
             // last_arrival[j] accumulates processing times of j's inbound
@@ -312,7 +314,7 @@ impl<'a> BarrierSim<'a> {
                 if last_arrival[j] > nxt[j] {
                     nxt[j] = last_arrival[j];
                 }
-                if let Some(gave_up) = view.missing_arrival(j, stage, posted[j]) {
+                if let Some(gave_up) = view.missing_arrival(j, posted[j]) {
                     if gave_up > nxt[j] {
                         nxt[j] = gave_up;
                     }

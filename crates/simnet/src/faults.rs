@@ -28,7 +28,7 @@
 
 use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
 use crate::net::{FaultView, NetState, SignalFate};
-use hpm_core::plan::{CompiledPattern, StagePlan};
+use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
 use hpm_stats::fault::{attempts_from_uniform, DropStream, FaultModel, FaultPlan};
 
@@ -128,8 +128,8 @@ pub struct FaultScratch {
 pub(crate) struct FaultBook {
     /// Per rank: gave up on a signal, as sender or as receiver.
     timed_out: Vec<bool>,
-    /// Per rank: signals delivered to it in the current stage.
-    arrived: Vec<usize>,
+    /// Per rank: a signal it expected in the current stage is missing.
+    missed: Vec<bool>,
 }
 
 impl Default for FaultScratch {
@@ -189,6 +189,8 @@ impl FaultView for Faults<'_> {
     #[inline]
     fn record(&mut self, src: usize, dst: usize, fate: &SignalFate) {
         match *fate {
+            // A first attempt would add `+0.0` to the retry delay.
+            SignalFate::Delivered { retries: 0, .. } => return,
             SignalFate::Delivered {
                 retries,
                 retry_delay,
@@ -196,7 +198,7 @@ impl FaultView for Faults<'_> {
             } => {
                 self.report.retries += retries as u64;
                 self.report.retry_delay += retry_delay;
-                self.book.arrived[dst] += 1;
+                return;
             }
             SignalFate::Lost { .. } => {
                 self.report.lost_signals += 1;
@@ -204,15 +206,15 @@ impl FaultView for Faults<'_> {
             }
             SignalFate::SenderDead => self.report.suppressed_signals += 1,
         }
+        self.book.missed[dst] = true;
     }
 
     /// A surviving rank missing an expected arrival waits out the
     /// sender-symmetric retry budget past its post, then gives up.
     #[inline]
-    fn missing_arrival(&mut self, j: usize, stage: &StagePlan, posted: f64) -> Option<f64> {
-        // Consumes the stage's arrival count: the next stage starts at 0.
-        let arrived = std::mem::take(&mut self.book.arrived[j]);
-        if arrived < stage.in_degree(j) && self.fplan.crash_time[j] == f64::INFINITY {
+    fn missing_arrival(&mut self, j: usize, posted: f64) -> Option<f64> {
+        // Consumes the stage's mark: the next stage starts unmarked.
+        if std::mem::take(&mut self.book.missed[j]) && self.fplan.crash_time[j] == f64::INFINITY {
             self.book.timed_out[j] = true;
             Some(posted + self.fault.loss_delay())
         } else {
@@ -291,8 +293,8 @@ impl BarrierSim<'_> {
         report.reset(p);
         book.timed_out.clear();
         book.timed_out.resize(p, false);
-        book.arrived.clear();
-        book.arrived.resize(p, 0);
+        book.missed.clear();
+        book.missed.resize(p, false);
         let mut view = Faults {
             fault,
             fplan,
@@ -417,7 +419,7 @@ mod tests {
     ) -> Faults<'a> {
         let p = fplan.crash_time.len();
         book.timed_out.resize(p, false);
-        book.arrived.resize(p, 0);
+        book.missed.resize(p, false);
         Faults {
             fault,
             fplan,

@@ -200,8 +200,9 @@ fn diag_medians(
     hpm_par::par_map_indexed_with(placement.nprocs(), scratch, |s, i| {
         let (sigma, reps) = (params.jitter.sigma, cfg.reps);
         s.jit.fill(sigma, seed, MICRO_DIAG_LABEL, i as u64, reps);
+        s.jit.next_mults(&mut s.samples);
         for x in s.samples.iter_mut() {
-            *x = params.call_overhead * s.jit.next_mult();
+            *x *= params.call_overhead;
         }
         quantile_inplace(&mut s.samples, 0.5)
     })

@@ -36,10 +36,14 @@
 //! [`hpm_stats::rng::JitterBuf`]. A signal consumes
 //! [`hpm_core::plan::SIGNAL_JITTER_DRAWS`] multipliers, a non-self
 //! transfer [`crate::exchange::TRANSFER_JITTER_DRAWS`] — counts the
-//! batched engine sizes its tables by.
+//! batched engine sizes its tables by. Each takes its group as one
+//! slice ([`JitterSource::next_mults`]) before any arithmetic, so a
+//! table checks its cursor once per message, not once per multiplier;
+//! a [`hpm_stats::rng::ScalarJitter`] still draws them one by one, in
+//! the same order.
 
 use crate::params::PlatformParams;
-use hpm_core::plan::StagePlan;
+use hpm_core::plan::SIGNAL_JITTER_DRAWS;
 use hpm_stats::rng::JitterSource;
 use hpm_topology::{LinkClass, Placement};
 
@@ -107,11 +111,13 @@ pub(crate) trait FaultView {
     #[inline(always)]
     fn record(&mut self, _src: usize, _dst: usize, _fate: &SignalFate) {}
 
-    /// End of `stage` at plan rank `j`, which posted its receives at
+    /// End of a stage at plan rank `j`, which posted its receives at
     /// `posted`: when a signal it expected never arrived, the time at
-    /// which `j` stops waiting for it.
+    /// which `j` stops waiting for it. A view learns of such a signal in
+    /// [`FaultView::record`], from its `Lost` or `SenderDead` fate, so it
+    /// books nothing for the signals that were delivered.
     #[inline(always)]
-    fn missing_arrival(&mut self, _j: usize, _stage: &StagePlan, _posted: f64) -> Option<f64> {
+    fn missing_arrival(&mut self, _j: usize, _posted: f64) -> Option<f64> {
         None
     }
 }
@@ -279,10 +285,9 @@ impl NetState {
     ) -> SignalFate {
         // Fixed consumption up front, in draw order.
         let u = view.drop_uniform();
-        let m_send = jit.next_mult();
-        let m_wire = jit.next_mult();
-        let m_recv = jit.next_mult();
-        let m_ack = jit.next_mult();
+        let mut m = [0.0; SIGNAL_JITTER_DRAWS];
+        jit.next_mults(&mut m);
+        let [m_send, m_wire, m_recv, m_ack] = m;
         if view.crashed_at(src, start) {
             return SignalFate::SenderDead;
         }
@@ -342,12 +347,15 @@ impl NetState {
             let done = issue + bytes as f64 * lc.inv_bandwidth;
             return (done, done);
         }
+        let mut m = [0.0; crate::exchange::TRANSFER_JITTER_DRAWS];
+        jit.next_mults(&mut m);
+        let [m_send, m_wire, m_recv] = m;
         let class = placement.link(src, dst);
         let lc = params.link(class);
-        let send_done = issue + lc.o_send * jit.next_mult();
+        let send_done = issue + lc.o_send * m_send;
         let dep = self.depart(params, placement, class, src, send_done);
-        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * jit.next_mult();
-        let o_recv = lc.o_recv * jit.next_mult();
+        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire;
+        let o_recv = lc.o_recv * m_recv;
         // Posted since forever: never unexpected, and no ack flies back.
         let busy = &mut self.recv_busy[dst];
         let (processed, _) = receive(params, dep + wire, f64::NEG_INFINITY, busy, o_recv, 0.0);
@@ -359,7 +367,6 @@ impl NetState {
 mod tests {
     use super::*;
     use crate::params::xeon_cluster_params;
-    use hpm_core::plan::SIGNAL_JITTER_DRAWS;
     use hpm_stats::rng::{derive_rng, ScalarJitter};
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
 

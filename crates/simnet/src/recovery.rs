@@ -18,7 +18,9 @@
 //!    zero-payload message each ([`consensus_cost`]), deliberately
 //!    draw-free so it perturbs no stream.
 //! 3. **Re-execution** — [`hpm_core::recovery::repair_plan`] synthesizes
-//!    a verified pattern over the survivors, and the same scalar stage
+//!    a verified pattern over the survivors (a pure function of their
+//!    count and the compacted goal, so [`RecoveryScratch`] keeps the last
+//!    one and reuses it while that pair repeats), and the same scalar stage
 //!    kernel that ran the attempt runs it fault-free: compacted plan
 //!    ranks map back to machine ranks through `survivors[i]`, so link
 //!    classification and in-flight [`NetState`] contention see the real
@@ -110,14 +112,20 @@ impl RecoveryReport {
 }
 
 /// Reusable per-worker state for the recovering executor: the faulty
-/// attempt's [`FaultScratch`] plus the crash/survivor partition the
-/// recovery phase computes.
+/// attempt's [`FaultScratch`], the crash/survivor partition the
+/// recovery phase computes and the last repaired plan.
 #[derive(Debug, Default)]
 pub struct RecoveryScratch {
     /// Scratch for the underlying faulty attempt.
     pub fault: FaultScratch,
     crashed: Vec<usize>,
     survivors: Vec<usize>,
+    /// The last plan [`repair_plan`] returned, keyed by what that plan
+    /// is a function of: the survivor count and the goal in the
+    /// survivors' compacted rank space. Repetitions with as many
+    /// crashes towards the same goal reuse it instead of rebuilding and
+    /// re-verifying it.
+    repaired: Option<(usize, KnowledgeGoal, CompiledPattern)>,
 }
 
 impl RecoveryScratch {
@@ -143,12 +151,33 @@ pub fn consensus_cost(params: &PlatformParams, survivors: usize) -> f64 {
     rounds * (params.call_overhead + lc.o_send + lc.latency + lc.o_recv)
 }
 
+/// `goal` in the compacted rank space of the ascending `survivors` of
+/// ranks `0..p`: what [`hpm_core::recovery::remap_goal`] computes, read
+/// off the survivor list instead of a fresh dead mask. `None` when a
+/// rooted goal's root crashed.
+///
+/// # Panics
+///
+/// Panics when the goal's root is out of range.
+fn compacted_goal(goal: KnowledgeGoal, p: usize, survivors: &[usize]) -> Option<KnowledgeGoal> {
+    let remap = |r: usize| {
+        assert!(r < p, "goal root {r} out of range for p={p}");
+        survivors.binary_search(&r).ok()
+    };
+    match goal {
+        KnowledgeGoal::AllToAll | KnowledgeGoal::Prefix => Some(goal),
+        KnowledgeGoal::RootGathers(r) => remap(r).map(KnowledgeGoal::RootGathers),
+        KnowledgeGoal::RootReaches(r) => remap(r).map(KnowledgeGoal::RootReaches),
+    }
+}
+
 impl BarrierSim<'_> {
     /// One recovering cold-start run: the faulty attempt, then — if
     /// ranks failed — detection, consensus and re-execution over the
-    /// survivors. Allocation-free on the no-failure path (a re-plan
-    /// synthesizes a fresh [`CompiledPattern`], which allocates). The
-    /// attempt phase is stream-for-stream
+    /// survivors. Allocation-free once `rs` is warm: a re-plan
+    /// synthesizes a fresh [`CompiledPattern`], which allocates, only
+    /// when the survivor count or the compacted goal differs from the
+    /// last one `rs` repaired. The attempt phase is stream-for-stream
     /// [`BarrierSim::run_once_faulty_into`]; see the module docs for the
     /// recovery phases.
     #[allow(clippy::too_many_arguments)]
@@ -238,8 +267,18 @@ impl BarrierSim<'_> {
         }
         out.detection_time = out.attempt.total() + fault.timeout;
         out.consensus_cost = consensus_cost(self.params, rs.survivors.len());
-        let Some(repaired) = repair_plan(plan.p(), goal, &rs.crashed) else {
+        let Some(key) = compacted_goal(goal, plan.p(), &rs.survivors) else {
             return;
+        };
+        let key = (rs.survivors.len(), key);
+        let repaired = match &mut rs.repaired {
+            Some((n, g, repaired)) if (*n, *g) == key => &*repaired,
+            cached => {
+                let Some(repaired) = repair_plan(plan.p(), goal, &rs.crashed) else {
+                    return;
+                };
+                &cached.insert((key.0, key.1, repaired)).2
+            }
         };
         out.replanned = true;
         out.replan_stages = repaired.stages();
@@ -254,7 +293,7 @@ impl BarrierSim<'_> {
         let none = PayloadSchedule::none();
         let rank_of = |i: usize| survivors[i];
         scratch.with_jitter(sigma, seed, label, rep, draws, |scratch, jit| {
-            self.run_stages(&repaired, &none, rank_of, net, jit, &mut NoFaults, scratch);
+            self.run_stages(repaired, &none, rank_of, net, jit, &mut NoFaults, scratch);
         });
         for (i, &r) in survivors.iter().enumerate() {
             out.outcomes[r] = RankOutcome::Completed(scratch.cur[i]);
@@ -426,6 +465,82 @@ mod tests {
         assert_eq!(recovering.len(), faulty.len());
         for (r, (rec, f)) in recovering.iter().zip(&faulty).enumerate() {
             assert_eq!(report_words(&rec.attempt), report_words(f), "rep {r}");
+        }
+    }
+
+    /// A recovery report as words: the attempt's, each final outcome's
+    /// kind and time bits, then the recovery fields.
+    fn recovery_words(r: &RecoveryReport) -> Vec<u64> {
+        let mut words = report_words(&r.attempt);
+        let outcomes = FaultReport {
+            outcomes: r.outcomes.clone(),
+            ..FaultReport::default()
+        };
+        words.extend(report_words(&outcomes));
+        words.extend([
+            u64::from(r.replanned),
+            u64::from(r.recovered),
+            r.detection_time.to_bits(),
+            r.consensus_cost.to_bits(),
+            r.replan_stages as u64,
+        ]);
+        words
+    }
+
+    /// One `RecoveryScratch` carried through crash sets of size 1, 2 and
+    /// 1 (all-to-all, a gather, then a crashed root) and on through
+    /// steps that hit and miss its cached repaired plan: every report is
+    /// bitwise a fresh scratch's. Keying the cache by survivor count
+    /// alone fails step 5 (the all-to-all plan served to a gather), and
+    /// keying it by the goal as given rather than compacted fails step 7
+    /// (the gather around compacted root 5 served for root 4).
+    #[test]
+    fn carried_recovery_scratch_matches_a_fresh_one_bitwise() {
+        use KnowledgeGoal::{AllToAll, RootGathers};
+        let p = 16;
+        let (params, placement) = sim_fixture(p);
+        let sim = BarrierSim::new(&params, &placement);
+        let plan = dissemination(p);
+        let (payload, label, none) = (
+            PayloadSchedule::none(),
+            BARRIER_JITTER_LABEL,
+            FaultModel::NONE,
+        );
+        let zeros = vec![0.0; p];
+        let (mut net, mut scratch) = (NetState::new(&placement), SimScratch::new(&placement));
+        let (mut rs, mut out) = (RecoveryScratch::new(), RecoveryReport::new(p));
+        let steps: [(&[usize], KnowledgeGoal); 8] = [
+            (&[3], AllToAll),
+            (&[3, 7], RootGathers(5)),
+            (&[5], RootGathers(5)),
+            (&[6], AllToAll),
+            (&[9], AllToAll),
+            (&[2], RootGathers(5)),
+            (&[7, 9], RootGathers(5)),
+            (&[2, 9], RootGathers(5)),
+        ];
+        for (step, &(crashed, goal)) in steps.iter().enumerate() {
+            let (seed, rep) = (5, step as u64);
+            let fplan = FaultPlan::with_crashes(p, crashed);
+            net.reset();
+            sim.run_once_recovering_with(
+                &plan,
+                &payload,
+                goal,
+                &none,
+                &fplan,
+                &zeros,
+                &mut net,
+                seed,
+                label,
+                rep,
+                &mut scratch,
+                &mut rs,
+                &mut out,
+            );
+            assert_eq!(out.recovered, step != 2, "step {step}");
+            let fresh = lone_recovering(&sim, &plan, goal, &none, Some(crashed), seed, rep);
+            assert_eq!(recovery_words(&out), recovery_words(&fresh), "step {step}");
         }
     }
 

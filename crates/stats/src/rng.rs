@@ -121,6 +121,18 @@ impl JitterModel {
 pub trait JitterSource {
     /// The next multiplier (1.0 exactly when jitter is disabled).
     fn next_mult(&mut self) -> f64;
+
+    /// The next `out.len()` multipliers, in draw order: what as many
+    /// [`JitterSource::next_mult`] calls return, which is this default.
+    /// The stage kernel reads a stage's entry draws and each signal's
+    /// four draws this way, so a table-backed source serves each group
+    /// as one slice.
+    #[inline]
+    fn next_mults(&mut self, out: &mut [f64]) {
+        for m in out {
+            *m = self.next_mult();
+        }
+    }
 }
 
 /// Scalar [`JitterSource`]: a [`JitterModel`] drawing from a borrowed
@@ -387,6 +399,23 @@ impl JitterSource for JitterBuf {
         let v = self.mults[self.row - self.win_start];
         self.row += 1;
         v
+    }
+
+    /// One cursor check and one copy for the whole group.
+    #[inline]
+    fn next_mults(&mut self, out: &mut [f64]) {
+        if !self.active {
+            out.fill(1.0);
+            return;
+        }
+        assert_eq!(self.lanes, 1, "scalar consumption needs a 1-lane fill");
+        let k = out.len();
+        if self.row + k > self.win_end {
+            self.refill(k);
+        }
+        let start = self.row - self.win_start;
+        out.copy_from_slice(&self.mults[start..start + k]);
+        self.row += k;
     }
 }
 

@@ -36,6 +36,8 @@
 //! below sampling noise; the statistical-equivalence tests (here and in
 //! `hpm-simnet`) pin the old and new streams to the same distribution.
 
+use std::sync::{Mutex, PoisonError};
+
 /// The SplitMix64 finalizer: a bijective avalanche mix of one word.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -154,9 +156,7 @@ pub fn norminv(p: f64) -> f64 {
     debug_assert!(p > 0.0 && p < 1.0, "norminv domain is (0,1), got {p}");
     if p < P_LOW {
         // Lower tail.
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
+        tail_quantile(p.ln())
     } else if p <= 1.0 - P_LOW {
         // Central region: odd rational in q = p − ½.
         let q = p - 0.5;
@@ -165,10 +165,17 @@ pub fn norminv(p: f64) -> f64 {
             / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
     } else {
         // Upper tail, by symmetry.
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -((((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0))
+        -tail_quantile((1.0 - p).ln())
     }
+}
+
+/// The lower tail branch of [`norminv`] after its `ln`: the quantile at
+/// `p` from `l = ln p`. Rational in `q = √(−2l)`.
+#[inline]
+fn tail_quantile(l: f64) -> f64 {
+    let q = (-2.0 * l).sqrt();
+    (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
+        / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
 }
 
 /// `exp(x)` as pure arithmetic: split off the power of two
@@ -216,19 +223,46 @@ pub fn fast_exp(x: f64) -> f64 {
 pub struct QuantileTable {
     /// σ or α.
     param: f64,
-    /// `(param, u) ↦ q(u)`, evaluated directly.
-    exact: fn(f64, f64) -> f64,
-    /// Cells at each end served by `exact`.
+    /// Which quantile function `param` parameterises.
+    shape: Shape,
+    /// Cells at each end served by the exact function.
     margin: usize,
     /// `knots[k] = q(k / CELLS)`; the first and last `margin` knots are
     /// NaN: [`QuantileTable::mult`] never reads them, and a cell of
     /// [`QuantileTable::fill_rows`] that did and missed its patch-up
     /// would show.
-    knots: Box<[f64; CELLS + 1]>,
+    knots: Box<Knots>,
+}
+
+/// The two quantile functions a [`QuantileTable`] tabulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// `u ↦ exp(σ·Φ⁻¹(u))`.
+    LogNormal,
+    /// `u ↦ (2(1−u))^(−1/α)`.
+    Pareto,
 }
 
 /// Grid cells of a [`QuantileTable`] (16 KiB of knots).
 const CELLS: usize = 2048;
+
+/// Per [`Shape`], the parameter bits and knots of the last table built.
+/// A table is a pure function of its shape and parameter, and every
+/// `measure_*` call builds its workers' tables anew (about 30 µs each),
+/// so a rebuild for the same parameter copies the knots instead. The
+/// cache is a static, not a heap object: a build allocates what it
+/// always did, its one `Box`.
+static LAST_KNOTS: Mutex<[Option<(u64, Knots)>; 2]> = Mutex::new([None, None]);
+
+/// A [`QuantileTable`]'s knot grid.
+type Knots = [f64; CELLS + 1];
+
+/// Slow-margin cells of [`QuantileTable::lognormal`] at each end.
+const LOGNORMAL_MARGIN: usize = 32;
+
+// The log-normal margin lies inside `norminv`'s tail branches, so a
+// slow-margin draw's exact value is `tail_quantile` of one `ln`.
+const _: () = assert!((LOGNORMAL_MARGIN as f64) < P_LOW * CELLS as f64);
 
 /// [`QuantileTable::pareto`] takes tail exponents above this floor only.
 pub(crate) const MIN_PARETO_ALPHA: f64 = 0.05;
@@ -251,7 +285,7 @@ impl QuantileTable {
     /// better than 1e-3 in z.
     pub fn lognormal(sigma: f64) -> QuantileTable {
         assert!(sigma > 0.0, "table is for active jitter only");
-        QuantileTable::build(sigma, |sigma, u| fast_exp(sigma * norminv(u)), 32)
+        QuantileTable::build(sigma, Shape::LogNormal, LOGNORMAL_MARGIN)
     }
 
     /// The Pareto multiplier `u ↦ (2(1−u))^(−1/α)`, median 1, for tail
@@ -277,21 +311,65 @@ impl QuantileTable {
             alpha.is_finite() && alpha > MIN_PARETO_ALPHA,
             "pareto tail exponent must be finite and > {MIN_PARETO_ALPHA}, got {alpha}"
         );
-        let exact = |alpha: f64, u: f64| fast_exp(-(2.0 * (1.0 - u)).ln() / alpha);
-        QuantileTable::build(alpha, exact, 64)
+        QuantileTable::build(alpha, Shape::Pareto, 64)
     }
 
-    fn build(param: f64, exact: fn(f64, f64) -> f64, margin: usize) -> QuantileTable {
+    fn build(param: f64, shape: Shape, margin: usize) -> QuantileTable {
         assert!(margin <= CELLS / 2, "margins meet in the middle at most");
-        let mut knots = Box::new([f64::NAN; CELLS + 1]);
-        for k in margin..=CELLS - margin {
-            knots[k] = exact(param, k as f64 / CELLS as f64);
-        }
-        QuantileTable {
+        let mut table = QuantileTable {
             param,
-            exact,
+            shape,
             margin,
-            knots,
+            knots: Box::new([f64::NAN; CELLS + 1]),
+        };
+        let lock = || LAST_KNOTS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((bits, knots)) = &lock()[shape as usize] {
+            if *bits == param.to_bits() {
+                *table.knots = *knots;
+                return table;
+            }
+        }
+        for k in margin..=CELLS - margin {
+            table.knots[k] = table.exact(k as f64 / CELLS as f64);
+        }
+        lock()[shape as usize] = Some((param.to_bits(), *table.knots));
+        table
+    }
+
+    /// The quantile function at `u`, evaluated directly.
+    #[inline]
+    fn exact(&self, u: f64) -> f64 {
+        match self.shape {
+            Shape::LogNormal => fast_exp(self.param * norminv(u)),
+            Shape::Pareto => fast_exp(-(2.0 * (1.0 - u)).ln() / self.param),
+        }
+    }
+
+    /// The exact function's one `ln` at a slow-margin draw `u`, and the
+    /// sign (`±0.0`) [`QuantileTable::exact_from_log`] gives its value.
+    #[inline]
+    fn slow_log(&self, u: f64) -> (f64, f64) {
+        match self.shape {
+            // Both tails through one `ln` call, the tail picked by a
+            // select rather than a branch on a coin flip.
+            Shape::LogNormal => {
+                let upper = u >= 0.5;
+                let p = if upper { 1.0 - u } else { u };
+                (p.ln(), if upper { -0.0 } else { 0.0 })
+            }
+            Shape::Pareto => ((2.0 * (1.0 - u)).ln(), -0.0),
+        }
+    }
+
+    /// The rest of the exact function: `exact(u)` from
+    /// `(l, sign) = slow_log(u)`, bit for bit, for any slow-margin `u`.
+    /// [`QuantileTable::exact_from_log_x4`] is this on four draws at once.
+    #[inline]
+    fn exact_from_log(&self, l: f64, sign: f64) -> f64 {
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ sign.to_bits());
+        match self.shape {
+            Shape::LogNormal => fast_exp(self.param * flip(tail_quantile(l))),
+            Shape::Pareto => fast_exp(flip(l) / self.param),
         }
     }
 
@@ -313,7 +391,7 @@ impl QuantileTable {
         let t = u * CELLS as f64;
         let k = t as usize;
         if !self.tabulated(k) {
-            return (self.exact)(self.param, u);
+            return self.exact(u);
         }
         let a = self.knots[k];
         let b = self.knots[k + 1];
@@ -334,7 +412,8 @@ impl QuantileTable {
     /// cell, NaN knots included, so the loop has no data-dependent
     /// branch. Cells whose index lies in the slow margin are noted and,
     /// once the block is done, recomputed from the counter by the exact
-    /// function, as `mult` would have.
+    /// function, as `mult` would have: one scalar `ln` each, the rest in
+    /// batches, four cells at a time where the CPU has AVX-512DQ/VL.
     ///
     /// At [`WIDE_LANES`] on an `x86_64` CPU with AVX-512DQ/VL the rows
     /// are filled by a 256-bit vector kernel with the same cell values
@@ -388,6 +467,7 @@ impl QuantileTable {
         let delta = stride.wrapping_mul(GOLDEN);
         let mut step = first_row.wrapping_mul(delta).wrapping_add(GOLDEN);
         let mut row = first_row;
+        let mut patch = Patch::new();
         for block in out.chunks_mut(block_rows * lanes) {
             let mut n_slow = 0;
             for (r, cells) in block.chunks_exact_mut(lanes).enumerate() {
@@ -404,9 +484,10 @@ impl QuantileTable {
             }
             for &i in &slow[..n_slow] {
                 let draw = row.wrapping_add((i / lanes) as u64).wrapping_mul(stride);
-                let mut at = streams[i % lanes].seek(draw);
-                block[i] = (self.exact)(self.param, at.next_unit_open());
+                let u = streams[i % lanes].seek(draw).next_unit_open();
+                patch.push(self, block, i, u);
             }
+            patch.flush(self, block);
             row = row.wrapping_add(block_rows as u64);
         }
     }
@@ -489,6 +570,7 @@ impl QuantileTable {
         );
         let (lo, hi) = (self.knots.as_ptr(), self.knots[1..].as_ptr());
         let mut row = first_row;
+        let mut patch = Patch::new();
         for block in out.chunks_mut(FILL_BLOCK) {
             let mut slow = [0u8; BLOCK_ROWS];
             for (r, cells) in block.chunks_exact_mut(WIDE_LANES).enumerate() {
@@ -528,11 +610,137 @@ impl QuantileTable {
                     let draw = row
                         .wrapping_add((i / WIDE_LANES) as u64)
                         .wrapping_mul(stride);
-                    let mut at = streams[i % WIDE_LANES].seek(draw);
-                    block[i] = (self.exact)(self.param, at.next_unit_open());
+                    let u = streams[i % WIDE_LANES].seek(draw).next_unit_open();
+                    patch.push(self, block, i, u);
                 }
             }
+            patch.flush(self, block);
             row = row.wrapping_add(BLOCK_ROWS as u64);
+        }
+    }
+
+    /// [`QuantileTable::exact_from_log`] on the first `n` of `log`/`sign`,
+    /// four at a time on 256-bit registers, into `vals`: `sqrt`, both rational
+    /// polynomials, the division and [`fast_exp`], each multiply and add
+    /// a separate instruction as in the scalar code, so every value
+    /// rounds the same.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512DQ and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512dq,avx512vl")]
+    unsafe fn exact_from_log_x4(
+        &self,
+        log: &[f64; PATCH],
+        sign: &[f64; PATCH],
+        n: usize,
+        vals: &mut [f64; PATCH],
+    ) {
+        use std::arch::x86_64::*;
+        let splat = |v: f64| _mm256_set1_pd(v);
+        let (add, mul) = (
+            |a: __m256d, b: __m256d| _mm256_add_pd(a, b),
+            |a: __m256d, b: __m256d| _mm256_mul_pd(a, b),
+        );
+        // Horner's rule, `c[0]·q + c[1]` first, as the scalar code nests.
+        let horner = |c: &[f64], q: __m256d| {
+            c[1..]
+                .iter()
+                .fold(splat(c[0]), |acc, &k| add(mul(acc, q), splat(k)))
+        };
+        let param = splat(self.param);
+        let groups = log
+            .chunks_exact(4)
+            .zip(sign.chunks_exact(4))
+            .zip(vals.chunks_exact_mut(4));
+        for ((l, s), v) in groups.take(n.div_ceil(4)) {
+            // SAFETY: each chunk holds exactly four f64.
+            let (l, s) = (_mm256_loadu_pd(l.as_ptr()), _mm256_loadu_pd(s.as_ptr()));
+            let x = match self.shape {
+                Shape::LogNormal => {
+                    let q = _mm256_sqrt_pd(mul(splat(-2.0), l));
+                    let num = horner(&C, q);
+                    let den = add(mul(horner(&D, q), q), splat(1.0));
+                    mul(param, _mm256_xor_pd(_mm256_div_pd(num, den), s))
+                }
+                Shape::Pareto => _mm256_div_pd(_mm256_xor_pd(l, s), param),
+            };
+            // fast_exp, step for step.
+            let y = mul(x, splat(std::f64::consts::LOG2_E));
+            const SHIFTER: f64 = 6_755_399_441_055_744.0;
+            let k = _mm256_sub_pd(add(y, splat(SHIFTER)), splat(SHIFTER));
+            let t = mul(_mm256_sub_pd(y, k), splat(std::f64::consts::LN_2));
+            let mut poly = add(splat(1.0 / 720.0), mul(t, splat(1.0 / 5040.0)));
+            for c in [1.0 / 120.0, 1.0 / 24.0, 1.0 / 6.0, 0.5, 1.0, 1.0] {
+                poly = add(splat(c), mul(t, poly));
+            }
+            let bits = _mm256_add_epi64(_mm256_cvttpd_epi64(k), _mm256_set1_epi64x(1023));
+            let two_k = _mm256_castsi256_pd(_mm256_slli_epi64::<52>(bits));
+            _mm256_storeu_pd(v.as_mut_ptr(), mul(poly, two_k));
+        }
+    }
+}
+
+/// Slow-margin cells per [`Patch`] batch: four vectors of four.
+const PATCH: usize = 16;
+
+/// The slow-margin cells of one fill block, batched: a cell's `ln`, the
+/// one libm call of its exact value, is taken when it is noted, and the
+/// rest of the exact function runs over the noted cells at once (four
+/// at a time on AVX-512DQ/VL, else cell by cell) when [`PATCH`] are
+/// noted or the block ends. Both fill kernels patch through it.
+struct Patch {
+    n: usize,
+    cell: [usize; PATCH],
+    log: [f64; PATCH],
+    sign: [f64; PATCH],
+}
+
+impl Patch {
+    fn new() -> Patch {
+        // Lanes past the noted cells compute on a stale `ln` or on this
+        // `−1`; their values are discarded.
+        Patch {
+            n: 0,
+            cell: [0; PATCH],
+            log: [-1.0; PATCH],
+            sign: [0.0; PATCH],
+        }
+    }
+
+    /// Notes `out[cell]` as the slow-margin draw `u`; patches the batch
+    /// when it is full.
+    #[inline]
+    fn push(&mut self, tab: &QuantileTable, out: &mut [f64], cell: usize, u: f64) {
+        (self.log[self.n], self.sign[self.n]) = tab.slow_log(u);
+        self.cell[self.n] = cell;
+        self.n += 1;
+        if self.n == PATCH {
+            self.flush(tab, out);
+        }
+    }
+
+    /// Writes the noted cells' exact values into `out` and empties the
+    /// batch.
+    fn flush(&mut self, tab: &QuantileTable, out: &mut [f64]) {
+        let n = std::mem::take(&mut self.n);
+        if n == 0 {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512dq") && is_x86_feature_detected!("avx512vl") {
+            let mut vals = [0.0; PATCH];
+            // SAFETY: the kernel's one requirement is that the CPU has
+            // AVX-512DQ and AVX-512VL, detected on the line above.
+            unsafe { tab.exact_from_log_x4(&self.log, &self.sign, n, &mut vals) };
+            for (&cell, &v) in self.cell[..n].iter().zip(&vals) {
+                out[cell] = v;
+            }
+            return;
+        }
+        for k in 0..n {
+            out[self.cell[k]] = tab.exact_from_log(self.log[k], self.sign[k]);
         }
     }
 }
@@ -777,6 +985,79 @@ mod tests {
                 slow(first, 0) && slow(last, block_rows - 1) && slow(first, block_rows)
             })
             .expect("some seed has slow draws on all three edge cells")
+    }
+
+    /// The batched patch against the per-cell exact path, bit for bit:
+    /// slow-margin draws of both tails and both shapes, from the extreme
+    /// uniforms inward, in batches that end short of a vector, fill one
+    /// exactly and overflow it.
+    #[test]
+    fn patch_matches_the_exact_function_bitwise() {
+        let tables = [
+            QuantileTable::lognormal(0.05),
+            QuantileTable::lognormal(3.0),
+            QuantileTable::pareto(0.06),
+            QuantileTable::pareto(1.5),
+        ];
+        for tab in &tables {
+            let edge = tab.margin as f64 / CELLS as f64;
+            let mut draws = vec![unit_open(0), unit_open(u64::MAX)];
+            draws.extend((0..64).map(|k| edge * (k as f64 + 0.5) / 64.0));
+            draws.extend((0..64).map(|k| 1.0 - edge * (k as f64 + 0.5) / 64.0));
+            let mut s = SplitMix64::new(17);
+            draws.extend(
+                std::iter::repeat_with(|| s.next_unit_open())
+                    .filter(|&u| !tab.tabulated((u * CELLS as f64) as usize))
+                    .take(300),
+            );
+            for n in [
+                1,
+                3,
+                4,
+                5,
+                PATCH - 1,
+                PATCH,
+                PATCH + 1,
+                2 * PATCH + 3,
+                draws.len(),
+            ] {
+                let mut out = vec![f64::NAN; n];
+                let mut patch = Patch::new();
+                for (cell, &u) in draws[..n].iter().enumerate() {
+                    patch.push(tab, &mut out, cell, u);
+                }
+                patch.flush(tab, &mut out);
+                for (&u, got) in draws.iter().zip(&out) {
+                    let want = tab.exact(u);
+                    assert_eq!(got.to_bits(), want.to_bits(), "param {} u {u}", tab.param);
+                }
+            }
+        }
+    }
+
+    /// A first block holding more slow-margin cells than one patch batch
+    /// takes, at one lane and at eight: the batch is patched mid-block
+    /// and the block's remaining cells after it.
+    #[test]
+    fn fill_rows_patches_more_slow_cells_than_one_batch() {
+        for tab in [QuantileTable::lognormal(0.2), QuantileTable::pareto(1.5)] {
+            for lanes in [1, WIDE_LANES] {
+                let block_rows = FILL_BLOCK / lanes;
+                let slow_cells = |seed: u64| {
+                    (0..lanes as u64)
+                        .flat_map(|l| {
+                            let s = SplitMix64::from_parts(seed, 7, l);
+                            (0..block_rows as u64).map(move |r| s.seek(r).next_unit_open())
+                        })
+                        .filter(|&u| !tab.tabulated((u * CELLS as f64) as usize))
+                        .count()
+                };
+                let seed = (0..)
+                    .find(|&seed| slow_cells(seed) > PATCH)
+                    .expect("some seed overflows one batch in the first block");
+                assert_rows_match_mult(&tab, seed, lanes, 0, 3 * block_rows);
+            }
+        }
     }
 
     /// The counter identity behind one-lane fills, on the scalar kernel

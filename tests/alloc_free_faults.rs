@@ -5,12 +5,14 @@
 //! Same harness as `alloc_free.rs`: a counting global allocator, one
 //! warmup repetition to size every reused buffer (fault plan, timeout
 //! bookkeeping, jitter tables, reports), then many repetitions under a
-//! snapshot of the allocation counter. Two paths are covered: the faulty
-//! executor under a drop + straggler model, and the recovering executor
-//! on its no-failure path (a *successful* recovery synthesizes a fresh
-//! plan, which legitimately allocates — that path is exercised
-//! functionally elsewhere). Stragglers are included: the fault plan
-//! builds its Pareto quantile table during warmup and keeps it. This
+//! snapshot of the allocation counter. Three paths are covered: the
+//! faulty executor under a drop + straggler model, the recovering
+//! executor on its no-failure path, and the recovering executor under
+//! one crash per repetition, which re-plans every time: the warm-up
+//! repetition synthesizes the repaired plan and the recovery scratch
+//! keeps it, since every later repetition has as many survivors towards
+//! the same goal. Stragglers are included: the fault plan builds its
+//! Pareto quantile table during warmup and keeps it. This
 //! file holds exactly one test: integration-test binaries are one
 //! process each, so no concurrent test can pollute the counter.
 
@@ -182,5 +184,66 @@ fn faulty_and_recovering_repetitions_allocate_nothing() {
     assert_eq!(
         min_delta, 0,
         "every trial of 64 warm recovering repetitions heap-allocated (min {min_delta})"
+    );
+
+    // Recovering executor on the re-plan path: one crash per repetition,
+    // at a rank the fault stream picks, so every repetition repairs the
+    // all-to-all goal over 63 survivors.
+    let crash_model = FaultModel {
+        crash_count: 1,
+        crash_window: 1e-4,
+        drop: DropProb::uniform(0.01),
+        timeout: 2e-4,
+        ..clean_model
+    };
+    assert_eq!(crash_model.checked(), Ok(()));
+    let mut rs = RecoveryScratch::new();
+    net.reset();
+    sim.run_once_recovering_into(
+        &plan,
+        &payload,
+        KnowledgeGoal::AllToAll,
+        &crash_model,
+        &zeros,
+        &mut net,
+        7,
+        BARRIER_JITTER_LABEL,
+        0,
+        &mut scratch,
+        &mut rs,
+        &mut rec,
+    );
+    assert!(rec.recovered && rec.replanned);
+
+    let mut min_delta = usize::MAX;
+    for trial in 0..8u64 {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let mut acc = 0.0;
+        for rep in 0..64u64 {
+            net.reset();
+            sim.run_once_recovering_into(
+                &plan,
+                &payload,
+                KnowledgeGoal::AllToAll,
+                &crash_model,
+                &zeros,
+                &mut net,
+                7 + trial,
+                BARRIER_JITTER_LABEL,
+                rep,
+                &mut scratch,
+                &mut rs,
+                &mut rec,
+            );
+            assert!(rec.recovered && rec.replanned);
+            acc += rec.total();
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert!(acc.is_finite() && acc > 0.0);
+        min_delta = min_delta.min(after - before);
+    }
+    assert_eq!(
+        min_delta, 0,
+        "every trial of 64 warm re-planning repetitions heap-allocated (min {min_delta})"
     );
 }
