@@ -34,6 +34,7 @@ pub mod lint;
 
 use hpm_core::knowledge::{KnowledgeGoal, VerifyScratch};
 use hpm_core::plan::CompiledPattern;
+use hpm_core::recovery::SurvivorMap;
 use std::fmt;
 
 /// How bad a finding is. `Error` findings make a plan unusable (an
@@ -179,16 +180,21 @@ impl Analyzer {
         diags
     }
 
-    /// Static k-crash coverage: prunes every signal a crashed rank sends
-    /// or receives, replays the §5.5 knowledge recurrence over the
-    /// surviving edges, and decides whether `goal` *restricted to the
-    /// survivors* is still attained. A rooted goal whose root crashed —
-    /// or was never a rank of the plan — is lost by definition.
+    /// Static k-crash coverage: prunes the plan to the survivors of
+    /// `crashed` ([`SurvivorMap::restrict`]), replays the §5.5 knowledge
+    /// recurrence over it, and decides whether `goal` restated over the
+    /// survivors ([`SurvivorMap::goal`]) is still attained. A rooted goal
+    /// whose root crashed — or was never a rank of the plan — is lost by
+    /// definition.
     ///
     /// The structural rules deliberately do not run on the pruned plan:
-    /// pruning legitimately produces empty stages and dead ranks, which
-    /// are contract violations for an executable plan but the expected
-    /// shape of a post-crash one. Only the recurrence is consulted.
+    /// pruning legitimately produces dead ranks, which are contract
+    /// violations for an executable plan but the expected shape of a
+    /// post-crash one. Only the recurrence is consulted.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a crashed rank is out of range.
     #[must_use]
     pub fn k_crash_coverage(
         &mut self,
@@ -196,49 +202,28 @@ impl Analyzer {
         goal: KnowledgeGoal,
         crashed: &[usize],
     ) -> CrashVerdict {
-        let p = plan.p();
-        let mut dead = vec![false; p];
-        for &r in crashed {
-            assert!(r < p, "crashed rank {r} out of range for p = {p}");
-            dead[r] = true;
-        }
-        let root_crashed = goal.root().is_some_and(|r| r >= p || dead[r]);
-        let uninformed_pairs = if root_crashed {
-            0
-        } else {
-            let stage_edges: Vec<Vec<(usize, usize)>> = (0..plan.stages())
-                .map(|s| {
-                    let stage = plan.stage(s);
-                    (0..p)
-                        .filter(|&i| !dead[i])
-                        .flat_map(|i| stage.dsts(i).iter().map(move |&j| (i, j as usize)))
-                        .filter(|&(_, j)| !dead[j])
-                        .collect()
-                })
-                .collect();
-            let pruned = CompiledPattern::from_stage_edges(plan.name(), p, &stage_edges);
-            self.scratch
-                .verify(&pruned)
-                .missing(goal)
-                .filter(|&(i, j)| !dead[i] && !dead[j])
-                .count()
+        let map = SurvivorMap::new(plan.p(), crashed);
+        let survivor_goal = match goal.root() {
+            Some(r) if r >= plan.p() => None,
+            _ => map.goal(goal),
+        };
+        let uninformed_pairs = match survivor_goal {
+            Some(g) if !map.ranks().is_empty() => {
+                self.scratch.verify(&map.restrict(plan)).missing(g).count()
+            }
+            _ => 0,
         };
         CrashVerdict {
-            crashed: {
-                let mut c: Vec<usize> = crashed.to_vec();
-                c.sort_unstable();
-                c.dedup();
-                c
-            },
+            crashed: map.crashed().collect(),
             goal,
-            root_crashed,
+            root_crashed: survivor_goal.is_none(),
             uninformed_pairs,
         }
     }
 
-    /// Runs the survivor re-plan synthesizer
-    /// ([`hpm_core::recovery::repair_plan`]) against a crash set and
-    /// reports the sets *no* re-plan can fix. This is the actionable
+    /// Runs the survivor re-plan synthesizer ([`SurvivorMap::repair`])
+    /// against a crash set and reports the sets *no* re-plan can fix.
+    /// This is the actionable
     /// promotion of [`Analyzer::k_crash_coverage`]: a warning there says
     /// the deployed plan loses the goal, while a diagnostic here says the
     /// runtime recovery layer cannot help either — today that means the
@@ -255,21 +240,19 @@ impl Analyzer {
         if let Some(d) = root_out_of_range(plan.p(), goal) {
             return Some(d);
         }
-        if hpm_core::recovery::repair_plan(plan.p(), goal, crashed).is_some() {
+        let map = SurvivorMap::new(plan.p(), crashed);
+        if map.repair(goal).is_some() {
             return None;
         }
-        let mut sorted: Vec<usize> = crashed.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let listed: Vec<usize> = sorted.iter().copied().take(MAX_LISTED).collect();
-        let why = if sorted.len() >= plan.p() {
+        let listed: Vec<usize> = map.crashed().take(MAX_LISTED).collect();
+        let why = if map.ranks().is_empty() {
             "no rank survives"
         } else {
             "the goal cannot be restated over the survivors"
         };
         let message = format!(
             "{goal:?} unrecoverable after crashing {}: {why}",
-            capped("ranks", sorted.len(), &listed)
+            capped("ranks", plan.p() - map.ranks().len(), &listed)
         );
         Some(Diagnostic {
             severity: Severity::Error,

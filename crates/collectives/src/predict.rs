@@ -4,7 +4,7 @@
 //! predictor needs — its compiled plan plus payload schedule — so
 //! prediction is a single call into `hpm-core`. The same pair drives the
 //! Fig. 5.5 staged executor of `hpm-simnet`
-//! ([`hpm_simnet::barrier::BarrierSim::measure_compiled`] on
+//! (`hpm_simnet::barrier::BarrierSim::measure_compiled` on
 //! [`CollectivePattern::compiled`]), which is what the predict-vs-sim
 //! experiments compare against: the simulator is the stand-in for the
 //! thesis' measured clusters.

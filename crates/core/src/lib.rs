@@ -30,9 +30,9 @@
 //!   benchmark surface takes of both.
 //! * [`plan`] — the one stage representation, from authoring to
 //!   execution: CSR adjacency ([`plan::StagePlan`], built from edge
-//!   lists) and whole patterns with their precomputed §5.6.5 tables
-//!   ([`plan::CompiledPattern`]) for allocation-free hot loops in the
-//!   predictor, verifier and simulator.
+//!   lists) and whole patterns with their precomputed §5.6.5
+//!   posted-receiver table ([`plan::CompiledPattern`]) for
+//!   allocation-free hot loops in the predictor, verifier and simulator.
 //! * [`knowledge`] — the knowledge correctness test
 //!   `K_i = K_{i−1} + K_{i−1}·S_i` (Eqs. 5.1–5.2) as a bit-parallel
 //!   reachability recurrence, generalized to rooted and prefix knowledge
@@ -45,10 +45,13 @@
 //!   prefix plan.
 //! * [`superstep`] — the fundamental equation of modeling (Eq. 1.1/1.4)
 //!   and the overlap it saves (Eq. 3.15).
-//! * [`recovery`] — survivor re-planning after crashes:
-//!   [`plan::CompiledPattern::restrict_to_survivors`] prunes and
-//!   compacts, [`recovery::repair_plan`] synthesizes a fresh verified
-//!   pattern over the survivors when pruning severed the knowledge flow.
+//! * [`recovery`] — the crash-set rule and survivor re-planning:
+//!   [`recovery::SurvivorMap`] validates a crash set, numbers the
+//!   survivors in ascending rank order, restates a goal over them and
+//!   prunes a plan to them
+//!   ([`plan::CompiledPattern::restrict_to_survivors`]);
+//!   [`recovery::repair_plan`] synthesizes a fresh verified pattern over
+//!   the survivors when pruning severed the knowledge flow.
 
 pub mod classic;
 pub mod compute;
@@ -71,5 +74,5 @@ pub use plan::{CompiledPattern, StagePlan};
 pub use predictor::{
     predict_compiled_with, BarrierPrediction, CommCosts, CostModel, PairCost, PayloadSchedule,
 };
-pub use recovery::{remap_goal, repair_plan};
+pub use recovery::{repair_plan, SurvivorMap};
 pub use superstep::SuperstepModel;

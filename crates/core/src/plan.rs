@@ -7,25 +7,25 @@
 //! index arrays plus offsets, both directions — in O(p + E) space, so a
 //! dissemination stage at p = 4096 is 64 KB (four arrays of 4 096 or
 //! 4 097 entries) where the `P×P` incidence matrix of §5.5 is 16.7 MB.
-//! The whole compiled dissemination plan at p = 4096 — 12 stages, the
-//! `u32` last-send table and the posted booleans — holds 1 049 933 B,
-//! 21.4 B per signal. Pattern builders author stages straight
-//! from edge lists ([`StagePlan::from_edges`]); nothing in production
-//! passes through a dense matrix. The thesis' matrices survive as the
+//! The whole compiled dissemination plan at p = 4096 — 12 stages and
+//! the posted booleans — holds 836 941 B, 17.0 B per signal. Pattern
+//! builders author stages straight from edge lists
+//! ([`StagePlan::from_edges`]); nothing in production passes through a
+//! dense matrix. The thesis' matrices survive as the
 //! boolean incidence matrix of [`crate::matrix`], the oracle the property
 //! tests hold this form against, and as the 0/1 grid [`StagePlan`]'s
 //! `Display` prints for Figs. 5.2–5.4.
 //!
-//! [`CompiledPattern`] is a whole pattern's stages together with the
-//! derived tables the predictor needs: per-rank last-transmission stages
-//! and the §5.6.5 posted-receiver booleans. Every pattern is compiled
-//! once, when it is built: barrier builders return one, and a collective
-//! holds one. Then every enumeration is a slice borrow and every posted
-//! test an indexed load.
+//! [`CompiledPattern`] is a whole pattern's stages together with the one
+//! derived table the predictor needs, the §5.6.5 posted-receiver
+//! booleans. Every pattern is compiled once, when it is built: barrier
+//! builders return one, and a collective holds one. Then every
+//! enumeration is a slice borrow and every posted test an indexed load.
 //!
 //! Both directions of every stage enumerate ascending; the RNG draw
 //! order of the simulator is part of that contract (see DESIGN.md).
 
+use crate::recovery::SurvivorMap;
 use std::fmt;
 
 /// Jitter multipliers the staged executor consumes per signal: the
@@ -247,7 +247,7 @@ impl fmt::Display for StagePlan {
 }
 
 /// A staged pattern compiled for flat execution: per-stage CSR adjacency
-/// plus the derived tables of the §5.6.5 predictor refinements.
+/// plus the derived table of the §5.6.5 predictor refinements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledPattern {
     name: String,
@@ -257,11 +257,6 @@ pub struct CompiledPattern {
     /// signals at stage s (its last transmission, if any, ended at least
     /// two stages earlier) — refinement 2 of §5.6.5, precomputed.
     posted: Vec<bool>,
-    /// `last_send[s * p + i]`: last stage index `< s` in which rank i
-    /// transmitted, or `u32::MAX` when it had not yet. Row `s == 0` is
-    /// all-MAX; the table has `stages + 1` rows so the final row answers
-    /// "before the end of the pattern".
-    last_send: Vec<u32>,
     /// Exact jitter draws one staged execution consumes, precomputed —
     /// the batched engine sizes its `JitterBuf` from this.
     jitter_draws: usize,
@@ -284,33 +279,27 @@ impl CompiledPattern {
     }
 
     /// Assembles a compiled pattern from already-built stage plans and
-    /// derives the §5.6.5 posted/last-send tables.
+    /// derives the §5.6.5 posted table.
     ///
     /// # Panics
     ///
-    /// Panics when a stage's dimension is not `p`, or when the stage
-    /// count exceeds `u32::MAX` (stage indices share the last-send
-    /// table's 32-bit words with its `u32::MAX` sentinel); the latter has
-    /// no test, as it would take 2³² stages.
+    /// Panics when a stage's dimension is not `p`.
     pub fn from_stages(name: &str, p: usize, stages: Vec<StagePlan>) -> CompiledPattern {
         for (s, stage) in stages.iter().enumerate() {
             assert_eq!(stage.p(), p, "stage {s} has wrong dimension");
         }
-        let n_stages = stages.len();
-        assert_fits_u32(n_stages, "stage count");
-        let mut posted = vec![false; n_stages * p];
-        let mut last_send = vec![u32::MAX; (n_stages + 1) * p];
-        for s in 0..n_stages {
-            for i in 0..p {
-                let prev = last_send[s * p + i];
-                // Posted iff the rank's last transmission (if any) ended
-                // at least two stages ago; at stage 0 nothing is posted.
-                posted[s * p + i] = s > 0 && (prev == u32::MAX || prev as usize + 1 < s);
-                last_send[(s + 1) * p + i] = if stages[s].out_degree(i) > 0 {
-                    s as u32
-                } else {
-                    prev
-                };
+        // `sent_until[i]`: one past the last stage before `s` in which
+        // rank i transmitted (0: none). Posted iff that transmission ended
+        // at least two stages ago, so nothing is posted at stage 0.
+        let mut posted = vec![false; stages.len() * p];
+        let mut sent_until = vec![0usize; p];
+        for (s, stage) in stages.iter().enumerate() {
+            let row = &mut posted[s * p..(s + 1) * p];
+            for (i, (post, until)) in row.iter_mut().zip(&mut sent_until).enumerate() {
+                *post = *until < s;
+                if stage.out_degree(i) > 0 {
+                    *until = s + 1;
+                }
             }
         }
         let jitter_draws = stages.iter().map(StagePlan::jitter_draws).sum();
@@ -319,7 +308,6 @@ impl CompiledPattern {
             p,
             stages,
             posted,
-            last_send,
             jitter_draws,
         }
     }
@@ -374,14 +362,6 @@ impl CompiledPattern {
         &self.posted
     }
 
-    /// The raw last-transmission table (`(stages + 1) × p`, row-major)
-    /// behind [`CompiledPattern::last_send_stage`]; `u32::MAX` encodes
-    /// "has not transmitted yet". Exposed for the plan-structure goldens.
-    #[must_use]
-    pub fn last_send_table(&self) -> &[u32] {
-        &self.last_send
-    }
-
     /// Exact jitter multipliers one staged execution (one repetition)
     /// consumes: per stage, [`ENTRY_JITTER_DRAWS`] per process plus
     /// [`SIGNAL_JITTER_DRAWS`] per signal slot. The batched engine
@@ -401,33 +381,11 @@ impl CompiledPattern {
         self.posted[s * self.p + j]
     }
 
-    /// The last stage index before `before` in which `i` transmitted, if
-    /// any — one load from the precomputed table.
-    #[must_use]
-    pub fn last_send_stage(&self, i: usize, before: usize) -> Option<usize> {
-        let row = before.min(self.stages.len());
-        let s = self.last_send[row * self.p + i];
-        (s != u32::MAX).then_some(s as usize)
-    }
-
-    /// The survivor-compacted repair of this plan after the ranks in
-    /// `crashed` failed: every edge incident to a crashed rank is
-    /// dropped, the survivors are renumbered `0..p'` in ascending
-    /// original-rank order, stages whose edge list empties out vanish
-    /// entirely (an empty stage is a structural error in the analyzer's
-    /// rule set — and a stage the executor would pay entry overhead for
-    /// without communicating), and the result is rebuilt through the
-    /// honest [`CompiledPattern::from_stage_edges`] route so the
-    /// posted/last-send tables and the `jitter_draws` count are
-    /// re-derived for the compacted shape. The static audit therefore
-    /// holds on the repaired plan exactly as it does on a freshly
-    /// authored one.
-    ///
-    /// Note the contrast with the analyzer's k-crash coverage check,
-    /// which keeps the original `p` and merely isolates crashed ranks:
-    /// this method produces the plan survivors would actually *execute*,
-    /// so the rank space is compacted. Whether the compacted plan still
-    /// attains its knowledge goal is a separate question — see
+    /// This plan pruned to the survivors of `crashed`:
+    /// [`SurvivorMap::restrict`] over [`SurvivorMap::new`]. The survivors
+    /// are renumbered `0..p'` in ascending rank order and emptied stages
+    /// vanish; the result is the plan survivors would execute. Whether it
+    /// still attains its knowledge goal is a separate question — see
     /// [`crate::recovery::repair_plan`] for the re-planning fallback.
     ///
     /// # Panics
@@ -436,41 +394,7 @@ impl CompiledPattern {
     /// survives (an empty machine has no plan).
     #[must_use]
     pub fn restrict_to_survivors(&self, crashed: &[usize]) -> CompiledPattern {
-        let p = self.p;
-        let mut dead = vec![false; p];
-        for &r in crashed {
-            assert!(r < p, "crashed rank {r} out of range for p={p}");
-            dead[r] = true;
-        }
-        let mut remap = vec![usize::MAX; p];
-        let mut np = 0usize;
-        for (i, &d) in dead.iter().enumerate() {
-            if !d {
-                remap[i] = np;
-                np += 1;
-            }
-        }
-        assert!(np > 0, "restrict_to_survivors: every rank crashed");
-        let mut stage_edges: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let mut edges = Vec::with_capacity(stage.edge_count());
-            for i in 0..p {
-                if dead[i] {
-                    continue;
-                }
-                for &j in stage.dsts(i) {
-                    let j = j as usize;
-                    if !dead[j] {
-                        edges.push((remap[i], remap[j]));
-                    }
-                }
-            }
-            if !edges.is_empty() {
-                stage_edges.push(edges);
-            }
-        }
-        let name = format!("{}-survivors", self.name);
-        CompiledPattern::from_stage_edges(&name, np, &stage_edges)
+        SurvivorMap::new(self.p, crashed).restrict(self)
     }
 }
 
@@ -538,24 +462,6 @@ mod tests {
             assert_eq!(widened(t.srcs(r)), dense.srcs(r).collect::<Vec<_>>());
         }
         assert_eq!(t.to_string(), dense.to_string());
-    }
-
-    #[test]
-    fn last_send_stage_lookup() {
-        // Fig. 5.2: gather to rank 0, then release.
-        let plan = CompiledPattern::from_stage_edges(
-            "linear",
-            4,
-            &[vec![(1, 0), (2, 0), (3, 0)], vec![(0, 1), (0, 2), (0, 3)]],
-        );
-        // Rank 1 sends only in stage 0.
-        assert_eq!(plan.last_send_stage(1, 3), Some(0));
-        assert_eq!(plan.last_send_stage(1, 2), Some(0));
-        assert_eq!(plan.last_send_stage(1, 1), Some(0));
-        assert_eq!(plan.last_send_stage(1, 0), None);
-        // Rank 0 sends only in stage 1.
-        assert_eq!(plan.last_send_stage(0, 1), None);
-        assert_eq!(plan.last_send_stage(0, 2), Some(1));
     }
 
     #[test]
@@ -730,7 +636,7 @@ mod tests {
         let plan = CompiledPattern::from_stages("degenerate", 1, Vec::new());
         assert_eq!(plan.stages(), 0);
         assert_eq!(plan.total_signals(), 0);
-        assert_eq!(plan.last_send_stage(0, 0), None);
+        assert!(plan.posted_table().is_empty());
     }
 
     /// `render()` prints exactly the thesis' incidence matrices: the

@@ -17,12 +17,13 @@
 //!    crash set: ⌈log₂ n⌉ dissemination rounds of one remote
 //!    zero-payload message each ([`consensus_cost`]), deliberately
 //!    draw-free so it perturbs no stream.
-//! 3. **Re-execution** — [`hpm_core::recovery::repair_plan`] synthesizes
-//!    a verified pattern over the survivors (a pure function of their
-//!    count and the compacted goal, so [`RecoveryScratch`] keeps the last
-//!    one and reuses it while that pair repeats), and the same scalar stage
-//!    kernel that ran the attempt runs it fault-free: compacted plan
-//!    ranks map back to machine ranks through `survivors[i]`, so link
+//! 3. **Re-execution** — the attempt's [`SurvivorMap`] (refilled in
+//!    place in [`RecoveryScratch`]) synthesizes a verified pattern over
+//!    the survivors (a pure function of their count and the compacted
+//!    goal, so [`RecoveryScratch`] keeps the last one and reuses it while
+//!    that pair repeats), and the same scalar stage kernel that ran the
+//!    attempt runs it fault-free: compacted plan ranks map back to
+//!    machine ranks through the map's `ranks()[i]`, so link
 //!    classification and in-flight [`NetState`] contention see the real
 //!    machine. It starts from the common post-consensus instant with
 //!    jitter from the dedicated `RECOVERY_JITTER_LABEL` stream — the
@@ -45,7 +46,7 @@ use hpm_core::knowledge::KnowledgeGoal;
 use hpm_core::pattern::log2_ceil;
 use hpm_core::plan::CompiledPattern;
 use hpm_core::predictor::PayloadSchedule;
-use hpm_core::recovery::repair_plan;
+use hpm_core::recovery::SurvivorMap;
 use hpm_stats::fault::{FaultModel, FaultPlan};
 
 /// Stream label (b"RCVR") for jitter drawn by the repaired-plan
@@ -112,15 +113,15 @@ impl RecoveryReport {
 }
 
 /// Reusable per-worker state for the recovering executor: the faulty
-/// attempt's [`FaultScratch`], the crash/survivor partition the
-/// recovery phase computes and the last repaired plan.
+/// attempt's [`FaultScratch`], the survivors the recovery phase reads off
+/// the attempt and the last repaired plan.
 #[derive(Debug, Default)]
 pub struct RecoveryScratch {
     /// Scratch for the underlying faulty attempt.
     pub fault: FaultScratch,
-    crashed: Vec<usize>,
-    survivors: Vec<usize>,
-    /// The last plan [`repair_plan`] returned, keyed by what that plan
+    /// The attempt's survivors, refilled in place per recovering run.
+    survivors: SurvivorMap,
+    /// The last plan [`SurvivorMap::repair`] returned, keyed by what that plan
     /// is a function of: the survivor count and the goal in the
     /// survivors' compacted rank space. Repetitions with as many
     /// crashes towards the same goal reuse it instead of rebuilding and
@@ -149,26 +150,6 @@ pub fn consensus_cost(params: &PlatformParams, survivors: usize) -> f64 {
     let rounds = log2_ceil(survivors) as f64;
     let lc = &params.remote;
     rounds * (params.call_overhead + lc.o_send + lc.latency + lc.o_recv)
-}
-
-/// `goal` in the compacted rank space of the ascending `survivors` of
-/// ranks `0..p`: what [`hpm_core::recovery::remap_goal`] computes, read
-/// off the survivor list instead of a fresh dead mask. `None` when a
-/// rooted goal's root crashed.
-///
-/// # Panics
-///
-/// Panics when the goal's root is out of range.
-fn compacted_goal(goal: KnowledgeGoal, p: usize, survivors: &[usize]) -> Option<KnowledgeGoal> {
-    let remap = |r: usize| {
-        assert!(r < p, "goal root {r} out of range for p={p}");
-        survivors.binary_search(&r).ok()
-    };
-    match goal {
-        KnowledgeGoal::AllToAll | KnowledgeGoal::Prefix => Some(goal),
-        KnowledgeGoal::RootGathers(r) => remap(r).map(KnowledgeGoal::RootGathers),
-        KnowledgeGoal::RootReaches(r) => remap(r).map(KnowledgeGoal::RootReaches),
-    }
 }
 
 impl BarrierSim<'_> {
@@ -254,27 +235,25 @@ impl BarrierSim<'_> {
             out.recovered = true;
             return;
         }
-        rs.crashed.clear();
-        rs.survivors.clear();
-        for (r, o) in out.attempt.outcomes.iter().enumerate() {
-            match o {
-                RankOutcome::Crashed(_) => rs.crashed.push(r),
-                RankOutcome::Completed(_) | RankOutcome::TimedOut(_) => rs.survivors.push(r),
-            }
-        }
-        if rs.survivors.is_empty() {
+        let outcomes = &out.attempt.outcomes;
+        let map = &mut rs.survivors;
+        map.refill(plan.p(), |r| {
+            !matches!(outcomes[r], RankOutcome::Crashed(_))
+        });
+        let survivors = map.ranks();
+        if survivors.is_empty() {
             return;
         }
         out.detection_time = out.attempt.total() + fault.timeout;
-        out.consensus_cost = consensus_cost(self.params, rs.survivors.len());
-        let Some(key) = compacted_goal(goal, plan.p(), &rs.survivors) else {
+        out.consensus_cost = consensus_cost(self.params, survivors.len());
+        let Some(key) = map.goal(goal) else {
             return;
         };
-        let key = (rs.survivors.len(), key);
+        let key = (survivors.len(), key);
         let repaired = match &mut rs.repaired {
             Some((n, g, repaired)) if (*n, *g) == key => &*repaired,
             cached => {
-                let Some(repaired) = repair_plan(plan.p(), goal, &rs.crashed) else {
+                let Some(repaired) = map.repair(goal) else {
                     return;
                 };
                 &cached.insert((key.0, key.1, repaired)).2
@@ -284,7 +263,6 @@ impl BarrierSim<'_> {
         out.replan_stages = repaired.stages();
         // The repaired plan runs through the stage kernel fault-free, its
         // compacted ranks mapped back to the survivors' machine ranks.
-        let survivors = &rs.survivors;
         debug_assert_eq!(repaired.p(), survivors.len());
         scratch.cur[..survivors.len()].fill(out.detection_time + out.consensus_cost);
         let sigma = self.params.jitter.sigma;

@@ -228,10 +228,12 @@ fn compiled_barrier_repetitions_allocate_nothing() {
     );
 
     // The p = 4096 dissemination plan, the largest structure the
-    // modelling side holds, stores 32-bit indices, offsets and last-send
-    // stages. With `usize` words it held 2 049 453 B live after compile
-    // and requested 4 408 749 B while compiling; with `u32` words it
-    // holds 1 049 933 B (21.4 B per signal) and requests 2 819 405 B.
+    // modelling side holds, stores 32-bit indices and offsets and the
+    // posted table. With `usize` words and a last-send table it held
+    // 2 049 453 B live after compile and requested 4 408 749 B while
+    // compiling; with `u32` words, 1 049 933 B and 2 819 405 B. Without
+    // the last-send table it holds 836 941 B (17.0 B per signal) and
+    // requests 2 639 181 B.
     let (live, requested) = (0..4)
         .map(|_| {
             let (live0, req0) = (
@@ -249,11 +251,11 @@ fn compiled_barrier_repetitions_allocate_nothing() {
         .min()
         .expect("four trials");
     assert!(
-        live <= 1_100_000,
+        live <= 836_941,
         "dissemination(4096) holds {live} B after compile"
     );
     assert!(
-        requested <= 2_819_405 * 11 / 10,
+        requested <= 2_639_181 * 11 / 10,
         "compiling dissemination(4096) requested {requested} B"
     );
     // A process count beyond the 32-bit indices is refused before the

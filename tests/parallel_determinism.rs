@@ -412,11 +412,13 @@ fn collective_runs_match_goldens() {
     }
 }
 
-/// FNV-1a over one compiled plan: every array the executors, the
-/// predictor and the analyzer read, plus the name. Each 32-bit index is
-/// hashed as a 64-bit word, and the last-send table's `u32::MAX`
-/// "not yet" sentinel as `u64::MAX`, so the pins struck when the plan
-/// stored `usize` indices still hold.
+/// FNV-1a over one compiled plan: its name, shape, CSR arrays, posted
+/// table and draw count, then the last-send table the plan stored until
+/// it derived the posted table on the fly: rows `0..=stages`, row `s`
+/// holding each rank's last stage before `s` with a signal out, derived
+/// here from stage out-degrees. Each 32-bit index is hashed as a 64-bit
+/// word and a last-send "not yet" as `u64::MAX`, so the pins struck when
+/// the plan stored `usize` indices and the table still hold.
 fn fnv_plan(h: u64, plan: &hpm::model::plan::CompiledPattern) -> u64 {
     let word = |h: u64, w: u64| (h ^ w).wrapping_mul(0x100000001b3);
     let widen = |w: u32| if w == u32::MAX { u64::MAX } else { w as u64 };
@@ -434,7 +436,17 @@ fn fnv_plan(h: u64, plan: &hpm::model::plan::CompiledPattern) -> u64 {
         .posted_table()
         .iter()
         .fold(h, |h, &b| word(h, b as u64));
-    h = words(h, plan.last_send_table());
+    let mut last_send = vec![u64::MAX; plan.p()];
+    for s in 0..=plan.stages() {
+        h = last_send.iter().fold(h, |h, &w| word(h, w));
+        if s < plan.stages() {
+            for (i, last) in last_send.iter_mut().enumerate() {
+                if plan.stage(s).out_degree(i) > 0 {
+                    *last = s as u64;
+                }
+            }
+        }
+    }
     word(h, plan.jitter_draws() as u64)
 }
 

@@ -3,11 +3,12 @@
 //! cross-checked against the `hpm-analyze` rule set.
 
 use hpm::analyze::{analyze, analyze_with_goal, Analyzer, Severity};
-use hpm::barriers::patterns::{binary_tree, dissemination, linear, ring};
-use hpm::model::knowledge::KnowledgeGoal;
+use hpm::barriers::patterns::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
+use hpm::collectives::catalog;
+use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
 use hpm::model::pattern::CommPattern;
 use hpm::model::plan::CompiledPattern;
-use hpm::model::recovery::{remap_goal, repair_plan};
+use hpm::model::recovery::{repair_plan, SurvivorMap};
 use proptest::prelude::*;
 
 /// SplitMix64 step — random structure sampling without growing the
@@ -122,7 +123,8 @@ proptest! {
                 repaired.is_none()
             );
             if let Some(rp) = repaired {
-                let remapped = remap_goal(goal, p, &crashed)
+                let remapped = SurvivorMap::new(p, &crashed)
+                    .goal(goal)
                     .expect("repairable set has a remappable goal");
                 let diags = analyze_with_goal(&rp, remapped);
                 prop_assert!(diags.is_empty(), "{}: {diags:?}", rp.name());
@@ -151,8 +153,106 @@ proptest! {
                     KnowledgeGoal::RootGathers(_) => KnowledgeGoal::RootGathers(compact_root),
                     _ => KnowledgeGoal::RootReaches(compact_root),
                 };
-                prop_assert_eq!(remap_goal(goal, p, &crashed), Some(expect));
+                prop_assert_eq!(SurvivorMap::new(p, &crashed).goal(goal), Some(expect));
             }
         }
     }
+}
+
+/// The k-crash count as the analyzer took it before it read a
+/// [`SurvivorMap`]: every edge incident to a crashed rank pruned, but the
+/// rank space and the emptied stages kept, the recurrence run over all
+/// `p` ranks and the missing pairs counted between survivors. `None` when
+/// the goal's root crashed or is not a rank of the plan.
+fn uncompacted_uninformed(
+    plan: &CompiledPattern,
+    goal: KnowledgeGoal,
+    crashed: &[usize],
+) -> Option<usize> {
+    let p = plan.p();
+    let mut dead = vec![false; p];
+    for &r in crashed {
+        dead[r] = true;
+    }
+    if goal.root().is_some_and(|r| r >= p || dead[r]) {
+        return None;
+    }
+    let stage_edges: Vec<Vec<(usize, usize)>> = (0..plan.stages())
+        .map(|s| {
+            let stage = plan.stage(s);
+            (0..p)
+                .filter(|&i| !dead[i])
+                .flat_map(|i| stage.dsts(i).iter().map(move |&j| (i, j as usize)))
+                .filter(|&(_, j)| !dead[j])
+                .collect()
+        })
+        .collect();
+    let pruned = CompiledPattern::from_stage_edges(plan.name(), p, &stage_edges);
+    let missing = VerifyScratch::new()
+        .verify(&pruned)
+        .missing(goal)
+        .filter(|&(i, j)| !dead[i] && !dead[j])
+        .count();
+    Some(missing)
+}
+
+/// `k_crash_coverage` verifies the compacted plan the survivor map
+/// prunes to; the count it reports is the uncompacted prune's, pair for
+/// pair. Checked over the registry barriers (all-to-all and prefix
+/// goals), the collective catalog around a middle root (each with its own
+/// goal) and random plans, for every crash set of one rank and every
+/// third set of two, at p ∈ {9, 24}. A root outside the plan counts as
+/// crashed.
+#[test]
+fn k_crash_coverage_counts_what_the_uncompacted_prune_counted() {
+    let mut an = Analyzer::new();
+    let (mut checked, mut lost) = (0usize, 0usize);
+    for p in [9usize, 24] {
+        let mut cases: Vec<(CompiledPattern, KnowledgeGoal)> = Vec::new();
+        for plan in [
+            linear(p, 0),
+            dissemination(p),
+            binary_tree(p),
+            kary_tree(p, 4),
+            ring(p),
+            all_to_all(p),
+        ] {
+            cases.push((plan.clone(), KnowledgeGoal::Prefix));
+            cases.push((plan, KnowledgeGoal::AllToAll));
+        }
+        for c in catalog(p, p / 2, 64) {
+            cases.push((c.compiled().clone(), c.goal()));
+        }
+        for seed in 0..4 {
+            let plan = random_plan(p, 2 + seed as usize, seed);
+            cases.push((plan.clone(), KnowledgeGoal::RootReaches(p - 1)));
+            cases.push((plan, KnowledgeGoal::AllToAll));
+        }
+        let singles = (0..p).map(|a| vec![a]);
+        let pairs = (0..p)
+            .flat_map(|a| (a + 1..p).map(move |b| vec![b, a]))
+            .step_by(3);
+        for crashed in singles.chain(pairs) {
+            for (plan, goal) in &cases {
+                let v = an.k_crash_coverage(plan, *goal, &crashed);
+                let reference = uncompacted_uninformed(plan, *goal, &crashed);
+                let what = format!("{} {goal:?} p={p} crashed {crashed:?}", plan.name());
+                assert_eq!(v.root_crashed, reference.is_none(), "{what}");
+                assert_eq!(v.uninformed_pairs, reference.unwrap_or(0), "{what}");
+                let mut sorted = crashed.clone();
+                sorted.sort_unstable();
+                assert_eq!(v.crashed, sorted, "{what}");
+                checked += 1;
+                lost += usize::from(v.uninformed_pairs > 0);
+            }
+        }
+        let plan = dissemination(p);
+        let v = an.k_crash_coverage(&plan, KnowledgeGoal::RootGathers(p), &[0]);
+        assert!(v.root_crashed && v.uninformed_pairs == 0, "root p={p}");
+    }
+    // The oracle compares non-zero counts too, not only survivals.
+    assert!(
+        lost > 0 && lost < checked,
+        "{lost} of {checked} verdicts lost pairs"
+    );
 }
