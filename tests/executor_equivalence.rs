@@ -21,22 +21,36 @@
 //! Faulty and recovering runs share the clean run's stage kernel, and the
 //! property test above holds them bitwise equal to it without faults, so
 //! the clean run speaks for their service order too.
+//!
+//! [`Reference`] writes the signal semantics down as a discrete-event
+//! machine over public API only: one heap of services, a FIFO server per
+//! NIC and per receive thread, draws read by plan position. Keyed in the
+//! stage kernel's rank order it must equal the kernel bit for bit (in the
+//! property test and on the registry and catalog plans); keyed by ready
+//! time it is the global time order the executor does not yet have
+//! (ROADMAP.md item 14), and there it delays no pair beyond the closure
+//! wherever the oracle looks, and its totals on the two dense collectives
+//! are pinned.
 #![cfg(debug_assertions)]
 
 use hpm::barriers::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
-use hpm::collectives::catalog;
+use hpm::collectives::{broadcast_two_phase, catalog, total_exchange};
 use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
 use hpm::model::plan::CompiledPattern;
 use hpm::model::predictor::PayloadSchedule;
 use hpm::simnet::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
 use hpm::simnet::batch::LaneScratch;
 use hpm::simnet::net::NetState;
-use hpm::simnet::params::xeon_cluster_params;
+use hpm::simnet::params::{xeon_cluster_params, LinkCost};
 use hpm::simnet::recovery::{RecoveryReport, RecoveryScratch};
 use hpm::simnet::{FaultReport, FaultScratch, RankOutcome};
 use hpm::stats::fault::{DropProb, FaultModel};
-use hpm::topology::{cluster_128x2x4, cluster_8x2x4, Placement, PlacementPolicy};
+use hpm::stats::rng::JitterBuf;
+use hpm::topology::{
+    cluster_128x2x4, cluster_512x2x4, cluster_8x2x4, LinkClass, Placement, PlacementPolicy,
+};
 use proptest::prelude::*;
+use std::collections::BinaryHeap;
 
 /// SplitMix64 step: the case's own generator, so one `seed` strategy
 /// drives plan shape, entry skew and payloads.
@@ -115,6 +129,10 @@ proptest! {
             scratch.exits().to_vec()
         };
         let reference = bits(&clean(&entry, rep, &mut net, &mut scratch));
+
+        // The reference event executor in rank order ≡ the stage kernel.
+        let (exits, _) = Reference::run(&sim, &plan, &payload, &entry, seed, rep, Order::Rank);
+        prop_assert_eq!(&bits(&exits), &reference);
 
         // A scratch built for a larger placement changes nothing, its
         // `exits()` included (same length, same bits).
@@ -237,12 +255,52 @@ fn rendezvous_closure(plan: &CompiledPattern) -> Vec<Vec<u64>> {
 /// rank it delayed exits after it and every other rank well before.
 const LATE: f64 = 1.0;
 
+/// An executor under the causality oracle: the exits of `plan` run from
+/// `entry` with the draws of repetition `rep`.
+type Exits = fn(&BarrierSim, &CompiledPattern, &PayloadSchedule, &[f64], u64) -> Vec<f64>;
+
+/// The stage kernel: `run_once_batched` from a reset network.
+fn kernel_exits(
+    sim: &BarrierSim,
+    plan: &CompiledPattern,
+    payload: &PayloadSchedule,
+    entry: &[f64],
+    rep: u64,
+) -> Vec<f64> {
+    let mut net = NetState::new(sim.placement);
+    let mut scratch = SimScratch::new(sim.placement);
+    sim.run_once_batched(
+        plan,
+        payload,
+        entry,
+        &mut net,
+        11,
+        BARRIER_JITTER_LABEL,
+        rep,
+        &mut scratch,
+    );
+    scratch.exits().to_vec()
+}
+
+/// The reference executor in time order.
+fn time_order_exits(
+    sim: &BarrierSim,
+    plan: &CompiledPattern,
+    payload: &PayloadSchedule,
+    entry: &[f64],
+    rep: u64,
+) -> Vec<f64> {
+    Reference::run(sim, plan, payload, entry, 11, rep, Order::Time).0
+}
+
 /// Enters each rank `k` of `plan` in turn at [`LATE`] and the rest at
-/// `entry`, and classifies every pair `(i, k)`. Asserts that every rank in
-/// `k`'s rendezvous closure was delayed, and that the closure holds the
-/// forward knowledge; returns the pairs delayed beyond the closure.
+/// `entry`, runs it through `exits` and classifies every pair `(i, k)`.
+/// Asserts that every rank in `k`'s rendezvous closure was delayed, and
+/// that the closure holds the forward knowledge; returns the pairs
+/// delayed beyond the closure.
 fn delays_beyond_closure(
     sim: &BarrierSim,
+    exits: Exits,
     plan: &CompiledPattern,
     payload: &PayloadSchedule,
     entry: &[f64],
@@ -251,24 +309,14 @@ fn delays_beyond_closure(
     let closure = rendezvous_closure(plan);
     let mut forward = VerifyScratch::new();
     forward.verify(plan);
-    let mut net = NetState::new(sim.placement);
-    let mut scratch = SimScratch::new(sim.placement);
     let mut beyond = 0;
     for k in 0..p {
         let mut skewed = entry.to_vec();
         skewed[k] = LATE;
-        net.reset();
-        sim.run_once_batched(
-            plan,
-            payload,
-            &skewed,
-            &mut net,
-            11,
-            BARRIER_JITTER_LABEL,
-            k as u64,
-            &mut scratch,
-        );
-        for (i, &exit) in scratch.exits().iter().enumerate() {
+        for (i, &exit) in exits(sim, plan, payload, &skewed, k as u64)
+            .iter()
+            .enumerate()
+        {
             let must = closure[i][k / 64] >> (k % 64) & 1 == 1;
             assert!(
                 !forward.knows(i, k) || must,
@@ -310,31 +358,40 @@ const BEYOND_ROUND_ROBIN: [(&str, [usize; 2]); 3] = [
 /// fan-in and read 0 there). Item 14 brings these to 0 too.
 const BEYOND_RANDOM: [[usize; 2]; 2] = [[230, 7940], [102, 2624]];
 
-/// A late rank may delay only the ranks the plan connects to it: for the
-/// registry barriers, the collective catalog and random plans at
-/// p ∈ {16, 64}, on 8×2×4 round-robin and on one rank per node,
-/// noiseless and jittered, every rank in a late rank's rendezvous
-/// closure is delayed (a hard assert), and the pairs delayed beyond it
-/// are pinned ([`BEYOND_ROUND_ROBIN`], [`BEYOND_RANDOM`]).
-#[test]
-fn late_rank_delays_only_its_closure() {
+/// The registry barriers and the collective catalog around root 0 with
+/// 1 KiB payloads, each with its payload schedule.
+fn registry_and_catalog(p: usize) -> Vec<(CompiledPattern, PayloadSchedule)> {
+    [
+        linear(p, 0),
+        dissemination(p),
+        binary_tree(p),
+        kary_tree(p, 4),
+        ring(p),
+        all_to_all(p),
+    ]
+    .into_iter()
+    .map(|b| (b, PayloadSchedule::none()))
+    .chain(
+        catalog(p, 0, 1024)
+            .into_iter()
+            .map(|c| (c.compiled().clone(), c.payload().clone())),
+    )
+    .collect()
+}
+
+/// One count of the causality oracle: the index of p in {16, 64}, the
+/// placement (0: 8×2×4 round-robin, 1: one rank per node), the plan's
+/// name ("random" for the eight random plans, summed) and the pairs
+/// delayed beyond the closure.
+type Census = Vec<(usize, usize, String, usize)>;
+
+/// The causality oracle's counts under `exits`: for the registry
+/// barriers, the collective catalog and random plans at p ∈ {16, 64}, on
+/// 8×2×4 round-robin and on one rank per node, noiseless and jittered.
+fn closure_census(exits: Exits) -> Census {
+    let mut census = Census::new();
     for (pi, p) in [16usize, 64].into_iter().enumerate() {
-        let patterns: Vec<(CompiledPattern, PayloadSchedule)> = [
-            linear(p, 0),
-            dissemination(p),
-            binary_tree(p),
-            kary_tree(p, 4),
-            ring(p),
-            all_to_all(p),
-        ]
-        .into_iter()
-        .map(|b| (b, PayloadSchedule::none()))
-        .chain(
-            catalog(p, 0, 1024)
-                .into_iter()
-                .map(|c| (c.compiled().clone(), c.payload().clone())),
-        )
-        .collect();
+        let patterns = registry_and_catalog(p);
         // Random plans enter the on-time ranks within 50 µs of each other.
         let mut rng = p as u64;
         let random: Vec<(CompiledPattern, Vec<f64>)> = (0..8)
@@ -356,21 +413,532 @@ fn late_rank_delays_only_its_closure() {
                 let sim = BarrierSim::new(&params, &placement);
                 let zeros = vec![0.0; p];
                 for (plan, payload) in &patterns {
-                    let beyond = delays_beyond_closure(&sim, plan, payload, &zeros);
-                    let pinned = BEYOND_ROUND_ROBIN
-                        .iter()
-                        .find(|(name, _)| spread == 0 && *name == plan.name())
-                        .map_or(0, |(_, counts)| counts[pi]);
-                    assert_eq!(beyond, pinned, "{} p={p} {policy:?}", plan.name());
+                    let beyond = delays_beyond_closure(&sim, exits, plan, payload, &zeros);
+                    census.push((pi, spread, plan.name().to_string(), beyond));
                 }
                 let none = PayloadSchedule::none();
                 let beyond: usize = random
                     .iter()
-                    .map(|(plan, entry)| delays_beyond_closure(&sim, plan, &none, entry))
+                    .map(|(plan, entry)| delays_beyond_closure(&sim, exits, plan, &none, entry))
                     .sum();
-                assert_eq!(
-                    beyond, BEYOND_RANDOM[spread][pi],
-                    "random plans p={p} {policy:?}"
+                census.push((pi, spread, "random".to_string(), beyond));
+            }
+        }
+    }
+    census
+}
+
+/// A late rank may delay only the ranks the plan connects to it: for the
+/// registry barriers, the collective catalog and random plans at
+/// p ∈ {16, 64}, on 8×2×4 round-robin and on one rank per node,
+/// noiseless and jittered, every rank in a late rank's rendezvous
+/// closure is delayed (a hard assert), and the pairs delayed beyond it
+/// are pinned ([`BEYOND_ROUND_ROBIN`], [`BEYOND_RANDOM`]).
+#[test]
+fn late_rank_delays_only_its_closure() {
+    for (pi, spread, name, beyond) in closure_census(kernel_exits) {
+        let pinned = if name == "random" {
+            BEYOND_RANDOM[spread][pi]
+        } else {
+            BEYOND_ROUND_ROBIN
+                .iter()
+                .find(|(pinned, _)| spread == 0 && *pinned == name)
+                .map_or(0, |(_, counts)| counts[pi])
+        };
+        let p = [16, 64][pi];
+        assert_eq!(beyond, pinned, "{name} p={p} placement {spread}");
+    }
+}
+
+/// The order in which [`Reference`] serves NIC departures and receptions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// `(stage, sender, CSR index)`: the stage kernel's rank order.
+    Rank,
+    /// Ready time first, rank order among equal times: one global time
+    /// order across stages (ROADMAP.md item 14's target).
+    Time,
+}
+
+/// One signal of the plan: its stage, sender, destination and CSR index
+/// within the stage (its position in the stage's destination array).
+#[derive(Debug, Clone, Copy)]
+struct Signal {
+    stage: usize,
+    src: usize,
+    dst: usize,
+    edge: usize,
+}
+
+/// A service waiting in the heap: `signal` ready at `ready` to leave its
+/// sender's node NIC (`nic`) or to be processed by its receiver. The heap
+/// orders services by `key` alone, which is unique: a signal has at most
+/// one service pending.
+#[derive(Debug)]
+struct Service {
+    key: (u64, usize, usize, usize),
+    signal: Signal,
+    ready: f64,
+    nic: bool,
+}
+
+impl PartialEq for Service {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Service {}
+
+impl PartialOrd for Service {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Service {
+    /// Reversed, so that `BinaryHeap` pops the smallest key first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// A rank's cursor over the plan: the stage it is in and its progress
+/// through that stage.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// The stage the rank has posted (`stages` once it has left the plan).
+    stage: usize,
+    /// When it posted its receives: stage entry plus call overhead.
+    posted: f64,
+    /// Signals of this stage acknowledged so far.
+    sent: usize,
+    /// Whether the next one is in flight.
+    sending: bool,
+    /// When its next signal starts: the post, then the previous ack.
+    t: f64,
+    /// Inbound signals of this stage not yet processed.
+    inbound: usize,
+    /// Latest processing time of an inbound signal of this stage.
+    last_in: f64,
+}
+
+/// What one [`Reference`] run cost: services served, the high-water
+/// marks of the heap and of the parked signals, and the most stages any
+/// ranks were in at once.
+#[derive(Debug, Default, Clone, Copy)]
+struct Price {
+    services: usize,
+    heap_high: usize,
+    parked: usize,
+    parked_high: usize,
+    open_high: usize,
+}
+
+/// The reference event executor: the Fig. 5.5 signal semantics written
+/// out as one discrete-event machine over public API only, slow and
+/// plainly right. Each rank has a [`Cursor`] over the plan: it posts at
+/// stage entry plus call overhead, issues its signals in CSR order, each
+/// when the previous one is acknowledged, and leaves the stage once its
+/// sends are acknowledged and its inbound signals processed. One
+/// `BinaryHeap` holds every pending service. Each node's NIC and each
+/// rank's receive thread is a FIFO server: it serves what the heap hands
+/// it in the heap's order, each service starting no earlier than the
+/// previous one ended (`nic_free`, `recv_busy`). A signal that arrives
+/// before its receiver has posted the signal's stage waits, parked,
+/// until it does. The per-message arithmetic is `hpm_simnet::net`'s, in
+/// the same operation order, and the multipliers come from one
+/// `JitterBuf::fill` of the plan's `jitter_draws()`, read by plan
+/// position: stage `s`'s `p` entry draws, then four per CSR edge.
+///
+/// Keyed by [`Order::Rank`] the machine serves what the stage kernel
+/// serves, in the kernel's order; keyed by [`Order::Time`] it serves
+/// every NIC departure and reception in nondecreasing ready time.
+struct Reference<'a> {
+    sim: &'a BarrierSim<'a>,
+    plan: &'a CompiledPattern,
+    payload: &'a PayloadSchedule,
+    order: Order,
+    draws: Vec<f64>,
+    /// Stage `s`'s first draw.
+    base: Vec<usize>,
+    nic_free: Vec<f64>,
+    recv_busy: Vec<f64>,
+    ranks: Vec<Cursor>,
+    /// Per receiver: signals of a later stage than it has posted.
+    parked: Vec<Vec<(Signal, f64)>>,
+    heap: BinaryHeap<Service>,
+    exits: Vec<f64>,
+    /// Ranks in each stage.
+    open: Vec<usize>,
+    price: Price,
+}
+
+impl<'a> Reference<'a> {
+    /// Runs `plan` from `entry` on the draws of `(seed,
+    /// BARRIER_JITTER_LABEL, rep)` in `order`: the exits, and the price.
+    fn run(
+        sim: &'a BarrierSim<'a>,
+        plan: &'a CompiledPattern,
+        payload: &'a PayloadSchedule,
+        entry: &[f64],
+        seed: u64,
+        rep: u64,
+        order: Order,
+    ) -> (Vec<f64>, Price) {
+        let (p, stages) = (plan.p(), plan.stages());
+        let mut jit = JitterBuf::new();
+        let sigma = sim.params.jitter.sigma;
+        jit.fill(sigma, seed, BARRIER_JITTER_LABEL, rep, plan.jitter_draws());
+        let base = (0..stages)
+            .scan(0, |at, s| {
+                let first = *at;
+                *at += plan.stage(s).jitter_draws();
+                Some(first)
+            })
+            .collect();
+        let idle = Cursor {
+            stage: 0,
+            posted: 0.0,
+            sent: 0,
+            sending: false,
+            t: 0.0,
+            inbound: 0,
+            last_in: f64::NEG_INFINITY,
+        };
+        let mut m = Reference {
+            sim,
+            plan,
+            payload,
+            order,
+            draws: jit.rows(plan.jitter_draws()).to_vec(),
+            base,
+            nic_free: vec![0.0; sim.placement.shape().nodes()],
+            recv_busy: vec![0.0; p],
+            ranks: vec![idle; p],
+            parked: vec![Vec::new(); p],
+            heap: BinaryHeap::new(),
+            exits: vec![0.0; p],
+            open: vec![0; stages],
+            price: Price::default(),
+        };
+        for (r, &t) in entry.iter().enumerate() {
+            m.post(r, 0, t);
+        }
+        for r in 0..p {
+            m.advance(r);
+        }
+        while let Some(service) = m.heap.pop() {
+            m.price.services += 1;
+            m.serve(service);
+        }
+        assert!(
+            m.ranks.iter().all(|c| c.stage == stages),
+            "{}: a rank never left the plan",
+            plan.name()
+        );
+        (m.exits, m.price)
+    }
+
+    /// The four multipliers of a signal: send, wire, receive, ack.
+    fn mults(&self, s: Signal) -> [f64; 4] {
+        let at = self.base[s.stage] + self.plan.p() + 4 * s.edge;
+        [0, 1, 2, 3].map(|k| self.draws[at + k])
+    }
+
+    fn link(&self, s: Signal) -> LinkCost {
+        self.sim.params.link(self.sim.placement.link(s.src, s.dst))
+    }
+
+    fn push(&mut self, signal: Signal, ready: f64, nic: bool) {
+        let time = match self.order {
+            Order::Rank => 0,
+            // Times are non-negative, so their bits order as they do.
+            Order::Time => ready.to_bits(),
+        };
+        let key = (time, signal.stage, signal.src, signal.edge);
+        self.heap.push(Service {
+            key,
+            signal,
+            ready,
+            nic,
+        });
+        self.price.heap_high = self.price.heap_high.max(self.heap.len());
+    }
+
+    /// Rank `r` enters stage `s` at `t` and posts its receives, which
+    /// releases the signals of stage `s` parked at it; past the last
+    /// stage, `t` is its exit.
+    fn post(&mut self, r: usize, s: usize, t: f64) {
+        if s == self.plan.stages() {
+            self.ranks[r].stage = s;
+            self.exits[r] = t;
+            return;
+        }
+        self.open[s] += 1;
+        let open = self.open.iter().filter(|&&n| n > 0).count();
+        self.price.open_high = self.price.open_high.max(open);
+        let m = self.draws[self.base[s] + r];
+        let posted = t + self.sim.params.call_overhead * m;
+        self.ranks[r] = Cursor {
+            stage: s,
+            posted,
+            sent: 0,
+            sending: false,
+            t: posted,
+            inbound: self.plan.stage(s).in_degree(r),
+            last_in: f64::NEG_INFINITY,
+        };
+        for (signal, arrival) in std::mem::take(&mut self.parked[r]) {
+            if signal.stage == s {
+                self.price.parked -= 1;
+                self.arrive(signal, arrival);
+            } else {
+                self.parked[r].push((signal, arrival));
+            }
+        }
+    }
+
+    /// Rank `r` issues its next signal, or leaves its stage once every
+    /// signal it sends is acknowledged and every one it expects processed.
+    fn advance(&mut self, r: usize) {
+        let c = self.ranks[r];
+        if c.stage == self.plan.stages() || c.sending {
+            return;
+        }
+        let stage = self.plan.stage(c.stage);
+        if c.sent < stage.out_degree(r) {
+            let signal = Signal {
+                stage: c.stage,
+                src: r,
+                dst: stage.dsts(r)[c.sent] as usize,
+                edge: stage.dst_offsets()[r] as usize + c.sent,
+            };
+            self.ranks[r].sending = true;
+            let [m_send, ..] = self.mults(signal);
+            let send_done = c.t + self.link(signal).o_send * m_send;
+            if self.sim.placement.link(r, signal.dst) == LinkClass::Remote {
+                self.push(signal, send_done, true);
+            } else {
+                self.depart(signal, send_done);
+            }
+        } else if c.inbound == 0 {
+            let mut exit = c.posted;
+            if c.t > exit {
+                exit = c.t;
+            }
+            if c.last_in > exit {
+                exit = c.last_in;
+            }
+            self.open[c.stage] -= 1;
+            self.post(r, c.stage + 1, exit);
+            self.advance(r);
+        }
+    }
+
+    /// The signal leaves its sender's node at `dep` and flies.
+    fn depart(&mut self, signal: Signal, dep: f64) {
+        let [_, m_wire, ..] = self.mults(signal);
+        let lc = self.link(signal);
+        let bytes = self.payload.bytes(signal.stage);
+        let wire = (lc.latency + bytes as f64 * lc.inv_bandwidth) * m_wire;
+        self.arrive(signal, dep + wire);
+    }
+
+    /// The signal reaches its receiver at `arrival`: queued for
+    /// processing if the receiver has posted the signal's stage (an
+    /// arrival before the post pays the unexpected-message penalty),
+    /// parked until it does otherwise.
+    fn arrive(&mut self, signal: Signal, arrival: f64) {
+        let c = self.ranks[signal.dst];
+        assert!(c.stage <= signal.stage, "a receiver left a stage early");
+        if c.stage < signal.stage {
+            self.parked[signal.dst].push((signal, arrival));
+            self.price.parked += 1;
+            self.price.parked_high = self.price.parked_high.max(self.price.parked);
+            return;
+        }
+        let ready = if arrival < c.posted {
+            c.posted + self.sim.params.unexpected_penalty
+        } else {
+            arrival
+        };
+        self.push(signal, ready, false);
+    }
+
+    fn serve(&mut self, service: Service) {
+        let Service {
+            signal, ready, nic, ..
+        } = service;
+        if nic {
+            let nic_free = &mut self.nic_free[self.sim.placement.node_of(signal.src)];
+            let dep = ready.max(*nic_free);
+            *nic_free = dep + self.sim.params.nic_gap;
+            self.depart(signal, dep);
+            return;
+        }
+        let [_, _, m_recv, m_ack] = self.mults(signal);
+        let lc = self.link(signal);
+        let busy = &mut self.recv_busy[signal.dst];
+        let processed = ready.max(*busy) + lc.o_recv * m_recv;
+        *busy = processed;
+        let ack = processed + lc.latency * self.sim.params.ack_factor * m_ack;
+        let receiver = &mut self.ranks[signal.dst];
+        receiver.inbound -= 1;
+        if processed > receiver.last_in {
+            receiver.last_in = processed;
+        }
+        let sender = &mut self.ranks[signal.src];
+        (sender.sending, sender.sent, sender.t) = (false, sender.sent + 1, ack);
+        self.advance(signal.dst);
+        self.advance(signal.src);
+    }
+}
+
+/// The reference executor in rank order is the stage kernel, bit for
+/// bit, on the registry barriers and the catalog collectives (the
+/// property test above holds it to the kernel on random plans): at
+/// p ∈ {5, 16, 37} on 8×2×4 round-robin, from skewed entry (every rank
+/// within 50 µs, then one rank a second late), noiseless and jittered.
+#[test]
+fn reference_in_rank_order_is_the_stage_kernel() {
+    for p in [5usize, 16, 37] {
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        let mut rng = p as u64;
+        for params in [xeon_cluster_params().noiseless(), xeon_cluster_params()] {
+            let sim = BarrierSim::new(&params, &placement);
+            for (rep, (plan, payload)) in registry_and_catalog(p).iter().enumerate() {
+                let mut entry: Vec<f64> = (0..p)
+                    .map(|_| (next(&mut rng) % 50_000) as f64 * 1e-9)
+                    .collect();
+                for late in [None, Some(rep % p)] {
+                    if let Some(k) = late {
+                        entry[k] = LATE;
+                    }
+                    let rep = rep as u64;
+                    let kernel = kernel_exits(&sim, plan, payload, &entry, rep);
+                    let (exits, _) =
+                        Reference::run(&sim, plan, payload, &entry, 11, rep, Order::Rank);
+                    assert_eq!(
+                        bits(&exits),
+                        bits(&kernel),
+                        "{} p={p} late {late:?}",
+                        plan.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// In time order a late rank delays exactly its rendezvous closure:
+/// wherever [`late_rank_delays_only_its_closure`] looks, no pair is
+/// delayed beyond it. The kernel's nonzero counts there are all rank-order
+/// queueing; serving every NIC and receive queue in ready time removes
+/// them.
+#[test]
+fn time_order_delays_only_the_closure() {
+    for (pi, spread, name, beyond) in closure_census(time_order_exits) {
+        let p = [16, 64][pi];
+        assert_eq!(beyond, 0, "{name} p={p} placement {spread}");
+    }
+}
+
+/// Time-order totals (bits of the latest exit) from zero entry on 8×2×4
+/// round-robin, 1 KiB payloads, draws of `(11, BARRIER_JITTER_LABEL, 0)`:
+/// the total exchange and the two-phase broadcast (root 0) at p = 16 and
+/// 64, noiseless then jittered. Noiseless, they read 0.206 / 1.409 ms for
+/// the total exchange and 0.273 / 1.781 ms for the broadcast, against
+/// 1.412 / 10.45 ms and 1.072 / 7.513 ms in the stage kernel's rank order.
+/// The PR 35 probe, which ordered each stage by send start, read 0.332 /
+/// 1.543 ms and 1.85 ms (broadcast, p = 64): one global order is 38 %,
+/// 8.7 % and 3.7 % shorter again.
+const TIME_ORDER_TOTALS: [(&str, usize, [u64; 2]); 4] = [
+    (
+        "total-exchange",
+        16,
+        [0x3f2b08a031c11cae, 0x3f2bc0afb5f1bdce],
+    ),
+    (
+        "broadcast-two-phase",
+        16,
+        [0x3f31e6c9ae786395, 0x3f3238afb2132629],
+    ),
+    (
+        "total-exchange",
+        64,
+        [0x3f5717d027897f82, 0x3f5790ef364a8ff5],
+    ),
+    (
+        "broadcast-two-phase",
+        64,
+        [0x3f5d2f79f8e6f207, 0x3f5d60a1450d9de0],
+    ),
+];
+
+/// Pins the time-order reference on the two dense collectives, where
+/// rank order and time order differ most.
+#[test]
+fn time_order_totals_match_pins() {
+    for (name, p, pins) in TIME_ORDER_TOTALS {
+        let placement = Placement::new(cluster_8x2x4(), PlacementPolicy::RoundRobin, p);
+        let pattern = match name {
+            "total-exchange" => total_exchange(p, 1024),
+            _ => broadcast_two_phase(p, 0, 1024),
+        };
+        let (plan, payload) = (pattern.compiled(), pattern.payload());
+        let zeros = vec![0.0; p];
+        for (params, pin) in [xeon_cluster_params().noiseless(), xeon_cluster_params()]
+            .iter()
+            .zip(pins)
+        {
+            let sim = BarrierSim::new(params, &placement);
+            let (exits, _) = Reference::run(&sim, plan, payload, &zeros, 11, 0, Order::Time);
+            let total = exits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let sigma = params.jitter.sigma;
+            assert_eq!(total.to_bits(), pin, "{name} p={p} σ={sigma}: {total:e} s");
+        }
+    }
+}
+
+/// What a time-ordered executor costs to run, measured on the reference:
+/// services per signal, the high-water marks of the heap and of the
+/// parked signals, and the most stages any ranks are in at once, from
+/// zero entry and with rank 0 a second
+/// late, at p ∈ {64, 1024, 4096} (8, 128 and 512 nodes of 2×4,
+/// round-robin), jittered. Dissemination at every p, the total exchange
+/// up to p = 1024. Prints; run with `--ignored --nocapture`.
+#[test]
+#[ignore]
+fn time_order_price() {
+    let params = xeon_cluster_params();
+    for (p, shape) in [
+        (64usize, cluster_8x2x4()),
+        (1024, cluster_128x2x4()),
+        (4096, cluster_512x2x4()),
+    ] {
+        let placement = Placement::new(shape, PlacementPolicy::RoundRobin, p);
+        let sim = BarrierSim::new(&params, &placement);
+        let mut plans = vec![(dissemination(p), PayloadSchedule::none())];
+        if p <= 1024 {
+            let te = total_exchange(p, 1024);
+            plans.push((te.compiled().clone(), te.payload().clone()));
+        }
+        for (plan, payload) in &plans {
+            for late in [false, true] {
+                let mut entry = vec![0.0; p];
+                if late {
+                    entry[0] = LATE;
+                }
+                let (_, price) = Reference::run(&sim, plan, payload, &entry, 11, 0, Order::Time);
+                println!(
+                    "{} p={p} late={late}: {:.2} services/signal, heap high-water {}, \
+                     {} parked at most, {} stages open at once",
+                    plan.name(),
+                    price.services as f64 / plan.total_signals() as f64,
+                    price.heap_high,
+                    price.parked_high,
+                    price.open_high,
                 );
             }
         }
