@@ -223,13 +223,12 @@ impl Analyzer {
 
     /// Runs the survivor re-plan synthesizer ([`SurvivorMap::repair`])
     /// against a crash set and reports the sets *no* re-plan can fix.
-    /// This is the actionable
-    /// promotion of [`Analyzer::k_crash_coverage`]: a warning there says
-    /// the deployed plan loses the goal, while a diagnostic here says the
-    /// runtime recovery layer cannot help either — today that means the
-    /// root of a rooted goal crashed, or no rank survived at all. A root
-    /// that is not a rank of the plan is the same `rank-range` error
-    /// [`Analyzer::analyze_with_goal`] reports.
+    /// This is the actionable promotion of [`Analyzer::k_crash_coverage`]:
+    /// a warning there says the deployed plan loses the goal, while a
+    /// diagnostic here says the runtime recovery layer cannot help either
+    /// — today that means the root of a rooted goal crashed, or no rank
+    /// survived at all. A root that is not a rank of the plan is the same
+    /// `rank-range` error [`Analyzer::analyze_with_goal`] reports.
     #[must_use]
     pub fn unrecoverable_crash_set(
         &mut self,
@@ -252,7 +251,7 @@ impl Analyzer {
         };
         let message = format!(
             "{goal:?} unrecoverable after crashing {}: {why}",
-            capped("ranks", plan.p() - map.ranks().len(), &listed)
+            capped("ranks", map.crashed().count(), &listed)
         );
         Some(Diagnostic {
             severity: Severity::Error,

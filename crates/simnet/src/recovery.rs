@@ -121,8 +121,8 @@ pub struct RecoveryScratch {
     pub fault: FaultScratch,
     /// The attempt's survivors, refilled in place per recovering run.
     survivors: SurvivorMap,
-    /// The last plan [`SurvivorMap::repair`] returned, keyed by what that plan
-    /// is a function of: the survivor count and the goal in the
+    /// The last plan [`SurvivorMap::repair`] returned, keyed by what that
+    /// plan is a function of: the survivor count and the goal in the
     /// survivors' compacted rank space. Repetitions with as many
     /// crashes towards the same goal reuse it instead of rebuilding and
     /// re-verifying it.
