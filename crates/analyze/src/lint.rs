@@ -20,11 +20,13 @@
 //!
 //! [`scan_source`] is the pure core: it walks one file's lines, strips
 //! `//` comments, skips `#[cfg(test)]` items (test code may time and
-//! hash freely), and reports token matches not covered by the
-//! allowlist. The `hpm-analyze --src` binary applies it to every
-//! `crates/*/src/**.rs` file. Exemptions live in one committed file
+//! hash freely), and reports every token match. The `hpm-analyze --src`
+//! binary applies it to every `crates/*/src/**.rs` file and then
+//! [`apply_allowlist`]. Exemptions live in one committed file
 //! (`crates/analyze/allowlist.txt`), one line per `path-prefix rule`
-//! pair, so every exception to the contract is visible in review.
+//! pair, so every exception to the contract is visible in review — and
+//! an entry that suppresses no finding is itself an error, so an
+//! exception outlives neither the code nor the rule it excused.
 
 use std::path::Path;
 
@@ -85,10 +87,36 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
         .collect()
 }
 
-fn allowed(allow: &[AllowEntry], path: &str, rule: &str) -> bool {
-    allow
+impl AllowEntry {
+    /// True when this entry suppresses `f`.
+    fn covers(&self, f: &LintFinding) -> bool {
+        f.path.starts_with(&self.path_prefix) && (self.rule == "*" || self.rule == f.rule)
+    }
+}
+
+/// Splits `raw`, the findings of a scan, by `allow`: returns the findings
+/// no entry covers, and one error per entry that covers none — a stale
+/// exemption, whose code or rule has gone.
+#[must_use]
+pub fn apply_allowlist(
+    allow: &[AllowEntry],
+    raw: Vec<LintFinding>,
+) -> (Vec<LintFinding>, Vec<String>) {
+    let stale = allow
         .iter()
-        .any(|e| path.starts_with(&e.path_prefix) && (e.rule == "*" || e.rule == rule))
+        .filter(|e| !raw.iter().any(|f| e.covers(f)))
+        .map(|e| {
+            format!(
+                "allowlist.txt: entry `{} {}` suppresses no finding",
+                e.path_prefix, e.rule
+            )
+        })
+        .collect();
+    let kept = raw
+        .into_iter()
+        .filter(|f| !allow.iter().any(|e| e.covers(f)))
+        .collect();
+    (kept, stale)
 }
 
 fn is_ident(c: char) -> bool {
@@ -169,13 +197,10 @@ fn live_lines(source: &str) -> Vec<(usize, String)> {
 /// Scans one file's source text. `path` is the repo-relative label used
 /// for reporting and allowlist matching.
 #[must_use]
-pub fn scan_source(path: &str, source: &str, allow: &[AllowEntry]) -> Vec<LintFinding> {
+pub fn scan_source(path: &str, source: &str) -> Vec<LintFinding> {
     let mut findings = Vec::new();
     for (idx, line) in live_lines(source) {
         for (rule, tokens) in RULES {
-            if allowed(allow, path, rule) {
-                continue;
-            }
             for needle in *tokens {
                 if token_match(&line, needle) {
                     findings.push(LintFinding {
@@ -194,7 +219,7 @@ pub fn scan_source(path: &str, source: &str, allow: &[AllowEntry]) -> Vec<LintFi
 /// Walks `root` for `crates/*/src/**.rs` plus the facade `src/*.rs` and
 /// scans every file. Paths are visited in sorted order so the report is
 /// deterministic.
-pub fn scan_tree(root: &Path, allow: &[AllowEntry]) -> std::io::Result<Vec<LintFinding>> {
+pub fn scan_tree(root: &Path) -> std::io::Result<Vec<LintFinding>> {
     let mut files = Vec::new();
     collect_rs(&root.join("crates"), &mut files)?;
     collect_rs(&root.join("src"), &mut files)?;
@@ -212,7 +237,7 @@ pub fn scan_tree(root: &Path, allow: &[AllowEntry]) -> std::io::Result<Vec<LintF
             continue;
         }
         let source = std::fs::read_to_string(&f)?;
-        findings.extend(scan_source(&rel, &source, allow));
+        findings.extend(scan_source(&rel, &source));
     }
     Ok(findings)
 }
@@ -379,7 +404,7 @@ mod tests {
     use super::*;
 
     fn rules_hit(src: &str) -> Vec<&'static str> {
-        scan_source("crates/x/src/lib.rs", src, &[])
+        scan_source("crates/x/src/lib.rs", src)
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -453,10 +478,15 @@ let live = 1;
     #[test]
     fn cfg_test_use_statement_is_skipped() {
         let src = "#[cfg(test)]\nuse std::collections::HashSet;\nlet live = HashMap::new();\n";
-        let found = scan_source("crates/x/src/lib.rs", src, &[]);
+        let found = scan_source("crates/x/src/lib.rs", src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].token, "HashMap");
         assert_eq!(found[0].line, 3);
+    }
+
+    /// `apply_allowlist` over the findings of one file.
+    fn allowed_scan(path: &str, src: &str, allow: &[AllowEntry]) -> Vec<LintFinding> {
+        apply_allowlist(allow, scan_source(path, src)).0
     }
 
     #[test]
@@ -466,7 +496,7 @@ let live = 1;
              crates/compat/ host-clock  # vendored stand-ins\n\
              crates/x/src/special.rs *\n",
         );
-        assert!(scan_source(
+        assert!(allowed_scan(
             "crates/compat/criterion/src/lib.rs",
             "Instant::now();",
             &allow
@@ -474,25 +504,44 @@ let live = 1;
         .is_empty());
         // Same rule elsewhere still fires.
         assert_eq!(
-            scan_source("crates/y/src/lib.rs", "Instant::now();", &allow).len(),
+            allowed_scan("crates/y/src/lib.rs", "Instant::now();", &allow).len(),
             1
         );
         // The wildcard entry covers every rule for that file.
-        assert!(scan_source("crates/x/src/special.rs", "static mut X: u8 = 0;", &allow).is_empty());
+        assert!(
+            allowed_scan("crates/x/src/special.rs", "static mut X: u8 = 0;", &allow).is_empty()
+        );
         // …but only host-clock is exempt under compat.
         assert_eq!(
-            scan_source("crates/compat/rand/src/lib.rs", "thread_rng();", &allow).len(),
+            allowed_scan("crates/compat/rand/src/lib.rs", "thread_rng();", &allow).len(),
             1
         );
     }
 
     #[test]
-    fn findings_report_position() {
-        let found = scan_source(
-            "crates/x/src/lib.rs",
-            "let a = 1;\nlet t = Instant::now();",
-            &[],
+    fn allowlist_entry_that_suppresses_nothing_is_stale() {
+        let allow = parse_allowlist(
+            "crates/x/src/clock.rs host-clock\n\
+             crates/x/src/clock.rs hash-collection  # no HashMap left\n\
+             crates/gone/ *\n",
         );
+        let raw = scan_source("crates/x/src/clock.rs", "let t = Instant::now();");
+        let (kept, stale) = apply_allowlist(&allow, raw);
+        assert!(kept.is_empty(), "{kept:?}");
+        assert_eq!(
+            stale,
+            [
+                "allowlist.txt: entry `crates/x/src/clock.rs hash-collection` suppresses no finding",
+                "allowlist.txt: entry `crates/gone/ *` suppresses no finding",
+            ]
+        );
+        // With no finding at all, every entry is stale.
+        assert_eq!(apply_allowlist(&allow, Vec::new()).1.len(), 3);
+    }
+
+    #[test]
+    fn findings_report_position() {
+        let found = scan_source("crates/x/src/lib.rs", "let a = 1;\nlet t = Instant::now();");
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 2);
         assert_eq!(found[0].path, "crates/x/src/lib.rs");

@@ -6,7 +6,8 @@
 //!
 //! Walks `crates/*/src` (plus the facade `src/`) under the workspace
 //! root, reports every determinism-contract violation not covered by
-//! the committed allowlist, and exits nonzero on any finding — the CI
+//! the committed allowlist and every allowlist entry that covers none,
+//! and exits nonzero on any of them — the CI
 //! `analyze` job's first half. (The second half, the plan analyzer over
 //! the experiment registry, runs as `repro analyze`; it lives in the
 //! bench crate because only the registry knows every pattern and its
@@ -55,12 +56,16 @@ fn main() {
         std::process::exit(2);
     });
     let allow = lint::parse_allowlist(&allow_text);
-    let findings = lint::scan_tree(&root, &allow).unwrap_or_else(|e| {
+    let raw = lint::scan_tree(&root).unwrap_or_else(|e| {
         eprintln!("scan failed under {}: {e}", root.display());
         std::process::exit(2);
     });
+    let (findings, stale) = lint::apply_allowlist(&allow, raw);
     for f in &findings {
         println!("{f}");
+    }
+    for e in &stale {
+        println!("{e}");
     }
     let labels_path = labels.unwrap_or_else(|| root.join("crates/analyze/stream_labels.txt"));
     let registry_text = std::fs::read_to_string(&labels_path).unwrap_or_else(|e| {
@@ -76,7 +81,7 @@ fn main() {
     for e in &label_errors {
         println!("{e}");
     }
-    if findings.is_empty() && label_errors.is_empty() {
+    if findings.is_empty() && stale.is_empty() && label_errors.is_empty() {
         println!(
             "source lint clean ({} allowlist entries, {} stream labels audited)",
             allow.len(),
@@ -84,8 +89,9 @@ fn main() {
         );
     } else {
         eprintln!(
-            "{} determinism-contract violations, {} stream-label errors",
+            "{} determinism-contract violations, {} stale allowlist entries, {} stream-label errors",
             findings.len(),
+            stale.len(),
             label_errors.len()
         );
         std::process::exit(1);

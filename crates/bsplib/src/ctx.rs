@@ -16,7 +16,7 @@
 //! and lets the caller write the bytes there — one copy, no allocation.
 //! `put`/`hpput` are its `copy_from_slice` wrappers.
 
-use crate::mem::{BsmpMsg, ProcMem, RegHandle};
+use crate::mem::{ProcMem, RegHandle};
 use crate::ops::CommOp;
 use hpm_kernels::kernel::Kernel;
 use hpm_kernels::rate::ProcessorModel;
@@ -27,12 +27,13 @@ use rand::rngs::StdRng;
 /// (enqueue + `sched_yield`, §6.3).
 pub const ENQUEUE_OVERHEAD: f64 = 0.2e-6;
 
-/// Send-side copy cost per byte for *buffered* puts/sends (the buffered
-/// variants snapshot the data; `hpput` skips this, §6.1).
+/// Send-side copy cost per byte for *buffered* puts (the buffered variant
+/// snapshots the data; `hpput` skips this, §6.1).
 pub const BUFFER_COPY_PER_BYTE: f64 = 2.5e-10;
 
-/// The per-superstep execution context (all of Table 6.1 except
-/// init/begin/end/sync, which the runtime embodies).
+/// The per-superstep execution context: the Table 6.1 primitives the
+/// runtime keeps (see the crate doc), except init/begin/end/sync, which
+/// the runtime embodies.
 pub struct BspCtx<'a> {
     pid: usize,
     nprocs: usize,
@@ -134,12 +135,6 @@ impl<'a> BspCtx<'a> {
         self.elapse(ENQUEUE_OVERHEAD);
     }
 
-    /// `bsp_pop_reg`.
-    pub fn pop_reg(&mut self, h: RegHandle) {
-        self.mem.queue_pop_reg(h);
-        self.elapse(ENQUEUE_OVERHEAD);
-    }
-
     /// Read a local buffer.
     pub fn read_buf(&self, h: RegHandle) -> &[u8] {
         self.mem.read(h)
@@ -182,7 +177,7 @@ impl<'a> BspCtx<'a> {
         let start = self.staging.len();
         self.staging.resize(start + len, 0);
         fill(&mut self.staging[start..]);
-        self.ops.push(CommOp::Put {
+        self.ops.push(CommOp {
             issue: self.now,
             dst,
             reg,
@@ -235,116 +230,6 @@ impl<'a> BspCtx<'a> {
         self.hpput_with(dst, reg, offset, data.len(), |slot| {
             slot.copy_from_slice(data)
         });
-    }
-
-    fn get_impl(
-        &mut self,
-        src: usize,
-        src_reg: RegHandle,
-        src_offset: usize,
-        dst_reg: RegHandle,
-        dst_offset: usize,
-        len: usize,
-    ) {
-        self.check_target(src, src_reg, src_offset, len);
-        assert!(
-            dst_offset + len <= self.mem.len(dst_reg),
-            "get destination overruns local buffer"
-        );
-        self.elapse(ENQUEUE_OVERHEAD);
-        self.ops.push(CommOp::Get {
-            issue: self.now,
-            src,
-            src_reg,
-            src_offset,
-            dst_reg,
-            dst_offset,
-            len,
-        });
-    }
-
-    /// `bsp_get`: one-sided read of remote memory, landing locally at the
-    /// next sync (logically before any puts of the same superstep).
-    pub fn get(
-        &mut self,
-        src: usize,
-        src_reg: RegHandle,
-        src_offset: usize,
-        dst_reg: RegHandle,
-        dst_offset: usize,
-        len: usize,
-    ) {
-        self.get_impl(src, src_reg, src_offset, dst_reg, dst_offset, len);
-    }
-
-    /// `bsp_hpget`: identical timing here (the transport is one-sided
-    /// either way); kept for interface completeness.
-    pub fn hpget(
-        &mut self,
-        src: usize,
-        src_reg: RegHandle,
-        src_offset: usize,
-        dst_reg: RegHandle,
-        dst_offset: usize,
-        len: usize,
-    ) {
-        self.get_impl(src, src_reg, src_offset, dst_reg, dst_offset, len);
-    }
-
-    /// `bsp_set_tagsize`: collective; takes effect next superstep. Returns
-    /// the previous size, as the standard requires.
-    pub fn set_tagsize(&mut self, bytes: usize) -> usize {
-        let prev = self.mem.tagsize;
-        self.mem.queue_tagsize(bytes);
-        prev
-    }
-
-    /// `bsp_send`: BSMP message with a tag of exactly the current tag
-    /// size, queued at `dst` for the next superstep.
-    pub fn send(&mut self, dst: usize, tag: &[u8], payload: &[u8]) {
-        assert!(dst < self.nprocs, "send target out of range");
-        assert_eq!(
-            tag.len(),
-            self.mem.tagsize,
-            "tag must match the current tag size ({} bytes)",
-            self.mem.tagsize
-        );
-        self.elapse(ENQUEUE_OVERHEAD + (tag.len() + payload.len()) as f64 * BUFFER_COPY_PER_BYTE);
-        let start = self.staging.len();
-        self.staging.extend_from_slice(tag);
-        self.staging.extend_from_slice(payload);
-        let split = start + tag.len();
-        self.ops.push(CommOp::Send {
-            issue: self.now,
-            dst,
-            tag: start..split,
-            payload: split..self.staging.len(),
-        });
-    }
-
-    /// `bsp_qsize`: number of undrained messages in this superstep's queue.
-    pub fn qsize(&self) -> usize {
-        self.mem.inbox.len()
-    }
-
-    /// `bsp_get_tag`: tag of the head message (and its payload length), or
-    /// `None` when the queue is empty.
-    pub fn get_tag(&self) -> Option<(Vec<u8>, usize)> {
-        self.mem
-            .inbox
-            .front()
-            .map(|m| (m.tag.clone(), m.payload.len()))
-    }
-
-    /// `bsp_move`: dequeues the head message, copying it out.
-    pub fn move_msg(&mut self) -> Option<BsmpMsg> {
-        self.elapse(ENQUEUE_OVERHEAD);
-        self.mem.inbox.pop_front()
-    }
-
-    /// `bsp_hpmove`: dequeues without the copy cost.
-    pub fn hpmove(&mut self) -> Option<BsmpMsg> {
-        self.mem.inbox.pop_front()
     }
 }
 
@@ -419,21 +304,17 @@ mod tests {
             ctx.put(2, h, 4, &[9; 8]);
         });
         assert_eq!(ops.len(), 1);
-        match &ops[0] {
-            CommOp::Put {
-                issue,
-                dst,
-                offset,
-                data,
-                ..
-            } => {
-                assert!(*issue > 5e-6);
-                assert_eq!(*dst, 2);
-                assert_eq!(*offset, 4);
-                assert_eq!(staging[data.clone()], [9; 8]);
-            }
-            other => panic!("expected put, got {other:?}"),
-        }
+        let CommOp {
+            issue,
+            dst,
+            offset,
+            data,
+            ..
+        } = &ops[0];
+        assert!(*issue > 5e-6);
+        assert_eq!(*dst, 2);
+        assert_eq!(*offset, 4);
+        assert_eq!(staging[data.clone()], [9; 8]);
     }
 
     #[test]
@@ -452,24 +333,6 @@ mod tests {
             ctx.hpput(1, h, 0, &big);
         });
         assert!(t_hp < t_buffered, "hpput {t_hp} vs put {t_buffered}");
-    }
-
-    #[test]
-    fn send_enforces_tagsize() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_ctx(|ctx| {
-                ctx.set_tagsize(4);
-                // Still 0 this superstep: a 4-byte tag must be rejected.
-                ctx.send(1, &[0, 0, 0, 0], &[1]);
-            })
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn set_tagsize_returns_previous() {
-        let (prev, ..) = with_ctx(|ctx| ctx.set_tagsize(8));
-        assert_eq!(prev, 0);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! carrying the per-pair message-count map as payload (§6.4–6.5), which
 //! lets every process know how many inbound transfers to await.
 //!
-//! This crate reproduces that runtime over `hpm-simnet`. SPMD programs
-//! implement [`BspProgram`]; each call to
-//! [`BspProgram::superstep`] is the code between two `bsp_sync`
-//! calls, and the full primitive set of Table 6.1 is available on the
-//! [`BspCtx`] handed to it:
+//! This crate reproduces that runtime over `hpm-simnet`, for what its
+//! programs measure: BSPBench and the inner product (Table 3.1,
+//! Fig. 3.2), the §6.4–6.5 sync, the Ch. 8 stencils and the collectives.
+//! SPMD programs implement [`BspProgram`]; each call to
+//! [`BspProgram::superstep`] is the code between two `bsp_sync` calls,
+//! and the primitives of Table 6.1 those programs issue — 11 of its 20 —
+//! are available on the [`BspCtx`] handed to it:
 //!
 //! | BSPlib | here |
 //! |---|---|
@@ -22,14 +24,19 @@
 //! | `bsp_abort` | [`BspCtx::abort`] |
 //! | `bsp_nprocs` / `bsp_pid` / `bsp_time` | [`BspCtx::nprocs`] / [`BspCtx::pid`] / [`BspCtx::time`] |
 //! | `bsp_sync` | returning [`StepOutcome::Continue`] |
-//! | `bsp_push_reg` / `bsp_pop_reg` | [`BspCtx::push_reg`] / [`BspCtx::pop_reg`] |
+//! | `bsp_push_reg` | [`BspCtx::push_reg`] |
 //! | `bsp_put` / `bsp_hpput` | [`BspCtx::put`] / [`BspCtx::hpput`] |
 //! | — (same puts, payload written in place) | [`BspCtx::put_with`] / [`BspCtx::hpput_with`] |
-//! | `bsp_get` / `bsp_hpget` | [`BspCtx::get`] / [`BspCtx::hpget`] |
-//! | `bsp_set_tagsize` | [`BspCtx::set_tagsize`] |
-//! | `bsp_send` | [`BspCtx::send`] |
-//! | `bsp_qsize` / `bsp_get_tag` | [`BspCtx::qsize`] / [`BspCtx::get_tag`] |
-//! | `bsp_move` / `bsp_hpmove` | [`BspCtx::move_msg`] / [`BspCtx::hpmove`] |
+//!
+//! Every one of those programs communicates by put and hp-put alone, and
+//! none deregisters, so the other nine are not here: DRMA get and
+//! hp-get, the six BSMP primitives (set tag size, send, queue size, get
+//! tag, move, hp-move) and pop-reg. Before they went,
+//! `grep -rnE "ctx\.(h?p?get|h?p?move|send|set_tag|q|pop_)"` over
+//! `crates src tests examples benchmark/src` found their calls only in
+//! test code: no experiment, example or benchmark workload issued one,
+//! yet every superstep resolved a get-reply exchange for them. Adding one
+//! back belongs with a program that issues it.
 //!
 //! Computation advances the virtual clock through
 //! [`BspCtx::compute_kernel`] (rates from a processor model) or

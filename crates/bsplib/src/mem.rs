@@ -1,25 +1,18 @@
 //! Per-process memory and registration state.
 //!
 //! BSPlib's one-sided operations name remote memory by *registration*:
-//! §6.2 implements `push_reg`/`pop_reg` with two queues of pointers and
-//! indices that are committed to a hash table at synchronization time, so
-//! that programs refer to a buffer by a consistent reference regardless of
-//! per-process layout. The same structure exists here: registrations are
-//! queued during a superstep and only become usable after the next sync.
-
-use std::collections::{HashMap, VecDeque};
+//! §6.2 implements registration and deregistration with two queues of
+//! pointers and indices that are committed to a hash table at
+//! synchronization time, so that programs refer to a buffer by a
+//! consistent reference regardless of per-process layout. Here a
+//! buffer's handle is its index, so the table is one flag per buffer, and
+//! no program deregisters, so registration only grows: a `push_reg` is
+//! queued during a superstep and sets the flag at the next sync.
 
 /// A handle naming a buffer consistently across processes (the analogue of
-/// the registered pointer value).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// the registered pointer value): the buffer's allocation index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RegHandle(pub usize);
-
-/// A delivered BSMP message: fixed-size tag plus payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BsmpMsg {
-    pub tag: Vec<u8>,
-    pub payload: Vec<u8>,
-}
 
 /// Writes `vals` as little-endian bytes into `out`, which must hold exactly
 /// eight bytes per value. Registered buffers and put slots are bytes; this
@@ -43,20 +36,13 @@ pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
 }
 
-/// One process' memory: buffers, registration table and message queue.
+/// One process' memory: buffers and their registration flags.
 #[derive(Debug, Default)]
 pub struct ProcMem {
     bufs: Vec<Vec<u8>>,
-    registered: HashMap<RegHandle, ()>,
+    /// `registered[h]`: buffer `h` is a remote target this superstep.
+    registered: Vec<bool>,
     push_queue: Vec<RegHandle>,
-    pop_queue: Vec<RegHandle>,
-    /// Current tag size in bytes; changes take effect next superstep.
-    pub tagsize: usize,
-    pending_tagsize: Option<usize>,
-    /// Messages available for `move` in the current superstep.
-    pub inbox: VecDeque<BsmpMsg>,
-    /// Messages arriving during this superstep, delivered at sync.
-    pub arriving: Vec<BsmpMsg>,
 }
 
 impl ProcMem {
@@ -64,6 +50,7 @@ impl ProcMem {
     /// allocate in the same order on every process, so handles agree.
     pub fn alloc(&mut self, bytes: usize) -> RegHandle {
         self.bufs.push(vec![0u8; bytes]);
+        self.registered.push(false);
         RegHandle(self.bufs.len() - 1)
     }
 
@@ -93,39 +80,15 @@ impl ProcMem {
         self.push_queue.push(h);
     }
 
-    /// Queues a deregistration (effective after the next sync).
-    pub fn queue_pop_reg(&mut self, h: RegHandle) {
-        self.pop_queue.push(h);
-    }
-
-    /// Queues a tag-size change (collective; effective next superstep).
-    pub fn queue_tagsize(&mut self, bytes: usize) {
-        self.pending_tagsize = Some(bytes);
-    }
-
     /// True when `h` is usable as a remote target this superstep.
     pub fn is_registered(&self, h: RegHandle) -> bool {
-        self.registered.contains_key(&h)
+        self.registered.get(h.0) == Some(&true)
     }
 
-    /// Commits queued registration changes and delivers arriving BSMP
-    /// messages — the sync-time bookkeeping of §6.2.
+    /// Commits queued registrations — the sync-time bookkeeping of §6.2.
     pub fn commit_sync(&mut self) {
         for h in self.push_queue.drain(..) {
-            self.registered.insert(h, ());
-        }
-        for h in self.pop_queue.drain(..) {
-            self.registered.remove(&h);
-        }
-        if let Some(ts) = self.pending_tagsize.take() {
-            self.tagsize = ts;
-        }
-        self.inbox.clear();
-        // Deterministic delivery order.
-        self.arriving
-            .sort_by(|a, b| a.tag.cmp(&b.tag).then(a.payload.cmp(&b.payload)));
-        for m in self.arriving.drain(..) {
-            self.inbox.push_back(m);
+            self.registered[h.0] = true;
         }
     }
 }
@@ -151,35 +114,8 @@ mod tests {
         assert!(!m.is_registered(h), "not visible before sync");
         m.commit_sync();
         assert!(m.is_registered(h));
-        m.queue_pop_reg(h);
-        assert!(m.is_registered(h), "pop also deferred");
         m.commit_sync();
-        assert!(!m.is_registered(h));
-    }
-
-    #[test]
-    fn tagsize_deferred() {
-        let mut m = ProcMem::default();
-        m.queue_tagsize(8);
-        assert_eq!(m.tagsize, 0);
-        m.commit_sync();
-        assert_eq!(m.tagsize, 8);
-    }
-
-    #[test]
-    fn bsmp_messages_visible_next_superstep() {
-        let mut m = ProcMem::default();
-        m.arriving.push(BsmpMsg {
-            tag: vec![1],
-            payload: vec![9, 9],
-        });
-        assert!(m.inbox.is_empty());
-        m.commit_sync();
-        assert_eq!(m.inbox.len(), 1);
-        // The following sync clears undrained messages (BSPlib drops
-        // unreceived messages at superstep end).
-        m.commit_sync();
-        assert!(m.inbox.is_empty());
+        assert!(m.is_registered(h), "registration persists");
     }
 
     #[test]

@@ -3,34 +3,30 @@
 //!
 //! Each superstep runs in two phases. First every process executes its
 //! program code against a [`BspCtx`], which advances its virtual clock and
-//! commits communication operations with their issue times. Then the
-//! runtime resolves the superstep against the simulated network:
+//! commits puts with their issue times. Then the runtime resolves the
+//! superstep against the simulated network:
 //!
-//! 1. every operation's out-of-band header (and any put/send payload)
-//!    transfers in the background from its issue time;
-//! 2. get replies are issued by the data owner's communication thread as
-//!    soon as the request header is processed;
-//! 3. all processes enter the dissemination barrier, which carries the
+//! 1. every put's out-of-band header and payload transfer in the
+//!    background from its issue time;
+//! 2. all processes enter the dissemination barrier, which carries the
 //!    message-count map as payload (§6.4–6.5) so each knows how many
 //!    inbound transfers remain;
-//! 4. a process completes the sync when the barrier is done, all its
+//! 3. a process completes the sync when the barrier is done, all its
 //!    inbound data landed *and* its own outbound transfers have released
 //!    the sending CPU — communication committed early that finished
 //!    during computation costs nothing extra, which is exactly the overlap
 //!    the Fig. 1.2 processing model exposes; a transfer committed right
 //!    before the sync still charges its sender-side `o_send` tail.
 //!
-//! Steps 1–3 are resolved one after another, each to completion, over
-//! one shared network state: first every request (header and put/send
-//! payload), then every get reply, then the sync. They are not
-//! interleaved in event order, so a sync signal can queue behind data
-//! that became ready after it. [`SuperstepNet`] holds that network side
-//! — the shared state, the exchange and the sync — and
-//! [`ExchangeResult::done`] is step 4's rule.
+//! Steps 1 and 2 are resolved one after the other, each to completion,
+//! over one shared network state: first every header and payload, then
+//! the sync. They are not interleaved in event order, so a sync signal
+//! can queue behind data that became ready after it. [`SuperstepNet`]
+//! holds that network side — the shared state, the exchange and the
+//! sync — and [`ExchangeResult::done`] is step 3's rule.
 //!
-//! Memory effects then apply in BSPlib order: gets read the pre-put state,
-//! puts land (deterministically ordered), sends appear in next-superstep
-//! queues, registrations commit.
+//! Memory effects then apply in BSPlib order: puts land in `(pid, program
+//! order)`, then registrations commit.
 //!
 //! The sync runs on the healthy machine, as the thesis models it: every
 //! process completes every superstep. Fault injection belongs to the
@@ -42,13 +38,13 @@
 //! the buffer and writes its payload there ([`BspCtx::put_with`]), the
 //! memory phase copies the span into the target's registered buffer, and
 //! the buffer is released before the next superstep's program code runs.
-//! One staged copy per put, no allocation of its own; the log, the message
-//! lists and the memory phase's bookkeeping are scratch reused across
-//! supersteps. None of this touches virtual time: what a put charges is
-//! decided in [`BspCtx`] before any byte moves.
+//! One staged copy per put, no allocation of its own; the log and the
+//! message list are scratch reused across supersteps. None of this touches
+//! virtual time: what a put charges is decided in [`BspCtx`] before any
+//! byte moves.
 
 use crate::ctx::BspCtx;
-use crate::mem::{BsmpMsg, ProcMem, RegHandle};
+use crate::mem::ProcMem;
 use crate::ops::{CommOp, StepOutcome, HEADER_BYTES};
 use hpm_barriers::patterns::{binary_tree, dissemination, linear};
 use hpm_core::plan::CompiledPattern;
@@ -62,15 +58,14 @@ use hpm_simnet::net::NetState;
 use hpm_simnet::params::PlatformParams;
 use hpm_stats::rng::derive_rng;
 use hpm_topology::Placement;
-use std::ops::Range;
 
 /// Stream label of the payload-carrying sync's jitter tables; `rep` is
 /// the superstep index.
 const SYNC_JITTER_LABEL: u64 = 0x5253_594E; // b"RSYN"
 
-/// Stream label of the background-transfer resolutions; `rep` is
-/// `2·superstep` for the header/payload pass and `2·superstep + 1` for
-/// the get replies.
+/// Stream label of the background-transfer resolution; `rep` is
+/// `2·superstep`. The odd reps are unused: they keyed a get-reply pass
+/// the runtime no longer has, and the even ones stay so no draw moves.
 const EXCHANGE_JITTER_LABEL: u64 = 0x5245_5843; // b"REXC"
 
 /// An SPMD program: one instance per process; each `superstep` call is the
@@ -268,9 +263,9 @@ impl std::error::Error for BspError {}
 pub struct SuperstepTrace {
     /// When each process finished its program code (sync entry).
     pub compute_end: Vec<f64>,
-    /// When each process' last *outbound* transfer (one-sided header,
-    /// put/send payload or get reply it served) released its CPU; equals
-    /// `compute_end` for processes that sourced nothing.
+    /// When each process' last *outbound* transfer (a put's header or
+    /// payload) released its CPU; equals `compute_end` for processes that
+    /// sourced nothing.
     pub send_complete: Vec<f64>,
     /// When each process absorbed its last *inbound* transfer; equals
     /// `compute_end` for processes that received nothing.
@@ -286,7 +281,7 @@ pub struct SuperstepTrace {
     pub completion: Vec<f64>,
     /// Total payload bytes committed during the superstep.
     pub payload_bytes: u64,
-    /// Number of one-sided/BSMP operations committed.
+    /// Number of puts committed.
     pub ops: usize,
 }
 
@@ -353,22 +348,16 @@ pub fn run_spmd<P: BspProgram>(
     // through `rng` — the draws arrive one at a time as the program
     // advances its clock.
     let mut snet = SuperstepNet::new(&cfg.params, placement, cfg.sync);
-    let mut r1 = ExchangeResult::default();
-    let mut r2 = ExchangeResult::default();
+    let mut exchanged = ExchangeResult::default();
     let mut supersteps = Vec::new();
     // Per-process operation logs, cleared and refilled every superstep,
     // and the superstep's one payload staging buffer (see `ops`): every
-    // process' puts and sends append to it during phase 1; phase 4 adds
-    // the gets' snapshots, applies the bytes and releases them.
+    // process' puts append to it during phase 1; phase 4 applies the
+    // bytes and releases them.
     let mut logs: Vec<Vec<CommOp>> = vec![Vec::new(); p];
     let mut staging: Vec<u8> = Vec::new();
-    // Scratch of the resolution and memory phases, reused across
-    // supersteps.
-    let mut headers: Vec<ExchangeMsg> = Vec::new();
-    let mut get_requests: Vec<(usize, usize, usize)> = Vec::new(); // (header idx, pid, op idx)
-    let mut replies: Vec<ExchangeMsg> = Vec::new();
-    // (requester, its destination buffer and offset, staged snapshot)
-    let mut get_results: Vec<(usize, RegHandle, usize, Range<usize>)> = Vec::new();
+    // The resolution phase's message list, reused across supersteps.
+    let mut msgs: Vec<ExchangeMsg> = Vec::new();
 
     for step in 0..cfg.max_supersteps {
         // Phase 1: run program code, collect ops.
@@ -414,45 +403,26 @@ pub fn run_spmd<P: BspProgram>(
             return Err(BspError::MixedHalt { superstep: step });
         }
 
-        // Phase 2: resolve communication.
-        headers.clear();
-        get_requests.clear();
+        // Phase 2: resolve communication: each put's header, then its
+        // payload.
+        msgs.clear();
         let mut payload_bytes = 0u64;
         for (pid, ops) in logs.iter().enumerate() {
-            for (i, op) in ops.iter().enumerate() {
-                headers.push(ExchangeMsg {
-                    src: pid,
-                    dst: op.target(),
-                    bytes: HEADER_BYTES,
-                    issue: op.issue(),
-                });
-                payload_bytes += op.payload_bytes();
-                match op {
-                    CommOp::Put { .. } | CommOp::Send { .. } => headers.push(ExchangeMsg {
+            for op in ops {
+                let payload = op.data.len() as u64;
+                payload_bytes += payload;
+                for bytes in [HEADER_BYTES, payload] {
+                    msgs.push(ExchangeMsg {
                         src: pid,
-                        dst: op.target(),
-                        bytes: op.payload_bytes(),
-                        issue: op.issue(),
-                    }),
-                    CommOp::Get { .. } => get_requests.push((headers.len() - 1, pid, i)),
+                        dst: op.dst,
+                        bytes,
+                        issue: op.issue,
+                    });
                 }
             }
         }
         let stream = (cfg.seed, EXCHANGE_JITTER_LABEL, 2 * step as u64);
-        snet.exchange(&headers, stream, &mut r1);
-        // Get replies: issued by the owner once the request is processed.
-        replies.clear();
-        replies.extend(get_requests.iter().map(|&(msg_idx, requester, i)| {
-            let op = &logs[requester][i];
-            ExchangeMsg {
-                src: op.target(),
-                dst: requester,
-                bytes: op.payload_bytes(),
-                issue: r1.processed[msg_idx],
-            }
-        }));
-        let stream = (cfg.seed, EXCHANGE_JITTER_LABEL, 2 * step as u64 + 1);
-        snet.exchange(&replies, stream, &mut r2);
+        snet.exchange(&msgs, stream, &mut exchanged);
 
         // Phase 3: synchronize.
         let stream = (cfg.seed, SYNC_JITTER_LABEL, step as u64);
@@ -460,76 +430,23 @@ pub fn run_spmd<P: BspProgram>(
         // A process completes the sync when the barrier is done, all its
         // inbound data landed, AND its own outbound transfers' sender-side
         // cost has elapsed — a sender that issued an hp-put just before
-        // the sync still owns its CPU for the `o_send` tail (and a get
-        // owner for the reply it serves), exactly as the MPI stencil's
-        // blocking stages account it. The barrier exit is never earlier
-        // than the entry, so it stands in for `compute_end` here.
+        // the sync still owns its CPU for the `o_send` tail, exactly as
+        // the MPI stencil's blocking stages account it. The barrier exit
+        // is never earlier than the entry, so it stands in for
+        // `compute_end` here.
         let send_complete: Vec<f64> = (0..p)
-            .map(|i| compute_end[i].max(r1.last_out[i]).max(r2.last_out[i]))
+            .map(|i| compute_end[i].max(exchanged.last_out[i]))
             .collect();
         let recv_complete: Vec<f64> = (0..p)
-            .map(|i| compute_end[i].max(r1.last_in[i]).max(r2.last_in[i]))
+            .map(|i| compute_end[i].max(exchanged.last_in[i]))
             .collect();
-        let completion: Vec<f64> = (0..p)
-            .map(|i| r2.done(i, r1.done(i, barrier_exit[i])))
-            .collect();
+        let completion: Vec<f64> = (0..p).map(|i| exchanged.done(i, barrier_exit[i])).collect();
 
-        // Phase 4: memory effects in BSPlib order.
-        // Every operation with its issuing process, in `(pid, program
-        // order)` — the order puts land in.
-        let ops = || {
-            logs.iter()
-                .enumerate()
-                .flat_map(|(pid, ops)| ops.iter().map(move |op| (pid, op)))
-        };
-        // Gets read the state at the end of computation, before puts:
-        // their snapshots are staged behind the superstep's put and send
-        // bytes and installed once the puts have landed.
-        for (pid, op) in ops() {
-            if let CommOp::Get {
-                src,
-                src_reg,
-                src_offset,
-                dst_reg,
-                dst_offset,
-                len,
-                ..
-            } = op
-            {
-                let start = staging.len();
-                staging
-                    .extend_from_slice(&mems[*src].read(*src_reg)[*src_offset..*src_offset + *len]);
-                get_results.push((pid, *dst_reg, *dst_offset, start..staging.len()));
-            }
-        }
-        for (_, op) in ops() {
-            if let CommOp::Put {
-                dst,
-                reg,
-                offset,
-                data,
-                ..
-            } = op
-            {
-                mems[*dst].write(*reg)[*offset..*offset + data.len()]
-                    .copy_from_slice(&staging[data.clone()]);
-            }
-        }
-        for (pid, dst_reg, dst_offset, snapshot) in get_results.drain(..) {
-            mems[pid].write(dst_reg)[dst_offset..dst_offset + snapshot.len()]
-                .copy_from_slice(&staging[snapshot]);
-        }
-        for (_, op) in ops() {
-            if let CommOp::Send {
-                dst, tag, payload, ..
-            } = op
-            {
-                // The message's one owned copy is made at delivery.
-                mems[*dst].arriving.push(BsmpMsg {
-                    tag: staging[tag.clone()].to_vec(),
-                    payload: staging[payload.clone()].to_vec(),
-                });
-            }
+        // Phase 4: memory effects in BSPlib order: puts land in `(pid,
+        // program order)`, then registrations commit.
+        for op in logs.iter().flatten() {
+            mems[op.dst].write(op.reg)[op.offset..op.offset + op.data.len()]
+                .copy_from_slice(&staging[op.data.clone()]);
         }
         for mem in mems.iter_mut() {
             mem.commit_sync();
@@ -566,6 +483,7 @@ pub fn run_spmd<P: BspProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::RegHandle;
     use hpm_kernels::rate::xeon_core;
     use hpm_simnet::params::xeon_cluster_params;
     use hpm_topology::{cluster_8x2x4, PlacementPolicy};
@@ -630,111 +548,6 @@ mod tests {
         }
         assert_eq!(res.superstep_count(), 3);
         assert!(res.total_time > 0.0);
-    }
-
-    /// Get-based neighbour read.
-    struct NeighbourGet {
-        step: usize,
-        src: Option<RegHandle>,
-        dst: Option<RegHandle>,
-        got: u8,
-    }
-
-    impl BspProgram for NeighbourGet {
-        fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-            match self.step {
-                0 => {
-                    let s = ctx.alloc(1);
-                    let d = ctx.alloc(1);
-                    ctx.write_buf(s)[0] = (ctx.pid() * 10) as u8;
-                    ctx.push_reg(s);
-                    ctx.push_reg(d);
-                    self.src = Some(s);
-                    self.dst = Some(d);
-                    self.step = 1;
-                    StepOutcome::Continue
-                }
-                1 => {
-                    let p = ctx.nprocs();
-                    let from = (ctx.pid() + 1) % p;
-                    ctx.get(
-                        from,
-                        self.src.expect("reg"),
-                        0,
-                        self.dst.expect("reg"),
-                        0,
-                        1,
-                    );
-                    self.step = 2;
-                    StepOutcome::Continue
-                }
-                _ => {
-                    self.got = ctx.read_buf(self.dst.expect("reg"))[0];
-                    StepOutcome::Halt
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn get_reads_remote_values() {
-        let cfg = config(4);
-        let res = run_spmd(&cfg, |_| NeighbourGet {
-            step: 0,
-            src: None,
-            dst: None,
-            got: 0,
-        })
-        .expect("run succeeds");
-        for (pid, prog) in res.programs.iter().enumerate() {
-            assert_eq!(prog.got, (((pid + 1) % 4) * 10) as u8, "pid {pid}");
-        }
-    }
-
-    /// BSMP: everyone sends its pid to rank 0 with a 4-byte tag.
-    struct SendToZero {
-        step: usize,
-        received: Vec<u32>,
-    }
-
-    impl BspProgram for SendToZero {
-        fn superstep(&mut self, ctx: &mut BspCtx) -> StepOutcome {
-            match self.step {
-                0 => {
-                    ctx.set_tagsize(4);
-                    self.step = 1;
-                    StepOutcome::Continue
-                }
-                1 => {
-                    let tag = (ctx.pid() as u32).to_le_bytes();
-                    ctx.send(0, &tag, &(ctx.pid() as u32 * 7).to_le_bytes());
-                    self.step = 2;
-                    StepOutcome::Continue
-                }
-                _ => {
-                    if ctx.pid() == 0 {
-                        while let Some(m) = ctx.move_msg() {
-                            self.received
-                                .push(u32::from_le_bytes(m.payload.try_into().expect("4B")));
-                        }
-                    }
-                    StepOutcome::Halt
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bsmp_queue_delivers_all_messages() {
-        let cfg = config(6);
-        let res = run_spmd(&cfg, |_| SendToZero {
-            step: 0,
-            received: Vec::new(),
-        })
-        .expect("run succeeds");
-        let mut got = res.programs[0].received.clone();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 7, 14, 21, 28, 35]);
     }
 
     /// Overlap witness: a big put issued early, followed by long compute,

@@ -1,16 +1,13 @@
 //! Property test of the BSPlib payload path.
 //!
 //! Random scripted programs — puts and hp-puts with overlapping targets,
-//! self-puts, zero-length puts, gets of regions a put of the same
-//! superstep overwrites, BSMP sends with tags — run twice through
-//! `run_spmd` on the jittered platform: once committing every put with
-//! `put`/`hpput`, once with `put_with`/`hpput_with`. The two runs must be
-//! bitwise equal in total time, every `SuperstepTrace` vector and final
-//! memory (same `elapse` sequence ⇒ same `rng` stream ⇒ same simulated
-//! times), and both must match an oracle that applies the BSPlib order
-//! directly: gets read the pre-put state, puts land in `(pid, program
-//! order)`, get results are installed after the puts, messages arrive
-//! sorted for the next superstep.
+//! self-puts, zero-length puts — run twice through `run_spmd` on the
+//! jittered platform: once committing every put with `put`/`hpput`, once
+//! with `put_with`/`hpput_with`. The two runs must be bitwise equal in
+//! total time, every `SuperstepTrace` vector and final memory (same
+//! `elapse` sequence ⇒ same `rng` stream ⇒ same simulated times), and
+//! both must match an oracle that applies the BSPlib order directly: puts
+//! land in `(pid, program order)`.
 
 use hpm::bsplib::runtime::{run_spmd, BspConfig, BspProgram, BspRunResult};
 use hpm::bsplib::{BspCtx, RegHandle, StepOutcome};
@@ -19,10 +16,8 @@ use hpm::simnet::params::xeon_cluster_params;
 use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
 use proptest::prelude::*;
 
-/// Bytes of the registered buffer `A` (put target, get source) and of
-/// the local buffer `B` (get destination).
+/// Bytes of the registered buffer `A`, every put's target.
 const BUF: usize = 48;
-const TAG: usize = 4;
 
 /// SplitMix64 step: the case's own generator.
 fn next(state: &mut u64) -> u64 {
@@ -39,16 +34,6 @@ enum Act {
         hp: bool,
         dst: usize,
         offset: usize,
-        len: usize,
-    },
-    Get {
-        src: usize,
-        src_offset: usize,
-        dst_offset: usize,
-        len: usize,
-    },
-    Send {
-        dst: usize,
         len: usize,
     },
     Work(f64),
@@ -73,7 +58,7 @@ fn initial_a(pid: usize) -> Vec<u8> {
 
 fn random_script(p: usize, rng: &mut u64) -> Script {
     let span = |rng: &mut u64| {
-        // One in six spans is empty (a zero-length put or get).
+        // One in six spans is empty (a zero-length put).
         let len = match next(rng) % 6 {
             0 => 0,
             _ => 1 + next(rng) as usize % 16,
@@ -94,7 +79,8 @@ fn random_script(p: usize, rng: &mut u64) -> Script {
                                 1 => (pid + 1) % p,
                                 _ => next(rng) as usize % p,
                             };
-                            match next(rng) % 8 {
+                            // Four puts to one stretch of work, as before.
+                            match next(rng) % 5 {
                                 0..=3 => {
                                     let (offset, len) = span(rng);
                                     Act::Put {
@@ -104,19 +90,6 @@ fn random_script(p: usize, rng: &mut u64) -> Script {
                                         len,
                                     }
                                 }
-                                4 | 5 => {
-                                    let (src_offset, len) = span(rng);
-                                    Act::Get {
-                                        src: peer,
-                                        src_offset,
-                                        dst_offset: next(rng) as usize % (BUF - len + 1),
-                                        len,
-                                    }
-                                }
-                                6 => Act::Send {
-                                    dst: peer,
-                                    len: next(rng) as usize % 12,
-                                },
                                 _ => Act::Work((next(rng) % 2000) as f64 * 1e-9),
                             }
                         })
@@ -127,23 +100,15 @@ fn random_script(p: usize, rng: &mut u64) -> Script {
         .collect()
 }
 
-/// What a process can observe: its two buffers after the last sync and
-/// the messages it drained at the top of every superstep.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Observed {
-    a: Vec<u8>,
-    b: Vec<u8>,
-    inboxes: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
-}
-
 struct Scripted<'a> {
     script: &'a Script,
     /// Commit puts through `put_with`/`hpput_with` instead of
     /// `put`/`hpput`.
     fill: bool,
     step: usize,
-    bufs: Option<(RegHandle, RegHandle)>,
-    seen: Observed,
+    buf: Option<RegHandle>,
+    /// What the process observes: its buffer `A` after the last sync.
+    seen: Vec<u8>,
 }
 
 impl BspProgram for Scripted<'_> {
@@ -151,24 +116,16 @@ impl BspProgram for Scripted<'_> {
         let pid = ctx.pid();
         if self.step == 0 {
             let a = ctx.alloc(BUF);
-            let b = ctx.alloc(BUF);
             ctx.write_buf(a).copy_from_slice(&initial_a(pid));
             ctx.push_reg(a);
-            ctx.set_tagsize(TAG);
-            self.bufs = Some((a, b));
+            self.buf = Some(a);
             self.step = 1;
             return StepOutcome::Continue;
         }
-        let (a, b) = self.bufs.expect("allocated");
-        let mut inbox = Vec::new();
-        while let Some(m) = ctx.move_msg() {
-            inbox.push((m.tag, m.payload));
-        }
-        self.seen.inboxes.push(inbox);
+        let a = self.buf.expect("allocated");
         let t = self.step - 1;
         if t == self.script.len() {
-            self.seen.a = ctx.read_buf(a).to_vec();
-            self.seen.b = ctx.read_buf(b).to_vec();
+            self.seen = ctx.read_buf(a).to_vec();
             return StepOutcome::Halt;
         }
         for (idx, act) in self.script[t][pid].iter().enumerate() {
@@ -192,16 +149,6 @@ impl BspProgram for Scripted<'_> {
                         (false, false) => ctx.put(dst, a, offset, &payload(t, pid, idx, len)),
                     }
                 }
-                Act::Get {
-                    src,
-                    src_offset,
-                    dst_offset,
-                    len,
-                } => ctx.get(src, a, src_offset, b, dst_offset, len),
-                Act::Send { dst, len } => {
-                    let tag = [t as u8, pid as u8, idx as u8, 0xA5];
-                    ctx.send(dst, &tag, &payload(t, pid, idx, len));
-                }
                 Act::Work(seconds) => ctx.elapse(seconds),
             }
         }
@@ -210,48 +157,23 @@ impl BspProgram for Scripted<'_> {
     }
 }
 
-/// The BSPlib memory semantics applied directly to the script.
-fn oracle(script: &Script, p: usize) -> Vec<Observed> {
+/// The BSPlib memory semantics applied directly to the script: every
+/// process' buffer `A` after the last sync.
+fn oracle(script: &Script, p: usize) -> Vec<Vec<u8>> {
     let mut a: Vec<Vec<u8>> = (0..p).map(initial_a).collect();
-    let mut b = vec![vec![0u8; BUF]; p];
-    // Superstep 1 drains what the registration superstep sent: nothing.
-    let mut inboxes = vec![vec![Vec::new()]; p];
     for (t, step) in script.iter().enumerate() {
-        let before = a.clone();
-        let mut arriving = vec![Vec::new(); p];
         for (pid, acts) in step.iter().enumerate() {
             for (idx, act) in acts.iter().enumerate() {
-                match *act {
-                    Act::Put {
-                        dst, offset, len, ..
-                    } => a[dst][offset..offset + len].copy_from_slice(&payload(t, pid, idx, len)),
-                    Act::Get {
-                        src,
-                        src_offset,
-                        dst_offset,
-                        len,
-                    } => b[pid][dst_offset..dst_offset + len]
-                        .copy_from_slice(&before[src][src_offset..src_offset + len]),
-                    Act::Send { dst, len } => arriving[dst].push((
-                        vec![t as u8, pid as u8, idx as u8, 0xA5],
-                        payload(t, pid, idx, len),
-                    )),
-                    Act::Work(_) => {}
+                if let Act::Put {
+                    dst, offset, len, ..
+                } = *act
+                {
+                    a[dst][offset..offset + len].copy_from_slice(&payload(t, pid, idx, len));
                 }
             }
         }
-        for (pid, mut msgs) in arriving.into_iter().enumerate() {
-            msgs.sort();
-            inboxes[pid].push(msgs);
-        }
     }
-    (0..p)
-        .map(|pid| Observed {
-            a: a[pid].clone(),
-            b: b[pid].clone(),
-            inboxes: inboxes[pid].clone(),
-        })
-        .collect()
+    a
 }
 
 /// Everything a run reports, as bits.
@@ -287,8 +209,8 @@ proptest! {
                 script: &script,
                 fill,
                 step: 0,
-                bufs: None,
-                seen: Observed::default(),
+                buf: None,
+                seen: Vec::new(),
             })
             .expect("scripted run")
         };

@@ -1050,8 +1050,8 @@ fn microbench_profiles_match_goldens() {
 }
 
 /// A randomized chatter program: every process computes for a
-/// pid-dependent time, then commits a mix of puts, hp-puts and BSMP
-/// sends to its next `fan` neighbours, twice, then halts.
+/// pid-dependent time, then commits a mix of puts and hp-puts to its next
+/// `fan` neighbours plus one more put to the next, twice, then halts.
 struct Chatter {
     step: usize,
     buf: Option<RegHandle>,
@@ -1085,7 +1085,7 @@ impl BspProgram for Chatter {
                         ctx.put(dst, buf, 0, &data);
                     }
                 }
-                ctx.send((me + 1) % p, &[], &data);
+                ctx.put((me + 1) % p, buf, 0, &data);
                 self.step += 1;
                 StepOutcome::Continue
             }
