@@ -6,9 +6,9 @@
 //! directions sorted, and `CompiledPattern::from_stages` checks every
 //! stage's `p` and derives the §5.6.5 tables and the jitter-draw count
 //! itself. What is left to check statically is what a well-formed plan
-//! can still get wrong. [`analyze`] reports legal but unusable shapes
-//! (an empty stage, a rank that never communicates) as structured
-//! [`Diagnostic`]s, and [`analyze_with_goal`] additionally decides
+//! can still get wrong. [`Analyzer::analyze`] reports legal but unusable
+//! shapes (an empty stage, a rank that never communicates) as structured
+//! [`Diagnostic`]s, and [`Analyzer::analyze_with_goal`] additionally decides
 //! knowledge-goal attainability through the §5.5 recurrence — all
 //! without running a single simulated repetition. A plan from a
 //! builder or a search such as the greedy adaptive barrier is rejected
@@ -23,7 +23,6 @@
 //! | `dead-rank` | warning | a rank neither sends nor receives in any stage |
 //! | `goal-unattainable` | error | the knowledge recurrence reaches the declared [`KnowledgeGoal`] |
 //! | `k-crash-coverage` | warning | the goal, restricted to survivors, outlives a pruned crash set ([`Analyzer::k_crash_coverage`]) |
-//! | `unrecoverable-crash-set` | error | the survivor re-plan synthesizer can repair the crash set ([`Analyzer::unrecoverable_crash_set`]) |
 //!
 //! The companion [`lint`] module is pass two: a source scanner (exposed
 //! as the `hpm-analyze --src` binary) that rejects
@@ -75,10 +74,6 @@ pub enum Rule {
     /// After pruning a crashed rank set, the surviving ranks no longer
     /// attain the declared goal among themselves.
     KCrashCoverage,
-    /// No survivor re-plan can attain the goal after the crash set: the
-    /// repair synthesizer ([`hpm_core::recovery::repair_plan`]) returned
-    /// nothing, so the runtime recovery layer cannot help either.
-    UnrecoverableCrashSet,
 }
 
 impl Rule {
@@ -91,7 +86,6 @@ impl Rule {
             Rule::DeadRank => "dead-rank",
             Rule::GoalUnattainable => "goal-unattainable",
             Rule::KCrashCoverage => "k-crash-coverage",
-            Rule::UnrecoverableCrashSet => "unrecoverable-crash-set",
         }
     }
 }
@@ -220,47 +214,6 @@ impl Analyzer {
             uninformed_pairs,
         }
     }
-
-    /// Runs the survivor re-plan synthesizer ([`SurvivorMap::repair`])
-    /// against a crash set and reports the sets *no* re-plan can fix.
-    /// This is the actionable promotion of [`Analyzer::k_crash_coverage`]:
-    /// a warning there says the deployed plan loses the goal, while a
-    /// diagnostic here says the runtime recovery layer cannot help either
-    /// — today that means the root of a rooted goal crashed, or no rank
-    /// survived at all. A root that is not a rank of the plan is the same
-    /// `rank-range` error [`Analyzer::analyze_with_goal`] reports.
-    #[must_use]
-    pub fn unrecoverable_crash_set(
-        &mut self,
-        plan: &CompiledPattern,
-        goal: KnowledgeGoal,
-        crashed: &[usize],
-    ) -> Option<Diagnostic> {
-        if let Some(d) = root_out_of_range(plan.p(), goal) {
-            return Some(d);
-        }
-        let map = SurvivorMap::new(plan.p(), crashed);
-        if map.repair(goal).is_some() {
-            return None;
-        }
-        let listed: Vec<usize> = map.crashed().take(MAX_LISTED).collect();
-        let why = if map.ranks().is_empty() {
-            "no rank survives"
-        } else {
-            "the goal cannot be restated over the survivors"
-        };
-        let message = format!(
-            "{goal:?} unrecoverable after crashing {}: {why}",
-            capped("ranks", map.crashed().count(), &listed)
-        );
-        Some(Diagnostic {
-            severity: Severity::Error,
-            stage: None,
-            ranks: listed,
-            rule: Rule::UnrecoverableCrashSet,
-            message,
-        })
-    }
 }
 
 /// Verdict of one static crash scenario (see
@@ -313,19 +266,6 @@ impl CrashVerdict {
             ),
         })
     }
-}
-
-/// One-shot structural analysis — convenience over [`Analyzer::analyze`]
-/// for callers that do not amortize the scratch.
-#[must_use]
-pub fn analyze(plan: &CompiledPattern) -> Vec<Diagnostic> {
-    Analyzer::new().analyze(plan)
-}
-
-/// One-shot structural + goal analysis.
-#[must_use]
-pub fn analyze_with_goal(plan: &CompiledPattern, goal: KnowledgeGoal) -> Vec<Diagnostic> {
-    Analyzer::new().analyze_with_goal(plan, goal)
 }
 
 /// The `rank-range` error for a rooted goal whose root is not a rank
@@ -445,8 +385,10 @@ mod tests {
 
     #[test]
     fn clean_plan_analyzes_clean() {
-        assert!(analyze(&clean_plan()).is_empty());
-        assert!(analyze_with_goal(&clean_plan(), KnowledgeGoal::AllToAll).is_empty());
+        assert!(Analyzer::new().analyze(&clean_plan()).is_empty());
+        assert!(Analyzer::new()
+            .analyze_with_goal(&clean_plan(), KnowledgeGoal::AllToAll)
+            .is_empty());
     }
 
     #[test]
@@ -454,14 +396,14 @@ mod tests {
         // p = 1 collectives degenerate to zero stages — legal, and the
         // dead-rank rule must not fire on them.
         let plan = CompiledPattern::from_stage_edges("noop", 1, &[]);
-        assert!(analyze(&plan).is_empty());
+        assert!(Analyzer::new().analyze(&plan).is_empty());
     }
 
     #[test]
     fn empty_stage_rule_fires() {
         let stage = StagePlan::from_edges(3, &[]);
         let plan = CompiledPattern::from_stages("hollow", 3, vec![stage]);
-        let diags = analyze(&plan);
+        let diags = Analyzer::new().analyze(&plan);
         assert!(
             diags
                 .iter()
@@ -474,7 +416,7 @@ mod tests {
     fn dead_rank_rule_warns() {
         // Rank 2 never participates in the 3-rank exchange 0 ↔ 1.
         let plan = CompiledPattern::from_stage_edges("pairwise", 3, &[vec![(0, 1), (1, 0)]]);
-        let diags = analyze(&plan);
+        let diags = Analyzer::new().analyze(&plan);
         assert_eq!(rules(&diags), vec![Rule::DeadRank], "{diags:?}");
         assert_eq!(diags[0].severity, Severity::Warning);
         assert_eq!(diags[0].ranks, vec![2]);
@@ -484,8 +426,10 @@ mod tests {
     fn goal_unattainable_rule_fires() {
         // A pure gather satisfies RootGathers(0) but not AllToAll.
         let gather = CompiledPattern::from_stage_edges("gather", 3, &[vec![(1, 0), (2, 0)]]);
-        assert!(analyze_with_goal(&gather, KnowledgeGoal::RootGathers(0)).is_empty());
-        let diags = analyze_with_goal(&gather, KnowledgeGoal::AllToAll);
+        assert!(Analyzer::new()
+            .analyze_with_goal(&gather, KnowledgeGoal::RootGathers(0))
+            .is_empty());
+        let diags = Analyzer::new().analyze_with_goal(&gather, KnowledgeGoal::AllToAll);
         assert_eq!(rules(&diags), vec![Rule::GoalUnattainable], "{diags:?}");
         assert!(
             diags[0].message.contains("AllToAll"),
@@ -494,14 +438,13 @@ mod tests {
         );
 
         // The broadcast-direction goals distinguish the two rooted cases.
-        let diags = analyze_with_goal(&gather, KnowledgeGoal::RootReaches(0));
+        let diags = Analyzer::new().analyze_with_goal(&gather, KnowledgeGoal::RootReaches(0));
         assert_eq!(rules(&diags), vec![Rule::GoalUnattainable]);
     }
 
     /// A rooted goal naming a rank the plan does not have is malformed
     /// input, so it is reported, not panicked on: a `rank-range` error
-    /// from the goal pass and from the recoverability check, a
-    /// lost-by-definition verdict from coverage.
+    /// from the goal pass, a lost-by-definition verdict from coverage.
     #[test]
     fn out_of_range_root_is_a_diagnostic_not_a_panic() {
         let mut an = Analyzer::new();
@@ -521,11 +464,6 @@ mod tests {
             assert!(v.root_crashed && !v.survives(), "{v:?}");
             assert_eq!(v.uninformed_pairs, 0);
             assert!(v.diagnostic().expect("lost").message.contains("root"));
-            let d = an
-                .unrecoverable_crash_set(&plan, goal, &[1])
-                .expect("a root outside the plan is unrecoverable");
-            assert_eq!(d.to_string(), diags[0].to_string());
-            assert_eq!(d.ranks, vec![root]);
         }
         // The last valid rank is still a legal root.
         assert!(an
@@ -541,7 +479,7 @@ mod tests {
         // that cannot attain AllToAll reports only the structural pass.
         let stage = StagePlan::from_edges(2, &[]);
         let plan = CompiledPattern::from_stages("hollow", 2, vec![stage]);
-        let diags = analyze_with_goal(&plan, KnowledgeGoal::AllToAll);
+        let diags = Analyzer::new().analyze_with_goal(&plan, KnowledgeGoal::AllToAll);
         assert_eq!(
             rules(&diags),
             vec![Rule::EmptyStage, Rule::DeadRank],
@@ -553,7 +491,7 @@ mod tests {
     fn diagnostics_render_with_rule_and_stage() {
         let stage = StagePlan::from_edges(3, &[]);
         let plan = CompiledPattern::from_stages("hollow", 3, vec![stage]);
-        let diags = analyze(&plan);
+        let diags = Analyzer::new().analyze(&plan);
         let rendered = diags[0].to_string();
         assert!(
             rendered.starts_with("error[empty-stage] stage 0:"),
@@ -619,53 +557,6 @@ mod tests {
         // the root still gathers from every survivor.
         let v = an.k_crash_coverage(&gather, KnowledgeGoal::RootGathers(0), &[2]);
         assert!(v.survives(), "{v:?}");
-    }
-
-    #[test]
-    fn unrecoverable_crash_set_promotes_only_hopeless_sets() {
-        let mut an = Analyzer::new();
-        let dis = CompiledPattern::from_stage_edges("dissem", 8, &dissemination_edges(8));
-        // Crashing a relay loses the goal *under the deployed plan* (a
-        // k-crash-coverage warning) but a survivor re-plan repairs it, so
-        // the promotion stays silent.
-        assert!(!an
-            .k_crash_coverage(&dis, KnowledgeGoal::AllToAll, &[1])
-            .survives());
-        assert!(an
-            .unrecoverable_crash_set(&dis, KnowledgeGoal::AllToAll, &[1])
-            .is_none());
-        // A crashed root is beyond repair: no survivor plan can gather to
-        // a dead rank.
-        let d = an
-            .unrecoverable_crash_set(&dis, KnowledgeGoal::RootGathers(3), &[3])
-            .expect("dead root is unrecoverable");
-        assert_eq!(d.rule, Rule::UnrecoverableCrashSet);
-        assert_eq!(d.rule.name(), "unrecoverable-crash-set");
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.ranks, vec![3]);
-        assert!(d.message.contains("RootReaches") || d.message.contains("RootGathers"));
-        // ... unless the root survives.
-        assert!(an
-            .unrecoverable_crash_set(&dis, KnowledgeGoal::RootGathers(3), &[2, 5])
-            .is_none());
-        // Everything-crashed is unrecoverable for any goal.
-        let all: Vec<usize> = (0..8).collect();
-        let d = an
-            .unrecoverable_crash_set(&dis, KnowledgeGoal::AllToAll, &all)
-            .expect("no survivors");
-        assert!(d.message.contains("no rank survives"), "{}", d.message);
-        // Whenever the static verdict survives, the repair synthesizer must
-        // also succeed: recoverability is at least as strong.
-        for r in 0..8 {
-            if an
-                .k_crash_coverage(&dis, KnowledgeGoal::AllToAll, &[r])
-                .survives()
-            {
-                assert!(an
-                    .unrecoverable_crash_set(&dis, KnowledgeGoal::AllToAll, &[r])
-                    .is_none());
-            }
-        }
     }
 
     #[test]

@@ -27,7 +27,14 @@
 //! pair, so every exception to the contract is visible in review — and
 //! an entry that suppresses no finding is itself an error, so an
 //! exception outlives neither the code nor the rule it excused.
+//!
+//! The same pass runs one rule that is about the code's size, not its
+//! determinism: **`dead-pub`** reports a `pub` item that no non-test
+//! code names, so a function kept alive only by its own tests cannot
+//! land silently. Its exemptions name the item:
+//! `path dead-pub NAME`, for the references a test compares against.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// One lint hit: file, 1-based line, rule name, offending token.
@@ -41,9 +48,14 @@ pub struct LintFinding {
 
 impl std::fmt::Display for LintFinding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let what = if self.rule == DEAD_PUB {
+            "pub item named by no non-test code"
+        } else {
+            "forbidden token"
+        };
         write!(
             f,
-            "{}:{}: [{}] forbidden token `{}`",
+            "{}:{}: [{}] {what} `{}`",
             self.path, self.line, self.rule, self.token
         )
     }
@@ -63,16 +75,21 @@ pub const RULES: &[(&str, &[&str])] = &[
     ("unsafe-code", &["unsafe"]),
 ];
 
+/// The rule name of the `dead-pub` findings [`scan_tree`] reports.
+pub const DEAD_PUB: &str = "dead-pub";
+
 /// One allowlist entry: findings under `path_prefix` whose rule matches
-/// `rule` (or `*`) are suppressed.
+/// `rule` (or `*`) — and, when the entry names one, whose token is
+/// `name` — are suppressed.
 #[derive(Debug, Clone)]
 pub struct AllowEntry {
     pub path_prefix: String,
     pub rule: String,
+    pub name: Option<String>,
 }
 
-/// Parses the committed allowlist format: one `path-prefix rule` pair
-/// per line, `#` starts a comment, blank lines ignored.
+/// Parses the committed allowlist format: one `path-prefix rule [name]`
+/// entry per line, `#` starts a comment, blank lines ignored.
 #[must_use]
 pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
     text.lines()
@@ -82,7 +99,12 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
             let mut parts = l.split_whitespace();
             let path_prefix = parts.next().unwrap_or("").to_string();
             let rule = parts.next().unwrap_or("*").to_string();
-            AllowEntry { path_prefix, rule }
+            let name = parts.next().map(str::to_string);
+            AllowEntry {
+                path_prefix,
+                rule,
+                name,
+            }
         })
         .collect()
 }
@@ -90,7 +112,9 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
 impl AllowEntry {
     /// True when this entry suppresses `f`.
     fn covers(&self, f: &LintFinding) -> bool {
-        f.path.starts_with(&self.path_prefix) && (self.rule == "*" || self.rule == f.rule)
+        f.path.starts_with(&self.path_prefix)
+            && (self.rule == "*" || self.rule == f.rule)
+            && self.name.as_ref().is_none_or(|n| *n == f.token)
     }
 }
 
@@ -106,8 +130,9 @@ pub fn apply_allowlist(
         .iter()
         .filter(|e| !raw.iter().any(|f| e.covers(f)))
         .map(|e| {
+            let name = e.name.as_ref().map_or(String::new(), |n| format!(" {n}"));
             format!(
-                "allowlist.txt: entry `{} {}` suppresses no finding",
+                "allowlist.txt: entry `{} {}{name}` suppresses no finding",
                 e.path_prefix, e.rule
             )
         })
@@ -216,29 +241,105 @@ pub fn scan_source(path: &str, source: &str) -> Vec<LintFinding> {
     findings
 }
 
-/// Walks `root` for `crates/*/src/**.rs` plus the facade `src/*.rs` and
-/// scans every file. Paths are visited in sorted order so the report is
-/// deterministic.
-pub fn scan_tree(root: &Path) -> std::io::Result<Vec<LintFinding>> {
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files)?;
-    collect_rs(&root.join("src"), &mut files)?;
-    files.sort();
-    let mut findings = Vec::new();
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        // The contract covers library code: `src/` trees only. Bench
-        // harnesses and integration tests may time and hash freely.
-        if !(rel.starts_with("src/") || rel.contains("/src/")) {
+/// The `pub` item kinds `dead-pub` checks.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// The name a `pub fn|struct|enum|trait|type|const|static` line declares
+/// (`pub const fn` and `pub unsafe fn` included).
+fn pub_item_name(line: &str) -> Option<&str> {
+    let mut words = line
+        .strip_prefix("pub ")?
+        .split(|c: char| !is_ident(c))
+        .filter(|w| !w.is_empty());
+    match (words.next()?, words.next()?) {
+        ("const" | "unsafe", "fn") => words.next(),
+        (kind, name) if ITEM_KINDS.contains(&kind) => Some(name),
+        _ => None,
+    }
+}
+
+/// The `dead-pub` rule. `library` holds the `(path, source)` of every
+/// library file (`crates/*/src`, the facade `src/`), `users` the other
+/// code that counts as a caller (`examples/`, `benchmark/src`). Reports
+/// each `pub` item declared under `crates/` whose name is an identifier
+/// on no live line but its declaration. Test code (`#[cfg(test)]` items;
+/// `tests/` trees are not passed in) is no use, and neither is a
+/// `pub use` re-export. The vendored `crates/compat/` is skipped
+/// whole. Items that share a name (methods, mostly) hide each other.
+fn dead_pub(library: &[(String, String)], users: &[(String, String)]) -> Vec<LintFinding> {
+    let mut lines_naming: BTreeMap<String, usize> = BTreeMap::new();
+    let mut decls = Vec::new();
+    for (path, source) in library.iter().chain(users) {
+        if path.starts_with("crates/compat/") {
             continue;
         }
-        let source = std::fs::read_to_string(&f)?;
-        findings.extend(scan_source(&rel, &source));
+        let mut in_pub_use = false;
+        for (idx, line) in live_lines(source) {
+            let line = line.trim();
+            if in_pub_use || line.starts_with("pub use ") {
+                in_pub_use = !line.contains(';');
+                continue;
+            }
+            if let Some(name) = pub_item_name(line).filter(|_| path.starts_with("crates/")) {
+                decls.push(LintFinding {
+                    path: path.clone(),
+                    line: idx + 1,
+                    rule: DEAD_PUB,
+                    token: name.to_string(),
+                });
+            }
+            let mut idents: Vec<&str> = line
+                .split(|c: char| !is_ident(c))
+                .filter(|w| w.starts_with(|c: char| !c.is_ascii_digit()))
+                .collect();
+            idents.sort_unstable();
+            idents.dedup();
+            for ident in idents {
+                *lines_naming.entry(ident.to_string()).or_default() += 1;
+            }
+        }
     }
+    decls.retain(|d| lines_naming[&d.token] == 1);
+    decls
+}
+
+/// Every `.rs` file under `root/dir` as `(repo-relative path, source)`,
+/// in sorted path order so reports are deterministic.
+fn read_rs(root: &Path, dir: &str) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    collect_rs(&root.join(dir), &mut files)?;
+    files.sort();
+    files
+        .into_iter()
+        .map(|f| {
+            let rel = f.strip_prefix(root).unwrap_or(&f).to_string_lossy();
+            Ok((rel.replace('\\', "/"), std::fs::read_to_string(&f)?))
+        })
+        .collect()
+}
+
+/// The library sources the contract covers: `crates/*/src/**.rs` plus
+/// the facade `src/*.rs`. Bench harnesses and integration tests may
+/// time and hash freely.
+fn library_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = read_rs(root, "crates")?;
+    files.retain(|(rel, _)| rel.contains("/src/"));
+    files.extend(read_rs(root, "src")?);
+    Ok(files)
+}
+
+/// Scans every library file under `root` with [`scan_source`], then
+/// runs the `dead-pub` rule with `examples/` and `benchmark/src` as
+/// further callers.
+pub fn scan_tree(root: &Path) -> std::io::Result<Vec<LintFinding>> {
+    let library = library_files(root)?;
+    let mut findings: Vec<LintFinding> = library
+        .iter()
+        .flat_map(|(rel, source)| scan_source(rel, source))
+        .collect();
+    let mut users = read_rs(root, "examples")?;
+    users.extend(read_rs(root, "benchmark/src")?);
+    findings.extend(dead_pub(&library, &users));
     Ok(findings)
 }
 
@@ -358,27 +459,13 @@ pub fn check_labels(decls: &[LabelDecl], registry: &[(String, u64)]) -> Vec<Stri
     errors
 }
 
-/// Walks the same `crates/*/src` + facade tree as [`scan_tree`] and
-/// collects every stream-label declaration, in sorted file order.
+/// Collects every stream-label declaration of the library files
+/// [`scan_tree`] scans, in sorted file order.
 pub fn scan_labels_tree(root: &Path) -> std::io::Result<Vec<LabelDecl>> {
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files)?;
-    collect_rs(&root.join("src"), &mut files)?;
-    files.sort();
-    let mut decls = Vec::new();
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if !(rel.starts_with("src/") || rel.contains("/src/")) {
-            continue;
-        }
-        let source = std::fs::read_to_string(&f)?;
-        decls.extend(scan_labels(&rel, &source));
-    }
-    Ok(decls)
+    Ok(library_files(root)?
+        .iter()
+        .flat_map(|(rel, source)| scan_labels(rel, source))
+        .collect())
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
@@ -546,6 +633,100 @@ let live = 1;
         assert_eq!(found[0].line, 2);
         assert_eq!(found[0].path, "crates/x/src/lib.rs");
         assert!(found[0].to_string().contains("host-clock"));
+    }
+
+    /// `(path, source)` pairs, as [`dead_pub`] takes them.
+    fn files(list: &[(&str, &str)]) -> Vec<(String, String)> {
+        list.iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect()
+    }
+
+    /// The names [`dead_pub`] reports.
+    fn dead(library: &[(&str, &str)], users: &[(&str, &str)]) -> Vec<String> {
+        dead_pub(&files(library), &files(users))
+            .into_iter()
+            .map(|f| f.token)
+            .collect()
+    }
+
+    const HELPER: &str = "\
+pub fn helper() -> u32 {
+    7
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn helper_is_seven() {
+        assert_eq!(super::helper(), 7);
+    }
+}
+";
+
+    #[test]
+    fn dead_pub_fires_on_an_item_only_tests_call() {
+        let found = dead_pub(&files(&[("crates/x/src/a.rs", HELPER)]), &[]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 1);
+        assert_eq!(
+            found[0].to_string(),
+            "crates/x/src/a.rs:1: [dead-pub] pub item named by no non-test code `helper`"
+        );
+        // Every item kind, `pub const fn` included; `pub(crate)` and
+        // `pub mod` are not checked.
+        let kinds = "pub struct S;\npub enum E {}\npub trait T {}\npub type A = u8;\n\
+                     pub const C: u8 = 1;\npub static G: u8 = 2;\npub const fn k() {}\n\
+                     pub unsafe fn u() {}\npub(crate) fn hidden() {}\npub mod m;\n";
+        assert_eq!(
+            dead(&[("crates/x/src/k.rs", kinds)], &[]),
+            ["S", "E", "T", "A", "C", "G", "k", "u"]
+        );
+    }
+
+    #[test]
+    fn dead_pub_counts_other_files_examples_and_the_benchmark() {
+        let lib = ("crates/x/src/a.rs", HELPER);
+        let call = "fn main() { let _ = x::helper(); }";
+        for path in ["crates/y/src/b.rs", "src/lib.rs"] {
+            assert!(dead(&[lib, (path, call)], &[]).is_empty(), "{path}");
+        }
+        for path in ["examples/demo.rs", "benchmark/src/run.rs"] {
+            assert!(dead(&[lib], &[(path, call)]).is_empty(), "{path}");
+        }
+        // A caller in the vendored crates does not count.
+        let vendored = ("crates/compat/z/src/lib.rs", "fn f() { helper(); }");
+        assert_eq!(dead(&[lib, vendored], &[]), ["helper"]);
+    }
+
+    #[test]
+    fn dead_pub_does_not_count_a_re_export() {
+        let one_line = ("crates/x/src/lib.rs", "pub use a::helper;\n");
+        let wrapped = (
+            "crates/x/src/lib.rs",
+            "pub use a::{\n    helper,\n    other,\n};\nfn f() { other(); }\n",
+        );
+        for lib in [one_line, wrapped] {
+            assert_eq!(dead(&[("crates/x/src/a.rs", HELPER), lib], &[]), ["helper"]);
+        }
+    }
+
+    #[test]
+    fn dead_pub_entry_suppresses_exactly_its_item() {
+        let src = "pub fn helper() {}\npub fn other() {}\n";
+        let raw = dead_pub(&files(&[("crates/x/src/a.rs", src)]), &[]);
+        assert_eq!(raw.len(), 2);
+        let allow = parse_allowlist(
+            "crates/x/src/a.rs dead-pub helper  # reference of tests/t.rs::t\n\
+             crates/x/src/a.rs dead-pub gone  # its item was deleted\n",
+        );
+        let (kept, stale) = apply_allowlist(&allow, raw);
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].token, "other");
+        assert_eq!(
+            stale,
+            ["allowlist.txt: entry `crates/x/src/a.rs dead-pub gone` suppresses no finding"]
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! ```
 //!
 //! Walks `crates/*/src` (plus the facade `src/`) under the workspace
-//! root, reports every determinism-contract violation not covered by
-//! the committed allowlist and every allowlist entry that covers none,
-//! and exits nonzero on any of them — the CI
+//! root, reports every determinism-contract violation and every `pub`
+//! item no non-test code names (`dead-pub`; `examples/` and
+//! `benchmark/src` count as callers) not covered by the committed
+//! allowlist, and every allowlist entry that covers none, and exits 1
+//! on any of them — the CI
 //! `analyze` job's first half. (The second half, the plan analyzer over
 //! the experiment registry, runs as `repro analyze`; it lives in the
 //! bench crate because only the registry knows every pattern and its
@@ -32,23 +34,17 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--src" => src_mode = true,
-            "--root" => root = PathBuf::from(it.next().expect("--root needs a directory")),
-            "--allowlist" => {
-                allowlist = Some(PathBuf::from(it.next().expect("--allowlist needs a file")));
-            }
-            "--labels" => {
-                labels = Some(PathBuf::from(it.next().expect("--labels needs a file")));
-            }
+            "--root" => root = value_of(&a, it.next()),
+            "--allowlist" => allowlist = Some(value_of(&a, it.next())),
+            "--labels" => labels = Some(value_of(&a, it.next())),
             other => {
                 eprintln!("unknown argument: {other}");
                 usage();
-                std::process::exit(2);
             }
         }
     }
     if !src_mode {
         usage();
-        std::process::exit(2);
     }
     let allow_path = allowlist.unwrap_or_else(|| root.join("crates/analyze/allowlist.txt"));
     let allow_text = std::fs::read_to_string(&allow_path).unwrap_or_else(|e| {
@@ -82,14 +78,15 @@ fn main() {
         println!("{e}");
     }
     if findings.is_empty() && stale.is_empty() && label_errors.is_empty() {
+        let dead_pub = allow.iter().filter(|e| e.rule == lint::DEAD_PUB).count();
         println!(
-            "source lint clean ({} allowlist entries, {} stream labels audited)",
+            "source lint clean ({} allowlist entries, {dead_pub} of them dead-pub exemptions, {} stream labels audited)",
             allow.len(),
             decls.len()
         );
     } else {
         eprintln!(
-            "{} determinism-contract violations, {} stale allowlist entries, {} stream-label errors",
+            "{} source-lint findings, {} stale allowlist entries, {} stream-label errors",
             findings.len(),
             stale.len(),
             label_errors.len()
@@ -98,6 +95,16 @@ fn main() {
     }
 }
 
-fn usage() {
+/// The value after option `flag`; a missing one is a usage error.
+fn value_of(flag: &str, value: Option<String>) -> PathBuf {
+    value.map(PathBuf::from).unwrap_or_else(|| {
+        eprintln!("{flag} needs a value");
+        usage()
+    })
+}
+
+/// Prints the usage line and exits 2.
+fn usage() -> ! {
     eprintln!("usage: hpm-analyze --src [--root DIR] [--allowlist FILE] [--labels FILE]");
+    std::process::exit(2);
 }

@@ -1838,9 +1838,3 @@ pub fn run_experiments(
     }
     Ok(runs)
 }
-
-/// Runs one experiment by id; returns the files written.
-pub fn run_experiment(id: &str, dir: &Path, effort: &Effort) -> Option<Vec<PathBuf>> {
-    let mut runs = run_experiments(&[id], dir, effort, || 0.0).ok()?;
-    Some(runs.remove(0).paths)
-}

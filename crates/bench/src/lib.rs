@@ -12,5 +12,5 @@ pub mod analyze;
 pub mod experiments;
 pub mod output;
 
-pub use experiments::{find, registry, run_experiment, Effort, Experiment};
+pub use experiments::{find, registry, Effort, Experiment};
 pub use output::{write_csv, write_text, CsvTable};

@@ -19,7 +19,7 @@ fn registry_warnings_also_gate() {
     // count. Confirm the distinction is observable by breaking a plan.
     use hpm_core::plan::CompiledPattern;
     let lonely = CompiledPattern::from_stage_edges("lonely", 3, &[vec![(0, 1), (1, 0)]]);
-    let diags = hpm_analyze::analyze(&lonely);
+    let diags = hpm_analyze::Analyzer::new().analyze(&lonely);
     assert!(diags.iter().all(|d| d.severity == Severity::Warning));
     assert!(!diags.is_empty());
 }

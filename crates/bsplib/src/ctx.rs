@@ -14,7 +14,7 @@
 //! primitive is [`BspCtx::put_with`]: it validates the target, charges the
 //! put's virtual cost, reserves the payload's slot in the staging buffer
 //! and lets the caller write the bytes there — one copy, no allocation.
-//! `put`/`hpput` are its `copy_from_slice` wrappers.
+//! `put` is its `copy_from_slice` wrapper.
 
 use crate::mem::{ProcMem, RegHandle};
 use crate::ops::CommOp;
@@ -223,14 +223,6 @@ impl<'a> BspCtx<'a> {
             slot.copy_from_slice(data)
         });
     }
-
-    /// `bsp_hpput`: unbuffered variant — cheaper at the sender, with the
-    /// usual caveat that the source must stay unchanged until sync.
-    pub fn hpput(&mut self, dst: usize, reg: RegHandle, offset: usize, data: &[u8]) {
-        self.hpput_with(dst, reg, offset, data.len(), |slot| {
-            slot.copy_from_slice(data)
-        });
-    }
 }
 
 #[cfg(test)]
@@ -330,7 +322,7 @@ mod tests {
             let h = ctx.alloc(1 << 20);
             ctx.push_reg(h);
             ctx.mem.commit_sync();
-            ctx.hpput(1, h, 0, &big);
+            ctx.hpput_with(1, h, 0, big.len(), |s| s.copy_from_slice(&big));
         });
         assert!(t_hp < t_buffered, "hpput {t_hp} vs put {t_buffered}");
     }

@@ -25,8 +25,8 @@
 //! | `bsp_nprocs` / `bsp_pid` / `bsp_time` | [`BspCtx::nprocs`] / [`BspCtx::pid`] / [`BspCtx::time`] |
 //! | `bsp_sync` | returning [`StepOutcome::Continue`] |
 //! | `bsp_push_reg` | [`BspCtx::push_reg`] |
-//! | `bsp_put` / `bsp_hpput` | [`BspCtx::put`] / [`BspCtx::hpput`] |
-//! | — (same puts, payload written in place) | [`BspCtx::put_with`] / [`BspCtx::hpput_with`] |
+//! | `bsp_put` / `bsp_hpput` | [`BspCtx::put`] / [`BspCtx::hpput_with`] |
+//! | — (same put, payload written in place) | [`BspCtx::put_with`] |
 //!
 //! Every one of those programs communicates by put and hp-put alone, and
 //! none deregisters, so the other nine are not here: DRMA get and
@@ -36,7 +36,9 @@
 //! `crates src tests examples benchmark/src` found their calls only in
 //! test code: no experiment, example or benchmark workload issued one,
 //! yet every superstep resolved a get-reply exchange for them. Adding one
-//! back belongs with a program that issues it.
+//! back belongs with a program that issues it. For the same reason an
+//! hp-put writes its payload in place: no program copies one from a
+//! slice.
 //!
 //! Computation advances the virtual clock through
 //! [`BspCtx::compute_kernel`] (rates from a processor model) or

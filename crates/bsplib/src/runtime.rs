@@ -577,11 +577,11 @@ mod tests {
                     let dst = (ctx.pid() + 1) % ctx.nprocs();
                     let compute = 0.1; // 100 ms of work
                     if self.early {
-                        ctx.hpput(dst, h, 0, &data);
+                        ctx.hpput_with(dst, h, 0, data.len(), |s| s.copy_from_slice(&data));
                         ctx.elapse(compute);
                     } else {
                         ctx.elapse(compute);
-                        ctx.hpput(dst, h, 0, &data);
+                        ctx.hpput_with(dst, h, 0, data.len(), |s| s.copy_from_slice(&data));
                     }
                     self.step = 2;
                     StepOutcome::Continue
@@ -757,7 +757,7 @@ mod tests {
                     if ctx.pid() == 1 {
                         ctx.elapse(0.05);
                         let h = self.buf.expect("allocated");
-                        ctx.hpput(4, h, 0, &[7]);
+                        ctx.hpput_with(4, h, 0, 1, |s| s[0] = 7);
                     }
                     self.step = 2;
                     StepOutcome::Continue

@@ -29,22 +29,6 @@ impl ClassicBsp {
         ClassicBsp { p, r, g, l }
     }
 
-    /// `h = max(h_s, h_r)` (Eq. 3.1).
-    pub fn h_relation(sent: u64, received: u64) -> u64 {
-        sent.max(received)
-    }
-
-    /// Communication superstep cost in flop equivalents: `hg + l`
-    /// (Eq. 3.2).
-    pub fn comm_flops(&self, h: u64) -> f64 {
-        h as f64 * self.g + self.l
-    }
-
-    /// Computation superstep cost in flop equivalents: `w + l` (Eq. 3.3).
-    pub fn comp_flops(&self, w: f64) -> f64 {
-        w + self.l
-    }
-
     /// Seconds for a number of flop equivalents.
     pub fn seconds(&self, flops: f64) -> f64 {
         flops / self.r
@@ -71,20 +55,6 @@ mod tests {
         // First row of Table 3.1: P = 8, r = 991.695 Mflop/s,
         // g = 105.4, l = 30575.7.
         ClassicBsp::new(8, 991.695e6, 105.4, 30575.7)
-    }
-
-    #[test]
-    fn h_relation_takes_max() {
-        assert_eq!(ClassicBsp::h_relation(10, 3), 10);
-        assert_eq!(ClassicBsp::h_relation(3, 10), 10);
-    }
-
-    #[test]
-    fn comm_and_comp_costs() {
-        let m = ClassicBsp::new(4, 1e9, 50.0, 1000.0);
-        assert_eq!(m.comm_flops(10), 1500.0);
-        assert_eq!(m.comp_flops(250.0), 1250.0);
-        assert!((m.seconds(1e9) - 1.0).abs() < 1e-12);
     }
 
     #[test]

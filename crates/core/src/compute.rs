@@ -32,11 +32,16 @@ pub fn superstep_times(r: &DMat, c: &DMat) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// A matrix from literal rows.
+    fn dmat<const C: usize>(rows: &[[f64; C]]) -> DMat {
+        DMat::from_fn(rows.len(), C, |i, j| rows[i][j])
+    }
+
     /// The worked example of Eq. 3.12/3.13: two DAXPY processes, the second
     /// processor halving add and multiply cost via fused multiply-add.
     fn eq_3_12_matrices(n: f64) -> (DMat, DMat) {
-        let r = DMat::from_rows(&[&[n, n, n], &[n, n, n]]);
-        let c = DMat::from_rows(&[&[1.0, 1.0, 1.0], &[1.0, 0.5, 0.5]]);
+        let r = dmat(&[[n, n, n], [n, n, n]]);
+        let c = dmat(&[[1.0, 1.0, 1.0], [1.0, 0.5, 0.5]]);
         (r, c)
     }
 
@@ -49,8 +54,8 @@ mod tests {
 
     #[test]
     fn homogeneous_case_is_balanced() {
-        let r = DMat::from_rows(&[&[5.0, 5.0], &[5.0, 5.0]]);
-        let c = DMat::from_rows(&[&[2.0, 3.0], &[2.0, 3.0]]);
+        let r = dmat(&[[5.0, 5.0], [5.0, 5.0]]);
+        let c = dmat(&[[2.0, 3.0], [2.0, 3.0]]);
         let t = superstep_times(&r, &c);
         assert_eq!(t[0], t[1]);
     }
@@ -59,8 +64,8 @@ mod tests {
     fn eq_3_11_imbalance_detected() {
         // Process 0 runs DAXPY (=, +, *), process 1 a difference (=, −):
         // requirement rows differ, t exposes the mismatch.
-        let r = DMat::from_rows(&[&[8.0, 8.0, 0.0, 8.0], &[8.0, 0.0, 8.0, 0.0]]);
-        let c = DMat::from_rows(&[&[1.0, 1.0, 1.0, 1.0], &[1.0, 1.0, 1.0, 1.0]]);
+        let r = dmat(&[[8.0, 8.0, 0.0, 8.0], [8.0, 0.0, 8.0, 0.0]]);
+        let c = dmat(&[[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]);
         let t = superstep_times(&r, &c);
         assert_eq!(t, vec![24.0, 16.0]);
     }

@@ -37,19 +37,6 @@ impl DMat {
         m
     }
 
-    /// Builds a matrix from row slices; all rows must have equal length.
-    pub fn from_rows(rows: &[&[f64]]) -> DMat {
-        assert!(!rows.is_empty(), "need at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "need at least one column");
-        let mut m = DMat::zeros(rows.len(), cols);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), cols, "ragged rows");
-            m.data[i * cols..(i + 1) * cols].copy_from_slice(r);
-        }
-        m
-    }
-
     /// Identity matrix.
     pub fn identity(n: usize) -> DMat {
         DMat::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
@@ -329,9 +316,14 @@ impl std::fmt::Display for IMat {
 mod tests {
     use super::*;
 
+    /// A matrix from literal rows.
+    fn dmat<const C: usize>(rows: &[[f64; C]]) -> DMat {
+        DMat::from_fn(rows.len(), C, |i, j| rows[i][j])
+    }
+
     #[test]
     fn construction_and_access() {
-        let m = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let m = dmat(&[[1.0, 2.0], [3.0, 4.0]]);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
@@ -340,8 +332,8 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = DMat::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = dmat(&[[1.0, 2.0], [3.0, 4.0]]);
+        let b = dmat(&[[5.0, 6.0], [7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c.get(0, 0), 19.0);
         assert_eq!(c.get(0, 1), 22.0);
@@ -351,7 +343,7 @@ mod tests {
 
     #[test]
     fn identity_is_neutral() {
-        let a = DMat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = dmat(&[[1.0, 2.0], [3.0, 4.0]]);
         let i = DMat::identity(2);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
@@ -359,15 +351,15 @@ mod tests {
 
     #[test]
     fn hadamard_and_row_sums() {
-        let r = DMat::from_rows(&[&[2.0, 3.0], &[4.0, 5.0]]);
-        let c = DMat::from_rows(&[&[10.0, 100.0], &[1.0, 0.1]]);
+        let r = dmat(&[[2.0, 3.0], [4.0, 5.0]]);
+        let c = dmat(&[[10.0, 100.0], [1.0, 0.1]]);
         let t = r.hadamard(&c).row_sums();
         assert_eq!(t, vec![320.0, 4.5]);
     }
 
     #[test]
     fn scale_and_map() {
-        let a = DMat::from_rows(&[&[1.0, -2.0]]);
+        let a = dmat(&[[1.0, -2.0]]);
         assert_eq!(a.scale(3.0).row(0), &[3.0, -6.0]);
         assert_eq!(a.map(f64::abs).row(0), &[1.0, 2.0]);
     }

@@ -24,8 +24,6 @@
 //! `Some` answer is a *proof* the crash set is recoverable; `None` means
 //! no survivor re-plan can attain the goal (no survivors at all, or a
 //! rooted goal whose root crashed — the root's knowledge died with it).
-//! The `unrecoverable-crash-set` analyzer rule is exactly this function
-//! run in the negative.
 
 use crate::knowledge::{KnowledgeGoal, VerifyScratch};
 use crate::pattern::log2_ceil;

@@ -105,25 +105,6 @@ impl ProcessorModel {
     pub fn secs_per_element(&self, kernel: &dyn Kernel, n: usize) -> f64 {
         self.time_per_apply(kernel, n) / n as f64
     }
-
-    /// A uniformly scaled copy (e.g. a 20 % faster part: `scaled(1.2)`).
-    /// Capacities are preserved; all rates are multiplied.
-    pub fn scaled(&self, factor: f64) -> ProcessorModel {
-        assert!(factor > 0.0);
-        ProcessorModel {
-            name: format!("{}@x{factor}", self.name),
-            flops_per_sec: self.flops_per_sec * factor,
-            levels: self
-                .levels
-                .iter()
-                .map(|l| CacheLevel {
-                    capacity_bytes: l.capacity_bytes,
-                    bytes_per_sec: l.bytes_per_sec * factor,
-                })
-                .collect(),
-            dram_bytes_per_sec: self.dram_bytes_per_sec * factor,
-        }
-    }
 }
 
 /// The Xeon core of the 8×2×4 cluster, calibrated so DAXPY sustains
@@ -168,7 +149,7 @@ pub fn opteron_core() -> ProcessorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas1::{AXPY, DOT, SCAL};
+    use crate::blas1::{AXPY, DOT};
     use crate::stencil::Stencil5;
 
     #[test]
@@ -226,15 +207,6 @@ mod tests {
         let t = slow_flops.time_per_apply(&Stencil5, 1024);
         let expect = Stencil5.flops(1024) / 0.5e9;
         assert!((t - expect).abs() / expect < 1e-9);
-    }
-
-    #[test]
-    fn scaled_model_is_proportionally_faster() {
-        let p = xeon_core();
-        let f = p.scaled(2.0);
-        let t1 = p.time_per_apply(&SCAL, 4096);
-        let t2 = f.time_per_apply(&SCAL, 4096);
-        assert!((t1 / t2 - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! number of threads, yet the returned vector is always identical to what
 //! a serial `(0..n).map(f).collect()` produces.
 //!
-//! The implementation is a work-stealing loop over [`std::thread::scope`]:
-//! no thread pool to initialize, no external dependency (the build
+//! The implementation is one work queue over [`std::thread::scope`]: no
+//! thread pool to initialize, no external dependency (the build
 //! environment has no registry access, so rayon is not an option), and no
-//! unsafe code — each worker collects `(index, value)` pairs privately and
-//! the results are scattered back into input order after the join
-//! ([`par_chunks_mut_with`] instead hands workers disjoint chunks of the
-//! caller's output to write in place).
+//! unsafe code. Workers take disjoint chunks of an output slice from a
+//! shared iterator and write them in place: [`par_chunks_mut_with`]'s
+//! chunks are the caller's, and [`par_map_indexed_with`]'s are one-item
+//! slots of its result, so nothing is gathered after the join.
 //!
 //! The fan-out width is a process-wide setting ([`set_threads`] /
 //! [`threads`]) so that deep call chains (an experiment sweep calling the
@@ -126,23 +126,10 @@ where
         let mut state = init();
         return (0..n).map(|k| f(&mut state, k)).collect();
     }
-    let next = AtomicUsize::new(0);
-    let parts = fan_out(workers, &init, |state| {
-        let mut local: Vec<(usize, U)> = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= n {
-                break;
-            }
-            local.push((k, f(state, k)));
-        }
-        local
-    });
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
-    for (k, v) in parts.into_iter().flatten() {
-        debug_assert!(slots[k].is_none(), "index {k} produced twice");
-        slots[k] = Some(v);
-    }
+    run_queue(&mut slots, 1, workers, init, |state, k, slot| {
+        slot[0] = Some(f(state, k));
+    });
     slots
         .into_iter()
         .map(|s| s.expect("every index produced exactly once"))
@@ -176,10 +163,24 @@ where
         }
         return;
     }
+    run_queue(out, chunk, workers, init, f);
+}
+
+/// The one work queue: `workers` scoped threads, each over its own
+/// `init()` state, take `out`'s chunks of `chunk` elements in turn and
+/// run `f(state, b, c)` on chunk `b`. The caller has made its serial
+/// check and set [`ACTIVE`]; it is cleared here, also when a worker's
+/// panic is re-raised.
+fn run_queue<T, S, I, F>(out: &mut [T], chunk: usize, workers: usize, init: I, f: F)
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
     // Chunks outlive the lock that hands them out: a worker holds it only
     // while taking its next one.
     let queue = Mutex::new(out.chunks_mut(chunk).enumerate());
-    fan_out(workers, &init, |state| loop {
+    let work = |state: &mut S| loop {
         let next = queue
             .lock()
             .expect("no worker panics while taking a chunk")
@@ -188,28 +189,17 @@ where
             Some((b, c)) => f(state, b, c),
             None => break,
         }
-    });
-}
-
-/// Runs `work` on `workers` scoped threads, each over its own `init()`
-/// state, and returns what they returned. The caller has set [`ACTIVE`];
-/// it is cleared here, also when a worker's panic is re-raised.
-fn fan_out<S, R: Send>(
-    workers: usize,
-    init: &(impl Fn() -> S + Sync),
-    work: impl Fn(&mut S) -> R + Sync,
-) -> Vec<R> {
-    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+    };
+    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| scope.spawn(|| work(&mut init())))
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
     ACTIVE.store(false, Ordering::SeqCst);
-    joined
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-        .collect()
+    for r in joined {
+        r.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    }
 }
 
 /// Maps `f` over a slice on up to [`threads`] workers, preserving order —

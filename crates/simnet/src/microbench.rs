@@ -413,7 +413,7 @@ fn class_fits(
             Some(k) => {
                 let target = k.min(total);
                 let mut stream = SplitMix64::from_parts(seed, MICRO_SAMPLE_LABEL, c as u64);
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 while sampled[c] < target {
                     let i = (stream.next_u64() % p as u64) as usize;
                     let n = partners(class, i);

@@ -170,24 +170,6 @@ pub fn opteron_cluster_params() -> PlatformParams {
     .validated()
 }
 
-/// An InfiniBand-class interconnect on the Xeon nodes — the §9.2.4
-/// future-work direction ("Range of Interconnects"): microsecond-scale
-/// remote latency and ~3 GB/s links compress the latency hierarchy from
-/// ~20× to ~4×, which shifts every topology-driven conclusion (barrier
-/// choice, overlap benefit) toward the shared-memory regime.
-pub fn infiniband_cluster_params() -> PlatformParams {
-    let mut p = xeon_cluster_params();
-    p.name = "xeon-8x2x4-ib".into();
-    p.remote = LinkCost {
-        o_send: 0.3e-6,
-        o_recv: 0.3e-6,
-        latency: 1.5e-6,
-        inv_bandwidth: 3.3e-10, // ~3 GB/s
-    };
-    p.nic_gap = 0.2e-6;
-    p.validated()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,21 +178,6 @@ mod tests {
     fn presets_validate() {
         xeon_cluster_params();
         opteron_cluster_params();
-        infiniband_cluster_params();
-    }
-
-    #[test]
-    fn infiniband_compresses_the_latency_hierarchy() {
-        let gige = xeon_cluster_params();
-        let ib = infiniband_cluster_params();
-        let spread = |p: &PlatformParams| {
-            p.link(LinkClass::Remote).latency / p.link(LinkClass::SameSocket).latency
-        };
-        assert!(spread(&ib) < spread(&gige) / 3.0);
-        assert!(
-            ib.remote.inv_bandwidth < gige.remote.inv_bandwidth / 10.0,
-            "IB must be an order of magnitude faster per byte"
-        );
     }
 
     #[test]

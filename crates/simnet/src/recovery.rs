@@ -35,8 +35,8 @@
 //! fail-stop), so they rejoin the repaired plan; only crashed ranks are
 //! excluded. An unrecoverable crash set (a rooted goal whose root
 //! crashed) leaves the attempt's outcomes standing and reports
-//! `recovered = false` — exactly the sets the analyzer's
-//! `unrecoverable-crash-set` rule flags statically.
+//! `recovered = false` — exactly the sets for which
+//! [`SurvivorMap::repair`] returns `None`.
 
 use crate::barrier::{BarrierSim, SimScratch, BARRIER_JITTER_LABEL};
 use crate::faults::{last_exit, FaultReport, FaultScratch, RankOutcome};

@@ -2,12 +2,12 @@
 //!
 //! Random scripted programs — puts and hp-puts with overlapping targets,
 //! self-puts, zero-length puts — run twice through `run_spmd` on the
-//! jittered platform: once committing every put with `put`/`hpput`, once
-//! with `put_with`/`hpput_with`. The two runs must be bitwise equal in
-//! total time, every `SuperstepTrace` vector and final memory (same
-//! `elapse` sequence ⇒ same `rng` stream ⇒ same simulated times), and
-//! both must match an oracle that applies the BSPlib order directly: puts
-//! land in `(pid, program order)`.
+//! jittered platform: once committing every buffered put with `put`, once
+//! with `put_with`; hp-puts commit through `hpput_with` in both. The two
+//! runs must be bitwise equal in total time, every `SuperstepTrace`
+//! vector and final memory (same `elapse` sequence ⇒ same `rng` stream
+//! ⇒ same simulated times), and both must match an oracle that applies
+//! the BSPlib order directly: puts land in `(pid, program order)`.
 
 use hpm::bsplib::runtime::{run_spmd, BspConfig, BspProgram, BspRunResult};
 use hpm::bsplib::{BspCtx, RegHandle, StepOutcome};
@@ -102,8 +102,7 @@ fn random_script(p: usize, rng: &mut u64) -> Script {
 
 struct Scripted<'a> {
     script: &'a Script,
-    /// Commit puts through `put_with`/`hpput_with` instead of
-    /// `put`/`hpput`.
+    /// Commit buffered puts through `put_with` instead of `put`.
     fill: bool,
     step: usize,
     buf: Option<RegHandle>,
@@ -143,9 +142,8 @@ impl BspProgram for Scripted<'_> {
                         }
                     };
                     match (self.fill, hp) {
-                        (true, true) => ctx.hpput_with(dst, a, offset, len, fill),
+                        (_, true) => ctx.hpput_with(dst, a, offset, len, fill),
                         (true, false) => ctx.put_with(dst, a, offset, len, fill),
-                        (false, true) => ctx.hpput(dst, a, offset, &payload(t, pid, idx, len)),
                         (false, false) => ctx.put(dst, a, offset, &payload(t, pid, idx, len)),
                     }
                 }

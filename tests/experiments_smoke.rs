@@ -4,9 +4,15 @@
 //! a run.
 
 use hpm_bench::experiments::{
-    find, registry, run_experiment, run_experiments, Effort, Experiment, FitPoint, Profiles,
+    find, registry, run_experiments, Effort, Experiment, FitPoint, Profiles,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// The files a run of the one experiment `id` writes into `dir`.
+fn run_one(id: &str, dir: &Path, effort: &Effort) -> Vec<PathBuf> {
+    let mut runs = run_experiments(&[id], dir, effort, || 0.0).expect("registered id");
+    runs.remove(0).paths
+}
 
 #[test]
 fn every_experiment_runs_and_writes_output() {
@@ -14,8 +20,7 @@ fn every_experiment_runs_and_writes_output() {
     let effort = Effort::quick();
     for e in registry() {
         let id = e.id;
-        let paths = run_experiment(id, &dir, &effort)
-            .unwrap_or_else(|| panic!("experiment {id} not found"));
+        let paths = run_one(id, &dir, &effort);
         assert!(!paths.is_empty(), "{id} wrote nothing");
         for p in paths {
             let meta = std::fs::metadata(&p)
@@ -30,7 +35,8 @@ fn every_experiment_runs_and_writes_output() {
 fn unknown_experiment_is_rejected() {
     let dir = std::env::temp_dir();
     assert!(find("fig99_9").is_none());
-    assert!(run_experiment("fig99_9", &dir, &Effort::quick()).is_none());
+    let run = run_experiments(&["fig5_2", "fig99_9"], &dir, &Effort::quick(), || 0.0);
+    assert_eq!(run.err(), Some("fig99_9".to_string()));
 }
 
 #[test]
@@ -42,13 +48,13 @@ fn registry_ids_are_unique() {
     assert_eq!(ids.len(), dedup.len(), "duplicate experiment ids");
 }
 
-/// `run_experiment` is `find` + the entry's `run`: both routes write the
-/// same files with the same bytes.
+/// Running one experiment is `find` + the entry's `run`: both routes
+/// write the same files with the same bytes.
 #[test]
 fn run_experiment_is_find_then_run() {
     let root = std::env::temp_dir().join(format!("hpm-exp-find-{}", std::process::id()));
     let effort = Effort::quick();
-    let read = |paths: Vec<std::path::PathBuf>| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let read = |paths: Vec<PathBuf>| -> Vec<(std::ffi::OsString, Vec<u8>)> {
         paths
             .iter()
             .map(|p| {
@@ -60,7 +66,7 @@ fn run_experiment_is_find_then_run() {
     for id in ["fig5_2", "table7_1", "faults"] {
         let entry = find(id).expect("registered id");
         assert_eq!(entry.id, id);
-        let by_name = run_experiment(id, &root.join("by-name"), &effort).expect("registered id");
+        let by_name = run_one(id, &root.join("by-name"), &effort);
         let mut table = Profiles::default();
         table.fit(&(entry.fits)(&effort), &effort);
         let by_entry = entry.run_on(&root.join("by-entry"), &effort, &mut table);
@@ -137,7 +143,7 @@ fn one_run_writes_what_single_id_runs_write() {
     assert_eq!(ids.len(), 26);
     let single = root.join("single");
     for id in &ids {
-        run_experiment(id, &single, &effort).expect("registered id");
+        run_one(id, &single, &effort);
     }
     let want = read_dir_sorted(&single);
     assert_eq!(want.len(), 41);

